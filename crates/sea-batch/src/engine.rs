@@ -134,7 +134,7 @@ impl Default for BatchOptions {
         BatchOptions {
             epsilon: defaults.epsilon,
             max_iterations: defaults.max_iterations,
-            kernel: KernelKind::SortScan,
+            kernel: defaults.kernel,
             simd: SimdMode::Off,
             precision: Precision::F64,
             parallelism: BatchParallelism::Serial,
@@ -794,6 +794,12 @@ mod tests {
         assert_eq!(BatchParallelism::parse("outer:0"), None);
         assert_eq!(BatchParallelism::parse("sideways"), None);
         assert_eq!(BatchParallelism::parse("inner:x"), None);
+    }
+
+    #[test]
+    fn default_kernel_is_the_library_default() {
+        assert_eq!(BatchOptions::default().kernel, KernelKind::default());
+        assert_eq!(BatchOptions::default().kernel, KernelKind::Quickselect);
     }
 
     #[test]

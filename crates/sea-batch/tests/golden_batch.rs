@@ -9,7 +9,7 @@
 //! outcomes, kernel-work counters — must match the committed fixture.
 
 use sea_batch::{BatchEngine, BatchInstance, BatchOptions, BatchProblem};
-use sea_core::{DiagonalProblem, Event, TotalSpec};
+use sea_core::{DiagonalProblem, Event, KernelKind, TotalSpec};
 use sea_linalg::DenseMatrix;
 use sea_observe::jsonl::{encode_event, parse_events, JsonlObserver};
 
@@ -95,6 +95,8 @@ fn batch_event_stream_matches_golden_fixture() {
     let mut engine = BatchEngine::new(BatchOptions {
         epsilon: 1e-10,
         max_iterations: 1000,
+        // The fixture records the sort-scan oracle's event stream.
+        kernel: KernelKind::SortScan,
         ..BatchOptions::default()
     });
 

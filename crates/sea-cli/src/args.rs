@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing (kept dependency-free).
 
 use sea_batch::BatchParallelism;
+use sea_core::KernelKind;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -20,8 +21,8 @@ pub struct CommonOpts {
     /// Problem storage backend: `dense` or `sparse` (CSR over the prior's
     /// support; with `--zeros structural` only nonzero cells are stored).
     pub storage: String,
-    /// Equilibration kernel name: `sortscan` or `quickselect`.
-    pub kernel: String,
+    /// Equilibration kernel.
+    pub kernel: KernelKind,
     /// SIMD policy: `auto` (runtime dispatch, the default), `off`
     /// (scalar oracle), or `force` (require AVX2, else exit 22).
     pub simd: String,
@@ -60,8 +61,8 @@ pub struct BatchOpts {
     pub out: Option<PathBuf>,
     /// Stopping tolerance.
     pub epsilon: f64,
-    /// Equilibration kernel name: `sortscan` or `quickselect`.
-    pub kernel: String,
+    /// Equilibration kernel.
+    pub kernel: KernelKind,
     /// SIMD policy: `auto`, `off`, or `force`.
     pub simd: String,
     /// Arithmetic precision: `f64`, `f32`, or `f32-mixed`.
@@ -177,6 +178,16 @@ fn take_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>),
     Ok((flags, positional))
 }
 
+/// `--kernel`, in any spelling [`KernelKind::parse`] accepts; absent, the
+/// library default.
+fn kernel_from(flags: &mut HashMap<String, String>) -> Result<KernelKind, ParseError> {
+    match flags.remove("kernel") {
+        None => Ok(KernelKind::default()),
+        Some(v) => KernelKind::parse(&v)
+            .ok_or_else(|| format!("unknown --kernel {v:?} (expected sortscan or quickselect)")),
+    }
+}
+
 fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseError> {
     let matrix = flags
         .remove("matrix")
@@ -202,14 +213,7 @@ fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseE
         Some("free") => false,
         Some(other) => return Err(format!("unknown --zeros {other:?} (structural|free)")),
     };
-    let kernel = flags
-        .remove("kernel")
-        .unwrap_or_else(|| "sortscan".to_string());
-    if !["sortscan", "quickselect"].contains(&kernel.as_str()) {
-        return Err(format!(
-            "unknown --kernel {kernel:?} (expected sortscan or quickselect)"
-        ));
-    }
+    let kernel = kernel_from(flags)?;
     let simd = flags.remove("simd").unwrap_or_else(|| "auto".to_string());
     if sea_core::SimdMode::parse(&simd).is_none() {
         return Err(format!(
@@ -305,14 +309,7 @@ fn batch_opts_from(flags: &mut HashMap<String, String>) -> Result<BatchOpts, Par
             .parse()
             .map_err(|_| format!("--epsilon {v:?} is not a number"))?,
     };
-    let kernel = flags
-        .remove("kernel")
-        .unwrap_or_else(|| "sortscan".to_string());
-    if !["sortscan", "quickselect"].contains(&kernel.as_str()) {
-        return Err(format!(
-            "unknown --kernel {kernel:?} (expected sortscan or quickselect)"
-        ));
-    }
+    let kernel = kernel_from(flags)?;
     let simd = flags.remove("simd").unwrap_or_else(|| "auto".to_string());
     if sea_core::SimdMode::parse(&simd).is_none() {
         return Err(format!(
@@ -510,10 +507,10 @@ OPTIONS (solver subcommands):
   --weights unit|chi2|sqrt   deviation weights (default chi2 = 1/x0)
   --epsilon <f64>            stopping tolerance (default 1e-8)
   --zeros structural|free    zero handling (default free)
-  --kernel sortscan|quickselect
-                             equilibration kernel (default sortscan; both
-                             produce the same solution, quickselect skips
-                             the breakpoint sort)
+  --kernel quickselect|sortscan
+                             equilibration kernel (default quickselect; both
+                             produce the same solution, sortscan is the
+                             paper's breakpoint sort, kept as the oracle)
   --storage dense|sparse     problem storage (default dense). sparse keeps
                              only the prior's support in CSR form — with
                              --zeros structural only nonzero cells are
@@ -656,17 +653,33 @@ mod tests {
 
     #[test]
     fn parses_kernel_flag() {
-        let cmd = parse_args(&argv("sam --matrix m.csv --kernel quickselect")).unwrap();
-        match cmd {
-            Command::Sam { common, .. } => assert_eq!(common.kernel, "quickselect"),
+        // Every spelling `KernelKind::parse` knows, on both parsers.
+        for (flag, kernel) in [
+            ("quickselect", KernelKind::Quickselect),
+            ("qs", KernelKind::Quickselect),
+            ("sortscan", KernelKind::SortScan),
+            ("sort-scan", KernelKind::SortScan),
+        ] {
+            match parse_args(&argv(&format!("sam --matrix m.csv --kernel {flag}"))).unwrap() {
+                Command::Sam { common, .. } => assert_eq!(common.kernel, kernel),
+                other => panic!("wrong command {other:?}"),
+            }
+            match parse_args(&argv(&format!("batch jobs.jsonl --kernel {flag}"))).unwrap() {
+                Command::Batch { opts, .. } => assert_eq!(opts.kernel, kernel),
+                other => panic!("wrong command {other:?}"),
+            }
+        }
+        // No flag: the library default, which is quickselect.
+        match parse_args(&argv("sam --matrix m.csv")).unwrap() {
+            Command::Sam { common, .. } => {
+                assert_eq!(common.kernel, KernelKind::default());
+                assert_eq!(common.kernel, KernelKind::Quickselect);
+            }
             other => panic!("wrong command {other:?}"),
         }
-        let cmd = parse_args(&argv("sam --matrix m.csv")).unwrap();
-        match cmd {
-            Command::Sam { common, .. } => assert_eq!(common.kernel, "sortscan"),
-            other => panic!("wrong command {other:?}"),
-        }
+        assert!(USAGE.contains(&format!("(default {}", KernelKind::default())));
         assert!(parse_args(&argv("sam --matrix m.csv --kernel mergesort")).is_err());
+        assert!(parse_args(&argv("batch jobs.jsonl --kernel mergesort")).is_err());
     }
 
     #[test]
@@ -887,7 +900,7 @@ mod tests {
                 assert!(!opts.warm_start);
                 assert_eq!(opts.epsilon, 1e-9);
                 assert_eq!(opts.max_iterations, Some(500));
-                assert_eq!(opts.kernel, "quickselect");
+                assert_eq!(opts.kernel, KernelKind::Quickselect);
                 assert_eq!(opts.out, Some(PathBuf::from("r.jsonl")));
                 assert_eq!(opts.observe, Some(PathBuf::from("e.jsonl")));
                 assert_eq!(opts.metrics, Some(PathBuf::from("m.prom")));
@@ -901,7 +914,7 @@ mod tests {
                 assert_eq!(opts.parallel, BatchParallelism::Serial);
                 assert!(opts.warm_start);
                 assert_eq!(opts.epsilon, 1e-8);
-                assert_eq!(opts.kernel, "sortscan");
+                assert_eq!(opts.kernel, KernelKind::default());
                 assert!(opts.out.is_none() && opts.observe.is_none());
             }
             other => panic!("wrong command {other:?}"),

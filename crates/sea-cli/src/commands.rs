@@ -9,8 +9,8 @@ use sea_baselines::ras::{ras_balance, RasOptions};
 use sea_batch::{BatchEngine, BatchOptions};
 use sea_core::{
     solve_diagonal_supervised, trace_from_events, Checkpoint, CheckpointPolicy, DiagonalProblem,
-    Event, ExecutionTrace, KernelCounters, KernelKind, Observer, SeaOptions, SpanKind, StopReason,
-    Storage, SupervisorOptions, TelemetrySample, TotalSpec, ZeroPolicy,
+    Event, ExecutionTrace, KernelCounters, Observer, SeaOptions, SpanKind, StopReason, Storage,
+    SupervisorOptions, TelemetrySample, TotalSpec, ZeroPolicy,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
 use sea_observe::json::parse as parse_json;
@@ -298,8 +298,7 @@ fn solve_and_emit<S: Storage>(
     problem: &DiagonalProblem<S>,
 ) -> Result<String, CliError> {
     let mut opts = SeaOptions::with_epsilon(common.epsilon);
-    opts.kernel = KernelKind::parse(&common.kernel)
-        .ok_or_else(|| format!("unknown kernel {:?}", common.kernel))?;
+    opts.kernel = common.kernel;
     opts.simd = sea_core::SimdMode::parse(&common.simd)
         .ok_or_else(|| format!("unknown simd policy {:?}", common.simd))?;
     opts.precision = sea_core::Precision::parse(&common.precision)
@@ -428,12 +427,11 @@ fn run_batch(manifest: &Path, opts: &BatchOpts) -> Result<String, CliError> {
 
     let mut bopts = BatchOptions {
         epsilon: opts.epsilon,
+        kernel: opts.kernel,
         parallelism: opts.parallel,
         warm_start: opts.warm_start,
         ..BatchOptions::default()
     };
-    bopts.kernel = KernelKind::parse(&opts.kernel)
-        .ok_or_else(|| format!("unknown kernel {:?}", opts.kernel))?;
     bopts.simd = sea_core::SimdMode::parse(&opts.simd)
         .ok_or_else(|| format!("unknown simd policy {:?}", opts.simd))?;
     bopts.precision = sea_core::Precision::parse(&opts.precision)

@@ -220,8 +220,8 @@ pub struct BoundedSolution<S: Storage = DenseMatrix> {
 
 /// Kernel configuration for the bounded driver: which λ-search kernel,
 /// which SIMD policy, and which arithmetic precision. The default
-/// (`SortScan`, `SimdMode::Off`, `Precision::F64`) is exactly the scalar
-/// oracle the legacy entry points run.
+/// (`KernelKind::default()`, `SimdMode::Off`, `Precision::F64`) is what
+/// [`solve_bounded`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundedOptions {
     /// Which equilibration kernel solves the row/column subproblems.
@@ -237,7 +237,7 @@ pub struct BoundedOptions {
 impl Default for BoundedOptions {
     fn default() -> Self {
         Self {
-            kernel: KernelKind::SortScan,
+            kernel: KernelKind::default(),
             simd: SimdMode::Off,
             precision: Precision::F64,
         }
@@ -254,7 +254,7 @@ pub fn solve_bounded<S: Storage>(
     epsilon: f64,
     max_iterations: usize,
 ) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_with(p, epsilon, max_iterations, KernelKind::SortScan)
+    solve_bounded_with(p, epsilon, max_iterations, KernelKind::default())
 }
 
 /// [`solve_bounded`] with a full kernel configuration (kernel choice, SIMD
@@ -559,10 +559,6 @@ fn solve_bounded_inner_warm<S: Storage, O: Observer>(
     let mut stagnant_checks = 0u32;
     let start = Instant::now();
     let (m, n) = (p.m(), p.n());
-    let x0_t = p.x0.transposed()?;
-    let gamma_t = p.gamma.transposed()?;
-    let lo_t = p.lo.transposed()?;
-    let hi_t = p.hi.transposed()?;
     let observing = obs.enabled();
     if observing {
         obs.record(&Event::SolveStart {
@@ -577,10 +573,15 @@ fn solve_bounded_inner_warm<S: Storage, O: Observer>(
     // The bounded driver is fully serial, so pass spans carry their own
     // kernel counters directly: a snapshot delta of the cumulative scratch
     // stats brackets each pass, and there are no shard leaves to replay.
+    // The Solve span covers the transposes and the final assembly too.
     let spanning = obs.spans_enabled();
     if spanning {
         obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
     }
+    let x0_t = p.x0.transposed()?;
+    let gamma_t = p.gamma.transposed()?;
+    let lo_t = p.lo.transposed()?;
+    let hi_t = p.hi.transposed()?;
     let mut epoch_open = false;
 
     let mut lambda = vec![0.0; m];
@@ -783,10 +784,7 @@ fn solve_bounded_inner_warm<S: Storage, O: Observer>(
             epoch_open = false;
         }
     }
-    if spanning {
-        if epoch_open {
-            obs.span_close(&KernelCounters::default());
-        }
+    if spanning && epoch_open {
         obs.span_close(&KernelCounters::default());
     }
 
@@ -810,6 +808,9 @@ fn solve_bounded_inner_warm<S: Storage, O: Observer>(
     }
     residuals.norm2 = sq.sqrt();
     let objective = p.objective(&x_final);
+    if spanning {
+        obs.span_close(&KernelCounters::default());
+    }
 
     if observing {
         if ctrl.is_active() && !converged {
@@ -857,6 +858,12 @@ mod tests {
         let lo = DenseMatrix::filled(2, 2, 0.5).unwrap();
         let hi = DenseMatrix::filled(2, 2, 10.0).unwrap();
         BoundedProblem::new(x0, gamma, lo, hi, vec![4.0, 6.0], vec![5.0, 5.0]).unwrap()
+    }
+
+    #[test]
+    fn default_kernel_is_the_library_default() {
+        assert_eq!(BoundedOptions::default().kernel, KernelKind::default());
+        assert_eq!(BoundedOptions::default().kernel, KernelKind::Quickselect);
     }
 
     #[test]

@@ -63,16 +63,20 @@ pub enum TotalMode {
 /// Both kernels produce the same solution (differentially tested to 1e-10);
 /// they differ only in how they locate the linear segment containing the
 /// root.
+///
+/// `KernelKind::default()` is the one place the default kernel is chosen:
+/// every options struct and front end takes its default from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
     /// Argsort the breakpoints, then scan segments in order — `O(n log n)`,
-    /// the paper's `7n + n·ln n + 2n` profile. The reference oracle.
-    #[default]
+    /// the paper's `7n + n·ln n + 2n` profile. The reference oracle, run
+    /// on request and as the supervisor's per-subproblem fallback.
     SortScan,
     /// Expected-`O(n)` selection: deterministic median-of-3 quickselect over
     /// the breakpoints, folding discarded segments into running linear
     /// coefficients instead of ever sorting (Kiwiel-style breakpoint
-    /// search).
+    /// search). The default.
+    #[default]
     Quickselect,
 }
 
@@ -1292,7 +1296,7 @@ mod tests {
         assert_eq!(KernelKind::parse("select"), Some(KernelKind::Quickselect));
         assert_eq!(KernelKind::parse("bogosort"), None);
         assert_eq!(KernelKind::Quickselect.to_string(), "quickselect");
-        assert_eq!(KernelKind::default(), KernelKind::SortScan);
+        assert_eq!(KernelKind::default(), KernelKind::Quickselect);
     }
 
     #[test]

@@ -87,8 +87,9 @@ pub struct SeaOptions {
     /// Fan-out strategy for the row/column phases.
     pub parallelism: Parallelism,
     /// Which equilibration kernel solves the row/column subproblems:
-    /// the sort-based reference or the expected-linear selection kernel
-    /// (identical solutions; see [`crate::knapsack::KernelKind`]).
+    /// the expected-linear selection kernel (the default) or the
+    /// sort-based reference (identical solutions; see
+    /// [`crate::knapsack::KernelKind`]).
     pub kernel: KernelKind,
     /// SIMD policy for the equilibration kernels, resolved once per solve
     /// against the running CPU. [`SimdMode::Off`] (the default) runs the
@@ -130,7 +131,7 @@ impl Default for SeaOptions {
             max_iterations: 100_000,
             check_every: 1,
             parallelism: Parallelism::Serial,
-            kernel: KernelKind::SortScan,
+            kernel: KernelKind::default(),
             simd: SimdMode::Off,
             precision: Precision::F64,
             record_trace: false,
@@ -844,11 +845,8 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
         }
     }
 
-    if spanning {
-        // Breaks exit mid-epoch; close the dangling Epoch, then the Solve.
-        if epoch_open {
-            obs.span_close(&KernelCounters::default());
-        }
+    if spanning && epoch_open {
+        // Breaks exit mid-epoch; close the dangling Epoch.
         obs.span_close(&KernelCounters::default());
     }
 
@@ -869,6 +867,11 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
     let residuals = p.residuals(&x_final, &s_final, &d_final);
     let objective = p.objective(&x_final, &s_final, &d_final);
     let dual_value = dual::dual_value(p, &lambda, &mu);
+    if spanning {
+        // The Solve span also covers assembly: its O(nnz) sweeps are a
+        // sizeable share of a cheap solve's wall time.
+        obs.span_close(&KernelCounters::default());
+    }
 
     ctrl.fallbacks = counters.as_ref().map_or(0, |c| c.fallbacks());
 
@@ -992,6 +995,15 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn default_kernel_is_the_library_default() {
+        assert_eq!(SeaOptions::default().kernel, KernelKind::default());
+        assert_eq!(
+            SeaOptions::with_epsilon(1e-6).kernel,
+            KernelKind::Quickselect
+        );
     }
 
     #[test]

@@ -38,8 +38,12 @@ fn simd_under_test() -> SimdMode {
     }
 }
 
+/// Pinned to sort-scan: the f32 λ-search stands in for that kernel only
+/// (quickselect routes every precision to its f64 search), so under the
+/// default kernel these tests would run f64 alone.
 fn opts(epsilon: f64, precision: Precision) -> SeaOptions {
     let mut o = SeaOptions::with_epsilon(epsilon);
+    o.kernel = KernelKind::SortScan;
     o.simd = simd_under_test();
     o.precision = precision;
     o.max_iterations = 50_000;
@@ -117,6 +121,25 @@ fn f32_reports_its_true_residual() {
         sol.stats.residuals.rel_row_inf > eps,
         "reported residual {:.3e} must reflect the stall",
         sol.stats.residuals.rel_row_inf
+    );
+}
+
+/// The stall above is the f32 phase's doing: the same pure-`f32` request
+/// under quickselect runs the f64 search and converges. So the stall proves
+/// the sort-scan pin in [`opts`] really engages the f32 λ-search.
+#[test]
+fn f32_phase_engages_only_under_sortscan() {
+    let p = ill_conditioned(12, 18);
+    let eps = 1e-9;
+    let mut o = opts(eps, Precision::F32);
+    let stalled = solve_diagonal(&p, &o).expect("f32 sort-scan solve runs");
+    assert!(!stalled.stats.converged, "the f32 phase did not run");
+    o.kernel = KernelKind::Quickselect;
+    let routed = solve_diagonal(&p, &o).expect("f32 quickselect solve runs");
+    assert!(
+        routed.stats.converged,
+        "quickselect routes f32 to its f64 search (residual {:.3e})",
+        routed.stats.residuals.rel_row_inf
     );
 }
 

@@ -9,7 +9,9 @@
 //! iteration numbers, convergence flags, and the exact kernel work
 //! counters — must match the committed golden file.
 
-use sea_core::{solve_diagonal_observed, DiagonalProblem, Parallelism, SeaOptions, TotalSpec};
+use sea_core::{
+    solve_diagonal_observed, DiagonalProblem, KernelKind, Parallelism, SeaOptions, TotalSpec,
+};
 use sea_linalg::DenseMatrix;
 use sea_observe::jsonl::{encode_event, parse_events, JsonlObserver};
 use sea_observe::Event;
@@ -79,6 +81,8 @@ fn event_stream_matches_golden_fixture() {
     let p = golden_problem();
     let mut opts = SeaOptions::with_epsilon(1e-10);
     opts.parallelism = Parallelism::Serial;
+    // The fixture records the sort-scan oracle's event stream.
+    opts.kernel = KernelKind::SortScan;
 
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
@@ -150,6 +154,8 @@ fn sparse_event_stream_matches_golden_fixture() {
     .unwrap();
     let mut opts = SeaOptions::with_epsilon(1e-10);
     opts.parallelism = Parallelism::Serial;
+    // The fixture records the sort-scan oracle's event stream.
+    opts.kernel = KernelKind::SortScan;
 
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();

@@ -30,7 +30,7 @@ USAGE:
   sea-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
             [--tenant-quota N|off] [--cache-bytes N|off] [--epsilon F]
             [--degraded-epsilon F|off] [--max-iterations N]
-            [--kernel sortscan|quickselect] [--simd auto|off|force]
+            [--kernel quickselect|sortscan] [--simd auto|off|force]
             [--parallel serial|inner[:K]]
             [--deadline SECONDS|off] [--max-body-bytes N]
             [--quarantine N:SECONDS|off] [--restart-breaker N:SECONDS]
@@ -48,7 +48,7 @@ FLAGS:
                        answers 200 with \"degraded\":true instead of 504
                        (default off)
   --max-iterations N   iteration cap per solve   (default 10000)
-  --kernel NAME        equilibration kernel      (default sortscan)
+  --kernel NAME        equilibration kernel      (default quickselect)
   --simd POLICY        kernel SIMD policy        (default auto; off = scalar
                        oracle, force = fail fast when the CPU lacks AVX2)
   --parallel POLICY    per-solve threads         (default serial)

@@ -136,7 +136,7 @@ impl Default for ServeConfig {
             epsilon: 1e-8,
             degraded_epsilon: None,
             max_iterations: 10_000,
-            kernel: KernelKind::SortScan,
+            kernel: KernelKind::default(),
             simd: sea_core::SimdMode::Auto,
             parallelism: BatchParallelism::Serial,
             default_deadline: Some(Duration::from_secs(30)),

@@ -103,6 +103,13 @@ fn wait_for_metric(addr: std::net::SocketAddr, name: &str, pred: impl Fn(f64) ->
 }
 
 #[test]
+fn default_kernel_is_the_library_default() {
+    use sea_core::KernelKind;
+    assert_eq!(ServeConfig::default().kernel, KernelKind::default());
+    assert_eq!(ServeConfig::default().kernel, KernelKind::Quickselect);
+}
+
+#[test]
 fn health_ready_and_unknown_routes() {
     let server = quick_server(ServeConfig::default());
     let addr = server.addr();
