@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (kept dependency-free).
 
 use sea_batch::BatchParallelism;
-use sea_core::KernelKind;
+use sea_core::{KernelKind, Precision};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -27,8 +27,8 @@ pub struct CommonOpts {
     /// (scalar oracle), or `force` (require AVX2, else exit 22).
     pub simd: String,
     /// Arithmetic precision: `f64` (default), `f32`, or `f32-mixed`
-    /// (f32 iterates with a final f64 polish epoch).
-    pub precision: String,
+    /// (f32 iterates with a final f64 polish epoch; sort-scan only).
+    pub precision: Precision,
     /// Write a JSONL solve log (one event per line) to this file.
     pub observe: Option<PathBuf>,
     /// Write Prometheus text-exposition metrics to this file.
@@ -65,8 +65,8 @@ pub struct BatchOpts {
     pub kernel: KernelKind,
     /// SIMD policy: `auto`, `off`, or `force`.
     pub simd: String,
-    /// Arithmetic precision: `f64`, `f32`, or `f32-mixed`.
-    pub precision: String,
+    /// Arithmetic precision: `f64`, `f32`, or `f32-mixed` (sort-scan only).
+    pub precision: Precision,
     /// Hard iteration cap override (default: the engine's built-in cap).
     pub max_iterations: Option<usize>,
     /// Thread-budget policy: instance-level vs in-solve parallelism.
@@ -188,6 +188,23 @@ fn kernel_from(flags: &mut HashMap<String, String>) -> Result<KernelKind, ParseE
     }
 }
 
+/// `--precision`; absent, `f64`. Only sort-scan has an f32 λ-search, so a
+/// non-f64 precision under quickselect is refused rather than ignored.
+fn precision_from(
+    flags: &mut HashMap<String, String>,
+    kernel: KernelKind,
+) -> Result<Precision, ParseError> {
+    let v = flags.remove("precision").unwrap_or_else(|| "f64".into());
+    let precision = Precision::parse(&v)
+        .ok_or_else(|| format!("unknown --precision {v:?} (expected f64, f32, or f32-mixed)"))?;
+    if precision != Precision::F64 && kernel != KernelKind::SortScan {
+        return Err(format!(
+            "--precision {precision} needs --kernel sortscan ({kernel} searches in f64 only)"
+        ));
+    }
+    Ok(precision)
+}
+
 fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseError> {
     let matrix = flags
         .remove("matrix")
@@ -220,14 +237,7 @@ fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseE
             "unknown --simd {simd:?} (expected auto, off, or force)"
         ));
     }
-    let precision = flags
-        .remove("precision")
-        .unwrap_or_else(|| "f64".to_string());
-    if sea_core::Precision::parse(&precision).is_none() {
-        return Err(format!(
-            "unknown --precision {precision:?} (expected f64, f32, or f32-mixed)"
-        ));
-    }
+    let precision = precision_from(flags, kernel)?;
     let storage = flags
         .remove("storage")
         .unwrap_or_else(|| "dense".to_string());
@@ -316,14 +326,7 @@ fn batch_opts_from(flags: &mut HashMap<String, String>) -> Result<BatchOpts, Par
             "unknown --simd {simd:?} (expected auto, off, or force)"
         ));
     }
-    let precision = flags
-        .remove("precision")
-        .unwrap_or_else(|| "f64".to_string());
-    if sea_core::Precision::parse(&precision).is_none() {
-        return Err(format!(
-            "unknown --precision {precision:?} (expected f64, f32, or f32-mixed)"
-        ));
-    }
+    let precision = precision_from(flags, kernel)?;
     let max_iterations = match flags.remove("max-iterations") {
         None => None,
         Some(v) => Some(
@@ -523,12 +526,14 @@ OPTIONS (solver subcommands):
                              22 when the CPU lacks it); also accepted by
                              `batch`
   --precision f64|f32|f32-mixed
-                             kernel arithmetic (default f64). f32-mixed
-                             iterates in f32 with f64 accumulation and
-                             finishes with an f64 polish epoch that must
-                             pass the f64 KKT certificate; f32 is a
-                             diagnostic mode without the polish. Also
-                             accepted by `batch`
+                             kernel arithmetic (default f64). f32 and
+                             f32-mixed need --kernel sortscan (quickselect
+                             always searches in f64) and are refused
+                             without it. f32-mixed iterates in f32 with
+                             f64 accumulation and finishes with an f64
+                             polish epoch that must pass the f64 KKT
+                             certificate; f32 is a diagnostic mode without
+                             the polish. Also accepted by `batch`
   --out <file>               write the estimate as CSV (default stdout)
 
 OBSERVABILITY (quadratic solver subcommands):
@@ -861,27 +866,48 @@ mod tests {
         match parse_args(&argv("fixed --matrix m.csv --row-totals s --col-totals d")).unwrap() {
             Command::Fixed { common, .. } => {
                 assert_eq!(common.simd, "auto");
-                assert_eq!(common.precision, "f64");
+                assert_eq!(common.precision, Precision::F64);
             }
             other => panic!("wrong command {other:?}"),
         }
         match parse_args(&argv(
-            "fixed --matrix m.csv --row-totals s --col-totals d --simd force --precision f32-mixed",
+            "fixed --matrix m.csv --row-totals s --col-totals d --simd force \
+             --kernel sortscan --precision f32-mixed",
         ))
         .unwrap()
         {
             Command::Fixed { common, .. } => {
                 assert_eq!(common.simd, "force");
-                assert_eq!(common.precision, "f32-mixed");
+                assert_eq!(common.precision, Precision::F32Mixed);
             }
             other => panic!("wrong command {other:?}"),
         }
-        match parse_args(&argv("batch jobs.jsonl --simd off --precision f32")).unwrap() {
+        match parse_args(&argv(
+            "batch jobs.jsonl --simd off --kernel sort-scan --precision f32",
+        ))
+        .unwrap()
+        {
             Command::Batch { opts, .. } => {
                 assert_eq!(opts.simd, "off");
-                assert_eq!(opts.precision, "f32");
+                assert_eq!(opts.precision, Precision::F32);
             }
             other => panic!("wrong command {other:?}"),
+        }
+        // f64 is accepted under either kernel.
+        assert!(parse_args(&argv("batch jobs.jsonl --precision f64 --kernel qs")).is_ok());
+    }
+
+    #[test]
+    fn f32_precision_needs_the_sortscan_kernel() {
+        // The f32 λ-search exists only in sort-scan: under the default
+        // (quickselect) kernel the flag would do nothing, so it is refused.
+        for args in [
+            "fixed --matrix m.csv --row-totals s --col-totals d --precision f32",
+            "sam --matrix m.csv --precision f32-mixed --kernel quickselect",
+            "batch jobs.jsonl --precision f32-mixed",
+        ] {
+            let err = parse_args(&argv(args)).unwrap_err();
+            assert!(err.contains("--kernel sortscan"), "{args}: {err}");
         }
     }
 

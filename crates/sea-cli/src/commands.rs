@@ -301,8 +301,7 @@ fn solve_and_emit<S: Storage>(
     opts.kernel = common.kernel;
     opts.simd = sea_core::SimdMode::parse(&common.simd)
         .ok_or_else(|| format!("unknown simd policy {:?}", common.simd))?;
-    opts.precision = sea_core::Precision::parse(&common.precision)
-        .ok_or_else(|| format!("unknown precision {:?}", common.precision))?;
+    opts.precision = common.precision;
     opts.record_trace = common.trace.is_some();
     if let Some(n) = common.max_iterations {
         opts.max_iterations = n;
@@ -434,8 +433,7 @@ fn run_batch(manifest: &Path, opts: &BatchOpts) -> Result<String, CliError> {
     };
     bopts.simd = sea_core::SimdMode::parse(&opts.simd)
         .ok_or_else(|| format!("unknown simd policy {:?}", opts.simd))?;
-    bopts.precision = sea_core::Precision::parse(&opts.precision)
-        .ok_or_else(|| format!("unknown precision {:?}", opts.precision))?;
+    bopts.precision = opts.precision;
     if let Some(cap) = opts.max_iterations {
         bopts.max_iterations = cap;
     }

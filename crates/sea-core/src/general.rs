@@ -652,10 +652,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
             epoch_open = false;
         }
     }
-    if spanning {
-        if epoch_open {
-            obs.span_close(&KernelCounters::default());
-        }
+    if spanning && epoch_open {
         obs.span_close(&KernelCounters::default());
     }
 
@@ -687,6 +684,11 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         r
     };
     let objective = p.objective_flat(x.values(), &s, &d);
+    if spanning {
+        // As in the diagonal and bounded drivers, the Solve span also
+        // covers the final assembly.
+        obs.span_close(&KernelCounters::default());
+    }
 
     if observing {
         if ctrl.is_active() && !converged {
