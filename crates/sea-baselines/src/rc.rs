@@ -194,6 +194,7 @@ fn half_step(
             prior: &buf.q,
             gamma,
             support: None,
+            bounds: None,
             shift,
             side: if transposed { "column" } else { "row" },
             kernel: opts.kernel,

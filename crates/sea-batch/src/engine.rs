@@ -20,11 +20,10 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 use sea_core::{
-    solve_bounded_supervised_configured, solve_diagonal_supervised, solve_general_supervised,
-    BoundedOptions, BoundedProblem, DiagonalProblem, Event, GeneralProblem, GeneralSeaOptions,
-    KernelCounters, KernelKind, Observer, Parallelism, Precision, SeaError, SeaOptions, SimdMode,
-    SpanKind, StopReason, SupervisedBoundedSolution, SupervisedGeneralSolution, SupervisedSolution,
-    SupervisorOptions,
+    solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised, BoundedProblem,
+    DiagonalProblem, Event, GeneralProblem, GeneralSeaOptions, KernelCounters, KernelKind,
+    Observer, Parallelism, Precision, SeaError, SeaOptions, SimdMode, SpanKind, StopReason,
+    SupervisedBoundedSolution, SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
 };
 use sea_linalg::CsrMatrix;
 
@@ -42,7 +41,9 @@ pub enum BatchParallelism {
     /// Fan instances out on a dedicated pool of exactly this many threads.
     OuterThreads(usize),
     /// Solve instances one at a time; rows/columns fan out on the global
-    /// pool inside each solve. Best for few large instances.
+    /// pool inside each solve — plain, sparse and box-bounded instances
+    /// alike, and the inner diagonal solves of general instances. Best for
+    /// few large instances.
     Inner,
     /// Like [`BatchParallelism::Inner`] on a dedicated pool of this width.
     InnerThreads(usize),
@@ -681,75 +682,45 @@ fn solve_one(
         counters: KernelCounters::default(),
         events: mem::take(&mut slot.events),
     };
-    let inner = opts.parallelism.instance();
-    let outcome = match &inst.problem {
+    // Options for the diagonal-class drivers (plain, sparse and bounded
+    // instances alike); the general class nests them in its own options.
+    let sea_options = |epsilon: f64, initial_mu: Option<Vec<f64>>| SeaOptions {
+        max_iterations: opts.max_iterations,
+        kernel: opts.kernel,
+        simd: opts.simd,
+        precision: opts.precision,
+        parallelism: opts.parallelism.instance(),
+        initial_mu,
+        ..SeaOptions::with_epsilon(epsilon)
+    };
+    let seed = hit.then(|| mem::take(&mut slot.mu_seed));
+    let sup = &opts.supervisor;
+    let (outcome, seed) = match &inst.problem {
         BatchProblem::Diagonal(p) => {
-            let mut o = SeaOptions::with_epsilon(opts.epsilon);
-            o.max_iterations = opts.max_iterations;
-            o.kernel = opts.kernel;
-            o.simd = opts.simd;
-            o.precision = opts.precision;
-            o.parallelism = inner;
-            if hit {
-                o.initial_mu = Some(mem::take(&mut slot.mu_seed));
-            }
-            let r = solve_diagonal_supervised(p, &o, &opts.supervisor, &mut probe);
-            if let Some(seed) = o.initial_mu.take() {
-                slot.mu_seed = seed; // reclaim the buffer for the arena
-            }
-            r.map(BatchSolution::Diagonal)
+            let o = sea_options(opts.epsilon, seed);
+            let r = solve_diagonal_supervised(p, &o, sup, &mut probe);
+            (r.map(BatchSolution::Diagonal), o.initial_mu)
         }
         BatchProblem::SparseDiagonal(p) => {
-            let mut o = SeaOptions::with_epsilon(opts.epsilon);
-            o.max_iterations = opts.max_iterations;
-            o.kernel = opts.kernel;
-            o.simd = opts.simd;
-            o.precision = opts.precision;
-            o.parallelism = inner;
-            if hit {
-                o.initial_mu = Some(mem::take(&mut slot.mu_seed));
-            }
-            let r = solve_diagonal_supervised(p, &o, &opts.supervisor, &mut probe);
-            if let Some(seed) = o.initial_mu.take() {
-                slot.mu_seed = seed; // reclaim the buffer for the arena
-            }
-            r.map(BatchSolution::SparseDiagonal)
+            let o = sea_options(opts.epsilon, seed);
+            let r = solve_diagonal_supervised(p, &o, sup, &mut probe);
+            (r.map(BatchSolution::SparseDiagonal), o.initial_mu)
         }
         BatchProblem::Bounded(p) => {
-            let seed = hit.then_some(slot.mu_seed.as_slice());
-            let bcfg = BoundedOptions {
-                kernel: opts.kernel,
-                simd: opts.simd,
-                precision: opts.precision,
-            };
-            solve_bounded_supervised_configured(
-                p,
-                opts.epsilon,
-                opts.max_iterations,
-                &bcfg,
-                seed,
-                &opts.supervisor,
-                &mut probe,
-            )
-            .map(BatchSolution::Bounded)
+            let o = sea_options(opts.epsilon, seed);
+            let r = solve_bounded_supervised(p, &o, sup, &mut probe);
+            (r.map(BatchSolution::Bounded), o.initial_mu)
         }
         BatchProblem::General(p) => {
             let mut o = GeneralSeaOptions::with_epsilon(opts.epsilon);
-            o.inner.max_iterations = opts.max_iterations;
-            o.inner.kernel = opts.kernel;
-            o.inner.simd = opts.simd;
-            o.inner.precision = opts.precision;
-            o.inner.parallelism = inner;
-            if hit {
-                o.inner.initial_mu = Some(mem::take(&mut slot.mu_seed));
-            }
-            let r = solve_general_supervised(p, &o, &opts.supervisor, &mut probe);
-            if let Some(seed) = o.inner.initial_mu.take() {
-                slot.mu_seed = seed;
-            }
-            r.map(BatchSolution::General)
+            o.inner = sea_options(o.inner.epsilon, seed);
+            let r = solve_general_supervised(p, &o, sup, &mut probe);
+            (r.map(BatchSolution::General), o.inner.initial_mu)
         }
     };
+    if let Some(seed) = seed {
+        slot.mu_seed = seed; // reclaim the buffer for the arena
+    }
 
     slot.events = probe.events;
     slot.kernel_work = probe.work;

@@ -23,7 +23,10 @@
 //! bitwise identical across worker counts *and* shard sizes.
 
 use crate::error::SeaError;
-use crate::kernel_simd::{exact_equilibration_f32, exact_equilibration_simd};
+use crate::kernel_simd::{
+    exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,
+    exact_equilibration_simd,
+};
 use crate::knapsack::{EquilibrationScratch, KernelKind, TotalMode};
 use crate::parallel::Parallelism;
 use crate::storage::{RowView, Storage};
@@ -194,6 +197,10 @@ pub struct PassInputs<'a, S: Storage> {
     /// Structural-zero support lists (per subproblem), if any. Dense
     /// storage only: sparse rows carry their support in the pattern.
     pub support: Option<&'a [Vec<u32>]>,
+    /// Entry bounds `(lo, hi)` in the same orientation and pattern as
+    /// `prior`, for box-bounded problems: each subproblem then becomes a
+    /// box-bounded knapsack. `None` keeps the plain `x ≥ 0` subproblem.
+    pub bounds: Option<(&'a S, &'a S)>,
     /// The opposite side's multipliers (length = subproblem size).
     pub shift: &'a [f64],
     /// `"row"` or `"column"`, for error reporting.
@@ -211,12 +218,13 @@ pub struct PassInputs<'a, S: Storage> {
     pub fault: Option<TaskFault>,
 }
 
-/// Run the configured kernel on one subproblem; on a pathological result
-/// (non-finite `λ` or total — or a scripted kernel fault) re-solve with the
-/// robust sort-scan kernel and count the fallback. Quickselect's
-/// median-of-three pivoting can in principle degrade on adversarial
-/// breakpoint patterns; sort-scan is the slower oracle both kernels are
-/// differentially tested against, so it is the safe harbor.
+/// Run the configured kernel on one subproblem — the box-bounded variant
+/// when `bounds` carries the subproblem's `(lo, hi)` slices; on a
+/// pathological result (non-finite `λ` or total — or a scripted kernel
+/// fault) re-solve with the robust sort-scan kernel and count the fallback.
+/// Quickselect's median-of-three pivoting can in principle degrade on
+/// adversarial breakpoint patterns; sort-scan is the slower oracle both
+/// kernels are differentially tested against, so it is the safe harbor.
 #[allow(clippy::too_many_arguments)] // kernel inputs + output + workspace + fallback sink
 fn kernel_solve(
     kernel: KernelKind,
@@ -226,6 +234,7 @@ fn kernel_solve(
     q: &[f64],
     g: &[f64],
     sh: &[f64],
+    bounds: Option<(&[f64], &[f64])>,
     mode: TotalMode,
     x: &mut [f64],
     eq: &mut EquilibrationScratch,
@@ -236,7 +245,11 @@ fn kernel_solve(
     // precision routes straight to the f64 kernel there (measured ~4×
     // faster end-to-end than forcing the f32 sort-scan).
     if f32_phase && kernel == KernelKind::SortScan && !force_fallback {
-        if let Some(r) = exact_equilibration_f32(simd, q, g, sh, mode, x, eq)? {
+        let r = match bounds {
+            None => exact_equilibration_f32(simd, q, g, sh, mode, x, eq)?,
+            Some((lo, hi)) => exact_equilibration_boxed_f32(simd, q, g, sh, lo, hi, mode, x, eq)?,
+        };
+        if let Some(r) = r {
             if r.lambda.is_finite() && r.total.is_finite() {
                 return Ok((r.lambda, r.total));
             }
@@ -245,11 +258,17 @@ fn kernel_solve(
         // subproblem; count the fallback and re-solve in full precision.
         *fallbacks += 1;
     }
-    let r = exact_equilibration_simd(simd, kernel, q, g, sh, mode, x, eq)?;
+    let mut solve = |kernel| match bounds {
+        None => exact_equilibration_simd(simd, kernel, q, g, sh, mode, x, eq),
+        Some((lo, hi)) => {
+            exact_equilibration_boxed_simd(simd, kernel, q, g, sh, lo, hi, mode, x, eq)
+        }
+    };
+    let r = solve(kernel)?;
     let pathological = force_fallback || !r.lambda.is_finite() || !r.total.is_finite();
     if pathological && kernel == KernelKind::Quickselect {
         *fallbacks += 1;
-        let r = exact_equilibration_simd(simd, KernelKind::SortScan, q, g, sh, mode, x, eq)?;
+        let r = solve(KernelKind::SortScan)?;
         return Ok((r.lambda, r.total));
     }
     Ok((r.lambda, r.total))
@@ -257,22 +276,41 @@ fn kernel_solve(
 
 /// Shared semantics for a subproblem with no active entries: the iterate
 /// stays zero, a positive fixed total is infeasible, and an elastic total
-/// settles at its unconstrained optimum.
+/// settles at its unconstrained optimum. A box-bounded subproblem may have
+/// a total of either sign, so there only `|total| ≤ 10⁻⁹` is attainable —
+/// the tolerance bounded validation applies to its margin sums.
 fn empty_support_result(
     mode: TotalMode,
+    bounded: bool,
     side: &'static str,
     i: usize,
 ) -> Result<(f64, f64), SeaError> {
     match mode {
-        TotalMode::Fixed { total } if total > 0.0 => {
-            Err(SeaError::InfeasibleSubproblem { side, index: i })
+        TotalMode::Fixed { total } => {
+            let infeasible = if bounded {
+                total.abs() > 1e-9
+            } else {
+                total > 0.0
+            };
+            if infeasible {
+                return Err(SeaError::InfeasibleSubproblem { side, index: i });
+            }
+            Ok((0.0, 0.0))
         }
-        TotalMode::Fixed { .. } => Ok((0.0, 0.0)),
         TotalMode::Elastic {
             alpha,
             prior,
             cross,
         } => Ok((2.0 * alpha * prior - cross, 0.0)),
+    }
+}
+
+/// Re-attribute a kernel's infeasibility error to this pass's side and
+/// subproblem index (the kernel only sees one anonymous subproblem).
+fn locate(e: SeaError, side: &'static str, i: usize) -> SeaError {
+    match e {
+        SeaError::InfeasibleSubproblem { .. } => SeaError::InfeasibleSubproblem { side, index: i },
+        other => other,
     }
 }
 
@@ -295,6 +333,11 @@ fn solve_task<S: Storage>(
         }
         _ => false,
     };
+    // Bounds share the prior's orientation and pattern, so their stored
+    // values for row `i` line up with the prior row entry by entry.
+    let bounds = inp
+        .bounds
+        .map(|(lo, hi)| (&lo.values()[lo.row_range(i)], &hi.values()[hi.row_range(i)]));
     match (inp.prior.row_view(i), inp.gamma.row_view(i)) {
         // Sparse row: the stored entries are the support. The kernel runs
         // directly over the prior/weight value slices and writes the
@@ -302,7 +345,7 @@ fn solve_task<S: Storage>(
         (RowView::Indexed { idx, vals: q }, RowView::Indexed { vals: g, .. }) => {
             let k = idx.len();
             if k == 0 {
-                return empty_support_result(mode, inp.side, i);
+                return empty_support_result(mode, bounds.is_some(), inp.side, i);
             }
             scratch.sh.clear();
             scratch.sh.resize(k, 0.0);
@@ -315,18 +358,13 @@ fn solve_task<S: Storage>(
                 q,
                 g,
                 &scratch.sh,
+                bounds,
                 mode,
                 x_row,
                 &mut scratch.eq,
                 &mut scratch.fallbacks,
             )
-            .map_err(|e| match e {
-                SeaError::InfeasibleSubproblem { .. } => SeaError::InfeasibleSubproblem {
-                    side: inp.side,
-                    index: i,
-                },
-                other => other,
-            })
+            .map_err(|e| locate(e, inp.side, i))
         }
         (RowView::Dense(prior_row), RowView::Dense(gamma_row)) => match inp.support {
             None => kernel_solve(
@@ -337,17 +375,25 @@ fn solve_task<S: Storage>(
                 prior_row,
                 gamma_row,
                 inp.shift,
+                bounds,
                 mode,
                 x_row,
                 &mut scratch.eq,
                 &mut scratch.fallbacks,
             ),
             Some(support) => {
+                // Box-bounded problems carry any support in a sparse
+                // pattern; dense support lists only come with `x ≥ 0`.
+                if bounds.is_some() {
+                    return Err(SeaError::PatternMismatch {
+                        context: "pass inputs (bounds with dense support lists)",
+                    });
+                }
                 let idx = &support[i];
                 let k = idx.len();
                 if k == 0 {
                     x_row.fill(0.0);
-                    return empty_support_result(mode, inp.side, i);
+                    return empty_support_result(mode, false, inp.side, i);
                 }
                 scratch.q.clear();
                 scratch.q.resize(k, 0.0);
@@ -375,18 +421,13 @@ fn solve_task<S: Storage>(
                     q,
                     g,
                     sh,
+                    None,
                     mode,
                     x,
                     eq,
                     fallbacks,
                 )
-                .map_err(|e| match e {
-                    SeaError::InfeasibleSubproblem { .. } => SeaError::InfeasibleSubproblem {
-                        side: inp.side,
-                        index: i,
-                    },
-                    other => other,
-                })?;
+                .map_err(|e| locate(e, inp.side, i))?;
                 x_row.fill(0.0);
                 for (&j, &v) in idx.iter().zip(&scratch.x) {
                     x_row[j as usize] = v;
@@ -655,6 +696,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -693,6 +735,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -739,6 +782,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: Some(&support),
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -765,6 +809,25 @@ mod tests {
         assert_eq!(x.get(1, 1), 0.0, "structural zero must stay zero");
         let sums = x.row_sums();
         assert!((sums[1] - 8.0).abs() < 1e-9);
+        // Box bounds come with sparse patterns, never dense support lists.
+        let lo = DenseMatrix::zeros(2, 3).unwrap();
+        let hi = DenseMatrix::filled(2, 3, 10.0).unwrap();
+        let e = equilibration_pass(
+            &PassInputs {
+                bounds: Some((&lo, &hi)),
+                ..inp
+            },
+            &|_| TotalMode::Fixed { total: 8.0 },
+            &mut lambda,
+            &mut totals,
+            &mut x,
+            Parallelism::Serial,
+            None,
+            None,
+            None,
+            None,
+        );
+        assert!(matches!(e, Err(SeaError::PatternMismatch { .. })));
     }
 
     #[test]
@@ -785,6 +848,7 @@ mod tests {
                 prior: &x0,
                 gamma: &gamma,
                 support: Some(&support),
+                bounds: None,
                 shift: &shift,
                 side: "row",
                 kernel: KernelKind::SortScan,
@@ -825,6 +889,7 @@ mod tests {
                     prior: &x0_csr,
                     gamma: &gamma_csr,
                     support: None,
+                    bounds: None,
                     shift: &shift,
                     side: "row",
                     kernel: KernelKind::SortScan,
@@ -863,6 +928,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -912,6 +978,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -951,6 +1018,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: Some(&support),
+            bounds: None,
             shift: &shift,
             side: "column",
             kernel: KernelKind::SortScan,
@@ -992,6 +1060,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -1048,6 +1117,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -1084,6 +1154,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -1124,6 +1195,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::Quickselect,
@@ -1165,6 +1237,7 @@ mod tests {
             prior: &x0,
             gamma: &gamma,
             support: None,
+            bounds: None,
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
@@ -1204,6 +1277,7 @@ mod tests {
                 prior: &x0,
                 gamma: &gamma,
                 support: None,
+                bounds: None,
                 shift: &shift,
                 side: "column",
                 kernel: KernelKind::SortScan,

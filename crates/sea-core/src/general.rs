@@ -373,7 +373,7 @@ pub fn solve_general(
     p: &GeneralProblem,
     opts: &GeneralSeaOptions,
 ) -> Result<GeneralSolution, SeaError> {
-    solve_general_observed(p, opts, &mut NullObserver)
+    solve_general_in(p, opts)
 }
 
 /// [`solve_general`] with the inner diagonal subproblems carried in storage
@@ -391,29 +391,16 @@ pub fn solve_general_in<S: Storage>(
     solve_general_inner::<S, _>(p, opts, &mut NullObserver, &mut SolveControl::passive())
 }
 
-/// [`solve_general`] with an event sink (see
-/// [`solve_diagonal_observed`]).
+/// [`solve_general`] with an event sink, under the fault-tolerant
+/// supervisor. The budget, cancellation, stagnation, and breakdown
+/// watchdogs run at *outer-iteration* granularity (an inner diagonal solve
+/// always runs to its own completion); worker panics inside the inner
+/// equilibration passes surface as [`SeaError::WorkerPanic`] regardless.
 ///
 /// The outer loop emits its own `SolveStart`/`SolveEnd` pair plus one
 /// `Projection` phase and one `OuterIteration` event per projection step;
 /// the nested diagonal solves emit their full event stream in between, so a
 /// log of a general solve contains interleaved solver lifecycles.
-///
-/// # Errors
-/// Same contract as [`solve_general`].
-pub fn solve_general_observed<O: Observer + Send>(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-    obs: &mut O,
-) -> Result<GeneralSolution, SeaError> {
-    solve_general_inner::<DenseMatrix, _>(p, opts, obs, &mut SolveControl::passive())
-}
-
-/// [`solve_general_observed`] under the fault-tolerant supervisor. The
-/// budget, cancellation, stagnation, and breakdown watchdogs run at
-/// *outer-iteration* granularity (an inner diagonal solve always runs to
-/// its own completion); worker panics inside the inner equilibration passes
-/// surface as [`SeaError::WorkerPanic`] regardless.
 ///
 /// # Errors
 /// Same contract as [`solve_general`].
@@ -423,27 +410,9 @@ pub fn solve_general_supervised<O: Observer + Send>(
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedGeneralSolution, SeaError> {
-    solve_general_supervised_in::<DenseMatrix, _>(p, opts, sup, obs)
-}
-
-/// [`solve_general_supervised`] with inner storage backend `S` (see
-/// [`solve_general_in`]).
-///
-/// # Errors
-/// Same contract as [`solve_general`].
-pub fn solve_general_supervised_in<S: Storage, O: Observer + Send>(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-    sup: &SupervisorOptions,
-    obs: &mut O,
-) -> Result<SupervisedGeneralSolution<S>, SeaError> {
     let mut ctrl = SolveControl::active(sup);
-    let solution = solve_general_inner::<S, _>(p, opts, obs, &mut ctrl)?;
-    let stop = if solution.converged {
-        StopReason::Converged
-    } else {
-        ctrl.stop().unwrap_or(StopReason::IterationCap)
-    };
+    let solution = solve_general_inner::<DenseMatrix, _>(p, opts, obs, &mut ctrl)?;
+    let stop = ctrl.final_stop(solution.converged);
     Ok(SupervisedGeneralSolution { solution, stop })
 }
 
@@ -926,8 +895,13 @@ mod tests {
         )
         .unwrap();
         let mut obs = sea_observe::VecObserver::new();
-        let sol =
-            solve_general_observed(&p, &GeneralSeaOptions::with_epsilon(1e-9), &mut obs).unwrap();
+        let sol = solve_general_inner::<DenseMatrix, _>(
+            &p,
+            &GeneralSeaOptions::with_epsilon(1e-9),
+            &mut obs,
+            &mut SolveControl::passive(),
+        )
+        .unwrap();
         let events = &obs.events;
         assert!(matches!(
             events.first(),

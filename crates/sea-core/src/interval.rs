@@ -5,22 +5,20 @@
 //! `loᵢⱼ ≤ xᵢⱼ ≤ hiᵢⱼ` (interval constraints on the estimates). The SEA
 //! machinery carries over unchanged: each row/column subproblem becomes a
 //! box-bounded continuous quadratic knapsack, still solvable exactly by a
-//! breakpoint sweep ([`crate::knapsack::exact_equilibration_boxed`]).
+//! breakpoint sweep ([`crate::knapsack::exact_equilibration_boxed`]), and
+//! the solve runs the diagonal driver's own loop ([`crate::solver`]) with
+//! the bounds handed to its passes.
 
 use crate::error::SeaError;
-use crate::kernel_simd::{
-    exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, Precision, SimdMode,
-};
-use crate::knapsack::{EquilibrationResult, EquilibrationScratch, KernelKind, TotalMode};
-use crate::problem::Residuals;
-use crate::storage::{RowView, Storage};
-use crate::supervisor::{SolveControl, StopReason, SupervisedBoundedSolution, SupervisorOptions};
-use sea_linalg::simd::{self, SimdLevel};
-use sea_linalg::{vector, DenseMatrix};
-use sea_observe::{
-    Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
-};
-use std::time::{Duration, Instant};
+use crate::kernel_simd::{Precision, SimdMode};
+use crate::knapsack::KernelKind;
+use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
+use crate::solver::{solve_inner, SeaOptions};
+use crate::storage::Storage;
+use crate::supervisor::{SolveControl, SupervisedBoundedSolution, SupervisorOptions};
+use sea_linalg::DenseMatrix;
+use sea_observe::Observer;
+use std::time::Duration;
 
 /// A fixed-totals diagonal problem with entry bounds. Generic over
 /// [`Storage`]: with a sparse backend, all four matrices share one support
@@ -28,12 +26,11 @@ use std::time::{Duration, Instant};
 /// nothing to either bound sum).
 #[derive(Debug, Clone)]
 pub struct BoundedProblem<S: Storage = DenseMatrix> {
-    x0: S,
-    gamma: S,
+    /// Prior, weights and fixed totals: the problem without its bounds.
+    /// Built unchecked — bounded priors and totals may be negative.
+    base: DiagonalProblem<S>,
     lo: S,
     hi: S,
-    s0: Vec<f64>,
-    d0: Vec<f64>,
 }
 
 impl<S: Storage> BoundedProblem<S> {
@@ -41,9 +38,11 @@ impl<S: Storage> BoundedProblem<S> {
     ///
     /// # Errors
     /// * [`SeaError::Shape`] for any dimension mismatch.
+    /// * [`SeaError::NonFinite`] for a NaN or infinite entry of `X⁰`, `lo`,
+    ///   `hi`, `s⁰` or `d⁰`.
     /// * [`SeaError::InconsistentBounds`] if some `lo > hi` entrywise.
     /// * [`SeaError::InconsistentTotals`] if `Σ s⁰ ≠ Σ d⁰`.
-    /// * [`SeaError::NonPositiveWeight`] for non-positive `γ`.
+    /// * [`SeaError::NonPositiveWeight`] for non-positive or infinite `γ`.
     /// * [`SeaError::InfeasibleSubproblem`] when a row/column total falls
     ///   outside its `[Σ lo, Σ hi]` range.
     pub fn new(
@@ -81,9 +80,16 @@ impl<S: Storage> BoundedProblem<S> {
             });
         }
         // `index` is a storage index: a flat cell index for dense backends,
-        // a position in the stored-value array for sparse ones.
+        // a position in the stored-value array for sparse ones. These loops
+        // run over every cell, so each keeps its per-cell test to what the
+        // validation needs and sorts out the cause only on failure:
+        // `!(l <= h)` also catches a NaN bound, and an infinite one shows
+        // up as a non-finite row sum below.
         for (k, (&l, &h)) in lo.values().iter().zip(hi.values()).enumerate() {
-            if l > h {
+            if !(l <= h) {
+                if !l.is_finite() || !h.is_finite() {
+                    return Err(non_finite_bound(l));
+                }
                 return Err(SeaError::InconsistentBounds {
                     index: k,
                     lower: l,
@@ -91,8 +97,16 @@ impl<S: Storage> BoundedProblem<S> {
                 });
             }
         }
-        for (k, &g) in gamma.values().iter().enumerate() {
-            if !(g > 0.0) {
+        // The bit patterns of the positive finite doubles are exactly
+        // `1..=f64::MAX.to_bits()`: one integer compare per weight.
+        let positive_finite = |v: f64| v.to_bits().wrapping_sub(1) < f64::MAX.to_bits();
+        for (k, (&g, &x)) in gamma.values().iter().zip(x0.values()).enumerate() {
+            if !positive_finite(g) || !x.is_finite() {
+                if !x.is_finite() {
+                    return Err(SeaError::NonFinite {
+                        context: "bounded prior X0",
+                    });
+                }
                 return Err(SeaError::NonPositiveWeight {
                     which: "gamma",
                     index: k,
@@ -111,12 +125,21 @@ impl<S: Storage> BoundedProblem<S> {
         // Per-subproblem feasibility: s⁰ᵢ ∈ [Σⱼ lo, Σⱼ hi], likewise
         // columns. Off-support entries of a sparse backend are pinned at 0
         // and add nothing to either sum, so a fully-pinned (empty) sparse
-        // row is feasible only for a zero total.
+        // row is feasible only for a zero total. A non-finite total slips
+        // through the grand-total comparison above and is caught here.
         let mut lo_sums = vec![0.0; m];
         let mut hi_sums = vec![0.0; m];
         lo.row_sums_into(&mut lo_sums);
         hi.row_sums_into(&mut hi_sums);
         for i in 0..m {
+            if !(s0[i].is_finite() && lo_sums[i].is_finite() && hi_sums[i].is_finite()) {
+                if !s0[i].is_finite() {
+                    return Err(SeaError::NonFinite {
+                        context: "bounded row totals s0",
+                    });
+                }
+                return Err(non_finite_bound(lo_sums[i]));
+            }
             if s0[i] < lo_sums[i] - 1e-9 || s0[i] > hi_sums[i] + 1e-9 {
                 return Err(SeaError::InfeasibleSubproblem {
                     side: "row",
@@ -129,6 +152,11 @@ impl<S: Storage> BoundedProblem<S> {
         lo.col_sums_into(&mut lo_csums);
         hi.col_sums_into(&mut hi_csums);
         for j in 0..n {
+            if !d0[j].is_finite() {
+                return Err(SeaError::NonFinite {
+                    context: "bounded column totals d0",
+                });
+            }
             if d0[j] < lo_csums[j] - 1e-9 || d0[j] > hi_csums[j] + 1e-9 {
                 return Err(SeaError::InfeasibleSubproblem {
                     side: "column",
@@ -137,33 +165,30 @@ impl<S: Storage> BoundedProblem<S> {
             }
         }
         Ok(Self {
-            x0,
-            gamma,
+            base: DiagonalProblem::fixed_unchecked(x0, gamma, s0, d0),
             lo,
             hi,
-            s0,
-            d0,
         })
     }
 
     /// Rows.
     pub fn m(&self) -> usize {
-        self.x0.rows()
+        self.base.m()
     }
 
     /// Columns.
     pub fn n(&self) -> usize {
-        self.x0.cols()
+        self.base.n()
     }
 
     /// The prior `X⁰`.
     pub fn x0(&self) -> &S {
-        &self.x0
+        self.base.x0()
     }
 
     /// The weight matrix `Γ`.
     pub fn gamma(&self) -> &S {
-        &self.gamma
+        self.base.gamma()
     }
 
     /// Lower bounds.
@@ -178,22 +203,37 @@ impl<S: Storage> BoundedProblem<S> {
 
     /// Row totals `s⁰`.
     pub fn s0(&self) -> &[f64] {
-        &self.s0
+        self.totals().0
     }
 
     /// Column totals `d⁰`.
     pub fn d0(&self) -> &[f64] {
-        &self.d0
+        self.totals().1
+    }
+
+    fn totals(&self) -> (&[f64], &[f64]) {
+        match self.base.totals() {
+            TotalSpec::Fixed { s0, d0 } => (s0, d0),
+            // `new` only ever builds fixed totals.
+            TotalSpec::Elastic { .. } | TotalSpec::Balanced { .. } => (&[], &[]),
+        }
     }
 
     /// Objective `Σ γᵢⱼ (xᵢⱼ − x⁰ᵢⱼ)²`.
     pub fn objective(&self, x: &S) -> f64 {
-        debug_assert!(x.same_pattern(&self.x0));
-        x.values()
-            .iter()
-            .zip(self.x0.values().iter().zip(self.gamma.values()))
-            .map(|(x, (x0, g))| g * (x - x0) * (x - x0))
-            .sum()
+        self.base.objective(x, &[], &[])
+    }
+}
+
+/// The error for a non-finite bound (or bound row sum), blaming `lo` when
+/// its value `lo_value` is the non-finite one and `hi` otherwise.
+fn non_finite_bound(lo_value: f64) -> SeaError {
+    SeaError::NonFinite {
+        context: if lo_value.is_finite() {
+            "bounded hi"
+        } else {
+            "bounded lo"
+        },
     }
 }
 
@@ -218,10 +258,10 @@ pub struct BoundedSolution<S: Storage = DenseMatrix> {
     pub elapsed: Duration,
 }
 
-/// Kernel configuration for the bounded driver: which λ-search kernel,
-/// which SIMD policy, and which arithmetic precision. The default
-/// (`KernelKind::default()`, `SimdMode::Off`, `Precision::F64`) is what
-/// [`solve_bounded`] runs.
+/// Kernel configuration for [`solve_bounded_supervised_configured`]:
+/// which λ-search kernel, which SIMD policy, and which arithmetic
+/// precision. The default (`KernelKind::default()`, `SimdMode::Off`,
+/// `Precision::F64`) matches [`SeaOptions::default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundedOptions {
     /// Which equilibration kernel solves the row/column subproblems.
@@ -244,47 +284,41 @@ impl Default for BoundedOptions {
     }
 }
 
-/// Solve a bounded problem by SEA with box-bounded exact equilibration.
+/// Solve a bounded problem by SEA with box-bounded exact equilibration,
+/// under the fault-tolerant supervisor — the bounded counterpart of
+/// [`crate::solve_diagonal_supervised`], running the same driver loop:
+/// `opts` chooses the kernel, parallelism and shard size, the stopping
+/// rule (relative row balance by default) and the warm start
+/// (`initial_mu`); `sup` the budget, watchdogs, checkpoints and scripted
+/// faults. Quickselect subproblems that go pathological fall back to
+/// sort-scan and are counted in `kernel_fallbacks`.
+///
+/// The result carries no KKT certificate and events carry no dual value:
+/// both describe the unbounded problem, not the box-bounded one.
 ///
 /// # Errors
-/// Propagates kernel failures; returns `converged = false` on hitting
-/// `max_iterations`.
-pub fn solve_bounded<S: Storage>(
+/// * [`SeaError::SimdUnsupported`] when `opts.simd` forces AVX2 on a CPU
+///   without it.
+/// * [`SeaError::Shape`] when `opts.initial_mu` has the wrong length.
+/// * [`SeaError::InfeasibleSubproblem`], [`SeaError::WorkerPanic`] from
+///   the passes.
+/// * [`SeaError::NumericalBreakdown`] only when iterates go non-finite
+///   before any convergence check has certified a restorable snapshot.
+pub fn solve_bounded_supervised<S: Storage, O: Observer + Send>(
     p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_with(p, epsilon, max_iterations, KernelKind::default())
+    opts: &SeaOptions,
+    sup: &SupervisorOptions,
+    obs: &mut O,
+) -> Result<SupervisedBoundedSolution<S>, SeaError> {
+    opts.parallelism.run(move || supervised(p, opts, sup, obs))
 }
 
-/// [`solve_bounded`] with a full kernel configuration (kernel choice, SIMD
-/// policy, and precision).
+/// [`solve_bounded_supervised`] for a serial solve configured by a
+/// tolerance, an iteration cap, a [`BoundedOptions`] kernel configuration
+/// and an optional warm-start `μ`.
 ///
 /// # Errors
-/// Same contract as [`solve_bounded`], plus [`SeaError::SimdUnsupported`]
-/// when `opts.simd` is [`SimdMode::Force`] on a CPU without AVX2.
-pub fn solve_bounded_configured<S: Storage>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    opts: &BoundedOptions,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_inner_warm(
-        p,
-        epsilon,
-        max_iterations,
-        *opts,
-        None,
-        &mut NullObserver,
-        &mut SolveControl::passive(),
-    )
-}
-
-/// [`solve_bounded_supervised_warm`] with a full kernel configuration.
-///
-/// # Errors
-/// Same contract as [`solve_bounded_supervised_warm`], plus
-/// [`SeaError::SimdUnsupported`] when SIMD is forced without AVX2 support.
+/// Same contract as [`solve_bounded_supervised`].
 pub fn solve_bounded_supervised_configured<S: Storage, O: Observer>(
     p: &BoundedProblem<S>,
     epsilon: f64,
@@ -294,563 +328,48 @@ pub fn solve_bounded_supervised_configured<S: Storage, O: Observer>(
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedBoundedSolution<S>, SeaError> {
-    let mut ctrl = SolveControl::active(sup);
-    let solution = solve_bounded_inner_warm(
-        p,
-        epsilon,
+    let opts = SeaOptions {
         max_iterations,
-        *opts,
-        initial_mu,
-        obs,
-        &mut ctrl,
-    )?;
-    let stop = if solution.converged {
-        StopReason::Converged
-    } else {
-        ctrl.stop().unwrap_or(StopReason::IterationCap)
+        kernel: opts.kernel,
+        simd: opts.simd,
+        precision: opts.precision,
+        initial_mu: initial_mu.map(<[f64]>::to_vec),
+        ..SeaOptions::with_epsilon(epsilon)
     };
-    Ok(SupervisedBoundedSolution { solution, stop })
+    supervised(p, &opts, sup, obs)
 }
 
-/// [`solve_bounded`] with an explicit equilibration kernel choice.
-///
-/// # Errors
-/// Same contract as [`solve_bounded`].
-pub fn solve_bounded_with<S: Storage>(
+fn supervised<S: Storage, O: Observer>(
     p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_observed(p, epsilon, max_iterations, kernel, &mut NullObserver)
-}
-
-/// [`solve_bounded_with`] with an event sink (see
-/// [`crate::solver::solve_diagonal_observed`]).
-///
-/// The bounded driver is serial, so phase events carry empty `task_seconds`
-/// (consumers fall back to the phase total) and kernel counters are read
-/// straight from the single scratch workspace.
-///
-/// # Errors
-/// Same contract as [`solve_bounded`].
-pub fn solve_bounded_observed<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    obs: &mut O,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_inner(
-        p,
-        epsilon,
-        max_iterations,
-        kernel,
-        obs,
-        &mut SolveControl::passive(),
-    )
-}
-
-/// [`solve_bounded_observed`] under the fault-tolerant supervisor: budget,
-/// cancellation, stagnation, and breakdown watchdogs are checked once per
-/// iteration (the bounded driver is serial; worker faults don't apply).
-///
-/// # Errors
-/// Same contract as [`solve_bounded`], except numerical breakdown after a
-/// certified snapshot returns that snapshot with
-/// [`StopReason::Breakdown`] instead of an error.
-pub fn solve_bounded_supervised<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    sup: &SupervisorOptions,
-    obs: &mut O,
-) -> Result<SupervisedBoundedSolution<S>, SeaError> {
-    solve_bounded_supervised_warm(p, epsilon, max_iterations, kernel, None, sup, obs)
-}
-
-/// [`solve_bounded_supervised`] seeded with column multipliers from a
-/// previous solve of a related problem. The row pass recomputes `λ` from
-/// `μ`, so `μ` alone resumes/warm-starts a bounded solve — the same
-/// mechanism the diagonal driver exposes via `SeaOptions::initial_mu` and
-/// that checkpoints use.
-///
-/// # Errors
-/// Same contract as [`solve_bounded`], plus [`SeaError::Shape`] when
-/// `initial_mu` has the wrong length.
-pub fn solve_bounded_supervised_warm<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    initial_mu: Option<&[f64]>,
+    opts: &SeaOptions,
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedBoundedSolution<S>, SeaError> {
     let mut ctrl = SolveControl::active(sup);
-    let solution = solve_bounded_inner_warm(
-        p,
-        epsilon,
-        max_iterations,
-        BoundedOptions {
-            kernel,
-            ..BoundedOptions::default()
+    let sol = solve_inner(&p.base, Some((&p.lo, &p.hi)), opts, obs, &mut ctrl)?;
+    Ok(SupervisedBoundedSolution {
+        stop: ctrl.final_stop(sol.stats.converged),
+        solution: BoundedSolution {
+            x: sol.x,
+            lambda: sol.lambda,
+            mu: sol.mu,
+            iterations: sol.stats.iterations,
+            converged: sol.stats.converged,
+            residuals: sol.stats.residuals,
+            objective: sol.stats.objective,
+            elapsed: sol.stats.elapsed,
         },
-        initial_mu,
-        obs,
-        &mut ctrl,
-    )?;
-    let stop = if solution.converged {
-        StopReason::Converged
-    } else {
-        ctrl.stop().unwrap_or(StopReason::IterationCap)
-    };
-    Ok(SupervisedBoundedSolution { solution, stop })
-}
-
-/// Run the configured boxed kernel on one subproblem's gathered slices:
-/// f32 λ-search first during the mixed-precision phase (falling back to
-/// the f64 kernel when it cannot produce a usable multiplier), the
-/// SIMD-dispatched f64 kernel otherwise.
-#[allow(clippy::too_many_arguments)] // kernel inputs + output + workspace
-fn boxed_kernel(
-    kernel: KernelKind,
-    level: SimdLevel,
-    f32_phase: bool,
-    q: &[f64],
-    g: &[f64],
-    sh: &[f64],
-    l: &[f64],
-    h: &[f64],
-    mode: TotalMode,
-    x_row: &mut [f64],
-    scratch: &mut EquilibrationScratch,
-) -> Result<EquilibrationResult, SeaError> {
-    // As in the plain dispatcher: the f32 stand-in is a sort-scan, so it
-    // only pays off under the sort-scan kernel; quickselect solves route
-    // straight to the f64 kernel.
-    if f32_phase && kernel == KernelKind::SortScan {
-        if let Some(r) = exact_equilibration_boxed_f32(level, q, g, sh, l, h, mode, x_row, scratch)?
-        {
-            return Ok(r);
-        }
-    }
-    exact_equilibration_boxed_simd(level, kernel, q, g, sh, l, h, mode, x_row, scratch)
-}
-
-/// Solve one box-bounded subproblem in row orientation: dense rows go to
-/// the kernel whole; a sparse row's stored support *is* the subproblem, with
-/// only the shift vector gathered into `sh_buf`.
-#[allow(clippy::too_many_arguments)] // one quadruple + one scalar per kernel input
-fn boxed_task<S: Storage>(
-    kernel: KernelKind,
-    level: SimdLevel,
-    f32_phase: bool,
-    (prior, gamma, lo, hi): (&S, &S, &S, &S),
-    shift: &[f64],
-    side: &'static str,
-    i: usize,
-    total: f64,
-    x: &mut S,
-    sh_buf: &mut Vec<f64>,
-    scratch: &mut EquilibrationScratch,
-) -> Result<f64, SeaError> {
-    let mode = TotalMode::Fixed { total };
-    match (
-        prior.row_view(i),
-        gamma.row_view(i),
-        lo.row_view(i),
-        hi.row_view(i),
-    ) {
-        (RowView::Dense(q), RowView::Dense(g), RowView::Dense(l), RowView::Dense(h)) => {
-            let r = boxed_kernel(
-                kernel,
-                level,
-                f32_phase,
-                q,
-                g,
-                shift,
-                l,
-                h,
-                mode,
-                x.row_values_mut(i),
-                scratch,
-            )?;
-            Ok(r.lambda)
-        }
-        (
-            RowView::Indexed { idx, vals: q },
-            RowView::Indexed { vals: g, .. },
-            RowView::Indexed { vals: l, .. },
-            RowView::Indexed { vals: h, .. },
-        ) => {
-            if idx.is_empty() {
-                // Fully-pinned (empty) sparse subproblem: every entry is a
-                // structural zero, so only a zero total is attainable.
-                scratch.stats.subproblems += 1;
-                if total.abs() > 1e-9 {
-                    return Err(SeaError::InfeasibleSubproblem { side, index: i });
-                }
-                return Ok(0.0);
-            }
-            sh_buf.clear();
-            sh_buf.resize(idx.len(), 0.0);
-            simd::gather(level, shift, idx, sh_buf);
-            let r = boxed_kernel(
-                kernel,
-                level,
-                f32_phase,
-                q,
-                g,
-                sh_buf,
-                l,
-                h,
-                mode,
-                x.row_values_mut(i),
-                scratch,
-            )?;
-            Ok(r.lambda)
-        }
-        _ => Err(SeaError::PatternMismatch {
-            context: "bounded pass inputs (mixed row views)",
-        }),
-    }
-}
-
-fn solve_bounded_inner<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    kernel: KernelKind,
-    obs: &mut O,
-    ctrl: &mut SolveControl<'_>,
-) -> Result<BoundedSolution<S>, SeaError> {
-    solve_bounded_inner_warm(
-        p,
-        epsilon,
-        max_iterations,
-        BoundedOptions {
-            kernel,
-            ..BoundedOptions::default()
-        },
-        None,
-        obs,
-        ctrl,
-    )
-}
-
-fn solve_bounded_inner_warm<S: Storage, O: Observer>(
-    p: &BoundedProblem<S>,
-    epsilon: f64,
-    max_iterations: usize,
-    cfg: BoundedOptions,
-    initial_mu: Option<&[f64]>,
-    obs: &mut O,
-    ctrl: &mut SolveControl<'_>,
-) -> Result<BoundedSolution<S>, SeaError> {
-    let kernel = cfg.kernel;
-    let simd_level = cfg.simd.resolve()?;
-    // Mixed-precision phase control, mirroring the diagonal driver: the
-    // f32 phase hands over to a full-f64 polish epoch on reaching ε or on
-    // stagnation, and only the polish may declare convergence.
-    let mut f32_phase = cfg.precision != Precision::F64;
-    let mut prev_rel = f64::INFINITY;
-    let mut stagnant_checks = 0u32;
-    let start = Instant::now();
-    let (m, n) = (p.m(), p.n());
-    let observing = obs.enabled();
-    if observing {
-        obs.record(&Event::SolveStart {
-            solver: "bounded",
-            rows: m,
-            cols: n,
-            kernel: kernel.name(),
-            parallelism: "serial".to_string(),
-            criterion: "relative_row_balance",
-        });
-    }
-    // The bounded driver is fully serial, so pass spans carry their own
-    // kernel counters directly: a snapshot delta of the cumulative scratch
-    // stats brackets each pass, and there are no shard leaves to replay.
-    // The Solve span covers the transposes and the final assembly too.
-    let spanning = obs.spans_enabled();
-    if spanning {
-        obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
-    }
-    let x0_t = p.x0.transposed()?;
-    let gamma_t = p.gamma.transposed()?;
-    let lo_t = p.lo.transposed()?;
-    let hi_t = p.hi.transposed()?;
-    let mut epoch_open = false;
-
-    let mut lambda = vec![0.0; m];
-    let mut mu = match initial_mu {
-        None => vec![0.0; n],
-        Some(mu0) => {
-            if mu0.len() != n {
-                return Err(SeaError::Shape {
-                    context: "initial_mu",
-                    expected: n,
-                    actual: mu0.len(),
-                });
-            }
-            mu0.to_vec()
-        }
-    };
-    let mut x = p.x0.zeros_like()?;
-    let mut x_t = x0_t.zeros_like()?;
-    let mut scratch = EquilibrationScratch::new();
-    let mut sh_buf: Vec<f64> = Vec::new();
-    let mut row_sums_buf = vec![0.0; m];
-
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut rel = f64::INFINITY;
-    for t in 1..=max_iterations.max(1) {
-        iterations = t;
-        if spanning {
-            obs.span_open(SpanKind::Epoch, t as u64, 0);
-            epoch_open = true;
-            obs.span_open(SpanKind::RowPass, t as u64, m as u64);
-        }
-        let pass_c0 = scratch.stats;
-        if observing {
-            obs.record(&Event::PhaseStart {
-                label: PhaseLabel::RowEquilibration,
-                tasks: m,
-            });
-        }
-        let phase_t0 = observing.then(Instant::now);
-        for i in 0..m {
-            lambda[i] = boxed_task(
-                kernel,
-                simd_level,
-                f32_phase,
-                (&p.x0, &p.gamma, &p.lo, &p.hi),
-                &mu,
-                "row",
-                i,
-                p.s0[i],
-                &mut x,
-                &mut sh_buf,
-                &mut scratch,
-            )?;
-        }
-        if let Some(t0) = phase_t0 {
-            obs.record(&Event::PhaseEnd {
-                label: PhaseLabel::RowEquilibration,
-                tasks: m,
-                seconds: t0.elapsed().as_secs_f64(),
-                task_seconds: Vec::new(),
-            });
-            obs.record(&Event::PhaseStart {
-                label: PhaseLabel::ColumnEquilibration,
-                tasks: n,
-            });
-        }
-        if spanning {
-            obs.span_close(&scratch.stats.delta_from(pass_c0));
-            obs.span_open(SpanKind::ColPass, t as u64, n as u64);
-        }
-        let pass_c0 = scratch.stats;
-        let phase_t0 = observing.then(Instant::now);
-        for j in 0..n {
-            mu[j] = boxed_task(
-                kernel,
-                simd_level,
-                f32_phase,
-                (&x0_t, &gamma_t, &lo_t, &hi_t),
-                &lambda,
-                "column",
-                j,
-                p.d0[j],
-                &mut x_t,
-                &mut sh_buf,
-                &mut scratch,
-            )?;
-        }
-        if let Some(t0) = phase_t0 {
-            obs.record(&Event::PhaseEnd {
-                label: PhaseLabel::ColumnEquilibration,
-                tasks: n,
-                seconds: t0.elapsed().as_secs_f64(),
-                task_seconds: Vec::new(),
-            });
-            obs.record(&Event::PhaseStart {
-                label: PhaseLabel::ConvergenceCheck,
-                tasks: 1,
-            });
-        }
-        if spanning {
-            obs.span_close(&scratch.stats.delta_from(pass_c0));
-            obs.span_open(SpanKind::Check, t as u64, 1);
-        }
-        // Relative row balance after the column pass.
-        let check_t0 = Instant::now();
-        x_t.col_sums_into(&mut row_sums_buf);
-        rel = row_sums_buf
-            .iter()
-            .zip(&p.s0)
-            .map(|(r, s)| (r - s).abs() / s.abs().max(1e-12))
-            .fold(0.0_f64, f64::max);
-        if observing {
-            let check_secs = check_t0.elapsed().as_secs_f64();
-            obs.record(&Event::PhaseEnd {
-                label: PhaseLabel::ConvergenceCheck,
-                tasks: 1,
-                seconds: check_secs,
-                task_seconds: vec![check_secs],
-            });
-            obs.record(&Event::ConvergenceCheck {
-                iteration: t,
-                residual: rel,
-                dual_value: None,
-                criterion: "relative_row_balance",
-            });
-        }
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-            let active_set = x_t.values().iter().filter(|v| **v > 0.0).count() as u64;
-            obs.telemetry(&TelemetrySample {
-                iteration: t as u64,
-                seconds: start.elapsed().as_secs_f64(),
-                residual: rel,
-                dual_value: f64::NAN,
-                kernel_work: scratch.stats.work(),
-                active_set,
-            });
-        }
-        let f32_iterating = f32_phase && cfg.precision == Precision::F32Mixed;
-        if rel <= epsilon {
-            if f32_iterating {
-                // Hand over to the f64 polish epoch; convergence may only
-                // be declared from full-precision iterates.
-                f32_phase = false;
-            } else {
-                converged = true;
-                break;
-            }
-        } else if f32_iterating {
-            if rel > prev_rel * 0.99 {
-                stagnant_checks += 1;
-                if stagnant_checks >= 3 {
-                    f32_phase = false;
-                }
-            } else {
-                stagnant_checks = 0;
-            }
-        }
-        prev_rel = rel;
-
-        // ---- Supervisor hooks (per iteration). ---------------------------
-        if ctrl.is_active() {
-            ctrl.inject_faults(t, &mut lambda);
-            let finite = vector::all_finite(&lambda)
-                && vector::all_finite(&mu)
-                && vector::all_finite(x_t.values());
-            if !finite {
-                let mut empty_s: [f64; 0] = [];
-                let mut empty_d: [f64; 0] = [];
-                if ctrl
-                    .restore_snapshot(
-                        &mut lambda,
-                        &mut mu,
-                        x_t.values_mut(),
-                        &mut empty_s,
-                        &mut empty_d,
-                    )
-                    .map(|(it, res)| {
-                        iterations = it;
-                        rel = res;
-                    })
-                    .is_some()
-                {
-                    break;
-                }
-                return Err(SeaError::NumericalBreakdown { iteration: t });
-            }
-            ctrl.capture_snapshot(t, rel, &lambda, &mu, x_t.values(), &[], &[]);
-            if ctrl.note_residual(rel) {
-                break;
-            }
-            if ctrl.should_stop(t, None).is_some() {
-                break;
-            }
-        }
-
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-            epoch_open = false;
-        }
-    }
-    if spanning && epoch_open {
-        obs.span_close(&KernelCounters::default());
-    }
-
-    let x_final = x_t.transposed()?;
-    let mut row_sums = vec![0.0; m];
-    let mut col_sums = vec![0.0; n];
-    x_final.row_sums_into(&mut row_sums);
-    x_final.col_sums_into(&mut col_sums);
-    let mut residuals = Residuals::default();
-    let mut sq = 0.0;
-    for i in 0..m {
-        let v = (row_sums[i] - p.s0[i]).abs();
-        residuals.row_inf = residuals.row_inf.max(v);
-        residuals.rel_row_inf = residuals.rel_row_inf.max(v / p.s0[i].abs().max(1e-12));
-        sq += v * v;
-    }
-    for j in 0..n {
-        let v = (col_sums[j] - p.d0[j]).abs();
-        residuals.col_inf = residuals.col_inf.max(v);
-        sq += v * v;
-    }
-    residuals.norm2 = sq.sqrt();
-    let objective = p.objective(&x_final);
-    if spanning {
-        obs.span_close(&KernelCounters::default());
-    }
-
-    if observing {
-        if ctrl.is_active() && !converged {
-            obs.record(&Event::SupervisorStop {
-                iteration: iterations,
-                reason: ctrl
-                    .stop()
-                    .map_or(StopReason::IterationCap.name(), StopReason::name),
-            });
-        }
-        if !scratch.stats.is_empty() {
-            obs.record(&Event::KernelCounters {
-                counters: scratch.stats,
-            });
-        }
-        obs.record(&Event::SolveEnd {
-            iterations,
-            converged,
-            residual: rel,
-            objective,
-            dual_value: None,
-            seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-
-    Ok(BoundedSolution {
-        x: x_final,
-        lambda,
-        mu,
-        iterations,
-        converged,
-        residuals,
-        objective,
-        elapsed: start.elapsed(),
+        kernel_fallbacks: ctrl.fallbacks,
+        checkpoint_error: ctrl.take_checkpoint_error(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::RowView;
+    use crate::supervisor::StopReason;
+    use sea_observe::{Event, NullObserver};
 
     fn problem() -> BoundedProblem {
         let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
@@ -858,6 +377,29 @@ mod tests {
         let lo = DenseMatrix::filled(2, 2, 0.5).unwrap();
         let hi = DenseMatrix::filled(2, 2, 10.0).unwrap();
         BoundedProblem::new(x0, gamma, lo, hi, vec![4.0, 6.0], vec![5.0, 5.0]).unwrap()
+    }
+
+    /// A default-options supervised solve, returning just the solution.
+    fn solve_bounded<S: Storage>(
+        p: &BoundedProblem<S>,
+        epsilon: f64,
+        max_iterations: usize,
+    ) -> Result<BoundedSolution<S>, SeaError> {
+        let opts = SeaOptions {
+            max_iterations,
+            ..SeaOptions::with_epsilon(epsilon)
+        };
+        solve_bounded_supervised(p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+            .map(|s| s.solution)
+    }
+
+    /// Sort-scan options at `epsilon`, optionally warm-started.
+    fn sort_scan(epsilon: f64, initial_mu: Option<Vec<f64>>) -> SeaOptions {
+        SeaOptions {
+            kernel: KernelKind::SortScan,
+            initial_mu,
+            ..SeaOptions::with_epsilon(epsilon)
+        }
     }
 
     #[test]
@@ -1010,8 +552,10 @@ mod tests {
     fn bounded_observer_reports_clamps() {
         let p = problem();
         let mut obs = sea_observe::VecObserver::new();
-        let sol =
-            solve_bounded_observed(&p, 1e-10, 10_000, KernelKind::SortScan, &mut obs).unwrap();
+        let sup = SupervisorOptions::default();
+        let sol = solve_bounded_supervised(&p, &sort_scan(1e-10, None), &sup, &mut obs)
+            .unwrap()
+            .solution;
         assert!(sol.converged);
         assert!(matches!(
             obs.events.first(),
@@ -1035,45 +579,37 @@ mod tests {
             })
             .expect("kernel counters event missing");
         assert_eq!(counters.subproblems, (4 * sol.iterations) as u64);
+        // ζ describes the unbounded problem, so a bounded solve reports none.
+        assert!(obs.events.iter().all(|e| !matches!(
+            e,
+            Event::ConvergenceCheck {
+                dual_value: Some(_),
+                ..
+            } | Event::SolveEnd {
+                dual_value: Some(_),
+                ..
+            }
+        )));
     }
 
     #[test]
     fn warm_start_reproduces_same_solution_and_validates_length() {
         let p = problem();
         let sup = SupervisorOptions::default();
-        let cold = solve_bounded_supervised_warm(
-            &p,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
-            None,
-            &sup,
-            &mut sea_observe::NullObserver,
-        )
-        .unwrap();
+        let cold =
+            solve_bounded_supervised(&p, &sort_scan(1e-10, None), &sup, &mut NullObserver).unwrap();
         assert_eq!(cold.stop, StopReason::Converged);
-        let warm = solve_bounded_supervised_warm(
-            &p,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
-            Some(&cold.solution.mu),
-            &sup,
-            &mut sea_observe::NullObserver,
-        )
-        .unwrap();
+        let warm_opts = sort_scan(1e-10, Some(cold.solution.mu.clone()));
+        let warm = solve_bounded_supervised(&p, &warm_opts, &sup, &mut NullObserver).unwrap();
         assert_eq!(warm.stop, StopReason::Converged);
         assert!(warm.solution.iterations <= cold.solution.iterations);
         assert!(warm.solution.x.max_abs_diff(&cold.solution.x) < 1e-8);
 
-        let err = solve_bounded_supervised_warm(
+        let err = solve_bounded_supervised(
             &p,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
-            Some(&[0.0; 5]),
+            &sort_scan(1e-10, Some(vec![0.0; 5])),
             &sup,
-            &mut sea_observe::NullObserver,
+            &mut NullObserver,
         );
         assert!(matches!(
             err,
@@ -1114,5 +650,60 @@ mod tests {
                 upper,
             }) if lower == 2.0 && upper == 1.0
         ));
+    }
+
+    /// Build the 2×2 test problem after `edit` poisons one input.
+    fn poisoned(
+        edit: impl FnOnce(&mut [DenseMatrix; 3], &mut [Vec<f64>; 2]),
+    ) -> Result<BoundedProblem, SeaError> {
+        let mut mats = [
+            DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap(),
+            DenseMatrix::filled(2, 2, 0.5).unwrap(),
+            DenseMatrix::filled(2, 2, 10.0).unwrap(),
+        ];
+        let mut totals = [vec![4.0, 6.0], vec![5.0, 5.0]];
+        edit(&mut mats, &mut totals);
+        let [x0, lo, hi] = mats;
+        let [s0, d0] = totals;
+        let gamma = DenseMatrix::filled(2, 2, 1.0).unwrap();
+        BoundedProblem::new(x0, gamma, lo, hi, s0, d0)
+    }
+
+    fn assert_non_finite(r: Result<BoundedProblem, SeaError>, expected: &str) {
+        match r {
+            Err(SeaError::NonFinite { context }) => assert_eq!(context, expected),
+            other => panic!("expected NonFinite({expected}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_prior() {
+        assert_non_finite(
+            poisoned(|m, _| m[0].set(1, 0, f64::NAN)),
+            "bounded prior X0",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_nan_lower_bound() {
+        assert_non_finite(poisoned(|m, _| m[1].set(0, 1, f64::NAN)), "bounded lo");
+    }
+
+    #[test]
+    fn validation_rejects_infinite_upper_bound() {
+        assert_non_finite(poisoned(|m, _| m[2].set(1, 1, f64::INFINITY)), "bounded hi");
+    }
+
+    #[test]
+    fn validation_rejects_nan_row_total() {
+        assert_non_finite(poisoned(|_, t| t[0][1] = f64::NAN), "bounded row totals s0");
+    }
+
+    #[test]
+    fn validation_rejects_infinite_column_total() {
+        assert_non_finite(
+            poisoned(|_, t| t[1][0] = f64::INFINITY),
+            "bounded column totals d0",
+        );
     }
 }

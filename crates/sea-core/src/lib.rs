@@ -20,7 +20,8 @@
 //!   reductions).
 //! * [`equilibrate`] — row/column equilibration passes (serial and
 //!   parallel) that fan the kernel out over a matrix.
-//! * [`solver`] — [`solve_diagonal`]: the diagonal SEA driver (§3.1).
+//! * [`solver`] — [`solve_diagonal`]: the diagonal SEA driver (§3.1), the
+//!   one iteration loop every diagonal problem class runs.
 //! * [`storage`] — the [`Storage`] abstraction every driver is generic
 //!   over: row-major dense (`DenseMatrix`) and CSR support-only
 //!   (`CsrMatrix`) problem storage with bitwise-identical solves.
@@ -34,11 +35,12 @@
 //! * [`parallel`], [`trace`] — execution control and phase traces for the
 //!   scheduling simulator.
 //! * [`interval`] — interval/box-constrained extension (Harrigan–Buchanan,
-//!   Ohuchi–Kaji).
-//! * [`observe`] — glue to the `sea-observe` event schema: every solver has
-//!   an `*_observed` variant that streams typed lifecycle events to an
-//!   [`Observer`] sink, and recorded logs convert back to
-//!   [`ExecutionTrace`]s.
+//!   Ohuchi–Kaji): [`BoundedProblem`] and [`solve_bounded_supervised`],
+//!   the diagonal driver with box-bounded subproblems.
+//! * [`observe`] — glue to the `sea-observe` event schema: every solver
+//!   streams typed lifecycle events to an [`Observer`] sink (the
+//!   `*_supervised` entry points and `solve_diagonal_observed`), and
+//!   recorded logs convert back to [`ExecutionTrace`]s.
 //! * [`verify`] — first-principles KKT/duality verification of computed
 //!   solutions.
 //! * [`supervisor`] — fault-tolerant solve supervision: budgets,
@@ -96,14 +98,11 @@ pub mod weights;
 pub use equilibrate::PassCounters;
 pub use error::SeaError;
 pub use general::{
-    solve_general, solve_general_in, solve_general_observed, solve_general_supervised,
-    solve_general_supervised_in, GeneralProblem, GeneralSeaOptions, GeneralSolution,
-    GeneralTotalSpec,
+    solve_general, solve_general_in, solve_general_supervised, GeneralProblem, GeneralSeaOptions,
+    GeneralSolution, GeneralTotalSpec,
 };
 pub use interval::{
-    solve_bounded, solve_bounded_configured, solve_bounded_observed, solve_bounded_supervised,
-    solve_bounded_supervised_configured, solve_bounded_supervised_warm, solve_bounded_with,
-    BoundedOptions, BoundedProblem,
+    solve_bounded_supervised, solve_bounded_supervised_configured, BoundedOptions, BoundedProblem,
 };
 pub use kernel_simd::{
     exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,

@@ -296,6 +296,19 @@ impl<S: Storage> DiagonalProblem<S> {
         })
     }
 
+    /// A fixed-totals problem over parts the caller has validated under
+    /// its own rules: the box-bounded problem admits signed priors and
+    /// totals, which [`DiagonalProblem::new`] rejects.
+    pub(crate) fn fixed_unchecked(x0: S, gamma: S, s0: Vec<f64>, d0: Vec<f64>) -> Self {
+        Self {
+            x0,
+            gamma,
+            totals: TotalSpec::Fixed { s0, d0 },
+            zero_policy: ZeroPolicy::Free,
+            support: None,
+        }
+    }
+
     /// Convenience: fixed-totals problem whose targets are the prior's own
     /// margins scaled by `row_growth` / `col_growth` — the construction the
     /// paper's I/O experiments use ("10 % growth factor" etc.). The scale

@@ -12,7 +12,9 @@
 //! The same driver covers all three problem classes (3.1.1 unknown totals,
 //! 3.1.2 SAM, 3.1.3 fixed totals); the class only changes the
 //! [`crate::knapsack::TotalMode`] of each subproblem and the
-//! default stopping rule.
+//! default stopping rule. Box-bounded problems ([`crate::interval`]) run
+//! the same loop with fixed totals and entry bounds handed to the passes,
+//! which turns every subproblem into a box-bounded knapsack.
 
 use crate::components::{
     normalize_multipliers_storage, shard_boundaries, storage_support_components,
@@ -186,7 +188,8 @@ pub struct SolveStats {
     pub residuals: Residuals,
     /// Primal objective at the returned solution.
     pub objective: f64,
-    /// Dual value `ζ(λ, μ)` at the returned multipliers.
+    /// Dual value `ζ(λ, μ)` at the returned multipliers (NaN for a
+    /// box-bounded solve, which does not evaluate ζ).
     pub dual_value: f64,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
@@ -243,7 +246,7 @@ pub fn solve_diagonal_observed<S: Storage, O: Observer + Send>(
     obs: &mut O,
 ) -> Result<Solution<S>, SeaError> {
     opts.parallelism
-        .run(move || solve_diagonal_inner(p, opts, obs, &mut SolveControl::passive()))
+        .run(move || solve_inner(p, None, opts, obs, &mut SolveControl::passive()))
 }
 
 /// [`solve_diagonal_observed`] under a fault-tolerant supervisor.
@@ -298,12 +301,8 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 ) -> Result<SupervisedSolution<S>, SeaError> {
     opts.parallelism.run(move || {
         let mut ctrl = SolveControl::active(sup);
-        let solution = solve_diagonal_inner(p, opts, obs, &mut ctrl)?;
-        let stop = if solution.stats.converged {
-            StopReason::Converged
-        } else {
-            ctrl.stop().unwrap_or(StopReason::IterationCap)
-        };
+        let solution = solve_inner(p, None, opts, obs, &mut ctrl)?;
+        let stop = ctrl.final_stop(solution.stats.converged);
         let certificate = crate::verify::verify_solution(p, &solution);
         Ok(SupervisedSolution {
             solution,
@@ -315,14 +314,25 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
     })
 }
 
-fn solve_diagonal_inner<S: Storage, O: Observer>(
+/// The SEA driver loop shared by every diagonal problem class. `bounds`
+/// carries the entry bounds `(lo, hi)` of a box-bounded problem (whose
+/// `p` then has fixed totals); the passes hand them to the boxed kernel.
+/// The dual value ζ of the unbounded problem does not bound a boxed one,
+/// so bounded solves neither evaluate nor report it.
+pub(crate) fn solve_inner<S: Storage, O: Observer>(
     p: &DiagonalProblem<S>,
+    bounds: Option<(&S, &S)>,
     opts: &SeaOptions,
     obs: &mut O,
     ctrl: &mut SolveControl<'_>,
 ) -> Result<Solution<S>, SeaError> {
     let start = Instant::now();
     let (m, n) = (p.m(), p.n());
+    let solver = if bounds.is_some() {
+        "bounded"
+    } else {
+        "diagonal"
+    };
     let check_every = opts.check_every.max(1);
     let criterion = opts.effective_criterion(p.totals());
     // Resolve the SIMD policy once, before the hot loop: `Force` without
@@ -340,7 +350,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
     let observing = obs.enabled();
     if observing {
         obs.record(&Event::SolveStart {
-            solver: "diagonal",
+            solver,
             rows: m,
             cols: n,
             kernel: opts.kernel.name(),
@@ -368,6 +378,10 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
     // column-access view of the support).
     let x0_t = p.x0().transposed()?;
     let gamma_t = p.gamma().transposed()?;
+    let bounds_t = match bounds {
+        Some((lo, hi)) => Some((lo.transposed()?, hi.transposed()?)),
+        None => None,
+    };
 
     // Shard boundaries for parallel passes, computed once per solve from
     // the prior's support-graph components (cheap relative to one pass).
@@ -445,6 +459,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
                 prior: p.x0(),
                 gamma: p.gamma(),
                 support: row_support,
+                bounds,
                 shift: &mu,
                 side: "row",
                 kernel: opts.kernel,
@@ -548,6 +563,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
                 prior: &x0_t,
                 gamma: &gamma_t,
                 support: col_support,
+                bounds: bounds_t.as_ref().map(|(lo, hi)| (lo, hi)),
                 shift: &lambda,
                 side: "column",
                 kernel: opts.kernel,
@@ -731,7 +747,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
             checks_seen += 1;
             // ζ is only evaluated when something consumes it: the history
             // recorder, an attached observer, or a due telemetry sample.
-            let zeta = (history.is_some() || observing || telemetry_now)
+            let zeta = (bounds.is_none() && (history.is_some() || observing || telemetry_now))
                 .then(|| dual::dual_value(p, &lambda, &mu));
             if spanning {
                 obs.span_close(&KernelCounters::default());
@@ -825,7 +841,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
 
         // ---- Supervisor epilogue: checkpoint, then budget/cancellation. --
         if ctrl.is_active() {
-            if let Some(path) = ctrl.maybe_checkpoint(t, &lambda, &mu) {
+            if let Some(path) = ctrl.maybe_checkpoint(t, solver, &lambda, &mu) {
                 if observing {
                     obs.record(&Event::CheckpointWritten { iteration: t, path });
                 }
@@ -866,7 +882,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
 
     let residuals = p.residuals(&x_final, &s_final, &d_final);
     let objective = p.objective(&x_final, &s_final, &d_final);
-    let dual_value = dual::dual_value(p, &lambda, &mu);
+    let dual_value = bounds.is_none().then(|| dual::dual_value(p, &lambda, &mu));
     if spanning {
         // The Solve span also covers assembly: its O(nnz) sweeps are a
         // sizeable share of a cheap solve's wall time.
@@ -895,7 +911,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
             converged,
             residual,
             objective,
-            dual_value: Some(dual_value),
+            dual_value,
             seconds: start.elapsed().as_secs_f64(),
         });
     }
@@ -912,7 +928,7 @@ fn solve_diagonal_inner<S: Storage, O: Observer>(
             residual,
             residuals,
             objective,
-            dual_value,
+            dual_value: dual_value.unwrap_or(f64::NAN),
             elapsed: start.elapsed(),
             trace,
             history,

@@ -279,13 +279,20 @@ pub struct SupervisedSolution<S: crate::storage::Storage = sea_linalg::DenseMatr
     pub checkpoint_error: Option<String>,
 }
 
-/// A supervised bounded solve outcome.
+/// A supervised bounded solve outcome. It carries no KKT certificate:
+/// [`crate::verify`] checks the unbounded problem's conditions, which a
+/// box-bounded optimum need not satisfy.
 #[derive(Debug, Clone)]
 pub struct SupervisedBoundedSolution<S: crate::storage::Storage = sea_linalg::DenseMatrix> {
     /// The (possibly partial) bounded solution.
     pub solution: crate::interval::BoundedSolution<S>,
     /// Why the solve stopped.
     pub stop: StopReason,
+    /// Subproblems that fell back from quickselect to sort-scan.
+    pub kernel_fallbacks: u64,
+    /// First checkpoint-write failure, if any (see
+    /// [`SupervisedSolution::checkpoint_error`]).
+    pub checkpoint_error: Option<String>,
 }
 
 /// A supervised general solve outcome.
@@ -298,8 +305,8 @@ pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::De
 }
 
 /// A crash-safe solver state snapshot: the column multipliers plus the
-/// iteration they belong to — sufficient to resume a diagonal solve
-/// bitwise-identically, because the row pass recomputes `λ` from `μ`.
+/// iteration they belong to — sufficient to resume a diagonal or bounded
+/// solve bitwise-identically, because the row pass recomputes `λ` from `μ`.
 ///
 /// The on-disk format is a small line-oriented text file whose floats are
 /// hex-encoded IEEE-754 bit patterns, so save→load round-trips are exact:
@@ -313,7 +320,7 @@ pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::De
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Driver name (`"diagonal"`).
+    /// Driver name (`"diagonal"` or `"bounded"`).
     pub solver: String,
     /// Iteration the snapshot captures (cumulative across resumes).
     pub iteration: usize,
@@ -503,6 +510,16 @@ impl<'a> SolveControl<'a> {
         self.stop
     }
 
+    /// The outcome of a finished solve: converged, or whatever stopped the
+    /// loop, and otherwise the iteration cap.
+    pub(crate) fn final_stop(&self, converged: bool) -> StopReason {
+        if converged {
+            StopReason::Converged
+        } else {
+            self.stop.unwrap_or(StopReason::IterationCap)
+        }
+    }
+
     /// Scripted worker fault for this iteration and side, if any.
     pub(crate) fn task_fault(&self, t: usize, side: &'static str) -> Option<TaskFault> {
         let sup = self.sup?;
@@ -621,6 +638,7 @@ impl<'a> SolveControl<'a> {
     pub(crate) fn maybe_checkpoint(
         &mut self,
         t: usize,
+        solver: &str,
         lambda: &[f64],
         mu: &[f64],
     ) -> Option<String> {
@@ -633,7 +651,7 @@ impl<'a> SolveControl<'a> {
             return None;
         }
         let ck = Checkpoint {
-            solver: "diagonal".to_string(),
+            solver: solver.to_string(),
             iteration: sup.start_iteration + t,
             lambda: lambda.to_vec(),
             mu: mu.to_vec(),
@@ -792,7 +810,7 @@ mod tests {
         assert_eq!(ctrl.should_stop(1, None), None);
         assert!(!ctrl.note_residual(1.0));
         assert!(ctrl.task_fault(1, "row").is_none());
-        assert!(ctrl.maybe_checkpoint(1, &[], &[]).is_none());
+        assert!(ctrl.maybe_checkpoint(1, "diagonal", &[], &[]).is_none());
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn supervised_diagonal_driver_is_bitwise_identical_across_modes() {
     // The supervisor wraps the same iteration loop (budget checks and
     // watchdogs read state, they never perturb it), so supervised solves
     // inherit the bitwise-determinism contract of the bare driver.
-    let p = generator::heterogeneous(0x5EA_D, 5, 5);
+    let p = generator::heterogeneous(0x5EAD, 5, 5);
     let sup = SupervisorOptions::default();
     for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
         let mut opts = SeaOptions::with_epsilon(1e-10);
@@ -229,7 +229,7 @@ fn sparse_solves_are_bitwise_identical_across_modes_and_shards() {
 /// pattern; Structural prunes to the support).
 #[test]
 fn dense_and_csr_construction_agree_bitwise() {
-    use sea_core::{DiagonalProblem, Storage};
+    use sea_core::DiagonalProblem;
     use sea_linalg::CsrMatrix;
 
     let mut problems = vec![("heterogeneous", generator::heterogeneous(0xD0_5EA, 8, 10))];

@@ -482,35 +482,22 @@ fn checkpoint_write_failure_never_aborts_the_solve() {
 
 #[test]
 fn bounded_driver_honors_budgets_and_faults() {
+    let never = opts(-1.0, Parallelism::Serial, KernelKind::SortScan);
     // Deadline fault.
     let sup = SupervisorOptions {
         faults: FaultPlan::new().at(1, FaultKind::DeadlineNow),
         ..SupervisorOptions::default()
     };
-    let sol = solve_bounded_supervised(
-        &bounded_problem(),
-        -1.0,
-        10_000,
-        KernelKind::SortScan,
-        &sup,
-        &mut NullObserver,
-    )
-    .unwrap();
+    let sol =
+        solve_bounded_supervised(&bounded_problem(), &never, &sup, &mut NullObserver).unwrap();
     assert_eq!(sol.stop, StopReason::DeadlineExceeded);
     assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
 
     // Iteration budget.
     let mut sup = SupervisorOptions::default();
     sup.budget.max_iterations = Some(2);
-    let sol = solve_bounded_supervised(
-        &bounded_problem(),
-        -1.0,
-        10_000,
-        KernelKind::SortScan,
-        &sup,
-        &mut NullObserver,
-    )
-    .unwrap();
+    let sol =
+        solve_bounded_supervised(&bounded_problem(), &never, &sup, &mut NullObserver).unwrap();
     assert_eq!(sol.stop, StopReason::IterationCap);
     assert_eq!(sol.solution.iterations, 2);
 
@@ -519,20 +506,100 @@ fn bounded_driver_honors_budgets_and_faults() {
         faults: FaultPlan::new().at(3, FaultKind::NanLambda { index: 0 }),
         ..SupervisorOptions::default()
     };
-    match solve_bounded_supervised(
-        &bounded_problem(),
-        -1.0,
-        10_000,
-        KernelKind::SortScan,
-        &sup,
-        &mut NullObserver,
-    ) {
+    match solve_bounded_supervised(&bounded_problem(), &never, &sup, &mut NullObserver) {
         Ok(sol) => {
             assert_eq!(sol.stop, StopReason::Breakdown);
             assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
         }
         Err(e) => assert!(matches!(e, SeaError::NumericalBreakdown { .. })),
     }
+}
+
+/// The hard problem's slow tail (thousands of iterations) with box
+/// constraints that bind: cells sit at both `lo` and `hi` at the optimum.
+fn hard_bounded_problem() -> BoundedProblem {
+    let p = hard_problem();
+    let TotalSpec::Fixed { s0, d0 } = p.totals().clone() else {
+        unreachable!("hard_problem has fixed totals")
+    };
+    BoundedProblem::new(
+        p.x0().clone(),
+        p.gamma().clone(),
+        DenseMatrix::filled(5, 5, 0.5).unwrap(),
+        DenseMatrix::filled(5, 5, 8.0).unwrap(),
+        s0,
+        d0,
+    )
+    .unwrap()
+}
+
+#[test]
+fn bounded_kernel_fault_falls_back_to_sort_scan() {
+    let p = hard_bounded_problem();
+    let o = opts(1e-10, Parallelism::Serial, KernelKind::Quickselect);
+    let clean =
+        solve_bounded_supervised(&p, &o, &SupervisorOptions::default(), &mut NullObserver).unwrap();
+    assert_eq!(clean.kernel_fallbacks, 0);
+    for parallelism in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+        let sup = SupervisorOptions {
+            faults: FaultPlan::new().at(
+                2,
+                FaultKind::KernelNan {
+                    side: "column",
+                    index: 3,
+                },
+            ),
+            ..SupervisorOptions::default()
+        };
+        let o = opts(1e-10, parallelism, KernelKind::Quickselect);
+        let sol = solve_bounded_supervised(&p, &o, &sup, &mut NullObserver).unwrap();
+        assert_eq!(sol.stop, StopReason::Converged, "{parallelism:?}");
+        assert!(sol.kernel_fallbacks >= 1, "{parallelism:?}");
+        assert_eq!(
+            sol.solution.x.as_slice(),
+            clean.solution.x.as_slice(),
+            "{parallelism:?}"
+        );
+    }
+}
+
+#[test]
+fn bounded_resume_from_checkpoint_is_bitwise_identical() {
+    let dir = ckpt_dir("bounded");
+    let ck_path = dir.join("state.ckpt");
+    let p = hard_bounded_problem();
+    let run = |budget: usize, checkpoint: bool, initial_mu: Option<Vec<f64>>, start: usize| {
+        let mut o = opts(-1.0, Parallelism::Serial, KernelKind::Quickselect);
+        o.max_iterations = budget;
+        o.initial_mu = initial_mu;
+        let sup = SupervisorOptions {
+            checkpoint: checkpoint.then(|| CheckpointPolicy {
+                path: ck_path.clone(),
+                every: 1,
+            }),
+            start_iteration: start,
+            ..SupervisorOptions::default()
+        };
+        solve_bounded_supervised(&p, &o, &sup, &mut NullObserver).unwrap()
+    };
+
+    let full = run(12, false, None, 0);
+    assert_eq!(full.stop, StopReason::IterationCap);
+    let partial = run(5, true, None, 0);
+    assert!(partial.checkpoint_error.is_none());
+    let ck = Checkpoint::load(&ck_path).unwrap();
+    assert_eq!(ck.solver, "bounded");
+    assert_eq!(ck.iteration, 5);
+    let resumed = run(7, false, Some(ck.mu), ck.iteration);
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&full.solution.mu), bits(&resumed.solution.mu));
+    assert_eq!(bits(&full.solution.lambda), bits(&resumed.solution.lambda));
+    assert_eq!(
+        bits(full.solution.x.as_slice()),
+        bits(resumed.solution.x.as_slice())
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -18,8 +18,9 @@ mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_bounded_configured, solve_diagonal, verify_solution, BoundedOptions, DiagonalProblem,
-    GapCheck, KernelKind, Parallelism, Precision, SeaOptions, SimdMode, TotalSpec,
+    solve_bounded_supervised, solve_diagonal, verify_solution, DiagonalProblem, GapCheck,
+    KernelKind, NullObserver, Parallelism, Precision, SeaOptions, SimdMode, SupervisorOptions,
+    TotalSpec,
 };
 use sea_linalg::DenseMatrix;
 
@@ -61,7 +62,7 @@ fn ill_conditioned(m: usize, n: usize) -> DiagonalProblem {
         for j in 0..n {
             let k = i * n + j;
             x0.set(i, j, 1.0 + (k % 5) as f64);
-            gamma.set(i, j, if k % 2 == 0 { 1e-6 } else { 1e6 });
+            gamma.set(i, j, if k.is_multiple_of(2) { 1e-6 } else { 1e6 });
         }
     }
     let s0: Vec<f64> = (0..m).map(|i| 3.2 * n as f64 + (i % 3) as f64).collect();
@@ -164,17 +165,19 @@ fn mixed_matches_f64_certificate_quality_when_well_conditioned() {
     );
 }
 
-/// Box-bounded driver: mixed precision through `solve_bounded_configured`
-/// converges to a feasible, in-bounds estimate.
+/// Box-bounded problems: the mixed-precision phase runs the boxed f32
+/// kernel and still converges to a feasible, in-bounds estimate.
 #[test]
 fn bounded_mixed_precision_converges_in_bounds() {
     let p = generator::try_bounded(SEED ^ 2, 9, 12, 3, 1.0).expect("constructible");
-    let cfg = BoundedOptions {
-        kernel: KernelKind::SortScan,
-        simd: simd_under_test(),
-        precision: Precision::F32Mixed,
-    };
-    let sol = solve_bounded_configured(&p, 1e-8, 50_000, &cfg).expect("bounded mixed solve");
+    let mut o = SeaOptions::with_epsilon(1e-8);
+    o.max_iterations = 50_000;
+    o.kernel = KernelKind::SortScan;
+    o.simd = simd_under_test();
+    o.precision = Precision::F32Mixed;
+    let sol = solve_bounded_supervised(&p, &o, &SupervisorOptions::default(), &mut NullObserver)
+        .expect("bounded mixed solve")
+        .solution;
     assert!(sol.converged, "residual {:?}", sol.residuals);
     assert!(sol.residuals.rel_row_inf <= 1e-8);
 }

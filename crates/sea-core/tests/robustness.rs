@@ -82,10 +82,11 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()),
         };
+        let mut o = SeaOptions::with_epsilon(1e-8);
+        o.max_iterations = 60;
+        o.kernel = kernel_of(k);
         let sup = SupervisorOptions::default();
-        if let Ok(sol) =
-            solve_bounded_supervised(&p, 1e-8, 60, kernel_of(k), &sup, &mut NullObserver)
-        {
+        if let Ok(sol) = solve_bounded_supervised(&p, &o, &sup, &mut NullObserver) {
             prop_assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
         }
     }
@@ -261,11 +262,8 @@ proptest! {
         let gamma = x0.with_values(vec![1.0; trips.len()]).expect("same pattern");
         let mut s0: Vec<f64> = vec![0.0; m];
         let mut d0: Vec<f64> = vec![0.0; n];
-        {
-            use sea_core::Storage;
-            x0.row_sums_into(&mut s0);
-            x0.col_sums_into(&mut d0);
-        }
+        x0.row_sums_into(&mut s0);
+        x0.col_sums_into(&mut d0);
         // Demand mass from the empty row; rebalance a live column so the
         // grand totals still agree and construction passes.
         s0[empty_row] = 1.0;
@@ -315,10 +313,8 @@ proptest! {
         let mut hi_vals = sp.hi().values().to_vec();
         let range = x0.row_range(pinned_row);
         let (start, end) = (range.start, range.end);
-        for t in start..end {
-            lo_vals[t] = x0.values()[t];
-            hi_vals[t] = x0.values()[t];
-        }
+        lo_vals[start..end].copy_from_slice(&x0.values()[start..end]);
+        hi_vals[start..end].copy_from_slice(&x0.values()[start..end]);
         let lo = x0.with_values(lo_vals).expect("same pattern");
         let hi = x0.with_values(hi_vals).expect("same pattern");
         let mut s0 = sp.s0().to_vec();
@@ -334,10 +330,12 @@ proptest! {
         match BoundedProblem::new(x0, sp.gamma().clone(), lo, hi, s0, d0) {
             Err(_) => {} // typed validation error: acceptable
             Ok(p) => {
-                if let Ok(sol) =
-                    sea_core::solve_bounded_with(&p, 1e-8, 60, kernel_of(k))
-                {
-                    prop_assert!(sol.x.values().iter().all(|v| v.is_finite()));
+                let mut o = SeaOptions::with_epsilon(1e-8);
+                o.max_iterations = 60;
+                o.kernel = kernel_of(k);
+                let sup = SupervisorOptions::default();
+                if let Ok(sol) = solve_bounded_supervised(&p, &o, &sup, &mut NullObserver) {
+                    prop_assert!(sol.solution.x.values().iter().all(|v| v.is_finite()));
                 }
             }
         }

@@ -552,36 +552,29 @@ fn sparse_solves_match_scalar_bitwise() {
 /// Box-bounded solves through the configured driver: SIMD on vs off.
 #[test]
 fn bounded_solves_match_scalar_bitwise() {
-    use sea_core::{solve_bounded_configured, BoundedOptions, Precision};
+    use sea_core::{
+        solve_bounded_supervised_configured, BoundedOptions, NullObserver, Precision,
+        SupervisorOptions,
+    };
+    let solve = |p, kernel, simd| {
+        let cfg = BoundedOptions {
+            kernel,
+            simd,
+            precision: Precision::F64,
+        };
+        let sup = SupervisorOptions::default();
+        solve_bounded_supervised_configured(p, 1e-7, 20_000, &cfg, None, &sup, &mut NullObserver)
+            .map(|s| s.solution)
+    };
     let problems = [
         generator::try_bounded(SEED ^ 4, 8, 12, 4, 1.0).expect("constructible"),
         generator::try_bounded(SEED ^ 5, 15, 6, 6, 1e6).expect("constructible"),
     ];
     for (i, p) in problems.iter().enumerate() {
         for kernel in kernels() {
-            let reference = solve_bounded_configured(
-                p,
-                1e-7,
-                20_000,
-                &BoundedOptions {
-                    kernel,
-                    simd: SimdMode::Off,
-                    precision: Precision::F64,
-                },
-            )
-            .expect("bounded reference solve");
+            let reference = solve(p, kernel, SimdMode::Off).expect("bounded reference solve");
             for mode in modes_under_test() {
-                let simd = solve_bounded_configured(
-                    p,
-                    1e-7,
-                    20_000,
-                    &BoundedOptions {
-                        kernel,
-                        simd: mode,
-                        precision: Precision::F64,
-                    },
-                )
-                .expect("bounded simd solve");
+                let simd = solve(p, kernel, mode).expect("bounded simd solve");
                 let tag = format!("bounded{i}/{kernel:?}/{mode:?}");
                 assert_eq!(
                     bits(simd.x.values()),

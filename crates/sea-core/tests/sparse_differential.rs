@@ -16,10 +16,10 @@
 mod generator;
 
 use sea_core::{
-    solve_bounded_supervised, solve_bounded_with, solve_diagonal_observed,
-    solve_diagonal_supervised, solve_general, solve_general_in, verify_solution, BoundedProblem,
-    DiagonalProblem, Event, KernelCounters, KernelKind, NullObserver, Parallelism, SeaOptions,
-    StopReason, Storage, SupervisorOptions, VecObserver,
+    solve_bounded_supervised, solve_diagonal_observed, solve_diagonal_supervised, solve_general,
+    solve_general_in, verify_solution, BoundedProblem, DiagonalProblem, Event, KernelCounters,
+    KernelKind, NullObserver, Parallelism, SeaOptions, StopReason, Storage, SupervisorOptions,
+    VecObserver,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
 
@@ -167,10 +167,16 @@ fn sparse_bounded_matches_dense_oracle() {
         let dp = dense_bounded_oracle(&sp);
         for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
             let tag = format!("bounded/{seed:#x}/{kernel:?}");
-            let ssol = solve_bounded_with(&sp, 1e-10, 10_000, kernel)
-                .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"));
-            let dsol = solve_bounded_with(&dp, 1e-10, 10_000, kernel)
-                .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"));
+            let mut o = SeaOptions::with_epsilon(1e-10);
+            o.max_iterations = 10_000;
+            o.kernel = kernel;
+            let sup = SupervisorOptions::default();
+            let ssol = solve_bounded_supervised(&sp, &o, &sup, &mut NullObserver)
+                .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"))
+                .solution;
+            let dsol = solve_bounded_supervised(&dp, &o, &sup, &mut NullObserver)
+                .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"))
+                .solution;
             assert!(ssol.converged && dsol.converged, "{tag}: not converged");
             let sx = ssol.x.to_dense().expect("densify");
             assert!(
@@ -180,18 +186,23 @@ fn sparse_bounded_matches_dense_oracle() {
             );
         }
 
-        // The supervised bounded driver agrees with itself across storage.
+        // The sparse bounded solve is bitwise identical across
+        // parallelism: its passes shard like every other class's.
+        let mut o = SeaOptions::with_epsilon(1e-10);
+        o.kernel = KernelKind::SortScan;
         let sup = SupervisorOptions::default();
-        let s = solve_bounded_supervised(
-            &sp,
-            1e-10,
-            10_000,
-            KernelKind::SortScan,
-            &sup,
-            &mut NullObserver,
-        )
-        .expect("sparse supervised bounded");
-        assert_eq!(s.stop, StopReason::Converged, "bounded/{seed:#x}");
+        let serial = solve_bounded_supervised(&sp, &o, &sup, &mut NullObserver)
+            .expect("sparse supervised bounded");
+        assert_eq!(serial.stop, StopReason::Converged, "bounded/{seed:#x}");
+        o.parallelism = Parallelism::RayonThreads(2);
+        let par = solve_bounded_supervised(&sp, &o, &sup, &mut NullObserver)
+            .expect("parallel sparse supervised bounded");
+        assert_eq!(
+            bits(par.solution.x.values()),
+            bits(serial.solution.x.values()),
+            "bounded/{seed:#x}: parallel iterates diverged"
+        );
+        assert_eq!(par.solution.iterations, serial.solution.iterations);
     }
 }
 

@@ -56,7 +56,7 @@ proptest! {
         let cut = cut.min(full.len() - 1);
         // Every proper prefix is missing bytes somewhere — head, blank
         // line, or body — so parsing must fail, and fail typed.
-        prop_assert!(parse_bytes(full[..cut].as_bytes()).is_err());
+        prop_assert!(parse_bytes(&full.as_bytes()[..cut]).is_err());
     }
 
     #[test]

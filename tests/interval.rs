@@ -4,9 +4,24 @@
 #![allow(clippy::needless_range_loop)] // parallel-array numeric idiom
 
 use proptest::prelude::*;
-use sea::core::{solve_bounded, solve_diagonal, BoundedProblem, SeaOptions};
-use sea::core::{DiagonalProblem, TotalSpec};
+use sea::core::interval::BoundedSolution;
+use sea::core::{solve_bounded_supervised, solve_diagonal, BoundedProblem, SeaOptions};
+use sea::core::{DiagonalProblem, NullObserver, SeaError, SupervisorOptions, TotalSpec};
 use sea::linalg::DenseMatrix;
+
+/// A default-options bounded solve, returning just the solution.
+fn solve_bounded(
+    p: &BoundedProblem,
+    epsilon: f64,
+    max_iterations: usize,
+) -> Result<BoundedSolution, SeaError> {
+    let opts = SeaOptions {
+        max_iterations,
+        ..SeaOptions::with_epsilon(epsilon)
+    };
+    solve_bounded_supervised(p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+        .map(|s| s.solution)
+}
 
 fn growth_problem(n: usize, seed: u64) -> (DenseMatrix, DenseMatrix, Vec<f64>, Vec<f64>) {
     use rand::{Rng, SeedableRng};
