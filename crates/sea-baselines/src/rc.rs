@@ -200,6 +200,7 @@ fn half_step(
             kernel: opts.kernel,
             simd: sea_core::SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let costs = opts.record_trace.then_some(&mut buf.costs);

@@ -311,9 +311,13 @@ pub struct BatchItemReport {
     pub family: Option<String>,
     /// Cache outcome.
     pub warm_start: WarmStart,
-    /// Kernel work this solve cost (0 when measurement is off).
+    /// Kernel work this solve cost (0 when measurement is off), in the
+    /// units of [`sea_core::KernelCounters::work`]: a warm-start attempt
+    /// of the quickselect kernel, hit or miss, counts as one round.
     pub kernel_work: u64,
-    /// Kernel work saved vs the family's cold baseline (0 off-hit).
+    /// Kernel work saved vs the family's cold baseline (0 off-hit). Since
+    /// every warm-start attempt counts as a round, saving attempts shows
+    /// here as saved work, like saving rounds.
     pub work_saved: u64,
     /// The solve outcome; a per-instance error never aborts the batch.
     pub outcome: Result<BatchSolution, SeaError>,

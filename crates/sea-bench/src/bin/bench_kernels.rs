@@ -389,7 +389,7 @@ fn bench_full_kernel(n: usize, reps: usize, trials: usize, level: SimdLevel) -> 
         let r_ref = exact_equilibration_with(kernel, &q, &g, &sh, mode, &mut x_ref, &mut scratch)
             .expect("scalar kernel solves");
         let r_simd =
-            exact_equilibration_simd(level, kernel, &q, &g, &sh, mode, &mut x, &mut scratch)
+            exact_equilibration_simd(level, kernel, &q, &g, &sh, mode, None, &mut x, &mut scratch)
                 .expect("simd kernel solves");
         assert!(
             r_ref.lambda.to_bits() == r_simd.lambda.to_bits() && bits_eq_f64(&x_ref, &x),
@@ -423,6 +423,7 @@ fn bench_full_kernel(n: usize, reps: usize, trials: usize, level: SimdLevel) -> 
                         &g,
                         &sh,
                         mode,
+                        None,
                         &mut x,
                         &mut scratch,
                     )

@@ -272,7 +272,10 @@ fn supervisor_from(
             )
             .into());
         }
-        // The solver validates the multiplier length against the problem.
+        // The solver validates the multiplier lengths against the problem.
+        // Both are restored: the kernel's answer depends on its starting
+        // multipliers through roundoff, so a bitwise replay needs λ too.
+        opts.initial_lambda = Some(ck.lambda);
         opts.initial_mu = Some(ck.mu);
         sup.start_iteration = ck.iteration;
     }

@@ -213,13 +213,19 @@ pub struct PassInputs<'a, S: Storage> {
     /// When `true` the pass runs the mixed-precision `f32` λ-search,
     /// falling back to the `f64` kernel per subproblem when it fails.
     pub f32_phase: bool,
+    /// When `true` the pass's multiplier output already holds each
+    /// subproblem's previous multiplier (a later iteration, or one supplied
+    /// up front), and the plain quickselect kernel starts its search from
+    /// it. `false` solves every subproblem from scratch.
+    pub warm: bool,
     /// Scripted fault for one subproblem of this pass (fault-injection
     /// harness only; `None` in production).
     pub fault: Option<TaskFault>,
 }
 
 /// Run the configured kernel on one subproblem — the box-bounded variant
-/// when `bounds` carries the subproblem's `(lo, hi)` slices; on a
+/// when `bounds` carries the subproblem's `(lo, hi)` slices, else the plain
+/// kernel warm-started from `hint`, the previous multiplier; on a
 /// pathological result (non-finite `λ` or total — or a scripted kernel
 /// fault) re-solve with the robust sort-scan kernel and count the fallback.
 /// Quickselect's median-of-three pivoting can in principle degrade on
@@ -236,6 +242,7 @@ fn kernel_solve(
     sh: &[f64],
     bounds: Option<(&[f64], &[f64])>,
     mode: TotalMode,
+    hint: Option<f64>,
     x: &mut [f64],
     eq: &mut EquilibrationScratch,
     fallbacks: &mut u64,
@@ -259,7 +266,7 @@ fn kernel_solve(
         *fallbacks += 1;
     }
     let mut solve = |kernel| match bounds {
-        None => exact_equilibration_simd(simd, kernel, q, g, sh, mode, x, eq),
+        None => exact_equilibration_simd(simd, kernel, q, g, sh, mode, hint, x, eq),
         Some((lo, hi)) => {
             exact_equilibration_boxed_simd(simd, kernel, q, g, sh, lo, hi, mode, x, eq)
         }
@@ -316,11 +323,13 @@ fn locate(e: SeaError, side: &'static str, i: usize) -> SeaError {
 
 /// Solve one subproblem; returns `(λ, realized total)` and writes the
 /// subproblem's entries into `x_row` (the iterate's stored values for this
-/// row: length `n` dense, support size for CSR).
+/// row: length `n` dense, support size for CSR). `hint` is the row's
+/// previous multiplier when the pass is warm.
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,
     mode: TotalMode,
+    hint: Option<f64>,
     x_row: &mut [f64],
     scratch: &mut TaskScratch,
 ) -> Result<(f64, f64), SeaError> {
@@ -360,6 +369,7 @@ fn solve_task<S: Storage>(
                 &scratch.sh,
                 bounds,
                 mode,
+                hint,
                 x_row,
                 &mut scratch.eq,
                 &mut scratch.fallbacks,
@@ -377,6 +387,7 @@ fn solve_task<S: Storage>(
                 inp.shift,
                 bounds,
                 mode,
+                hint,
                 x_row,
                 &mut scratch.eq,
                 &mut scratch.fallbacks,
@@ -423,6 +434,7 @@ fn solve_task<S: Storage>(
                     sh,
                     None,
                     mode,
+                    hint,
                     x,
                     eq,
                     fallbacks,
@@ -452,11 +464,12 @@ fn run_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,
     mode: TotalMode,
+    hint: Option<f64>,
     x_row: &mut [f64],
     scratch: &mut TaskScratch,
 ) -> Result<(f64, f64), SeaError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_task(inp, i, mode, x_row, scratch)
+        solve_task(inp, i, mode, hint, x_row, scratch)
     })) {
         Ok(r) => r,
         Err(payload) => {
@@ -549,7 +562,8 @@ fn build_shards<'a, S: Storage>(
 ///
 /// `modes(i)` supplies the total specification of subproblem `i`; `lambda`
 /// and `totals_out` receive, per subproblem, the constraint multiplier and
-/// the realized total; `x` (same orientation — and, for sparse storage,
+/// the realized total (when `inp.warm`, `lambda` is read first as each
+/// subproblem's starting hint); `x` (same orientation — and, for sparse storage,
 /// the same pattern — as `inp.prior`) receives the primal iterate. When
 /// `costs` is provided it is filled with per-task wall-clock seconds for
 /// the scheduling simulator. When `counters` is provided the kernels' work
@@ -609,7 +623,8 @@ pub fn equilibration_pass<S: Storage>(
             scratch.fallbacks = 0;
             for i in 0..m {
                 let t0 = timing.then(Instant::now);
-                let (l, s) = run_task(inp, i, modes(i), x.row_values_mut(i), scratch)?;
+                let hint = inp.warm.then_some(lambda[i]);
+                let (l, s) = run_task(inp, i, modes(i), hint, x.row_values_mut(i), scratch)?;
                 lambda[i] = l;
                 totals_out[i] = s;
                 if let (Some(c), Some(t0)) = (cost_slice.as_deref_mut(), t0) {
@@ -650,7 +665,9 @@ pub fn equilibration_pass<S: Storage>(
                     for t in 0..shard.rows.len() {
                         let i = shard.base + t;
                         let t0 = timing.then(Instant::now);
-                        let (lv, sv) = run_task(inp, i, modes(i), &mut *shard.rows[t], scratch)?;
+                        let hint = inp.warm.then_some(shard.lambda[t]);
+                        let (lv, sv) =
+                            run_task(inp, i, modes(i), hint, &mut *shard.rows[t], scratch)?;
                         shard.lambda[t] = lv;
                         shard.totals[t] = sv;
                         if let (Some(c), Some(t0)) = (shard.costs.as_deref_mut(), t0) {
@@ -702,6 +719,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let s0 = [9.0, 3.0];
@@ -741,6 +759,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let run = |par: Parallelism| {
@@ -788,6 +807,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let mut lambda = vec![0.0; 2];
@@ -854,6 +874,7 @@ mod tests {
                 kernel: KernelKind::SortScan,
                 simd: SimdLevel::Scalar,
                 f32_phase: false,
+                warm: false,
                 fault: None,
             },
             &|_| TotalMode::Fixed { total: 8.0 },
@@ -895,6 +916,7 @@ mod tests {
                     kernel: KernelKind::SortScan,
                     simd: SimdLevel::Scalar,
                     f32_phase: false,
+                    warm: false,
                     fault: None,
                 },
                 &|_| TotalMode::Fixed { total: 8.0 },
@@ -934,6 +956,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let run = |starts: Option<&[usize]>| {
@@ -984,6 +1007,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let counters = PassCounters::default();
@@ -1024,6 +1048,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let mut lambda = vec![0.0; 2];
@@ -1066,6 +1091,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let mut lambda = vec![0.0; 2];
@@ -1123,6 +1149,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         let mut lambda = vec![0.0; 2];
@@ -1160,6 +1187,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: None,
         };
         for par in [Parallelism::Serial, Parallelism::Rayon] {
@@ -1201,6 +1229,7 @@ mod tests {
             kernel: KernelKind::Quickselect,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: Some(TaskFault {
                 index: 1,
                 panic: false,
@@ -1243,6 +1272,7 @@ mod tests {
             kernel: KernelKind::SortScan,
             simd: SimdLevel::Scalar,
             f32_phase: false,
+            warm: false,
             fault: Some(TaskFault {
                 index: 0,
                 panic: false,
@@ -1283,6 +1313,7 @@ mod tests {
                 kernel: KernelKind::SortScan,
                 simd: SimdLevel::Scalar,
                 f32_phase: false,
+                warm: false,
                 fault: Some(TaskFault {
                     index: 1,
                     panic: true,

@@ -16,8 +16,9 @@
 //! `b += dbⱼ`, the materialized sum, and the active count — deliberately
 //! stays in scalar index order, folding SIMD-computed per-entry
 //! coefficients one at a time. The sweep and selection logic itself
-//! (`select_lambda`, the segment scan) is reused unchanged from the scalar
-//! kernels, so the two paths walk identical decision sequences.
+//! (`select_lambda`, the warm-segment check, the segment scan) is reused
+//! unchanged from the scalar kernels, so the two paths walk identical
+//! decision sequences.
 //!
 //! ## Mixed precision
 //!
@@ -34,9 +35,9 @@
 
 use crate::error::SeaError;
 use crate::knapsack::{
-    elastic_constants, exact_equilibration_boxed_with, exact_equilibration_with, select_lambda,
-    validate_inputs, EquilibrationResult, EquilibrationScratch, FlatPolicy, KernelKind,
-    SelectEvent, TotalMode,
+    elastic_constants, exact_equilibration_boxed_with, exact_equilibration_hinted, select_events,
+    select_lambda, validate_inputs, EquilibrationResult, EquilibrationScratch, FlatPolicy,
+    KernelKind, SelectEvent, TotalMode,
 };
 use sea_linalg::simd::{self, SimdLevel};
 use sea_linalg::sort;
@@ -230,13 +231,18 @@ fn empty_subproblem(mode: TotalMode) -> Result<EquilibrationResult, SeaError> {
     }
 }
 
-/// [`exact_equilibration_with`]
+/// [`crate::knapsack::exact_equilibration_with`]
 /// through the vectorized path: identical results, identical counters, SIMD
 /// elementwise work. [`SimdLevel::Scalar`] delegates to the oracle itself.
 ///
+/// `hint` is the subproblem's previous multiplier, if one exists: the
+/// quickselect kernel then first checks the segment holding it in one pass
+/// and selects only on a miss (sort-scan ignores it). The result depends on
+/// the hint only through roundoff, and is the same bits at every level.
+///
 /// # Errors
 /// Same contract as [`crate::knapsack::exact_equilibration`].
-#[allow(clippy::too_many_arguments)] // kernel inputs + output + workspace
+#[allow(clippy::too_many_arguments)] // kernel inputs + hint + output + workspace
 pub fn exact_equilibration_simd(
     level: SimdLevel,
     kernel: KernelKind,
@@ -244,11 +250,12 @@ pub fn exact_equilibration_simd(
     gamma: &[f64],
     shift: &[f64],
     mode: TotalMode,
+    hint: Option<f64>,
     x_out: &mut [f64],
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
     if level == SimdLevel::Scalar {
-        return exact_equilibration_with(kernel, q, gamma, shift, mode, x_out, scratch);
+        return exact_equilibration_hinted(kernel, q, gamma, shift, mode, hint, x_out, scratch);
     }
     validate_inputs(q, gamma, shift, x_out)?;
     let n = q.len();
@@ -273,7 +280,9 @@ pub fn exact_equilibration_simd(
 
     let lambda = match kernel {
         KernelKind::SortScan => simd_lambda_sort_scan(level, q, gamma, shift, mode, scratch),
-        KernelKind::Quickselect => simd_lambda_quickselect(level, q, gamma, shift, mode, scratch),
+        KernelKind::Quickselect => {
+            simd_lambda_quickselect(level, q, gamma, shift, mode, hint, scratch)
+        }
     };
     if !lambda.is_finite() {
         return Err(SeaError::NumericalBreakdown { iteration: 0 });
@@ -375,14 +384,15 @@ fn simd_lambda_sort_scan(
 }
 
 /// SIMD selection λ-search: vectorized event-coefficient fill, then the
-/// scalar oracle's `select_lambda` over the identical event array (hence
-/// identical pivots and partition path).
+/// scalar kernel's warm segment and `select_lambda` over the identical
+/// event array (hence identical decisions, pivots and partition path).
 fn simd_lambda_quickselect(
     level: SimdLevel,
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
     mode: TotalMode,
+    hint: Option<f64>,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
     let n = q.len();
@@ -398,21 +408,13 @@ fn simd_lambda_quickselect(
         &mut scratch.simd.da,
         &mut scratch.simd.db,
     );
-    for j in 0..n {
-        scratch.events.push(SelectEvent {
-            v: scratch.breakpoints[j],
-            da: scratch.simd.da[j],
-            db: scratch.simd.db[j],
-        });
-    }
-    select_lambda(
-        &mut scratch.events,
-        0.0,
-        mode,
-        FlatPolicy::NonnegativePrefix,
-        &mut scratch.stats.quickselect_pivots,
-    )
-    .unwrap_or(f64::NAN)
+    let coeffs = scratch.breakpoints.iter().zip(&scratch.simd.da);
+    scratch.events.extend(
+        coeffs
+            .zip(&scratch.simd.db)
+            .map(|((&v, &da), &db)| SelectEvent { v, da, db }),
+    );
+    select_events(scratch, mode, hint)
 }
 
 /// [`exact_equilibration_boxed_with`]

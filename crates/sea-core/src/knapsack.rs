@@ -277,6 +277,24 @@ pub fn exact_equilibration_with(
     x_out: &mut [f64],
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
+    exact_equilibration_hinted(kernel, q, gamma, shift, mode, None, x_out, scratch)
+}
+
+/// [`exact_equilibration_with`] warm-started from `hint`, the subproblem's
+/// previous multiplier. The quickselect kernel first tries the segment
+/// holding `hint` ([`warm_segment`]) and runs its selection only when the
+/// root lies elsewhere; sort-scan ignores the hint.
+#[allow(clippy::too_many_arguments)] // kernel inputs + hint + output + workspace
+pub(crate) fn exact_equilibration_hinted(
+    kernel: KernelKind,
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    mode: TotalMode,
+    hint: Option<f64>,
+    x_out: &mut [f64],
+    scratch: &mut EquilibrationScratch,
+) -> Result<EquilibrationResult, SeaError> {
     validate_inputs(q, gamma, shift, x_out)?;
     let n = q.len();
     scratch.stats.subproblems += 1;
@@ -320,7 +338,7 @@ pub fn exact_equilibration_with(
 
     let lambda = match kernel {
         KernelKind::SortScan => plain_lambda_sort_scan(q, gamma, shift, mode, scratch),
-        KernelKind::Quickselect => plain_lambda_quickselect(q, gamma, shift, mode, scratch),
+        KernelKind::Quickselect => plain_lambda_quickselect(q, gamma, shift, mode, hint, scratch),
     };
 
     if !lambda.is_finite() {
@@ -458,25 +476,50 @@ pub(crate) fn plain_lambda_sort_scan(
 }
 
 /// Selection kernel for the nonnegative subproblem: one breakpoint event
-/// per entry, then [`select_lambda`]. Returns NaN on breakdown.
+/// per entry, then [`select_events`]. Returns NaN on breakdown.
 fn plain_lambda_quickselect(
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
     mode: TotalMode,
+    hint: Option<f64>,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
-    let n = q.len();
-    scratch.prepare(n);
-    for j in 0..n {
-        debug_assert!(gamma[j] > 0.0, "gamma must be strictly positive");
-        let inv2g = 1.0 / (2.0 * gamma[j]);
-        scratch.events.push(SelectEvent {
-            v: -2.0 * gamma[j] * q[j] - shift[j],
+    scratch.prepare(q.len());
+    debug_assert!(
+        gamma.iter().all(|&g| g > 0.0),
+        "gamma must be strictly positive"
+    );
+    // `extend` over zipped slices: no per-event capacity or bounds checks.
+    let entries = q.iter().zip(gamma).zip(shift);
+    scratch.events.extend(entries.map(|((&qj, &gj), &sj)| {
+        let inv2g = 1.0 / (2.0 * gj);
+        SelectEvent {
+            v: -2.0 * gj * qj - sj,
             // Crossing the breakpoint activates xⱼ(λ) = daⱼ + λ·dbⱼ.
-            da: q[j] + shift[j] * inv2g,
+            da: qj + sj * inv2g,
             db: inv2g,
-        });
+        }
+    }));
+    select_events(scratch, mode, hint)
+}
+
+/// Locate λ over the plain kernel's filled event array: the warm segment
+/// first when a `hint` is given, else (or on a miss) [`select_lambda`].
+/// Shared by the scalar and SIMD dispatch, which fill identical events, so
+/// both walk the same decisions. A warm attempt, hit or miss, counts as
+/// one partition round: it is one pass over the events, like a round.
+/// Returns NaN on breakdown.
+pub(crate) fn select_events(
+    scratch: &mut EquilibrationScratch,
+    mode: TotalMode,
+    hint: Option<f64>,
+) -> f64 {
+    if let Some(h) = hint {
+        scratch.stats.quickselect_pivots += 1;
+        if let Some(lambda) = warm_segment(&scratch.events, h, mode) {
+            return lambda;
+        }
     }
     select_lambda(
         &mut scratch.events,
@@ -486,6 +529,56 @@ fn plain_lambda_quickselect(
         &mut scratch.stats.quickselect_pivots,
     )
     .unwrap_or(f64::NAN)
+}
+
+/// One-pass check of the segment that holds `hint` (SEA's previous
+/// multiplier for this subproblem, which moves little between iterations).
+///
+/// Sums the active linear form `f(λ) = a + b·λ` over the events at or
+/// below `hint` while tracking the nearest breakpoint on each side, solves
+/// `f(λ) = S(λ)` on that segment, and returns the root when it lies inside
+/// the bracket. `None` means the root is elsewhere (or, in fixed mode, the
+/// segment is flat), and the caller runs the full selection. Every hint in
+/// the same segment sums the same events in the same order, so all of them
+/// return the same bits. Any hint is safe: the bracket check, not the
+/// hint, decides acceptance.
+fn warm_segment(events: &[SelectEvent], hint: f64, mode: TotalMode) -> Option<f64> {
+    // Four interleaved accumulators (event k goes to lane k mod 4) break
+    // the loop-carried dependency of one running sum; the order is fixed,
+    // so every caller gets the same bits.
+    const W: usize = 4;
+    let (mut a, mut b) = ([0.0_f64; W], [0.0_f64; W]);
+    let (mut lo, mut hi) = ([f64::NEG_INFINITY; W], [f64::INFINITY; W]);
+    // Branch-free: breakpoints fall on both sides of the hint at random,
+    // and adding +0.0 leaves a sum that starts at +0.0 bitwise unchanged.
+    let mut fold = |k: usize, e: &SelectEvent| {
+        let below = e.v <= hint;
+        a[k] += if below { e.da } else { 0.0 };
+        b[k] += if below { e.db } else { 0.0 };
+        lo[k] = if below { lo[k].max(e.v) } else { lo[k] };
+        hi[k] = if below { hi[k] } else { hi[k].min(e.v) };
+    };
+    let mut chunks = events.chunks_exact(W);
+    for chunk in &mut chunks {
+        for (k, e) in chunk.iter().enumerate() {
+            fold(k, e);
+        }
+    }
+    for (k, e) in chunks.remainder().iter().enumerate() {
+        fold(k, e);
+    }
+    let (a, b) = ((a[0] + a[1]) + (a[2] + a[3]), (b[0] + b[1]) + (b[2] + b[3]));
+    let seg_lo = lo[0].max(lo[1]).max(lo[2].max(lo[3]));
+    let seg_hi = hi[0].min(hi[1]).min(hi[2].min(hi[3]));
+    let root = match mode {
+        TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
+        TotalMode::Fixed { .. } => return None,
+        TotalMode::Elastic { .. } => {
+            let (el_slope, el_const) = elastic_constants(mode);
+            (el_const - a) / (b + el_slope)
+        }
+    };
+    (seg_lo <= root && root <= seg_hi).then_some(root)
 }
 
 /// How a flat (zero-slope) terminal segment is resolved in fixed mode.
@@ -897,6 +990,7 @@ fn boxed_lambda_quickselect(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sea_observe::KernelCounters;
 
     /// Reference solve by bisection on λ — independent of the sweep logic.
     fn bisect_reference(
@@ -1584,8 +1678,131 @@ mod tests {
         let _ = r2;
     }
 
+    /// Warm-started quickselect solve with the given hint.
+    fn warm_plain(
+        q: &[f64],
+        gamma: &[f64],
+        shift: &[f64],
+        mode: TotalMode,
+        hint: f64,
+    ) -> (EquilibrationResult, Vec<f64>, KernelCounters) {
+        let mut sc = EquilibrationScratch::new();
+        let mut x = vec![0.0; q.len()];
+        let r = exact_equilibration_hinted(
+            KernelKind::Quickselect,
+            q,
+            gamma,
+            shift,
+            mode,
+            Some(hint),
+            &mut x,
+            &mut sc,
+        )
+        .unwrap();
+        (r, x, sc.stats)
+    }
+
+    #[test]
+    fn warm_hit_costs_one_round_and_a_miss_falls_through() {
+        let q = [1.0, 2.0, 3.0, 4.0];
+        let gamma = [1.0; 4];
+        let shift = [0.0; 4];
+        let mode = TotalMode::Fixed { total: 12.0 };
+        // Every entry active at the root λ = 1 (xⱼ = qⱼ + ½): any hint at
+        // or above the last breakpoint (−2) hits on the first pass.
+        let (r, x, stats) = warm_plain(&q, &gamma, &shift, mode, 1.5);
+        assert_eq!(stats.quickselect_pivots, 1);
+        assert!((r.lambda - 1.0).abs() < 1e-12);
+        assert!((x[0] - 1.5).abs() < 1e-12);
+        // Below every breakpoint the fixed-total segment is flat: a miss,
+        // counted as one round, then the full selection.
+        let (r, _, stats) = warm_plain(&q, &gamma, &shift, mode, -100.0);
+        assert!(stats.quickselect_pivots > 1);
+        assert!((r.lambda - 1.0).abs() < 1e-12);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The warm path against the sort-scan oracle, in fixed and elastic
+        /// modes, over tied breakpoints and single-entry rows, from hints
+        /// anywhere: non-finite, zero, the root, near it, and random.
+        /// Hints inside the root's segment must all give the same bits.
+        #[test]
+        fn warm_start_matches_sort_scan(
+            n in 1usize..60,
+            seed in 0u64..2000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x3A1D);
+            let n = if seed % 8 == 0 { 1 } else { n };
+            let tie_grid = seed % 2 == 0;
+            let snap = |v: f64| if tie_grid { (v * 2.0).round() / 2.0 } else { v };
+            let q: Vec<f64> = (0..n).map(|_| snap(rng.random_range(-5.0..10.0))).collect();
+            let gamma: Vec<f64> = (0..n)
+                .map(|_| if tie_grid { 1.0 } else { rng.random_range(0.05..5.0) })
+                .collect();
+            let shift: Vec<f64> = (0..n).map(|_| snap(rng.random_range(-3.0..3.0))).collect();
+            let mode = if seed % 3 == 0 {
+                TotalMode::Elastic {
+                    alpha: rng.random_range(0.05..5.0),
+                    prior: rng.random_range(-5.0..30.0),
+                    cross: rng.random_range(-2.0..2.0),
+                }
+            } else {
+                TotalMode::Fixed { total: rng.random_range(0.0..40.0) }
+            };
+            let mut sc = EquilibrationScratch::new();
+            let mut x_ref = vec![0.0; n];
+            let r_ref = exact_equilibration(&q, &gamma, &shift, mode, &mut x_ref, &mut sc).unwrap();
+            let lam = r_ref.lambda;
+            // λ is unique whenever some entry is active or the total is elastic.
+            let unique = r_ref.active > 0 || matches!(mode, TotalMode::Elastic { .. });
+
+            let mut hints = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, lam];
+            for delta in [1e-9, 1e-3, 0.5, 10.0] {
+                hints.push(lam + delta * (1.0 + lam.abs()));
+                hints.push(lam - delta * (1.0 + lam.abs()));
+            }
+            hints.extend((0..4).map(|_| rng.random_range(-50.0..50.0)));
+            for &hint in &hints {
+                let (r, x, stats) = warm_plain(&q, &gamma, &shift, mode, hint);
+                prop_assert!(stats.quickselect_pivots >= 1, "warm attempt not counted");
+                if unique {
+                    prop_assert!(
+                        (r.lambda - lam).abs() <= 1e-10 * (1.0 + lam.abs()),
+                        "hint {}: λ {} vs oracle {}", hint, r.lambda, lam
+                    );
+                }
+                for j in 0..n {
+                    prop_assert!(
+                        (x[j] - x_ref[j]).abs() <= 1e-10 * (1.0 + x_ref[j].abs()),
+                        "hint {}: x[{}] {} vs oracle {}", hint, j, x[j], x_ref[j]
+                    );
+                }
+                check_kkt(&q, &gamma, &shift, &x, r.lambda, 1e-8);
+            }
+
+            // The root's segment: every hint in it sums the same events.
+            let bps: Vec<f64> = (0..n).map(|j| -2.0 * gamma[j] * q[j] - shift[j]).collect();
+            let seg_lo = bps.iter().copied().filter(|&v| v <= lam).fold(f64::NEG_INFINITY, f64::max);
+            let seg_hi = bps.iter().copied().filter(|&v| v > lam).fold(f64::INFINITY, f64::min);
+            let mut same_segment = vec![lam];
+            if seg_lo.is_finite() {
+                same_segment.push(seg_lo);
+                same_segment.push(0.5 * (seg_lo + lam));
+            }
+            same_segment.push(if seg_hi.is_finite() { 0.5 * (lam + seg_hi) } else { lam + 1.0 });
+            let first = warm_plain(&q, &gamma, &shift, mode, same_segment[0]);
+            for &hint in &same_segment[1..] {
+                let (r, x, _) = warm_plain(&q, &gamma, &shift, mode, hint);
+                prop_assert_eq!(r.lambda.to_bits(), first.0.lambda.to_bits());
+                prop_assert_eq!(
+                    x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    first.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
 
         #[test]
         fn fixed_matches_bisection(

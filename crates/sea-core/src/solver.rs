@@ -112,6 +112,13 @@ pub struct SeaOptions {
     /// Step 0 uses `μ¹ = 0`; the general solver warm-starts its inner
     /// diagonal solves with the previous outer iteration's multipliers.
     pub initial_mu: Option<Vec<f64>>,
+    /// Initial row multipliers `λ` (length m): the first row pass's
+    /// starting points. The row pass recomputes λ from μ, but the
+    /// quickselect kernel starts each subproblem's search at its previous
+    /// multiplier, and the start moves the answer's last bits. Resuming
+    /// from a checkpoint restores them with `initial_mu` to replay the
+    /// interrupted run bit for bit.
+    pub initial_lambda: Option<Vec<f64>>,
     /// Record a per-check convergence history (iteration, dual value,
     /// stopping residual) — used by the theory-validation experiments to
     /// confirm monotone dual ascent and the geometric rate (eq. 71, 76).
@@ -139,6 +146,7 @@ impl Default for SeaOptions {
             record_trace: false,
             multiplier_bound: None,
             initial_mu: None,
+            initial_lambda: None,
             record_history: false,
             block_size: None,
         }
@@ -398,20 +406,8 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         )
     };
 
-    let mut lambda = vec![0.0; m];
-    let mut mu = match &opts.initial_mu {
-        None => vec![0.0; n],
-        Some(mu0) => {
-            if mu0.len() != n {
-                return Err(SeaError::Shape {
-                    context: "initial_mu",
-                    expected: n,
-                    actual: mu0.len(),
-                });
-            }
-            mu0.clone()
-        }
-    };
+    let mut lambda = initial_multipliers(opts.initial_lambda.as_deref(), m, "initial_lambda")?;
+    let mut mu = initial_multipliers(opts.initial_mu.as_deref(), n, "initial_mu")?;
     let mut s = vec![0.0; m];
     let mut d = vec![0.0; n];
     let mut x = p.x0().zeros_like()?;
@@ -465,6 +461,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 kernel: opts.kernel,
                 simd: simd_level,
                 f32_phase,
+                warm: t > 1 || opts.initial_lambda.is_some(),
                 fault: ctrl.task_fault(t, "row"),
             };
             if observing {
@@ -569,6 +566,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 kernel: opts.kernel,
                 simd: simd_level,
                 f32_phase,
+                warm: t > 1 || opts.initial_mu.is_some(),
                 fault: ctrl.task_fault(t, "column"),
             };
             if observing {
@@ -936,6 +934,24 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     })
 }
 
+/// Starting multipliers: zeros (the paper's Step 0), or the supplied ones
+/// after a length check.
+fn initial_multipliers(
+    given: Option<&[f64]>,
+    len: usize,
+    context: &'static str,
+) -> Result<Vec<f64>, SeaError> {
+    match given {
+        None => Ok(vec![0.0; len]),
+        Some(v) if v.len() == len => Ok(v.to_vec()),
+        Some(v) => Err(SeaError::Shape {
+            context,
+            expected: len,
+            actual: v.len(),
+        }),
+    }
+}
+
 /// Counter snapshot taken at a pass-span boundary (zero when counters are
 /// off — span signalling forces them on, so this is just defensive).
 fn span_snapshot(spanning: bool, counters: Option<&PassCounters>) -> KernelCounters {
@@ -1293,6 +1309,16 @@ mod tests {
             Err(SeaError::Shape {
                 context: "initial_mu",
                 ..
+            })
+        ));
+        opts.initial_mu = Some(cold.mu.clone());
+        opts.initial_lambda = Some(vec![0.0; 3]);
+        assert!(matches!(
+            solve_diagonal(&p, &opts),
+            Err(SeaError::Shape {
+                context: "initial_lambda",
+                expected: 2,
+                actual: 3,
             })
         ));
     }

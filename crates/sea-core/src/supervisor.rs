@@ -137,7 +137,9 @@ pub struct SolveBudget {
     pub max_iterations: Option<usize>,
     /// Cap on cumulative kernel work, measured in breakpoint scans plus
     /// quickselect partition rounds plus boxed clamps (the quantities the
-    /// paper's per-iteration cost model counts).
+    /// paper's per-iteration cost model counts). A warm-start attempt of
+    /// the quickselect kernel, hit or miss, counts as one round, so a solve
+    /// whose subproblems all hit still spends one unit per subproblem.
     pub max_kernel_work: Option<u64>,
 }
 
@@ -324,10 +326,12 @@ pub struct Checkpoint {
     pub solver: String,
     /// Iteration the snapshot captures (cumulative across resumes).
     pub iteration: usize,
-    /// Row multipliers at that iteration (informational; resume only
-    /// needs `mu`).
+    /// Row multipliers at that iteration. Resume restores them as
+    /// `SeaOptions::initial_lambda`: the quickselect kernel's answer
+    /// depends on them through roundoff, so a bitwise replay needs them.
     pub lambda: Vec<f64>,
-    /// Column multipliers at that iteration — the resume state.
+    /// Column multipliers at that iteration, restored as
+    /// `SeaOptions::initial_mu` — the state the next row pass reads.
     pub mu: Vec<f64>,
 }
 

@@ -256,6 +256,7 @@ fn simd_kernels_do_not_allocate_in_steady_state() {
             &gamma,
             &shift,
             TotalMode::Fixed { total: 300.0 },
+            None,
             &mut x,
             &mut scratch,
         )
@@ -303,19 +304,23 @@ fn simd_kernels_do_not_allocate_in_steady_state() {
 
     for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
         let before = allocations();
+        // Each solve is warm-started from the previous one's multiplier.
+        let mut hint = None;
         for round in 0..200 {
             let total = 100.0 + (round as f64) * 2.0;
-            exact_equilibration_simd(
+            let r = exact_equilibration_simd(
                 level,
                 kernel,
                 &q,
                 &gamma,
                 &shift,
                 TotalMode::Fixed { total },
+                hint,
                 &mut x,
                 &mut scratch,
             )
             .unwrap();
+            hint = Some(r.lambda);
             let boxed_t = slo + (shi - slo) * ((round as f64) + 0.5) / 200.0;
             exact_equilibration_boxed_simd(
                 level,

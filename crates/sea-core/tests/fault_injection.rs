@@ -17,6 +17,9 @@ use sea_core::{
 };
 use sea_linalg::{DenseMatrix, SymMatrix};
 use std::path::PathBuf;
+
+#[path = "common/generator.rs"]
+mod generator;
 use std::time::Duration;
 
 fn fixed_problem() -> DiagonalProblem {
@@ -447,6 +450,60 @@ fn resume_from_checkpoint_is_bitwise_identical() {
     );
     // Atomic writes leave no tmp residue behind.
     assert!(!dir.join("state.ckpt.tmp").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The default kernel's answer depends on its starting multipliers
+/// through roundoff, so resuming restores both λ and μ from the checkpoint
+/// and must then replay the uninterrupted run bit for bit.
+#[test]
+fn default_kernel_resume_from_checkpoint_is_bitwise_identical() {
+    let dir = ckpt_dir("default-kernel");
+    let ck_path = dir.join("state.ckpt");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for seed in 0..20 {
+        let p = generator::heterogeneous(seed, 30, 25);
+        let run = |budget: usize, checkpoint: bool, resume: Option<&Checkpoint>| {
+            let mut o = SeaOptions::with_epsilon(-1.0);
+            assert_eq!(o.kernel, KernelKind::default());
+            o.max_iterations = budget;
+            o.initial_lambda = resume.map(|ck| ck.lambda.clone());
+            o.initial_mu = resume.map(|ck| ck.mu.clone());
+            let sup = SupervisorOptions {
+                checkpoint: checkpoint.then(|| CheckpointPolicy {
+                    path: ck_path.clone(),
+                    every: 1,
+                }),
+                start_iteration: resume.map_or(0, |ck| ck.iteration),
+                ..SupervisorOptions::default()
+            };
+            solve_diagonal_supervised(&p, &o, &sup, &mut NullObserver).unwrap()
+        };
+        let full = run(12, false, None);
+        assert_eq!(full.stop, StopReason::IterationCap);
+        let partial = run(5, true, None);
+        assert!(partial.checkpoint_error.is_none());
+        let ck = Checkpoint::load(&ck_path).unwrap();
+        assert_eq!(ck.iteration, 5);
+        assert_eq!(bits(&ck.lambda), bits(&partial.solution.lambda));
+        let resumed = run(7, false, Some(&ck));
+
+        assert_eq!(
+            bits(&full.solution.lambda),
+            bits(&resumed.solution.lambda),
+            "seed {seed}: resumed λ diverges"
+        );
+        assert_eq!(
+            bits(&full.solution.mu),
+            bits(&resumed.solution.mu),
+            "seed {seed}: resumed μ diverges"
+        );
+        assert_eq!(
+            bits(full.solution.x.as_slice()),
+            bits(resumed.solution.x.as_slice()),
+            "seed {seed}: resumed x diverges"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -31,8 +31,8 @@ use proptest::prelude::*;
 use sea_core::kernel_simd::{exact_equilibration_boxed_simd, exact_equilibration_simd, SimdMode};
 use sea_core::knapsack::{exact_equilibration_boxed_with, exact_equilibration_with};
 use sea_core::{
-    solve_diagonal_observed, EquilibrationScratch, Event, KernelCounters, KernelKind, Parallelism,
-    SeaOptions, SimdLevel, Storage, TotalMode, VecObserver,
+    solve_diagonal_observed, EquilibrationResult, EquilibrationScratch, Event, KernelCounters,
+    KernelKind, Parallelism, SeaError, SeaOptions, SimdLevel, Storage, TotalMode, VecObserver,
 };
 use sea_linalg::simd::{avx2_available, LANES};
 
@@ -77,7 +77,9 @@ fn kernels() -> [KernelKind; 2] {
     [KernelKind::SortScan, KernelKind::Quickselect]
 }
 
-/// Assert scalar-vs-SIMD bitwise parity on one plain subproblem.
+/// Assert scalar-vs-SIMD bitwise parity on one plain subproblem, cold and
+/// warm-started: from the cold root itself, and from a hint far enough off
+/// to miss its segment.
 fn check_plain(
     tag: &str,
     level: SimdLevel,
@@ -91,26 +93,42 @@ fn check_plain(
     let mut x_ref = vec![0.0; n];
     let mut sc_ref = EquilibrationScratch::new();
     let r_ref = exact_equilibration_with(kernel, q, gamma, shift, mode, &mut x_ref, &mut sc_ref);
+    let warm_hints = match &r_ref {
+        Ok(r) => vec![Some(r.lambda), Some(r.lambda + 1.0)],
+        Err(_) => vec![Some(0.0)],
+    };
 
-    let mut x_simd = vec![0.0; n];
-    let mut sc_simd = EquilibrationScratch::new();
-    let r_simd = exact_equilibration_simd(
-        level,
-        kernel,
-        q,
-        gamma,
-        shift,
-        mode,
-        &mut x_simd,
-        &mut sc_simd,
-    );
+    let solve = |lv: SimdLevel, hint: Option<f64>| {
+        let mut x = vec![0.0; n];
+        let mut sc = EquilibrationScratch::new();
+        let r = exact_equilibration_simd(lv, kernel, q, gamma, shift, mode, hint, &mut x, &mut sc);
+        (r, x, sc)
+    };
+    assert_same_plain(tag, &(r_ref, x_ref, sc_ref), &solve(level, None));
+    for hint in warm_hints {
+        assert_same_plain(
+            &format!("{tag} hint={hint:?}"),
+            &solve(SimdLevel::Scalar, hint),
+            &solve(level, hint),
+        );
+    }
+}
 
+type PlainRun = (
+    Result<EquilibrationResult, SeaError>,
+    Vec<f64>,
+    EquilibrationScratch,
+);
+
+fn assert_same_plain(tag: &str, reference: &PlainRun, simd: &PlainRun) {
+    let (r_ref, x_ref, sc_ref) = reference;
+    let (r_simd, x_simd, sc_simd) = simd;
     match (r_ref, r_simd) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{tag}: lambda");
             assert_eq!(a.total.to_bits(), b.total.to_bits(), "{tag}: total");
             assert_eq!(a.active, b.active, "{tag}: active");
-            assert_eq!(bits(&x_ref), bits(&x_simd), "{tag}: x");
+            assert_eq!(bits(x_ref), bits(x_simd), "{tag}: x");
             assert_eq!(sc_ref.stats, sc_simd.stats, "{tag}: counters");
         }
         (Err(a), Err(b)) => {
