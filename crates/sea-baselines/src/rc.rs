@@ -198,8 +198,6 @@ fn half_step(
             shift,
             side: if transposed { "column" } else { "row" },
             kernel: opts.kernel,
-            simd: sea_core::SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };

@@ -22,8 +22,8 @@ use rayon::prelude::*;
 use sea_core::{
     solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised, BoundedProblem,
     DiagonalProblem, Event, GeneralProblem, GeneralSeaOptions, KernelCounters, KernelKind,
-    Observer, Parallelism, Precision, SeaError, SeaOptions, SimdMode, SpanKind, StopReason,
-    SupervisedBoundedSolution, SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
+    Observer, Parallelism, SeaError, SeaOptions, SpanKind, StopReason, SupervisedBoundedSolution,
+    SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
 };
 use sea_linalg::CsrMatrix;
 
@@ -109,10 +109,6 @@ pub struct BatchOptions {
     pub max_iterations: usize,
     /// Equilibration kernel for every solve.
     pub kernel: KernelKind,
-    /// SIMD policy for every solve's kernels.
-    pub simd: SimdMode,
-    /// Kernel arithmetic precision for every solve.
-    pub precision: Precision,
     /// Thread-budget policy (see [`BatchParallelism`]).
     pub parallelism: BatchParallelism,
     /// Enable the per-family warm-start cache. Off, every instance is a
@@ -136,8 +132,6 @@ impl Default for BatchOptions {
             epsilon: defaults.epsilon,
             max_iterations: defaults.max_iterations,
             kernel: defaults.kernel,
-            simd: SimdMode::Off,
-            precision: Precision::F64,
             parallelism: BatchParallelism::Serial,
             warm_start: true,
             measure_kernel_work: true,
@@ -691,8 +685,6 @@ fn solve_one(
     let sea_options = |epsilon: f64, initial_mu: Option<Vec<f64>>| SeaOptions {
         max_iterations: opts.max_iterations,
         kernel: opts.kernel,
-        simd: opts.simd,
-        precision: opts.precision,
         parallelism: opts.parallelism.instance(),
         initial_mu,
         ..SeaOptions::with_epsilon(epsilon)

@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (kept dependency-free).
 
 use sea_batch::BatchParallelism;
-use sea_core::{KernelKind, Precision};
+use sea_core::KernelKind;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -23,12 +23,6 @@ pub struct CommonOpts {
     pub storage: String,
     /// Equilibration kernel.
     pub kernel: KernelKind,
-    /// SIMD policy: `auto` (runtime dispatch, the default), `off`
-    /// (scalar oracle), or `force` (require AVX2, else exit 22).
-    pub simd: String,
-    /// Arithmetic precision: `f64` (default), `f32`, or `f32-mixed`
-    /// (f32 iterates with a final f64 polish epoch; sort-scan only).
-    pub precision: Precision,
     /// Write a JSONL solve log (one event per line) to this file.
     pub observe: Option<PathBuf>,
     /// Write Prometheus text-exposition metrics to this file.
@@ -63,10 +57,6 @@ pub struct BatchOpts {
     pub epsilon: f64,
     /// Equilibration kernel.
     pub kernel: KernelKind,
-    /// SIMD policy: `auto`, `off`, or `force`.
-    pub simd: String,
-    /// Arithmetic precision: `f64`, `f32`, or `f32-mixed` (sort-scan only).
-    pub precision: Precision,
     /// Hard iteration cap override (default: the engine's built-in cap).
     pub max_iterations: Option<usize>,
     /// Thread-budget policy: instance-level vs in-solve parallelism.
@@ -188,23 +178,6 @@ fn kernel_from(flags: &mut HashMap<String, String>) -> Result<KernelKind, ParseE
     }
 }
 
-/// `--precision`; absent, `f64`. Only sort-scan has an f32 λ-search, so a
-/// non-f64 precision under quickselect is refused rather than ignored.
-fn precision_from(
-    flags: &mut HashMap<String, String>,
-    kernel: KernelKind,
-) -> Result<Precision, ParseError> {
-    let v = flags.remove("precision").unwrap_or_else(|| "f64".into());
-    let precision = Precision::parse(&v)
-        .ok_or_else(|| format!("unknown --precision {v:?} (expected f64, f32, or f32-mixed)"))?;
-    if precision != Precision::F64 && kernel != KernelKind::SortScan {
-        return Err(format!(
-            "--precision {precision} needs --kernel sortscan ({kernel} searches in f64 only)"
-        ));
-    }
-    Ok(precision)
-}
-
 fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseError> {
     let matrix = flags
         .remove("matrix")
@@ -231,13 +204,6 @@ fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseE
         Some(other) => return Err(format!("unknown --zeros {other:?} (structural|free)")),
     };
     let kernel = kernel_from(flags)?;
-    let simd = flags.remove("simd").unwrap_or_else(|| "auto".to_string());
-    if sea_core::SimdMode::parse(&simd).is_none() {
-        return Err(format!(
-            "unknown --simd {simd:?} (expected auto, off, or force)"
-        ));
-    }
-    let precision = precision_from(flags, kernel)?;
     let storage = flags
         .remove("storage")
         .unwrap_or_else(|| "dense".to_string());
@@ -295,8 +261,6 @@ fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseE
         structural_zeros,
         storage,
         kernel,
-        simd,
-        precision,
         observe,
         metrics,
         trace,
@@ -320,13 +284,6 @@ fn batch_opts_from(flags: &mut HashMap<String, String>) -> Result<BatchOpts, Par
             .map_err(|_| format!("--epsilon {v:?} is not a number"))?,
     };
     let kernel = kernel_from(flags)?;
-    let simd = flags.remove("simd").unwrap_or_else(|| "auto".to_string());
-    if sea_core::SimdMode::parse(&simd).is_none() {
-        return Err(format!(
-            "unknown --simd {simd:?} (expected auto, off, or force)"
-        ));
-    }
-    let precision = precision_from(flags, kernel)?;
     let max_iterations = match flags.remove("max-iterations") {
         None => None,
         Some(v) => Some(
@@ -367,8 +324,6 @@ fn batch_opts_from(flags: &mut HashMap<String, String>) -> Result<BatchOpts, Par
         out,
         epsilon,
         kernel,
-        simd,
-        precision,
         max_iterations,
         parallel,
         warm_start,
@@ -519,21 +474,6 @@ OPTIONS (solver subcommands):
                              --zeros structural only nonzero cells are
                              stored; results match the dense path bitwise
                              on the shared support
-  --simd auto|off|force      SIMD policy for the equilibration kernels
-                             (default auto: runtime CPU dispatch, bitwise
-                             identical to the scalar oracle; off runs the
-                             scalar oracle; force requires AVX2 and exits
-                             22 when the CPU lacks it); also accepted by
-                             `batch`
-  --precision f64|f32|f32-mixed
-                             kernel arithmetic (default f64). f32 and
-                             f32-mixed need --kernel sortscan (quickselect
-                             always searches in f64) and are refused
-                             without it. f32-mixed iterates in f32 with
-                             f64 accumulation and finishes with an f64
-                             polish epoch that must pass the f64 KKT
-                             certificate; f32 is a diagnostic mode without
-                             the polish. Also accepted by `batch`
   --out <file>               write the estimate as CSV (default stdout)
 
 OBSERVABILITY (quadratic solver subcommands):
@@ -598,7 +538,6 @@ EXIT CODES:
   16  infeasible subproblem      17  numerical breakdown
   18  linear-algebra error       19  inconsistent bounds
   20  worker panic (contained)   21  sparse pattern mismatch
-  22  SIMD forced but CPU lacks AVX2
 
 `report` summarizes a JSONL log recorded with --observe: per-phase wall
 time, serial fraction, and iterations to convergence; with --processors N
@@ -848,67 +787,9 @@ mod tests {
             "elastic --matrix m.csv --row-totals s --col-totals d --total-weight -2"
         ))
         .is_err());
-        assert!(parse_args(&argv(
-            "fixed --matrix m.csv --row-totals s --col-totals d --simd sometimes"
-        ))
-        .is_err());
-        assert!(parse_args(&argv(
-            "fixed --matrix m.csv --row-totals s --col-totals d --precision f16"
-        ))
-        .is_err());
-        assert!(parse_args(&argv("batch jobs.jsonl --simd sometimes")).is_err());
-        assert!(parse_args(&argv("batch jobs.jsonl --precision f16")).is_err());
-    }
-
-    #[test]
-    fn parses_simd_and_precision_flags() {
-        // Defaults: runtime dispatch, full precision.
-        match parse_args(&argv("fixed --matrix m.csv --row-totals s --col-totals d")).unwrap() {
-            Command::Fixed { common, .. } => {
-                assert_eq!(common.simd, "auto");
-                assert_eq!(common.precision, Precision::F64);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse_args(&argv(
-            "fixed --matrix m.csv --row-totals s --col-totals d --simd force \
-             --kernel sortscan --precision f32-mixed",
-        ))
-        .unwrap()
-        {
-            Command::Fixed { common, .. } => {
-                assert_eq!(common.simd, "force");
-                assert_eq!(common.precision, Precision::F32Mixed);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse_args(&argv(
-            "batch jobs.jsonl --simd off --kernel sort-scan --precision f32",
-        ))
-        .unwrap()
-        {
-            Command::Batch { opts, .. } => {
-                assert_eq!(opts.simd, "off");
-                assert_eq!(opts.precision, Precision::F32);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // f64 is accepted under either kernel.
-        assert!(parse_args(&argv("batch jobs.jsonl --precision f64 --kernel qs")).is_ok());
-    }
-
-    #[test]
-    fn f32_precision_needs_the_sortscan_kernel() {
-        // The f32 λ-search exists only in sort-scan: under the default
-        // (quickselect) kernel the flag would do nothing, so it is refused.
-        for args in [
-            "fixed --matrix m.csv --row-totals s --col-totals d --precision f32",
-            "sam --matrix m.csv --precision f32-mixed --kernel quickselect",
-            "batch jobs.jsonl --precision f32-mixed",
-        ] {
-            let err = parse_args(&argv(args)).unwrap_err();
-            assert!(err.contains("--kernel sortscan"), "{args}: {err}");
-        }
+        // Removed with the SIMD and f32 kernels: now unknown flags.
+        assert!(parse_args(&argv("batch jobs.jsonl --simd off")).is_err());
+        assert!(parse_args(&argv("batch jobs.jsonl --precision f64")).is_err());
     }
 
     #[test]

@@ -302,9 +302,6 @@ fn solve_and_emit<S: Storage>(
 ) -> Result<String, CliError> {
     let mut opts = SeaOptions::with_epsilon(common.epsilon);
     opts.kernel = common.kernel;
-    opts.simd = sea_core::SimdMode::parse(&common.simd)
-        .ok_or_else(|| format!("unknown simd policy {:?}", common.simd))?;
-    opts.precision = common.precision;
     opts.record_trace = common.trace.is_some();
     if let Some(n) = common.max_iterations {
         opts.max_iterations = n;
@@ -434,9 +431,6 @@ fn run_batch(manifest: &Path, opts: &BatchOpts) -> Result<String, CliError> {
         warm_start: opts.warm_start,
         ..BatchOptions::default()
     };
-    bopts.simd = sea_core::SimdMode::parse(&opts.simd)
-        .ok_or_else(|| format!("unknown simd policy {:?}", opts.simd))?;
-    bopts.precision = opts.precision;
     if let Some(cap) = opts.max_iterations {
         bopts.max_iterations = cap;
     }

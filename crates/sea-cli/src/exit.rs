@@ -96,7 +96,6 @@ pub fn error_exit_code(e: &SeaError) -> i32 {
         SeaError::InconsistentBounds { .. } => 19,
         SeaError::WorkerPanic { .. } => 20,
         SeaError::PatternMismatch { .. } => 21,
-        SeaError::SimdUnsupported => 22,
     }
 }
 
@@ -163,7 +162,6 @@ mod tests {
                 message: String::new(),
             },
             SeaError::PatternMismatch { context: "t" },
-            SeaError::SimdUnsupported,
         ]
     }
 

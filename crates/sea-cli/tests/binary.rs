@@ -72,6 +72,48 @@ fn bad_flags_exit_with_code_2_and_usage() {
     assert!(err.contains("USAGE"));
 }
 
+/// `--simd` and `--precision` were removed with the vectorized and f32
+/// kernels: a script still passing them gets a usage error, not a solve
+/// that silently ignores the flag.
+#[test]
+fn removed_simd_and_precision_flags_are_refused() {
+    let dir = tmpdir("retired");
+    write(&dir, "m.csv", "10,4\n3,12\n");
+    write(&dir, "s.csv", "14,15\n");
+    write(&dir, "d.csv", "13,16\n");
+    let fixed = |extra: &[&str]| {
+        Command::new(bin())
+            .args([
+                "fixed",
+                "--matrix",
+                dir.join("m.csv").to_str().unwrap(),
+                "--row-totals",
+                dir.join("s.csv").to_str().unwrap(),
+                "--col-totals",
+                dir.join("d.csv").to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .expect("binary runs")
+    };
+    // Both spellings ran a solve before the flags were removed; the
+    // precision one needed sort-scan to pass the old parser.
+    for (extra, flag) in [
+        (&["--simd", "auto"][..], "--simd"),
+        (
+            &["--kernel", "sortscan", "--precision", "f32-mixed"][..],
+            "--precision",
+        ),
+    ] {
+        let output = fixed(extra);
+        assert_eq!(output.status.code(), Some(2), "{extra:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        assert!(output.stdout.is_empty(), "{extra:?} must not solve");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn solver_failures_exit_with_their_documented_code() {
     let dir = tmpdir("fail");

@@ -23,16 +23,14 @@
 //! bitwise identical across worker counts *and* shard sizes.
 
 use crate::error::SeaError;
-use crate::kernel_simd::{
-    exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,
-    exact_equilibration_simd,
+use crate::knapsack::{
+    exact_equilibration_boxed_with, exact_equilibration_hinted, EquilibrationScratch, KernelKind,
+    TotalMode,
 };
-use crate::knapsack::{EquilibrationScratch, KernelKind, TotalMode};
 use crate::parallel::Parallelism;
 use crate::storage::{RowView, Storage};
 use crate::supervisor::TaskFault;
 use rayon::prelude::*;
-use sea_linalg::simd::{self, SimdLevel};
 use sea_observe::KernelCounters;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -207,12 +205,6 @@ pub struct PassInputs<'a, S: Storage> {
     pub side: &'static str,
     /// Which equilibration kernel solves each subproblem.
     pub kernel: KernelKind,
-    /// Resolved SIMD dispatch level for the kernels of this pass
-    /// ([`SimdLevel::Scalar`] runs the untouched scalar oracle).
-    pub simd: SimdLevel,
-    /// When `true` the pass runs the mixed-precision `f32` λ-search,
-    /// falling back to the `f64` kernel per subproblem when it fails.
-    pub f32_phase: bool,
     /// When `true` the pass's multiplier output already holds each
     /// subproblem's previous multiplier (a later iteration, or one supplied
     /// up front), and the plain quickselect kernel starts its search from
@@ -234,8 +226,6 @@ pub struct PassInputs<'a, S: Storage> {
 #[allow(clippy::too_many_arguments)] // kernel inputs + output + workspace + fallback sink
 fn kernel_solve(
     kernel: KernelKind,
-    simd: SimdLevel,
-    f32_phase: bool,
     force_fallback: bool,
     q: &[f64],
     g: &[f64],
@@ -247,29 +237,9 @@ fn kernel_solve(
     eq: &mut EquilibrationScratch,
     fallbacks: &mut u64,
 ) -> Result<(f64, f64), SeaError> {
-    // The f32 stand-in is a sort-scan; under the quickselect kernel the
-    // full-precision λ-search is already cheaper than any sort, so mixed
-    // precision routes straight to the f64 kernel there (measured ~4×
-    // faster end-to-end than forcing the f32 sort-scan).
-    if f32_phase && kernel == KernelKind::SortScan && !force_fallback {
-        let r = match bounds {
-            None => exact_equilibration_f32(simd, q, g, sh, mode, x, eq)?,
-            Some((lo, hi)) => exact_equilibration_boxed_f32(simd, q, g, sh, lo, hi, mode, x, eq)?,
-        };
-        if let Some(r) = r {
-            if r.lambda.is_finite() && r.total.is_finite() {
-                return Ok((r.lambda, r.total));
-            }
-        }
-        // The f32 search could not stand in for the f64 kernel on this
-        // subproblem; count the fallback and re-solve in full precision.
-        *fallbacks += 1;
-    }
     let mut solve = |kernel| match bounds {
-        None => exact_equilibration_simd(simd, kernel, q, g, sh, mode, hint, x, eq),
-        Some((lo, hi)) => {
-            exact_equilibration_boxed_simd(simd, kernel, q, g, sh, lo, hi, mode, x, eq)
-        }
+        None => exact_equilibration_hinted(kernel, q, g, sh, mode, hint, x, eq),
+        Some((lo, hi)) => exact_equilibration_boxed_with(kernel, q, g, sh, lo, hi, mode, x, eq),
     };
     let r = solve(kernel)?;
     let pathological = force_fallback || !r.lambda.is_finite() || !r.total.is_finite();
@@ -321,6 +291,12 @@ fn locate(e: SeaError, side: &'static str, i: usize) -> SeaError {
     }
 }
 
+/// `out = src[idx]`, reusing `out`'s allocation.
+fn gather(src: &[f64], idx: &[u32], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(idx.iter().map(|&j| src[j as usize]));
+}
+
 /// Solve one subproblem; returns `(λ, realized total)` and writes the
 /// subproblem's entries into `x_row` (the iterate's stored values for this
 /// row: length `n` dense, support size for CSR). `hint` is the row's
@@ -352,17 +328,12 @@ fn solve_task<S: Storage>(
         // directly over the prior/weight value slices and writes the
         // iterate's stored values in place — only the shift is gathered.
         (RowView::Indexed { idx, vals: q }, RowView::Indexed { vals: g, .. }) => {
-            let k = idx.len();
-            if k == 0 {
+            if idx.is_empty() {
                 return empty_support_result(mode, bounds.is_some(), inp.side, i);
             }
-            scratch.sh.clear();
-            scratch.sh.resize(k, 0.0);
-            simd::gather(inp.simd, inp.shift, idx, &mut scratch.sh);
+            gather(inp.shift, idx, &mut scratch.sh);
             kernel_solve(
                 inp.kernel,
-                inp.simd,
-                inp.f32_phase,
                 force_fallback,
                 q,
                 g,
@@ -379,8 +350,6 @@ fn solve_task<S: Storage>(
         (RowView::Dense(prior_row), RowView::Dense(gamma_row)) => match inp.support {
             None => kernel_solve(
                 inp.kernel,
-                inp.simd,
-                inp.f32_phase,
                 force_fallback,
                 prior_row,
                 gamma_row,
@@ -406,15 +375,9 @@ fn solve_task<S: Storage>(
                     x_row.fill(0.0);
                     return empty_support_result(mode, false, inp.side, i);
                 }
-                scratch.q.clear();
-                scratch.q.resize(k, 0.0);
-                scratch.g.clear();
-                scratch.g.resize(k, 0.0);
-                scratch.sh.clear();
-                scratch.sh.resize(k, 0.0);
-                simd::gather(inp.simd, prior_row, idx, &mut scratch.q);
-                simd::gather(inp.simd, gamma_row, idx, &mut scratch.g);
-                simd::gather(inp.simd, inp.shift, idx, &mut scratch.sh);
+                gather(prior_row, idx, &mut scratch.q);
+                gather(gamma_row, idx, &mut scratch.g);
+                gather(inp.shift, idx, &mut scratch.sh);
                 scratch.x.resize(k, 0.0);
                 let TaskScratch {
                     eq,
@@ -426,8 +389,6 @@ fn solve_task<S: Storage>(
                 } = scratch;
                 let (lambda, total) = kernel_solve(
                     inp.kernel,
-                    inp.simd,
-                    inp.f32_phase,
                     force_fallback,
                     q,
                     g,
@@ -717,8 +678,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -757,8 +716,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -805,8 +762,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -872,8 +827,6 @@ mod tests {
                 shift: &shift,
                 side: "row",
                 kernel: KernelKind::SortScan,
-                simd: SimdLevel::Scalar,
-                f32_phase: false,
                 warm: false,
                 fault: None,
             },
@@ -914,8 +867,6 @@ mod tests {
                     shift: &shift,
                     side: "row",
                     kernel: KernelKind::SortScan,
-                    simd: SimdLevel::Scalar,
-                    f32_phase: false,
                     warm: false,
                     fault: None,
                 },
@@ -954,8 +905,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -1005,8 +954,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -1046,8 +993,6 @@ mod tests {
             shift: &shift,
             side: "column",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -1089,8 +1034,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -1147,8 +1090,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -1185,8 +1126,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: None,
         };
@@ -1227,8 +1166,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::Quickselect,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: Some(TaskFault {
                 index: 1,
@@ -1270,8 +1207,6 @@ mod tests {
             shift: &shift,
             side: "row",
             kernel: KernelKind::SortScan,
-            simd: SimdLevel::Scalar,
-            f32_phase: false,
             warm: false,
             fault: Some(TaskFault {
                 index: 0,
@@ -1311,8 +1246,6 @@ mod tests {
                 shift: &shift,
                 side: "column",
                 kernel: KernelKind::SortScan,
-                simd: SimdLevel::Scalar,
-                f32_phase: false,
                 warm: false,
                 fault: Some(TaskFault {
                     index: 1,

@@ -85,9 +85,6 @@ pub enum SeaError {
         /// What was being validated.
         context: &'static str,
     },
-    /// SIMD execution was forced (`SimdMode::Force`) but the running CPU
-    /// does not support the required instruction set (AVX2).
-    SimdUnsupported,
     /// A parallel equilibration worker panicked; the panic was contained
     /// by the supervisor instead of aborting the process.
     WorkerPanic {
@@ -148,11 +145,6 @@ impl fmt::Display for SeaError {
             SeaError::PatternMismatch { context } => {
                 write!(f, "sparse pattern mismatch in {context}")
             }
-            SeaError::SimdUnsupported => write!(
-                f,
-                "SIMD execution was forced but this CPU does not support AVX2 \
-                 (use --simd auto for runtime dispatch with a portable fallback)"
-            ),
             SeaError::WorkerPanic {
                 side,
                 index,

@@ -10,7 +10,6 @@
 //! the bounds handed to its passes.
 
 use crate::error::SeaError;
-use crate::kernel_simd::{Precision, SimdMode};
 use crate::knapsack::KernelKind;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::{solve_inner, SeaOptions};
@@ -258,30 +257,13 @@ pub struct BoundedSolution<S: Storage = DenseMatrix> {
     pub elapsed: Duration,
 }
 
-/// Kernel configuration for [`solve_bounded_supervised_configured`]:
-/// which λ-search kernel, which SIMD policy, and which arithmetic
-/// precision. The default (`KernelKind::default()`, `SimdMode::Off`,
-/// `Precision::F64`) matches [`SeaOptions::default`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Kernel configuration for [`solve_bounded_supervised_configured`]: which
+/// λ-search kernel. The default (`KernelKind::default()`) matches
+/// [`SeaOptions::default`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BoundedOptions {
     /// Which equilibration kernel solves the row/column subproblems.
     pub kernel: KernelKind,
-    /// SIMD policy, resolved once per solve against the running CPU.
-    pub simd: SimdMode,
-    /// Arithmetic precision of the iterates (same phase semantics as
-    /// [`crate::SeaOptions::precision`]: `F32Mixed` polishes in f64 before
-    /// convergence may be declared).
-    pub precision: Precision,
-}
-
-impl Default for BoundedOptions {
-    fn default() -> Self {
-        Self {
-            kernel: KernelKind::default(),
-            simd: SimdMode::Off,
-            precision: Precision::F64,
-        }
-    }
 }
 
 /// Solve a bounded problem by SEA with box-bounded exact equilibration,
@@ -297,8 +279,6 @@ impl Default for BoundedOptions {
 /// both describe the unbounded problem, not the box-bounded one.
 ///
 /// # Errors
-/// * [`SeaError::SimdUnsupported`] when `opts.simd` forces AVX2 on a CPU
-///   without it.
 /// * [`SeaError::Shape`] when `opts.initial_mu` has the wrong length.
 /// * [`SeaError::InfeasibleSubproblem`], [`SeaError::WorkerPanic`] from
 ///   the passes.
@@ -331,8 +311,6 @@ pub fn solve_bounded_supervised_configured<S: Storage, O: Observer>(
     let opts = SeaOptions {
         max_iterations,
         kernel: opts.kernel,
-        simd: opts.simd,
-        precision: opts.precision,
         initial_mu: initial_mu.map(<[f64]>::to_vec),
         ..SeaOptions::with_epsilon(epsilon)
     };

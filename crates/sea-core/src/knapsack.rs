@@ -121,10 +121,10 @@ pub struct EquilibrationResult {
 /// One breakpoint event for the selection kernel: crossing `v` changes the
 /// active-set linear form `f(λ) = A + B·λ` by `(da, db)`.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SelectEvent {
-    pub(crate) v: f64,
-    pub(crate) da: f64,
-    pub(crate) db: f64,
+struct SelectEvent {
+    v: f64,
+    da: f64,
+    db: f64,
 }
 
 /// Reusable workspace so the hot loop performs no allocation (workhorse
@@ -133,15 +133,12 @@ pub(crate) struct SelectEvent {
 /// allocation-free regardless of kernel.
 #[derive(Debug, Default, Clone)]
 pub struct EquilibrationScratch {
-    pub(crate) breakpoints: Vec<f64>,
-    pub(crate) order: Vec<u32>,
+    breakpoints: Vec<f64>,
+    order: Vec<u32>,
     /// Second event array for the boxed variant.
-    pub(crate) events_hi: Vec<f64>,
+    events_hi: Vec<f64>,
     /// Breakpoint events for the quickselect kernel (plain and boxed).
-    pub(crate) events: Vec<SelectEvent>,
-    /// Extra coefficient buffers used only by the vectorized kernels in
-    /// [`crate::kernel_simd`]; empty (and allocation-free) on scalar paths.
-    pub(crate) simd: crate::kernel_simd::SimdScratch,
+    events: Vec<SelectEvent>,
     /// Cumulative work counters across every solve that used this scratch
     /// (subproblems, breakpoint segments swept, quickselect partition
     /// rounds, boxed-bound clamps). Maintained unconditionally — a handful
@@ -156,7 +153,7 @@ impl EquilibrationScratch {
         Self::default()
     }
 
-    pub(crate) fn prepare(&mut self, n: usize) {
+    fn prepare(&mut self, n: usize) {
         self.breakpoints.clear();
         self.breakpoints.reserve(n);
         self.order.clear();
@@ -187,12 +184,7 @@ pub fn operation_count_for(kernel: KernelKind, n: usize) -> f64 {
 }
 
 #[inline]
-pub(crate) fn validate_inputs(
-    q: &[f64],
-    gamma: &[f64],
-    shift: &[f64],
-    x_out: &[f64],
-) -> Result<(), SeaError> {
+fn validate_inputs(q: &[f64], gamma: &[f64], shift: &[f64], x_out: &[f64]) -> Result<(), SeaError> {
     let n = q.len();
     if gamma.len() != n {
         return Err(SeaError::Shape {
@@ -393,7 +385,7 @@ pub(crate) fn exact_equilibration_hinted(
 /// Slope/intercept of the elastic total response `S(λ) = el_const − λ·el_slope`
 /// (fixed mode degenerates to `(0, 0)` and is special-cased by callers).
 #[inline]
-pub(crate) fn elastic_constants(mode: TotalMode) -> (f64, f64) {
+fn elastic_constants(mode: TotalMode) -> (f64, f64) {
     match mode {
         TotalMode::Fixed { .. } => (0.0, 0.0),
         TotalMode::Elastic {
@@ -408,7 +400,7 @@ pub(crate) fn elastic_constants(mode: TotalMode) -> (f64, f64) {
 /// breakpoints, then sweep segments left to right accumulating the active
 /// linear form. Returns NaN when no segment accepts (numerical breakdown;
 /// the caller reports it).
-pub(crate) fn plain_lambda_sort_scan(
+fn plain_lambda_sort_scan(
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
@@ -506,15 +498,10 @@ fn plain_lambda_quickselect(
 
 /// Locate λ over the plain kernel's filled event array: the warm segment
 /// first when a `hint` is given, else (or on a miss) [`select_lambda`].
-/// Shared by the scalar and SIMD dispatch, which fill identical events, so
-/// both walk the same decisions. A warm attempt, hit or miss, counts as
-/// one partition round: it is one pass over the events, like a round.
+/// A warm attempt, hit or miss, counts as one partition round: it is one
+/// pass over the events, like a round.
 /// Returns NaN on breakdown.
-pub(crate) fn select_events(
-    scratch: &mut EquilibrationScratch,
-    mode: TotalMode,
-    hint: Option<f64>,
-) -> f64 {
+fn select_events(scratch: &mut EquilibrationScratch, mode: TotalMode, hint: Option<f64>) -> f64 {
     if let Some(h) = hint {
         scratch.stats.quickselect_pivots += 1;
         if let Some(lambda) = warm_segment(&scratch.events, h, mode) {
@@ -583,7 +570,7 @@ fn warm_segment(events: &[SelectEvent], hint: f64, mode: TotalMode) -> Option<f6
 
 /// How a flat (zero-slope) terminal segment is resolved in fixed mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum FlatPolicy {
+enum FlatPolicy {
     /// Plain kernel: zero slope only happens left of every breakpoint,
     /// where all entries clamp to zero — a solution iff `total ≤ 0`; report
     /// the segment's upper boundary, matching the sort-scan sweep.
@@ -620,7 +607,7 @@ fn median3(a: f64, b: f64, c: f64) -> f64 {
 ///
 /// Returns `None` when fixed mode finds no consistent segment (the caller
 /// picks its fallback).
-pub(crate) fn select_lambda(
+fn select_lambda(
     events: &mut [SelectEvent],
     base_a: f64,
     mode: TotalMode,

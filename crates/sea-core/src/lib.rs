@@ -14,10 +14,6 @@
 //!   inverse-sqrt.
 //! * [`knapsack`] — the exact-equilibration kernel (closed-form
 //!   single-constraint QP via breakpoint sort), plus a box-bounded variant.
-//! * [`kernel_simd`] — vectorized (runtime-dispatched SIMD) and
-//!   mixed-precision variants of the kernels, bitwise-identical to the
-//!   scalar oracle by construction (elementwise SIMD, scalar-order
-//!   reductions).
 //! * [`equilibrate`] — row/column equilibration passes (serial and
 //!   parallel) that fan the kernel out over a matrix.
 //! * [`solver`] — [`solve_diagonal`]: the diagonal SEA driver (§3.1), the
@@ -82,7 +78,6 @@ pub mod equilibrate;
 pub mod error;
 pub mod general;
 pub mod interval;
-pub mod kernel_simd;
 pub mod knapsack;
 pub mod observe;
 pub mod parallel;
@@ -104,10 +99,6 @@ pub use general::{
 pub use interval::{
     solve_bounded_supervised, solve_bounded_supervised_configured, BoundedOptions, BoundedProblem,
 };
-pub use kernel_simd::{
-    exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,
-    exact_equilibration_simd, Precision, SimdMode,
-};
 pub use knapsack::{
     exact_equilibration, exact_equilibration_with, EquilibrationResult, EquilibrationScratch,
     KernelKind, TotalMode,
@@ -115,7 +106,6 @@ pub use knapsack::{
 pub use observe::trace_from_events;
 pub use parallel::Parallelism;
 pub use problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
-pub use sea_linalg::simd::SimdLevel;
 pub use solver::{
     solve_diagonal, solve_diagonal_observed, solve_diagonal_supervised, ConvergenceCriterion,
     IterationSnapshot, SeaOptions, Solution, SolveStats,

@@ -24,7 +24,6 @@ use crate::equilibrate::{
     equilibration_pass, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
 };
 use crate::error::SeaError;
-use crate::kernel_simd::{Precision, SimdMode};
 use crate::knapsack::{KernelKind, TotalMode};
 use crate::parallel::Parallelism;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
@@ -72,6 +71,58 @@ impl ConvergenceCriterion {
     }
 }
 
+/// Retired SIMD policy. The vectorized kernels were deleted because they
+/// bought nothing measurable end to end (DESIGN §16); every solve runs the
+/// scalar kernels. The type keeps its one value so that reports which
+/// print the solver defaults keep their shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdMode {
+    /// Scalar kernels, the only path.
+    Off,
+}
+
+impl SimdMode {
+    /// Stable lowercase name, for reports.
+    pub fn name(self) -> &'static str {
+        "off"
+    }
+
+    /// The level the kernels run at: always [`SimdLevel::Scalar`].
+    pub fn resolve(self) -> Result<SimdLevel, std::convert::Infallible> {
+        Ok(SimdLevel::Scalar)
+    }
+}
+
+/// The kernel level a [`SimdMode`] resolves to; scalar is the only one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdLevel {
+    /// Plain scalar loops.
+    Scalar,
+}
+
+impl SimdLevel {
+    /// Stable lowercase name, for reports.
+    pub fn name(self) -> &'static str {
+        "scalar"
+    }
+}
+
+/// Retired precision choice: the `f32` λ-search was deleted with the SIMD
+/// kernels (DESIGN §16), so every solve runs in `f64`. Kept with its one
+/// value for the same reason as [`SimdMode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precision {
+    /// Double precision throughout.
+    F64,
+}
+
+impl Precision {
+    /// Stable lowercase name, for reports.
+    pub fn name(self) -> &'static str {
+        "f64"
+    }
+}
+
 /// Options for [`solve_diagonal`].
 #[derive(Debug, Clone)]
 pub struct SeaOptions {
@@ -93,14 +144,11 @@ pub struct SeaOptions {
     /// sort-based reference (identical solutions; see
     /// [`crate::knapsack::KernelKind`]).
     pub kernel: KernelKind,
-    /// SIMD policy for the equilibration kernels, resolved once per solve
-    /// against the running CPU. [`SimdMode::Off`] (the default) runs the
-    /// scalar oracle; the vectorized paths are bitwise-identical to it.
+    /// Retired SIMD policy; it has one value and the solver never reads
+    /// it (see [`SimdMode`]).
     pub simd: SimdMode,
-    /// Arithmetic precision of the equilibration iterates.
-    /// [`Precision::F32Mixed`] runs the λ-search in `f32` until the
-    /// residual reaches `ε` or stagnates, then switches every pass to a
-    /// full-`f64` polish epoch; convergence is only declared from polish.
+    /// Retired precision choice; it has one value and the solver never
+    /// reads it (see [`Precision`]).
     pub precision: Precision,
     /// Record an [`ExecutionTrace`] for the scheduling simulator.
     pub record_trace: bool,
@@ -343,18 +391,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     };
     let check_every = opts.check_every.max(1);
     let criterion = opts.effective_criterion(p.totals());
-    // Resolve the SIMD policy once, before the hot loop: `Force` without
-    // AVX2 fails here, up front, instead of per subproblem.
-    let simd_level = opts.simd.resolve()?;
-    // Mixed-precision phase control. `f32_phase` drives the passes; for
-    // `F32Mixed` the convergence check flips it off (the f64 polish epoch)
-    // once the f32 residual reaches ε or stagnates, and convergence is only
-    // ever declared with the flag off. Pure `F32` never polishes — its
-    // residual is still measured on the f64-materialized iterates, so it
-    // stalls rather than lies on problems f32 cannot resolve.
-    let mut f32_phase = opts.precision != Precision::F64;
-    let mut prev_check_residual = f64::INFINITY;
-    let mut stagnant_checks = 0u32;
     let observing = obs.enabled();
     if observing {
         obs.record(&Event::SolveStart {
@@ -459,8 +495,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 shift: &mu,
                 side: "row",
                 kernel: opts.kernel,
-                simd: simd_level,
-                f32_phase,
                 warm: t > 1 || opts.initial_lambda.is_some(),
                 fault: ctrl.task_fault(t, "row"),
             };
@@ -564,8 +598,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 shift: &lambda,
                 side: "column",
                 kernel: opts.kernel,
-                simd: simd_level,
-                f32_phase,
                 warm: t > 1 || opts.initial_mu.is_some(),
                 fault: ctrl.task_fault(t, "column"),
             };
@@ -787,32 +819,10 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                     residual,
                 });
             }
-            let f32_iterating = f32_phase && opts.precision == Precision::F32Mixed;
             if residual <= opts.epsilon {
-                if f32_iterating {
-                    // The f32 phase reached tolerance: enter the f64 polish
-                    // epoch instead of declaring convergence — the final
-                    // iterate (and its KKT certificate) must come from
-                    // full-precision passes.
-                    f32_phase = false;
-                } else {
-                    converged = true;
-                    break;
-                }
-            } else if f32_iterating {
-                // Stagnation hand-over: three consecutive checks improving
-                // the residual by less than 1% mean the f32 search has hit
-                // its precision floor; polish in f64 from here.
-                if residual > prev_check_residual * 0.99 {
-                    stagnant_checks += 1;
-                    if stagnant_checks >= 3 {
-                        f32_phase = false;
-                    }
-                } else {
-                    stagnant_checks = 0;
-                }
+                converged = true;
+                break;
             }
-            prev_check_residual = residual;
             if ctrl.is_active() {
                 // This iterate passed the finite watchdog and was measured:
                 // it becomes the breakdown restore point.

@@ -220,184 +220,3 @@ fn kernels_do_not_allocate_in_steady_state() {
         );
     }
 }
-
-/// The SIMD dispatch layer honours the same contract: after one warm-up
-/// sizing pass, the vectorized kernels (f64 and f32 mixed-precision
-/// variants alike) and a SIMD-enabled solve loop allocate nothing.
-#[test]
-fn simd_kernels_do_not_allocate_in_steady_state() {
-    use sea_core::kernel_simd::{
-        exact_equilibration_boxed_f32, exact_equilibration_boxed_simd, exact_equilibration_f32,
-        exact_equilibration_simd, Precision, SimdMode,
-    };
-
-    let level = SimdMode::Auto.resolve().expect("auto always resolves");
-    let n = 512;
-    let q: Vec<f64> = (0..n)
-        .map(|j| ((j * 37 % 101) as f64) / 10.0 - 2.0)
-        .collect();
-    let gamma: Vec<f64> = (0..n)
-        .map(|j| 0.05 + ((j * 13 % 89) as f64) / 20.0)
-        .collect();
-    let shift: Vec<f64> = (0..n).map(|j| ((j * 7 % 61) as f64) / 30.0 - 1.0).collect();
-    let lo: Vec<f64> = (0..n).map(|j| ((j * 3 % 17) as f64) / 10.0).collect();
-    let hi: Vec<f64> = lo.iter().map(|&l| l + 3.0).collect();
-    let slo: f64 = lo.iter().sum();
-    let shi: f64 = hi.iter().sum();
-    let mut x = vec![0.0; n];
-    let mut scratch = EquilibrationScratch::new();
-
-    // Warm-up: size every scratch path (f64 SIMD, boxed, f32 replicas).
-    for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-        exact_equilibration_simd(
-            level,
-            kernel,
-            &q,
-            &gamma,
-            &shift,
-            TotalMode::Fixed { total: 300.0 },
-            None,
-            &mut x,
-            &mut scratch,
-        )
-        .unwrap();
-        exact_equilibration_boxed_simd(
-            level,
-            kernel,
-            &q,
-            &gamma,
-            &shift,
-            &lo,
-            &hi,
-            TotalMode::Fixed {
-                total: 0.5 * (slo + shi),
-            },
-            &mut x,
-            &mut scratch,
-        )
-        .unwrap();
-    }
-    exact_equilibration_f32(
-        level,
-        &q,
-        &gamma,
-        &shift,
-        TotalMode::Fixed { total: 300.0 },
-        &mut x,
-        &mut scratch,
-    )
-    .unwrap();
-    exact_equilibration_boxed_f32(
-        level,
-        &q,
-        &gamma,
-        &shift,
-        &lo,
-        &hi,
-        TotalMode::Fixed {
-            total: 0.5 * (slo + shi),
-        },
-        &mut x,
-        &mut scratch,
-    )
-    .unwrap();
-
-    for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-        let before = allocations();
-        // Each solve is warm-started from the previous one's multiplier.
-        let mut hint = None;
-        for round in 0..200 {
-            let total = 100.0 + (round as f64) * 2.0;
-            let r = exact_equilibration_simd(
-                level,
-                kernel,
-                &q,
-                &gamma,
-                &shift,
-                TotalMode::Fixed { total },
-                hint,
-                &mut x,
-                &mut scratch,
-            )
-            .unwrap();
-            hint = Some(r.lambda);
-            let boxed_t = slo + (shi - slo) * ((round as f64) + 0.5) / 200.0;
-            exact_equilibration_boxed_simd(
-                level,
-                kernel,
-                &q,
-                &gamma,
-                &shift,
-                &lo,
-                &hi,
-                TotalMode::Fixed { total: boxed_t },
-                &mut x,
-                &mut scratch,
-            )
-            .unwrap();
-            exact_equilibration_f32(
-                level,
-                &q,
-                &gamma,
-                &shift,
-                TotalMode::Fixed { total },
-                &mut x,
-                &mut scratch,
-            )
-            .unwrap();
-            exact_equilibration_boxed_f32(
-                level,
-                &q,
-                &gamma,
-                &shift,
-                &lo,
-                &hi,
-                TotalMode::Fixed { total: boxed_t },
-                &mut x,
-                &mut scratch,
-            )
-            .unwrap();
-        }
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "{kernel}: SIMD kernel allocated in steady state"
-        );
-    }
-
-    // ---- SIMD-enabled whole-solve differential audit. ----
-    let m = 12;
-    let data: Vec<f64> = (0..m * m).map(|k| 0.5 + ((k * 29 % 97) as f64)).collect();
-    let x0 = DenseMatrix::from_vec(m, m, data).unwrap();
-    let gamma =
-        DenseMatrix::from_vec(m, m, x0.as_slice().iter().map(|&v| 1.0 / v).collect()).unwrap();
-    let s0: Vec<f64> = x0.row_sums().iter().map(|v| 2.0 * v).collect();
-    let d0: Vec<f64> = x0.col_sums().iter().map(|v| 2.0 * v).collect();
-    let p = DiagonalProblem::new(x0, gamma, TotalSpec::Fixed { s0, d0 }).unwrap();
-
-    for precision in [Precision::F64, Precision::F32Mixed] {
-        for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-            let solve_allocations = |iterations: usize| -> usize {
-                let mut opts = SeaOptions::with_epsilon(1e-8);
-                opts.epsilon = -1.0; // unattainable: always run to the cap
-                opts.max_iterations = iterations;
-                opts.kernel = kernel;
-                opts.simd = SimdMode::Auto;
-                opts.precision = precision;
-                let before = allocations();
-                let sol = solve_diagonal(&p, &opts).unwrap();
-                let after = allocations();
-                assert_eq!(sol.stats.iterations, iterations, "cap must bind");
-                after - before
-            };
-            solve_allocations(4); // warm-up
-            let base = solve_allocations(8);
-            let doubled = solve_allocations(16);
-            assert_eq!(
-                doubled, base,
-                "{kernel}/{precision:?}: SIMD solve iterations allocated"
-            );
-        }
-    }
-}

@@ -120,6 +120,34 @@ pub fn wide_weights(seed: u64, m: usize, n: usize) -> Result<DiagonalProblem, Se
     try_fixed_diagonal(seed, m, n, 12, 1.0)
 }
 
+/// Checkerboard weights of 1e-6 and 1e6 inside every row and column, at
+/// O(1) priors and consistent fixed totals: the small-weight entries'
+/// contributions to a subproblem sit twelve decades below the large ones',
+/// so a tight tolerance needs every digit of the f64 λ-search. Always
+/// constructible.
+pub fn checkerboard_weights(m: usize, n: usize) -> DiagonalProblem {
+    let mut x0 = DenseMatrix::zeros(m, n).expect("valid dims");
+    let mut gamma = DenseMatrix::zeros(m, n).expect("valid dims");
+    for i in 0..m {
+        for j in 0..n {
+            let k = i * n + j;
+            x0.set(i, j, 1.0 + (k % 5) as f64);
+            gamma.set(i, j, if k.is_multiple_of(2) { 1e-6 } else { 1e6 });
+        }
+    }
+    let s0: Vec<f64> = (0..m).map(|i| 3.2 * n as f64 + (i % 3) as f64).collect();
+    let total: f64 = s0.iter().sum();
+    let mut d0: Vec<f64> = (0..n).map(|j| 2.0 + (j % 4) as f64).collect();
+    let dsum: f64 = d0.iter().sum();
+    for v in &mut d0 {
+        *v *= total / dsum;
+    }
+    let resid = total - d0.iter().sum::<f64>();
+    d0[0] += resid;
+    DiagonalProblem::new(x0, gamma, TotalSpec::Fixed { s0, d0 })
+        .expect("checkerboard fixture is constructible")
+}
+
 /// Slow-converging heterogeneous instance for warm-start and supervision
 /// tests. Unit-weight fixtures equilibrate in a couple of iterations, which
 /// makes warm-vs-cold comparisons vacuous; this family staggers priors and

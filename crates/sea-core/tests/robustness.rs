@@ -16,8 +16,9 @@ mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised,
-    GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions, SupervisorOptions,
+    solve_bounded_supervised, solve_diagonal, solve_diagonal_supervised, solve_general_supervised,
+    verify_solution, GapCheck, GeneralSeaOptions, KernelKind, NullObserver, Parallelism,
+    SeaOptions, SupervisorOptions,
 };
 
 fn kernel_of(k: u8) -> KernelKind {
@@ -198,6 +199,30 @@ fn wide_weight_spreads_stay_finite() {
             assert!(sol.solution.lambda.iter().all(|v| v.is_finite()));
             assert!(sol.solution.mu.iter().all(|v| v.is_finite()));
         }
+    }
+}
+
+/// The 1e±6 checkerboard corner at a tight tolerance: both kernels must
+/// reach a converged solve that passes the KKT certificate.
+#[test]
+fn checkerboard_weight_spreads_converge_to_a_certificate() {
+    let p = generator::checkerboard_weights(12, 18);
+    for k in 0..2 {
+        let mut o = SeaOptions::with_epsilon(1e-9);
+        o.max_iterations = 50_000;
+        o.kernel = kernel_of(k);
+        let sol = solve_diagonal(&p, &o).expect("checkerboard solve runs");
+        assert!(
+            sol.stats.converged,
+            "{}: residual {:.3e}",
+            o.kernel, sol.stats.residuals.rel_row_inf
+        );
+        let report = verify_solution(&p, &sol);
+        assert!(
+            report.is_optimal_with(1e-6, GapCheck::RelativeToObjective),
+            "{}: {report:?}",
+            o.kernel
+        );
     }
 }
 

@@ -15,9 +15,6 @@
 //!   mat-vec, used for the `A`, `B`, and `G` weight matrices of the general
 //!   quadratic objective, plus generators for strictly diagonally dominant
 //!   instances as used in the paper's §5.1.1 experiments.
-//! * [`simd`] — runtime-dispatched elementwise SIMD primitives (portable
-//!   lanes plus an explicit AVX2 path) used by the vectorized equilibration
-//!   kernels; bit-identical to the scalar loops by construction.
 //! * [`sort`] — the two sorting routines the paper's FORTRAN implementation
 //!   used for exact equilibration (HEAPSORT for long arrays, STRAIGHT
 //!   INSERTION for short ones), exposed as argsort kernels.
@@ -34,7 +31,6 @@
 pub mod csr;
 pub mod dense;
 pub mod error;
-pub mod simd;
 pub mod sort;
 pub mod stats;
 pub mod sym;
@@ -43,5 +39,4 @@ pub mod vector;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use simd::SimdLevel;
 pub use sym::SymMatrix;

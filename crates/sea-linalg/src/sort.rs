@@ -24,14 +24,8 @@ pub const INSERTION_THRESHOLD: usize = 120;
 ///
 /// # Panics
 /// Panics if any index in `idx` is out of bounds for `key`.
+#[inline]
 pub fn insertion_argsort(idx: &mut [u32], key: &[f64]) {
-    insertion_argsort_by(idx, key);
-}
-
-/// Key-type-generic body of [`insertion_argsort`]; monomorphizes to exactly
-/// the historical `f64` code, and additionally serves the `f32` keys of the
-/// mixed-precision kernels.
-fn insertion_argsort_by<K: PartialOrd + Copy>(idx: &mut [u32], key: &[K]) {
     for i in 1..idx.len() {
         let cur = idx[i];
         let cur_key = key[cur as usize];
@@ -49,12 +43,8 @@ fn insertion_argsort_by<K: PartialOrd + Copy>(idx: &mut [u32], key: &[K]) {
 ///
 /// # Panics
 /// Panics if any index in `idx` is out of bounds for `key`.
+#[inline]
 pub fn heap_argsort(idx: &mut [u32], key: &[f64]) {
-    heap_argsort_by(idx, key);
-}
-
-/// Key-type-generic body of [`heap_argsort`].
-fn heap_argsort_by<K: PartialOrd + Copy>(idx: &mut [u32], key: &[K]) {
     let n = idx.len();
     if n < 2 {
         return;
@@ -71,7 +61,7 @@ fn heap_argsort_by<K: PartialOrd + Copy>(idx: &mut [u32], key: &[K]) {
 }
 
 #[inline]
-fn sift_down<K: PartialOrd + Copy>(idx: &mut [u32], key: &[K], mut root: usize, end: usize) {
+fn sift_down(idx: &mut [u32], key: &[f64], mut root: usize, end: usize) {
     loop {
         let mut child = 2 * root + 1;
         if child >= end {
@@ -94,24 +84,9 @@ fn sift_down<K: PartialOrd + Copy>(idx: &mut [u32], key: &[K], mut root: usize, 
 #[inline]
 pub fn argsort(idx: &mut [u32], key: &[f64]) {
     if idx.len() <= INSERTION_THRESHOLD {
-        insertion_argsort_by(idx, key);
+        insertion_argsort(idx, key);
     } else {
-        heap_argsort_by(idx, key);
-    }
-}
-
-/// [`argsort`] over single-precision keys, for the mixed-precision
-/// equilibration kernels' f32 breakpoint arrays. Same length dispatch, same
-/// ordering semantics.
-///
-/// # Panics
-/// Panics if any index in `idx` is out of bounds for `key`.
-#[inline]
-pub fn argsort_f32(idx: &mut [u32], key: &[f32]) {
-    if idx.len() <= INSERTION_THRESHOLD {
-        insertion_argsort_by(idx, key);
-    } else {
-        heap_argsort_by(idx, key);
+        heap_argsort(idx, key);
     }
 }
 

@@ -30,8 +30,7 @@ USAGE:
   sea-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
             [--tenant-quota N|off] [--cache-bytes N|off] [--epsilon F]
             [--degraded-epsilon F|off] [--max-iterations N]
-            [--kernel quickselect|sortscan] [--simd auto|off|force]
-            [--parallel serial|inner[:K]]
+            [--kernel quickselect|sortscan] [--parallel serial|inner[:K]]
             [--deadline SECONDS|off] [--max-body-bytes N]
             [--quarantine N:SECONDS|off] [--restart-breaker N:SECONDS]
             [--chaos SPEC]
@@ -49,8 +48,6 @@ FLAGS:
                        (default off)
   --max-iterations N   iteration cap per solve   (default 10000)
   --kernel NAME        equilibration kernel      (default quickselect)
-  --simd POLICY        kernel SIMD policy        (default auto; off = scalar
-                       oracle, force = fail fast when the CPU lacks AVX2)
   --parallel POLICY    per-solve threads         (default serial)
   --deadline S|off     default request deadline  (default 30; off = unbounded)
   --max-body-bytes N   request body cap          (default 8388608; over => 413)
@@ -139,11 +136,6 @@ fn parse_config(args: &[String]) -> Result<ServeConfig, String> {
             "kernel" => {
                 cfg.kernel = KernelKind::parse(value).ok_or_else(|| {
                     format!("unknown --kernel {value:?} (expected sortscan or quickselect)")
-                })?;
-            }
-            "simd" => {
-                cfg.simd = sea_core::SimdMode::parse(value).ok_or_else(|| {
-                    format!("unknown --simd {value:?} (expected auto, off, or force)")
                 })?;
             }
             "parallel" => {

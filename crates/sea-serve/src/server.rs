@@ -105,8 +105,6 @@ pub struct ServeConfig {
     pub max_iterations: usize,
     /// Equilibration kernel for every solve.
     pub kernel: KernelKind,
-    /// SIMD policy for every solve's kernels.
-    pub simd: sea_core::SimdMode,
     /// Thread placement for each solve (`Serial` or `Inner[:K]`;
     /// instance-level parallelism comes from the worker pool itself).
     pub parallelism: BatchParallelism,
@@ -137,7 +135,6 @@ impl Default for ServeConfig {
             degraded_epsilon: None,
             max_iterations: 10_000,
             kernel: KernelKind::default(),
-            simd: sea_core::SimdMode::Auto,
             parallelism: BatchParallelism::Serial,
             default_deadline: Some(Duration::from_secs(30)),
             max_body_bytes: 8 << 20,
@@ -1113,8 +1110,6 @@ fn solve_with_cache(
         epsilon: job.epsilon.unwrap_or(cfg.epsilon),
         max_iterations: cfg.max_iterations,
         kernel: cfg.kernel,
-        simd: cfg.simd,
-        precision: sea_core::Precision::F64,
         parallelism: cfg.parallelism,
         warm_start: inst.family.is_some(),
         measure_kernel_work: true,

@@ -590,6 +590,19 @@ fn disconnecting_client_does_not_wedge_worker_or_gauges() {
     server.join();
 }
 
+/// `--simd` was removed with the vectorized kernels: the daemon refuses
+/// it as an unknown flag (usage exit 2) instead of starting.
+#[test]
+fn removed_simd_flag_is_refused() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_sea-serve"))
+        .args(["--addr", "127.0.0.1:0", "--simd", "auto"])
+        .output()
+        .expect("run sea-serve");
+    assert_eq!(output.status.code(), Some(sea_serve::EXIT_USAGE));
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("unknown flag --simd"), "{err}");
+}
+
 /// SIGTERM-drain E2E through the real binary: an in-flight solve
 /// completes, the response arrives, and the process exits 0 (the code
 /// documented in docs/OPERATIONS.md).
