@@ -207,7 +207,7 @@ fn half_step(
             &|i| TotalMode::Fixed { total: totals[i] },
             lambda_out,
             &mut buf.totals_tmp,
-            &mut buf.y,
+            Some(&mut buf.y),
             opts.parallelism,
             costs,
             None,

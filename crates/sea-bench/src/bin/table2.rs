@@ -4,8 +4,8 @@
 //! IOC77a/b/c (205², 58 %), IO72a/b/c (485², 16 %). The `c` datapoints are
 //! the average of 10 perturbed replications, exactly as in the paper.
 
-use sea_bench::{results_dir, Scale};
-use sea_core::{solve_diagonal, SeaOptions};
+use sea_bench::{paper_options, results_dir, Scale};
+use sea_core::solve_diagonal;
 use sea_data::io_tables::{all_variants, io_dataset};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -36,8 +36,8 @@ fn main() {
         for r in 0..reps {
             let problem = io_dataset(v, r);
             density = problem.x0().density();
-            let sol = solve_diagonal(&problem, &SeaOptions::with_epsilon(0.01))
-                .expect("feasible by construction");
+            let sol =
+                solve_diagonal(&problem, &paper_options(0.01)).expect("feasible by construction");
             assert!(sol.stats.converged, "{} did not converge", v.name());
             total_secs += sol.stats.elapsed.as_secs_f64();
             total_iters += sol.stats.iterations;

@@ -4,8 +4,8 @@
 //! large random S500/S750/S1000. Convergence tolerance ε = .001 (relative
 //! row balance), per the paper.
 
-use sea_bench::{results_dir, Scale};
-use sea_core::{solve_diagonal, SeaOptions};
+use sea_bench::{paper_options, results_dir, Scale};
+use sea_core::solve_diagonal;
 use sea_data::sam::{sam_problem, SamInstance};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -38,8 +38,8 @@ fn main() {
 
     for inst in instances {
         let problem = sam_problem(inst, seed);
-        let sol = solve_diagonal(&problem, &SeaOptions::with_epsilon(0.001))
-            .expect("feasible by construction");
+        let sol =
+            solve_diagonal(&problem, &paper_options(0.001)).expect("feasible by construction");
         assert!(sol.stats.converged, "{} did not converge", inst.name());
         table.push_row(vec![
             inst.name().to_string(),

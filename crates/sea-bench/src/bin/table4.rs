@@ -5,8 +5,8 @@
 //! growth range (`b`) is harder than the smaller (`a`), and the perturbed-
 //! entries variant (`c`) solves fastest.
 
-use sea_bench::{results_dir, Scale};
-use sea_core::{solve_diagonal, SeaOptions};
+use sea_bench::{paper_options, results_dir, Scale};
+use sea_core::solve_diagonal;
 use sea_data::migration::{migration_problem, MigrationVariant, Period};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -31,8 +31,8 @@ fn main() {
         ] {
             let name = format!("MIG{}{}", period.tag(), variant.letter());
             let problem = migration_problem(period, variant);
-            let sol = solve_diagonal(&problem, &SeaOptions::with_epsilon(0.01))
-                .expect("feasible by construction");
+            let sol =
+                solve_diagonal(&problem, &paper_options(0.01)).expect("feasible by construction");
             assert!(sol.stats.converged, "{name} did not converge");
             let secs = sol.stats.elapsed.as_secs_f64();
             times.insert(name.clone(), (sol.stats.iterations, secs));

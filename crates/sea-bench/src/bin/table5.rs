@@ -4,8 +4,7 @@
 //! SPE ⇄ constrained-matrix isomorphism, ε = .01. Every solution's
 //! equilibrium conditions are verified before reporting.
 
-use sea_bench::{results_dir, Scale};
-use sea_core::SeaOptions;
+use sea_bench::{paper_options, results_dir, Scale};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 use sea_spatial::{random_spe, solve_spe};
 
@@ -36,7 +35,7 @@ fn main() {
         let spe = random_spe(size, size, seed);
         // The paper checked convergence every other iteration for these
         // elastic problems (§4.2).
-        let mut opts = SeaOptions::with_epsilon(0.01);
+        let mut opts = paper_options(0.01);
         opts.check_every = 2;
         let sol = solve_spe(&spe, &opts).expect("valid instance");
         assert!(sol.converged, "SP{size} did not converge");

@@ -14,8 +14,8 @@
 //! Plus the a-priori certificates: measured iterations never exceed the
 //! worst-case bound of eq. 64.
 
-use sea_bench::{results_dir, Scale};
-use sea_core::{solve_diagonal, theory, ConvergenceCriterion, SeaOptions};
+use sea_bench::{paper_options, results_dir, Scale};
+use sea_core::{solve_diagonal, theory, ConvergenceCriterion};
 use sea_report::{ExperimentRecord, Table};
 use sea_spatial::random_spe;
 
@@ -37,7 +37,7 @@ fn main() {
     );
 
     // ---- 1 & 2: dual ascent + geometric rate from one instrumented run. --
-    let mut opts = SeaOptions::with_epsilon(1e-9);
+    let mut opts = paper_options(1e-9);
     opts.criterion = Some(ConvergenceCriterion::ConstraintNorm);
     opts.record_history = true;
     let sol = solve_diagonal(&cmp, &opts).expect("solvable");
@@ -97,7 +97,7 @@ fn main() {
     let mut increments = Vec::new();
     for k in 2..=7 {
         let eps = 10f64.powi(-k);
-        let mut o = SeaOptions::with_epsilon(eps);
+        let mut o = paper_options(eps);
         o.criterion = Some(ConvergenceCriterion::MaxAbsChange);
         let s = solve_diagonal(&cmp, &o).expect("solvable");
         assert!(s.stats.converged, "eps={eps} did not converge");
@@ -122,7 +122,7 @@ fn main() {
 
     // ---- eq. 64 worst-case bound. ----------------------------------------
     let eps = 1e-3;
-    let mut o = SeaOptions::with_epsilon(eps);
+    let mut o = paper_options(eps);
     o.criterion = Some(ConvergenceCriterion::ConstraintNorm);
     let s = solve_diagonal(&cmp, &o).expect("solvable");
     let bound = theory::iteration_bound(&cmp, eps);

@@ -27,8 +27,27 @@
 pub mod experiments;
 
 use sea_core::trace::ExecutionTrace;
+use sea_core::{GeneralSeaOptions, SeaOptions};
 use sea_parsim::SimPhase;
 use std::path::PathBuf;
+
+/// Options for the paper's SEA at tolerance `eps`: the tables and figures
+/// reproduce its iteration counts and dual ascent, so extrapolation is
+/// off.
+pub fn paper_options(eps: f64) -> SeaOptions {
+    SeaOptions {
+        extrapolation_depth: 0,
+        ..SeaOptions::with_epsilon(eps)
+    }
+}
+
+/// [`paper_options`] for the general solver: inner solves without
+/// extrapolation.
+pub fn paper_general_options(eps: f64) -> GeneralSeaOptions {
+    let mut o = GeneralSeaOptions::with_epsilon(eps);
+    o.inner.extrapolation_depth = 0;
+    o
+}
 
 /// Problem-size scaling for the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -246,11 +246,7 @@ fn emit(common: &CommonOpts, x: &DenseMatrix) -> Result<String, CliError> {
 }
 
 /// Translate the CLI's robustness flags into supervisor configuration.
-/// Resuming mutates `opts` (warm-start multipliers) as well.
-fn supervisor_from(
-    common: &CommonOpts,
-    opts: &mut SeaOptions,
-) -> Result<SupervisorOptions, CliError> {
+fn supervisor_from(common: &CommonOpts) -> Result<SupervisorOptions, CliError> {
     let mut sup = SupervisorOptions {
         cancel: sigint::cancel_token(),
         ..SupervisorOptions::default()
@@ -272,12 +268,9 @@ fn supervisor_from(
             )
             .into());
         }
-        // The solver validates the multiplier lengths against the problem.
-        // Both are restored: the kernel's answer depends on its starting
-        // multipliers through roundoff, so a bitwise replay needs λ too.
-        opts.initial_lambda = Some(ck.lambda);
-        opts.initial_mu = Some(ck.mu);
-        sup.start_iteration = ck.iteration;
+        // The solver validates the checkpoint's lengths against the problem
+        // and restarts from its multipliers and extrapolation history.
+        sup.resume = Some(ck);
     }
     Ok(sup)
 }
@@ -306,7 +299,7 @@ fn solve_and_emit<S: Storage>(
     if let Some(n) = common.max_iterations {
         opts.max_iterations = n;
     }
-    let sup = supervisor_from(common, &mut opts)?;
+    let sup = supervisor_from(common)?;
     let mut obs = CliObserver {
         jsonl: match &common.observe {
             Some(path) => {

@@ -114,38 +114,6 @@ pub fn storage_support_components<S: Storage>(x: &S, threshold: f64) -> (Vec<usi
     (rows, cols)
 }
 
-/// Turn per-row component labels into shard start indices for a parallel
-/// equilibration pass. Starting from row 0, a new shard opens at the first
-/// component-label change after `target` rows have accumulated — so a shard
-/// never splits a support component unless the component itself exceeds
-/// `2 * target` rows, at which point a hard cut keeps shards cache-sized
-/// (one giant component must not collapse the pass to a single worker
-/// chunk). Returns start indices; the first is always 0.
-///
-/// Sharding never changes results — rows are solved independently and each
-/// writes a position-fixed slot — so boundaries are purely a locality hint:
-/// rows of one component share columns, hence share the opposite-side
-/// multiplier cache lines.
-pub fn shard_boundaries(labels: &[usize], target: usize) -> Vec<usize> {
-    let m = labels.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let target = target.max(1);
-    let mut starts = vec![0];
-    let mut len = 1;
-    for i in 1..m {
-        let boundary = labels[i] != labels[i - 1];
-        if (len >= target && boundary) || len >= 2 * target {
-            starts.push(i);
-            len = 1;
-        } else {
-            len += 1;
-        }
-    }
-    starts
-}
-
 /// The paper's Modified Algorithm step: if any `|λᵢ| > bound`, shift every
 /// component containing an offender by the offending value — subtracting it
 /// from the component's `λ`s and adding it to the component's `μ`s — which
@@ -320,29 +288,6 @@ mod tests {
             assert_eq!(lambda, l_ref);
             assert_eq!(mu, m_ref);
         }
-    }
-
-    #[test]
-    fn shard_boundaries_respect_components_and_caps() {
-        // Labels: component A rows 0..3, B rows 3..5, C rows 5..12.
-        let labels = [7, 7, 7, 9, 9, 2, 2, 2, 2, 2, 2, 2];
-        // target 2: cut at the first label change after 2 rows, hard cut at 4.
-        let starts = shard_boundaries(&labels, 2);
-        assert_eq!(starts[0], 0);
-        assert!(starts.windows(2).all(|w| w[0] < w[1]));
-        assert!(*starts.last().unwrap() < labels.len());
-        // Component boundary at 3 honored (shard [0,3) has >= target rows).
-        assert!(starts.contains(&3));
-        // Giant component C is hard-cut: no shard exceeds 2*target rows.
-        let mut ends = starts[1..].to_vec();
-        ends.push(labels.len());
-        for (s, e) in starts.iter().zip(&ends) {
-            assert!(e - s <= 4, "shard [{s}, {e}) exceeds 2*target");
-        }
-        // Degenerate inputs.
-        assert!(shard_boundaries(&[], 4).is_empty());
-        assert_eq!(shard_boundaries(&[1, 1, 1], 100), vec![0]);
-        assert_eq!(shard_boundaries(&[1, 2, 3], 1), vec![0, 1, 2]);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! `O(k log k)` in the row's support size `k`, never `O(n)`.
 //!
 //! Parallel passes are **sharded**: rows are grouped into cache-sized
-//! contiguous blocks (optionally aligned to support-graph component
-//! boundaries by the solver) and the blocks are distributed over the
-//! worker pool. Each row is still solved independently, so results are
-//! bitwise identical across worker counts *and* shard sizes.
+//! contiguous blocks and the blocks are distributed over the worker pool.
+//! Each row is still solved independently, so results are bitwise
+//! identical across worker counts *and* shard sizes.
 
 use crate::error::SeaError;
 use crate::knapsack::{
@@ -299,14 +298,15 @@ fn gather(src: &[f64], idx: &[u32], out: &mut Vec<f64>) {
 
 /// Solve one subproblem; returns `(λ, realized total)` and writes the
 /// subproblem's entries into `x_row` (the iterate's stored values for this
-/// row: length `n` dense, support size for CSR). `hint` is the row's
+/// row: length `n` dense, support size for CSR), or into the task scratch
+/// when the pass does not materialize its iterate. `hint` is the row's
 /// previous multiplier when the pass is warm.
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,
     mode: TotalMode,
     hint: Option<f64>,
-    x_row: &mut [f64],
+    x_row: Option<&mut [f64]>,
     scratch: &mut TaskScratch,
 ) -> Result<(f64, f64), SeaError> {
     let force_fallback = match inp.fault {
@@ -323,6 +323,14 @@ fn solve_task<S: Storage>(
     let bounds = inp
         .bounds
         .map(|(lo, hi)| (&lo.values()[lo.row_range(i)], &hi.values()[hi.row_range(i)]));
+    let TaskScratch {
+        eq,
+        q: q_buf,
+        g: g_buf,
+        sh,
+        x,
+        fallbacks,
+    } = scratch;
     match (inp.prior.row_view(i), inp.gamma.row_view(i)) {
         // Sparse row: the stored entries are the support. The kernel runs
         // directly over the prior/weight value slices and writes the
@@ -331,19 +339,19 @@ fn solve_task<S: Storage>(
             if idx.is_empty() {
                 return empty_support_result(mode, bounds.is_some(), inp.side, i);
             }
-            gather(inp.shift, idx, &mut scratch.sh);
+            gather(inp.shift, idx, sh);
             kernel_solve(
                 inp.kernel,
                 force_fallback,
                 q,
                 g,
-                &scratch.sh,
+                sh,
                 bounds,
                 mode,
                 hint,
-                x_row,
-                &mut scratch.eq,
-                &mut scratch.fallbacks,
+                row_or_scratch(x_row, x, q.len()),
+                eq,
+                fallbacks,
             )
             .map_err(|e| locate(e, inp.side, i))
         }
@@ -357,9 +365,9 @@ fn solve_task<S: Storage>(
                 bounds,
                 mode,
                 hint,
-                x_row,
-                &mut scratch.eq,
-                &mut scratch.fallbacks,
+                row_or_scratch(x_row, x, prior_row.len()),
+                eq,
+                fallbacks,
             ),
             Some(support) => {
                 // Box-bounded problems carry any support in a sparse
@@ -372,26 +380,20 @@ fn solve_task<S: Storage>(
                 let idx = &support[i];
                 let k = idx.len();
                 if k == 0 {
-                    x_row.fill(0.0);
+                    if let Some(row) = x_row {
+                        row.fill(0.0);
+                    }
                     return empty_support_result(mode, false, inp.side, i);
                 }
-                gather(prior_row, idx, &mut scratch.q);
-                gather(gamma_row, idx, &mut scratch.g);
-                gather(inp.shift, idx, &mut scratch.sh);
-                scratch.x.resize(k, 0.0);
-                let TaskScratch {
-                    eq,
-                    q,
-                    g,
-                    sh,
-                    x,
-                    fallbacks,
-                } = scratch;
+                gather(prior_row, idx, q_buf);
+                gather(gamma_row, idx, g_buf);
+                gather(inp.shift, idx, sh);
+                x.resize(k, 0.0);
                 let (lambda, total) = kernel_solve(
                     inp.kernel,
                     force_fallback,
-                    q,
-                    g,
+                    q_buf,
+                    g_buf,
                     sh,
                     None,
                     mode,
@@ -401,9 +403,11 @@ fn solve_task<S: Storage>(
                     fallbacks,
                 )
                 .map_err(|e| locate(e, inp.side, i))?;
-                x_row.fill(0.0);
-                for (&j, &v) in idx.iter().zip(&scratch.x) {
-                    x_row[j as usize] = v;
+                if let Some(row) = x_row {
+                    row.fill(0.0);
+                    for (&j, &v) in idx.iter().zip(x.iter()) {
+                        row[j as usize] = v;
+                    }
                 }
                 Ok((lambda, total))
             }
@@ -413,6 +417,22 @@ fn solve_task<S: Storage>(
         _ => Err(SeaError::PatternMismatch {
             context: "pass inputs (mixed row views)",
         }),
+    }
+}
+
+/// The iterate's row when the pass materializes it, else a scratch row of
+/// the same length.
+fn row_or_scratch<'a>(
+    x_row: Option<&'a mut [f64]>,
+    scratch: &'a mut Vec<f64>,
+    len: usize,
+) -> &'a mut [f64] {
+    match x_row {
+        Some(row) => row,
+        None => {
+            scratch.resize(len, 0.0);
+            scratch
+        }
     }
 }
 
@@ -426,7 +446,7 @@ fn run_task<S: Storage>(
     i: usize,
     mode: TotalMode,
     hint: Option<f64>,
-    x_row: &mut [f64],
+    x_row: Option<&mut [f64]>,
     scratch: &mut TaskScratch,
 ) -> Result<(f64, f64), SeaError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -457,7 +477,8 @@ struct Shard<'a> {
     base: usize,
     lambda: &'a mut [f64],
     totals: &'a mut [f64],
-    /// Per-row stored-value slices of the iterate.
+    /// Per-row stored-value slices of the iterate (empty when the pass
+    /// does not materialize it).
     rows: Vec<&'a mut [f64]>,
     /// Per-row wall-clock sinks, when the pass is timing tasks.
     costs: Option<&'a mut [f64]>,
@@ -472,17 +493,20 @@ fn build_shards<'a, S: Storage>(
     m: usize,
     lambda: &'a mut [f64],
     totals_out: &'a mut [f64],
-    x: &'a mut S,
+    x: Option<&'a mut S>,
     mut costs: Option<&'a mut [f64]>,
     mut timings: Option<&'a mut [ShardTiming]>,
 ) -> Vec<Shard<'a>> {
     debug_assert_eq!(starts.first(), Some(&0));
-    let row_lens: Vec<usize> = (0..m).map(|i| x.row_range(i).len()).collect();
+    let row_lens: Vec<usize> = match &x {
+        Some(x) => (0..m).map(|i| x.row_range(i).len()).collect(),
+        None => Vec::new(),
+    };
     let mut lam_rest = lambda;
     let mut tot_rest = totals_out;
     // Stored values are row-major and contiguous in both backends, so the
     // per-row slices tile `values_mut()` exactly.
-    let mut vals_rest = x.values_mut();
+    let mut vals_rest = x.map_or(&mut [][..], Storage::values_mut);
     let mut shards = Vec::with_capacity(starts.len());
     for (si, &start) in starts.iter().enumerate() {
         let end = starts.get(si + 1).copied().unwrap_or(m);
@@ -501,9 +525,10 @@ fn build_shards<'a, S: Storage>(
             *t = rest;
             &mut head[0]
         });
-        let mut rows = Vec::with_capacity(cnt);
-        for i in start..end {
-            let (row, rest) = std::mem::take(&mut vals_rest).split_at_mut(row_lens[i]);
+        let lens = row_lens.get(start..end).unwrap_or_default();
+        let mut rows = Vec::with_capacity(lens.len());
+        for &len in lens {
+            let (row, rest) = std::mem::take(&mut vals_rest).split_at_mut(len);
             vals_rest = rest;
             rows.push(row);
         }
@@ -524,16 +549,16 @@ fn build_shards<'a, S: Storage>(
 /// `modes(i)` supplies the total specification of subproblem `i`; `lambda`
 /// and `totals_out` receive, per subproblem, the constraint multiplier and
 /// the realized total (when `inp.warm`, `lambda` is read first as each
-/// subproblem's starting hint); `x` (same orientation — and, for sparse storage,
-/// the same pattern — as `inp.prior`) receives the primal iterate. When
+/// subproblem's starting hint); `x`, when given (same orientation — and,
+/// for sparse storage, the same pattern — as `inp.prior`), receives the
+/// primal iterate. When
 /// `costs` is provided it is filled with per-task wall-clock seconds for
 /// the scheduling simulator. When `counters` is provided the kernels' work
 /// counters are accumulated into it (pass `None` when nothing is
 /// observing; the flush is skipped entirely).
 ///
 /// `shard_starts` optionally supplies explicit shard boundaries for the
-/// parallel path (start indices, first `0`): the solver aligns these to
-/// support-graph component boundaries. `None` shards uniformly every
+/// parallel path (start indices, first `0`). `None` shards uniformly every
 /// [`DEFAULT_BLOCK_ROWS`] rows. Serial passes ignore sharding. Results are
 /// bitwise independent of the sharding because every row is solved
 /// independently.
@@ -552,7 +577,7 @@ pub fn equilibration_pass<S: Storage>(
     modes: &(dyn Fn(usize) -> TotalMode + Sync),
     lambda: &mut [f64],
     totals_out: &mut [f64],
-    x: &mut S,
+    mut x: Option<&mut S>,
     par: Parallelism,
     mut costs: Option<&mut Vec<f64>>,
     counters: Option<&PassCounters>,
@@ -562,9 +587,7 @@ pub fn equilibration_pass<S: Storage>(
     let m = inp.prior.rows();
     debug_assert_eq!(lambda.len(), m);
     debug_assert_eq!(totals_out.len(), m);
-    debug_assert_eq!(x.rows(), m);
-    debug_assert_eq!(x.cols(), inp.prior.cols());
-    debug_assert!(x.same_pattern(inp.prior));
+    debug_assert!(x.as_ref().is_none_or(|x| x.same_pattern(inp.prior)));
 
     if let Some(c) = costs.as_deref_mut() {
         c.clear();
@@ -585,7 +608,8 @@ pub fn equilibration_pass<S: Storage>(
             for i in 0..m {
                 let t0 = timing.then(Instant::now);
                 let hint = inp.warm.then_some(lambda[i]);
-                let (l, s) = run_task(inp, i, modes(i), hint, x.row_values_mut(i), scratch)?;
+                let x_row = x.as_deref_mut().map(|x| x.row_values_mut(i));
+                let (l, s) = run_task(inp, i, modes(i), hint, x_row, scratch)?;
                 lambda[i] = l;
                 totals_out[i] = s;
                 if let (Some(c), Some(t0)) = (cost_slice.as_deref_mut(), t0) {
@@ -623,12 +647,12 @@ pub fn equilibration_pass<S: Storage>(
                     if let Some(tm) = shard.timing.as_mut() {
                         tm.start_ns = elapsed_ns(pass_t0);
                     }
-                    for t in 0..shard.rows.len() {
+                    for t in 0..shard.lambda.len() {
                         let i = shard.base + t;
                         let t0 = timing.then(Instant::now);
                         let hint = inp.warm.then_some(shard.lambda[t]);
-                        let (lv, sv) =
-                            run_task(inp, i, modes(i), hint, &mut *shard.rows[t], scratch)?;
+                        let x_row = shard.rows.get_mut(t).map(|r| &mut **r);
+                        let (lv, sv) = run_task(inp, i, modes(i), hint, x_row, scratch)?;
                         shard.lambda[t] = lv;
                         shard.totals[t] = sv;
                         if let (Some(c), Some(t0)) = (shard.costs.as_deref_mut(), t0) {
@@ -637,7 +661,7 @@ pub fn equilibration_pass<S: Storage>(
                     }
                     if let Some(tm) = shard.timing.as_mut() {
                         tm.end_ns = elapsed_ns(pass_t0);
-                        tm.tasks = shard.rows.len() as u64;
+                        tm.tasks = shard.lambda.len() as u64;
                         // Valid only alongside `counters`: the per-shard
                         // flush below is what scopes the scratch stats to
                         // this shard.
@@ -690,7 +714,7 @@ mod tests {
             &|i| TotalMode::Fixed { total: s0[i] },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             None,
@@ -732,7 +756,7 @@ mod tests {
                 },
                 &mut lambda,
                 &mut totals,
-                &mut x,
+                Some(&mut x),
                 par,
                 None,
                 None,
@@ -773,7 +797,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 8.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             None,
@@ -795,7 +819,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 8.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             None,
@@ -833,7 +857,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 8.0 },
             &mut lambda_d,
             &mut totals_d,
-            &mut xd,
+            Some(&mut xd),
             Parallelism::Serial,
             None,
             None,
@@ -873,7 +897,7 @@ mod tests {
                 &|_| TotalMode::Fixed { total: 8.0 },
                 &mut lambda_s,
                 &mut totals_s,
-                &mut xs,
+                Some(&mut xs),
                 par,
                 None,
                 None,
@@ -919,7 +943,7 @@ mod tests {
                 },
                 &mut lambda,
                 &mut totals,
-                &mut x,
+                Some(&mut x),
                 Parallelism::Rayon,
                 None,
                 None,
@@ -967,7 +991,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 5.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Rayon,
             Some(&mut costs),
             Some(&counters),
@@ -1004,7 +1028,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 8.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             None,
@@ -1045,7 +1069,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 4.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             None,
@@ -1067,7 +1091,7 @@ mod tests {
             },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             None,
@@ -1102,7 +1126,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 5.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             Some(&mut costs),
             None,
@@ -1139,7 +1163,7 @@ mod tests {
                 &|_| TotalMode::Fixed { total: 5.0 },
                 &mut lambda,
                 &mut totals,
-                &mut x,
+                Some(&mut x),
                 par,
                 None,
                 Some(&counters),
@@ -1181,7 +1205,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 5.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             Some(&counters),
@@ -1222,7 +1246,7 @@ mod tests {
             &|_| TotalMode::Fixed { total: 5.0 },
             &mut lambda,
             &mut totals,
-            &mut x,
+            Some(&mut x),
             Parallelism::Serial,
             None,
             Some(&counters),
@@ -1260,7 +1284,7 @@ mod tests {
                 &|_| TotalMode::Fixed { total: 5.0 },
                 &mut lambda,
                 &mut totals,
-                &mut x,
+                Some(&mut x),
                 par,
                 None,
                 None,

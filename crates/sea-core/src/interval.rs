@@ -324,7 +324,7 @@ fn supervised<S: Storage, O: Observer>(
     obs: &mut O,
 ) -> Result<SupervisedBoundedSolution<S>, SeaError> {
     let mut ctrl = SolveControl::active(sup);
-    let sol = solve_inner(&p.base, Some((&p.lo, &p.hi)), opts, obs, &mut ctrl)?;
+    let (sol, _) = solve_inner(&p.base, Some((&p.lo, &p.hi)), opts, obs, &mut ctrl)?;
     Ok(SupervisedBoundedSolution {
         stop: ctrl.final_stop(sol.stats.converged),
         solution: BoundedSolution {

@@ -72,6 +72,7 @@
 // proof comment; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod anderson;
 pub mod components;
 pub mod dual;
 pub mod equilibrate;
@@ -112,9 +113,9 @@ pub use solver::{
 };
 pub use storage::{RowView, Storage};
 pub use supervisor::{
-    CancelToken, Checkpoint, CheckpointPolicy, FaultKind, FaultPlan, SolveBudget, StagnationPolicy,
-    StopReason, SupervisedBoundedSolution, SupervisedGeneralSolution, SupervisedSolution,
-    SupervisorOptions,
+    CancelToken, Checkpoint, CheckpointPolicy, ExtrapolationHistory, FaultKind, FaultPlan,
+    SolveBudget, StagnationPolicy, StopReason, SupervisedBoundedSolution,
+    SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
 };
 pub use trace::{ExecutionTrace, Phase, PhaseKind};
 pub use verify::{verify_solution, GapCheck, KktReport};

@@ -16,9 +16,8 @@
 //! the same loop with fixed totals and entry bounds handed to the passes,
 //! which turns every subproblem into a box-bounded knapsack.
 
-use crate::components::{
-    normalize_multipliers_storage, shard_boundaries, storage_support_components,
-};
+use crate::anderson::Anderson;
+use crate::components::normalize_multipliers_storage;
 use crate::dual;
 use crate::equilibrate::{
     equilibration_pass, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
@@ -27,9 +26,12 @@ use crate::error::SeaError;
 use crate::knapsack::{KernelKind, TotalMode};
 use crate::parallel::Parallelism;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
-use crate::storage::Storage;
-use crate::supervisor::{SolveControl, StopReason, SupervisedSolution, SupervisorOptions};
+use crate::storage::{Storage, Transposer};
+use crate::supervisor::{
+    SolveControl, StopReason, SupervisedSolution, SupervisorOptions, TaskFault,
+};
 use crate::trace::{ExecutionTrace, PhaseKind};
+use crate::verify::{verify_solution, KktReport};
 use sea_linalg::{vector, DenseMatrix};
 use sea_observe::{
     Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
@@ -160,24 +162,24 @@ pub struct SeaOptions {
     /// Step 0 uses `μ¹ = 0`; the general solver warm-starts its inner
     /// diagonal solves with the previous outer iteration's multipliers.
     pub initial_mu: Option<Vec<f64>>,
-    /// Initial row multipliers `λ` (length m): the first row pass's
-    /// starting points. The row pass recomputes λ from μ, but the
-    /// quickselect kernel starts each subproblem's search at its previous
-    /// multiplier, and the start moves the answer's last bits. Resuming
-    /// from a checkpoint restores them with `initial_mu` to replay the
-    /// interrupted run bit for bit.
-    pub initial_lambda: Option<Vec<f64>>,
     /// Record a per-check convergence history (iteration, dual value,
     /// stopping residual) — used by the theory-validation experiments to
-    /// confirm monotone dual ascent and the geometric rate (eq. 71, 76).
+    /// confirm monotone dual ascent and the geometric rate (eq. 71, 76) of
+    /// the paper's SEA (`extrapolation_depth = 0`).
     /// Costs one ζ evaluation per convergence check.
     pub record_history: bool,
-    /// Target shard size (rows/columns per block) for parallel passes;
-    /// `None` uses [`DEFAULT_BLOCK_ROWS`]. Shards are aligned to
-    /// support-graph component boundaries (a shard never splits a component
-    /// smaller than twice the target), purely as a locality hint — results
-    /// are bitwise-identical for every shard size.
+    /// Shard size (rows/columns per block) for parallel passes; `None`
+    /// uses [`DEFAULT_BLOCK_ROWS`]. Passes split into fixed blocks of this
+    /// many subproblems; results are bitwise-identical for every shard
+    /// size.
     pub block_size: Option<usize>,
+    /// Anderson extrapolation depth: how many past sweeps the column
+    /// multipliers are extrapolated from (see the `anderson` module docs).
+    /// `0` runs the paper's plain SEA. Extrapolation moves only the input
+    /// of the next sweep, so returned points stay plain sweep outputs, but
+    /// the dual value no longer rises monotonically (THEORY.md §"Anderson
+    /// extrapolation").
+    pub extrapolation_depth: usize,
 }
 
 impl Default for SeaOptions {
@@ -194,9 +196,9 @@ impl Default for SeaOptions {
             record_trace: false,
             multiplier_bound: None,
             initial_mu: None,
-            initial_lambda: None,
             record_history: false,
             block_size: None,
+            extrapolation_depth: 10,
         }
     }
 }
@@ -302,7 +304,7 @@ pub fn solve_diagonal_observed<S: Storage, O: Observer + Send>(
     obs: &mut O,
 ) -> Result<Solution<S>, SeaError> {
     opts.parallelism
-        .run(move || solve_inner(p, None, opts, obs, &mut SolveControl::passive()))
+        .run(move || Ok(solve_inner(p, None, opts, obs, &mut SolveControl::passive())?.0))
 }
 
 /// [`solve_diagonal_observed`] under a fault-tolerant supervisor.
@@ -357,9 +359,10 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 ) -> Result<SupervisedSolution<S>, SeaError> {
     opts.parallelism.run(move || {
         let mut ctrl = SolveControl::active(sup);
-        let solution = solve_inner(p, None, opts, obs, &mut ctrl)?;
+        let (solution, certificate) = solve_inner(p, None, opts, obs, &mut ctrl)?;
         let stop = ctrl.final_stop(solution.stats.converged);
-        let certificate = crate::verify::verify_solution(p, &solution);
+        // A supervised solve of an unbounded problem always certifies.
+        let certificate = certificate.unwrap_or_else(|| verify_solution(p, &solution));
         Ok(SupervisedSolution {
             solution,
             stop,
@@ -374,14 +377,15 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 /// carries the entry bounds `(lo, hi)` of a box-bounded problem (whose
 /// `p` then has fixed totals); the passes hand them to the boxed kernel.
 /// The dual value ζ of the unbounded problem does not bound a boxed one,
-/// so bounded solves neither evaluate nor report it.
+/// so bounded solves neither evaluate nor report it. A supervised solve
+/// of an unbounded problem also returns its certificate.
 pub(crate) fn solve_inner<S: Storage, O: Observer>(
     p: &DiagonalProblem<S>,
     bounds: Option<(&S, &S)>,
     opts: &SeaOptions,
     obs: &mut O,
     ctrl: &mut SolveControl<'_>,
-) -> Result<Solution<S>, SeaError> {
+) -> Result<(Solution<S>, Option<KktReport>), SeaError> {
     let start = Instant::now();
     let (m, n) = (p.m(), p.n());
     let solver = if bounds.is_some() {
@@ -416,44 +420,95 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     let counters = (observing || spanning || ctrl.needs_counters()).then(PassCounters::default);
     // Fallbacks reported so far, to emit per-pass deltas.
     let mut fallbacks_seen = 0u64;
+    let parallel = opts.parallelism.is_parallel();
 
     // Transposed copies once per solve: the column pass then walks
     // contiguous memory (for sparse storage, transposition doubles as the
     // column-access view of the support).
-    let x0_t = p.x0().transposed()?;
-    let gamma_t = p.gamma().transposed()?;
-    let bounds_t = match bounds {
-        Some((lo, hi)) => Some((lo.transposed()?, hi.transposed()?)),
-        None => None,
+    let mut inputs = vec![p.x0(), p.gamma()];
+    inputs.extend(bounds.iter().flat_map(|&(lo, hi)| [lo, hi]));
+    let (transposer, transposed) = Transposer::over(&inputs, parallel)?;
+    let mut transposed = transposed.into_iter();
+    // `over` returns one transpose per input.
+    let (Some(x0_t), Some(gamma_t)) = (transposed.next(), transposed.next()) else {
+        return Err(SeaError::PatternMismatch {
+            context: "solver transposition",
+        });
     };
+    let bounds_t = transposed.next().zip(transposed.next());
 
-    // Shard boundaries for parallel passes, computed once per solve from
-    // the prior's support-graph components (cheap relative to one pass).
-    // Purely a locality hint: rows are independent, so results are
-    // bitwise-identical for every sharding.
-    let (row_starts, col_starts) = if matches!(opts.parallelism, Parallelism::Serial) {
-        (None, None)
-    } else {
-        let target = opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS);
-        let (row_labels, col_labels) = storage_support_components(p.x0(), f64::NEG_INFINITY);
-        (
-            Some(shard_boundaries(&row_labels, target)),
-            Some(shard_boundaries(&col_labels, target)),
-        )
+    // Fixed-size shards for parallel passes. Rows are independent, so
+    // results are bitwise-identical for every sharding.
+    let block = opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS).max(1);
+    let shards = |len: usize| parallel.then(|| (0..len).step_by(block).collect::<Vec<_>>());
+    let (row_starts, col_starts) = (shards(m), shards(n));
+
+    // A resumed solve starts from its checkpoint's multipliers and
+    // extrapolation history instead of `initial_mu`.
+    let resume = ctrl.resume();
+    let mut lambda = initial_multipliers(resume.map(|ck| &ck.lambda[..]), m, "resume lambda")?;
+    let mut mu = match resume {
+        Some(ck) => initial_multipliers(Some(&ck.mu), n, "resume mu")?,
+        None => initial_multipliers(opts.initial_mu.as_deref(), n, "initial_mu")?,
     };
-
-    let mut lambda = initial_multipliers(opts.initial_lambda.as_deref(), m, "initial_lambda")?;
-    let mut mu = initial_multipliers(opts.initial_mu.as_deref(), n, "initial_mu")?;
+    let mut anderson = Anderson::new(opts.extrapolation_depth, n);
+    if let (Some(aa), Some(h)) = (anderson.as_mut(), resume.and_then(|ck| ck.history.as_ref())) {
+        aa.restore(h)?;
+    }
+    let row_warm = resume.is_some();
+    let col_warm = resume.is_some() || opts.initial_mu.is_some();
     let mut s = vec![0.0; m];
     let mut d = vec![0.0; n];
-    let mut x = p.x0().zeros_like()?;
-    let mut x_t = x0_t.zeros_like()?;
-    // For MaxAbsChange: the iterate at the previous check (x⁰ := X⁰).
-    let mut x_t_prev = if criterion == ConvergenceCriterion::MaxAbsChange {
-        x0_t.clone()
-    } else {
-        x0_t.zeros_like()?
+    // The row pass's iterate is read only as the Modified Algorithm's
+    // support witness, so only that mode materializes it.
+    let mut x = match opts.multiplier_bound {
+        Some(_) => Some(p.x0().zeros_like()?),
+        None => None,
     };
+    let row_support = p.support().map(|sup| sup.rows.as_slice());
+    let col_support = p.support().map(|sup| sup.cols.as_slice());
+    let mut x_t = x0_t.zeros_like()?;
+    // Supervised solves restore the last checked iterate after a breakdown
+    // by replaying its column pass, which needs the pass's starting μ.
+    let mut mu_hint = ctrl.is_active().then(|| vec![0.0; n]);
+    let column_pass = |t: usize,
+                       fault: Option<TaskFault>,
+                       lambda: &[f64],
+                       mu: &mut [f64],
+                       d: &mut [f64],
+                       x_t: &mut S,
+                       costs: Option<&mut Vec<f64>>,
+                       counters: Option<&PassCounters>,
+                       sink: Option<&mut ShardSink>| {
+        let inputs = PassInputs {
+            prior: &x0_t,
+            gamma: &gamma_t,
+            support: col_support,
+            bounds: bounds_t.as_ref().map(|(lo, hi)| (lo, hi)),
+            shift: lambda,
+            side: "column",
+            kernel: opts.kernel,
+            warm: t > 1 || col_warm,
+            fault,
+        };
+        let modes = subproblem_modes(p.totals(), false, lambda);
+        equilibration_pass(
+            &inputs,
+            &modes,
+            mu,
+            d,
+            Some(x_t),
+            opts.parallelism,
+            costs,
+            counters,
+            col_starts.as_deref(),
+            sink,
+        )
+    };
+    // For MaxAbsChange: the iterate at the previous check (x⁰ := X⁰).
+    let mut x_t_prev = (criterion == ConvergenceCriterion::MaxAbsChange).then(|| x0_t.clone());
+    // The balance criteria read the row sums of X (= column sums of Xᵀ).
+    let sums_checked = criterion != ConvergenceCriterion::MaxAbsChange;
 
     let mut trace = opts.record_trace.then(ExecutionTrace::new);
     let mut history: Option<Vec<IterationSnapshot>> = opts.record_history.then(Vec::new);
@@ -461,8 +516,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     let mut col_costs: Vec<f64> = Vec::new();
     // Per-shard timing sink for span profiling of parallel passes. Sized
     // on first use and reused every pass (allocation-free steady state).
-    let mut shard_sink =
-        (spanning && !matches!(opts.parallelism, Parallelism::Serial)).then(ShardSink::new);
+    let mut shard_sink = (spanning && parallel).then(ShardSink::new);
     // Whether an Epoch span is open (breaks exit mid-epoch).
     let mut epoch_open = false;
     // Convergence checks seen, for telemetry payload rate limiting.
@@ -475,14 +529,15 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     let mut converged = false;
     let mut residual = f64::INFINITY;
 
-    let row_support = p.support().map(|sup| sup.rows.as_slice());
-    let col_support = p.support().map(|sup| sup.cols.as_slice());
-
     for t in 1..=opts.max_iterations {
         iterations = t;
         if spanning {
             obs.span_open(SpanKind::Epoch, t as u64, 0);
             epoch_open = true;
+        }
+        // Start the sweep from the extrapolated multipliers.
+        if let Some(aa) = anderson.as_mut() {
+            aa.begin_sweep(&mut mu);
         }
 
         // ---- Step 1: row equilibration (parallel over rows). -------------
@@ -495,7 +550,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 shift: &mu,
                 side: "row",
                 kernel: opts.kernel,
-                warm: t > 1 || opts.initial_lambda.is_some(),
+                warm: t > 1 || row_warm,
                 fault: ctrl.task_fault(t, "row"),
             };
             if observing {
@@ -510,55 +565,18 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             }
             let phase_t0 = observing.then(Instant::now);
             let costs = (trace.is_some() || observing).then_some(&mut row_costs);
-            match p.totals() {
-                TotalSpec::Fixed { s0, .. } => equilibration_pass(
-                    &inputs,
-                    &|i| TotalMode::Fixed { total: s0[i] },
-                    &mut lambda,
-                    &mut s,
-                    &mut x,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    row_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Elastic { alpha, s0, .. } => equilibration_pass(
-                    &inputs,
-                    &|i| TotalMode::Elastic {
-                        alpha: alpha[i],
-                        prior: s0[i],
-                        cross: 0.0,
-                    },
-                    &mut lambda,
-                    &mut s,
-                    &mut x,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    row_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Balanced { alpha, s0 } => {
-                    let mu_ref: &[f64] = &mu;
-                    equilibration_pass(
-                        &inputs,
-                        &|i| TotalMode::Elastic {
-                            alpha: alpha[i],
-                            prior: s0[i],
-                            cross: mu_ref[i],
-                        },
-                        &mut lambda,
-                        &mut s,
-                        &mut x,
-                        opts.parallelism,
-                        costs,
-                        counters.as_ref(),
-                        row_starts.as_deref(),
-                        shard_sink.as_mut(),
-                    )?
-                }
-            }
+            equilibration_pass(
+                &inputs,
+                &subproblem_modes(p.totals(), true, &mu),
+                &mut lambda,
+                &mut s,
+                x.as_mut(),
+                opts.parallelism,
+                costs,
+                counters.as_ref(),
+                row_starts.as_deref(),
+                shard_sink.as_mut(),
+            )?;
             if spanning {
                 close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
             }
@@ -590,17 +608,11 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
 
         // ---- Step 2: column equilibration (parallel over columns). -------
         {
-            let inputs = PassInputs {
-                prior: &x0_t,
-                gamma: &gamma_t,
-                support: col_support,
-                bounds: bounds_t.as_ref().map(|(lo, hi)| (lo, hi)),
-                shift: &lambda,
-                side: "column",
-                kernel: opts.kernel,
-                warm: t > 1 || opts.initial_mu.is_some(),
-                fault: ctrl.task_fault(t, "column"),
-            };
+            // The pass's starting point, from which a breakdown restore
+            // replays it.
+            if let Some(hint) = mu_hint.as_mut() {
+                hint.copy_from_slice(&mu);
+            }
             if observing {
                 obs.record(&Event::PhaseStart {
                     label: PhaseLabel::ColumnEquilibration,
@@ -613,55 +625,17 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             }
             let phase_t0 = observing.then(Instant::now);
             let costs = (trace.is_some() || observing).then_some(&mut col_costs);
-            match p.totals() {
-                TotalSpec::Fixed { d0, .. } => equilibration_pass(
-                    &inputs,
-                    &|j| TotalMode::Fixed { total: d0[j] },
-                    &mut mu,
-                    &mut d,
-                    &mut x_t,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    col_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Elastic { beta, d0, .. } => equilibration_pass(
-                    &inputs,
-                    &|j| TotalMode::Elastic {
-                        alpha: beta[j],
-                        prior: d0[j],
-                        cross: 0.0,
-                    },
-                    &mut mu,
-                    &mut d,
-                    &mut x_t,
-                    opts.parallelism,
-                    costs,
-                    counters.as_ref(),
-                    col_starts.as_deref(),
-                    shard_sink.as_mut(),
-                )?,
-                TotalSpec::Balanced { alpha, s0 } => {
-                    let lambda_ref: &[f64] = &lambda;
-                    equilibration_pass(
-                        &inputs,
-                        &|j| TotalMode::Elastic {
-                            alpha: alpha[j],
-                            prior: s0[j],
-                            cross: lambda_ref[j],
-                        },
-                        &mut mu,
-                        &mut d,
-                        &mut x_t,
-                        opts.parallelism,
-                        costs,
-                        counters.as_ref(),
-                        col_starts.as_deref(),
-                        shard_sink.as_mut(),
-                    )?
-                }
-            }
+            column_pass(
+                t,
+                ctrl.task_fault(t, "column"),
+                &lambda,
+                &mut mu,
+                &mut d,
+                &mut x_t,
+                costs,
+                counters.as_ref(),
+                shard_sink.as_mut(),
+            )?;
             if spanning {
                 close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
             }
@@ -695,73 +669,105 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         if matches!(p.totals(), TotalSpec::Balanced { .. }) {
             s.copy_from_slice(&d);
         }
+        // This sweep's output joins the extrapolation history.
+        if let Some(aa) = anderson.as_mut() {
+            aa.end_sweep(&mu);
+        }
 
         // Scripted NaN injection (fault harness) lands before the watchdog
         // so the breakdown path is exercised exactly like a real blow-up.
         ctrl.inject_faults(t, &mut lambda);
 
+        // ---- Step 3 opens: the check's O(nnz) row-sum pass. -------------
+        // It runs ahead of the watchdog, which reuses it: finite sums imply
+        // finite entries, so only a non-finite sum needs the entry scan.
+        let check_now = t % check_every == 0;
+        let check_t0 = check_now.then(|| {
+            if spanning {
+                obs.span_open(SpanKind::Check, t as u64, 1);
+            }
+            let t0 = Instant::now();
+            if sums_checked {
+                x_t.col_sums_into(&mut row_sums_buf);
+            }
+            t0
+        });
+
         // ---- Watchdog: non-finite iterates. ------------------------------
         // Unsupervised solves check multipliers at the convergence check and
         // error out; supervised solves check every iteration (including the
         // full iterate) and restore the last certified snapshot instead.
-        let check_now = t % check_every == 0;
         if ctrl.is_active() || check_now {
             let finite = vector::all_finite(&lambda)
                 && vector::all_finite(&mu)
-                && (!ctrl.is_active() || vector::all_finite(x_t.values()));
+                && (!ctrl.is_active()
+                    || (check_now && sums_checked && vector::all_finite(&row_sums_buf))
+                    || vector::all_finite(x_t.values()));
             if !finite {
-                if ctrl
-                    .restore_snapshot(&mut lambda, &mut mu, x_t.values_mut(), &mut s, &mut d)
-                    .map(|(it, res)| {
-                        iterations = it;
-                        residual = res;
-                    })
-                    .is_some()
-                {
-                    break;
+                if check_now && spanning {
+                    obs.span_close(&KernelCounters::default());
                 }
-                return Err(SeaError::NumericalBreakdown { iteration: t });
+                // The restore point holds the last checked iterate's λ and
+                // its column pass's starting μ: replaying that pass rebuilds
+                // its μ, d and xᵀ bit for bit.
+                let Some((it, res)) =
+                    ctrl.restore_snapshot(&mut lambda, &mut mu, &mut [], &mut s, &mut [])
+                else {
+                    return Err(SeaError::NumericalBreakdown { iteration: t });
+                };
+                column_pass(
+                    it,
+                    ctrl.task_fault(it, "column"),
+                    &lambda,
+                    &mut mu,
+                    &mut d,
+                    &mut x_t,
+                    None,
+                    None,
+                    None,
+                )?;
+                if matches!(p.totals(), TotalSpec::Balanced { .. }) {
+                    s.copy_from_slice(&d);
+                }
+                iterations = it;
+                residual = res;
+                break;
             }
         }
 
         // ---- Step 3: convergence verification (serial). ------------------
-        if check_now {
+        if let Some(t0) = check_t0 {
             if observing {
                 obs.record(&Event::PhaseStart {
                     label: PhaseLabel::ConvergenceCheck,
                     tasks: 1,
                 });
             }
-            if spanning {
-                obs.span_open(SpanKind::Check, t as u64, 1);
-            }
-            let t0 = Instant::now();
             residual = match criterion {
                 ConvergenceCriterion::MaxAbsChange => {
-                    let delta = x_t.max_abs_diff(&x_t_prev);
-                    x_t_prev.copy_values_from(&x_t);
-                    delta
-                }
-                ConvergenceCriterion::RelativeRowBalance => {
-                    // Row sums of X = column sums of Xᵀ.
-                    x_t.col_sums_into(&mut row_sums_buf);
-                    let target = row_target(p.totals(), &lambda, &s);
-                    let mut rel: f64 = 0.0;
-                    for i in 0..m {
-                        let ti = target(i);
-                        rel = rel.max((row_sums_buf[i] - ti).abs() / ti.abs().max(1e-12));
-                    }
-                    rel
+                    x_t_prev.as_mut().map_or(f64::INFINITY, |prev| {
+                        let delta = x_t.max_abs_diff(prev);
+                        prev.copy_values_from(&x_t);
+                        delta
+                    })
                 }
                 ConvergenceCriterion::ConstraintNorm => {
-                    x_t.col_sums_into(&mut row_sums_buf);
-                    let target = row_target(p.totals(), &lambda, &s);
+                    let target = row_target(p.totals(), &s);
                     let mut sq = 0.0;
                     for i in 0..m {
                         let v = row_sums_buf[i] - target(i);
                         sq += v * v;
                     }
                     sq.sqrt()
+                }
+                ConvergenceCriterion::RelativeRowBalance => {
+                    let target = row_target(p.totals(), &s);
+                    let mut rel: f64 = 0.0;
+                    for i in 0..m {
+                        let ti = target(i);
+                        rel = rel.max((row_sums_buf[i] - ti).abs() / ti.abs().max(1e-12));
+                    }
+                    rel
                 }
             };
             let check_secs = t0.elapsed().as_secs_f64();
@@ -819,14 +825,23 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                     residual,
                 });
             }
-            if residual <= opts.epsilon {
+            // A step-size criterion measures SEA's own step only across a
+            // plain sweep: after an extrapolated one, confirm with a plain
+            // sweep before stopping.
+            if residual <= opts.epsilon
+                && !(criterion == ConvergenceCriterion::MaxAbsChange
+                    && anderson
+                        .as_mut()
+                        .is_some_and(Anderson::restart_if_extrapolated))
+            {
                 converged = true;
                 break;
             }
             if ctrl.is_active() {
                 // This iterate passed the finite watchdog and was measured:
                 // it becomes the breakdown restore point.
-                ctrl.capture_snapshot(t, residual, &lambda, &mu, x_t.values(), &s, &d);
+                let hint = mu_hint.as_deref().unwrap_or_default();
+                ctrl.capture_snapshot(t, residual, &lambda, hint, &[], &s, &[]);
                 if ctrl.note_residual(residual) {
                     break; // StopReason::Stagnated latched in ctrl.
                 }
@@ -834,22 +849,28 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         }
 
         // ---- Modified Algorithm: keep dual iterates bounded. -------------
-        if let Some(bound) = opts.multiplier_bound {
+        if let (Some(bound), Some(x)) = (opts.multiplier_bound, x.as_ref()) {
             // x (row-pass iterate) is a valid support witness: shifting is
             // only applied within its positive components.
-            let shifted = normalize_multipliers_storage(&x, &mut lambda, &mut mu, bound);
-            if observing && shifted > 0 {
-                obs.record(&Event::MultiplierBound {
-                    iteration: t,
-                    shifted,
-                    bound,
-                });
+            let shifted = normalize_multipliers_storage(x, &mut lambda, &mut mu, bound);
+            if shifted > 0 {
+                if let Some(aa) = anderson.as_mut() {
+                    aa.shift_output(&mu);
+                }
+                if observing {
+                    obs.record(&Event::MultiplierBound {
+                        iteration: t,
+                        shifted,
+                        bound,
+                    });
+                }
             }
         }
 
         // ---- Supervisor epilogue: checkpoint, then budget/cancellation. --
         if ctrl.is_active() {
-            if let Some(path) = ctrl.maybe_checkpoint(t, solver, &lambda, &mu) {
+            let history = || anderson.as_ref().and_then(Anderson::history);
+            if let Some(path) = ctrl.maybe_checkpoint(t, solver, &lambda, &mu, history) {
                 if observing {
                     obs.record(&Event::CheckpointWritten { iteration: t, path });
                 }
@@ -875,7 +896,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     }
 
     // ---- Assemble the solution from the final column pass. ---------------
-    let x_final = x_t.transposed()?;
+    let x_final = transposer.back(&x_t, p.x0(), gamma_t)?;
     let (s_final, d_final) = match p.totals() {
         TotalSpec::Fixed { s0, d0 } => (s0.clone(), d0.clone()),
         TotalSpec::Elastic { alpha, s0, .. } => {
@@ -891,9 +912,31 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     let residuals = p.residuals(&x_final, &s_final, &d_final);
     let objective = p.objective(&x_final, &s_final, &d_final);
     let dual_value = bounds.is_none().then(|| dual::dual_value(p, &lambda, &mu));
+    // The Solve span also covers assembly, freeing the working set and a
+    // supervised solve's certificate: together they are a sizeable share
+    // of a cheap solve's wall time.
+    drop((x_t, x_t_prev, x0_t, bounds_t, x, transposer, anderson));
+    let solution = Solution {
+        x: x_final,
+        s: s_final,
+        d: d_final,
+        lambda,
+        mu,
+        stats: SolveStats {
+            iterations,
+            converged,
+            residual,
+            residuals,
+            objective,
+            dual_value: dual_value.unwrap_or(f64::NAN),
+            elapsed: start.elapsed(),
+            trace,
+            history,
+        },
+    };
+    let certificate = (ctrl.is_active() && bounds.is_none())
+        .then(|| crate::verify::certify_solve(p, &solution, opts.parallelism));
     if spanning {
-        // The Solve span also covers assembly: its O(nnz) sweeps are a
-        // sizeable share of a cheap solve's wall time.
         obs.span_close(&KernelCounters::default());
     }
 
@@ -923,25 +966,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             seconds: start.elapsed().as_secs_f64(),
         });
     }
-
-    Ok(Solution {
-        x: x_final,
-        s: s_final,
-        d: d_final,
-        lambda,
-        mu,
-        stats: SolveStats {
-            iterations,
-            converged,
-            residual,
-            residuals,
-            objective,
-            dual_value: dual_value.unwrap_or(f64::NAN),
-            elapsed: start.elapsed(),
-            trace,
-            history,
-        },
-    })
+    Ok((solution, certificate))
 }
 
 /// Starting multipliers: zeros (the paper's Step 0), or the supplied ones
@@ -1005,12 +1030,41 @@ fn close_pass_span<O: Observer>(
     obs.span_close(&self_counters);
 }
 
-/// Row-total target accessor for the convergence check.
-fn row_target<'a>(
+/// The total specification of each subproblem of a row (`rows`) or column
+/// pass. `other` is the opposite side's multipliers, which the balanced
+/// class couples into each account's total.
+fn subproblem_modes<'a>(
     spec: &'a TotalSpec,
-    _lambda: &'a [f64],
-    s: &'a [f64],
-) -> impl Fn(usize) -> f64 + 'a {
+    rows: bool,
+    other: &'a [f64],
+) -> impl Fn(usize) -> TotalMode + Sync + 'a {
+    move |i| match spec {
+        TotalSpec::Fixed { s0, d0 } => TotalMode::Fixed {
+            total: if rows { s0[i] } else { d0[i] },
+        },
+        TotalSpec::Elastic {
+            alpha,
+            s0,
+            beta,
+            d0,
+        } => {
+            let (alpha, prior) = if rows { (alpha, s0) } else { (beta, d0) };
+            TotalMode::Elastic {
+                alpha: alpha[i],
+                prior: prior[i],
+                cross: 0.0,
+            }
+        }
+        TotalSpec::Balanced { alpha, s0 } => TotalMode::Elastic {
+            alpha: alpha[i],
+            prior: s0[i],
+            cross: other[i],
+        },
+    }
+}
+
+/// Row-total target accessor for the convergence check.
+fn row_target<'a>(spec: &'a TotalSpec, s: &'a [f64]) -> impl Fn(usize) -> f64 + 'a {
     move |i: usize| match spec {
         TotalSpec::Fixed { s0, .. } => s0[i],
         // For elastic/balanced classes the row pass wrote s(λ) into `s`
@@ -1265,7 +1319,8 @@ mod tests {
     #[test]
     fn history_records_monotone_dual_ascent() {
         // The paper's eq. 71: ζ(λ^{t+2}, μ^{t+1}) ≥ ζ(λ^{t+1}, μ^{t+1}) ≥ …
-        // — dual values never decrease across iterations.
+        // — dual values never decrease across plain SEA iterations
+        // (extrapolated steps may lower ζ, so the paper's SEA is pinned).
         let spe_like = DiagonalProblem::new(
             DenseMatrix::from_rows(&[
                 vec![1.0, 6.0, 2.0],
@@ -1284,6 +1339,7 @@ mod tests {
         .unwrap();
         let mut opts = SeaOptions::with_epsilon(1e-10);
         opts.record_history = true;
+        opts.extrapolation_depth = 0;
         let sol = solve_diagonal(&spe_like, &opts).unwrap();
         let history = sol.stats.history.as_ref().unwrap();
         assert!(history.len() > 2, "needs several checks to be meaningful");
@@ -1321,12 +1377,21 @@ mod tests {
                 ..
             })
         ));
-        opts.initial_mu = Some(cold.mu.clone());
-        opts.initial_lambda = Some(vec![0.0; 3]);
+        // So is a resume checkpoint that does not fit the problem.
+        let sup = SupervisorOptions {
+            resume: Some(crate::supervisor::Checkpoint {
+                solver: "diagonal".to_string(),
+                iteration: 4,
+                lambda: vec![0.0; 3],
+                mu: cold.mu.clone(),
+                history: None,
+            }),
+            ..SupervisorOptions::default()
+        };
         assert!(matches!(
-            solve_diagonal(&p, &opts),
+            solve_diagonal_supervised(&p, &opts, &sup, &mut NullObserver),
             Err(SeaError::Shape {
-                context: "initial_lambda",
+                context: "resume lambda",
                 expected: 2,
                 actual: 3,
             })

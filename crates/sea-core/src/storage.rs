@@ -24,6 +24,7 @@
 //! the same feasible set.
 
 use crate::error::SeaError;
+use rayon::prelude::*;
 use sea_linalg::{CsrMatrix, DenseMatrix};
 use std::fmt;
 use std::ops::Range;
@@ -79,6 +80,15 @@ pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// Mutable view of all stored values.
     fn values_mut(&mut self) -> &mut [f64];
 
+    /// The stored values, consuming the matrix.
+    fn into_values(self) -> Vec<f64>;
+
+    /// A matrix with this one's shape and pattern holding `vals`.
+    ///
+    /// # Errors
+    /// [`SeaError::Linalg`] when `vals` does not match the stored count.
+    fn with_values(&self, vals: Vec<f64>) -> Result<Self, SeaError>;
+
     /// Borrowed view of row `i`.
     fn row_view(&self, i: usize) -> RowView<'_>;
 
@@ -100,6 +110,12 @@ pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// # Errors
     /// Propagates allocation failures from the backend.
     fn transposed(&self) -> Result<Self, SeaError>;
+
+    /// For backends that transpose by permutation (CSR): transpose
+    /// same-pattern `mats` in one pass, returning the transposes and the
+    /// slot map `to` (source slot `k` lands in transposed slot `to[k]`).
+    /// `None` for dense storage, which transposes blockwise instead.
+    fn transpose_together(mats: &[&Self]) -> Option<(Vec<Self>, Vec<u32>)>;
 
     /// `true` when `other` has the same shape and support pattern.
     fn same_pattern(&self, other: &Self) -> bool;
@@ -164,6 +180,15 @@ impl Storage for DenseMatrix {
         self.as_mut_slice()
     }
 
+    fn into_values(self) -> Vec<f64> {
+        self.into_vec()
+    }
+
+    fn with_values(&self, vals: Vec<f64>) -> Result<Self, SeaError> {
+        DenseMatrix::from_vec(DenseMatrix::rows(self), DenseMatrix::cols(self), vals)
+            .map_err(SeaError::from)
+    }
+
     #[inline]
     fn row_view(&self, i: usize) -> RowView<'_> {
         RowView::Dense(self.row(i))
@@ -186,6 +211,10 @@ impl Storage for DenseMatrix {
 
     fn transposed(&self) -> Result<Self, SeaError> {
         Ok(DenseMatrix::transposed(self))
+    }
+
+    fn transpose_together(_: &[&Self]) -> Option<(Vec<Self>, Vec<u32>)> {
+        None
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -255,6 +284,14 @@ impl Storage for CsrMatrix {
         self.vals_mut()
     }
 
+    fn into_values(self) -> Vec<f64> {
+        self.into_vals()
+    }
+
+    fn with_values(&self, vals: Vec<f64>) -> Result<Self, SeaError> {
+        CsrMatrix::with_values(self, vals).map_err(SeaError::from)
+    }
+
     #[inline]
     fn row_view(&self, i: usize) -> RowView<'_> {
         RowView::Indexed {
@@ -279,6 +316,10 @@ impl Storage for CsrMatrix {
 
     fn transposed(&self) -> Result<Self, SeaError> {
         Ok(CsrMatrix::transposed(self))
+    }
+
+    fn transpose_together(mats: &[&Self]) -> Option<(Vec<Self>, Vec<u32>)> {
+        CsrMatrix::transpose_together(mats)
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -316,6 +357,59 @@ impl Storage for CsrMatrix {
     }
 }
 
+/// One solve's transposition between the problem's layout and the column
+/// pass's: the prior, the weights and any bounds go over together once,
+/// and the final iterate comes back. CSR matrices go over in one
+/// counting-sort pass that records the slot map, and come back by a gather
+/// through it, on the solve's pool when `parallel` (element-wise copies,
+/// so the bits do not depend on it). Dense matrices use blocked
+/// transposes.
+pub(crate) struct Transposer {
+    to: Option<Vec<u32>>,
+    parallel: bool,
+}
+
+impl Transposer {
+    /// Transpose same-pattern `mats`, planning the way back.
+    pub(crate) fn over<S: Storage>(
+        mats: &[&S],
+        parallel: bool,
+    ) -> Result<(Self, Vec<S>), SeaError> {
+        let (ts, to) = match S::transpose_together(mats) {
+            Some((ts, to)) => (ts, Some(to)),
+            None => (
+                mats.iter()
+                    .map(|a| a.transposed())
+                    .collect::<Result<_, _>>()?,
+                None,
+            ),
+        };
+        Ok((Transposer { to, parallel }, ts))
+    }
+
+    /// A transposed-layout `t` back in the layout of `like`, which has the
+    /// planned pattern (and, for CSR, shares it with the result). `spare`
+    /// is a transposed matrix the caller is done with: CSR writes the
+    /// result into its value buffer, whose pages are already mapped.
+    pub(crate) fn back<S: Storage>(&self, t: &S, like: &S, spare: S) -> Result<S, SeaError> {
+        let Some(to) = &self.to else {
+            return t.transposed();
+        };
+        let mut vals = spare.into_values();
+        let src = t.values();
+        if self.parallel {
+            vals.par_iter_mut()
+                .zip(to.par_iter())
+                .for_each(|(o, &k)| *o = src[k as usize]);
+        } else {
+            for (o, &k) in vals.iter_mut().zip(to) {
+                *o = src[k as usize];
+            }
+        }
+        like.with_values(vals)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +430,25 @@ mod tests {
         let z = s.zeros_like().unwrap();
         assert!(z.same_pattern(&s));
         assert!(z.values().iter().all(|&v| v == 0.0));
+    }
+
+    fn transposer_round_trip<S: Storage>(src: &DenseMatrix) {
+        let a = S::from_dense(src).unwrap();
+        for parallel in [false, true] {
+            let (plan, ts) = Transposer::over(&[&a, &a], parallel).unwrap();
+            assert_eq!(ts.len(), 2);
+            assert_eq!(ts[1], a.transposed().unwrap());
+            let back = plan.back(&ts[0], &a, ts[1].clone()).unwrap();
+            assert_eq!(back, a);
+            assert!(back.same_pattern(&a));
+        }
+    }
+
+    #[test]
+    fn transposer_matches_transposed_both_ways() {
+        let d = dense();
+        transposer_round_trip::<DenseMatrix>(&d);
+        transposer_round_trip::<CsrMatrix>(&d);
     }
 
     #[test]

@@ -253,10 +253,12 @@ pub struct SupervisorOptions {
     pub stagnation: Option<StagnationPolicy>,
     /// Crash-safe checkpointing; `None` disables it.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Iteration offset for checkpoint stamping when resuming a run (the
-    /// loaded checkpoint's `iteration`); budgets and events stay local to
-    /// this process's iterations.
-    pub start_iteration: usize,
+    /// Resume a diagonal or bounded solve from this checkpoint: it starts
+    /// from the checkpoint's multipliers (in place of
+    /// `SeaOptions::initial_mu`) and extrapolation history, and stamps new
+    /// checkpoints from its `iteration` on. Budgets and events stay local
+    /// to this process's iterations.
+    pub resume: Option<Checkpoint>,
     /// Scripted faults for the deterministic test harness.
     pub faults: FaultPlan,
 }
@@ -306,19 +308,29 @@ pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::De
     pub stop: StopReason,
 }
 
-/// A crash-safe solver state snapshot: the column multipliers plus the
-/// iteration they belong to — sufficient to resume a diagonal or bounded
-/// solve bitwise-identically, because the row pass recomputes `λ` from `μ`.
+/// A crash-safe solver state snapshot: the multipliers, the
+/// extrapolation history and the iteration they belong to — sufficient to
+/// resume a diagonal or bounded solve bitwise-identically, because the row
+/// pass recomputes `λ` from `μ`.
 ///
 /// The on-disk format is a small line-oriented text file whose floats are
-/// hex-encoded IEEE-754 bit patterns, so save→load round-trips are exact:
+/// hex-encoded IEEE-754 bit patterns, so save→load round-trips are exact.
+/// Version 2 appends the extrapolation history after `mu` when the solve
+/// has one (`history <columns> <best>`, then `f`, `g`, `df` and `dg`, the
+/// differences oldest column first); version 1 files, which end after
+/// `mu`, still load and resume with an empty history:
 ///
 /// ```text
-/// SEA-CHECKPOINT v1
+/// SEA-CHECKPOINT v2
 /// solver diagonal
 /// iteration 42
 /// lambda 2 3ff0000000000000 4000000000000000
-/// mu 3 0000000000000000 bff0000000000000 7ff0000000000000
+/// mu 2 0000000000000000 bff0000000000000
+/// history 1 3fe0000000000000
+/// f 2 3fb999999999999a 0000000000000000
+/// g 2 0000000000000000 bff0000000000000
+/// df 2 3fb999999999999a 0000000000000000
+/// dg 2 0000000000000000 bff0000000000000
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -326,28 +338,61 @@ pub struct Checkpoint {
     pub solver: String,
     /// Iteration the snapshot captures (cumulative across resumes).
     pub iteration: usize,
-    /// Row multipliers at that iteration. Resume restores them as
-    /// `SeaOptions::initial_lambda`: the quickselect kernel's answer
-    /// depends on them through roundoff, so a bitwise replay needs them.
+    /// Row multipliers at that iteration: the quickselect kernel starts
+    /// the next row pass from them, and its answer depends on them through
+    /// roundoff, so a bitwise replay needs them.
     pub lambda: Vec<f64>,
-    /// Column multipliers at that iteration, restored as
-    /// `SeaOptions::initial_mu` — the state the next row pass reads.
+    /// Column multipliers at that iteration — the state the next row pass
+    /// reads.
     pub mu: Vec<f64>,
+    /// Extrapolation history (`None` for a solve without extrapolation,
+    /// and for version 1 files).
+    pub history: Option<ExtrapolationHistory>,
+}
+
+/// The Anderson extrapolation state of a solve at a checkpoint (see
+/// `SeaOptions::extrapolation_depth`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExtrapolationHistory {
+    /// Smallest residual norm `‖G(μ) − μ‖₂` since the last restart.
+    pub best: f64,
+    /// Residual `G(μ) − μ` of the last sweep.
+    pub f: Vec<f64>,
+    /// Output `G(μ)` of the last sweep.
+    pub g: Vec<f64>,
+    /// Residual differences, oldest column first, `f.len()` floats each.
+    pub df: Vec<f64>,
+    /// Output differences, parallel to `df`.
+    pub dg: Vec<f64>,
+}
+
+fn write_floats(out: &mut String, name: &str, vals: &[f64]) {
+    let _ = write!(out, "{name} {}", vals.len());
+    for v in vals {
+        let _ = write!(out, " {:016x}", v.to_bits());
+    }
+    out.push('\n');
 }
 
 impl Checkpoint {
-    /// Serialize to the v1 text format.
+    /// Serialize to the v2 text format.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "SEA-CHECKPOINT v1");
+        let _ = writeln!(out, "SEA-CHECKPOINT v2");
         let _ = writeln!(out, "solver {}", self.solver);
         let _ = writeln!(out, "iteration {}", self.iteration);
-        for (name, vals) in [("lambda", &self.lambda), ("mu", &self.mu)] {
-            let _ = write!(out, "{name} {}", vals.len());
-            for v in vals {
-                let _ = write!(out, " {:016x}", v.to_bits());
+        write_floats(&mut out, "lambda", &self.lambda);
+        write_floats(&mut out, "mu", &self.mu);
+        if let Some(h) = &self.history {
+            let columns = if h.f.is_empty() {
+                0
+            } else {
+                h.df.len() / h.f.len()
+            };
+            let _ = writeln!(out, "history {columns} {:016x}", h.best.to_bits());
+            for (name, vals) in [("f", &h.f), ("g", &h.g), ("df", &h.df), ("dg", &h.dg)] {
+                write_floats(&mut out, name, vals);
             }
-            out.push('\n');
         }
         out
     }
@@ -371,16 +416,18 @@ impl Checkpoint {
         std::fs::rename(&tmp, path)
     }
 
-    /// Parse the v1 text format.
+    /// Parse the v2 text format, or the v1 format (no history).
     ///
     /// # Errors
     /// `InvalidData` on any malformed header, count, or hex word.
     pub fn parse(text: &str) -> std::io::Result<Checkpoint> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
         let mut lines = text.lines();
-        if lines.next() != Some("SEA-CHECKPOINT v1") {
-            return Err(bad("not a SEA-CHECKPOINT v1 file"));
-        }
+        let v2 = match lines.next() {
+            Some("SEA-CHECKPOINT v1") => false,
+            Some("SEA-CHECKPOINT v2") => true,
+            _ => return Err(bad("not a SEA-CHECKPOINT v1 or v2 file")),
+        };
         let solver = lines
             .next()
             .and_then(|l| l.strip_prefix("solver "))
@@ -391,7 +438,8 @@ impl Checkpoint {
             .and_then(|l| l.strip_prefix("iteration "))
             .and_then(|s| s.parse::<usize>().ok())
             .ok_or_else(|| bad("missing or malformed iteration line"))?;
-        let mut vec_line = |name: &str| -> std::io::Result<Vec<f64>> {
+        fn float_line(lines: &mut std::str::Lines<'_>, name: &str) -> std::io::Result<Vec<f64>> {
+            let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
             let line = lines
                 .next()
                 .and_then(|l| l.strip_prefix(name))
@@ -410,14 +458,46 @@ impl Checkpoint {
                 return Err(bad("multiplier count mismatch"));
             }
             Ok(vals)
-        };
-        let lambda = vec_line("lambda")?;
-        let mu = vec_line("mu")?;
+        }
+        let lambda = float_line(&mut lines, "lambda")?;
+        let mu = float_line(&mut lines, "mu")?;
+        let mut history = None;
+        if v2 {
+            if let Some(line) = lines.next() {
+                let mut words = line
+                    .strip_prefix("history ")
+                    .ok_or_else(|| bad("malformed history line"))?
+                    .split_ascii_whitespace();
+                let columns: usize = words
+                    .next()
+                    .and_then(|w| w.parse().ok())
+                    .ok_or_else(|| bad("malformed history column count"))?;
+                let best = words
+                    .next()
+                    .and_then(|w| u64::from_str_radix(w, 16).ok())
+                    .map(f64::from_bits)
+                    .ok_or_else(|| bad("malformed history residual"))?;
+                let f = float_line(&mut lines, "f")?;
+                let g = float_line(&mut lines, "g")?;
+                let df = float_line(&mut lines, "df")?;
+                let dg = float_line(&mut lines, "dg")?;
+                let n = f.len();
+                if g.len() != n || Some(df.len()) != columns.checked_mul(n) || dg.len() != df.len()
+                {
+                    return Err(bad("history length mismatch"));
+                }
+                history = Some(ExtrapolationHistory { best, f, g, df, dg });
+            }
+        }
+        if lines.any(|l| !l.trim().is_empty()) {
+            return Err(bad("trailing data after the checkpoint"));
+        }
         Ok(Checkpoint {
             solver,
             iteration,
             lambda,
             mu,
+            history,
         })
     }
 
@@ -503,6 +583,11 @@ impl<'a> SolveControl<'a> {
         self.sup.is_some()
     }
 
+    /// The checkpoint a supervised solve resumes from, if any.
+    pub(crate) fn resume(&self) -> Option<&'a Checkpoint> {
+        self.sup.and_then(|s| s.resume.as_ref())
+    }
+
     /// Supervised solves always harvest pass counters (work budget and
     /// fallback accounting need them).
     pub(crate) fn needs_counters(&self) -> bool {
@@ -553,7 +638,8 @@ impl<'a> SolveControl<'a> {
     }
 
     /// Record the iterate at a successful convergence check as the
-    /// last-known-good restore point.
+    /// last-known-good restore point. A driver that rebuilds the iterate
+    /// from the multipliers passes empty `x_t` and `d`.
     // One call site per driver; bundling these into a struct would only
     // add ceremony between the solve loop and the watchdog.
     #[allow(clippy::too_many_arguments)]
@@ -645,6 +731,7 @@ impl<'a> SolveControl<'a> {
         solver: &str,
         lambda: &[f64],
         mu: &[f64],
+        history: impl FnOnce() -> Option<ExtrapolationHistory>,
     ) -> Option<String> {
         if !self.checkpoint_enabled {
             return None;
@@ -656,9 +743,10 @@ impl<'a> SolveControl<'a> {
         }
         let ck = Checkpoint {
             solver: solver.to_string(),
-            iteration: sup.start_iteration + t,
+            iteration: sup.resume.as_ref().map_or(0, |ck| ck.iteration) + t,
             lambda: lambda.to_vec(),
             mu: mu.to_vec(),
+            history: history(),
         };
         match ck.save(&policy.path) {
             Ok(()) => Some(policy.path.display().to_string()),
@@ -755,6 +843,13 @@ mod tests {
             iteration: 17,
             lambda: vec![1.0, -0.0, f64::NAN, f64::INFINITY, 1e-308],
             mu: vec![std::f64::consts::PI, f64::NEG_INFINITY],
+            history: Some(ExtrapolationHistory {
+                best: 0.25,
+                f: vec![1e-3, -0.0],
+                g: vec![std::f64::consts::E, f64::NAN],
+                df: vec![1.0, 2.0, 3.0, 4.0],
+                dg: vec![-1.0, -2.0, -3.0, f64::MIN_POSITIVE],
+            }),
         };
         let back = Checkpoint::parse(&ck.render()).unwrap();
         assert_eq!(back.solver, ck.solver);
@@ -762,6 +857,34 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back.lambda), bits(&ck.lambda));
         assert_eq!(bits(&back.mu), bits(&ck.mu));
+        let (h, back_h) = (ck.history.unwrap(), back.history.unwrap());
+        assert_eq!(h.best.to_bits(), back_h.best.to_bits());
+        for (a, b) in [
+            (&h.f, &back_h.f),
+            (&h.g, &back_h.g),
+            (&h.df, &back_h.df),
+            (&h.dg, &back_h.dg),
+        ] {
+            assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    fn version_1_checkpoints_load_without_history() {
+        let ck = Checkpoint::parse(
+            "SEA-CHECKPOINT v1\nsolver bounded\niteration 9\nlambda 1 3ff0000000000000\nmu 1 4000000000000000\n",
+        )
+        .unwrap();
+        assert_eq!(ck.solver, "bounded");
+        assert_eq!(ck.iteration, 9);
+        assert_eq!(ck.lambda, vec![1.0]);
+        assert_eq!(ck.mu, vec![2.0]);
+        assert!(ck.history.is_none());
+        // Without a history, v2 renders exactly v1's lines under a new header.
+        assert!(ck
+            .render()
+            .starts_with("SEA-CHECKPOINT v2\nsolver bounded\n"));
+        assert_eq!(Checkpoint::parse(&ck.render()).unwrap(), ck);
     }
 
     #[test]
@@ -774,6 +897,7 @@ mod tests {
             iteration: 3,
             lambda: vec![1.5],
             mu: vec![2.5],
+            history: None,
         };
         ck.save(&path).unwrap();
         assert!(!dir.join("run.ckpt.tmp").exists(), "tmp file left behind");
@@ -784,7 +908,19 @@ mod tests {
     #[test]
     fn checkpoint_parse_rejects_malformed_input() {
         assert!(Checkpoint::parse("").is_err());
+        assert!(Checkpoint::parse("SEA-CHECKPOINT v3\n").is_err());
         assert!(Checkpoint::parse("SEA-CHECKPOINT v2\n").is_err());
+        // A v1 file carries no history; a v2 history must be complete and
+        // consistent.
+        let head = "solver diagonal\niteration 1\nlambda 0\nmu 1 0000000000000000\n";
+        assert!(Checkpoint::parse(&format!("SEA-CHECKPOINT v1\n{head}history 0 0\n")).is_err());
+        assert!(
+            Checkpoint::parse(&format!("SEA-CHECKPOINT v2\n{head}history 1 0\nf 0\n")).is_err()
+        );
+        assert!(Checkpoint::parse(&format!(
+            "SEA-CHECKPOINT v2\n{head}history 2 0\nf 1 0000000000000000\ng 1 0000000000000000\ndf 1 0000000000000000\ndg 1 0000000000000000\n"
+        ))
+        .is_err());
         assert!(Checkpoint::parse("SEA-CHECKPOINT v1\nsolver diagonal\niteration x\n").is_err());
         assert!(Checkpoint::parse(
             "SEA-CHECKPOINT v1\nsolver diagonal\niteration 1\nlambda 2 0000000000000000\nmu 0\n"
@@ -814,7 +950,9 @@ mod tests {
         assert_eq!(ctrl.should_stop(1, None), None);
         assert!(!ctrl.note_residual(1.0));
         assert!(ctrl.task_fault(1, "row").is_none());
-        assert!(ctrl.maybe_checkpoint(1, "diagonal", &[], &[]).is_none());
+        assert!(ctrl
+            .maybe_checkpoint(1, "diagonal", &[], &[], || None)
+            .is_none());
     }
 
     #[test]

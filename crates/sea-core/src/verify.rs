@@ -8,9 +8,11 @@
 //! certificate; the test suites use it as a one-stop oracle.
 
 use crate::dual;
+use crate::parallel::Parallelism;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::Solution;
 use crate::storage::{RowView, Storage};
+use rayon::prelude::*;
 
 /// A first-principles optimality report.
 #[derive(Debug, Clone, Copy)]
@@ -99,6 +101,86 @@ impl KktReport {
 /// assert!(report.is_optimal(1e-6));
 /// ```
 pub fn verify_solution<S: Storage>(p: &DiagonalProblem<S>, sol: &Solution<S>) -> KktReport {
+    let residuals = p.residuals(&sol.x, &sol.s, &sol.d);
+    let objective = p.objective(&sol.x, &sol.s, &sol.d);
+    let zeta = dual::dual_value(p, &sol.lambda, &sol.mu);
+    kkt_report(p, sol, residuals, objective, zeta, Parallelism::Serial)
+}
+
+/// The certificate of a solve's own output. Its assembly computed the
+/// residuals, the objective and ζ from the returned `x`, `λ` and `μ`, with
+/// the same code [`verify_solution`] runs, so they are reused; only the
+/// stationarity sweep remains, and it runs on the solve's pool.
+pub(crate) fn certify_solve<S: Storage>(
+    p: &DiagonalProblem<S>,
+    sol: &Solution<S>,
+    par: Parallelism,
+) -> KktReport {
+    let st = &sol.stats;
+    kkt_report(p, sol, st.residuals, st.objective, st.dual_value, par)
+}
+
+/// Largest stationarity and sign violations and smallest entry over a set
+/// of rows.
+#[derive(Debug, Clone, Copy)]
+struct Extremes {
+    stationarity: f64,
+    sign: f64,
+    min_entry: f64,
+}
+
+impl Extremes {
+    const EMPTY: Extremes = Extremes {
+        stationarity: 0.0,
+        sign: 0.0,
+        min_entry: f64::INFINITY,
+    };
+
+    fn merge(self, o: Extremes) -> Extremes {
+        Extremes {
+            stationarity: self.stationarity.max(o.stationarity),
+            sign: self.sign.max(o.sign),
+            min_entry: self.min_entry.min(o.min_entry),
+        }
+    }
+}
+
+/// Fold `body` over `0..len` in one contiguous chunk per worker of the
+/// current pool (a single chunk when serial) and merge the chunks with
+/// `merge`. Only exact max/min reductions go through here, so the result
+/// does not depend on the split.
+fn chunked<T: Copy + Send>(
+    len: usize,
+    par: Parallelism,
+    empty: T,
+    body: impl Fn(std::ops::Range<usize>) -> T + Sync,
+    merge: impl Fn(T, T) -> T,
+) -> T {
+    let chunks = if par.is_parallel() {
+        rayon::current_num_threads().clamp(1, len.max(1))
+    } else {
+        1
+    };
+    let range = |c: usize| c * len / chunks..(c + 1) * len / chunks;
+    if chunks == 1 {
+        return body(range(0));
+    }
+    let mut parts = vec![empty; chunks];
+    parts
+        .par_iter_mut()
+        .enumerate()
+        .for_each(|(c, part)| *part = body(range(c)));
+    parts.into_iter().fold(empty, merge)
+}
+
+fn kkt_report<S: Storage>(
+    p: &DiagonalProblem<S>,
+    sol: &Solution<S>,
+    residuals: Residuals,
+    objective: f64,
+    zeta: f64,
+    par: Parallelism,
+) -> KktReport {
     let (m, n) = (p.m(), p.n());
     let x0 = p.x0();
     let gamma = p.gamma();
@@ -112,51 +194,61 @@ pub fn verify_solution<S: Storage>(p: &DiagonalProblem<S>, sol: &Solution<S>) ->
         grad_scale = grad_scale.max(sol.mu[j].abs());
     }
 
-    let mut max_stationarity: f64 = 0.0;
-    let mut max_sign_violation: f64 = 0.0;
-    let mut min_entry = f64::INFINITY;
-    let entry_scale = x0
-        .values()
-        .iter()
-        .fold(1e-12_f64, |acc, &v| acc.max(v.abs()));
-    for i in 0..m {
-        match (x0.row_view(i), gamma.row_view(i), sol.x.row_view(i)) {
-            (RowView::Dense(x0r), RowView::Dense(gr), RowView::Dense(xr)) => {
-                for j in 0..n {
-                    min_entry = min_entry.min(xr[j]);
-                    // Structural zeros carry no KKT condition.
-                    if p.support().is_some() && x0r[j] == 0.0 {
-                        continue;
-                    }
-                    let grad = 2.0 * gr[j] * (xr[j] - x0r[j]) - sol.lambda[i] - sol.mu[j];
-                    if xr[j] > 1e-10 * entry_scale {
-                        max_stationarity = max_stationarity.max(grad.abs() / grad_scale);
-                    } else {
-                        max_sign_violation = max_sign_violation.max((-grad).max(0.0) / grad_scale);
+    let x0v = x0.values();
+    let entry_scale = chunked(
+        x0v.len(),
+        par,
+        1e-12_f64,
+        |r| x0v[r].iter().fold(1e-12_f64, |acc, &v| acc.max(v.abs())),
+        f64::max,
+    );
+    let structural = p.support().is_some();
+    let sweep = |rows: std::ops::Range<usize>| {
+        let mut e = Extremes::EMPTY;
+        let mut entry = |x: f64, grad: f64| {
+            if x > 1e-10 * entry_scale {
+                e.stationarity = e.stationarity.max(grad.abs() / grad_scale);
+            } else {
+                e.sign = e.sign.max((-grad).max(0.0) / grad_scale);
+            }
+        };
+        for i in rows {
+            match (x0.row_view(i), gamma.row_view(i), sol.x.row_view(i)) {
+                (RowView::Dense(x0r), RowView::Dense(gr), RowView::Dense(xr)) => {
+                    for j in 0..n {
+                        e.min_entry = e.min_entry.min(xr[j]);
+                        // Structural zeros carry no KKT condition.
+                        if structural && x0r[j] == 0.0 {
+                            continue;
+                        }
+                        entry(
+                            xr[j],
+                            2.0 * gr[j] * (xr[j] - x0r[j]) - sol.lambda[i] - sol.mu[j],
+                        );
                     }
                 }
-            }
-            (
-                RowView::Indexed { idx, vals: x0v },
-                RowView::Indexed { vals: gv, .. },
-                RowView::Indexed { vals: xv, .. },
-            ) => {
-                // Stored entries are the variables; missing entries are
-                // structural zeros and carry no KKT condition.
-                for t in 0..idx.len() {
-                    let j = idx[t] as usize;
-                    min_entry = min_entry.min(xv[t]);
-                    let grad = 2.0 * gv[t] * (xv[t] - x0v[t]) - sol.lambda[i] - sol.mu[j];
-                    if xv[t] > 1e-10 * entry_scale {
-                        max_stationarity = max_stationarity.max(grad.abs() / grad_scale);
-                    } else {
-                        max_sign_violation = max_sign_violation.max((-grad).max(0.0) / grad_scale);
+                (
+                    RowView::Indexed { idx, vals: x0v },
+                    RowView::Indexed { vals: gv, .. },
+                    RowView::Indexed { vals: xv, .. },
+                ) => {
+                    // Stored entries are the variables; missing entries are
+                    // structural zeros and carry no KKT condition.
+                    for t in 0..idx.len() {
+                        let j = idx[t] as usize;
+                        e.min_entry = e.min_entry.min(xv[t]);
+                        entry(
+                            xv[t],
+                            2.0 * gv[t] * (xv[t] - x0v[t]) - sol.lambda[i] - sol.mu[j],
+                        );
                     }
                 }
+                _ => debug_assert!(false, "mismatched row views in verify_solution"),
             }
-            _ => debug_assert!(false, "mismatched row views in verify_solution"),
         }
-    }
+        e
+    };
+    let ext = chunked(m, par, Extremes::EMPTY, sweep, Extremes::merge);
 
     let mut max_total_stationarity: f64 = 0.0;
     match p.totals() {
@@ -187,18 +279,14 @@ pub fn verify_solution<S: Storage>(p: &DiagonalProblem<S>, sol: &Solution<S>) ->
         }
     }
 
-    let residuals = p.residuals(&sol.x, &sol.s, &sol.d);
-    let objective = p.objective(&sol.x, &sol.s, &sol.d);
-    let zeta = dual::dual_value(p, &sol.lambda, &sol.mu);
-
     KktReport {
-        max_stationarity,
-        max_sign_violation,
+        max_stationarity: ext.stationarity,
+        max_sign_violation: ext.sign,
         max_total_stationarity,
         residuals,
         duality_gap: objective - zeta,
         objective,
-        min_entry,
+        min_entry: ext.min_entry,
     }
 }
 

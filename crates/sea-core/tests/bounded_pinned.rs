@@ -129,20 +129,21 @@ fn pin_of(iterations: usize, x: &[f64], lambda: &[f64], mu: &[f64]) -> Pin {
     }
 }
 
+/// The paper's SEA: the pins were recorded without extrapolation.
+fn pinned_options() -> SeaOptions {
+    SeaOptions {
+        max_iterations: MAX_ITERATIONS,
+        extrapolation_depth: 0,
+        ..SeaOptions::with_epsilon(EPSILON)
+    }
+}
+
 #[test]
 fn serial_bounded_iterates_are_pinned() {
     let sup = SupervisorOptions::default();
-    let opts = BoundedOptions::default();
-    let dense = solve_bounded_supervised_configured(
-        &dense_problem(),
-        EPSILON,
-        MAX_ITERATIONS,
-        &opts,
-        None,
-        &sup,
-        &mut NullObserver,
-    )
-    .expect("dense bounded solve");
+    let opts = pinned_options();
+    let dense = solve_bounded_supervised(&dense_problem(), &opts, &sup, &mut NullObserver)
+        .expect("dense bounded solve");
     let s = &dense.solution;
     assert!(s.converged);
     assert_eq!(
@@ -151,22 +152,55 @@ fn serial_bounded_iterates_are_pinned() {
         "dense"
     );
 
-    let csr = solve_bounded_supervised_configured(
-        &csr_problem(),
-        EPSILON,
-        MAX_ITERATIONS,
-        &opts,
-        None,
-        &sup,
-        &mut NullObserver,
-    )
-    .expect("CSR bounded solve");
+    let csr = solve_bounded_supervised(&csr_problem(), &opts, &sup, &mut NullObserver)
+        .expect("CSR bounded solve");
     let s = &csr.solution;
     assert!(s.converged);
     assert_eq!(
         pin_of(s.iterations, s.x.values(), &s.lambda, &s.mu),
         CSR_PIN,
         "csr"
+    );
+}
+
+/// The configured entry point is the supervised driver with default
+/// options and the given kernel, tolerance and cap.
+#[test]
+fn configured_entry_matches_the_supervised_driver() {
+    let sup = SupervisorOptions::default();
+    let p = dense_problem();
+    let configured = solve_bounded_supervised_configured(
+        &p,
+        EPSILON,
+        MAX_ITERATIONS,
+        &BoundedOptions::default(),
+        None,
+        &sup,
+        &mut NullObserver,
+    )
+    .expect("configured bounded solve")
+    .solution;
+    let opts = SeaOptions {
+        max_iterations: MAX_ITERATIONS,
+        ..SeaOptions::with_epsilon(EPSILON)
+    };
+    let direct = solve_bounded_supervised(&p, &opts, &sup, &mut NullObserver)
+        .expect("bounded solve")
+        .solution;
+    assert!(configured.converged);
+    assert_eq!(
+        pin_of(
+            configured.iterations,
+            configured.x.as_slice(),
+            &configured.lambda,
+            &configured.mu
+        ),
+        pin_of(
+            direct.iterations,
+            direct.x.as_slice(),
+            &direct.lambda,
+            &direct.mu
+        )
     );
 }
 
@@ -183,10 +217,9 @@ fn parallel_bounded_iterates_match_the_serial_pin() {
     }
     for (parallelism, block_size) in configs {
         let opts = SeaOptions {
-            max_iterations: MAX_ITERATIONS,
             parallelism,
             block_size,
-            ..SeaOptions::with_epsilon(EPSILON)
+            ..pinned_options()
         };
         let tag = format!("{parallelism:?}/{block_size:?}");
         let s = solve_bounded_supervised(&dense_p, &opts, &sup, &mut NullObserver)

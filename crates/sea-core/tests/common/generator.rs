@@ -306,7 +306,7 @@ pub fn banded_pattern(m: usize, n: usize, half_bandwidth: usize) -> Vec<(usize, 
 
 /// Block-diagonal pattern: rows and columns split into `blocks` contiguous
 /// chunks; block k is fully stored. Blocks are exactly the support-graph
-/// components, so this family exercises component-aligned sharding.
+/// components, so the support is disconnected.
 pub fn block_diagonal_pattern(m: usize, n: usize, blocks: usize) -> Vec<(usize, usize)> {
     let blocks = blocks.clamp(1, m.min(n));
     let mut pat = Vec::new();

@@ -101,10 +101,30 @@ pub fn all_fixtures() -> Vec<(&'static str, DiagonalProblem)> {
 }
 
 /// Solve a fixture with an explicit kernel and parallelism mode.
+#[allow(dead_code)]
 pub fn solve_with(p: &DiagonalProblem, kernel: KernelKind, parallelism: Parallelism) -> Solution {
+    solve_at_depth(
+        p,
+        kernel,
+        parallelism,
+        SeaOptions::default().extrapolation_depth,
+    )
+}
+
+/// [`solve_with`] at an explicit extrapolation depth (`0` is the paper's
+/// SEA).
+// Not every test binary that pulls in this module pins a depth.
+#[allow(dead_code)]
+pub fn solve_at_depth(
+    p: &DiagonalProblem,
+    kernel: KernelKind,
+    parallelism: Parallelism,
+    depth: usize,
+) -> Solution {
     let mut opts = SeaOptions::with_epsilon(1e-10);
     opts.kernel = kernel;
     opts.parallelism = parallelism;
+    opts.extrapolation_depth = depth;
     let sol = sea_core::solve_diagonal(p, &opts).expect("fixture must solve");
     assert!(sol.stats.converged, "fixture must converge");
     sol

@@ -12,8 +12,9 @@ mod generator;
 
 use common::{all_fixtures, solve_with};
 use sea_core::{
-    solve_diagonal_supervised, solve_general_supervised, GeneralSeaOptions, KernelKind,
-    NullObserver, Parallelism, SeaOptions, SupervisorOptions,
+    solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised,
+    GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions, Storage,
+    SupervisorOptions,
 };
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -172,13 +173,10 @@ fn kernels_have_independent_trajectories_but_equal_iteration_counts() {
 
 /// Sparse storage preserves the determinism contract: for every sparse
 /// family, both kernels, any pool width, and any shard size — including
-/// single-row shards, which exercise the component-aligned sharding
-/// boundaries hardest — the solve is bitwise identical to the Serial,
-/// default-shard reference.
+/// single-row shards, which exercise the shard boundaries hardest — the
+/// solve is bitwise identical to the Serial, default-shard reference.
 #[test]
 fn sparse_solves_are_bitwise_identical_across_modes_and_shards() {
-    use sea_core::Storage;
-
     let modes = [
         Parallelism::Rayon,
         Parallelism::RayonThreads(2),
@@ -253,6 +251,93 @@ fn dense_and_csr_construction_agree_bitwise() {
             assert_eq!(
                 ssol.stats.iterations, dsol.stats.iterations,
                 "{tag}/{kernel}: iteration counts diverged"
+            );
+        }
+    }
+}
+
+/// Iterations and the bits of `x`, `λ` and `μ` of one solve.
+type Bits = (usize, Vec<u64>, Vec<u64>, Vec<u64>);
+
+/// Every parallel mode and shard size against the serial solve.
+fn assert_modes_and_shards_agree(tag: &str, solve: impl Fn(&SeaOptions) -> Bits) {
+    let reference = solve(&SeaOptions::with_epsilon(1e-9));
+    for mode in [Parallelism::RayonThreads(2), Parallelism::RayonThreads(3)] {
+        for block in [Some(1), Some(3), None] {
+            let mut opts = SeaOptions::with_epsilon(1e-9);
+            opts.parallelism = mode;
+            opts.block_size = block;
+            assert_eq!(solve(&opts), reference, "{tag}/{mode:?}/{block:?}");
+        }
+    }
+}
+
+/// At the default extrapolation depth, the dense fixtures and box-bounded
+/// dense and CSR instances reproduce their serial solves bit for bit under
+/// every parallel mode and shard size: the extrapolation's least-squares
+/// solve is serial and in a fixed order.
+#[test]
+fn dense_and_bounded_solves_are_bitwise_identical_across_modes_and_shards() {
+    assert!(SeaOptions::default().extrapolation_depth > 0);
+    for (tag, problem) in all_fixtures() {
+        assert_modes_and_shards_agree(tag, |opts| {
+            let s = sea_core::solve_diagonal(&problem, opts).expect("dense solve");
+            assert!(s.stats.converged, "{tag}");
+            (
+                s.stats.iterations,
+                bits(s.x.values()),
+                bits(&s.lambda),
+                bits(&s.mu),
+            )
+        });
+    }
+    let dense = generator::try_bounded(0xB0_5EA, 9, 7, 3, 1.0).expect("feasible draw");
+    let csr = generator::sparse_bounded(0xB1_5EA, 12, 12, 2);
+    let sup = SupervisorOptions::default();
+    assert_modes_and_shards_agree("bounded-dense", |opts| {
+        let s = solve_bounded_supervised(&dense, opts, &sup, &mut NullObserver)
+            .expect("bounded solve")
+            .solution;
+        assert!(s.converged, "bounded-dense");
+        (
+            s.iterations,
+            bits(s.x.values()),
+            bits(&s.lambda),
+            bits(&s.mu),
+        )
+    });
+    assert_modes_and_shards_agree("bounded-csr", |opts| {
+        let s = solve_bounded_supervised(&csr, opts, &sup, &mut NullObserver)
+            .expect("bounded solve")
+            .solution;
+        assert!(s.converged, "bounded-csr");
+        (
+            s.iterations,
+            bits(s.x.values()),
+            bits(&s.lambda),
+            bits(&s.mu),
+        )
+    });
+}
+
+/// A supervised solve certifies its own output from the residuals,
+/// objective and dual value its assembly computed, with the stationarity
+/// sweep split across the pool: the report must equal a from-scratch
+/// `verify_solution` of the returned solution exactly, in every mode.
+#[test]
+fn supervised_certificates_match_verify_solution_exactly() {
+    let sup = SupervisorOptions::default();
+    for (tag, problem) in generator::sparse_families(0xCE_27) {
+        for mode in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+            let mut opts = SeaOptions::with_epsilon(1e-8);
+            opts.parallelism = mode;
+            let sol = solve_diagonal_supervised(&problem, &opts, &sup, &mut NullObserver)
+                .expect("supervised sparse solve");
+            let fresh = sea_core::verify_solution(&problem, &sol.solution);
+            assert_eq!(
+                format!("{:?}", sol.certificate),
+                format!("{fresh:?}"),
+                "{tag}/{mode:?}"
             );
         }
     }

@@ -154,9 +154,24 @@ fn nan_lambda_with_a_snapshot_recovers_the_previous_iterate() {
         supervised_hard(&sup, &opts(-1.0, Parallelism::Serial, KernelKind::SortScan)).unwrap();
     assert_eq!(sol.stop, StopReason::Breakdown);
     assert!(!sol.solution.stats.converged);
-    // The returned iterate is the last healthy snapshot, not the poison.
+    // The returned iterate is the last healthy snapshot, not the poison:
+    // bit for bit the iterate a solve capped at that iteration returns.
     assert_eq!(sol.solution.stats.iterations, 2);
     assert_finite_solution(&sol);
+    let mut capped = SupervisorOptions::default();
+    capped.budget.max_iterations = Some(2);
+    let capped = supervised_hard(
+        &capped,
+        &opts(-1.0, Parallelism::Serial, KernelKind::SortScan),
+    )
+    .unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&sol.solution.mu), bits(&capped.solution.mu));
+    assert_eq!(bits(&sol.solution.lambda), bits(&capped.solution.lambda));
+    assert_eq!(
+        bits(sol.solution.x.as_slice()),
+        bits(capped.solution.x.as_slice())
+    );
     // Honesty: a partial iterate must not certify as optimal.
     assert!(!sol.certificate.is_optimal(1e-10));
 }
@@ -388,15 +403,13 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 fn run_iterations(
     total_budget: usize,
     checkpoint: Option<(PathBuf, usize)>,
-    initial_mu: Option<Vec<f64>>,
-    start_iteration: usize,
+    resume: Option<Checkpoint>,
 ) -> sea_core::SupervisedSolution {
     let mut o = opts(-1.0, Parallelism::Serial, KernelKind::SortScan);
     o.max_iterations = total_budget;
-    o.initial_mu = initial_mu;
     let sup = SupervisorOptions {
         checkpoint: checkpoint.map(|(path, every)| CheckpointPolicy { path, every }),
-        start_iteration,
+        resume,
         ..SupervisorOptions::default()
     };
     solve_diagonal_supervised(&fixed_problem(), &o, &sup, &mut NullObserver).unwrap()
@@ -408,11 +421,11 @@ fn resume_from_checkpoint_is_bitwise_identical() {
     let ck_path = dir.join("state.ckpt");
 
     // Reference: 12 uninterrupted iterations (ε < 0 never converges).
-    let full = run_iterations(12, None, None, 0);
+    let full = run_iterations(12, None, None);
     assert_eq!(full.stop, StopReason::IterationCap);
 
     // Interrupted: 5 iterations with a checkpoint every iteration…
-    let partial = run_iterations(5, Some((ck_path.clone(), 1)), None, 0);
+    let partial = run_iterations(5, Some((ck_path.clone(), 1)), None);
     assert_eq!(partial.stop, StopReason::IterationCap);
     assert!(partial.checkpoint_error.is_none());
     let ck = Checkpoint::load(&ck_path).unwrap();
@@ -430,7 +443,7 @@ fn resume_from_checkpoint_is_bitwise_identical() {
     );
 
     // …then 7 more from the loaded snapshot.
-    let resumed = run_iterations(7, None, Some(ck.mu), ck.iteration);
+    let resumed = run_iterations(7, None, Some(ck));
 
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
@@ -467,14 +480,12 @@ fn default_kernel_resume_from_checkpoint_is_bitwise_identical() {
             let mut o = SeaOptions::with_epsilon(-1.0);
             assert_eq!(o.kernel, KernelKind::default());
             o.max_iterations = budget;
-            o.initial_lambda = resume.map(|ck| ck.lambda.clone());
-            o.initial_mu = resume.map(|ck| ck.mu.clone());
             let sup = SupervisorOptions {
                 checkpoint: checkpoint.then(|| CheckpointPolicy {
                     path: ck_path.clone(),
                     every: 1,
                 }),
-                start_iteration: resume.map_or(0, |ck| ck.iteration),
+                resume: resume.cloned(),
                 ..SupervisorOptions::default()
             };
             solve_diagonal_supervised(&p, &o, &sup, &mut NullObserver).unwrap()
@@ -507,17 +518,62 @@ fn default_kernel_resume_from_checkpoint_is_bitwise_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A checkpoint in the version 1 format, written before checkpoints carried
+/// an extrapolation history (iteration 5 of [`hard_problem`], default
+/// kernel, serial), still loads and resumes with an empty history. At
+/// depth 0 the resume replays the uninterrupted run bit for bit; at the
+/// default depth it converges to a certified optimum.
+#[test]
+fn version_1_checkpoint_fixture_resumes() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/checkpoint_v1.ckpt"
+    );
+    let ck = Checkpoint::load(std::path::Path::new(path)).unwrap();
+    assert_eq!(ck.solver, "diagonal");
+    assert_eq!(ck.iteration, 5);
+    assert!(ck.history.is_none());
+    let run = |depth: usize, epsilon: f64, budget: usize, resume: Option<Checkpoint>| {
+        let mut o = SeaOptions::with_epsilon(epsilon);
+        o.max_iterations = budget;
+        o.extrapolation_depth = depth;
+        let sup = SupervisorOptions {
+            resume,
+            ..SupervisorOptions::default()
+        };
+        solve_diagonal_supervised(&hard_problem(), &o, &sup, &mut NullObserver).unwrap()
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let full = run(0, -1.0, 12, None);
+    let resumed = run(0, -1.0, 7, Some(ck.clone()));
+    assert_eq!(bits(&full.solution.mu), bits(&resumed.solution.mu));
+    assert_eq!(bits(&full.solution.lambda), bits(&resumed.solution.lambda));
+    assert_eq!(
+        bits(full.solution.x.as_slice()),
+        bits(resumed.solution.x.as_slice())
+    );
+
+    let depth = SeaOptions::default().extrapolation_depth;
+    let converged = run(depth, 1e-9, 100_000, Some(ck));
+    assert_eq!(converged.stop, StopReason::Converged);
+    assert!(
+        converged.certificate.is_optimal(1e-6),
+        "{:?}",
+        converged.certificate
+    );
+}
+
 #[test]
 fn resumed_checkpoints_continue_the_cumulative_iteration_count() {
     let dir = ckpt_dir("cumulative");
     let ck_path = dir.join("state.ckpt");
-    let first = run_iterations(4, Some((ck_path.clone(), 1)), None, 0);
+    let first = run_iterations(4, Some((ck_path.clone(), 1)), None);
     assert_eq!(first.stop, StopReason::IterationCap);
     let ck = Checkpoint::load(&ck_path).unwrap();
     assert_eq!(ck.iteration, 4);
     // Resume for 3 more, checkpointing into the same file: the stamp keeps
     // counting from the loaded iteration.
-    let _ = run_iterations(3, Some((ck_path.clone(), 1)), Some(ck.mu), ck.iteration);
+    let _ = run_iterations(3, Some((ck_path.clone(), 1)), Some(ck));
     let ck2 = Checkpoint::load(&ck_path).unwrap();
     assert_eq!(ck2.iteration, 7);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -527,7 +583,7 @@ fn resumed_checkpoints_continue_the_cumulative_iteration_count() {
 fn checkpoint_write_failure_never_aborts_the_solve() {
     // An unwritable destination (directory path) must surface as
     // `checkpoint_error`, not kill the solve.
-    let sol = run_iterations(3, Some((std::env::temp_dir(), 1)), None, 0);
+    let sol = run_iterations(3, Some((std::env::temp_dir(), 1)), None);
     assert_eq!(sol.stop, StopReason::IterationCap);
     assert!(sol.checkpoint_error.is_some());
     assert_finite_solution(&sol);
@@ -590,28 +646,58 @@ fn hard_bounded_problem() -> BoundedProblem {
     .unwrap()
 }
 
+/// A scripted kernel fault at iteration 2 under each parallel mode:
+/// returns the clean solve and the faulted ones, which must converge after
+/// falling back to sort-scan.
+fn bounded_fallback_runs(
+    depth: usize,
+) -> (
+    sea_core::SupervisedBoundedSolution,
+    Vec<(Parallelism, sea_core::SupervisedBoundedSolution)>,
+) {
+    let p = hard_bounded_problem();
+    let opts_at = |parallelism| {
+        let mut o = opts(1e-10, parallelism, KernelKind::Quickselect);
+        o.extrapolation_depth = depth;
+        o
+    };
+    let clean = solve_bounded_supervised(
+        &p,
+        &opts_at(Parallelism::Serial),
+        &SupervisorOptions::default(),
+        &mut NullObserver,
+    )
+    .unwrap();
+    assert_eq!(clean.kernel_fallbacks, 0);
+    let faulted = [Parallelism::Serial, Parallelism::RayonThreads(2)]
+        .into_iter()
+        .map(|parallelism| {
+            let sup = SupervisorOptions {
+                faults: FaultPlan::new().at(
+                    2,
+                    FaultKind::KernelNan {
+                        side: "column",
+                        index: 3,
+                    },
+                ),
+                ..SupervisorOptions::default()
+            };
+            let sol = solve_bounded_supervised(&p, &opts_at(parallelism), &sup, &mut NullObserver)
+                .unwrap();
+            assert_eq!(sol.stop, StopReason::Converged, "{parallelism:?}");
+            assert!(sol.kernel_fallbacks >= 1, "{parallelism:?}");
+            (parallelism, sol)
+        })
+        .collect();
+    (clean, faulted)
+}
+
+/// The paper's SEA (depth 0): the fallback re-solve reproduces the clean
+/// run bit for bit.
 #[test]
 fn bounded_kernel_fault_falls_back_to_sort_scan() {
-    let p = hard_bounded_problem();
-    let o = opts(1e-10, Parallelism::Serial, KernelKind::Quickselect);
-    let clean =
-        solve_bounded_supervised(&p, &o, &SupervisorOptions::default(), &mut NullObserver).unwrap();
-    assert_eq!(clean.kernel_fallbacks, 0);
-    for parallelism in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
-        let sup = SupervisorOptions {
-            faults: FaultPlan::new().at(
-                2,
-                FaultKind::KernelNan {
-                    side: "column",
-                    index: 3,
-                },
-            ),
-            ..SupervisorOptions::default()
-        };
-        let o = opts(1e-10, parallelism, KernelKind::Quickselect);
-        let sol = solve_bounded_supervised(&p, &o, &sup, &mut NullObserver).unwrap();
-        assert_eq!(sol.stop, StopReason::Converged, "{parallelism:?}");
-        assert!(sol.kernel_fallbacks >= 1, "{parallelism:?}");
+    let (clean, faulted) = bounded_fallback_runs(0);
+    for (parallelism, sol) in faulted {
         assert_eq!(
             sol.solution.x.as_slice(),
             clean.solution.x.as_slice(),
@@ -620,34 +706,55 @@ fn bounded_kernel_fault_falls_back_to_sort_scan() {
     }
 }
 
+/// At the default extrapolation depth the fallback's last-bit differences
+/// feed the extrapolation, so the faulted run lands on the same optimum
+/// to within the tolerance rather than bit for bit.
+#[test]
+fn bounded_kernel_fault_falls_back_at_default_depth() {
+    let (clean, faulted) = bounded_fallback_runs(SeaOptions::default().extrapolation_depth);
+    for (parallelism, sol) in faulted {
+        let diff = sol
+            .solution
+            .x
+            .as_slice()
+            .iter()
+            .zip(clean.solution.x.as_slice())
+            .fold(0.0f64, |acc, (a, b)| acc.max((a - b).abs()));
+        assert!(diff <= 1e-9, "{parallelism:?}: max |Δx| = {diff}");
+    }
+}
+
 #[test]
 fn bounded_resume_from_checkpoint_is_bitwise_identical() {
     let dir = ckpt_dir("bounded");
     let ck_path = dir.join("state.ckpt");
     let p = hard_bounded_problem();
-    let run = |budget: usize, checkpoint: bool, initial_mu: Option<Vec<f64>>, start: usize| {
+    let run = |budget: usize, checkpoint: bool, resume: Option<Checkpoint>| {
         let mut o = opts(-1.0, Parallelism::Serial, KernelKind::Quickselect);
         o.max_iterations = budget;
-        o.initial_mu = initial_mu;
         let sup = SupervisorOptions {
             checkpoint: checkpoint.then(|| CheckpointPolicy {
                 path: ck_path.clone(),
                 every: 1,
             }),
-            start_iteration: start,
+            resume,
             ..SupervisorOptions::default()
         };
         solve_bounded_supervised(&p, &o, &sup, &mut NullObserver).unwrap()
     };
 
-    let full = run(12, false, None, 0);
+    let full = run(12, false, None);
     assert_eq!(full.stop, StopReason::IterationCap);
-    let partial = run(5, true, None, 0);
+    let partial = run(5, true, None);
     assert!(partial.checkpoint_error.is_none());
     let ck = Checkpoint::load(&ck_path).unwrap();
     assert_eq!(ck.solver, "bounded");
     assert_eq!(ck.iteration, 5);
-    let resumed = run(7, false, Some(ck.mu), ck.iteration);
+    assert!(
+        ck.history.is_some(),
+        "default depth checkpoints its history"
+    );
+    let resumed = run(7, false, Some(ck));
 
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&full.solution.mu), bits(&resumed.solution.mu));

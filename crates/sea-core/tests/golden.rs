@@ -1,12 +1,14 @@
 //! Golden regression fixtures: one KKT-verified solution per diagonal
-//! problem class, asserted under both equilibration kernels.
+//! problem class, asserted under both equilibration kernels. The fixtures
+//! were recorded by the paper's SEA, so every solve here runs without
+//! extrapolation (depth 0).
 //!
 //! Regenerate the CSVs (after an intentional solver change) with
 //! `cargo test -p sea-core --test golden -- --ignored regenerate`.
 
 mod common;
 
-use common::{all_fixtures, parse_golden, solve_with};
+use common::{all_fixtures, parse_golden, solve_at_depth};
 use sea_core::{verify_solution, KernelKind, Parallelism};
 
 const GOLDEN: [(&str, &str); 3] = [
@@ -26,7 +28,7 @@ fn golden_solutions_reproduce_under_both_kernels() {
                 .1,
         );
         for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-            let sol = solve_with(&problem, kernel, Parallelism::Serial);
+            let sol = solve_at_depth(&problem, kernel, Parallelism::Serial, 0);
             assert_eq!(
                 sol.x.as_slice().len(),
                 golden.len(),
@@ -52,8 +54,8 @@ fn golden_kernels_agree_tightly() {
     // Beyond matching the stored golden at 1e-8, the two kernels must agree
     // with each other to full differential tolerance on the final solve.
     for (tag, problem) in all_fixtures() {
-        let a = solve_with(&problem, KernelKind::SortScan, Parallelism::Serial);
-        let b = solve_with(&problem, KernelKind::Quickselect, Parallelism::Serial);
+        let a = solve_at_depth(&problem, KernelKind::SortScan, Parallelism::Serial, 0);
+        let b = solve_at_depth(&problem, KernelKind::Quickselect, Parallelism::Serial, 0);
         for (k, (&xa, &xb)) in a.x.as_slice().iter().zip(b.x.as_slice()).enumerate() {
             assert!(
                 (xa - xb).abs() <= 1e-10 * (1.0 + xa.abs()),
@@ -71,7 +73,7 @@ fn golden_kernels_agree_tightly() {
 fn regenerate() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/common");
     for (tag, problem) in all_fixtures() {
-        let sol = solve_with(&problem, KernelKind::SortScan, Parallelism::Serial);
+        let sol = solve_at_depth(&problem, KernelKind::SortScan, Parallelism::Serial, 0);
         let report = verify_solution(&problem, &sol);
         assert!(
             report.is_optimal(1e-6),

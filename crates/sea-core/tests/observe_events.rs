@@ -81,8 +81,10 @@ fn event_stream_matches_golden_fixture() {
     let p = golden_problem();
     let mut opts = SeaOptions::with_epsilon(1e-10);
     opts.parallelism = Parallelism::Serial;
-    // The fixture records the sort-scan oracle's event stream.
+    // The fixture records the sort-scan oracle's event stream under the
+    // paper's SEA, without extrapolation.
     opts.kernel = KernelKind::SortScan;
+    opts.extrapolation_depth = 0;
 
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
@@ -154,8 +156,10 @@ fn sparse_event_stream_matches_golden_fixture() {
     .unwrap();
     let mut opts = SeaOptions::with_epsilon(1e-10);
     opts.parallelism = Parallelism::Serial;
-    // The fixture records the sort-scan oracle's event stream.
+    // The fixture records the sort-scan oracle's event stream under the
+    // paper's SEA, without extrapolation.
     opts.kernel = KernelKind::SortScan;
+    opts.extrapolation_depth = 0;
 
     let mut obs = JsonlObserver::new(Vec::new());
     let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();

@@ -16,9 +16,10 @@ mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_bounded_supervised, solve_diagonal, solve_diagonal_supervised, solve_general_supervised,
-    verify_solution, GapCheck, GeneralSeaOptions, KernelKind, NullObserver, Parallelism,
-    SeaOptions, SupervisorOptions,
+    solve_bounded_supervised, solve_diagonal, solve_diagonal_observed, solve_diagonal_supervised,
+    solve_general_supervised, verify_solution, Event, GapCheck, GeneralSeaOptions, KernelKind,
+    NullObserver, Parallelism, SeaOptions, StagnationPolicy, StopReason, SupervisorOptions,
+    VecObserver,
 };
 
 fn kernel_of(k: u8) -> KernelKind {
@@ -203,27 +204,88 @@ fn wide_weight_spreads_stay_finite() {
 }
 
 /// The 1e±6 checkerboard corner at a tight tolerance: both kernels must
-/// reach a converged solve that passes the KKT certificate.
+/// reach a converged solve that passes the KKT certificate, with and
+/// without extrapolation.
 #[test]
 fn checkerboard_weight_spreads_converge_to_a_certificate() {
     let p = generator::checkerboard_weights(12, 18);
-    for k in 0..2 {
-        let mut o = SeaOptions::with_epsilon(1e-9);
-        o.max_iterations = 50_000;
-        o.kernel = kernel_of(k);
-        let sol = solve_diagonal(&p, &o).expect("checkerboard solve runs");
-        assert!(
-            sol.stats.converged,
-            "{}: residual {:.3e}",
-            o.kernel, sol.stats.residuals.rel_row_inf
-        );
-        let report = verify_solution(&p, &sol);
-        assert!(
-            report.is_optimal_with(1e-6, GapCheck::RelativeToObjective),
-            "{}: {report:?}",
-            o.kernel
-        );
+    for depth in [0, SeaOptions::default().extrapolation_depth] {
+        for k in 0..2 {
+            let mut o = SeaOptions::with_epsilon(1e-9);
+            o.max_iterations = 50_000;
+            o.kernel = kernel_of(k);
+            o.extrapolation_depth = depth;
+            let sol = solve_diagonal(&p, &o).expect("checkerboard solve runs");
+            assert!(
+                sol.stats.converged,
+                "{}/depth {depth}: residual {:.3e}",
+                o.kernel, sol.stats.residuals.rel_row_inf
+            );
+            let report = verify_solution(&p, &sol);
+            assert!(
+                report.is_optimal_with(1e-6, GapCheck::RelativeToObjective),
+                "{}/depth {depth}: {report:?}",
+                o.kernel
+            );
+        }
     }
+}
+
+/// Extrapolated residuals rise and fall. The default stagnation policy
+/// judges them against the best residual so far, so a solve whose residual
+/// sequence is not monotone still runs to convergence.
+#[test]
+fn non_monotone_extrapolated_residuals_do_not_trip_stagnation() {
+    let p = generator::heterogeneous(7, 30, 25);
+    let mut o = SeaOptions::with_epsilon(1e-10);
+    o.max_iterations = 50_000;
+    o.record_history = true;
+    let sup = SupervisorOptions {
+        stagnation: Some(StagnationPolicy::default()),
+        ..SupervisorOptions::default()
+    };
+    let sol = solve_diagonal_supervised(&p, &o, &sup, &mut NullObserver).expect("solve runs");
+    let history = sol
+        .solution
+        .stats
+        .history
+        .as_ref()
+        .expect("history recorded");
+    assert!(
+        history.windows(2).any(|w| w[1].residual > w[0].residual),
+        "residuals fell monotonically: the test needs a non-monotone sequence"
+    );
+    assert_eq!(sol.stop, StopReason::Converged);
+    assert!(sol
+        .certificate
+        .is_optimal_with(1e-6, GapCheck::RelativeToObjective));
+}
+
+/// The Modified Algorithm shifts multipliers along support components;
+/// with extrapolation on it shifts the stored history too, and the solve
+/// lands on the paper's SEA solution.
+#[test]
+fn multiplier_bound_with_extrapolation_matches_the_paper_sea() {
+    let p = generator::heterogeneous(0xB0_0D, 9, 12);
+    let solve = |depth: usize| {
+        let mut o = SeaOptions::with_epsilon(1e-12);
+        o.multiplier_bound = Some(1e-3);
+        o.extrapolation_depth = depth;
+        let mut obs = VecObserver::new();
+        let sol = solve_diagonal_observed(&p, &o, &mut obs).expect("solve runs");
+        assert!(sol.stats.converged, "depth {depth}");
+        let shifts = obs
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::MultiplierBound { .. }))
+            .count();
+        assert!(shifts > 0, "depth {depth}: the bound never bound");
+        sol
+    };
+    let plain = solve(0);
+    let extrapolated = solve(SeaOptions::default().extrapolation_depth);
+    let diff = plain.x.max_abs_diff(&extrapolated.x);
+    assert!(diff <= 1e-8, "max |Δx| = {diff}");
 }
 
 proptest! {

@@ -393,6 +393,11 @@ impl CsrMatrix {
         })
     }
 
+    /// The stored values, consuming the matrix.
+    pub fn into_vals(self) -> Vec<f64> {
+        self.vals
+    }
+
     /// `true` when both matrices share one pattern — a pointer comparison
     /// when the `Arc`s are shared, a structural comparison otherwise.
     pub fn same_pattern(&self, other: &Self) -> bool {
@@ -407,19 +412,12 @@ impl CsrMatrix {
     /// exactly the order the dense column pass walks, which keeps the sparse
     /// column pass bitwise aligned with the dense one.
     pub fn transposed(&self) -> Self {
-        let (m, n) = (self.rows, self.cols);
+        let t_ptr = self.transposed_row_ptr();
         let nnz = self.vals.len();
-        let mut t_ptr = vec![0usize; n + 1];
-        for &c in self.col_idx.iter() {
-            t_ptr[c as usize + 1] += 1;
-        }
-        for j in 0..n {
-            t_ptr[j + 1] += t_ptr[j];
-        }
         let mut t_idx = vec![0u32; nnz];
         let mut t_vals = vec![0.0f64; nnz];
         let mut next = t_ptr.clone();
-        for i in 0..m {
+        for i in 0..self.rows {
             for k in self.row_range(i) {
                 let c = self.col_idx[k] as usize;
                 let slot = next[c];
@@ -429,12 +427,71 @@ impl CsrMatrix {
             }
         }
         Self {
-            rows: n,
-            cols: m,
+            rows: self.cols,
+            cols: self.rows,
             row_ptr: Arc::new(t_ptr),
             col_idx: Arc::new(t_idx),
             vals: t_vals,
         }
+    }
+
+    /// Transpose several matrices that share one pattern in a single
+    /// counting-sort pass. Returns the transposes (in the order of `mats`,
+    /// sharing one new pattern, entries ordered as by [`Self::transposed`])
+    /// and the slot map `to`: original slot `k` lands in transposed slot
+    /// `to[k]`, so a transposed-layout matrix comes back by the gather
+    /// `a[k] = t[to[k]]`. `None` when `mats` is empty, the patterns differ,
+    /// or the slot count does not fit the `u32` map.
+    pub fn transpose_together(mats: &[&CsrMatrix]) -> Option<(Vec<CsrMatrix>, Vec<u32>)> {
+        let first = *mats.first()?;
+        if !mats.iter().all(|a| first.same_pattern(a)) {
+            return None;
+        }
+        let nnz = first.vals.len();
+        u32::try_from(nnz).ok()?;
+        let t_ptr = first.transposed_row_ptr();
+        let mut t_idx = vec![0u32; nnz];
+        let mut t_vals: Vec<Vec<f64>> = mats.iter().map(|_| vec![0.0; nnz]).collect();
+        let mut to = vec![0u32; nnz];
+        let mut next = t_ptr.clone();
+        for i in 0..first.rows {
+            for k in first.row_range(i) {
+                let c = first.col_idx[k] as usize;
+                let slot = next[c];
+                next[c] += 1;
+                t_idx[slot] = i as u32;
+                // Fits: slots are below nnz, checked above.
+                to[k] = slot as u32;
+                for (t, a) in t_vals.iter_mut().zip(mats) {
+                    t[slot] = a.vals[k];
+                }
+            }
+        }
+        let row_ptr = Arc::new(t_ptr);
+        let col_idx = Arc::new(t_idx);
+        let ts = t_vals
+            .into_iter()
+            .map(|vals| Self {
+                rows: first.cols,
+                cols: first.rows,
+                row_ptr: Arc::clone(&row_ptr),
+                col_idx: Arc::clone(&col_idx),
+                vals,
+            })
+            .collect();
+        Some((ts, to))
+    }
+
+    /// Row pointers of the transpose: prefix sums of the column counts.
+    fn transposed_row_ptr(&self) -> Vec<usize> {
+        let mut t_ptr = vec![0usize; self.cols + 1];
+        for &c in self.col_idx.iter() {
+            t_ptr[c as usize + 1] += 1;
+        }
+        for j in 0..self.cols {
+            t_ptr[j + 1] += t_ptr[j];
+        }
+        t_ptr
     }
 
     /// Per-row sums of stored values into `out` (length `rows`).
@@ -542,6 +599,24 @@ mod tests {
         assert_eq!(t.row_cols(0), &[0, 2]);
         let back = t.transposed();
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn transpose_together_matches_transposed() {
+        let a = small();
+        let b = a
+            .with_values(a.vals().iter().map(|v| 10.0 * v).collect())
+            .unwrap();
+        let (ts, to) = CsrMatrix::transpose_together(&[&a, &b]).unwrap();
+        assert_eq!(ts[0], a.transposed());
+        assert_eq!(ts[1], b.transposed());
+        assert!(Arc::ptr_eq(&ts[0].col_idx, &ts[1].col_idx));
+        for (k, &slot) in to.iter().enumerate() {
+            assert_eq!(ts[0].vals()[slot as usize], a.vals()[k]);
+        }
+        let other = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
+        assert!(CsrMatrix::transpose_together(&[&a, &other]).is_none());
+        assert!(CsrMatrix::transpose_together(&[]).is_none());
     }
 
     #[test]
