@@ -11,9 +11,14 @@
 //! Safeguards: the history restarts — the next sweep is then a plain SEA
 //! step — when `‖f‖₂` rises 4× above the best value since the last
 //! restart, when it is non-finite, or when the least-squares solve is
-//! non-finite or ill-conditioned. Extrapolation only moves the *input* of
-//! the next sweep, so every point a solve returns is a plain sweep's
-//! output and is certified exactly as without it.
+//! non-finite or ill-conditioned. Progress is tracked by a record: a sweep
+//! sets one when its `‖f‖₂` falls at least 1% below the previous record.
+//! After `depth` sweeps without a record the solve runs plain sweeps until
+//! one sets a record, so extrapolation cannot stall a solve: either the
+//! record keeps falling geometrically, or the iteration is the paper's SEA.
+//! Extrapolation only moves the *input* of the next sweep, so every point
+//! a solve returns is a plain sweep's output and is certified exactly as
+//! without it.
 //!
 //! Determinism: the least-squares solve is serial and visits the history
 //! oldest column first, whatever the ring's physical layout, so results
@@ -26,6 +31,10 @@ use crate::supervisor::ExtrapolationHistory;
 /// Restart when `‖f‖₂` exceeds this multiple of the best since the last
 /// restart.
 const RESTART_GROWTH: f64 = 4.0;
+
+/// A sweep sets a new record when `‖f‖₂` is at most this fraction of the
+/// previous record.
+const RECORD_FRACTION: f64 = 0.99;
 
 /// The least-squares solve is ill-conditioned when a Cholesky pivot of the
 /// Gram matrix `ΔFᵀΔF` falls below this fraction of its diagonal entry:
@@ -56,6 +65,10 @@ pub(crate) struct Anderson {
     primed: bool,
     /// Smallest `‖f‖₂` since the last restart.
     best: f64,
+    /// `‖f‖₂` of the sweep that set the last record.
+    record: f64,
+    /// Sweeps since the last record.
+    stalled: usize,
     /// The running sweep's input `μ`.
     mu_in: Vec<f64>,
     /// Whether the running sweep started from an extrapolated point.
@@ -82,6 +95,8 @@ impl Anderson {
             g: vec![0.0; n],
             primed: false,
             best: f64::INFINITY,
+            record: f64::INFINITY,
+            stalled: 0,
             mu_in: vec![0.0; n],
             extrapolated: false,
             chol: vec![0.0; depth * depth],
@@ -123,8 +138,9 @@ impl Anderson {
     }
 
     /// Finish a sweep whose output is `g_new`: push the new differences,
-    /// or restart when the residual is non-finite or grew
-    /// [`RESTART_GROWTH`]× above the best since the last restart.
+    /// or restart when the residual is non-finite, grew
+    /// [`RESTART_GROWTH`]× above the best since the last restart, or has
+    /// set no record for `depth` sweeps.
     pub(crate) fn end_sweep(&mut self, g_new: &[f64]) {
         // f_new = g_new − μ_in, built in the input buffer.
         let mut sq = 0.0;
@@ -138,7 +154,13 @@ impl Anderson {
             self.primed = false;
             return;
         }
-        if self.primed && norm <= RESTART_GROWTH * self.best {
+        if norm <= RECORD_FRACTION * self.record {
+            self.record = norm;
+            self.stalled = 0;
+        } else {
+            self.stalled += 1;
+        }
+        if self.primed && norm <= RESTART_GROWTH * self.best && self.stalled < self.depth {
             let p = if self.cols < self.depth {
                 self.cols += 1;
                 self.slot(self.cols - 1)
@@ -251,6 +273,8 @@ impl Anderson {
             }
             ExtrapolationHistory {
                 best: self.best,
+                record: self.record,
+                stalled: self.stalled,
                 f: self.f.clone(),
                 g: self.g.clone(),
                 df,
@@ -300,6 +324,8 @@ impl Anderson {
         self.f.copy_from_slice(&h.f);
         self.g.copy_from_slice(&h.g);
         self.best = h.best;
+        self.record = h.record;
+        self.stalled = h.stalled;
         self.primed = true;
         Ok(())
     }
@@ -324,8 +350,16 @@ mod tests {
             .collect()
     }
 
-    fn residual(mu: &[f64]) -> f64 {
-        let g = linear_map(mu);
+    /// `G(μ) = ρR|μ| + b` with `ρ = 0.85` and `R` a rotation: a kinked
+    /// contraction on which undamped depth-1 extrapolation cycles forever.
+    fn kinked_map(mu: &[f64]) -> Vec<f64> {
+        let (c, s) = (3.05f64.cos(), 3.05f64.sin());
+        let (a, b) = (mu[0].abs(), mu[1].abs());
+        vec![0.85 * (c * a + s * b) - 0.2, 0.85 * (c * b - s * a) + 0.6]
+    }
+
+    fn residual(map: fn(&[f64]) -> Vec<f64>, mu: &[f64]) -> f64 {
+        let g = map(mu);
         g.iter()
             .zip(mu)
             .map(|(a, b)| (a - b).abs())
@@ -344,7 +378,7 @@ mod tests {
                 aa.end_sweep(&g);
             }
             mu = g;
-            if residual(&mu) <= tol {
+            if residual(linear_map, &mu) <= tol {
                 return t;
             }
         }
@@ -358,6 +392,35 @@ mod tests {
         assert!(plain > 100, "plain {plain}");
         // Depth ≥ dimension solves a linear map in a few steps.
         assert!(accelerated < 15, "accelerated {accelerated}");
+    }
+
+    /// Sweeps until the kinked map's residual is at most 1e-10, with or
+    /// without the stall fallback; `None` when 2000 sweeps do not get there.
+    fn kinked_sweeps(stall_fallback: bool) -> Option<usize> {
+        let mut aa = Anderson::new(1, 2).unwrap();
+        let mut mu = vec![-2.0, 3.0];
+        for t in 1..=2000 {
+            aa.begin_sweep(&mut mu);
+            let g = kinked_map(&mu);
+            if !stall_fallback {
+                aa.record = f64::INFINITY;
+                aa.stalled = 0;
+            }
+            aa.end_sweep(&g);
+            mu = g;
+            if residual(kinked_map, &mu) <= 1e-10 {
+                return Some(t);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn stalled_extrapolation_falls_back_to_plain_sweeps() {
+        // The growth and conditioning restarts alone never stop the cycle.
+        assert_eq!(kinked_sweeps(false), None);
+        let sweeps = kinked_sweeps(true).expect("the stall fallback converges");
+        assert!(sweeps < 200, "{sweeps} sweeps");
     }
 
     #[test]
@@ -407,6 +470,8 @@ mod tests {
         let mut aa = Anderson::new(2, 3).unwrap();
         let bad = ExtrapolationHistory {
             best: 1.0,
+            record: 1.0,
+            stalled: 0,
             f: vec![0.0; 2],
             g: vec![0.0; 3],
             df: vec![],
@@ -415,6 +480,8 @@ mod tests {
         assert!(matches!(aa.restore(&bad), Err(SeaError::Shape { .. })));
         let bad = ExtrapolationHistory {
             best: 1.0,
+            record: 1.0,
+            stalled: 0,
             f: vec![0.0; 3],
             g: vec![0.0; 3],
             df: vec![0.0; 6],

@@ -528,6 +528,9 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     let mut iterations = 0usize;
     let mut converged = false;
     let mut residual = f64::INFINITY;
+    // A step-size stop deferred after an extrapolated sweep is confirmed
+    // by checking the plain sweep that follows, whatever the cadence.
+    let mut confirm = false;
 
     for t in 1..=opts.max_iterations {
         iterations = t;
@@ -681,7 +684,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         // ---- Step 3 opens: the check's O(nnz) row-sum pass. -------------
         // It runs ahead of the watchdog, which reuses it: finite sums imply
         // finite entries, so only a non-finite sum needs the entry scan.
-        let check_now = t % check_every == 0;
+        let check_now = confirm || t % check_every == 0;
         let check_t0 = check_now.then(|| {
             if spanning {
                 obs.span_open(SpanKind::Check, t as u64, 1);
@@ -826,16 +829,19 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 });
             }
             // A step-size criterion measures SEA's own step only across a
-            // plain sweep: after an extrapolated one, confirm with a plain
-            // sweep before stopping.
-            if residual <= opts.epsilon
-                && !(criterion == ConvergenceCriterion::MaxAbsChange
+            // plain sweep: after an extrapolated one, the next sweep is
+            // plain and is checked before stopping.
+            if residual <= opts.epsilon {
+                confirm = criterion == ConvergenceCriterion::MaxAbsChange
                     && anderson
                         .as_mut()
-                        .is_some_and(Anderson::restart_if_extrapolated))
-            {
-                converged = true;
-                break;
+                        .is_some_and(Anderson::restart_if_extrapolated);
+                if !confirm {
+                    converged = true;
+                    break;
+                }
+            } else {
+                confirm = false;
             }
             if ctrl.is_active() {
                 // This iterate passed the finite watchdog and was measured:

@@ -111,11 +111,14 @@ pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// Propagates allocation failures from the backend.
     fn transposed(&self) -> Result<Self, SeaError>;
 
-    /// For backends that transpose by permutation (CSR): transpose
-    /// same-pattern `mats` in one pass, returning the transposes and the
-    /// slot map `to` (source slot `k` lands in transposed slot `to[k]`).
-    /// `None` for dense storage, which transposes blockwise instead.
-    fn transpose_together(mats: &[&Self]) -> Option<(Vec<Self>, Vec<u32>)>;
+    /// Transpose same-pattern `mats` together. Backends that transpose by
+    /// permutation (CSR) do it in one pass and also return the slot map
+    /// `to` (source slot `k` lands in transposed slot `to[k]`); dense
+    /// storage transposes each matrix blockwise and returns no map.
+    ///
+    /// # Errors
+    /// Propagates allocation failures from the backend.
+    fn transpose_together(mats: &[&Self]) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError>;
 
     /// `true` when `other` has the same shape and support pattern.
     fn same_pattern(&self, other: &Self) -> bool;
@@ -213,8 +216,11 @@ impl Storage for DenseMatrix {
         Ok(DenseMatrix::transposed(self))
     }
 
-    fn transpose_together(_: &[&Self]) -> Option<(Vec<Self>, Vec<u32>)> {
-        None
+    fn transpose_together(mats: &[&Self]) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
+        Ok((
+            mats.iter().map(|a| DenseMatrix::transposed(a)).collect(),
+            None,
+        ))
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -318,8 +324,14 @@ impl Storage for CsrMatrix {
         Ok(CsrMatrix::transposed(self))
     }
 
-    fn transpose_together(mats: &[&Self]) -> Option<(Vec<Self>, Vec<u32>)> {
-        CsrMatrix::transpose_together(mats)
+    fn transpose_together(mats: &[&Self]) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
+        Ok(match CsrMatrix::transpose_together(mats) {
+            Some((ts, to)) => (ts, Some(to)),
+            None => (
+                mats.iter().map(|a| CsrMatrix::transposed(a)).collect(),
+                None,
+            ),
+        })
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -375,15 +387,7 @@ impl Transposer {
         mats: &[&S],
         parallel: bool,
     ) -> Result<(Self, Vec<S>), SeaError> {
-        let (ts, to) = match S::transpose_together(mats) {
-            Some((ts, to)) => (ts, Some(to)),
-            None => (
-                mats.iter()
-                    .map(|a| a.transposed())
-                    .collect::<Result<_, _>>()?,
-                None,
-            ),
-        };
+        let (ts, to) = S::transpose_together(mats)?;
         Ok((Transposer { to, parallel }, ts))
     }
 

@@ -316,9 +316,9 @@ pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::De
 /// The on-disk format is a small line-oriented text file whose floats are
 /// hex-encoded IEEE-754 bit patterns, so save→load round-trips are exact.
 /// Version 2 appends the extrapolation history after `mu` when the solve
-/// has one (`history <columns> <best>`, then `f`, `g`, `df` and `dg`, the
-/// differences oldest column first); version 1 files, which end after
-/// `mu`, still load and resume with an empty history:
+/// has one (`history <columns> <best> <record> <stalled>`, then `f`, `g`,
+/// `df` and `dg`, the differences oldest column first); version 1 files,
+/// which end after `mu`, still load and resume with an empty history:
 ///
 /// ```text
 /// SEA-CHECKPOINT v2
@@ -326,7 +326,7 @@ pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::De
 /// iteration 42
 /// lambda 2 3ff0000000000000 4000000000000000
 /// mu 2 0000000000000000 bff0000000000000
-/// history 1 3fe0000000000000
+/// history 1 3fe0000000000000 3fe0000000000000 0
 /// f 2 3fb999999999999a 0000000000000000
 /// g 2 0000000000000000 bff0000000000000
 /// df 2 3fb999999999999a 0000000000000000
@@ -356,6 +356,10 @@ pub struct Checkpoint {
 pub struct ExtrapolationHistory {
     /// Smallest residual norm `‖G(μ) − μ‖₂` since the last restart.
     pub best: f64,
+    /// Residual norm of the sweep that set the last progress record.
+    pub record: f64,
+    /// Sweeps since the last progress record.
+    pub stalled: usize,
     /// Residual `G(μ) − μ` of the last sweep.
     pub f: Vec<f64>,
     /// Output `G(μ)` of the last sweep.
@@ -389,7 +393,13 @@ impl Checkpoint {
             } else {
                 h.df.len() / h.f.len()
             };
-            let _ = writeln!(out, "history {columns} {:016x}", h.best.to_bits());
+            let _ = writeln!(
+                out,
+                "history {columns} {:016x} {:016x} {}",
+                h.best.to_bits(),
+                h.record.to_bits(),
+                h.stalled
+            );
             for (name, vals) in [("f", &h.f), ("g", &h.g), ("df", &h.df), ("dg", &h.dg)] {
                 write_floats(&mut out, name, vals);
             }
@@ -472,11 +482,21 @@ impl Checkpoint {
                     .next()
                     .and_then(|w| w.parse().ok())
                     .ok_or_else(|| bad("malformed history column count"))?;
-                let best = words
+                let mut residual = || {
+                    words
+                        .next()
+                        .and_then(|w| u64::from_str_radix(w, 16).ok())
+                        .map(f64::from_bits)
+                        .ok_or_else(|| bad("malformed history residual"))
+                };
+                let (best, record) = (residual()?, residual()?);
+                let stalled: usize = words
                     .next()
-                    .and_then(|w| u64::from_str_radix(w, 16).ok())
-                    .map(f64::from_bits)
-                    .ok_or_else(|| bad("malformed history residual"))?;
+                    .and_then(|w| w.parse().ok())
+                    .ok_or_else(|| bad("malformed history stall count"))?;
+                if words.next().is_some() {
+                    return Err(bad("malformed history line"));
+                }
                 let f = float_line(&mut lines, "f")?;
                 let g = float_line(&mut lines, "g")?;
                 let df = float_line(&mut lines, "df")?;
@@ -486,7 +506,15 @@ impl Checkpoint {
                 {
                     return Err(bad("history length mismatch"));
                 }
-                history = Some(ExtrapolationHistory { best, f, g, df, dg });
+                history = Some(ExtrapolationHistory {
+                    best,
+                    record,
+                    stalled,
+                    f,
+                    g,
+                    df,
+                    dg,
+                });
             }
         }
         if lines.any(|l| !l.trim().is_empty()) {
@@ -845,6 +873,8 @@ mod tests {
             mu: vec![std::f64::consts::PI, f64::NEG_INFINITY],
             history: Some(ExtrapolationHistory {
                 best: 0.25,
+                record: 0.125,
+                stalled: 3,
                 f: vec![1e-3, -0.0],
                 g: vec![std::f64::consts::E, f64::NAN],
                 df: vec![1.0, 2.0, 3.0, 4.0],
@@ -859,6 +889,8 @@ mod tests {
         assert_eq!(bits(&back.mu), bits(&ck.mu));
         let (h, back_h) = (ck.history.unwrap(), back.history.unwrap());
         assert_eq!(h.best.to_bits(), back_h.best.to_bits());
+        assert_eq!(h.record.to_bits(), back_h.record.to_bits());
+        assert_eq!(h.stalled, back_h.stalled);
         for (a, b) in [
             (&h.f, &back_h.f),
             (&h.g, &back_h.g),
@@ -915,10 +947,14 @@ mod tests {
         let head = "solver diagonal\niteration 1\nlambda 0\nmu 1 0000000000000000\n";
         assert!(Checkpoint::parse(&format!("SEA-CHECKPOINT v1\n{head}history 0 0\n")).is_err());
         assert!(
-            Checkpoint::parse(&format!("SEA-CHECKPOINT v2\n{head}history 1 0\nf 0\n")).is_err()
+            Checkpoint::parse(&format!("SEA-CHECKPOINT v2\n{head}history 1 0 0 0\nf 0\n")).is_err()
         );
         assert!(Checkpoint::parse(&format!(
-            "SEA-CHECKPOINT v2\n{head}history 2 0\nf 1 0000000000000000\ng 1 0000000000000000\ndf 1 0000000000000000\ndg 1 0000000000000000\n"
+            "SEA-CHECKPOINT v2\n{head}history 0 0\nf 1 0000000000000000\ng 1 0000000000000000\ndf 0\ndg 0\n"
+        ))
+        .is_err());
+        assert!(Checkpoint::parse(&format!(
+            "SEA-CHECKPOINT v2\n{head}history 2 0 0 0\nf 1 0000000000000000\ng 1 0000000000000000\ndf 1 0000000000000000\ndg 1 0000000000000000\n"
         ))
         .is_err());
         assert!(Checkpoint::parse("SEA-CHECKPOINT v1\nsolver diagonal\niteration x\n").is_err());

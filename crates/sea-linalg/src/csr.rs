@@ -412,27 +412,8 @@ impl CsrMatrix {
     /// exactly the order the dense column pass walks, which keeps the sparse
     /// column pass bitwise aligned with the dense one.
     pub fn transposed(&self) -> Self {
-        let t_ptr = self.transposed_row_ptr();
-        let nnz = self.vals.len();
-        let mut t_idx = vec![0u32; nnz];
-        let mut t_vals = vec![0.0f64; nnz];
-        let mut next = t_ptr.clone();
-        for i in 0..self.rows {
-            for k in self.row_range(i) {
-                let c = self.col_idx[k] as usize;
-                let slot = next[c];
-                next[c] += 1;
-                t_idx[slot] = i as u32;
-                t_vals[slot] = self.vals[k];
-            }
-        }
-        Self {
-            rows: self.cols,
-            cols: self.rows,
-            row_ptr: Arc::new(t_ptr),
-            col_idx: Arc::new(t_idx),
-            vals: t_vals,
-        }
+        let mut ts = Self::scatter_transposed(&[self], None);
+        ts.swap_remove(0)
     }
 
     /// Transpose several matrices that share one pattern in a single
@@ -447,12 +428,20 @@ impl CsrMatrix {
         if !mats.iter().all(|a| first.same_pattern(a)) {
             return None;
         }
+        u32::try_from(first.vals.len()).ok()?;
+        let mut to = vec![0u32; first.vals.len()];
+        let ts = Self::scatter_transposed(mats, Some(&mut to));
+        Some((ts, to))
+    }
+
+    /// The counting-sort scatter behind both transposes: `mats` share the
+    /// pattern of `mats[0]`, and `to`, when given, receives the slot map.
+    fn scatter_transposed(mats: &[&CsrMatrix], mut to: Option<&mut [u32]>) -> Vec<CsrMatrix> {
+        let first = mats[0];
         let nnz = first.vals.len();
-        u32::try_from(nnz).ok()?;
         let t_ptr = first.transposed_row_ptr();
         let mut t_idx = vec![0u32; nnz];
         let mut t_vals: Vec<Vec<f64>> = mats.iter().map(|_| vec![0.0; nnz]).collect();
-        let mut to = vec![0u32; nnz];
         let mut next = t_ptr.clone();
         for i in 0..first.rows {
             for k in first.row_range(i) {
@@ -460,8 +449,10 @@ impl CsrMatrix {
                 let slot = next[c];
                 next[c] += 1;
                 t_idx[slot] = i as u32;
-                // Fits: slots are below nnz, checked above.
-                to[k] = slot as u32;
+                if let Some(to) = to.as_deref_mut() {
+                    // Fits: callers check that nnz fits u32.
+                    to[k] = slot as u32;
+                }
                 for (t, a) in t_vals.iter_mut().zip(mats) {
                     t[slot] = a.vals[k];
                 }
@@ -469,7 +460,7 @@ impl CsrMatrix {
         }
         let row_ptr = Arc::new(t_ptr);
         let col_idx = Arc::new(t_idx);
-        let ts = t_vals
+        t_vals
             .into_iter()
             .map(|vals| Self {
                 rows: first.cols,
@@ -478,8 +469,7 @@ impl CsrMatrix {
                 col_idx: Arc::clone(&col_idx),
                 vals,
             })
-            .collect();
-        Some((ts, to))
+            .collect()
     }
 
     /// Row pointers of the transpose: prefix sums of the column counts.

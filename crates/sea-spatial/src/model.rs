@@ -303,6 +303,33 @@ mod tests {
     }
 
     #[test]
+    fn sparse_convergence_checks_still_stop_with_extrapolation() {
+        // Elastic problems stop on MaxAbsChange, which defers a stop met
+        // after an extrapolated sweep; the deferred stop must be confirmed
+        // at any check cadence.
+        let cmp = crate::generate::random_spe(60, 60, 5)
+            .to_constrained_matrix()
+            .unwrap();
+        for epsilon in [1e-2, 1e-6] {
+            let solve = |check_every: usize| {
+                let mut opts = SeaOptions::with_epsilon(epsilon);
+                opts.check_every = check_every;
+                let sol = solve_diagonal(&cmp, &opts).unwrap();
+                assert!(sol.stats.converged, "check_every {check_every}");
+                sol.stats.iterations
+            };
+            let every = solve(1);
+            for check_every in [2, 5] {
+                let sparse = solve(check_every);
+                assert!(
+                    sparse <= every + 2 * check_every,
+                    "check_every {check_every}: {sparse} vs {every} sweeps"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn validation_catches_bad_slopes() {
         let mut p = small_spe();
         p.demand_slope[1] = 0.0;
