@@ -28,6 +28,14 @@ fn instance(seed: u64, m: usize, n: usize) -> BatchInstance {
     }
 }
 
+fn bounded_instance(seed: u64, m: usize, n: usize) -> BatchInstance {
+    BatchInstance {
+        id: format!("bounded-{seed}"),
+        family: Some(format!("bounded-fam-{seed}")),
+        problem: BatchProblem::Bounded(generator::heterogeneous_bounded(seed, m, n)),
+    }
+}
+
 fn options() -> BatchOptions {
     BatchOptions {
         epsilon: SOLVE_EPS,
@@ -96,5 +104,35 @@ proptest! {
             cold.kernel_work - warm.kernel_work,
             "work_saved must equal the measured difference"
         );
+    }
+}
+
+/// A bounded family's warm epoch starts from cached multipliers, and its
+/// boxed kernel from each subproblem's previous multiplier: it must spend
+/// less kernel work than the cold epoch, and report the saving.
+#[test]
+fn bounded_warm_epoch_saves_kernel_work() {
+    for seed in 0..8 {
+        let inst = bounded_instance(seed, 30, 25);
+        let mut engine = BatchEngine::new(options());
+        let batch = std::slice::from_ref(&inst);
+        let cold = engine.solve_batch(batch, &mut NullObserver);
+        assert!(
+            cold.all_converged(),
+            "seed {seed}: cold solve must converge"
+        );
+        let warm = engine.solve_batch(batch, &mut NullObserver);
+        assert!(
+            warm.all_converged(),
+            "seed {seed}: warm solve must converge"
+        );
+        assert_eq!(warm.items[0].warm_start, WarmStart::Hit);
+        assert!(
+            warm.kernel_work < cold.kernel_work,
+            "seed {seed}: warm {} vs cold {}",
+            warm.kernel_work,
+            cold.kernel_work
+        );
+        assert!(warm.work_saved > 0, "seed {seed}: no work saved");
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::error::SeaError;
 use crate::knapsack::{
-    exact_equilibration_boxed_with, exact_equilibration_hinted, EquilibrationScratch, KernelKind,
+    exact_equilibration_boxed_hinted, exact_equilibration_hinted, EquilibrationScratch, KernelKind,
     TotalMode,
 };
 use crate::parallel::Parallelism;
@@ -184,6 +184,66 @@ impl TaskScratch {
     }
 }
 
+/// Entry bounds of a box-bounded pass, in the pass's row orientation, with
+/// each subproblem's `(Σ lo, Σ hi)` computed once: the bounds never change
+/// during a solve, so the kernel neither re-sums nor re-checks them.
+#[derive(Debug)]
+pub struct PassBounds<'a, S: Storage> {
+    lo: &'a S,
+    hi: &'a S,
+    sums: Vec<(f64, f64)>,
+}
+
+impl<'a, S: Storage> PassBounds<'a, S> {
+    /// Bounds `(lo, hi)` in the same orientation and pattern as the pass's
+    /// prior. Each row's sums are `iter().sum()` over its stored values
+    /// (the bits the kernel's own sums would have), rows in parallel when
+    /// `parallel`.
+    ///
+    /// # Errors
+    /// [`SeaError::InconsistentBounds`] if some `lo > hi`, with the entry's
+    /// storage index.
+    pub fn new(lo: &'a S, hi: &'a S, parallel: bool) -> Result<Self, SeaError> {
+        let row = |i: usize| {
+            let range = lo.row_range(i);
+            let (l, h) = (&lo.values()[range.clone()], &hi.values()[hi.row_range(i)]);
+            if let Some(j) = l.iter().zip(h).position(|(a, b)| a > b) {
+                return Err(SeaError::InconsistentBounds {
+                    index: range.start + j,
+                    lower: l[j],
+                    upper: h[j],
+                });
+            }
+            Ok((l.iter().sum(), h.iter().sum()))
+        };
+        let mut sums = vec![(0.0, 0.0); lo.rows()];
+        let fill = |(i, out): (usize, &mut (f64, f64))| -> Result<(), SeaError> {
+            *out = row(i)?;
+            Ok(())
+        };
+        if parallel {
+            sums.par_iter_mut()
+                .enumerate()
+                .try_for_each_init(|| (), |_, item| fill(item))?;
+        } else {
+            sums.iter_mut().enumerate().try_for_each(fill)?;
+        }
+        Ok(Self { lo, hi, sums })
+    }
+
+    /// Row `i`'s `(lo, hi)` slices and their sums.
+    fn row(&self, i: usize) -> BoxRow<'_> {
+        (
+            &self.lo.values()[self.lo.row_range(i)],
+            &self.hi.values()[self.hi.row_range(i)],
+            self.sums[i],
+        )
+    }
+}
+
+/// One subproblem's bounds: `(lo, hi, (Σ lo, Σ hi))`.
+type BoxRow<'a> = (&'a [f64], &'a [f64], (f64, f64));
+
 /// Inputs shared by every subproblem of a pass, in "row orientation".
 pub struct PassInputs<'a, S: Storage> {
     /// Prior matrix, oriented so each subproblem is a contiguous row.
@@ -194,10 +254,10 @@ pub struct PassInputs<'a, S: Storage> {
     /// Structural-zero support lists (per subproblem), if any. Dense
     /// storage only: sparse rows carry their support in the pattern.
     pub support: Option<&'a [Vec<u32>]>,
-    /// Entry bounds `(lo, hi)` in the same orientation and pattern as
-    /// `prior`, for box-bounded problems: each subproblem then becomes a
-    /// box-bounded knapsack. `None` keeps the plain `x ≥ 0` subproblem.
-    pub bounds: Option<(&'a S, &'a S)>,
+    /// Entry bounds in the same orientation and pattern as `prior`, for
+    /// box-bounded problems: each subproblem then becomes a box-bounded
+    /// knapsack. `None` keeps the plain `x ≥ 0` subproblem.
+    pub bounds: Option<&'a PassBounds<'a, S>>,
     /// The opposite side's multipliers (length = subproblem size).
     pub shift: &'a [f64],
     /// `"row"` or `"column"`, for error reporting.
@@ -206,8 +266,14 @@ pub struct PassInputs<'a, S: Storage> {
     pub kernel: KernelKind,
     /// When `true` the pass's multiplier output already holds each
     /// subproblem's previous multiplier (a later iteration, or one supplied
-    /// up front), and the plain quickselect kernel starts its search from
-    /// it. `false` solves every subproblem from scratch.
+    /// up front), and the quickselect kernel, plain or boxed, starts its
+    /// search from it. `false` solves every subproblem from scratch.
+    ///
+    /// The answer's last bits depend on the hint. The solver therefore
+    /// warms bounded passes only when it extrapolates
+    /// (`SeaOptions::extrapolation_depth > 0`): at depth 0, the paper's SEA,
+    /// the boxed kernel runs cold and keeps the bits `tests/bounded_pinned.rs`
+    /// pins.
     pub warm: bool,
     /// Scripted fault for one subproblem of this pass (fault-injection
     /// harness only; `None` in production).
@@ -215,8 +281,8 @@ pub struct PassInputs<'a, S: Storage> {
 }
 
 /// Run the configured kernel on one subproblem — the box-bounded variant
-/// when `bounds` carries the subproblem's `(lo, hi)` slices, else the plain
-/// kernel warm-started from `hint`, the previous multiplier; on a
+/// when `bounds` carries the subproblem's bounds, else the plain kernel —
+/// warm-started from `hint`, the previous multiplier; on a
 /// pathological result (non-finite `λ` or total — or a scripted kernel
 /// fault) re-solve with the robust sort-scan kernel and count the fallback.
 /// Quickselect's median-of-three pivoting can in principle degrade on
@@ -229,7 +295,7 @@ fn kernel_solve(
     q: &[f64],
     g: &[f64],
     sh: &[f64],
-    bounds: Option<(&[f64], &[f64])>,
+    bounds: Option<BoxRow<'_>>,
     mode: TotalMode,
     hint: Option<f64>,
     x: &mut [f64],
@@ -238,7 +304,19 @@ fn kernel_solve(
 ) -> Result<(f64, f64), SeaError> {
     let mut solve = |kernel| match bounds {
         None => exact_equilibration_hinted(kernel, q, g, sh, mode, hint, x, eq),
-        Some((lo, hi)) => exact_equilibration_boxed_with(kernel, q, g, sh, lo, hi, mode, x, eq),
+        Some((lo, hi, sums)) => exact_equilibration_boxed_hinted(
+            kernel,
+            q,
+            g,
+            sh,
+            lo,
+            hi,
+            Some(sums),
+            mode,
+            hint,
+            x,
+            eq,
+        ),
     };
     let r = solve(kernel)?;
     let pathological = force_fallback || !r.lambda.is_finite() || !r.total.is_finite();
@@ -320,9 +398,7 @@ fn solve_task<S: Storage>(
     };
     // Bounds share the prior's orientation and pattern, so their stored
     // values for row `i` line up with the prior row entry by entry.
-    let bounds = inp
-        .bounds
-        .map(|(lo, hi)| (&lo.values()[lo.row_range(i)], &hi.values()[hi.row_range(i)]));
+    let bounds = inp.bounds.map(|b| b.row(i));
     let TaskScratch {
         eq,
         q: q_buf,
@@ -811,9 +887,10 @@ mod tests {
         // Box bounds come with sparse patterns, never dense support lists.
         let lo = DenseMatrix::zeros(2, 3).unwrap();
         let hi = DenseMatrix::filled(2, 3, 10.0).unwrap();
+        let bounds = PassBounds::new(&lo, &hi, false).unwrap();
         let e = equilibration_pass(
             &PassInputs {
-                bounds: Some((&lo, &hi)),
+                bounds: Some(&bounds),
                 ..inp
             },
             &|_| TotalMode::Fixed { total: 8.0 },

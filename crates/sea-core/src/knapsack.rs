@@ -493,26 +493,38 @@ fn plain_lambda_quickselect(
             db: inv2g,
         }
     }));
-    select_events(scratch, mode, hint)
+    select_events(scratch, 0.0, mode, FlatPolicy::NonnegativePrefix, hint)
 }
 
-/// Locate λ over the plain kernel's filled event array: the warm segment
-/// first when a `hint` is given, else (or on a miss) [`select_lambda`].
+/// Locate λ over the filled event array: the warm segment first when a
+/// `hint` is given ([`warm_segment`] for the plain kernel's events,
+/// [`warm_boxed_segment`] for the boxed kernel's pairs), else (or on a
+/// miss) [`select_lambda`] with `base_a` and the kernel's `flat` rule.
 /// A warm attempt, hit or miss, counts as one partition round: it is one
 /// pass over the events, like a round.
 /// Returns NaN on breakdown.
-fn select_events(scratch: &mut EquilibrationScratch, mode: TotalMode, hint: Option<f64>) -> f64 {
+fn select_events(
+    scratch: &mut EquilibrationScratch,
+    base_a: f64,
+    mode: TotalMode,
+    flat: FlatPolicy,
+    hint: Option<f64>,
+) -> f64 {
     if let Some(h) = hint {
         scratch.stats.quickselect_pivots += 1;
-        if let Some(lambda) = warm_segment(&scratch.events, h, mode) {
+        let warm = match flat {
+            FlatPolicy::NonnegativePrefix => warm_segment(&scratch.events, h, mode),
+            FlatPolicy::BoundedMatch => warm_boxed_segment(&scratch.events, base_a, h, mode),
+        };
+        if let Some(lambda) = warm {
             return lambda;
         }
     }
     select_lambda(
         &mut scratch.events,
-        0.0,
+        base_a,
         mode,
-        FlatPolicy::NonnegativePrefix,
+        flat,
         &mut scratch.stats.quickselect_pivots,
     )
     .unwrap_or(f64::NAN)
@@ -555,6 +567,61 @@ fn warm_segment(events: &[SelectEvent], hint: f64, mode: TotalMode) -> Option<f6
         fold(k, e);
     }
     let (a, b) = ((a[0] + a[1]) + (a[2] + a[3]), (b[0] + b[1]) + (b[2] + b[3]));
+    let seg_lo = lo[0].max(lo[1]).max(lo[2].max(lo[3]));
+    let seg_hi = hi[0].min(hi[1]).min(hi[2].min(hi[3]));
+    let root = match mode {
+        TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
+        TotalMode::Fixed { .. } => return None,
+        TotalMode::Elastic { .. } => {
+            let (el_slope, el_const) = elastic_constants(mode);
+            (el_const - a) / (b + el_slope)
+        }
+    };
+    (seg_lo <= root && root <= seg_hi).then_some(root)
+}
+
+/// [`warm_segment`] for the boxed kernel, whose events come in
+/// `(lower, upper)` pairs, one pair per entry, over the base `Σ lo`.
+///
+/// The intercept sums `da` over every event at or below `hint`; the slope
+/// sums `db` only over entries strictly inside their box on that segment
+/// (lower event crossed, upper not). Adding `+w` at the lower event and
+/// `−w` at the upper one would leave a ±ε residue for entries pinned at
+/// `hi`. In fixed mode a flat segment (zero slope) is a miss, so
+/// [`select_lambda`]'s `BoundedMatch` rule resolves it.
+fn warm_boxed_segment(
+    events: &[SelectEvent],
+    base: f64,
+    hint: f64,
+    mode: TotalMode,
+) -> Option<f64> {
+    // Entry k goes to lane k mod 4, as in `warm_segment`.
+    const W: usize = 4;
+    let (mut a, mut b) = ([0.0_f64; W], [0.0_f64; W]);
+    let (mut lo, mut hi) = ([f64::NEG_INFINITY; W], [f64::INFINITY; W]);
+    let mut fold = |k: usize, pair: &[SelectEvent]| {
+        let (l, u) = (&pair[0], &pair[1]);
+        let (below_l, below_u) = (l.v <= hint, u.v <= hint);
+        a[k] += (if below_l { l.da } else { 0.0 }) + (if below_u { u.da } else { 0.0 });
+        b[k] += if below_l && !below_u { l.db } else { 0.0 };
+        lo[k] = lo[k]
+            .max(if below_l { l.v } else { f64::NEG_INFINITY })
+            .max(if below_u { u.v } else { f64::NEG_INFINITY });
+        hi[k] = hi[k]
+            .min(if below_l { f64::INFINITY } else { l.v })
+            .min(if below_u { f64::INFINITY } else { u.v });
+    };
+    let mut chunks = events.chunks_exact(2 * W);
+    for chunk in &mut chunks {
+        for (k, pair) in chunk.chunks_exact(2).enumerate() {
+            fold(k, pair);
+        }
+    }
+    for (k, pair) in chunks.remainder().chunks_exact(2).enumerate() {
+        fold(k, pair);
+    }
+    let a = base + ((a[0] + a[1]) + (a[2] + a[3]));
+    let b = (b[0] + b[1]) + (b[2] + b[3]);
     let seg_lo = lo[0].max(lo[1]).max(lo[2].max(lo[3]));
     let seg_hi = hi[0].min(hi[1]).min(hi[2].min(hi[3]));
     let root = match mode {
@@ -754,6 +821,33 @@ pub fn exact_equilibration_boxed_with(
     x_out: &mut [f64],
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
+    exact_equilibration_boxed_hinted(
+        kernel, q, gamma, shift, lo, hi, None, mode, None, x_out, scratch,
+    )
+}
+
+/// [`exact_equilibration_boxed_with`] for a pass, which solves the same
+/// subproblems every sweep. `sums`, when given, is the subproblem's
+/// `(Σ lo, Σ hi)`, summed by the caller over the same slices with
+/// `iter().sum()`; the caller then also guarantees `lo ≤ hi` entrywise
+/// (as [`crate::BoundedProblem::new`] does), and the per-call crossing scan
+/// and sums are skipped. `None` checks and sums here. The quickselect
+/// kernel first tries the segment holding `hint` ([`warm_boxed_segment`]);
+/// sort-scan ignores the hint.
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + hint + output + workspace
+pub(crate) fn exact_equilibration_boxed_hinted(
+    kernel: KernelKind,
+    q: &[f64],
+    gamma: &[f64],
+    shift: &[f64],
+    lo: &[f64],
+    hi: &[f64],
+    sums: Option<(f64, f64)>,
+    mode: TotalMode,
+    hint: Option<f64>,
+    x_out: &mut [f64],
+    scratch: &mut EquilibrationScratch,
+) -> Result<EquilibrationResult, SeaError> {
     validate_inputs(q, gamma, shift, x_out)?;
     let n = q.len();
     scratch.stats.subproblems += 1;
@@ -764,17 +858,21 @@ pub fn exact_equilibration_boxed_with(
             actual: lo.len().min(hi.len()),
         });
     }
-    for j in 0..n {
-        if lo[j] > hi[j] {
-            return Err(SeaError::InconsistentBounds {
-                index: j,
-                lower: lo[j],
-                upper: hi[j],
-            });
+    let (sum_lo, sum_hi) = match sums {
+        Some(sums) => sums,
+        None => {
+            for j in 0..n {
+                if lo[j] > hi[j] {
+                    return Err(SeaError::InconsistentBounds {
+                        index: j,
+                        lower: lo[j],
+                        upper: hi[j],
+                    });
+                }
+            }
+            (lo.iter().sum(), hi.iter().sum())
         }
-    }
-    let sum_lo: f64 = lo.iter().sum();
-    let sum_hi: f64 = hi.iter().sum();
+    };
     if let TotalMode::Fixed { total } = mode {
         let span = (sum_hi - sum_lo).abs().max(1.0);
         if total < sum_lo - 1e-9 * span || total > sum_hi + 1e-9 * span {
@@ -799,7 +897,7 @@ pub fn exact_equilibration_boxed_with(
             boxed_lambda_sort_scan(q, gamma, shift, lo, hi, sum_lo, mode, scratch)
         }
         KernelKind::Quickselect => {
-            boxed_lambda_quickselect(q, gamma, shift, lo, hi, sum_lo, mode, scratch)
+            boxed_lambda_quickselect(q, gamma, shift, lo, hi, sum_lo, mode, hint, scratch)
         }
     };
     if !lambda.is_finite() {
@@ -811,7 +909,6 @@ pub fn exact_equilibration_boxed_with(
     }
 
     let mut active = 0usize;
-    let mut sum = 0.0;
     for j in 0..n {
         let raw = q[j] + (shift[j] + lambda) / (2.0 * gamma[j]);
         let v = raw.clamp(lo[j], hi[j]);
@@ -819,7 +916,6 @@ pub fn exact_equilibration_boxed_with(
             active += 1;
         }
         x_out[j] = v;
-        sum += v;
     }
     let total = match mode {
         TotalMode::Fixed { total } => total,
@@ -829,7 +925,6 @@ pub fn exact_equilibration_boxed_with(
             cross,
         } => prior - (lambda + cross) / (2.0 * alpha),
     };
-    let _ = sum;
     scratch.stats.boxed_clamps += (n - active) as u64;
 
     Ok(EquilibrationResult {
@@ -933,8 +1028,10 @@ fn boxed_lambda_sort_scan(
 
 /// Selection kernel for the boxed subproblem: the clamp decomposes into a
 /// `+w` hinge at the lower-bound event and a `−w` hinge at the upper-bound
-/// event, so the same [`select_lambda`] search applies with `base = Σ loⱼ`.
-/// Returns NaN when no segment accepts (caller clamps).
+/// event, so the same [`select_events`] search applies with `base = Σ loⱼ`.
+/// Each entry pushes its two events next to each other, the pairing
+/// [`warm_boxed_segment`] reads. Returns NaN when no segment accepts
+/// (caller clamps).
 #[allow(clippy::too_many_arguments)]
 fn boxed_lambda_quickselect(
     q: &[f64],
@@ -944,6 +1041,7 @@ fn boxed_lambda_quickselect(
     hi: &[f64],
     sum_lo: f64,
     mode: TotalMode,
+    hint: Option<f64>,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
     let n = q.len();
@@ -963,14 +1061,7 @@ fn boxed_lambda_quickselect(
             db: -inv2g,
         });
     }
-    select_lambda(
-        &mut scratch.events,
-        sum_lo,
-        mode,
-        FlatPolicy::BoundedMatch,
-        &mut scratch.stats.quickselect_pivots,
-    )
-    .unwrap_or(f64::NAN)
+    select_events(scratch, sum_lo, mode, FlatPolicy::BoundedMatch, hint)
 }
 
 #[cfg(test)]
@@ -1708,6 +1799,69 @@ mod tests {
         assert!((r.lambda - 1.0).abs() < 1e-12);
     }
 
+    /// Warm-started boxed quickselect solve with the given hint, through
+    /// the pass entry (bound sums supplied by the caller).
+    #[allow(clippy::too_many_arguments)]
+    fn warm_boxed(
+        q: &[f64],
+        gamma: &[f64],
+        shift: &[f64],
+        lo: &[f64],
+        hi: &[f64],
+        mode: TotalMode,
+        hint: Option<f64>,
+    ) -> (EquilibrationResult, Vec<f64>, KernelCounters) {
+        let mut sc = EquilibrationScratch::new();
+        let mut x = vec![0.0; q.len()];
+        let sums = (lo.iter().sum(), hi.iter().sum());
+        let r = exact_equilibration_boxed_hinted(
+            KernelKind::Quickselect,
+            q,
+            gamma,
+            shift,
+            lo,
+            hi,
+            Some(sums),
+            mode,
+            hint,
+            &mut x,
+            &mut sc,
+        )
+        .unwrap();
+        (r, x, sc.stats)
+    }
+
+    #[test]
+    fn warm_boxed_hit_costs_one_round_and_a_flat_segment_misses() {
+        let q = [1.0, 2.0, 3.0, 4.0];
+        let gamma = [1.0; 4];
+        let shift = [0.0; 4];
+        let (lo, hi) = ([0.0; 4], [10.0; 4]);
+        let mode = TotalMode::Fixed { total: 12.0 };
+        // Lower events at −2qⱼ, upper events at 2(10 − qⱼ) ∈ [12, 18]; the
+        // root λ = 1 has every entry inside its box (xⱼ = qⱼ + ½).
+        let (r, x, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(1.5));
+        assert_eq!(stats.quickselect_pivots, 1);
+        assert!((r.lambda - 1.0).abs() < 1e-12);
+        assert!((x[0] - 1.5).abs() < 1e-12);
+        // Below every event (all at lo) and above every event (all at hi)
+        // the fixed-total segment is flat: a miss, counted as one round,
+        // then the full selection.
+        for hint in [-100.0, 100.0] {
+            let (r, _, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(hint));
+            assert!(stats.quickselect_pivots > 1, "hint {hint}");
+            assert!((r.lambda - 1.0).abs() < 1e-12, "hint {hint}");
+        }
+        // On [12, 14] the last entry sits at hi: that segment's line meets
+        // the total at λ = −8/3, outside the bracket, so it misses too.
+        let (r, _, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(13.0));
+        assert!(stats.quickselect_pivots > 1);
+        assert!((r.lambda - 1.0).abs() < 1e-12);
+        let (cold, _, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, None);
+        assert!(stats.quickselect_pivots > 1);
+        assert_eq!(cold.lambda.to_bits(), r.lambda.to_bits());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1783,6 +1937,115 @@ mod tests {
             let first = warm_plain(&q, &gamma, &shift, mode, same_segment[0]);
             for &hint in &same_segment[1..] {
                 let (r, x, _) = warm_plain(&q, &gamma, &shift, mode, hint);
+                prop_assert_eq!(r.lambda.to_bits(), first.0.lambda.to_bits());
+                prop_assert_eq!(
+                    x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    first.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+
+        /// The boxed warm path against the cold boxed selection, in fixed
+        /// and elastic modes, over four kinds of row: tie grids, rows with
+        /// `lo == hi` entries, rows pinned entirely at their bounds (flat
+        /// segments), and single-entry rows.
+        #[test]
+        fn warm_boxed_matches_cold(
+            n in 1usize..60,
+            seed in 0u64..2000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xB0A7);
+            let kind = seed % 4;
+            let n = if kind == 3 { 1 } else { n };
+            let tie_grid = kind == 0;
+            let snap = |v: f64| if tie_grid { (v * 2.0).round() / 2.0 } else { v };
+            let q: Vec<f64> = (0..n).map(|_| snap(rng.random_range(-5.0..10.0))).collect();
+            let gamma: Vec<f64> = (0..n)
+                .map(|_| if tie_grid { 1.0 } else { rng.random_range(0.05..5.0) })
+                .collect();
+            let shift: Vec<f64> = (0..n).map(|_| snap(rng.random_range(-3.0..3.0))).collect();
+            let lo: Vec<f64> = (0..n).map(|_| snap(rng.random_range(-1.0..2.0))).collect();
+            let hi: Vec<f64> = lo
+                .iter()
+                .map(|&l| {
+                    if kind == 1 && rng.random_range(0.0..1.0) < 0.3 {
+                        l
+                    } else {
+                        l + snap(rng.random_range(0.1..5.0)).max(0.5)
+                    }
+                })
+                .collect();
+            let (slo, shi): (f64, f64) = (lo.iter().sum(), hi.iter().sum());
+            let mode = if seed % 3 == 0 {
+                // A far prior pins the whole row at one end of its boxes.
+                let prior = if kind == 2 {
+                    if seed % 2 == 0 { -1e3 } else { 1e3 }
+                } else {
+                    rng.random_range(slo - 5.0..shi + 5.0)
+                };
+                TotalMode::Elastic {
+                    alpha: rng.random_range(0.05..5.0),
+                    prior,
+                    cross: rng.random_range(-2.0..2.0),
+                }
+            } else if kind == 2 {
+                TotalMode::Fixed { total: if seed % 2 == 0 { slo } else { shi } }
+            } else {
+                TotalMode::Fixed { total: rng.random_range(slo..=shi) }
+            };
+            let (r_ref, x_ref, _) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, None);
+            let lam = r_ref.lambda;
+            // λ is unique whenever some entry is inside its box or the total
+            // is elastic.
+            let unique = r_ref.active > 0 || matches!(mode, TotalMode::Elastic { .. });
+
+            let mut hints = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, lam];
+            for delta in [1e-9, 1e-3, 0.5, 10.0] {
+                hints.push(lam + delta * (1.0 + lam.abs()));
+                hints.push(lam - delta * (1.0 + lam.abs()));
+            }
+            hints.extend((0..4).map(|_| rng.random_range(-50.0..50.0)));
+            for &hint in &hints {
+                let (r, x, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(hint));
+                prop_assert!(stats.quickselect_pivots >= 1, "warm attempt not counted");
+                if unique {
+                    prop_assert!(
+                        (r.lambda - lam).abs() <= 1e-10 * (1.0 + lam.abs()),
+                        "hint {}: λ {} vs cold {}", hint, r.lambda, lam
+                    );
+                }
+                for j in 0..n {
+                    prop_assert!(
+                        (x[j] - x_ref[j]).abs() <= 1e-10,
+                        "hint {}: x[{}] {} vs cold {}", hint, j, x[j], x_ref[j]
+                    );
+                    prop_assert!(lo[j] <= x[j] && x[j] <= hi[j], "hint {}: x[{}] outside its box", hint, j);
+                }
+                let sum: f64 = x.iter().sum();
+                prop_assert!(
+                    (sum - r.total).abs() <= 1e-9 * (1.0 + r.total.abs()),
+                    "hint {}: Σx {} vs total {}", hint, sum, r.total
+                );
+            }
+
+            // The root's segment: every hint in it sums the same events.
+            let events: Vec<f64> = (0..n)
+                .flat_map(|j| {
+                    [lo[j], hi[j]].map(|b| 2.0 * gamma[j] * (b - q[j]) - shift[j])
+                })
+                .collect();
+            let seg_lo = events.iter().copied().filter(|&v| v <= lam).fold(f64::NEG_INFINITY, f64::max);
+            let seg_hi = events.iter().copied().filter(|&v| v > lam).fold(f64::INFINITY, f64::min);
+            let mut same_segment = vec![lam];
+            if seg_lo.is_finite() {
+                same_segment.push(seg_lo);
+                same_segment.push(0.5 * (seg_lo + lam));
+            }
+            same_segment.push(if seg_hi.is_finite() { 0.5 * (lam + seg_hi) } else { lam + 1.0 });
+            let first = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(same_segment[0]));
+            for &hint in &same_segment[1..] {
+                let (r, x, _) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(hint));
                 prop_assert_eq!(r.lambda.to_bits(), first.0.lambda.to_bits());
                 prop_assert_eq!(
                     x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -20,7 +20,7 @@ use crate::anderson::Anderson;
 use crate::components::normalize_multipliers_storage;
 use crate::dual;
 use crate::equilibrate::{
-    equilibration_pass, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
+    equilibration_pass, PassBounds, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
 };
 use crate::error::SeaError;
 use crate::knapsack::{KernelKind, TotalMode};
@@ -436,6 +436,18 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         });
     };
     let bounds_t = transposed.next().zip(transposed.next());
+    // The bounds and their per-subproblem sums, for both orientations.
+    let row_bounds = bounds
+        .map(|(lo, hi)| PassBounds::new(lo, hi, parallel))
+        .transpose()?;
+    let col_bounds = bounds_t
+        .as_ref()
+        .map(|(lo, hi)| PassBounds::new(lo, hi, parallel))
+        .transpose()?;
+    // Boxed answers depend on the hint in their last bits, so bounded
+    // passes are warm only when extrapolating; the paper's SEA (depth 0)
+    // keeps the cold boxed kernel's bits (see `PassInputs::warm`).
+    let hinted = bounds.is_none() || opts.extrapolation_depth > 0;
 
     // Fixed-size shards for parallel passes. Rows are independent, so
     // results are bitwise-identical for every sharding.
@@ -484,11 +496,11 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             prior: &x0_t,
             gamma: &gamma_t,
             support: col_support,
-            bounds: bounds_t.as_ref().map(|(lo, hi)| (lo, hi)),
+            bounds: col_bounds.as_ref(),
             shift: lambda,
             side: "column",
             kernel: opts.kernel,
-            warm: t > 1 || col_warm,
+            warm: hinted && (t > 1 || col_warm),
             fault,
         };
         let modes = subproblem_modes(p.totals(), false, lambda);
@@ -549,11 +561,11 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 prior: p.x0(),
                 gamma: p.gamma(),
                 support: row_support,
-                bounds,
+                bounds: row_bounds.as_ref(),
                 shift: &mu,
                 side: "row",
                 kernel: opts.kernel,
-                warm: t > 1 || row_warm,
+                warm: hinted && (t > 1 || row_warm),
                 fault: ctrl.task_fault(t, "row"),
             };
             if observing {
@@ -921,6 +933,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     // The Solve span also covers assembly, freeing the working set and a
     // supervised solve's certificate: together they are a sizeable share
     // of a cheap solve's wall time.
+    drop((row_bounds, col_bounds));
     drop((x_t, x_t_prev, x0_t, bounds_t, x, transposer, anderson));
     let solution = Solution {
         x: x_final,

@@ -138,8 +138,9 @@ pub struct SolveBudget {
     /// Cap on cumulative kernel work, measured in breakpoint scans plus
     /// quickselect partition rounds plus boxed clamps (the quantities the
     /// paper's per-iteration cost model counts). A warm-start attempt of
-    /// the quickselect kernel, hit or miss, counts as one round, so a solve
-    /// whose subproblems all hit still spends one unit per subproblem.
+    /// the quickselect kernel, plain or boxed, hit or miss, counts as one
+    /// round, so a solve whose subproblems all hit still spends one unit
+    /// per subproblem (plus, for boxed ones, a unit per clamped entry).
     pub max_kernel_work: Option<u64>,
 }
 

@@ -3,9 +3,11 @@
 //! One dense and one CSR bounded instance with many active bounds are
 //! solved to a tight tolerance, and the iteration count plus a digest of
 //! the exact bits of `x`, `λ` and `μ` are compared against constants
-//! recorded from the serial driver. The same bits must come out of every
-//! parallel configuration and shard size, because each row/column
-//! subproblem is solved independently of how the pass is split.
+//! recorded from the serial driver, once for the paper's SEA (depth 0,
+//! cold boxed kernel) and once at the default extrapolation depth (warm
+//! boxed kernel). The same bits must come out of every parallel
+//! configuration and shard size, because each row/column subproblem is
+//! solved independently of how the pass is split.
 
 use sea_core::{
     solve_bounded_supervised, solve_bounded_supervised_configured, BoundedOptions, BoundedProblem,
@@ -38,6 +40,24 @@ const CSR_PIN: Pin = Pin {
     x: 2011184533715982601,
     lambda: 5682861972792706532,
     mu: 18286416250237337724,
+};
+
+/// New with the warm-started boxed kernel: the default extrapolation
+/// depth, where bounded passes start each subproblem from its previous
+/// multiplier.
+const DENSE_DEFAULT_DEPTH_PIN: Pin = Pin {
+    iterations: 6,
+    x: 6422275910387453511,
+    lambda: 8356694716409403612,
+    mu: 7381897832353944531,
+};
+
+/// New with the warm-started boxed kernel (see [`DENSE_DEFAULT_DEPTH_PIN`]).
+const CSR_DEFAULT_DEPTH_PIN: Pin = Pin {
+    iterations: 16,
+    x: 7386586354499034484,
+    lambda: 11482432283728998075,
+    mu: 13831892525905195365,
 };
 
 fn digest(v: &[f64]) -> u64 {
@@ -138,29 +158,53 @@ fn pinned_options() -> SeaOptions {
     }
 }
 
-#[test]
-fn serial_bounded_iterates_are_pinned() {
+/// Each pinned configuration: a tag, its options, and its dense and CSR
+/// pins.
+fn pinned_configs() -> [(&'static str, SeaOptions, &'static Pin, &'static Pin); 2] {
+    let default_depth = SeaOptions {
+        max_iterations: MAX_ITERATIONS,
+        ..SeaOptions::with_epsilon(EPSILON)
+    };
+    [
+        ("depth 0", pinned_options(), &DENSE_PIN, &CSR_PIN),
+        (
+            "default depth",
+            default_depth,
+            &DENSE_DEFAULT_DEPTH_PIN,
+            &CSR_DEFAULT_DEPTH_PIN,
+        ),
+    ]
+}
+
+/// Solve both pinned instances with `opts` and compare against the pins.
+fn assert_pinned(opts: &SeaOptions, dense_pin: &Pin, csr_pin: &Pin, tag: &str) {
     let sup = SupervisorOptions::default();
-    let opts = pinned_options();
-    let dense = solve_bounded_supervised(&dense_problem(), &opts, &sup, &mut NullObserver)
+    let dense = solve_bounded_supervised(&dense_problem(), opts, &sup, &mut NullObserver)
         .expect("dense bounded solve");
     let s = &dense.solution;
-    assert!(s.converged);
+    assert!(s.converged, "dense {tag}");
     assert_eq!(
-        pin_of(s.iterations, s.x.as_slice(), &s.lambda, &s.mu),
-        DENSE_PIN,
-        "dense"
+        &pin_of(s.iterations, s.x.as_slice(), &s.lambda, &s.mu),
+        dense_pin,
+        "dense {tag}"
     );
 
-    let csr = solve_bounded_supervised(&csr_problem(), &opts, &sup, &mut NullObserver)
+    let csr = solve_bounded_supervised(&csr_problem(), opts, &sup, &mut NullObserver)
         .expect("CSR bounded solve");
     let s = &csr.solution;
-    assert!(s.converged);
+    assert!(s.converged, "csr {tag}");
     assert_eq!(
-        pin_of(s.iterations, s.x.values(), &s.lambda, &s.mu),
-        CSR_PIN,
-        "csr"
+        &pin_of(s.iterations, s.x.values(), &s.lambda, &s.mu),
+        csr_pin,
+        "csr {tag}"
     );
+}
+
+#[test]
+fn serial_bounded_iterates_are_pinned() {
+    for (tag, opts, dense_pin, csr_pin) in pinned_configs() {
+        assert_pinned(&opts, dense_pin, csr_pin, tag);
+    }
 }
 
 /// The configured entry point is the supervised driver with default
@@ -206,37 +250,21 @@ fn configured_entry_matches_the_supervised_driver() {
 
 #[test]
 fn parallel_bounded_iterates_match_the_serial_pin() {
-    let sup = SupervisorOptions::default();
-    let dense_p = dense_problem();
-    let csr_p = csr_problem();
     let mut configs = vec![(Parallelism::Serial, None)];
     for threads in [2, 3] {
         for block in [1, 4] {
             configs.push((Parallelism::RayonThreads(threads), Some(block)));
         }
     }
-    for (parallelism, block_size) in configs {
-        let opts = SeaOptions {
-            parallelism,
-            block_size,
-            ..pinned_options()
-        };
-        let tag = format!("{parallelism:?}/{block_size:?}");
-        let s = solve_bounded_supervised(&dense_p, &opts, &sup, &mut NullObserver)
-            .expect("dense bounded solve")
-            .solution;
-        assert_eq!(
-            pin_of(s.iterations, s.x.as_slice(), &s.lambda, &s.mu),
-            DENSE_PIN,
-            "dense {tag}"
-        );
-        let s = solve_bounded_supervised(&csr_p, &opts, &sup, &mut NullObserver)
-            .expect("CSR bounded solve")
-            .solution;
-        assert_eq!(
-            pin_of(s.iterations, s.x.values(), &s.lambda, &s.mu),
-            CSR_PIN,
-            "csr {tag}"
-        );
+    for (depth_tag, base, dense_pin, csr_pin) in pinned_configs() {
+        for &(parallelism, block_size) in &configs {
+            let opts = SeaOptions {
+                parallelism,
+                block_size,
+                ..base.clone()
+            };
+            let tag = format!("{depth_tag} {parallelism:?}/{block_size:?}");
+            assert_pinned(&opts, dense_pin, csr_pin, &tag);
+        }
     }
 }

@@ -181,6 +181,26 @@ pub fn heterogeneous(seed: u64, m: usize, n: usize) -> DiagonalProblem {
         .expect("heterogeneous family is always constructible")
 }
 
+/// [`heterogeneous`] boxed to `[0.6, 1.4]×` the feasible point
+/// `sᵢ·dⱼ / Σs` of its margins: always feasible, and the staggered priors
+/// and weights push many cells onto a bound.
+pub fn heterogeneous_bounded(seed: u64, m: usize, n: usize) -> BoundedProblem {
+    let base = heterogeneous(seed, m, n);
+    let TotalSpec::Fixed { s0, d0 } = base.totals().clone() else {
+        unreachable!("heterogeneous builds fixed totals")
+    };
+    let total: f64 = s0.iter().sum();
+    let box_at = |f: f64| {
+        let cells = s0
+            .iter()
+            .flat_map(|&s| d0.iter().map(move |&d| f * s * d / total));
+        DenseMatrix::from_vec(m, n, cells.collect()).expect("valid dims")
+    };
+    let (lo, hi) = (box_at(0.6), box_at(1.4));
+    BoundedProblem::new(base.x0().clone(), base.gamma().clone(), lo, hi, s0, d0)
+        .expect("boxes around a feasible point are feasible")
+}
+
 /// A drifting-prior sequence: `epochs` successive instances of one problem
 /// family whose priors and totals wander by a relative `drift` per epoch.
 /// Models the batch warm-start workload — consecutive instances are close,

@@ -518,6 +518,60 @@ fn default_kernel_resume_from_checkpoint_is_bitwise_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The bounded twin of the test above, at the default depth: the boxed
+/// kernel is warm there, so its answers depend on the hint, and a resumed
+/// solve must still replay the uninterrupted one bit for bit.
+#[test]
+fn default_kernel_bounded_resume_from_checkpoint_is_bitwise_identical() {
+    let dir = ckpt_dir("default-kernel-bounded");
+    let ck_path = dir.join("state.ckpt");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for seed in 0..20 {
+        let p = generator::heterogeneous_bounded(seed, 30, 25);
+        let run = |budget: usize, checkpoint: bool, resume: Option<&Checkpoint>| {
+            let mut o = SeaOptions::with_epsilon(-1.0);
+            assert_eq!(o.kernel, KernelKind::default());
+            assert!(o.extrapolation_depth > 0);
+            o.max_iterations = budget;
+            let sup = SupervisorOptions {
+                checkpoint: checkpoint.then(|| CheckpointPolicy {
+                    path: ck_path.clone(),
+                    every: 1,
+                }),
+                resume: resume.cloned(),
+                ..SupervisorOptions::default()
+            };
+            solve_bounded_supervised(&p, &o, &sup, &mut NullObserver).unwrap()
+        };
+        let full = run(12, false, None);
+        assert_eq!(full.stop, StopReason::IterationCap);
+        let partial = run(5, true, None);
+        assert!(partial.checkpoint_error.is_none());
+        let ck = Checkpoint::load(&ck_path).unwrap();
+        assert_eq!(ck.solver, "bounded");
+        assert_eq!(ck.iteration, 5);
+        assert_eq!(bits(&ck.lambda), bits(&partial.solution.lambda));
+        let resumed = run(7, false, Some(&ck));
+
+        assert_eq!(
+            bits(&full.solution.lambda),
+            bits(&resumed.solution.lambda),
+            "seed {seed}: resumed λ diverges"
+        );
+        assert_eq!(
+            bits(&full.solution.mu),
+            bits(&resumed.solution.mu),
+            "seed {seed}: resumed μ diverges"
+        );
+        assert_eq!(
+            bits(full.solution.x.as_slice()),
+            bits(resumed.solution.x.as_slice()),
+            "seed {seed}: resumed x diverges"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A checkpoint in the version 1 format, written before checkpoints carried
 /// an extrapolation history (iteration 5 of [`hard_problem`], default
 /// kernel, serial), still loads and resumes with an empty history. At

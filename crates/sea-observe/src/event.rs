@@ -67,8 +67,8 @@ pub struct KernelCounters {
     /// Breakpoint segments swept by the sort-scan kernel.
     pub breakpoints_scanned: u64,
     /// Partition rounds performed by the quickselect kernel. A warm-start
-    /// check of the previous multiplier's segment, hit or miss, is one
-    /// pass over the events and counts as one round.
+    /// check of the previous multiplier's segment (plain or boxed), hit or
+    /// miss, is one pass over the events and counts as one round.
     pub quickselect_pivots: u64,
     /// Entries clamped at a box bound by the boxed (interval) kernels.
     pub boxed_clamps: u64,
