@@ -452,26 +452,25 @@ mod tests {
         let mut rc_opts = RcOptions::with_epsilon(1e-8);
         rc_opts.record_trace = true;
         let rc = solve_general_rc(&p, &rc_opts).unwrap();
-        let mut sea_opts = GeneralSeaOptions::with_epsilon(1e-8);
-        sea_opts.record_trace = true;
-        let sea = solve_general(&p, &sea_opts).unwrap();
-        let rc_mv = rc.trace.as_ref().unwrap().count(PhaseKind::Projection);
-        let sea_mv = sea.trace.as_ref().unwrap().count(PhaseKind::Projection);
+        let rc_trace = rc.trace.as_ref().unwrap();
+        let mut obs = sea_core::VecObserver::new();
+        sea_core::solve_general_supervised(
+            &p,
+            &GeneralSeaOptions::with_epsilon(1e-8),
+            &sea_core::SupervisorOptions::default(),
+            &mut obs,
+        )
+        .unwrap();
+        let sea_trace = sea_core::trace_from_events(&obs.events);
+        let rc_mv = rc_trace.count(PhaseKind::Projection);
+        let sea_mv = sea_trace.count(PhaseKind::Projection);
         assert!(
             rc_mv > sea_mv,
             "RC should need more G mat-vecs: rc={rc_mv} sea={sea_mv}"
         );
         // And more serial convergence checks.
-        let rc_checks = rc
-            .trace
-            .as_ref()
-            .unwrap()
-            .count(PhaseKind::ConvergenceCheck);
-        let sea_checks = sea
-            .trace
-            .as_ref()
-            .unwrap()
-            .count(PhaseKind::ConvergenceCheck);
+        let rc_checks = rc_trace.count(PhaseKind::ConvergenceCheck);
+        let sea_checks = sea_trace.count(PhaseKind::ConvergenceCheck);
         assert!(rc_checks > sea_checks);
     }
 

@@ -9,8 +9,11 @@
 //! 3. **Parallel granularity** — simulated efficiency of one large problem
 //!    vs several small ones at equal total work (task-grain effect).
 
-use sea_bench::{results_dir, trace_to_phases, Scale};
-use sea_core::{solve_diagonal, SeaOptions};
+use sea_bench::{results_dir, Scale};
+use sea_cli::commands::trace_to_sim_phases;
+use sea_core::{
+    solve_diagonal, solve_diagonal_observed, trace_from_events, SeaOptions, VecObserver,
+};
 use sea_data::table1_instance;
 use sea_linalg::sort;
 use sea_parsim::{speedup_table, MachineModel};
@@ -98,9 +101,13 @@ fn main() {
     for cadence in [1usize, 2, 5] {
         let mut opts = SeaOptions::with_epsilon(0.01);
         opts.check_every = cadence;
-        opts.record_trace = true;
+        // Wall time comes from an unobserved solve: an observed one also
+        // evaluates the dual value at every check, outside the traced
+        // phases, which would inflate frequent checking.
         let sol = solve_diagonal(&cmp, &opts).expect("solvable");
-        let trace = sol.stats.trace.as_ref().expect("trace");
+        let mut obs = VecObserver::new();
+        solve_diagonal_observed(&cmp, &opts, &mut obs).expect("solvable");
+        let trace = trace_from_events(&obs.events);
         t.push_row(vec![
             cadence.to_string(),
             sol.stats.iterations.to_string(),
@@ -120,10 +127,9 @@ fn main() {
         _ => 300,
     };
     let p = table1_instance(grain_size, seed);
-    let mut opts = SeaOptions::with_epsilon(0.01);
-    opts.record_trace = true;
-    let sol = solve_diagonal(&p, &opts).expect("solvable");
-    let phases = trace_to_phases(sol.stats.trace.as_ref().expect("trace"));
+    let mut obs = VecObserver::new();
+    solve_diagonal_observed(&p, &SeaOptions::with_epsilon(0.01), &mut obs).expect("solvable");
+    let phases = trace_to_sim_phases(&trace_from_events(&obs.events));
     let mut t = Table::new(
         "Simulated efficiency vs dispatch overhead (N = 6)",
         &["dispatch overhead (s/task)", "E_6"],

@@ -2,9 +2,13 @@
 //! Table 9/Figure 7), so the table and figure binaries report identical
 //! numbers.
 
-use crate::{paper_general_options, paper_options, trace_to_phases, Scale};
+use crate::{paper_general_options, paper_options, Scale};
 use sea_baselines::rc::{solve_general_rc, RcOptions};
-use sea_core::solve_diagonal;
+use sea_cli::commands::trace_to_sim_phases;
+use sea_core::{
+    solve_diagonal_observed, solve_general_supervised, trace_from_events, DiagonalProblem,
+    SeaOptions, SupervisorOptions, VecObserver,
+};
 use sea_data::io_tables::{io_dataset, IoVariant};
 use sea_data::{table1_instance, table7_instance};
 use sea_parsim::SimPhase;
@@ -43,21 +47,22 @@ pub fn vector_era_phases(phases: &[SimPhase]) -> Vec<SimPhase> {
         .collect()
 }
 
-fn speedups_from_trace(
-    trace: &sea_core::trace::ExecutionTrace,
-    processors: &[usize],
-) -> Vec<SpeedupRow> {
-    let phases = trace_to_phases(trace);
+/// Solve `p` with an event recorder, rebuild the execution trace from
+/// its `PhaseEnd` events and simulate it on the diagonal study's machines.
+fn diagonal_speedups(p: &DiagonalProblem, opts: &SeaOptions) -> Vec<SpeedupRow> {
+    let mut obs = VecObserver::new();
+    solve_diagonal_observed(p, opts, &mut obs).expect("feasible");
+    let phases = trace_to_sim_phases(&trace_from_events(&obs.events));
     speedup_table(
         &phases,
-        processors,
+        &DIAGONAL_PROCESSORS,
         MachineModel::DEFAULT_DISPATCH_OVERHEAD,
         MachineModel::DEFAULT_FORK_JOIN_OVERHEAD,
     )
 }
 
 /// Table 6 / Figure 5: run the four diagonal examples (IO72b, the Table 1
-/// 1000×1000 instance, SP500×500, SP750×750) with trace recording and
+/// 1000×1000 instance, SP500×500, SP750×750) with an event recorder and
 /// simulate N ∈ {1,2,4,6} processors. Returns `(example name, rows)`.
 pub fn diagonal_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<SpeedupRow>)> {
     let mut out = Vec::new();
@@ -72,13 +77,9 @@ pub fn diagonal_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<
             },
             0,
         );
-        let mut opts = paper_options(0.01);
-        opts.record_trace = true;
-        let sol = solve_diagonal(&p, &opts).expect("feasible");
-        let trace = sol.stats.trace.expect("trace requested");
         out.push((
             "IO72b".to_string(),
-            speedups_from_trace(&trace, &DIAGONAL_PROCESSORS),
+            diagonal_speedups(&p, &paper_options(0.01)),
         ));
     }
 
@@ -90,13 +91,9 @@ pub fn diagonal_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<
             Scale::Paper => 1000,
         };
         let p = table1_instance(size, seed);
-        let mut opts = paper_options(0.01);
-        opts.record_trace = true;
-        let sol = solve_diagonal(&p, &opts).expect("feasible");
-        let trace = sol.stats.trace.expect("trace requested");
         out.push((
             format!("{size} x {size}"),
-            speedups_from_trace(&trace, &DIAGONAL_PROCESSORS),
+            diagonal_speedups(&p, &paper_options(0.01)),
         ));
     }
 
@@ -112,13 +109,7 @@ pub fn diagonal_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<
         let cmp = spe.to_constrained_matrix().expect("valid");
         let mut opts = paper_options(0.01);
         opts.check_every = 2;
-        opts.record_trace = true;
-        let sol = solve_diagonal(&cmp, &opts).expect("feasible");
-        let trace = sol.stats.trace.expect("trace requested");
-        out.push((
-            format!("SP{size} x {size}"),
-            speedups_from_trace(&trace, &DIAGONAL_PROCESSORS),
-        ));
+        out.push((format!("SP{size} x {size}"), diagonal_speedups(&cmp, &opts)));
     }
 
     out
@@ -140,17 +131,22 @@ pub fn general_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<S
     let p = table7_instance(side, seed);
     let g_order = side * side;
 
-    let mut sea_opts = paper_general_options(0.001);
-    sea_opts.record_trace = true;
-    let sea = sea_core::solve_general(&p, &sea_opts).expect("solvable");
-    assert!(sea.converged, "general SEA did not converge");
-    let sea_phases = trace_to_phases(sea.trace.as_ref().expect("trace"));
+    let mut obs = VecObserver::new();
+    let sea = solve_general_supervised(
+        &p,
+        &paper_general_options(0.001),
+        &SupervisorOptions::default(),
+        &mut obs,
+    )
+    .expect("solvable");
+    assert!(sea.solution.converged, "general SEA did not converge");
+    let sea_phases = trace_to_sim_phases(&trace_from_events(&obs.events));
 
     let mut rc_opts = RcOptions::with_epsilon(0.001);
     rc_opts.record_trace = true;
     let rc = solve_general_rc(&p, &rc_opts).expect("solvable");
     assert!(rc.converged, "general RC did not converge");
-    let rc_phases = trace_to_phases(rc.trace.as_ref().expect("trace"));
+    let rc_phases = trace_to_sim_phases(rc.trace.as_ref().expect("trace"));
 
     let run = |phases: &[SimPhase]| {
         speedup_table(

@@ -26,9 +26,7 @@
 
 pub mod experiments;
 
-use sea_core::trace::ExecutionTrace;
 use sea_core::{GeneralSeaOptions, SeaOptions};
-use sea_parsim::SimPhase;
 use std::path::PathBuf;
 
 /// Options for the paper's SEA at tolerance `eps`: the tables and figures
@@ -91,24 +89,6 @@ impl Scale {
     }
 }
 
-/// Convert a solver [`ExecutionTrace`] into simulator phases: parallel
-/// phases keep their per-task costs; serial phases (convergence checks)
-/// become serial `SimPhase`s.
-pub fn trace_to_phases(trace: &ExecutionTrace) -> Vec<SimPhase> {
-    trace
-        .phases
-        .iter()
-        .map(|ph| match ph.kind {
-            k if !k.is_parallel() => SimPhase::serial(ph.task_seconds.clone()),
-            sea_core::trace::PhaseKind::Projection => {
-                // Dense mat-vec: bandwidth-bound on a shared-memory machine.
-                SimPhase::parallel_memory_bound(ph.task_seconds.clone())
-            }
-            _ => SimPhase::parallel(ph.task_seconds.clone()),
-        })
-        .collect()
-}
-
 /// Directory experiment records are written to (`./results`).
 pub fn results_dir() -> PathBuf {
     PathBuf::from("results")
@@ -136,22 +116,11 @@ pub fn speedup_rows_to_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_core::trace::PhaseKind;
-
-    #[test]
-    fn trace_conversion_respects_parallelism() {
-        let mut tr = ExecutionTrace::new();
-        tr.push(PhaseKind::RowEquilibration, vec![1.0, 2.0]);
-        tr.push(PhaseKind::ConvergenceCheck, vec![0.5]);
-        let phases = trace_to_phases(&tr);
-        assert!(phases[0].parallel);
-        assert!(!phases[1].parallel);
-        assert_eq!(phases[0].tasks, vec![1.0, 2.0]);
-    }
 
     #[test]
     fn vector_era_scaling_penalizes_serial_phases_only() {
         use crate::experiments::{vector_era_phases, VECTOR_ERA_SCALAR_PENALTY};
+        use sea_parsim::SimPhase;
         let phases = vec![
             SimPhase::parallel(vec![1.0, 2.0]),
             SimPhase::serial(vec![0.5]),
@@ -162,15 +131,6 @@ mod tests {
         assert_eq!(scaled[1].tasks, vec![0.5 * VECTOR_ERA_SCALAR_PENALTY]);
         assert_eq!(scaled[2].tasks, vec![3.0]);
         assert!(scaled[2].memory_bound);
-    }
-
-    #[test]
-    fn projection_phases_convert_to_memory_bound() {
-        let mut tr = ExecutionTrace::new();
-        tr.push(PhaseKind::Projection, vec![0.1; 4]);
-        let phases = trace_to_phases(&tr);
-        assert!(phases[0].parallel);
-        assert!(phases[0].memory_bound);
     }
 
     #[test]

@@ -27,8 +27,6 @@ pub struct CommonOpts {
     pub observe: Option<PathBuf>,
     /// Write Prometheus text-exposition metrics to this file.
     pub metrics: Option<PathBuf>,
-    /// Write the recorded execution trace (JSON) to this file.
-    pub trace: Option<PathBuf>,
     /// Write a chrome-trace span profile (JSON) to this file.
     pub trace_spans: Option<PathBuf>,
     /// Write a folded-stack flamegraph text file to this path.
@@ -214,7 +212,6 @@ fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseE
     }
     let observe = flags.remove("observe").map(PathBuf::from);
     let metrics = flags.remove("metrics").map(PathBuf::from);
-    let trace = flags.remove("trace").map(PathBuf::from);
     let trace_spans = flags.remove("trace-spans").map(PathBuf::from);
     let flamegraph = flags.remove("flamegraph").map(PathBuf::from);
     let progress = flags.remove("progress").is_some();
@@ -263,7 +260,6 @@ fn common_from(flags: &mut HashMap<String, String>) -> Result<CommonOpts, ParseE
         kernel,
         observe,
         metrics,
-        trace,
         trace_spans,
         flamegraph,
         progress,
@@ -477,9 +473,10 @@ OPTIONS (solver subcommands):
   --out <file>               write the estimate as CSV (default stdout)
 
 OBSERVABILITY (quadratic solver subcommands):
-  --observe <file>           stream typed solver events as JSONL
+  --observe <file>           stream typed solver events as JSONL; the log
+                             carries the per-phase execution trace that
+                             `report --events F --processors N` replays
   --metrics <file>           write Prometheus text-format metrics
-  --trace <file>             dump the recorded execution trace as JSON
   --trace-spans <file>       profile the solve as hierarchical spans and
                              write a chrome-trace JSON (load in
                              chrome://tracing or Perfetto; feed back to
@@ -642,22 +639,20 @@ mod tests {
     #[test]
     fn parses_observability_flags() {
         let cmd = parse_args(&argv(
-            "sam --matrix m.csv --observe e.jsonl --metrics m.prom --trace t.json",
+            "sam --matrix m.csv --observe e.jsonl --metrics m.prom",
         ))
         .unwrap();
         match cmd {
             Command::Sam { common, .. } => {
                 assert_eq!(common.observe, Some(PathBuf::from("e.jsonl")));
                 assert_eq!(common.metrics, Some(PathBuf::from("m.prom")));
-                assert_eq!(common.trace, Some(PathBuf::from("t.json")));
             }
             other => panic!("wrong command {other:?}"),
         }
-        // All three default to off.
+        // Both default to off.
         match parse_args(&argv("sam --matrix m.csv")).unwrap() {
             Command::Sam { common, .. } => {
                 assert!(common.observe.is_none() && common.metrics.is_none());
-                assert!(common.trace.is_none());
             }
             other => panic!("wrong command {other:?}"),
         }

@@ -9,8 +9,8 @@ use sea_baselines::ras::{ras_balance, RasOptions};
 use sea_batch::{BatchEngine, BatchOptions};
 use sea_core::{
     solve_diagonal_supervised, trace_from_events, Checkpoint, CheckpointPolicy, DiagonalProblem,
-    Event, ExecutionTrace, KernelCounters, Observer, SeaOptions, SpanKind, StopReason, Storage,
-    SupervisorOptions, TelemetrySample, TotalSpec, ZeroPolicy,
+    Event, ExecutionTrace, KernelCounters, Observer, PhaseKind, SeaOptions, SpanKind, StopReason,
+    Storage, SupervisorOptions, TelemetrySample, TotalSpec, ZeroPolicy,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
 use sea_observe::json::parse as parse_json;
@@ -295,7 +295,6 @@ fn solve_and_emit<S: Storage>(
 ) -> Result<String, CliError> {
     let mut opts = SeaOptions::with_epsilon(common.epsilon);
     opts.kernel = common.kernel;
-    opts.record_trace = common.trace.is_some();
     if let Some(n) = common.max_iterations {
         opts.max_iterations = n;
     }
@@ -343,15 +342,6 @@ fn solve_and_emit<S: Storage>(
             common.flamegraph.as_deref(),
             &mut sink_notes,
         )?;
-    }
-    if let Some(path) = &common.trace {
-        let trace = sol
-            .stats
-            .trace
-            .as_ref()
-            .ok_or("solver recorded no execution trace")?;
-        std::fs::write(path, trace.to_json()).map_err(|e| format!("{}: {e}", path.display()))?;
-        sink_notes.push_str(&format!("# trace: {}\n", path.display()));
     }
     if let Some(err) = &sup_sol.checkpoint_error {
         sink_notes.push_str(&format!("# checkpoint write failed: {err}\n"));
@@ -510,10 +500,11 @@ fn run_batch(manifest: &Path, opts: &BatchOpts) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Convert a replayed trace into simulator phases (mirrors the conversion
-/// the bench harness applies to in-process traces).
-fn trace_to_sim_phases(trace: &ExecutionTrace) -> Vec<SimPhase> {
-    use sea_core::PhaseKind;
+/// Convert an execution trace into simulator phases: serial phases
+/// (convergence checks) stay serial, the projection's dense mat-vec is
+/// memory-bound on a shared-memory machine, and the row/column passes
+/// scale compute-bound with their per-task costs.
+pub fn trace_to_sim_phases(trace: &ExecutionTrace) -> Vec<SimPhase> {
     trace
         .phases
         .iter()
@@ -939,14 +930,13 @@ mod tests {
     }
 
     #[test]
-    fn observe_metrics_and_trace_files_are_written() {
+    fn observe_log_is_written_and_replays_as_a_trace() {
         let dir = tmpdir("observe");
         write(&dir, "m.csv", "1,2\n3,4\n");
         write(&dir, "s.csv", "4,6\n");
         write(&dir, "d.csv", "5\n5\n");
         let events = dir.join("events.jsonl");
         let metrics = dir.join("metrics.prom");
-        let trace = dir.join("trace.json");
         let argv: Vec<String> = [
             "fixed",
             "--matrix",
@@ -959,8 +949,6 @@ mod tests {
             events.to_str().unwrap(),
             "--metrics",
             metrics.to_str().unwrap(),
-            "--trace",
-            trace.to_str().unwrap(),
         ]
         .iter()
         .map(|s| s.to_string())
@@ -968,25 +956,26 @@ mod tests {
         let report = run(&parse_args(&argv).unwrap()).unwrap();
         assert!(report.contains("# events:"));
         assert!(report.contains("# metrics:"));
-        assert!(report.contains("# trace:"));
 
-        // The JSONL log parses back; rebuilt trace matches the dumped one
-        // phase for phase (the --observe/--trace acceptance round trip).
+        // The JSONL log alone rebuilds the execution trace: one row,
+        // column and check phase per iteration.
         let log = std::fs::read_to_string(&events).unwrap();
         let evs = parse_events(&log).unwrap();
         assert!(matches!(evs.first(), Some(Event::SolveStart { .. })));
-        assert!(matches!(evs.last(), Some(Event::SolveEnd { .. })));
-        let from_log = trace_from_events(&evs);
-        let dumped = ExecutionTrace::from_json(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-        assert_eq!(from_log, dumped);
-        assert!(!dumped.phases.is_empty());
+        let Some(Event::SolveEnd { iterations, .. }) = evs.last() else {
+            panic!("log must end with SolveEnd");
+        };
+        let trace = trace_from_events(&evs);
+        assert_eq!(trace.phases.len(), 3 * iterations);
+        assert_eq!(trace.count(PhaseKind::RowEquilibration), *iterations);
 
         // Metrics render in Prometheus text format.
         let prom = std::fs::read_to_string(&metrics).unwrap();
         assert!(prom.contains("# TYPE sea_solves_total counter"));
         assert!(prom.contains("sea_converged 1"));
 
-        // And the report subcommand summarizes + replays the log.
+        // And the report subcommand summarizes the log and replays that
+        // trace on the simulated machine.
         let argv: Vec<String> = [
             "report",
             "--events",
@@ -1001,7 +990,28 @@ mod tests {
         assert!(summary.contains("serial fraction"));
         assert!(summary.contains("row_equilibration"));
         assert!(summary.contains("Simulated replay"));
+        let rows = sea_parsim::speedup_table(&trace_to_sim_phases(&trace), &[1, 2, 4], 0.0, 0.0);
+        for r in &rows {
+            assert!(
+                summary.contains(&sea_report::fmt_seconds(r.time)),
+                "{summary}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn trace_conversion_respects_parallelism() {
+        let mut tr = ExecutionTrace::new();
+        tr.push(PhaseKind::RowEquilibration, vec![1.0, 2.0]);
+        tr.push(PhaseKind::ConvergenceCheck, vec![0.5]);
+        tr.push(PhaseKind::Projection, vec![0.1; 4]);
+        let phases = trace_to_sim_phases(&tr);
+        assert!(phases[0].parallel && !phases[0].memory_bound);
+        assert_eq!(phases[0].tasks, vec![1.0, 2.0]);
+        assert!(!phases[1].parallel);
+        // The projection's dense mat-vec is bandwidth-bound.
+        assert!(phases[2].parallel && phases[2].memory_bound);
     }
 
     #[test]

@@ -73,10 +73,11 @@ fn bad_flags_exit_with_code_2_and_usage() {
 }
 
 /// `--simd` and `--precision` were removed with the vectorized and f32
-/// kernels: a script still passing them gets a usage error, not a solve
-/// that silently ignores the flag.
+/// kernels, and `--trace` with the in-driver trace recorder (an
+/// `--observe` log carries the same trace): a script still passing them
+/// gets a usage error, not a solve that silently ignores the flag.
 #[test]
-fn removed_simd_and_precision_flags_are_refused() {
+fn removed_flags_are_refused() {
     let dir = tmpdir("retired");
     write(&dir, "m.csv", "10,4\n3,12\n");
     write(&dir, "s.csv", "14,15\n");
@@ -96,14 +97,16 @@ fn removed_simd_and_precision_flags_are_refused() {
             .output()
             .expect("binary runs")
     };
-    // Both spellings ran a solve before the flags were removed; the
+    // Every spelling ran a solve before its flag was removed; the
     // precision one needed sort-scan to pass the old parser.
+    let trace = dir.join("trace.json");
     for (extra, flag) in [
         (&["--simd", "auto"][..], "--simd"),
         (
             &["--kernel", "sortscan", "--precision", "f32-mixed"][..],
             "--precision",
         ),
+        (&["--trace", trace.to_str().unwrap()][..], "--trace"),
     ] {
         let output = fixed(extra);
         assert_eq!(output.status.code(), Some(2), "{extra:?}");
@@ -111,6 +114,7 @@ fn removed_simd_and_precision_flags_are_refused() {
         assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
         assert!(output.stdout.is_empty(), "{extra:?} must not solve");
     }
+    assert!(!trace.exists(), "--trace must not write a file");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

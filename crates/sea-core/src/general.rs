@@ -15,7 +15,6 @@ use crate::problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
 use crate::solver::{solve_diagonal_observed, SeaOptions};
 use crate::storage::Storage;
 use crate::supervisor::{SolveControl, StopReason, SupervisedGeneralSolution, SupervisorOptions};
-use crate::trace::{ExecutionTrace, PhaseKind};
 use sea_linalg::{vector, DenseMatrix, SymMatrix};
 use sea_observe::{
     Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
@@ -276,8 +275,6 @@ pub struct GeneralSeaOptions {
     pub max_outer: usize,
     /// Options for the inner diagonal SEA solves.
     pub inner: SeaOptions,
-    /// Record a phase trace (projection mat-vecs + inner solves).
-    pub record_trace: bool,
     /// Warm-start each inner diagonal solve with the previous outer
     /// iteration's column multipliers (extension; the paper restarts from
     /// `μ = 0` each time).
@@ -290,7 +287,6 @@ impl Default for GeneralSeaOptions {
             outer_epsilon: 1e-6,
             max_outer: 200,
             inner: SeaOptions::default(),
-            record_trace: false,
             warm_start_inner: true,
         }
     }
@@ -338,8 +334,6 @@ pub struct GeneralSolution<S: Storage = DenseMatrix> {
     pub residuals: Residuals,
     /// Wall-clock duration.
     pub elapsed: Duration,
-    /// Phase trace (present iff requested).
-    pub trace: Option<ExecutionTrace>,
 }
 
 /// Build the diagonalized pseudo-prior `q = y − M(y − y⁰)/diag(M)` for one
@@ -458,7 +452,6 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
     let mut x = S::from_dense(&x_init)?;
     let x0_flat = p.x0().as_slice().to_vec();
 
-    let mut trace = opts.record_trace.then(ExecutionTrace::new);
     let mut inner_iterations = 0usize;
     let mut outer_iterations = 0usize;
     let mut converged = false;
@@ -471,7 +464,6 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
     let mut scratch: Vec<f64> = Vec::with_capacity(mn);
 
     let mut inner_opts = opts.inner.clone();
-    inner_opts.record_trace = opts.record_trace;
 
     for t in 1..=opts.max_outer {
         outer_iterations = t;
@@ -523,14 +515,8 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
                 }
             }
         };
-        let proj_secs = proj_t0.elapsed().as_secs_f64();
-        if let Some(tr) = trace.as_mut() {
-            tr.push(
-                PhaseKind::Projection,
-                vec![proj_secs / chunks as f64; chunks],
-            );
-        }
         if observing {
+            let proj_secs = proj_t0.elapsed().as_secs_f64();
             obs.record(&Event::PhaseEnd {
                 label: PhaseLabel::Projection,
                 tasks: chunks,
@@ -550,11 +536,6 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         }
         last_mu = sol.mu;
         inner_iterations += sol.stats.iterations;
-        if let Some(tr) = trace.as_mut() {
-            if let Some(inner_tr) = sol.stats.trace {
-                tr.extend(inner_tr);
-            }
-        }
 
         // ---- Outer convergence check. ------------------------------------
         outer_residual = sol.x.max_abs_diff(&x);
@@ -690,7 +671,6 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         objective,
         residuals,
         elapsed: start.elapsed(),
-        trace,
     })
 }
 
@@ -980,6 +960,7 @@ mod tests {
 
     #[test]
     fn trace_contains_projection_phases() {
+        use crate::trace::PhaseKind;
         let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let g = dd_matrix(4, 10.0, 1.0);
         let p = GeneralProblem::new(
@@ -991,10 +972,12 @@ mod tests {
             },
         )
         .unwrap();
-        let mut opts = GeneralSeaOptions::with_epsilon(1e-8);
-        opts.record_trace = true;
-        let sol = solve_general(&p, &opts).unwrap();
-        let tr = sol.trace.as_ref().unwrap();
+        let opts = GeneralSeaOptions::with_epsilon(1e-8);
+        let mut obs = sea_observe::VecObserver::new();
+        let sol = solve_general_supervised(&p, &opts, &SupervisorOptions::default(), &mut obs)
+            .unwrap()
+            .solution;
+        let tr = crate::observe::trace_from_events(&obs.events);
         assert_eq!(tr.count(PhaseKind::Projection), sol.outer_iterations);
         assert!(tr.count(PhaseKind::RowEquilibration) >= sol.outer_iterations);
     }

@@ -1,11 +1,14 @@
 //! Glue between the sea-observe event schema and solver-side types.
 //!
-//! An event log recorded by [`crate::solver::solve_diagonal_observed`] (or
-//! the general/bounded drivers) carries, in its `PhaseEnd` events, the same
-//! per-task cost vectors that `record_trace` collects in process. This
-//! module converts between the two representations so a JSONL solve log can
-//! be replayed through the sea-parsim scheduling simulator exactly like an
-//! in-process [`ExecutionTrace`].
+//! The event stream is the one source of execution traces. An event log
+//! recorded by [`crate::solver::solve_diagonal_observed`] (or the
+//! general/bounded drivers) carries, in its `PhaseEnd` events, the
+//! measured per-task cost vector of every row, column, projection and
+//! convergence-check phase. [`trace_from_events`] rebuilds an
+//! [`ExecutionTrace`] from those events, whether they were collected in
+//! process by a [`sea_observe::VecObserver`] or parsed back from a JSONL
+//! log, so either can be replayed through the sea-parsim scheduling
+//! simulator.
 
 use crate::trace::{ExecutionTrace, PhaseKind};
 use sea_observe::{Event, PhaseLabel};
@@ -33,9 +36,8 @@ pub fn phase_kind(label: PhaseLabel) -> PhaseKind {
 /// Rebuild an [`ExecutionTrace`] from a recorded event stream.
 ///
 /// Every `PhaseEnd` event becomes one phase, in log order. When the event
-/// carries per-task costs they are used verbatim (matching what
-/// `record_trace` would have produced); serial drivers that omit them fall
-/// back to a single task holding the whole phase duration.
+/// carries per-task costs they are used verbatim; drivers that omit them
+/// fall back to a single task holding the whole phase duration.
 pub fn trace_from_events(events: &[Event]) -> ExecutionTrace {
     let mut trace = ExecutionTrace::new();
     for event in events {
@@ -102,6 +104,7 @@ mod tests {
         use crate::problem::{DiagonalProblem, TotalSpec};
         use crate::solver::{solve_diagonal_observed, SeaOptions};
         use sea_linalg::DenseMatrix;
+        use sea_observe::{encode_event, parse_events};
 
         let p = DiagonalProblem::new(
             DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap(),
@@ -112,19 +115,22 @@ mod tests {
             },
         )
         .unwrap();
-        let mut opts = SeaOptions::with_epsilon(1e-10);
-        opts.record_trace = true;
+        let opts = SeaOptions::with_epsilon(1e-10);
         let mut obs = sea_observe::VecObserver::new();
         let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
 
-        let in_process = sol.stats.trace.as_ref().unwrap();
-        let from_log = trace_from_events(&obs.events);
-        // Same phase sequence with identical per-task costs: the event log
-        // carries the exact vectors record_trace collected.
-        assert_eq!(from_log.phases.len(), in_process.phases.len());
-        for (a, b) in from_log.phases.iter().zip(&in_process.phases) {
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.task_seconds, b.task_seconds);
+        let in_process = trace_from_events(&obs.events);
+        // One row, column and check phase per iteration, each row/column
+        // phase with one measured cost per subproblem.
+        let iters = sol.stats.iterations;
+        assert_eq!(in_process.phases.len(), 3 * iters);
+        for ph in &in_process.phases {
+            let tasks = if ph.kind.is_parallel() { 2 } else { 1 };
+            assert_eq!(ph.task_seconds.len(), tasks, "{:?}", ph.kind);
         }
+        // A JSONL log of the same events rebuilds the identical trace.
+        let log: String = obs.events.iter().map(|e| encode_event(e) + "\n").collect();
+        let from_log = trace_from_events(&parse_events(&log).unwrap());
+        assert_eq!(from_log, in_process);
     }
 }

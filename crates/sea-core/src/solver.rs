@@ -30,7 +30,6 @@ use crate::storage::{Storage, Transposer};
 use crate::supervisor::{
     SolveControl, StopReason, SupervisedSolution, SupervisorOptions, TaskFault,
 };
-use crate::trace::{ExecutionTrace, PhaseKind};
 use crate::verify::{verify_solution, KktReport};
 use sea_linalg::{vector, DenseMatrix};
 use sea_observe::{
@@ -152,8 +151,6 @@ pub struct SeaOptions {
     /// Retired precision choice; it has one value and the solver never
     /// reads it (see [`Precision`]).
     pub precision: Precision,
-    /// Record an [`ExecutionTrace`] for the scheduling simulator.
-    pub record_trace: bool,
     /// Enable the paper's Modified Algorithm with this bound `R`: when some
     /// `|λᵢ| > R`, multipliers are shifted along support components to stay
     /// bounded (dual value unchanged).
@@ -193,7 +190,6 @@ impl Default for SeaOptions {
             kernel: KernelKind::default(),
             simd: SimdMode::Off,
             precision: Precision::F64,
-            record_trace: false,
             multiplier_bound: None,
             initial_mu: None,
             record_history: false,
@@ -251,8 +247,6 @@ pub struct SolveStats {
     pub dual_value: f64,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
-    /// Phase-by-phase trace (present iff `record_trace`).
-    pub trace: Option<ExecutionTrace>,
     /// Per-check convergence history (present iff `record_history`).
     pub history: Option<Vec<IterationSnapshot>>,
 }
@@ -522,7 +516,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     // The balance criteria read the row sums of X (= column sums of Xᵀ).
     let sums_checked = criterion != ConvergenceCriterion::MaxAbsChange;
 
-    let mut trace = opts.record_trace.then(ExecutionTrace::new);
     let mut history: Option<Vec<IterationSnapshot>> = opts.record_history.then(Vec::new);
     let mut row_costs: Vec<f64> = Vec::new();
     let mut col_costs: Vec<f64> = Vec::new();
@@ -579,7 +572,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 obs.span_open(SpanKind::RowPass, t as u64, m as u64);
             }
             let phase_t0 = observing.then(Instant::now);
-            let costs = (trace.is_some() || observing).then_some(&mut row_costs);
+            let costs = observing.then_some(&mut row_costs);
             equilibration_pass(
                 &inputs,
                 &subproblem_modes(p.totals(), true, &mu),
@@ -594,9 +587,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             )?;
             if spanning {
                 close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
-            }
-            if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseKind::RowEquilibration, row_costs.clone());
             }
             if let Some(t0) = phase_t0 {
                 obs.record(&Event::PhaseEnd {
@@ -639,7 +629,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 obs.span_open(SpanKind::ColPass, t as u64, n as u64);
             }
             let phase_t0 = observing.then(Instant::now);
-            let costs = (trace.is_some() || observing).then_some(&mut col_costs);
+            let costs = observing.then_some(&mut col_costs);
             column_pass(
                 t,
                 ctrl.task_fault(t, "column"),
@@ -653,9 +643,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             )?;
             if spanning {
                 close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
-            }
-            if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseKind::ColumnEquilibration, col_costs.clone());
             }
             if let Some(t0) = phase_t0 {
                 obs.record(&Event::PhaseEnd {
@@ -786,9 +773,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 }
             };
             let check_secs = t0.elapsed().as_secs_f64();
-            if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseKind::ConvergenceCheck, vec![check_secs]);
-            }
             // Telemetry's payload (ζ and the active-set census) costs a
             // full O(nnz) sweep each, so the stream is rate limited at
             // the source: one sample every TELEMETRY_EVERY_CHECKS checks
@@ -949,7 +933,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             objective,
             dual_value: dual_value.unwrap_or(f64::NAN),
             elapsed: start.elapsed(),
-            trace,
             history,
         },
     };
@@ -1096,6 +1079,7 @@ fn row_target<'a>(spec: &'a TotalSpec, s: &'a [f64]) -> impl Fn(usize) -> f64 + 
 mod tests {
     use super::*;
     use crate::problem::ZeroPolicy;
+    use crate::trace::{ExecutionTrace, PhaseKind};
     use crate::weights::WeightScheme;
 
     fn fixed_problem() -> DiagonalProblem {
@@ -1250,13 +1234,18 @@ mod tests {
         assert!(serial.x.max_abs_diff(&par.x) < 1e-12);
     }
 
+    /// Solve with an event recorder and rebuild the execution trace from
+    /// the recorded events.
+    fn traced_solve(p: &DiagonalProblem, opts: &SeaOptions) -> (Solution, ExecutionTrace) {
+        let mut obs = sea_observe::VecObserver::new();
+        let sol = solve_diagonal_observed(p, opts, &mut obs).unwrap();
+        (sol, crate::observe::trace_from_events(&obs.events))
+    }
+
     #[test]
     fn trace_records_phases() {
         let p = fixed_problem();
-        let mut opts = SeaOptions::with_epsilon(1e-8);
-        opts.record_trace = true;
-        let sol = solve_diagonal(&p, &opts).unwrap();
-        let trace = sol.stats.trace.as_ref().unwrap();
+        let (sol, trace) = traced_solve(&p, &SeaOptions::with_epsilon(1e-8));
         let iters = sol.stats.iterations;
         assert_eq!(trace.count(PhaseKind::RowEquilibration), iters);
         assert_eq!(trace.count(PhaseKind::ColumnEquilibration), iters);
@@ -1275,9 +1264,7 @@ mod tests {
         let p = fixed_problem();
         let mut opts = SeaOptions::with_epsilon(1e-10);
         opts.check_every = 2;
-        opts.record_trace = true;
-        let sol = solve_diagonal(&p, &opts).unwrap();
-        let trace = sol.stats.trace.as_ref().unwrap();
+        let (sol, trace) = traced_solve(&p, &opts);
         assert!(trace.count(PhaseKind::ConvergenceCheck) <= sol.stats.iterations / 2 + 1);
         assert!(sol.stats.converged);
     }

@@ -5,10 +5,11 @@
 //! iteration into a parallel **row equilibration** phase (m independent
 //! tasks), a parallel **column equilibration** phase (n tasks), and a
 //! *serial* **convergence verification** phase — the structure that
-//! determines the measured speedups. When a solver runs with
-//! `record_trace`, it emits one [`Phase`] per such stage with measured
-//! per-task costs; `sea-parsim` then replays the trace on a simulated
-//! N-processor machine.
+//! determines the measured speedups. Every driver reports each such stage
+//! as a `PhaseEnd` event carrying its measured per-task costs;
+//! [`crate::observe::trace_from_events`] rebuilds an [`ExecutionTrace`]
+//! from an observed solve's events (or a recorded JSONL log), and
+//! `sea-parsim` then replays it on a simulated N-processor machine.
 
 /// What a phase represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +50,6 @@ impl PhaseKind {
             PhaseKind::ConvergenceCheck => "convergence_check",
             PhaseKind::Projection => "projection",
         }
-    }
-
-    /// Inverse of [`PhaseKind::name`].
-    pub fn parse(s: &str) -> Option<PhaseKind> {
-        PhaseKind::ALL.into_iter().find(|k| k.name() == s)
     }
 }
 
@@ -125,72 +121,6 @@ impl ExecutionTrace {
     pub fn count(&self, kind: PhaseKind) -> usize {
         self.phases.iter().filter(|p| p.kind == kind).count()
     }
-
-    /// Concatenate another trace after this one (used by the general
-    /// solvers to splice inner diagonal solves into the outer trace).
-    pub fn extend(&mut self, other: ExecutionTrace) {
-        self.phases.extend(other.phases);
-    }
-
-    /// Serialize to a JSON document:
-    /// `{"phases":[{"kind":"row_equilibration","task_seconds":[...]}, ...]}`.
-    pub fn to_json(&self) -> String {
-        use sea_observe::json::{f64_to_json, JsonValue};
-        let phases: Vec<JsonValue> = self
-            .phases
-            .iter()
-            .map(|p| {
-                JsonValue::Object(vec![
-                    (
-                        "kind".to_string(),
-                        JsonValue::String(p.kind.name().to_string()),
-                    ),
-                    (
-                        "task_seconds".to_string(),
-                        JsonValue::Array(p.task_seconds.iter().map(|&v| f64_to_json(v)).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        JsonValue::Object(vec![("phases".to_string(), JsonValue::Array(phases))]).render()
-    }
-
-    /// Parse the format produced by [`ExecutionTrace::to_json`].
-    ///
-    /// # Errors
-    /// Returns a human-readable message on malformed JSON, an unknown phase
-    /// kind, or a missing field.
-    pub fn from_json(text: &str) -> Result<ExecutionTrace, String> {
-        use sea_observe::json::{json_to_f64, parse, JsonValue};
-        let doc = parse(text)?;
-        let phases = doc
-            .get("phases")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "trace document missing \"phases\" array".to_string())?;
-        let mut trace = ExecutionTrace::new();
-        for (idx, ph) in phases.iter().enumerate() {
-            let kind_name = ph
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("phase {idx}: missing \"kind\""))?;
-            let kind = PhaseKind::parse(kind_name)
-                .ok_or_else(|| format!("phase {idx}: unknown kind {kind_name:?}"))?;
-            let secs = ph
-                .get("task_seconds")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("phase {idx}: missing \"task_seconds\""))?;
-            let task_seconds = secs
-                .iter()
-                .enumerate()
-                .map(|(j, v)| {
-                    json_to_f64(v)
-                        .ok_or_else(|| format!("phase {idx}: task_seconds[{j}] not a number"))
-                })
-                .collect::<Result<Vec<f64>, String>>()?;
-            trace.push(kind, task_seconds);
-        }
-        Ok(trace)
-    }
 }
 
 #[cfg(test)]
@@ -235,44 +165,5 @@ mod tests {
     #[test]
     fn empty_trace_fraction_is_zero() {
         assert_eq!(ExecutionTrace::new().serial_fraction(), 0.0);
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut a = sample();
-        let b = sample();
-        a.extend(b);
-        assert_eq!(a.phases.len(), 6);
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for k in PhaseKind::ALL {
-            assert_eq!(PhaseKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(PhaseKind::parse("warmup"), None);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_trace() {
-        let mut t = sample();
-        t.push(PhaseKind::Projection, vec![0.25, 0.25]);
-        let text = t.to_json();
-        let back = ExecutionTrace::from_json(&text).expect("round trip");
-        assert_eq!(back, t);
-        // Empty traces survive too.
-        let empty = ExecutionTrace::new();
-        assert_eq!(ExecutionTrace::from_json(&empty.to_json()).unwrap(), empty);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_documents() {
-        assert!(ExecutionTrace::from_json("not json").is_err());
-        assert!(ExecutionTrace::from_json("{}").is_err());
-        assert!(ExecutionTrace::from_json(
-            r#"{"phases":[{"kind":"warp_drive","task_seconds":[]}]}"#
-        )
-        .is_err());
-        assert!(ExecutionTrace::from_json(r#"{"phases":[{"kind":"projection"}]}"#).is_err());
     }
 }

@@ -170,9 +170,11 @@ pub enum Event {
         tasks: usize,
         /// Wall-clock seconds for the whole phase.
         seconds: f64,
-        /// Per-task seconds when the solver recorded them (same vectors
-        /// that feed `record_trace`), empty otherwise. This is what lets
-        /// an event log round-trip into an `ExecutionTrace`.
+        /// Per-task seconds when the solver recorded them (one per
+        /// row/column subproblem, projection chunk or check), empty
+        /// otherwise. These events are the only source of execution
+        /// traces: `sea_core::trace_from_events` rebuilds an
+        /// `ExecutionTrace` from them.
         task_seconds: Vec<f64>,
     },
     /// A convergence check ran (every `check_every` iterations).

@@ -4,7 +4,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 use sea_batch::BatchParallelism;
-use sea_core::KernelKind;
 use sea_serve::{
     signals, BreakerPolicy, ChaosPlan, QuarantinePolicy, ServeConfig, Server, EXIT_CLEAN,
     EXIT_RUNTIME, EXIT_USAGE,
@@ -30,7 +29,7 @@ USAGE:
   sea-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
             [--tenant-quota N|off] [--cache-bytes N|off] [--epsilon F]
             [--degraded-epsilon F|off] [--max-iterations N]
-            [--kernel quickselect|sortscan] [--parallel serial|inner[:K]]
+            [--parallel serial|inner[:K]]
             [--deadline SECONDS|off] [--max-body-bytes N]
             [--quarantine N:SECONDS|off] [--restart-breaker N:SECONDS]
             [--chaos SPEC]
@@ -47,7 +46,6 @@ FLAGS:
                        answers 200 with \"degraded\":true instead of 504
                        (default off)
   --max-iterations N   iteration cap per solve   (default 10000)
-  --kernel NAME        equilibration kernel      (default quickselect)
   --parallel POLICY    per-solve threads         (default serial)
   --deadline S|off     default request deadline  (default 30; off = unbounded)
   --max-body-bytes N   request body cap          (default 8388608; over => 413)
@@ -132,11 +130,6 @@ fn parse_config(args: &[String]) -> Result<ServeConfig, String> {
                         .ok_or_else(|| {
                             format!("--max-iterations {value:?} is not a positive integer")
                         })?;
-            }
-            "kernel" => {
-                cfg.kernel = KernelKind::parse(value).ok_or_else(|| {
-                    format!("unknown --kernel {value:?} (expected sortscan or quickselect)")
-                })?;
             }
             "parallel" => {
                 let policy = BatchParallelism::parse(value).ok_or_else(|| {

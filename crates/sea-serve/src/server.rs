@@ -57,7 +57,7 @@ use sea_batch::{
     CacheUpdate, WarmStart, WarmStartCache,
 };
 use sea_cli::manifest::{instance_from_json, result_line_with};
-use sea_core::{FaultKind, FaultPlan, KernelKind, SeaError, StopReason, SupervisorOptions};
+use sea_core::{FaultKind, FaultPlan, SeaError, StopReason};
 use sea_observe::json::{parse as parse_json, JsonValue};
 use sea_observe::metrics::PHASE_SECONDS_BUCKETS;
 use sea_observe::{Event, MetricsObserver, MetricsRegistry, Observer};
@@ -103,8 +103,6 @@ pub struct ServeConfig {
     pub degraded_epsilon: Option<f64>,
     /// Iteration cap per solve.
     pub max_iterations: usize,
-    /// Equilibration kernel for every solve.
-    pub kernel: KernelKind,
     /// Thread placement for each solve (`Serial` or `Inner[:K]`;
     /// instance-level parallelism comes from the worker pool itself).
     pub parallelism: BatchParallelism,
@@ -134,7 +132,6 @@ impl Default for ServeConfig {
             epsilon: 1e-8,
             degraded_epsilon: None,
             max_iterations: 10_000,
-            kernel: KernelKind::default(),
             parallelism: BatchParallelism::Serial,
             default_deadline: Some(Duration::from_secs(30)),
             max_body_bytes: 8 << 20,
@@ -1109,11 +1106,10 @@ fn solve_with_cache(
     let mut opts = BatchOptions {
         epsilon: job.epsilon.unwrap_or(cfg.epsilon),
         max_iterations: cfg.max_iterations,
-        kernel: cfg.kernel,
         parallelism: cfg.parallelism,
         warm_start: inst.family.is_some(),
         measure_kernel_work: true,
-        supervisor: SupervisorOptions::default(),
+        ..BatchOptions::default()
     };
     // The deadline is measured from admission, so queue wait counts
     // against it; a job that waited past its whole deadline still enters

@@ -103,13 +103,6 @@ fn wait_for_metric(addr: std::net::SocketAddr, name: &str, pred: impl Fn(f64) ->
 }
 
 #[test]
-fn default_kernel_is_the_library_default() {
-    use sea_core::KernelKind;
-    assert_eq!(ServeConfig::default().kernel, KernelKind::default());
-    assert_eq!(ServeConfig::default().kernel, KernelKind::Quickselect);
-}
-
-#[test]
 fn health_ready_and_unknown_routes() {
     let server = quick_server(ServeConfig::default());
     let addr = server.addr();
@@ -590,17 +583,21 @@ fn disconnecting_client_does_not_wedge_worker_or_gauges() {
     server.join();
 }
 
-/// `--simd` was removed with the vectorized kernels: the daemon refuses
-/// it as an unknown flag (usage exit 2) instead of starting.
+/// `--simd` was removed with the vectorized kernels and `--kernel` with
+/// the serve kernel selector (every solve runs the library default): the
+/// daemon refuses both as unknown flags (usage exit 2) instead of
+/// starting.
 #[test]
-fn removed_simd_flag_is_refused() {
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_sea-serve"))
-        .args(["--addr", "127.0.0.1:0", "--simd", "auto"])
-        .output()
-        .expect("run sea-serve");
-    assert_eq!(output.status.code(), Some(sea_serve::EXIT_USAGE));
-    let err = String::from_utf8_lossy(&output.stderr);
-    assert!(err.contains("unknown flag --simd"), "{err}");
+fn removed_flags_are_refused() {
+    for (flag, value) in [("--simd", "auto"), ("--kernel", "sortscan")] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_sea-serve"))
+            .args(["--addr", "127.0.0.1:0", flag, value])
+            .output()
+            .expect("run sea-serve");
+        assert_eq!(output.status.code(), Some(sea_serve::EXIT_USAGE), "{flag}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
 }
 
 /// SIGTERM-drain E2E through the real binary: an in-flight solve

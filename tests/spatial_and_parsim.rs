@@ -4,10 +4,22 @@
 #![allow(clippy::needless_range_loop)] // parallel-array numeric idiom
 
 use proptest::prelude::*;
-use sea::core::{solve_diagonal, SeaOptions};
+use sea::core::{
+    solve_diagonal_observed, trace_from_events, DiagonalProblem, ExecutionTrace, SeaOptions,
+    Solution, VecObserver,
+};
 use sea::data::table1_instance;
 use sea::parsim::{speedup_table, MachineModel};
 use sea::spatial::{check_equilibrium, random_spe, solve_spe};
+use sea_cli::commands::trace_to_sim_phases;
+
+/// Solve with an event recorder and rebuild the execution trace from the
+/// recorded `PhaseEnd` events.
+fn traced_solve(p: &DiagonalProblem, opts: &SeaOptions) -> (Solution, ExecutionTrace) {
+    let mut obs = VecObserver::new();
+    let sol = solve_diagonal_observed(p, opts, &mut obs).unwrap();
+    (sol, trace_from_events(&obs.events))
+}
 
 #[test]
 fn spe_solutions_satisfy_wardrop_style_conditions() {
@@ -45,10 +57,7 @@ fn trace_replay_is_consistent_with_measured_solve() {
     // T1 from the trace (sum of phase work) must approximate the measured
     // serial wall time of the same solve.
     let p = table1_instance(80, 3);
-    let mut opts = SeaOptions::with_epsilon(0.01);
-    opts.record_trace = true;
-    let sol = solve_diagonal(&p, &opts).unwrap();
-    let trace = sol.stats.trace.as_ref().unwrap();
+    let (sol, trace) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
     let t1 = trace.serial_time();
     let wall = sol.stats.elapsed.as_secs_f64();
     assert!(t1 > 0.0);
@@ -63,24 +72,8 @@ fn trace_replay_is_consistent_with_measured_solve() {
 #[test]
 fn simulated_speedups_have_paper_shape() {
     let p = table1_instance(150, 7);
-    let mut opts = SeaOptions::with_epsilon(0.01);
-    opts.record_trace = true;
-    let sol = solve_diagonal(&p, &opts).unwrap();
-    let phases: Vec<sea::parsim::SimPhase> = sol
-        .stats
-        .trace
-        .as_ref()
-        .unwrap()
-        .phases
-        .iter()
-        .map(|ph| {
-            if ph.kind.is_parallel() {
-                sea::parsim::SimPhase::parallel(ph.task_seconds.clone())
-            } else {
-                sea::parsim::SimPhase::serial(ph.task_seconds.clone())
-            }
-        })
-        .collect();
+    let (_, trace) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
+    let phases = trace_to_sim_phases(&trace);
     let rows = speedup_table(
         &phases,
         &[1, 2, 4, 6],
