@@ -20,6 +20,8 @@ pub(crate) struct Slot {
     /// Reusable buffer the warm-start `μ` seed is copied into; drivers
     /// that need an owned seed borrow it via `mem::take` and hand it back.
     pub mu_seed: Vec<f64>,
+    /// The same for the warm-start `λ` seed (empty when the hit has none).
+    pub lambda_seed: Vec<f64>,
     /// Warm-start outcome for the instance.
     pub warm: WarmStart,
     /// Kernel work the instance's solve cost (0 when not measured).
@@ -43,6 +45,7 @@ impl Slot {
     fn reset(&mut self) {
         self.events.clear();
         self.mu_seed.clear();
+        self.lambda_seed.clear();
         self.warm = WarmStart::Bypass;
         self.kernel_work = 0;
         self.work_saved = 0;
@@ -101,6 +104,7 @@ mod tests {
                 parallelism: "serial".to_string(),
             });
             slots[0].mu_seed.extend([1.0, 2.0]);
+            slots[0].lambda_seed.extend([3.0]);
         }
         assert_eq!(a.capacity(), 3);
         let slots = a.acquire(2);
@@ -108,6 +112,7 @@ mod tests {
         assert_eq!(slots[0].kernel_work, 0, "slot state was reset");
         assert!(slots[0].events.is_empty());
         assert!(slots[0].mu_seed.is_empty());
+        assert!(slots[0].lambda_seed.is_empty());
         assert!(slots[0].events.capacity() >= 1, "capacity survives reset");
     }
 }

@@ -1,13 +1,14 @@
 //! Per-family warm-start cache of dual multipliers.
 //!
 //! SEA state is fully captured by the column multipliers `μ` — the row pass
-//! recomputes `λ` from `μ` — so warming a solve needs only the previous
-//! solution's `μ` vector (the same observation the crash-safe checkpoints
-//! rely on). The cache maps a caller-declared *family* key (a problem
-//! identity such as `"trade-2024"` that recurs across batches with drifting
-//! data) to the last converged `μ` for that family plus the kernel work the
-//! family's *cold* solve cost, which is the baseline that `work_saved` is
-//! measured against.
+//! recomputes `λ` from `μ` — so `μ` alone is a complete warm start (the same
+//! observation the crash-safe checkpoints rely on). The previous `λ` rides
+//! along as the first row pass's kernel hint: without it that pass runs a
+//! full selection per row. The cache maps a caller-declared *family* key (a
+//! problem identity such as `"trade-2024"` that recurs across batches with
+//! drifting data) to the last converged `(λ, μ)` for that family plus the
+//! kernel work the family's *cold* solve cost, which is the baseline that
+//! `work_saved` is measured against.
 //!
 //! Within one `solve_batch` call the cache is a read-only snapshot: every
 //! instance resolves hit/miss against the state the batch started with, and
@@ -19,10 +20,11 @@
 //!
 //! **Bounded memory.** A long-running service ([`sea-serve`]) accumulates
 //! families without bound, so the cache optionally carries a byte budget
-//! ([`WarmStartCache::with_limit`]): each entry is costed at its `μ` payload
-//! plus key and bookkeeping overhead, and [`WarmStartCache::apply`] evicts
-//! least-recently-used families until the budget holds. Recency advances on
-//! insert and on an explicit [`WarmStartCache::touch`] (reads through
+//! ([`WarmStartCache::with_limit`]): each entry is costed at its `(λ, μ)`
+//! payload plus key and bookkeeping overhead, and
+//! [`WarmStartCache::apply`] evicts least-recently-used families until the
+//! budget holds. Recency advances on insert and on an explicit
+//! [`WarmStartCache::touch`] (reads through
 //! [`WarmStartCache::lookup`] stay `&self` so batch workers can share the
 //! snapshot without synchronization — a server should `touch` under its own
 //! lock after a hit).
@@ -34,6 +36,11 @@ use std::collections::HashMap;
 /// One cached family: the dual seed and its cold-work baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
+    /// Row multipliers of the family's last converged solve, the hints for
+    /// a warm solve's first row pass. Empty when the solve has none to
+    /// give (the general class); any values are safe, since a hint only
+    /// chooses where the kernel looks first.
+    pub lambda: Vec<f64>,
     /// Column multipliers of the family's last converged solve.
     pub mu: Vec<f64>,
     /// Kernel work (breakpoints + pivots + clamps) of the *cold* solve that
@@ -43,11 +50,12 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Approximate resident bytes of this entry under `key`: the `μ`
-    /// payload, the key text, and fixed per-entry bookkeeping overhead
-    /// (hash-map slot, lengths, recency stamp).
-    fn cost(&self, key: &str) -> usize {
-        self.mu.len() * std::mem::size_of::<f64>() + key.len() + ENTRY_OVERHEAD
+    /// Approximate resident bytes of this entry under a key of `key_len`
+    /// bytes: the `(λ, μ)` payload, `(m + n)·8` bytes, the key text, and
+    /// fixed per-entry bookkeeping overhead (hash-map slot, lengths,
+    /// recency stamp).
+    fn cost(&self, key_len: usize) -> usize {
+        (self.lambda.len() + self.mu.len()) * std::mem::size_of::<f64>() + key_len + ENTRY_OVERHEAD
     }
 }
 
@@ -162,7 +170,7 @@ impl WarmStartCache {
     pub fn remove(&mut self, family: &str) -> bool {
         match self.entries.remove(family) {
             Some(s) => {
-                self.bytes = self.bytes.saturating_sub(s.entry.cost(family));
+                self.bytes = self.bytes.saturating_sub(s.entry.cost(family.len()));
                 true
             }
             None => false,
@@ -178,16 +186,14 @@ impl WarmStartCache {
         for u in updates {
             self.clock += 1;
             let key_len = u.family.len();
-            let new_cost = u.entry.cost(&u.family);
+            let new_cost = u.entry.cost(key_len);
             let stored = Stored {
                 entry: u.entry,
                 last_used: self.clock,
             };
             if let Some(old) = self.entries.insert(u.family, stored) {
                 // The displaced entry was charged under the same key.
-                let old_cost =
-                    old.entry.mu.len() * std::mem::size_of::<f64>() + key_len + ENTRY_OVERHEAD;
-                self.bytes = self.bytes.saturating_sub(old_cost);
+                self.bytes = self.bytes.saturating_sub(old.entry.cost(key_len));
             }
             self.bytes += new_cost;
         }
@@ -207,7 +213,7 @@ impl WarmStartCache {
                 .map(|(k, _)| k.clone())
             {
                 if let Some(s) = self.entries.remove(&victim) {
-                    self.bytes = self.bytes.saturating_sub(s.entry.cost(&victim));
+                    self.bytes = self.bytes.saturating_sub(s.entry.cost(victim.len()));
                     self.evictions += 1;
                 }
             } else {
@@ -224,10 +230,12 @@ impl WarmStartCache {
 mod tests {
     use super::*;
 
+    /// A family's update for an `n × n` problem.
     fn update(family: &str, n: usize, work: u64) -> CacheUpdate {
         CacheUpdate {
             family: family.into(),
             entry: CacheEntry {
+                lambda: vec![0.5; n],
                 mu: vec![1.0; n],
                 cold_kernel_work: work,
             },
@@ -242,6 +250,7 @@ mod tests {
             CacheUpdate {
                 family: "a".into(),
                 entry: CacheEntry {
+                    lambda: vec![0.5, 0.5],
                     mu: vec![1.0],
                     cold_kernel_work: 100,
                 },
@@ -249,6 +258,7 @@ mod tests {
             CacheUpdate {
                 family: "a".into(),
                 entry: CacheEntry {
+                    lambda: vec![0.5, 0.5],
                     mu: vec![2.0],
                     cold_kernel_work: 100,
                 },
@@ -256,6 +266,7 @@ mod tests {
             CacheUpdate {
                 family: "b".into(),
                 entry: CacheEntry {
+                    lambda: Vec::new(),
                     mu: vec![3.0],
                     cold_kernel_work: 7,
                 },
@@ -264,6 +275,12 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.lookup("a").map(|e| e.mu[0]), Some(2.0));
         assert_eq!(c.lookup("b").map(|e| e.cold_kernel_work), Some(7));
+        // Each entry costs (m + n)·8 bytes of multipliers, its key and the
+        // fixed overhead: "a" holds a 2 × 1 seed, "b" a μ alone.
+        assert_eq!(
+            c.bytes(),
+            (3 * 8 + 1 + ENTRY_OVERHEAD) + (8 + 1 + ENTRY_OVERHEAD)
+        );
         c.clear();
         assert!(c.lookup("a").is_none());
         assert_eq!(c.bytes(), 0);
@@ -278,13 +295,13 @@ mod tests {
         assert_eq!(c.len(), 100);
         assert_eq!(c.evictions(), 0);
         assert!(c.limit().is_none());
-        assert!(c.bytes() > 100 * 64 * 8);
+        assert!(c.bytes() > 100 * (64 + 64) * 8);
     }
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        // Budget fits roughly two 64-μ entries.
-        let cost = 64 * 8 + 2 + ENTRY_OVERHEAD;
+        // Budget fits roughly two 64 × 64 entries.
+        let cost = (64 + 64) * 8 + 2 + ENTRY_OVERHEAD;
         let mut c = WarmStartCache::with_limit(2 * cost + 8);
         c.apply([update("f0", 64, 1)]);
         c.apply([update("f1", 64, 1)]);

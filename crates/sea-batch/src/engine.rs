@@ -21,9 +21,9 @@ use std::time::{Duration, Instant};
 use rayon::prelude::*;
 use sea_core::{
     solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised, BoundedProblem,
-    DiagonalProblem, Event, GeneralProblem, GeneralSeaOptions, KernelCounters, KernelKind,
-    Observer, Parallelism, SeaError, SeaOptions, SpanKind, StopReason, SupervisedBoundedSolution,
-    SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
+    Checkpoint, DiagonalProblem, Event, GeneralProblem, GeneralSeaOptions, KernelCounters,
+    KernelKind, Observer, Parallelism, SeaError, SeaOptions, SpanKind, StopReason,
+    SupervisedBoundedSolution, SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
 };
 use sea_linalg::CsrMatrix;
 
@@ -154,6 +154,16 @@ pub enum BatchProblem {
 }
 
 impl BatchProblem {
+    /// Row count — the length a warm-start `λ` seed must have.
+    pub fn m(&self) -> usize {
+        match self {
+            BatchProblem::Diagonal(p) => p.m(),
+            BatchProblem::SparseDiagonal(p) => p.m(),
+            BatchProblem::Bounded(p) => p.m(),
+            BatchProblem::General(p) => p.m(),
+        }
+    }
+
     /// Column count — the length a warm-start `μ` seed must have.
     pub fn n(&self) -> usize {
         match self {
@@ -223,6 +233,18 @@ impl BatchSolution {
         }
     }
 
+    /// Final row multipliers `λ`, which the warm-start cache stores as
+    /// the next solve's first row-pass hints. Empty for the general class,
+    /// whose solution does not carry them.
+    pub fn lambda(&self) -> &[f64] {
+        match self {
+            BatchSolution::Diagonal(s) => &s.solution.lambda,
+            BatchSolution::SparseDiagonal(s) => &s.solution.lambda,
+            BatchSolution::Bounded(s) => &s.solution.lambda,
+            BatchSolution::General(_) => &[],
+        }
+    }
+
     /// Final column multipliers `μ` — the state the warm-start cache
     /// stores.
     pub fn mu(&self) -> &[f64] {
@@ -274,7 +296,8 @@ impl BatchSolution {
 /// Warm-start cache outcome for one instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WarmStart {
-    /// The family had a usable cached `μ`; the solve was seeded with it.
+    /// The family had a usable cached `μ`; the solve was seeded with it
+    /// (and with the cached `λ`, when it fits the rows).
     Hit,
     /// The instance declared a family but nothing usable was cached.
     Miss,
@@ -656,12 +679,18 @@ fn solve_one(
 ) {
     // Resolve the warm start against the read-only snapshot. A cached μ of
     // the wrong length (the family changed shape) is a miss, not an error.
+    // The general class seeds μ alone, and so does a hit whose λ does not
+    // fit the rows.
+    let general = matches!(inst.problem, BatchProblem::General(_));
     let mut baseline = 0u64;
     if opts.warm_start {
         if let Some(family) = &inst.family {
             match cache.lookup(family) {
                 Some(entry) if entry.mu.len() == inst.problem.n() => {
                     slot.mu_seed.extend_from_slice(&entry.mu);
+                    if !general && entry.lambda.len() == inst.problem.m() {
+                        slot.lambda_seed.extend_from_slice(&entry.lambda);
+                    }
                     slot.warm = WarmStart::Hit;
                     baseline = entry.cold_kernel_work;
                 }
@@ -689,8 +718,29 @@ fn solve_one(
         initial_mu,
         ..SeaOptions::with_epsilon(epsilon)
     };
-    let seed = hit.then(|| mem::take(&mut slot.mu_seed));
-    let sup = &opts.supervisor;
+    let mut seed = hit.then(|| mem::take(&mut slot.mu_seed));
+    // A hit carrying λ seeds a diagonal-class driver the way a checkpoint
+    // does: from `resume`, whose λ also hints the first row pass, where
+    // `initial_mu` hints only the column passes.
+    let resume = if slot.lambda_seed.is_empty() {
+        None
+    } else {
+        seed.take().map(|mu| SupervisorOptions {
+            resume: Some(Checkpoint {
+                solver: match inst.problem {
+                    BatchProblem::Bounded(_) => "bounded",
+                    _ => "diagonal",
+                }
+                .to_string(),
+                iteration: 0,
+                lambda: mem::take(&mut slot.lambda_seed),
+                mu,
+                history: None,
+            }),
+            ..opts.supervisor.clone()
+        })
+    };
+    let sup = resume.as_ref().unwrap_or(&opts.supervisor);
     let (outcome, seed) = match &inst.problem {
         BatchProblem::Diagonal(p) => {
             let o = sea_options(opts.epsilon, seed);
@@ -714,8 +764,13 @@ fn solve_one(
             (r.map(BatchSolution::General), o.inner.initial_mu)
         }
     };
+    // Reclaim the seed buffers for the arena.
+    if let Some(ck) = resume.and_then(|s| s.resume) {
+        slot.lambda_seed = ck.lambda;
+        slot.mu_seed = ck.mu;
+    }
     if let Some(seed) = seed {
-        slot.mu_seed = seed; // reclaim the buffer for the arena
+        slot.mu_seed = seed;
     }
 
     slot.events = probe.events;
@@ -733,6 +788,7 @@ fn solve_one(
                 slot.update = Some(CacheUpdate {
                     family: family.clone(),
                     entry: CacheEntry {
+                        lambda: sol.lambda().to_vec(),
                         mu: sol.mu().to_vec(),
                         cold_kernel_work: if hit { baseline } else { probe.work },
                     },

@@ -10,11 +10,12 @@
 //!   threads either *across* instances (many small problems) or *inside*
 //!   each solve's row/column equilibrations (few large problems).
 //! * **Warm-start dual cache** — [`WarmStartCache`] keeps the last
-//!   converged column multipliers `μ` per problem *family* and seeds the
-//!   next solve of that family with them (the row pass recomputes `λ`
-//!   from `μ`, so `μ` alone is a complete warm start). Hit/miss and
-//!   kernel-work-saved are reported per instance and per batch through
-//!   `sea-observe` events.
+//!   converged multipliers `(λ, μ)` per problem *family* and seeds the
+//!   next solve of that family with them. The row pass recomputes `λ`
+//!   from `μ`, so `μ` alone is a complete warm start; the cached `λ`
+//!   hints the first row pass's kernel, as a resumed checkpoint's does.
+//!   Hit/miss and kernel-work-saved are reported per instance and per
+//!   batch through `sea-observe` events.
 //! * **Workspace arena** — [`BatchArena`] pools per-instance buffers so a
 //!   long-lived engine's own bookkeeping stops allocating once it reaches
 //!   steady state.

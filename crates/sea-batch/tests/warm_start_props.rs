@@ -11,8 +11,11 @@
 mod generator;
 
 use proptest::prelude::*;
-use sea_batch::{BatchEngine, BatchInstance, BatchOptions, BatchProblem, BatchSolution, WarmStart};
-use sea_core::{verify_solution, NullObserver};
+use sea_batch::{
+    solve_instance, BatchEngine, BatchInstance, BatchOptions, BatchProblem, BatchSolution,
+    CacheEntry, CacheUpdate, WarmStart, WarmStartCache,
+};
+use sea_core::{verify_solution, Event, KernelCounters, NullObserver, VecObserver};
 
 /// KKT certification tolerance: one decade looser than the solve tolerance
 /// (the convergence criterion measures residuals, the certificate measures
@@ -135,4 +138,86 @@ fn bounded_warm_epoch_saves_kernel_work() {
         );
         assert!(warm.work_saved > 0, "seed {seed}: no work saved");
     }
+}
+
+/// Kernel counters of every solve in an observed event stream.
+fn kernel_counters(events: &[Event]) -> KernelCounters {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::KernelCounters { counters } => Some(*counters),
+            _ => None,
+        })
+        .fold(KernelCounters::default(), KernelCounters::merged)
+}
+
+/// Most rounds a warm repeat may spend per subproblem. Every subproblem
+/// of these instances hits its hint (exactly 1.0 measured). A warm solve
+/// that seeds μ alone runs its first row pass cold, a full quickselect
+/// per row: 225 rounds for the 70 subproblems of the first instance, 3.2
+/// a subproblem.
+const WARM_ROUNDS_PER_SUBPROBLEM: f64 = 1.1;
+
+/// A warm solve of a repeated instance starts from the cached λ as well as
+/// μ, so its first row pass is warm too: about one selection round per
+/// subproblem, where a cold first row pass runs a full quickselect per row.
+#[test]
+fn warm_repeat_costs_about_one_selection_round_per_subproblem() {
+    for (seed, m, n) in [(0, 40, 30), (1, 50, 40), (3, 60, 20)] {
+        let inst = instance(seed, m, n);
+        let mut engine = BatchEngine::new(options());
+        let batch = std::slice::from_ref(&inst);
+        assert!(engine.solve_batch(batch, &mut NullObserver).all_converged());
+        let mut obs = VecObserver::default();
+        let warm = engine.solve_batch(batch, &mut obs);
+        assert!(warm.all_converged(), "seed {seed}");
+        assert_eq!(warm.items[0].warm_start, WarmStart::Hit);
+        let c = kernel_counters(&obs.events);
+        let rounds = c.quickselect_pivots as f64 / c.subproblems as f64;
+        assert!(
+            rounds <= WARM_ROUNDS_PER_SUBPROBLEM,
+            "seed {seed}: {} rounds for {} subproblems",
+            c.quickselect_pivots,
+            c.subproblems
+        );
+    }
+}
+
+/// A cached λ only hints where the first row pass looks: a NaN λ misses
+/// every hint, and the solve lands where a μ-only hit does.
+#[test]
+fn nan_lambda_seed_converges_like_a_lambda_free_hit() {
+    let inst = instance(11, 40, 30);
+    let opts = options();
+    let (cold, update) = solve_instance(&inst, &opts, &WarmStartCache::new(), &mut NullObserver);
+    assert!(cold.outcome.is_ok_and(|s| s.converged()));
+    let Some(CacheUpdate { family, entry }) = update else {
+        panic!("a converged solve updates the cache");
+    };
+    let seeded = |lambda: Vec<f64>| {
+        let mut cache = WarmStartCache::new();
+        cache.apply([CacheUpdate {
+            family: family.clone(),
+            entry: CacheEntry {
+                lambda,
+                ..entry.clone()
+            },
+        }]);
+        let (report, _) = solve_instance(&inst, &opts, &cache, &mut NullObserver);
+        assert_eq!(report.warm_start, WarmStart::Hit);
+        match report.outcome {
+            Ok(BatchSolution::Diagonal(s)) => s,
+            other => panic!("diagonal outcome expected: {other:?}"),
+        }
+    };
+    let poisoned = seeded(vec![f64::NAN; entry.lambda.len()]);
+    let free = seeded(Vec::new());
+    assert!(poisoned.solution.stats.converged);
+    // The same certificate to the last bit: a missed hint falls through
+    // to the selection an unhinted pass runs.
+    assert_eq!(
+        format!("{:?}", poisoned.certificate),
+        format!("{:?}", free.certificate)
+    );
+    assert_eq!(poisoned.solution.x, free.solution.x);
 }

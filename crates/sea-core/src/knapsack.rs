@@ -740,7 +740,7 @@ fn select_lambda(
     match mode {
         TotalMode::Fixed { total } => {
             if acc_b > 0.0 {
-                Some(((total - acc_a) / acc_b).clamp(seg_lo, seg_hi))
+                Some(clamp_to_segment((total - acc_a) / acc_b, seg_lo, seg_hi))
             } else {
                 let flat_solves = match flat {
                     FlatPolicy::NonnegativePrefix => total <= 0.0,
@@ -761,9 +761,27 @@ fn select_lambda(
                 }
             }
         }
-        TotalMode::Elastic { .. } => {
-            Some(((el_const - acc_a) / (acc_b + el_slope)).clamp(seg_lo, seg_hi))
-        }
+        TotalMode::Elastic { .. } => Some(clamp_to_segment(
+            (el_const - acc_a) / (acc_b + el_slope),
+            seg_lo,
+            seg_hi,
+        )),
+    }
+}
+
+/// `root.clamp(seg_lo, seg_hi)` without `clamp`'s precondition check,
+/// which debug builds assert and a NaN bound fails. Non-finite inputs (a
+/// poisoned warm start) make NaN breakpoints and so NaN bounds: the NaN
+/// root then passes through, as it does in release builds, and the
+/// breakdown watchdog sees it instead of the worker panicking. Every
+/// other input gets `clamp`'s bits.
+fn clamp_to_segment(root: f64, seg_lo: f64, seg_hi: f64) -> f64 {
+    if root < seg_lo {
+        seg_lo
+    } else if root > seg_hi {
+        seg_hi
+    } else {
+        root
     }
 }
 

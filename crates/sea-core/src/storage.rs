@@ -25,6 +25,7 @@
 
 use crate::error::SeaError;
 use rayon::prelude::*;
+use sea_linalg::dense::transpose_into;
 use sea_linalg::{CsrMatrix, DenseMatrix};
 use std::fmt;
 use std::ops::Range;
@@ -58,8 +59,8 @@ impl RowView<'_> {
 /// Matrix storage backend for SEA problems and iterates.
 ///
 /// Implementations must visit stored entries of a row in increasing column
-/// order (see the module docs for why), and `transposed` must order each
-/// transposed row by original row index — the order the dense column pass
+/// order (see the module docs for why), and `transpose_together` must order
+/// each transposed row by original row index — the order the dense column pass
 /// walks.
 pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// Backend name for manifests, events, and CLI flags (`"dense"`/`"csr"`).
@@ -104,21 +105,25 @@ pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// Propagates allocation/shape failures from the backend.
     fn zeros_like(&self) -> Result<Self, SeaError>;
 
-    /// Cache-friendly explicit transpose (built once per solve for the
-    /// column pass).
-    ///
-    /// # Errors
-    /// Propagates allocation failures from the backend.
-    fn transposed(&self) -> Result<Self, SeaError>;
-
     /// Transpose same-pattern `mats` together. Backends that transpose by
     /// permutation (CSR) do it in one pass and also return the slot map
     /// `to` (source slot `k` lands in transposed slot `to[k]`); dense
-    /// storage transposes each matrix blockwise and returns no map.
+    /// storage strip-transposes each matrix, on the current rayon pool
+    /// when `parallel`, and returns no map.
     ///
     /// # Errors
     /// Propagates allocation failures from the backend.
-    fn transpose_together(mats: &[&Self]) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError>;
+    fn transpose_together(
+        mats: &[&Self],
+        parallel: bool,
+    ) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError>;
+
+    /// Write the values of this matrix's transpose into `out`, in the
+    /// stored order of the layout it was transposed from. `to` is the slot
+    /// map [`Storage::transpose_together`] returned for that layout, if
+    /// any. The work runs on the current rayon pool when `parallel`; it
+    /// only moves values, so the bits do not depend on it.
+    fn transpose_back_into(&self, to: Option<&[u32]>, out: &mut [f64], parallel: bool);
 
     /// `true` when `other` has the same shape and support pattern.
     fn same_pattern(&self, other: &Self) -> bool;
@@ -212,15 +217,23 @@ impl Storage for DenseMatrix {
         DenseMatrix::zeros(DenseMatrix::rows(self), DenseMatrix::cols(self)).map_err(SeaError::from)
     }
 
-    fn transposed(&self) -> Result<Self, SeaError> {
-        Ok(DenseMatrix::transposed(self))
+    fn transpose_together(
+        mats: &[&Self],
+        parallel: bool,
+    ) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
+        let ts = mats
+            .iter()
+            .map(|a| {
+                let mut t = DenseMatrix::zeros(a.cols(), a.rows())?;
+                transpose_into(a.as_slice(), a.rows(), a.cols(), t.as_mut_slice(), parallel);
+                Ok(t)
+            })
+            .collect::<Result<_, SeaError>>()?;
+        Ok((ts, None))
     }
 
-    fn transpose_together(mats: &[&Self]) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
-        Ok((
-            mats.iter().map(|a| DenseMatrix::transposed(a)).collect(),
-            None,
-        ))
+    fn transpose_back_into(&self, _to: Option<&[u32]>, out: &mut [f64], parallel: bool) {
+        transpose_into(self.as_slice(), self.rows(), self.cols(), out, parallel);
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -320,11 +333,10 @@ impl Storage for CsrMatrix {
         Ok(CsrMatrix::zeros_like(self))
     }
 
-    fn transposed(&self) -> Result<Self, SeaError> {
-        Ok(CsrMatrix::transposed(self))
-    }
-
-    fn transpose_together(mats: &[&Self]) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
+    fn transpose_together(
+        mats: &[&Self],
+        _parallel: bool,
+    ) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
         Ok(match CsrMatrix::transpose_together(mats) {
             Some((ts, to)) => (ts, Some(to)),
             None => (
@@ -332,6 +344,23 @@ impl Storage for CsrMatrix {
                 None,
             ),
         })
+    }
+
+    fn transpose_back_into(&self, to: Option<&[u32]>, out: &mut [f64], parallel: bool) {
+        let Some(to) = to else {
+            out.copy_from_slice(CsrMatrix::transposed(self).vals());
+            return;
+        };
+        let src = self.vals();
+        if parallel {
+            out.par_iter_mut()
+                .zip(to.par_iter())
+                .for_each(|(o, &k)| *o = src[k as usize]);
+        } else {
+            for (o, &k) in out.iter_mut().zip(to) {
+                *o = src[k as usize];
+            }
+        }
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -371,11 +400,12 @@ impl Storage for CsrMatrix {
 
 /// One solve's transposition between the problem's layout and the column
 /// pass's: the prior, the weights and any bounds go over together once,
-/// and the final iterate comes back. CSR matrices go over in one
-/// counting-sort pass that records the slot map, and come back by a gather
-/// through it, on the solve's pool when `parallel` (element-wise copies,
-/// so the bits do not depend on it). Dense matrices use blocked
-/// transposes.
+/// and the final iterate comes back into a spare transposed buffer. CSR
+/// matrices go over in one counting-sort pass that records the slot map,
+/// and come back by a gather through it; dense matrices go both ways by
+/// strip transposes. The gather and the strip transposes run on the
+/// solve's pool when `parallel`; they only move values, so the bits do
+/// not depend on it.
 pub(crate) struct Transposer {
     to: Option<Vec<u32>>,
     parallel: bool,
@@ -387,29 +417,17 @@ impl Transposer {
         mats: &[&S],
         parallel: bool,
     ) -> Result<(Self, Vec<S>), SeaError> {
-        let (ts, to) = S::transpose_together(mats)?;
+        let (ts, to) = S::transpose_together(mats, parallel)?;
         Ok((Transposer { to, parallel }, ts))
     }
 
     /// A transposed-layout `t` back in the layout of `like`, which has the
     /// planned pattern (and, for CSR, shares it with the result). `spare`
-    /// is a transposed matrix the caller is done with: CSR writes the
-    /// result into its value buffer, whose pages are already mapped.
+    /// is a transposed matrix the caller is done with: the result is
+    /// written into its value buffer, whose pages are already mapped.
     pub(crate) fn back<S: Storage>(&self, t: &S, like: &S, spare: S) -> Result<S, SeaError> {
-        let Some(to) = &self.to else {
-            return t.transposed();
-        };
         let mut vals = spare.into_values();
-        let src = t.values();
-        if self.parallel {
-            vals.par_iter_mut()
-                .zip(to.par_iter())
-                .for_each(|(o, &k)| *o = src[k as usize]);
-        } else {
-            for (o, &k) in vals.iter_mut().zip(to) {
-                *o = src[k as usize];
-            }
-        }
+        t.transpose_back_into(self.to.as_deref(), &mut vals, self.parallel);
         like.with_values(vals)
     }
 }
@@ -417,6 +435,7 @@ impl Transposer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn dense() -> DenseMatrix {
         DenseMatrix::from_rows(&[vec![1.0, 0.0, 2.0], vec![0.0, 3.0, 0.0]]).unwrap()
@@ -428,7 +447,8 @@ mod tests {
         assert_eq!(s.cols(), src.cols());
         let back = s.to_dense().unwrap();
         assert_eq!(&back, src);
-        let t = s.transposed().unwrap();
+        let (ts, _) = S::transpose_together(&[&s], false).unwrap();
+        let t = &ts[0];
         assert_eq!(t.rows(), src.cols());
         assert_eq!(t.get(2, 0), 2.0);
         let z = s.zeros_like().unwrap();
@@ -436,23 +456,96 @@ mod tests {
         assert!(z.values().iter().all(|&v| v == 0.0));
     }
 
+    /// The transpose by definition, entry by entry. Transposing only
+    /// moves values, so every backend must match it bit for bit.
+    fn reference_transpose(src: &DenseMatrix) -> DenseMatrix {
+        let mut t = DenseMatrix::zeros(src.cols(), src.rows()).unwrap();
+        for i in 0..src.rows() {
+            for j in 0..src.cols() {
+                t.set(j, i, src.get(i, j));
+            }
+        }
+        t
+    }
+
+    fn bits<S: Storage>(m: &S) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
     fn transposer_round_trip<S: Storage>(src: &DenseMatrix) {
         let a = S::from_dense(src).unwrap();
+        let want = S::from_dense(&reference_transpose(src)).unwrap();
         for parallel in [false, true] {
             let (plan, ts) = Transposer::over(&[&a, &a], parallel).unwrap();
             assert_eq!(ts.len(), 2);
-            assert_eq!(ts[1], a.transposed().unwrap());
+            for t in &ts {
+                assert!(t.same_pattern(&want));
+                assert_eq!(bits(t), bits(&want), "forward, parallel {parallel}");
+            }
             let back = plan.back(&ts[0], &a, ts[1].clone()).unwrap();
-            assert_eq!(back, a);
             assert!(back.same_pattern(&a));
+            assert_eq!(bits(&back), bits(&a), "back, parallel {parallel}");
         }
+    }
+
+    /// An entry that notes being copied on a thread other than `home`.
+    struct Stamp<'a> {
+        home: std::thread::ThreadId,
+        strayed: &'a AtomicBool,
+    }
+
+    impl Clone for Stamp<'_> {
+        fn clone(&self) -> Self {
+            if std::thread::current().id() != self.home {
+                self.strayed.store(true, Ordering::Relaxed);
+            }
+            Stamp {
+                home: self.home,
+                strayed: self.strayed,
+            }
+        }
+    }
+
+    /// Whether a `rows × cols` strip transpose copied anything off the
+    /// calling thread.
+    fn fans_out(rows: usize, cols: usize, parallel: bool) -> bool {
+        let strayed = AtomicBool::new(false);
+        let stamp = Stamp {
+            home: std::thread::current().id(),
+            strayed: &strayed,
+        };
+        let src = vec![stamp; rows * cols];
+        let mut dst = src.clone();
+        transpose_into(&src, rows, cols, &mut dst, parallel);
+        strayed.load(Ordering::Relaxed)
     }
 
     #[test]
     fn transposer_matches_transposed_both_ways() {
-        let d = dense();
-        transposer_round_trip::<DenseMatrix>(&d);
-        transposer_round_trip::<CsrMatrix>(&d);
+        // Column counts on both sides of the strip width, and not
+        // multiples of it; entries with distinct bits, signed zeros too.
+        for (rows, cols) in [(2, 3), (1, 17), (17, 1), (7, 13), (1000, 999)] {
+            let data = (0..rows * cols)
+                .map(|k| match k % 5 {
+                    0 => -0.0,
+                    _ => (k as f64).sin() * 1e3,
+                })
+                .collect();
+            let d = DenseMatrix::from_vec(rows, cols, data).unwrap();
+            transposer_round_trip::<DenseMatrix>(&d);
+            transposer_round_trip::<CsrMatrix>(&d);
+        }
+        // A DenseMatrix cannot be empty; the strip transpose still can.
+        for parallel in [false, true] {
+            transpose_into::<f64>(&[], 0, 9, &mut [], parallel);
+            transpose_into::<f64>(&[], 9, 0, &mut [], parallel);
+        }
+        // A serial transpose never leaves the calling thread, although
+        // outside a pool the rayon width is the machine's.
+        assert!(!fans_out(64, 999, false));
+        if rayon::current_num_threads() > 1 {
+            assert!(fans_out(64, 999, true), "the detector sees a fan-out");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! [`DenseMatrix`] is the workhorse container of the workspace: priors `X⁰`,
 //! per-entry weight tables `Γ`, and solver iterates all live here. The row
 //! equilibration pass of SEA walks rows (contiguous); the column pass walks
-//! columns, so [`DenseMatrix::transposed`] exists to build a cache-friendly
-//! transposed copy once per solve instead of striding on every iteration.
+//! columns, so [`transpose_into`] builds a cache-friendly transposed copy
+//! once per solve instead of striding on every iteration.
 
 use crate::error::LinalgError;
 use rayon::prelude::*;
@@ -221,21 +221,11 @@ impl DenseMatrix {
         }
     }
 
-    /// Freshly allocated transposed copy (column pass cache locality).
+    /// Freshly allocated transposed copy (column pass cache locality),
+    /// built serially by [`transpose_into`].
     pub fn transposed(&self) -> DenseMatrix {
         let mut t = vec![0.0; self.data.len()];
-        // Blocked transpose for cache friendliness on big matrices.
-        const B: usize = 32;
-        for ib in (0..self.rows).step_by(B) {
-            for jb in (0..self.cols).step_by(B) {
-                for i in ib..(ib + B).min(self.rows) {
-                    let row = &self.data[i * self.cols..];
-                    for j in jb..(jb + B).min(self.cols) {
-                        t[j * self.rows + i] = row[j];
-                    }
-                }
-            }
-        }
+        transpose_into(&self.data, self.rows, self.cols, &mut t, false);
         DenseMatrix {
             rows: self.cols,
             cols: self.rows,
@@ -357,6 +347,63 @@ impl DenseMatrix {
     }
 }
 
+/// Destination rows per strip of [`transpose_into`]: eight `f64` fill one
+/// 64-byte cache line, so a strip reads one line of each source row.
+const STRIP: usize = 8;
+
+/// Write the transpose of the row-major `rows × cols` matrix `src` into
+/// `dst` (row-major `cols × rows`).
+///
+/// Destination rows are written in strips of eight: a strip walks the
+/// source rows in order, reading one cache line from each and appending
+/// one entry to each of its eight destination rows. With `parallel` the
+/// strips are spread over the current rayon pool; otherwise they run in
+/// order on the calling thread, which never fans out (outside a pool the
+/// rayon width is the machine's, so the choice must not be left to it).
+/// Every entry is copied exactly once either way, so the result does not
+/// depend on `parallel`.
+///
+/// # Panics
+/// If `src` or `dst` does not hold `rows * cols` entries.
+pub fn transpose_into<T: Clone + Send + Sync>(
+    src: &[T],
+    rows: usize,
+    cols: usize,
+    dst: &mut [T],
+    parallel: bool,
+) {
+    assert_eq!(src.len(), rows * cols, "transpose_into source length");
+    assert_eq!(dst.len(), src.len(), "transpose_into destination length");
+    if dst.is_empty() {
+        return;
+    }
+    let strip = |(s, out): (usize, &mut [T])| {
+        let j0 = s * STRIP;
+        let width = out.len() / rows;
+        for (i, row) in src.chunks_exact(cols).enumerate() {
+            for (k, v) in row[j0..j0 + width].iter().enumerate() {
+                out[k * rows + i] = v.clone();
+            }
+        }
+    };
+    // Full strips first; the last `cols % STRIP` destination rows form a
+    // narrower one.
+    let full = cols / STRIP;
+    let (head, tail) = dst.split_at_mut(full * STRIP * rows);
+    if parallel {
+        head.par_chunks_exact_mut(STRIP * rows)
+            .enumerate()
+            .for_each(strip);
+    } else {
+        head.chunks_exact_mut(STRIP * rows)
+            .enumerate()
+            .for_each(strip);
+    }
+    if !tail.is_empty() {
+        strip((full, tail));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,8 +459,8 @@ mod tests {
     }
 
     #[test]
-    fn transpose_blocked_large() {
-        // Exercise the blocked path with a non-multiple-of-block shape.
+    fn transpose_large_with_a_partial_strip() {
+        // A column count that is not a multiple of the strip width.
         let rows = 67;
         let cols = 45;
         let data: Vec<f64> = (0..rows * cols).map(|k| k as f64).collect();

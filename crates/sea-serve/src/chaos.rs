@@ -33,9 +33,9 @@ pub enum ServiceFault {
     /// `NanLambda` fault): the breakdown watchdog stops the solve with
     /// a typed result and the family takes a quarantine strike.
     Nan,
-    /// Overwrite the family's cached warm-start `μ` with NaN before the
-    /// solve reads it: the watchdog must contain the poisoned seed and
-    /// the next solve of the family must recover.
+    /// Overwrite the family's cached warm-start `λ` and `μ` with NaN
+    /// before the solve reads them: the watchdog must contain the
+    /// poisoned seed and the next solve of the family must recover.
     CacheCorrupt,
 }
 

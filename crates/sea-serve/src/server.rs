@@ -1123,12 +1123,13 @@ fn solve_with_cache(
         opts.supervisor.faults = FaultPlan::new().at(1, FaultKind::NanLambda { index: 0 });
     }
     if faults.contains(&ServiceFault::CacheCorrupt) {
-        // Scripted cache corruption: poison the family's warm seed
-        // before the snapshot below reads it.
+        // Scripted cache corruption: poison the family's warm seed, λ
+        // and μ alike, before the snapshot below reads it.
         if let Some(family) = &inst.family {
             let mut cache = lock(&shared.cache);
             if let Some(entry) = cache.lookup(family) {
                 let poisoned = CacheEntry {
+                    lambda: vec![f64::NAN; entry.lambda.len()],
                     mu: vec![f64::NAN; entry.mu.len()],
                     cold_kernel_work: entry.cold_kernel_work,
                 };

@@ -703,3 +703,66 @@ fn chaos_crash_in_the_binary_still_drains_cleanly() {
     stderr.read_to_string(&mut rest).expect("drain log");
     assert!(rest.contains("drained cleanly"), "{rest}");
 }
+
+/// Cache corruption through the real binary: the family's second solve
+/// finds its cached λ and μ poisoned with NaN. The answer is typed (the
+/// watchdog's breakdown, not a 5xx or a wrong converged result), the
+/// poisoned seed is dropped, and the family solves cold, then warm again.
+#[test]
+#[cfg(unix)]
+fn chaos_cachecorrupt_in_the_binary_is_typed_and_the_family_recovers() {
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sea-serve"))
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--chaos",
+            "cachecorrupt@2",
+        ])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sea-serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let mut line = String::new();
+    stderr.read_line(&mut line).expect("read listen line");
+    let addr: std::net::SocketAddr = line
+        .rsplit(' ')
+        .next()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no address in {line:?}"));
+
+    let solve = |id: &str| request(addr, "POST", "/solve", &instance_body(id, Some("fam"), ""));
+    let (status, text) = solve("seed");
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains("\"cache\":\"miss\""), "{text}");
+
+    // Solve 2 reads the poisoned entry: a typed breakdown, not a 5xx.
+    let (status, text) = solve("poisoned");
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains("\"cache\":\"hit\""), "{text}");
+    assert!(
+        text.contains("breakdown") && !text.contains("\"stop\":\"converged\""),
+        "{text}"
+    );
+
+    // The poisoned seed was dropped: cold, then warm from the fresh seed.
+    let (status, text) = solve("cold-again");
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains("\"cache\":\"miss\""), "{text}");
+    assert!(text.contains("\"stop\":\"converged\""), "{text}");
+    let (status, text) = solve("warm-again");
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains("\"cache\":\"hit\""), "{text}");
+    assert!(text.contains("\"stop\":\"converged\""), "{text}");
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("deliver SIGTERM");
+    assert!(killed.success());
+    let exit = child.wait().expect("daemon exits");
+    assert_eq!(exit.code(), Some(0), "clean drain exits 0 after chaos");
+}
