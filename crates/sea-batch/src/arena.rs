@@ -24,11 +24,11 @@ pub(crate) struct Slot {
     pub lambda_seed: Vec<f64>,
     /// Warm-start outcome for the instance.
     pub warm: WarmStart,
-    /// Kernel work the instance's solve cost (0 when not measured).
+    /// Kernel work the instance's solve cost (0 when it failed).
     pub kernel_work: u64,
     /// Kernel work saved vs the family's cold baseline (0 off-hit).
     pub work_saved: u64,
-    /// Full kernel counters harvested by the probe (for Instance spans).
+    /// The solution's kernel counters (for Instance spans).
     pub counters: KernelCounters,
     /// Solve start offset from the batch epoch, nanoseconds.
     pub start_ns: u64,

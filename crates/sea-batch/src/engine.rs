@@ -114,11 +114,6 @@ pub struct BatchOptions {
     /// Enable the per-family warm-start cache. Off, every instance is a
     /// cache bypass and nothing is stored.
     pub warm_start: bool,
-    /// Measure per-instance kernel work through a probe observer. Costs
-    /// event construction inside the solvers; turn off (with no outer
-    /// observer attached) for the allocation-free fast path. Without
-    /// measurement `kernel_work`/`work_saved` report 0.
-    pub measure_kernel_work: bool,
     /// Supervision applied to *each* instance (budgets are per-instance;
     /// put one shared [`sea_core::CancelToken`] here to cancel the whole
     /// batch).
@@ -134,7 +129,6 @@ impl Default for BatchOptions {
             kernel: defaults.kernel,
             parallelism: BatchParallelism::Serial,
             warm_start: true,
-            measure_kernel_work: true,
             supervisor: SupervisorOptions::default(),
         }
     }
@@ -267,6 +261,17 @@ impl BatchSolution {
         }
     }
 
+    /// Kernel work of the solve, as its driver counted it (the general
+    /// class sums its inner solves).
+    pub fn counters(&self) -> KernelCounters {
+        match self {
+            BatchSolution::Diagonal(s) => s.solution.stats.counters,
+            BatchSolution::SparseDiagonal(s) => s.solution.stats.counters,
+            BatchSolution::Bounded(s) => s.solution.counters,
+            BatchSolution::General(s) => s.solution.counters,
+        }
+    }
+
     /// Primal objective at the returned iterate.
     pub fn objective(&self) -> f64 {
         match self {
@@ -328,9 +333,9 @@ pub struct BatchItemReport {
     pub family: Option<String>,
     /// Cache outcome.
     pub warm_start: WarmStart,
-    /// Kernel work this solve cost (0 when measurement is off), in the
-    /// units of [`sea_core::KernelCounters::work`]: a warm-start attempt
-    /// of the quickselect kernel, hit or miss, counts as one round.
+    /// Kernel work this solve cost (0 when it failed), in the units of
+    /// [`sea_core::KernelCounters::work`]: a warm-start attempt of the
+    /// quickselect kernel, hit or miss, counts as one round.
     pub kernel_work: u64,
     /// Kernel work saved vs the family's cold baseline (0 off-hit). Since
     /// every warm-start attempt counts as a round, saving attempts shows
@@ -472,7 +477,7 @@ impl BatchEngine {
             if spanning {
                 slot.start_ns = elapsed_ns(start);
             }
-            solve_one(inst, options, cache, observing, spanning, slot);
+            solve_one(inst, options, cache, observing, slot);
             if spanning {
                 slot.end_ns = elapsed_ns(start);
             }
@@ -604,7 +609,7 @@ pub fn solve_instance<O: Observer>(
     obs: &mut O,
 ) -> (BatchItemReport, Option<CacheUpdate>) {
     let mut slot = Slot::default();
-    solve_one(inst, opts, cache, obs.enabled(), false, &mut slot);
+    solve_one(inst, opts, cache, obs.enabled(), &mut slot);
     for e in slot.events.drain(..) {
         obs.record(&e);
     }
@@ -634,37 +639,22 @@ fn elapsed_ns(t0: Instant) -> u64 {
         .saturating_add(u64::from(d.subsec_nanos()))
 }
 
-/// Probe sink for one instance: harvests kernel-work counters and (when
-/// the batch has an outer observer) buffers the instance's event stream
-/// for in-order replay.
-struct ProbeObserver {
-    keep_events: bool,
-    measure: bool,
-    work: u64,
-    counters: KernelCounters,
+/// Event sink for one instance: when the batch has an outer observer it
+/// buffers the instance's event stream for in-order replay; otherwise it
+/// reports disabled, so the solvers construct no events and evaluate ζ
+/// at no check. Kernel work comes from the solution either way.
+struct EventBuffer {
+    on: bool,
     events: Vec<Event>,
 }
 
-impl Observer for ProbeObserver {
+impl Observer for EventBuffer {
     fn enabled(&self) -> bool {
-        // When neither buffering nor measuring, report disabled so the
-        // solvers skip event construction entirely (the allocation-free
-        // fast path).
-        self.keep_events || self.measure
+        self.on
     }
 
     fn record(&mut self, event: &Event) {
-        if self.measure {
-            if let Event::KernelCounters { counters } = event {
-                self.work += counters.breakpoints_scanned
-                    + counters.quickselect_pivots
-                    + counters.boxed_clamps;
-                self.counters = self.counters.merged(*counters);
-            }
-        }
-        if self.keep_events {
-            self.events.push(event.clone());
-        }
+        self.events.push(event.clone());
     }
 }
 
@@ -674,7 +664,6 @@ fn solve_one(
     opts: &BatchOptions,
     cache: &WarmStartCache,
     buffer_events: bool,
-    spanning: bool,
     slot: &mut Slot,
 ) {
     // Resolve the warm start against the read-only snapshot. A cached μ of
@@ -700,13 +689,8 @@ fn solve_one(
     }
     let hit = slot.warm == WarmStart::Hit;
 
-    // Span attribution needs the counters even when the caller left
-    // `measure_kernel_work` off, so spanning forces measurement on.
-    let mut probe = ProbeObserver {
-        keep_events: buffer_events,
-        measure: opts.measure_kernel_work || spanning,
-        work: 0,
-        counters: KernelCounters::default(),
+    let mut buffer = EventBuffer {
+        on: buffer_events,
         events: mem::take(&mut slot.events),
     };
     // Options for the diagonal-class drivers (plain, sparse and bounded
@@ -744,23 +728,23 @@ fn solve_one(
     let (outcome, seed) = match &inst.problem {
         BatchProblem::Diagonal(p) => {
             let o = sea_options(opts.epsilon, seed);
-            let r = solve_diagonal_supervised(p, &o, sup, &mut probe);
+            let r = solve_diagonal_supervised(p, &o, sup, &mut buffer);
             (r.map(BatchSolution::Diagonal), o.initial_mu)
         }
         BatchProblem::SparseDiagonal(p) => {
             let o = sea_options(opts.epsilon, seed);
-            let r = solve_diagonal_supervised(p, &o, sup, &mut probe);
+            let r = solve_diagonal_supervised(p, &o, sup, &mut buffer);
             (r.map(BatchSolution::SparseDiagonal), o.initial_mu)
         }
         BatchProblem::Bounded(p) => {
             let o = sea_options(opts.epsilon, seed);
-            let r = solve_bounded_supervised(p, &o, sup, &mut probe);
+            let r = solve_bounded_supervised(p, &o, sup, &mut buffer);
             (r.map(BatchSolution::Bounded), o.initial_mu)
         }
         BatchProblem::General(p) => {
             let mut o = GeneralSeaOptions::with_epsilon(opts.epsilon);
             o.inner = sea_options(o.inner.epsilon, seed);
-            let r = solve_general_supervised(p, &o, sup, &mut probe);
+            let r = solve_general_supervised(p, &o, sup, &mut buffer);
             (r.map(BatchSolution::General), o.inner.initial_mu)
         }
     };
@@ -773,11 +757,13 @@ fn solve_one(
         slot.mu_seed = seed;
     }
 
-    slot.events = probe.events;
-    slot.kernel_work = probe.work;
-    slot.counters = probe.counters;
+    slot.events = buffer.events;
+    slot.counters = outcome
+        .as_ref()
+        .map_or_else(|_| KernelCounters::default(), BatchSolution::counters);
+    slot.kernel_work = slot.counters.work();
     if hit {
-        slot.work_saved = baseline.saturating_sub(probe.work);
+        slot.work_saved = baseline.saturating_sub(slot.kernel_work);
     }
     // Only converged solutions are cached: a partial μ from a stopped or
     // errored solve would poison later warm starts. A hit keeps the
@@ -790,7 +776,7 @@ fn solve_one(
                     entry: CacheEntry {
                         lambda: sol.lambda().to_vec(),
                         mu: sol.mu().to_vec(),
-                        cold_kernel_work: if hit { baseline } else { probe.work },
+                        cold_kernel_work: if hit { baseline } else { slot.kernel_work },
                     },
                 });
             }

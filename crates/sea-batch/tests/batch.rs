@@ -6,7 +6,8 @@ mod generator;
 
 use sea_batch::{BatchEngine, BatchInstance, BatchOptions, BatchProblem, WarmStart};
 use sea_core::{
-    CancelToken, Event, NullObserver, SolveBudget, StopReason, SupervisorOptions, VecObserver,
+    CancelToken, Event, KernelCounters, NullObserver, SolveBudget, StopReason, SupervisorOptions,
+    VecObserver,
 };
 
 fn diagonal_instance(id: &str, family: Option<&str>, seed: u64) -> BatchInstance {
@@ -169,6 +170,84 @@ fn mixed_classes_solve_in_one_batch() {
     let second = engine.solve_batch(&batch, &mut NullObserver);
     assert_eq!(second.cache_hits, 3);
     assert!(second.all_converged());
+}
+
+/// One instance of each class: dense, CSR, box-bounded and general.
+fn one_of_each_class() -> Vec<BatchInstance> {
+    let inst = |id: &str, problem| BatchInstance {
+        id: id.to_string(),
+        family: Some(id.to_string()),
+        problem,
+    };
+    let (_, sparse) = generator::sparse_families(0xC0_47).swap_remove(0);
+    vec![
+        diagonal_instance("dense", Some("dense"), 3),
+        inst("csr", BatchProblem::SparseDiagonal(sparse)),
+        inst(
+            "bounded",
+            BatchProblem::Bounded(
+                generator::try_bounded(7, 3, 3, 2, 1.0).expect("feasible bounded instance"),
+            ),
+        ),
+        inst(
+            "general",
+            BatchProblem::General(
+                generator::try_general(11, 2, 2, 2).expect("SPD general instance"),
+            ),
+        ),
+    ]
+}
+
+/// Kernel counters travel with the result: every class's solution
+/// carries the counters its observed solve reports in `KernelCounters`
+/// events (a general solve's inner solves summed), and a batch's work
+/// accounting reads the same with or without an outer observer.
+#[test]
+fn solution_counters_match_observed_kernel_events() {
+    let batch = one_of_each_class();
+    let mut observed = BatchEngine::new(options());
+    let mut unobserved = BatchEngine::new(options());
+    // A cold epoch, then a warm one, where work is saved.
+    for epoch in 0..2 {
+        let mut obs = VecObserver::new();
+        let with = observed.solve_batch(&batch, &mut obs);
+        let without = unobserved.solve_batch(&batch, &mut NullObserver);
+
+        // Each instance's buffered stream precedes its BatchInstance event.
+        let mut events = KernelCounters::default();
+        let mut seen = 0;
+        for e in &obs.events {
+            match e {
+                Event::KernelCounters { counters } => events = events.merged(*counters),
+                Event::BatchInstance {
+                    index, kernel_work, ..
+                } => {
+                    let item = &with.items[*index];
+                    let sol = item.outcome.as_ref().expect("instance solves");
+                    assert!(sol.converged(), "{}", item.id);
+                    assert!(!events.is_empty(), "{}: no kernel events", item.id);
+                    assert_eq!(sol.counters(), events, "{}/epoch {epoch}", item.id);
+                    assert_eq!(*kernel_work, events.work(), "{}", item.id);
+                    events = KernelCounters::default();
+                    seen += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(seen, batch.len());
+
+        for (a, b) in with.items.iter().zip(&without.items) {
+            assert_eq!(a.kernel_work, b.kernel_work, "{}/epoch {epoch}", a.id);
+            assert_eq!(a.work_saved, b.work_saved, "{}/epoch {epoch}", a.id);
+            assert_eq!(a.warm_start, b.warm_start, "{}", a.id);
+        }
+        assert_eq!(with.kernel_work, without.kernel_work);
+        assert_eq!(with.work_saved, without.work_saved);
+        if epoch == 1 {
+            assert_eq!(with.cache_hits, batch.len());
+            assert!(with.work_saved > 0, "warm epoch saves work");
+        }
+    }
 }
 
 #[test]

@@ -17,59 +17,91 @@ use crate::storage::{RowView, Storage};
 #[cfg(test)]
 use sea_linalg::DenseMatrix;
 
+/// One entry's term of ζ, at the entry's `λᵢ + μⱼ`.
 #[inline]
-fn entry_term(gamma: f64, x0: f64, lam_plus_mu: f64) -> f64 {
+pub(crate) fn entry_term(gamma: f64, x0: f64, lam_plus_mu: f64) -> f64 {
     let t = (2.0 * gamma * x0 + lam_plus_mu).max(0.0);
     -t * t / (4.0 * gamma) + gamma * x0 * x0
 }
 
 /// Evaluate the dual function of `p`'s problem class at `(λ, μ)`.
 ///
+/// Each column's entry terms are summed in row order and the column sums
+/// in column order, the association a solve's finishing sweep uses, so the
+/// two agree bit for bit.
+///
 /// # Panics
 /// Debug-panics on length mismatches.
 pub fn dual_value<S: Storage>(p: &DiagonalProblem<S>, lambda: &[f64], mu: &[f64]) -> f64 {
+    dual_value_with(p, lambda, mu, &mut vec![0.0; p.n()])
+}
+
+/// [`dual_value`] summing the columns in `cols` (length n), a buffer the
+/// caller owns, so a solve that evaluates ζ at its checks allocates
+/// nothing.
+pub(crate) fn dual_value_with<S: Storage>(
+    p: &DiagonalProblem<S>,
+    lambda: &[f64],
+    mu: &[f64],
+    cols: &mut [f64],
+) -> f64 {
     let (m, n) = (p.m(), p.n());
     debug_assert_eq!(lambda.len(), m);
     debug_assert_eq!(mu.len(), n);
+    debug_assert_eq!(cols.len(), n);
     let x0 = p.x0();
     let gamma = p.gamma();
 
-    let mut z = 0.0;
+    cols.fill(0.0);
     for i in 0..m {
         let li = lambda[i];
         match (x0.row_view(i), gamma.row_view(i)) {
             (RowView::Dense(x0r), RowView::Dense(gr)) => match p.support() {
                 None => {
                     for j in 0..n {
-                        z += entry_term(gr[j], x0r[j], li + mu[j]);
+                        cols[j] += entry_term(gr[j], x0r[j], li + mu[j]);
                     }
                 }
                 Some(sup) => {
                     for &j in &sup.rows[i] {
                         let j = j as usize;
-                        z += entry_term(gr[j], x0r[j], li + mu[j]);
+                        cols[j] += entry_term(gr[j], x0r[j], li + mu[j]);
                     }
                 }
             },
             (RowView::Indexed { idx, vals }, RowView::Indexed { vals: gvals, .. }) => {
-                // The stored pattern is the support; entries are walked in
-                // the same (column-sorted) order as the dense support path,
-                // so sums agree bitwise for the same logical problem.
+                // The stored pattern is the support; each column sees its
+                // entries in row order, as in the dense support path, so
+                // sums agree bitwise for the same logical problem.
                 for (t, &j) in idx.iter().enumerate() {
-                    z += entry_term(gvals[t], vals[t], li + mu[j as usize]);
+                    cols[j as usize] += entry_term(gvals[t], vals[t], li + mu[j as usize]);
                 }
             }
             // Constructors enforce a shared pattern between X^0 and Gamma.
             _ => debug_assert!(false, "mismatched row views in dual_value"),
         }
     }
+    dual_of_columns(p.totals(), cols.iter().copied(), lambda, mu)
+}
 
-    match p.totals() {
+/// ζ from each column's sum of entry terms, summed in column order, plus
+/// the totals' terms at `(λ, μ)`.
+pub(crate) fn dual_of_columns(
+    totals: &TotalSpec,
+    cols: impl IntoIterator<Item = f64>,
+    lambda: &[f64],
+    mu: &[f64],
+) -> f64 {
+    let mut z = 0.0;
+    for c in cols {
+        z += c;
+    }
+    match totals {
         TotalSpec::Fixed { s0, d0 } => {
-            for i in 0..m {
+            for i in 0..lambda.len() {
                 z += lambda[i] * s0[i];
             }
-            for j in 0..n {
+            for j in 0..mu.len() {
                 z += mu[j] * d0[j];
             }
         }
@@ -79,17 +111,17 @@ pub fn dual_value<S: Storage>(p: &DiagonalProblem<S>, lambda: &[f64], mu: &[f64]
             beta,
             d0,
         } => {
-            for i in 0..m {
+            for i in 0..lambda.len() {
                 let t = 2.0 * alpha[i] * s0[i] - lambda[i];
                 z += -t * t / (4.0 * alpha[i]) + alpha[i] * s0[i] * s0[i];
             }
-            for j in 0..n {
+            for j in 0..mu.len() {
                 let t = 2.0 * beta[j] * d0[j] - mu[j];
                 z += -t * t / (4.0 * beta[j]) + beta[j] * d0[j] * d0[j];
             }
         }
         TotalSpec::Balanced { alpha, s0 } => {
-            for j in 0..n {
+            for j in 0..mu.len() {
                 let t = 2.0 * alpha[j] * s0[j] - lambda[j] - mu[j];
                 z += -t * t / (4.0 * alpha[j]) + alpha[j] * s0[j] * s0[j];
             }

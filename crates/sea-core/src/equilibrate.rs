@@ -185,50 +185,24 @@ impl TaskScratch {
 }
 
 /// Entry bounds of a box-bounded pass, in the pass's row orientation, with
-/// each subproblem's `(Σ lo, Σ hi)` computed once: the bounds never change
-/// during a solve, so the kernel neither re-sums nor re-checks them.
+/// each subproblem's `(Σ lo, Σ hi)`: the bounds never change during a
+/// solve, so the kernel neither re-sums nor re-checks them. The sums come
+/// from the problem, which computed them once while validating it.
 #[derive(Debug)]
 pub struct PassBounds<'a, S: Storage> {
     lo: &'a S,
     hi: &'a S,
-    sums: Vec<(f64, f64)>,
+    sums: &'a [(f64, f64)],
 }
 
 impl<'a, S: Storage> PassBounds<'a, S> {
     /// Bounds `(lo, hi)` in the same orientation and pattern as the pass's
-    /// prior. Each row's sums are `iter().sum()` over its stored values
-    /// (the bits the kernel's own sums would have), rows in parallel when
-    /// `parallel`.
-    ///
-    /// # Errors
-    /// [`SeaError::InconsistentBounds`] if some `lo > hi`, with the entry's
-    /// storage index.
-    pub fn new(lo: &'a S, hi: &'a S, parallel: bool) -> Result<Self, SeaError> {
-        let row = |i: usize| {
-            let range = lo.row_range(i);
-            let (l, h) = (&lo.values()[range.clone()], &hi.values()[hi.row_range(i)]);
-            if let Some(j) = l.iter().zip(h).position(|(a, b)| a > b) {
-                return Err(SeaError::InconsistentBounds {
-                    index: range.start + j,
-                    lower: l[j],
-                    upper: h[j],
-                });
-            }
-            Ok((l.iter().sum(), h.iter().sum()))
-        };
-        let mut sums = vec![(0.0, 0.0); lo.rows()];
-        let fill = |(i, out): (usize, &mut (f64, f64))| -> Result<(), SeaError> {
-            *out = row(i)?;
-            Ok(())
-        };
-        if parallel {
-            sums.par_iter_mut()
-                .enumerate()
-                .try_for_each_init(|| (), |_, item| fill(item))?;
-        } else {
-            sums.iter_mut().enumerate().try_for_each(fill)?;
-        }
-        Ok(Self { lo, hi, sums })
+    /// prior, with `lo ≤ hi` entrywise, and each row's `(Σ lo, Σ hi)` as
+    /// `iter().sum()` over its stored values gives them (the bits the
+    /// kernel's own sums would have).
+    pub fn new(lo: &'a S, hi: &'a S, sums: &'a [(f64, f64)]) -> Self {
+        debug_assert_eq!(sums.len(), lo.rows());
+        Self { lo, hi, sums }
     }
 
     /// Row `i`'s `(lo, hi)` slices and their sums.
@@ -887,7 +861,8 @@ mod tests {
         // Box bounds come with sparse patterns, never dense support lists.
         let lo = DenseMatrix::zeros(2, 3).unwrap();
         let hi = DenseMatrix::filled(2, 3, 10.0).unwrap();
-        let bounds = PassBounds::new(&lo, &hi, false).unwrap();
+        let sums = [(0.0, 30.0); 2];
+        let bounds = PassBounds::new(&lo, &hi, &sums);
         let e = equilibration_pass(
             &PassInputs {
                 bounds: Some(&bounds),

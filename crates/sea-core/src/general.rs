@@ -332,6 +332,8 @@ pub struct GeneralSolution<S: Storage = DenseMatrix> {
     pub objective: f64,
     /// Constraint residuals at the solution.
     pub residuals: Residuals,
+    /// Kernel work of all inner solves together.
+    pub counters: KernelCounters,
     /// Wall-clock duration.
     pub elapsed: Duration,
 }
@@ -453,6 +455,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
     let x0_flat = p.x0().as_slice().to_vec();
 
     let mut inner_iterations = 0usize;
+    let mut counters = KernelCounters::default();
     let mut outer_iterations = 0usize;
     let mut converged = false;
     let mut outer_residual = f64::INFINITY;
@@ -536,6 +539,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         }
         last_mu = sol.mu;
         inner_iterations += sol.stats.iterations;
+        counters = counters.merged(sol.stats.counters);
 
         // ---- Outer convergence check. ------------------------------------
         outer_residual = sol.x.max_abs_diff(&x);
@@ -617,21 +621,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
             GeneralTotalSpec::Elastic { .. } => (&s, &d),
             GeneralTotalSpec::Balanced { .. } => (&s, &s),
         };
-        let mut r = Residuals::default();
-        let mut sq = 0.0;
-        for i in 0..m {
-            let v = (row_sums[i] - st[i]).abs();
-            r.row_inf = r.row_inf.max(v);
-            r.rel_row_inf = r.rel_row_inf.max(v / st[i].abs().max(1e-12));
-            sq += v * v;
-        }
-        for j in 0..n {
-            let v = (col_sums[j] - dt[j]).abs();
-            r.col_inf = r.col_inf.max(v);
-            sq += v * v;
-        }
-        r.norm2 = sq.sqrt();
-        r
+        Residuals::of_sums(&row_sums, col_sums, st, dt)
     };
     let objective = p.objective_flat(x.values(), &s, &d);
     if spanning {
@@ -670,6 +660,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         outer_residual,
         objective,
         residuals,
+        counters,
         elapsed: start.elapsed(),
     })
 }

@@ -9,14 +9,15 @@
 //! the solve runs the diagonal driver's own loop ([`crate::solver`]) with
 //! the bounds handed to its passes.
 
+use crate::equilibrate::PassBounds;
 use crate::error::SeaError;
 use crate::knapsack::KernelKind;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::{solve_inner, SeaOptions};
-use crate::storage::Storage;
+use crate::storage::{RowView, Storage};
 use crate::supervisor::{SolveControl, SupervisedBoundedSolution, SupervisorOptions};
 use sea_linalg::DenseMatrix;
-use sea_observe::Observer;
+use sea_observe::{KernelCounters, Observer};
 use std::time::Duration;
 
 /// A fixed-totals diagonal problem with entry bounds. Generic over
@@ -30,7 +31,15 @@ pub struct BoundedProblem<S: Storage = DenseMatrix> {
     base: DiagonalProblem<S>,
     lo: S,
     hi: S,
+    /// Each row's `(Σ lo, Σ hi)`, as `iter().sum()` over the row.
+    row_sums: BoundSums,
+    /// Each column's `(Σ lo, Σ hi)`, as `iter().sum()` over the column in
+    /// row order: the bits a transposed row's sum has.
+    col_sums: BoundSums,
 }
+
+/// One `(Σ lo, Σ hi)` per row or per column.
+type BoundSums = Vec<(f64, f64)>;
 
 impl<S: Storage> BoundedProblem<S> {
     /// Build and validate.
@@ -126,37 +135,30 @@ impl<S: Storage> BoundedProblem<S> {
         // and add nothing to either sum, so a fully-pinned (empty) sparse
         // row is feasible only for a zero total. A non-finite total slips
         // through the grand-total comparison above and is caught here.
-        let mut lo_sums = vec![0.0; m];
-        let mut hi_sums = vec![0.0; m];
-        lo.row_sums_into(&mut lo_sums);
-        hi.row_sums_into(&mut hi_sums);
-        for i in 0..m {
-            if !(s0[i].is_finite() && lo_sums[i].is_finite() && hi_sums[i].is_finite()) {
+        let (row_sums, col_sums) = bound_sums(&lo, &hi);
+        for (i, &(l, h)) in row_sums.iter().enumerate() {
+            if !(s0[i].is_finite() && l.is_finite() && h.is_finite()) {
                 if !s0[i].is_finite() {
                     return Err(SeaError::NonFinite {
                         context: "bounded row totals s0",
                     });
                 }
-                return Err(non_finite_bound(lo_sums[i]));
+                return Err(non_finite_bound(l));
             }
-            if s0[i] < lo_sums[i] - 1e-9 || s0[i] > hi_sums[i] + 1e-9 {
+            if s0[i] < l - 1e-9 || s0[i] > h + 1e-9 {
                 return Err(SeaError::InfeasibleSubproblem {
                     side: "row",
                     index: i,
                 });
             }
         }
-        let mut lo_csums = vec![0.0; n];
-        let mut hi_csums = vec![0.0; n];
-        lo.col_sums_into(&mut lo_csums);
-        hi.col_sums_into(&mut hi_csums);
-        for j in 0..n {
+        for (j, &(l, h)) in col_sums.iter().enumerate() {
             if !d0[j].is_finite() {
                 return Err(SeaError::NonFinite {
                     context: "bounded column totals d0",
                 });
             }
-            if d0[j] < lo_csums[j] - 1e-9 || d0[j] > hi_csums[j] + 1e-9 {
+            if d0[j] < l - 1e-9 || d0[j] > h + 1e-9 {
                 return Err(SeaError::InfeasibleSubproblem {
                     side: "column",
                     index: j,
@@ -167,6 +169,8 @@ impl<S: Storage> BoundedProblem<S> {
             base: DiagonalProblem::fixed_unchecked(x0, gamma, s0, d0),
             lo,
             hi,
+            row_sums,
+            col_sums,
         })
     }
 
@@ -200,6 +204,17 @@ impl<S: Storage> BoundedProblem<S> {
         &self.hi
     }
 
+    /// The bounds of the row pass, with each row's `(Σ lo, Σ hi)`.
+    pub(crate) fn row_bounds(&self) -> PassBounds<'_, S> {
+        PassBounds::new(&self.lo, &self.hi, &self.row_sums)
+    }
+
+    /// The bounds of the column pass: `(lo, hi)` transposed to its layout,
+    /// with each column's `(Σ lo, Σ hi)`.
+    pub(crate) fn col_bounds<'a>(&'a self, lo_t: &'a S, hi_t: &'a S) -> PassBounds<'a, S> {
+        PassBounds::new(lo_t, hi_t, &self.col_sums)
+    }
+
     /// Row totals `s⁰`.
     pub fn s0(&self) -> &[f64] {
         self.totals().0
@@ -222,6 +237,40 @@ impl<S: Storage> BoundedProblem<S> {
     pub fn objective(&self, x: &S) -> f64 {
         self.base.objective(x, &[], &[])
     }
+}
+
+/// Every row's and every column's `(Σ lo, Σ hi)`, in one walk over both
+/// bounds. A row folds its stored values with `iter().sum()`; a column
+/// folds from `-0.0` in row order, which is what `iter().sum()` over its
+/// transposed row gives, so the column pass reads the bits it would have
+/// summed itself. A column with no stored entry sums to `-0.0`.
+fn bound_sums<S: Storage>(lo: &S, hi: &S) -> (BoundSums, BoundSums) {
+    let mut col_lo = vec![-0.0; lo.cols()];
+    let mut col_hi = vec![-0.0; lo.cols()];
+    let rows = (0..lo.rows())
+        .map(|i| {
+            let l = &lo.values()[lo.row_range(i)];
+            let h = &hi.values()[hi.row_range(i)];
+            match lo.row_view(i) {
+                RowView::Dense(_) => {
+                    for (c, v) in col_lo.iter_mut().zip(l) {
+                        *c += v;
+                    }
+                    for (c, v) in col_hi.iter_mut().zip(h) {
+                        *c += v;
+                    }
+                }
+                RowView::Indexed { idx, .. } => {
+                    for ((&j, a), b) in idx.iter().zip(l).zip(h) {
+                        col_lo[j as usize] += a;
+                        col_hi[j as usize] += b;
+                    }
+                }
+            }
+            (l.iter().sum(), h.iter().sum())
+        })
+        .collect();
+    (rows, col_lo.into_iter().zip(col_hi).collect())
 }
 
 /// The error for a non-finite bound (or bound row sum), blaming `lo` when
@@ -253,6 +302,8 @@ pub struct BoundedSolution<S: Storage = DenseMatrix> {
     pub residuals: Residuals,
     /// Objective value.
     pub objective: f64,
+    /// Kernel work of the solve's passes.
+    pub counters: KernelCounters,
     /// Wall clock.
     pub elapsed: Duration,
 }
@@ -324,7 +375,7 @@ fn supervised<S: Storage, O: Observer>(
     obs: &mut O,
 ) -> Result<SupervisedBoundedSolution<S>, SeaError> {
     let mut ctrl = SolveControl::active(sup);
-    let (sol, _) = solve_inner(&p.base, Some((&p.lo, &p.hi)), opts, obs, &mut ctrl)?;
+    let (sol, _) = solve_inner(&p.base, Some(p), opts, obs, &mut ctrl)?;
     Ok(SupervisedBoundedSolution {
         stop: ctrl.final_stop(sol.stats.converged),
         solution: BoundedSolution {
@@ -335,6 +386,7 @@ fn supervised<S: Storage, O: Observer>(
             converged: sol.stats.converged,
             residuals: sol.stats.residuals,
             objective: sol.stats.objective,
+            counters: sol.stats.counters,
             elapsed: sol.stats.elapsed,
         },
         kernel_fallbacks: ctrl.fallbacks,
@@ -345,7 +397,6 @@ fn supervised<S: Storage, O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::RowView;
     use crate::supervisor::StopReason;
     use sea_observe::{Event, NullObserver};
 
@@ -455,6 +506,75 @@ mod tests {
             }
         );
         assert!((sol.x.values().iter().sum::<f64>() - 4.0).abs() < 1e-8);
+    }
+
+    /// The bound sums a problem keeps are the bits the passes would sum
+    /// themselves: `iter().sum()` over each row, and over each row of the
+    /// transposed bounds (each column in row order, folded from `-0.0`).
+    fn assert_bound_sums_match<S: Storage>(p: &BoundedProblem<S>) {
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+        };
+        let sums = |lo: &S, hi: &S| -> Vec<(f64, f64)> {
+            (0..lo.rows())
+                .map(|i| {
+                    let l: f64 = lo.values()[lo.row_range(i)].iter().sum();
+                    let h: f64 = hi.values()[hi.row_range(i)].iter().sum();
+                    (l, h)
+                })
+                .collect()
+        };
+        assert_eq!(bits(&p.row_sums), bits(&sums(&p.lo, &p.hi)), "rows");
+        let (t, _) = S::transpose_together(&[&p.lo, &p.hi], false).unwrap();
+        assert_eq!(bits(&p.col_sums), bits(&sums(&t[0], &t[1])), "columns");
+    }
+
+    #[test]
+    fn kept_bound_sums_match_the_passes_bit_for_bit() {
+        use sea_linalg::CsrMatrix;
+        // Entries whose sums round differently in different orders, and
+        // an all-zero column: `-0.0` lower bounds, `0.0` upper bounds.
+        let (m, n) = (5, 4);
+        let base = |i: usize, j: usize| {
+            if j == 2 {
+                0.0
+            } else {
+                0.1 * (1 + i * n + j) as f64 + 1e-7 * (i as f64).sqrt()
+            }
+        };
+        let mat = |f: &dyn Fn(usize, usize) -> f64| {
+            let v = (0..m).flat_map(|i| (0..n).map(move |j| (i, j)));
+            DenseMatrix::from_vec(m, n, v.map(|(i, j)| f(i, j)).collect()).unwrap()
+        };
+        let lo = mat(&|i, j| if j == 2 { -0.0 } else { 0.5 * base(i, j) });
+        let hi = mat(&|i, j| 1.5 * base(i, j));
+        let x0 = mat(&base);
+        let s0 = x0.row_sums();
+        let d0 = x0.col_sums();
+        let gamma = DenseMatrix::filled(m, n, 1.0).unwrap();
+        let dense = BoundedProblem::new(x0.clone(), gamma, lo, hi, s0.clone(), d0.clone()).unwrap();
+        assert_eq!(dense.col_sums[2].0.to_bits(), (-0.0f64).to_bits());
+        assert_bound_sums_match(&dense);
+
+        // The CSR image without column 2: a column with no stored entry.
+        let pruned = |a: &DenseMatrix| {
+            let cells: Vec<(usize, usize, f64)> = (0..m)
+                .flat_map(|i| (0..n).filter(|&j| j != 2).map(move |j| (i, j)))
+                .map(|(i, j)| (i, j, a.get(i, j)))
+                .collect();
+            CsrMatrix::from_triplets(m, n, &cells).unwrap()
+        };
+        let sparse = BoundedProblem::new(
+            pruned(&x0),
+            pruned(&DenseMatrix::filled(m, n, 1.0).unwrap()),
+            pruned(dense.lo()),
+            pruned(dense.hi()),
+            s0,
+            d0,
+        )
+        .unwrap();
+        assert_eq!(sparse.col_sums[2].1.to_bits(), (-0.0f64).to_bits());
+        assert_bound_sums_match(&sparse);
     }
 
     #[test]

@@ -90,6 +90,33 @@ pub struct Residuals {
     pub norm2: f64,
 }
 
+impl Residuals {
+    /// The violations of row sums against `s_target` and column sums
+    /// against `d_target`.
+    pub(crate) fn of_sums(
+        row_sums: &[f64],
+        col_sums: impl IntoIterator<Item = f64>,
+        s_target: &[f64],
+        d_target: &[f64],
+    ) -> Residuals {
+        let mut r = Residuals::default();
+        let mut sq = 0.0;
+        for (&sum, &t) in row_sums.iter().zip(s_target) {
+            let v = (sum - t).abs();
+            r.row_inf = r.row_inf.max(v);
+            r.rel_row_inf = r.rel_row_inf.max(v / t.abs().max(1e-12));
+            sq += v * v;
+        }
+        for (sum, &t) in col_sums.into_iter().zip(d_target) {
+            let v = (sum - t).abs();
+            r.col_inf = r.col_inf.max(v);
+            sq += v * v;
+        }
+        r.norm2 = sq.sqrt();
+        r
+    }
+}
+
 /// A diagonal quadratic constrained matrix problem, generic over the
 /// storage backend (dense by default; CSR for sparse instances).
 ///
@@ -401,17 +428,48 @@ impl<S: Storage> DiagonalProblem<S> {
     /// For [`TotalSpec::Fixed`] the `s`/`d` arguments are ignored; for
     /// [`TotalSpec::Balanced`], `d` is ignored (totals are shared).
     /// `x` must share the problem's storage pattern (true for solver
-    /// iterates by construction).
+    /// iterates by construction). Each column's terms are summed in row
+    /// order and the column sums in column order, the association a
+    /// solve's finishing sweep uses, so the two agree bit for bit.
     pub fn objective(&self, x: &S, s: &[f64], d: &[f64]) -> f64 {
         debug_assert!(x.same_pattern(&self.x0));
+        let mut cols = vec![0.0; self.n()];
+        for i in 0..self.m() {
+            let range = x.row_range(i);
+            let xr = &x.values()[range.clone()];
+            let x0r = &self.x0.values()[range.clone()];
+            let gr = &self.gamma.values()[range];
+            let term = |t: usize| {
+                let dev = xr[t] - x0r[t];
+                gr[t] * dev * dev
+            };
+            match self.x0.row_view(i) {
+                RowView::Dense(_) => {
+                    for (t, c) in cols.iter_mut().enumerate() {
+                        *c += term(t);
+                    }
+                }
+                RowView::Indexed { idx, .. } => {
+                    for (t, &j) in idx.iter().enumerate() {
+                        cols[j as usize] += term(t);
+                    }
+                }
+            }
+        }
+        self.objective_of_columns(cols, s, d)
+    }
+
+    /// The objective from each column's `Σ γ(x − x⁰)²`, summed in column
+    /// order, plus the totals' penalty terms at `(s, d)`.
+    pub(crate) fn objective_of_columns(
+        &self,
+        cols: impl IntoIterator<Item = f64>,
+        s: &[f64],
+        d: &[f64],
+    ) -> f64 {
         let mut obj = 0.0;
-        for (xv, (x0v, gv)) in x
-            .values()
-            .iter()
-            .zip(self.x0.values().iter().zip(self.gamma.values()))
-        {
-            let dev = xv - x0v;
-            obj += gv * dev * dev;
+        for c in cols {
+            obj += c;
         }
         match &self.totals {
             TotalSpec::Fixed { .. } => {}
@@ -449,26 +507,23 @@ impl<S: Storage> DiagonalProblem<S> {
         let mut col_sums = vec![0.0; x.cols()];
         x.row_sums_into(&mut row_sums);
         x.col_sums_into(&mut col_sums);
+        self.residuals_of_sums(&row_sums, col_sums, s, d)
+    }
+
+    /// [`DiagonalProblem::residuals`] from the row and column sums of `x`.
+    pub(crate) fn residuals_of_sums(
+        &self,
+        row_sums: &[f64],
+        col_sums: impl IntoIterator<Item = f64>,
+        s: &[f64],
+        d: &[f64],
+    ) -> Residuals {
         let (s_target, d_target): (&[f64], &[f64]) = match &self.totals {
             TotalSpec::Fixed { s0, d0 } => (s0, d0),
             TotalSpec::Elastic { .. } => (s, d),
             TotalSpec::Balanced { .. } => (s, s),
         };
-        let mut r = Residuals::default();
-        let mut sq = 0.0;
-        for i in 0..row_sums.len() {
-            let v = (row_sums[i] - s_target[i]).abs();
-            r.row_inf = r.row_inf.max(v);
-            r.rel_row_inf = r.rel_row_inf.max(v / s_target[i].abs().max(1e-12));
-            sq += v * v;
-        }
-        for j in 0..col_sums.len() {
-            let v = (col_sums[j] - d_target[j]).abs();
-            r.col_inf = r.col_inf.max(v);
-            sq += v * v;
-        }
-        r.norm2 = sq.sqrt();
-        r
+        Residuals::of_sums(row_sums, col_sums, s_target, d_target)
     }
 
     /// Re-express this problem over dense storage (structural zeros in a

@@ -20,9 +20,10 @@ use crate::anderson::Anderson;
 use crate::components::normalize_multipliers_storage;
 use crate::dual;
 use crate::equilibrate::{
-    equilibration_pass, PassBounds, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
+    equilibration_pass, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
 };
 use crate::error::SeaError;
+use crate::interval::BoundedProblem;
 use crate::knapsack::{KernelKind, TotalMode};
 use crate::parallel::Parallelism;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
@@ -30,7 +31,7 @@ use crate::storage::{Storage, Transposer};
 use crate::supervisor::{
     SolveControl, StopReason, SupervisedSolution, SupervisorOptions, TaskFault,
 };
-use crate::verify::{verify_solution, KktReport};
+use crate::verify::{Finish, Finishing, KktReport};
 use sea_linalg::{vector, DenseMatrix};
 use sea_observe::{
     Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
@@ -245,6 +246,9 @@ pub struct SolveStats {
     /// Dual value `ζ(λ, μ)` at the returned multipliers (NaN for a
     /// box-bounded solve, which does not evaluate ζ).
     pub dual_value: f64,
+    /// Kernel work of the solve's passes: every solve harvests its
+    /// counters, observed or not, at one relaxed atomic add per shard.
+    pub counters: KernelCounters,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
     /// Per-check convergence history (present iff `record_history`).
@@ -355,8 +359,10 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
         let mut ctrl = SolveControl::active(sup);
         let (solution, certificate) = solve_inner(p, None, opts, obs, &mut ctrl)?;
         let stop = ctrl.final_stop(solution.stats.converged);
-        // A supervised solve of an unbounded problem always certifies.
-        let certificate = certificate.unwrap_or_else(|| verify_solution(p, &solution));
+        // Allowed: `solve_inner` certifies every supervised solve of an
+        // unbounded problem.
+        #[allow(clippy::expect_used)]
+        let certificate = certificate.expect("a supervised solve certifies");
         Ok(SupervisedSolution {
             solution,
             stop,
@@ -368,14 +374,14 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 }
 
 /// The SEA driver loop shared by every diagonal problem class. `bounds`
-/// carries the entry bounds `(lo, hi)` of a box-bounded problem (whose
-/// `p` then has fixed totals); the passes hand them to the boxed kernel.
-/// The dual value ζ of the unbounded problem does not bound a boxed one,
-/// so bounded solves neither evaluate nor report it. A supervised solve
-/// of an unbounded problem also returns its certificate.
+/// is the box-bounded problem whose unbounded part `p` is (with fixed
+/// totals); the passes hand its entry bounds to the boxed kernel. The
+/// dual value ζ of the unbounded problem does not bound a boxed one, so
+/// bounded solves neither evaluate nor report it. A supervised solve of
+/// an unbounded problem also returns its certificate.
 pub(crate) fn solve_inner<S: Storage, O: Observer>(
     p: &DiagonalProblem<S>,
-    bounds: Option<(&S, &S)>,
+    bounds: Option<&BoundedProblem<S>>,
     opts: &SeaOptions,
     obs: &mut O,
     ctrl: &mut SolveControl<'_>,
@@ -407,11 +413,9 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     if spanning {
         obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
     }
-    // Kernel counters are only harvested when someone is listening (an
-    // observer, a span profiler needing per-span attribution, or a
-    // supervisor enforcing a work budget); the per-task atomic flush is
-    // skipped entirely otherwise.
-    let counters = (observing || spanning || ctrl.needs_counters()).then(PassCounters::default);
+    // Kernel counters travel with the result, so every solve harvests
+    // them: one relaxed atomic add per shard.
+    let counters = PassCounters::default();
     // Fallbacks reported so far, to emit per-pass deltas.
     let mut fallbacks_seen = 0u64;
     let parallel = opts.parallelism.is_parallel();
@@ -420,7 +424,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     // contiguous memory (for sparse storage, transposition doubles as the
     // column-access view of the support).
     let mut inputs = vec![p.x0(), p.gamma()];
-    inputs.extend(bounds.iter().flat_map(|&(lo, hi)| [lo, hi]));
+    inputs.extend(bounds.iter().flat_map(|b| [b.lo(), b.hi()]));
     let (transposer, transposed) = Transposer::over(&inputs, parallel)?;
     let mut transposed = transposed.into_iter();
     // `over` returns one transpose per input.
@@ -431,13 +435,10 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     };
     let bounds_t = transposed.next().zip(transposed.next());
     // The bounds and their per-subproblem sums, for both orientations.
-    let row_bounds = bounds
-        .map(|(lo, hi)| PassBounds::new(lo, hi, parallel))
-        .transpose()?;
-    let col_bounds = bounds_t
-        .as_ref()
-        .map(|(lo, hi)| PassBounds::new(lo, hi, parallel))
-        .transpose()?;
+    let row_bounds = bounds.map(BoundedProblem::row_bounds);
+    let col_bounds = bounds
+        .zip(bounds_t.as_ref())
+        .map(|(b, (lo, hi))| b.col_bounds(lo, hi));
     // Boxed answers depend on the hint in their last bits, so bounded
     // passes are warm only when extrapolating; the paper's SEA (depth 0)
     // keeps the cold boxed kernel's bits (see `PassInputs::warm`).
@@ -527,8 +528,12 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     // Convergence checks seen, for telemetry payload rate limiting.
     let mut checks_seen = 0u64;
     // Row sums of X (= column sums of Xᵀ), reused every check so the
-    // steady-state loop performs no allocation.
+    // steady-state loop performs no allocation, and the sweep whose
+    // iterate they sum: the finishing sweep reuses the last check's.
     let mut row_sums_buf = vec![0.0; m];
+    let mut row_sums_of: Option<usize> = None;
+    // ζ's per-column sums, for the checks that evaluate it.
+    let mut zeta_cols = vec![0.0; n];
 
     let mut iterations = 0usize;
     let mut converged = false;
@@ -567,7 +572,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                     tasks: m,
                 });
             }
-            let span_c0 = span_snapshot(spanning, counters.as_ref());
+            let span_c0 = span_snapshot(spanning, &counters);
             if spanning {
                 obs.span_open(SpanKind::RowPass, t as u64, m as u64);
             }
@@ -581,12 +586,12 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 x.as_mut(),
                 opts.parallelism,
                 costs,
-                counters.as_ref(),
+                Some(&counters),
                 row_starts.as_deref(),
                 shard_sink.as_mut(),
             )?;
             if spanning {
-                close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
+                close_pass_span(obs, shard_sink.as_ref(), &counters, span_c0);
             }
             if let Some(t0) = phase_t0 {
                 obs.record(&Event::PhaseEnd {
@@ -597,16 +602,14 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 });
             }
             if observing {
-                if let Some(c) = counters.as_ref() {
-                    let total = c.fallbacks();
-                    if total > fallbacks_seen {
-                        obs.record(&Event::FallbackTriggered {
-                            iteration: t,
-                            phase: PhaseLabel::RowEquilibration,
-                            count: total - fallbacks_seen,
-                        });
-                        fallbacks_seen = total;
-                    }
+                let total = counters.fallbacks();
+                if total > fallbacks_seen {
+                    obs.record(&Event::FallbackTriggered {
+                        iteration: t,
+                        phase: PhaseLabel::RowEquilibration,
+                        count: total - fallbacks_seen,
+                    });
+                    fallbacks_seen = total;
                 }
             }
         }
@@ -624,7 +627,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                     tasks: n,
                 });
             }
-            let span_c0 = span_snapshot(spanning, counters.as_ref());
+            let span_c0 = span_snapshot(spanning, &counters);
             if spanning {
                 obs.span_open(SpanKind::ColPass, t as u64, n as u64);
             }
@@ -638,11 +641,11 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 &mut d,
                 &mut x_t,
                 costs,
-                counters.as_ref(),
+                Some(&counters),
                 shard_sink.as_mut(),
             )?;
             if spanning {
-                close_pass_span(obs, shard_sink.as_ref(), counters.as_ref(), span_c0);
+                close_pass_span(obs, shard_sink.as_ref(), &counters, span_c0);
             }
             if let Some(t0) = phase_t0 {
                 obs.record(&Event::PhaseEnd {
@@ -653,16 +656,14 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 });
             }
             if observing {
-                if let Some(c) = counters.as_ref() {
-                    let total = c.fallbacks();
-                    if total > fallbacks_seen {
-                        obs.record(&Event::FallbackTriggered {
-                            iteration: t,
-                            phase: PhaseLabel::ColumnEquilibration,
-                            count: total - fallbacks_seen,
-                        });
-                        fallbacks_seen = total;
-                    }
+                let total = counters.fallbacks();
+                if total > fallbacks_seen {
+                    obs.record(&Event::FallbackTriggered {
+                        iteration: t,
+                        phase: PhaseLabel::ColumnEquilibration,
+                        count: total - fallbacks_seen,
+                    });
+                    fallbacks_seen = total;
                 }
             }
         }
@@ -691,6 +692,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             let t0 = Instant::now();
             if sums_checked {
                 x_t.col_sums_into(&mut row_sums_buf);
+                row_sums_of = Some(t);
             }
             t0
         });
@@ -733,6 +735,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 }
                 iterations = it;
                 residual = res;
+                row_sums_of = None;
                 break;
             }
         }
@@ -783,14 +786,12 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             // ζ is only evaluated when something consumes it: the history
             // recorder, an attached observer, or a due telemetry sample.
             let zeta = (bounds.is_none() && (history.is_some() || observing || telemetry_now))
-                .then(|| dual::dual_value(p, &lambda, &mu));
+                .then(|| dual::dual_value_with(p, &lambda, &mu, &mut zeta_cols));
             if spanning {
                 obs.span_close(&KernelCounters::default());
             }
             if telemetry_now {
-                let snap = counters
-                    .as_ref()
-                    .map_or_else(KernelCounters::default, |c| c.snapshot());
+                let snap = counters.snapshot();
                 // Active set = positive stored entries of the iterate; the
                 // profiler derives churn from consecutive samples.
                 let active_set = x_t.values().iter().filter(|v| **v > 0.0).count() as u64;
@@ -877,11 +878,8 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                     obs.record(&Event::CheckpointWritten { iteration: t, path });
                 }
             }
-            let work = counters.as_ref().map(|c| {
-                let snap = c.snapshot();
-                snap.breakpoints_scanned + snap.quickselect_pivots + snap.boxed_clamps
-            });
-            if ctrl.should_stop(t, work).is_some() {
+            let work = counters.snapshot().work();
+            if ctrl.should_stop(t, Some(work)).is_some() {
                 break;
             }
         }
@@ -897,8 +895,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         obs.span_close(&KernelCounters::default());
     }
 
-    // ---- Assemble the solution from the final column pass. ---------------
-    let x_final = transposer.back(&x_t, p.x0(), gamma_t)?;
+    // ---- Finish: one sweep over the final column pass's layout. ----------
     let (s_final, d_final) = match p.totals() {
         TotalSpec::Fixed { s0, d0 } => (s0.clone(), d0.clone()),
         TotalSpec::Elastic { alpha, s0, .. } => {
@@ -910,15 +907,32 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         }
         TotalSpec::Balanced { .. } => (s.clone(), s.clone()),
     };
-
-    let residuals = p.residuals(&x_final, &s_final, &d_final);
-    let objective = p.objective(&x_final, &s_final, &d_final);
-    let dual_value = bounds.is_none().then(|| dual::dual_value(p, &lambda, &mu));
-    // The Solve span also covers assembly, freeing the working set and a
-    // supervised solve's certificate: together they are a sizeable share
-    // of a cheap solve's wall time.
-    drop((row_bounds, col_bounds));
+    if row_sums_of != Some(iterations) {
+        // The last sweep was not checked (or was replayed).
+        x_t.col_sums_into(&mut row_sums_buf);
+    }
+    let level = match (bounds, ctrl.is_active()) {
+        (Some(_), _) => Finishing::Primal,
+        (None, false) => Finishing::Dual,
+        (None, true) => Finishing::Certified,
+    };
+    let finished = Finish {
+        x_t: &x_t,
+        x0_t: &x0_t,
+        gamma_t: &gamma_t,
+        lambda: &lambda,
+        mu: &mu,
+        s: &s_final,
+        d: &d_final,
+        row_sums: &row_sums_buf,
+    }
+    .run(p, level, opts.parallelism);
+    let x_final = transposer.back(&x_t, p.x0(), gamma_t)?;
+    // The Solve span also covers the finishing sweep, assembly and freeing
+    // the working set: together they are a sizeable share of a cheap
+    // solve's wall time.
     drop((x_t, x_t_prev, x0_t, bounds_t, x, transposer, anderson));
+    let (objective, dual_value) = (finished.objective, finished.dual_value);
     let solution = Solution {
         x: x_final,
         s: s_final,
@@ -929,20 +943,20 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             iterations,
             converged,
             residual,
-            residuals,
+            residuals: finished.residuals,
             objective,
             dual_value: dual_value.unwrap_or(f64::NAN),
+            counters: counters.snapshot(),
             elapsed: start.elapsed(),
             history,
         },
     };
-    let certificate = (ctrl.is_active() && bounds.is_none())
-        .then(|| crate::verify::certify_solve(p, &solution, opts.parallelism));
+    let certificate = finished.certificate;
     if spanning {
         obs.span_close(&KernelCounters::default());
     }
 
-    ctrl.fallbacks = counters.as_ref().map_or(0, |c| c.fallbacks());
+    ctrl.fallbacks = counters.fallbacks();
 
     if observing {
         if ctrl.is_active() && !converged {
@@ -953,11 +967,9 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                     .map_or(StopReason::IterationCap.name(), StopReason::name),
             });
         }
-        if let Some(c) = counters.as_ref() {
-            let snap = c.snapshot();
-            if !snap.is_empty() {
-                obs.record(&Event::KernelCounters { counters: snap });
-            }
+        let snap = counters.snapshot();
+        if !snap.is_empty() {
+            obs.record(&Event::KernelCounters { counters: snap });
         }
         obs.record(&Event::SolveEnd {
             iterations,
@@ -989,11 +1001,10 @@ fn initial_multipliers(
     }
 }
 
-/// Counter snapshot taken at a pass-span boundary (zero when counters are
-/// off — span signalling forces them on, so this is just defensive).
-fn span_snapshot(spanning: bool, counters: Option<&PassCounters>) -> KernelCounters {
+/// Counter snapshot taken at a pass-span boundary (zero when not spanning).
+fn span_snapshot(spanning: bool, counters: &PassCounters) -> KernelCounters {
     if spanning {
-        counters.map_or_else(KernelCounters::default, PassCounters::snapshot)
+        counters.snapshot()
     } else {
         KernelCounters::default()
     }
@@ -1007,7 +1018,7 @@ fn span_snapshot(spanning: bool, counters: Option<&PassCounters>) -> KernelCount
 fn close_pass_span<O: Observer>(
     obs: &mut O,
     sink: Option<&ShardSink>,
-    counters: Option<&PassCounters>,
+    counters: &PassCounters,
     pass_begin: KernelCounters,
 ) {
     let timings = sink.map_or(&[][..], ShardSink::timings);
@@ -1023,9 +1034,7 @@ fn close_pass_span<O: Observer>(
         );
     }
     let self_counters = if timings.is_empty() {
-        counters
-            .map_or_else(KernelCounters::default, PassCounters::snapshot)
-            .delta_from(pass_begin)
+        counters.snapshot().delta_from(pass_begin)
     } else {
         KernelCounters::default()
     };

@@ -435,6 +435,7 @@ impl Transposer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sea_linalg::dense::PARALLEL_MIN_ENTRIES;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn dense() -> DenseMatrix {
@@ -541,10 +542,20 @@ mod tests {
             transpose_into::<f64>(&[], 9, 0, &mut [], parallel);
         }
         // A serial transpose never leaves the calling thread, although
-        // outside a pool the rayon width is the machine's.
+        // outside a pool the rayon width is the machine's; nor does a
+        // parallel one below the fan-out size, such as a general
+        // instance's 20×20 inner problem.
         assert!(!fans_out(64, 999, false));
+        const { assert!(PARALLEL_MIN_ENTRIES > 20 * 20) };
+        for (rows, cols) in [(20, 20), (1, PARALLEL_MIN_ENTRIES - 1), (127, 129)] {
+            assert!(rows * cols < PARALLEL_MIN_ENTRIES);
+            assert!(!fans_out(rows, cols, true), "{rows}×{cols} stays home");
+        }
         if rayon::current_num_threads() > 1 {
-            assert!(fans_out(64, 999, true), "the detector sees a fan-out");
+            for (rows, cols) in [(64, 999), (128, 128)] {
+                assert!(rows * cols >= PARALLEL_MIN_ENTRIES);
+                assert!(fans_out(rows, cols, true), "{rows}×{cols} fans out");
+            }
         }
     }
 

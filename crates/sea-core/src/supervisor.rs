@@ -617,12 +617,6 @@ impl<'a> SolveControl<'a> {
         self.sup.and_then(|s| s.resume.as_ref())
     }
 
-    /// Supervised solves always harvest pass counters (work budget and
-    /// fallback accounting need them).
-    pub(crate) fn needs_counters(&self) -> bool {
-        self.is_active()
-    }
-
     /// Why the supervisor stopped the loop, if it did.
     pub(crate) fn stop(&self) -> Option<StopReason> {
         self.stop

@@ -13,6 +13,7 @@ use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::Solution;
 use crate::storage::{RowView, Storage};
 use rayon::prelude::*;
+use sea_linalg::dense::PARALLEL_MIN_ENTRIES;
 
 /// A first-principles optimality report.
 #[derive(Debug, Clone, Copy)]
@@ -85,6 +86,13 @@ impl KktReport {
 
 /// Verify `sol` against `p` from first principles.
 ///
+/// This is the serial oracle: it walks `p`'s own layout one row at a
+/// time, in loops of its own, and shares only the per-entry arithmetic
+/// and the final assembly with a solve's finishing sweep. Sums associate
+/// as the sweep's do (each column's terms in row order, the column sums
+/// in column order), so a supervised solve's certificate equals this
+/// report exactly.
+///
 /// ```
 /// use sea_core::{solve_diagonal, verify_solution, DiagonalProblem, SeaOptions, TotalSpec};
 /// use sea_linalg::DenseMatrix;
@@ -104,24 +112,83 @@ pub fn verify_solution<S: Storage>(p: &DiagonalProblem<S>, sol: &Solution<S>) ->
     let residuals = p.residuals(&sol.x, &sol.s, &sol.d);
     let objective = p.objective(&sol.x, &sol.s, &sol.d);
     let zeta = dual::dual_value(p, &sol.lambda, &sol.mu);
-    kkt_report(p, sol, residuals, objective, zeta, Parallelism::Serial)
+    let (x0, gamma) = (p.x0(), p.gamma());
+    let tau = 1e-10 * entry_scale(x0.values());
+    let structural = p.support().is_some();
+    let mut ext = Extremes::EMPTY;
+    for i in 0..p.m() {
+        let li = sol.lambda[i];
+        match (x0.row_view(i), gamma.row_view(i), sol.x.row_view(i)) {
+            (RowView::Dense(x0r), RowView::Dense(gr), RowView::Dense(xr)) => {
+                for j in 0..p.n() {
+                    ext.min_entry = lower(ext.min_entry, xr[j]);
+                    // Structural zeros carry no KKT condition.
+                    if structural && x0r[j] == 0.0 {
+                        continue;
+                    }
+                    ext.note(xr[j], 2.0 * gr[j] * (xr[j] - x0r[j]) - li - sol.mu[j], tau);
+                }
+            }
+            (
+                RowView::Indexed { idx, vals: x0v },
+                RowView::Indexed { vals: gv, .. },
+                RowView::Indexed { vals: xv, .. },
+            ) => {
+                // Stored entries are the variables; missing entries are
+                // structural zeros and carry no KKT condition.
+                for t in 0..idx.len() {
+                    let j = idx[t] as usize;
+                    ext.min_entry = lower(ext.min_entry, xv[t]);
+                    ext.note(xv[t], 2.0 * gv[t] * (xv[t] - x0v[t]) - li - sol.mu[j], tau);
+                }
+            }
+            _ => debug_assert!(false, "mismatched row views in verify_solution"),
+        }
+    }
+    let (lambda, mu) = (&sol.lambda[..], &sol.mu[..]);
+    report(
+        p, lambda, mu, &sol.s, &sol.d, ext, residuals, objective, zeta,
+    )
 }
 
-/// The certificate of a solve's own output. Its assembly computed the
-/// residuals, the objective and ζ from the returned `x`, `λ` and `μ`, with
-/// the same code [`verify_solution`] runs, so they are reused; only the
-/// stationarity sweep remains, and it runs on the solve's pool.
-pub(crate) fn certify_solve<S: Storage>(
-    p: &DiagonalProblem<S>,
-    sol: &Solution<S>,
-    par: Parallelism,
-) -> KktReport {
-    let st = &sol.stats;
-    kkt_report(p, sol, st.residuals, st.objective, st.dual_value, par)
+/// `max(10⁻¹², maxₖ |vₖ|)` over finite `values`: the prior's entry scale,
+/// to which a certificate's threshold between positive and zero entries
+/// is relative. Finite magnitudes order like their bit patterns with the
+/// sign cleared, so one integer max finds it.
+fn entry_scale(values: &[f64]) -> f64 {
+    let magnitude = |v: f64| v.to_bits() & !(1 << 63);
+    f64::from_bits(
+        values
+            .iter()
+            .fold(magnitude(1e-12), |m, &v| m.max(magnitude(v))),
+    )
 }
 
-/// Largest stationarity and sign violations and smallest entry over a set
-/// of rows.
+/// The larger of `acc` and `v`. A NaN `v` is ignored and a zero never
+/// replaces a zero, so a fold's bits do not depend on the order it sees
+/// its values in.
+#[inline]
+fn raise(acc: f64, v: f64) -> f64 {
+    if v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// The smaller of `acc` and `v`, ignoring a NaN `v` and preferring `-0.0`
+/// to `0.0`, so a fold's bits do not depend on the order either.
+#[inline]
+fn lower(acc: f64, v: f64) -> f64 {
+    if v < acc || (v == acc && v.is_sign_negative()) {
+        v
+    } else {
+        acc
+    }
+}
+
+/// Largest stationarity and sign violations (unscaled) and smallest entry
+/// over a set of entries.
 #[derive(Debug, Clone, Copy)]
 struct Extremes {
     stationarity: f64,
@@ -136,31 +203,304 @@ impl Extremes {
         min_entry: f64::INFINITY,
     };
 
+    /// Note an entry's KKT condition: an entry above `tau` is positive and
+    /// must be stationary; one at zero may only want to shrink.
+    #[inline]
+    fn note(&mut self, x: f64, grad: f64, tau: f64) {
+        if x > tau {
+            self.stationarity = raise(self.stationarity, grad.abs());
+        } else {
+            self.sign = raise(self.sign, -grad);
+        }
+    }
+
     fn merge(self, o: Extremes) -> Extremes {
         Extremes {
-            stationarity: self.stationarity.max(o.stationarity),
-            sign: self.sign.max(o.sign),
-            min_entry: self.min_entry.min(o.min_entry),
+            stationarity: raise(self.stationarity, o.stationarity),
+            sign: raise(self.sign, o.sign),
+            min_entry: lower(self.min_entry, o.min_entry),
         }
     }
 }
 
+/// The report of a point `(x, s, d)` with multipliers `(λ, μ)`, from its
+/// KKT extremes, residuals, objective and ζ.
+#[allow(clippy::too_many_arguments)]
+fn report<S: Storage>(
+    p: &DiagonalProblem<S>,
+    lambda: &[f64],
+    mu: &[f64],
+    s: &[f64],
+    d: &[f64],
+    ext: Extremes,
+    residuals: Residuals,
+    objective: f64,
+    zeta: f64,
+) -> KktReport {
+    // Gradient scale for relative stationarity. Dividing the extremes
+    // once is exact: rounding is monotone, so the largest quotient is
+    // the quotient of the largest violation.
+    let grad_scale = lambda
+        .iter()
+        .chain(mu)
+        .fold(1.0, |acc, v| raise(acc, v.abs()));
+    let mut max_total_stationarity: f64 = 0.0;
+    match p.totals() {
+        TotalSpec::Fixed { .. } => {}
+        TotalSpec::Elastic {
+            alpha,
+            s0,
+            beta,
+            d0,
+        } => {
+            for i in 0..lambda.len() {
+                let expect = 2.0 * alpha[i] * (s0[i] - s[i]);
+                max_total_stationarity =
+                    max_total_stationarity.max((lambda[i] - expect).abs() / grad_scale);
+            }
+            for j in 0..mu.len() {
+                let expect = 2.0 * beta[j] * (d0[j] - d[j]);
+                max_total_stationarity =
+                    max_total_stationarity.max((mu[j] - expect).abs() / grad_scale);
+            }
+        }
+        TotalSpec::Balanced { alpha, s0 } => {
+            for i in 0..mu.len() {
+                let expect = 2.0 * alpha[i] * (s0[i] - s[i]);
+                max_total_stationarity =
+                    max_total_stationarity.max((lambda[i] + mu[i] - expect).abs() / grad_scale);
+            }
+        }
+    }
+
+    KktReport {
+        max_stationarity: ext.stationarity / grad_scale,
+        max_sign_violation: ext.sign / grad_scale,
+        max_total_stationarity,
+        residuals,
+        duality_gap: objective - zeta,
+        objective,
+        min_entry: ext.min_entry,
+    }
+}
+
+/// How much a solve's finishing sweep reports. Each level includes the
+/// ones before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Finishing {
+    /// Residuals and the objective (a box-bounded solve, whose problem ζ
+    /// does not bound).
+    Primal,
+    /// Also the dual value ζ.
+    Dual,
+    /// Also the KKT certificate (a supervised solve).
+    Certified,
+}
+
+/// A finished solve's residuals, objective, dual value and certificate.
+pub(crate) struct Finished {
+    pub(crate) residuals: Residuals,
+    pub(crate) objective: f64,
+    pub(crate) dual_value: Option<f64>,
+    pub(crate) certificate: Option<KktReport>,
+}
+
+/// One subproblem's sums in a finishing sweep.
+#[derive(Debug, Clone, Copy, Default)]
+struct Part {
+    /// `Σ x`: the column sum of the iterate.
+    sum: f64,
+    /// `Σ γ(x − x⁰)²`.
+    objective: f64,
+    /// The sum of ζ's entry terms.
+    zeta: f64,
+}
+
+/// The data a solve finishes from, in its column-pass layout (row `j` of
+/// each matrix is column `j` of the problem), with the solve's
+/// multipliers, totals and the row sums of its iterate.
+pub(crate) struct Finish<'a, S: Storage> {
+    pub(crate) x_t: &'a S,
+    pub(crate) x0_t: &'a S,
+    pub(crate) gamma_t: &'a S,
+    pub(crate) lambda: &'a [f64],
+    pub(crate) mu: &'a [f64],
+    pub(crate) s: &'a [f64],
+    pub(crate) d: &'a [f64],
+    pub(crate) row_sums: &'a [f64],
+}
+
+impl<S: Storage> Finish<'_, S> {
+    /// One sweep over the subproblems, on the current pool when `par` is
+    /// parallel and the iterate is large enough to be worth a fan-out.
+    /// Per-subproblem sums are combined in subproblem order and extremes
+    /// are exact, so the bits do not depend on the pool's width, and they
+    /// equal [`verify_solution`]'s.
+    pub(crate) fn run(
+        &self,
+        p: &DiagonalProblem<S>,
+        level: Finishing,
+        par: Parallelism,
+    ) -> Finished {
+        let fan_out = par.is_parallel() && self.x_t.stored() >= PARALLEL_MIN_ENTRIES;
+        // A certificate's threshold between positive and zero entries.
+        let tau = if level == Finishing::Certified {
+            let x0v = self.x0_t.values();
+            1e-10 * chunked(x0v.len(), fan_out, 0.0, |r| entry_scale(&x0v[r]), raise)
+        } else {
+            0.0
+        };
+        let structural = p.support().is_some();
+        let mut parts = vec![Part::default(); self.x_t.rows()];
+        let ext = split_parts(&mut parts, fan_out, |first, chunk| {
+            self.sweep(first, chunk, level, structural, tau)
+        });
+
+        let residuals =
+            p.residuals_of_sums(self.row_sums, parts.iter().map(|c| c.sum), self.s, self.d);
+        let objective = p.objective_of_columns(parts.iter().map(|c| c.objective), self.s, self.d);
+        let dual_value = (level >= Finishing::Dual).then(|| {
+            dual::dual_of_columns(
+                p.totals(),
+                parts.iter().map(|c| c.zeta),
+                self.lambda,
+                self.mu,
+            )
+        });
+        let certificate = dual_value
+            .filter(|_| level == Finishing::Certified)
+            .map(|zeta| {
+                let (lambda, mu) = (self.lambda, self.mu);
+                report(
+                    p, lambda, mu, self.s, self.d, ext, residuals, objective, zeta,
+                )
+            });
+        Finished {
+            residuals,
+            objective,
+            dual_value,
+            certificate,
+        }
+    }
+
+    /// Sweep subproblems `first..first + parts.len()` into `parts` at
+    /// `level`: their sums, then ζ's terms, then the KKT extremes with
+    /// positive-entry threshold `tau`. With `structural` zeros (a dense
+    /// prior's zero entries), those entries carry neither a ζ term nor a
+    /// KKT condition.
+    fn sweep(
+        &self,
+        first: usize,
+        parts: &mut [Part],
+        level: Finishing,
+        structural: bool,
+        tau: f64,
+    ) -> Extremes {
+        // One loop per level, so no entry tests what it computes.
+        match level {
+            Finishing::Primal => self.sweep_as::<false, false>(first, parts, structural, tau),
+            Finishing::Dual => self.sweep_as::<true, false>(first, parts, structural, tau),
+            Finishing::Certified => self.sweep_as::<true, true>(first, parts, structural, tau),
+        }
+    }
+
+    fn sweep_as<const ZETA: bool, const KKT: bool>(
+        &self,
+        first: usize,
+        parts: &mut [Part],
+        structural: bool,
+        tau: f64,
+    ) -> Extremes {
+        let mut ext = Extremes::EMPTY;
+        for (j, part) in (first..).zip(parts) {
+            let range = self.x_t.row_range(j);
+            let entries = Entries {
+                x: &self.x_t.values()[range.clone()],
+                x0: &self.x0_t.values()[range.clone()],
+                gamma: &self.gamma_t.values()[range],
+                lambda: self.lambda,
+                mu: self.mu[j],
+                structural,
+                tau,
+            };
+            // Position `t` of this subproblem is row `idx[t]` of the
+            // problem, or row `t` when the layout is dense.
+            *part = match self.x0_t.row_view(j) {
+                RowView::Dense(_) => entries.fold::<ZETA, KKT>(&mut ext, |t| t),
+                RowView::Indexed { idx, .. } => {
+                    entries.fold::<ZETA, KKT>(&mut ext, |t| idx[t] as usize)
+                }
+            };
+        }
+        ext
+    }
+}
+
+/// One subproblem's entries in a finishing sweep, with its multiplier
+/// `mu` and the other side's `lambda`.
+struct Entries<'a> {
+    x: &'a [f64],
+    x0: &'a [f64],
+    gamma: &'a [f64],
+    lambda: &'a [f64],
+    mu: f64,
+    structural: bool,
+    tau: f64,
+}
+
+impl Entries<'_> {
+    /// The subproblem's sums in entry order, noting its KKT extremes in
+    /// `ext` when `KKT`; entry `t` pairs with `lambda[row(t)]`.
+    #[inline(always)]
+    fn fold<const ZETA: bool, const KKT: bool>(
+        &self,
+        ext: &mut Extremes,
+        row: impl Fn(usize) -> usize,
+    ) -> Part {
+        let mut c = Part::default();
+        let entries = self.x.iter().zip(self.x0).zip(self.gamma);
+        for (t, ((&x, &x0), &g)) in entries.enumerate() {
+            let dev = x - x0;
+            c.sum += x;
+            c.objective += g * dev * dev;
+            if KKT {
+                ext.min_entry = lower(ext.min_entry, x);
+            }
+            if !ZETA || (self.structural && x0 == 0.0) {
+                continue;
+            }
+            let li = self.lambda[row(t)];
+            c.zeta += dual::entry_term(g, x0, li + self.mu);
+            if KKT {
+                ext.note(x, 2.0 * g * dev - li - self.mu, self.tau);
+            }
+        }
+        c
+    }
+}
+
+/// One chunk per worker of the current pool when `fan_out`, one
+/// otherwise, and never more chunks than items.
+fn chunk_count(len: usize, fan_out: bool) -> usize {
+    if fan_out {
+        rayon::current_num_threads().clamp(1, len.max(1))
+    } else {
+        1
+    }
+}
+
 /// Fold `body` over `0..len` in one contiguous chunk per worker of the
-/// current pool (a single chunk when serial) and merge the chunks with
-/// `merge`. Only exact max/min reductions go through here, so the result
-/// does not depend on the split.
+/// current pool when `fan_out` (a single chunk otherwise) and merge the
+/// chunks with `merge`. Only exact max/min reductions go through here, so
+/// the result does not depend on the split.
 fn chunked<T: Copy + Send>(
     len: usize,
-    par: Parallelism,
+    fan_out: bool,
     empty: T,
     body: impl Fn(std::ops::Range<usize>) -> T + Sync,
     merge: impl Fn(T, T) -> T,
 ) -> T {
-    let chunks = if par.is_parallel() {
-        rayon::current_num_threads().clamp(1, len.max(1))
-    } else {
-        1
-    };
+    let chunks = chunk_count(len, fan_out);
     let range = |c: usize| c * len / chunks..(c + 1) * len / chunks;
     if chunks == 1 {
         return body(range(0));
@@ -173,121 +513,31 @@ fn chunked<T: Copy + Send>(
     parts.into_iter().fold(empty, merge)
 }
 
-fn kkt_report<S: Storage>(
-    p: &DiagonalProblem<S>,
-    sol: &Solution<S>,
-    residuals: Residuals,
-    objective: f64,
-    zeta: f64,
-    par: Parallelism,
-) -> KktReport {
-    let (m, n) = (p.m(), p.n());
-    let x0 = p.x0();
-    let gamma = p.gamma();
-
-    // Gradient scale for relative stationarity.
-    let mut grad_scale: f64 = 1.0;
-    for i in 0..m {
-        grad_scale = grad_scale.max(sol.lambda[i].abs());
+/// Run `body` over `parts` in one contiguous chunk per worker of the
+/// current pool when `fan_out` (a single chunk otherwise), handing it each
+/// chunk's first index, and merge the chunks' extremes.
+fn split_parts(
+    parts: &mut [Part],
+    fan_out: bool,
+    body: impl Fn(usize, &mut [Part]) -> Extremes + Sync,
+) -> Extremes {
+    let len = parts.len();
+    let chunks = chunk_count(len, fan_out);
+    if chunks == 1 {
+        return body(0, parts);
     }
-    for j in 0..n {
-        grad_scale = grad_scale.max(sol.mu[j].abs());
+    let mut work = Vec::with_capacity(chunks);
+    let mut rest = parts;
+    for c in 0..chunks {
+        let first = c * len / chunks;
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut((c + 1) * len / chunks - first);
+        work.push((first, chunk, Extremes::EMPTY));
+        rest = tail;
     }
-
-    let x0v = x0.values();
-    let entry_scale = chunked(
-        x0v.len(),
-        par,
-        1e-12_f64,
-        |r| x0v[r].iter().fold(1e-12_f64, |acc, &v| acc.max(v.abs())),
-        f64::max,
-    );
-    let structural = p.support().is_some();
-    let sweep = |rows: std::ops::Range<usize>| {
-        let mut e = Extremes::EMPTY;
-        let mut entry = |x: f64, grad: f64| {
-            if x > 1e-10 * entry_scale {
-                e.stationarity = e.stationarity.max(grad.abs() / grad_scale);
-            } else {
-                e.sign = e.sign.max((-grad).max(0.0) / grad_scale);
-            }
-        };
-        for i in rows {
-            match (x0.row_view(i), gamma.row_view(i), sol.x.row_view(i)) {
-                (RowView::Dense(x0r), RowView::Dense(gr), RowView::Dense(xr)) => {
-                    for j in 0..n {
-                        e.min_entry = e.min_entry.min(xr[j]);
-                        // Structural zeros carry no KKT condition.
-                        if structural && x0r[j] == 0.0 {
-                            continue;
-                        }
-                        entry(
-                            xr[j],
-                            2.0 * gr[j] * (xr[j] - x0r[j]) - sol.lambda[i] - sol.mu[j],
-                        );
-                    }
-                }
-                (
-                    RowView::Indexed { idx, vals: x0v },
-                    RowView::Indexed { vals: gv, .. },
-                    RowView::Indexed { vals: xv, .. },
-                ) => {
-                    // Stored entries are the variables; missing entries are
-                    // structural zeros and carry no KKT condition.
-                    for t in 0..idx.len() {
-                        let j = idx[t] as usize;
-                        e.min_entry = e.min_entry.min(xv[t]);
-                        entry(
-                            xv[t],
-                            2.0 * gv[t] * (xv[t] - x0v[t]) - sol.lambda[i] - sol.mu[j],
-                        );
-                    }
-                }
-                _ => debug_assert!(false, "mismatched row views in verify_solution"),
-            }
-        }
-        e
-    };
-    let ext = chunked(m, par, Extremes::EMPTY, sweep, Extremes::merge);
-
-    let mut max_total_stationarity: f64 = 0.0;
-    match p.totals() {
-        TotalSpec::Fixed { .. } => {}
-        TotalSpec::Elastic {
-            alpha,
-            s0,
-            beta,
-            d0,
-        } => {
-            for i in 0..m {
-                let expect = 2.0 * alpha[i] * (s0[i] - sol.s[i]);
-                max_total_stationarity =
-                    max_total_stationarity.max((sol.lambda[i] - expect).abs() / grad_scale);
-            }
-            for j in 0..n {
-                let expect = 2.0 * beta[j] * (d0[j] - sol.d[j]);
-                max_total_stationarity =
-                    max_total_stationarity.max((sol.mu[j] - expect).abs() / grad_scale);
-            }
-        }
-        TotalSpec::Balanced { alpha, s0 } => {
-            for i in 0..n {
-                let expect = 2.0 * alpha[i] * (s0[i] - sol.s[i]);
-                max_total_stationarity = max_total_stationarity
-                    .max((sol.lambda[i] + sol.mu[i] - expect).abs() / grad_scale);
-            }
-        }
-    }
-
-    KktReport {
-        max_stationarity: ext.stationarity,
-        max_sign_violation: ext.sign,
-        max_total_stationarity,
-        residuals,
-        duality_gap: objective - zeta,
-        objective,
-        min_entry: ext.min_entry,
-    }
+    work.par_iter_mut()
+        .for_each(|(first, chunk, ext)| *ext = body(*first, chunk));
+    work.into_iter()
+        .fold(Extremes::EMPTY, |acc, (_, _, ext)| acc.merge(ext))
 }
 
 #[cfg(test)]

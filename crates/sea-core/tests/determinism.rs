@@ -12,9 +12,9 @@ mod generator;
 
 use common::{all_fixtures, solve_with};
 use sea_core::{
-    solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised,
-    GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions, Storage,
-    SupervisorOptions,
+    solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised, DiagonalProblem,
+    GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions, SolveBudget, StopReason,
+    Storage, SupervisorOptions,
 };
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -320,20 +320,90 @@ fn dense_and_bounded_solves_are_bitwise_identical_across_modes_and_shards() {
     });
 }
 
-/// A supervised solve certifies its own output from the residuals,
-/// objective and dual value its assembly computed, with the stationarity
-/// sweep split across the pool: the report must equal a from-scratch
-/// `verify_solution` of the returned solution exactly, in every mode.
+/// A supervised solve certifies its own output in one finishing sweep
+/// over its column-pass layout, split across the pool: the report must
+/// equal a from-scratch `verify_solution` of the returned solution
+/// exactly, in every mode, for sparse and dense problems of every class.
+/// The last two inputs fan the sweep out (they are above the pool's
+/// fan-out size), and one of them is stopped by its iteration budget one
+/// sweep after a check, so the sweep must sum its rows afresh.
 #[test]
 fn supervised_certificates_match_verify_solution_exactly() {
     let sup = SupervisorOptions::default();
-    for (tag, problem) in generator::sparse_families(0xCE_27) {
-        for mode in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+    let capped = SupervisorOptions {
+        budget: SolveBudget {
+            max_iterations: Some(7),
+            ..SolveBudget::default()
+        },
+        ..SupervisorOptions::default()
+    };
+    let sparse = generator::sparse_families(0xCE_27);
+    let mut dense: Vec<(String, DiagonalProblem, &SupervisorOptions, usize)> = sparse
+        .iter()
+        .map(|(tag, p)| {
+            let dp = p.to_dense_problem().expect("dense image fits");
+            (format!("dense-{tag}"), dp, &sup, 1)
+        })
+        .collect();
+    let fallible = [
+        ("degenerate-row", generator::degenerate_row(0xCE_28, 9)),
+        ("degenerate-col", generator::degenerate_col(0xCE_29, 9)),
+        (
+            "large-totals",
+            generator::try_fixed_diagonal(0xCE_2A, 8, 7, 6, 1e6),
+        ),
+        ("wide-weights", generator::wide_weights(0xCE_2B, 8, 9)),
+        (
+            "fixed-large",
+            generator::try_fixed_diagonal(0xCE_2C, 140, 130, 3, 1.0),
+        ),
+    ];
+    for (tag, p) in fallible {
+        if let Ok(p) = p {
+            dense.push((tag.to_string(), p, &sup, 1));
+        }
+    }
+    dense.push((
+        "checkerboard".to_string(),
+        generator::checkerboard_weights(8, 10),
+        &sup,
+        1,
+    ));
+    dense.push((
+        "heterogeneous-capped".to_string(),
+        generator::heterogeneous(0xCE_2D, 130, 140),
+        &capped,
+        3,
+    ));
+    assert!(dense.len() >= sparse.len() + 7, "dense families built");
+
+    for mode in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+        for (tag, problem) in &sparse {
             let mut opts = SeaOptions::with_epsilon(1e-8);
             opts.parallelism = mode;
-            let sol = solve_diagonal_supervised(&problem, &opts, &sup, &mut NullObserver)
+            let sol = solve_diagonal_supervised(problem, &opts, &sup, &mut NullObserver)
                 .expect("supervised sparse solve");
-            let fresh = sea_core::verify_solution(&problem, &sol.solution);
+            let fresh = sea_core::verify_solution(problem, &sol.solution);
+            assert_eq!(
+                format!("{:?}", sol.certificate),
+                format!("{fresh:?}"),
+                "{tag}/{mode:?}"
+            );
+        }
+        for (tag, problem, sup, check_every) in &dense {
+            let mut opts = SeaOptions::with_epsilon(1e-8);
+            opts.parallelism = mode;
+            opts.check_every = *check_every;
+            let sol = solve_diagonal_supervised(problem, &opts, sup, &mut NullObserver)
+                .unwrap_or_else(|e| panic!("{tag}: {e:?}"));
+            if *check_every == 3 {
+                assert_eq!(sol.stop, StopReason::IterationCap, "{tag}");
+                assert_eq!(
+                    sol.solution.stats.iterations, 7,
+                    "{tag}: unchecked last sweep"
+                );
+            }
+            let fresh = sea_core::verify_solution(problem, &sol.solution);
             assert_eq!(
                 format!("{:?}", sol.certificate),
                 format!("{fresh:?}"),

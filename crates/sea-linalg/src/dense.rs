@@ -351,17 +351,23 @@ impl DenseMatrix {
 /// 64-byte cache line, so a strip reads one line of each source row.
 const STRIP: usize = 8;
 
+/// Entries below which a `parallel` [`transpose_into`] still runs on the
+/// calling thread: a parallel drive spawns its workers, which costs more
+/// than copying a matrix this small (128 KiB of `f64`).
+pub const PARALLEL_MIN_ENTRIES: usize = 1 << 14;
+
 /// Write the transpose of the row-major `rows × cols` matrix `src` into
 /// `dst` (row-major `cols × rows`).
 ///
 /// Destination rows are written in strips of eight: a strip walks the
 /// source rows in order, reading one cache line from each and appending
-/// one entry to each of its eight destination rows. With `parallel` the
-/// strips are spread over the current rayon pool; otherwise they run in
-/// order on the calling thread, which never fans out (outside a pool the
-/// rayon width is the machine's, so the choice must not be left to it).
-/// Every entry is copied exactly once either way, so the result does not
-/// depend on `parallel`.
+/// one entry to each of its eight destination rows. With `parallel`, and
+/// at least [`PARALLEL_MIN_ENTRIES`] entries, the strips are spread over
+/// the current rayon pool; otherwise they run in order on the calling
+/// thread, which never fans out (outside a pool the rayon width is the
+/// machine's, so the choice must not be left to it). Every entry is
+/// copied exactly once either way, so the result does not depend on
+/// `parallel`.
 ///
 /// # Panics
 /// If `src` or `dst` does not hold `rows * cols` entries.
@@ -390,7 +396,7 @@ pub fn transpose_into<T: Clone + Send + Sync>(
     // narrower one.
     let full = cols / STRIP;
     let (head, tail) = dst.split_at_mut(full * STRIP * rows);
-    if parallel {
+    if parallel && src.len() >= PARALLEL_MIN_ENTRIES {
         head.par_chunks_exact_mut(STRIP * rows)
             .enumerate()
             .for_each(strip);

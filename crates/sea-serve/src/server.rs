@@ -1108,7 +1108,6 @@ fn solve_with_cache(
         max_iterations: cfg.max_iterations,
         parallelism: cfg.parallelism,
         warm_start: inst.family.is_some(),
-        measure_kernel_work: true,
         ..BatchOptions::default()
     };
     // The deadline is measured from admission, so queue wait counts
