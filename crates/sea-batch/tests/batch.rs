@@ -36,7 +36,7 @@ fn repeated_family_misses_then_hits_and_saves_work() {
     assert_eq!(first.cache_misses, 1);
     assert_eq!(first.cache_hits, 0);
     assert!(first.all_converged());
-    assert!(first.kernel_work > 0, "work measurement is on by default");
+    assert!(first.kernel_work > 0, "a converged solve reports work");
     assert_eq!(first.work_saved, 0, "a miss has no baseline to save from");
     assert_eq!(engine.cached_families(), 1);
 

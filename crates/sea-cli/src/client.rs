@@ -5,8 +5,8 @@
 //! `Retry-After` header saying when. A well-behaved client honors that
 //! hint, backs off exponentially with jitter when there is none, and
 //! treats transport errors (connection refused while a daemon restarts)
-//! the same way. This module is that client: used by `bench_serve`'s
-//! load generators and chaos soak, and reusable by any tooling that
+//! the same way. This module is that client: used by the sea-serve
+//! chaos soak (`tests/serve.rs`), and reusable by any tooling that
 //! talks to the daemon.
 //!
 //! Retries are capped by [`RetryPolicy::max_attempts`]; terminal
@@ -15,7 +15,7 @@
 //! *answer*, not a transient.
 //!
 //! Jitter is deterministic (a seeded SplitMix64 stream), so a seeded
-//! bench run replays the same backoff schedule.
+//! run replays the same backoff schedule.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -12,16 +12,22 @@
 //! * counter conservation: a parent's subtree counters dominate the sum
 //!   of its children's subtree counters (the profiler folds child work
 //!   into parents, so the inequality must hold exactly).
+//!
+//! The file also holds the span-profiling overhead gate, a timing test
+//! that runs only in release builds.
 
 #[path = "common/generator.rs"]
 mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_diagonal_observed, DiagonalProblem, KernelCounters, KernelKind, Parallelism, SeaOptions,
-    SpanKind, SpanProfiler, SpanRecord,
+    solve_diagonal_observed, solve_diagonal_supervised, DiagonalProblem, KernelCounters,
+    KernelKind, NullObserver, Observer, Parallelism, SeaOptions, SpanKind, SpanProfiler,
+    SpanRecord, StopReason, SupervisorOptions,
 };
 use sea_linalg::CsrMatrix;
+use sea_observe::{chrome_trace, folded_stacks, parse_chrome_trace};
+use std::time::Instant;
 
 fn kernel_of(k: u8) -> KernelKind {
     if k == 0 {
@@ -170,4 +176,102 @@ proptest! {
         prop_assert_eq!(profiler.dropped(), 0, "{}: tiny solve overflowed the ring", &tag);
         check_well_formed(&profiler.spans(), &tag)?;
     }
+}
+
+/// Wall seconds of one supervised solve that must converge.
+fn timed_solve<O: Observer + Send>(
+    p: &DiagonalProblem<CsrMatrix>,
+    opts: &SeaOptions,
+    obs: &mut O,
+) -> f64 {
+    let t = Instant::now();
+    let sol = solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), obs)
+        .expect("overhead-gate solve");
+    let secs = t.elapsed().as_secs_f64();
+    assert_eq!(sol.stop, StopReason::Converged, "overhead-gate solve");
+    secs
+}
+
+/// Span-profiling overhead gate. Supervised Rayon solves of a
+/// 2 000 × 2 000 banded CSR problem (half-bandwidth 48, ε 1e-5, 60–90 ms
+/// each in release) run in interleaved pairs, one under [`NullObserver`]
+/// and one under a [`SpanProfiler`] sized to record every span, each
+/// pair alternating which goes first. The gate is the median over 201
+/// pairs (35–45 s) of the spanned/null time ratio: a preempted solve
+/// skews one pair, not the estimate. It also requires the root span to
+/// cover the measured wall time to within 5% (median over the spanned
+/// runs) and the chrome-trace and folded-stack exports to round-trip.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: run with --release")]
+fn span_profiling_overhead_stays_within_budget() {
+    const PAIRS: usize = 201;
+    const MAX_OVERHEAD_PCT: f64 = 5.0;
+    const MAX_RECONCILE_PCT: f64 = 5.0;
+    let p = generator::sparse_banded(1990, 2_000, 2_000, 48);
+    let mut opts = SeaOptions::with_epsilon(1e-5);
+    opts.parallelism = Parallelism::Rayon;
+    let mut profiler = SpanProfiler::with_capacity(1 << 17, 1 << 13);
+
+    // One untimed solve of each kind warms the pool and the caches.
+    timed_solve(&p, &opts, &mut NullObserver);
+    timed_solve(&p, &opts, &mut profiler);
+
+    let mut ratios = Vec::with_capacity(PAIRS);
+    let mut reconcile = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        let mut spanned = || {
+            profiler.reset();
+            timed_solve(&p, &opts, &mut profiler)
+        };
+        let (null_s, span_s) = if pair % 2 == 0 {
+            let null_s = timed_solve(&p, &opts, &mut NullObserver);
+            (null_s, spanned())
+        } else {
+            let span_s = spanned();
+            (timed_solve(&p, &opts, &mut NullObserver), span_s)
+        };
+        ratios.push(span_s / null_s);
+        assert_eq!(profiler.dropped(), 0, "ring sized to record every span");
+        let root = profiler
+            .spans()
+            .into_iter()
+            .find(|s| s.parent == SpanRecord::NO_PARENT)
+            .expect("a solve root span");
+        let covered_s = (root.end_ns - root.start_ns) as f64 * 1e-9;
+        reconcile.push(100.0 * (span_s - covered_s).abs() / span_s);
+    }
+    ratios.sort_by(f64::total_cmp);
+    reconcile.sort_by(f64::total_cmp);
+    let pct = |ratio: f64| 100.0 * (ratio - 1.0);
+    let overhead_pct = pct(ratios[PAIRS / 2]);
+    let reconcile_pct = reconcile[PAIRS / 2];
+    eprintln!(
+        "span overhead {overhead_pct:+.2}% (median of {PAIRS} pairs, quartiles \
+         {:+.2}%..{:+.2}%), reconcile {reconcile_pct:.2}%",
+        pct(ratios[PAIRS / 4]),
+        pct(ratios[3 * PAIRS / 4]),
+    );
+    assert!(
+        reconcile_pct <= MAX_RECONCILE_PCT,
+        "root span covers the solve to {reconcile_pct:.2}% (> {MAX_RECONCILE_PCT}%)"
+    );
+    assert!(
+        overhead_pct <= MAX_OVERHEAD_PCT,
+        "span profiling costs {overhead_pct:+.2}% (> {MAX_OVERHEAD_PCT}% budget)"
+    );
+
+    // Both exports of the last spanned run round-trip.
+    let spans = profiler.spans();
+    let parsed = parse_chrome_trace(&chrome_trace(&spans, profiler.dropped()))
+        .expect("chrome-trace export parses back");
+    assert_eq!(
+        parsed.len(),
+        spans.len(),
+        "chrome-trace round trip lost spans"
+    );
+    let folded = folded_stacks(&spans);
+    assert!(
+        folded.lines().any(|l| l.starts_with("solve")),
+        "folded stacks carry no solve-rooted line:\n{folded}"
+    );
 }

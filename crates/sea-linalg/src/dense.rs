@@ -59,7 +59,7 @@ impl DenseMatrix {
         data.try_reserve_exact(len)
             .map_err(|_| LinalgError::Allocation {
                 context: "DenseMatrix::try_zeros",
-                bytes: len * std::mem::size_of::<f64>(),
+                bytes: len.saturating_mul(std::mem::size_of::<f64>()),
             })?;
         data.resize(len, 0.0);
         Ok(Self { rows, cols, data })
@@ -441,6 +441,24 @@ mod tests {
         assert!(matches!(
             DenseMatrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]),
             Err(LinalgError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn try_zeros_refuses_an_unallocatable_buffer_with_a_typed_error() {
+        // 2⁶² cells: `rows * cols` fits in a usize, its byte size does
+        // not, so the reservation fails and the reported size saturates.
+        let side = 1usize << 31;
+        assert!(matches!(
+            DenseMatrix::try_zeros(side, side),
+            Err(LinalgError::Allocation {
+                bytes: usize::MAX,
+                ..
+            })
+        ));
+        assert!(matches!(
+            DenseMatrix::try_zeros(usize::MAX, 2),
+            Err(LinalgError::Allocation { .. })
         ));
     }
 

@@ -260,7 +260,7 @@ pub enum Event {
         /// caching disabled).
         cache: &'static str,
         /// Kernel work spent on this instance (breakpoints + pivots +
-        /// clamps), 0 when work measurement is off.
+        /// clamps), 0 when its solve failed.
         kernel_work: u64,
         /// Kernel work saved vs the family's cold baseline solve
         /// (`cold_work − kernel_work`, clamped at 0; 0 on miss/bypass).

@@ -7,7 +7,7 @@
 //! sequence numbers — the order in which solver workers dequeue jobs —
 //! so a soak run with the same plan exercises the same failure paths
 //! every time. Plans are empty in production; the `--chaos` flag and
-//! the `bench_serve --chaos` harness are the only writers.
+//! the chaos tests in `tests/serve.rs` are the only writers.
 //!
 //! The spec grammar is `KIND@SEQ` (or `KIND@FROM-TO` for a range of
 //! consecutive sequence numbers), comma-separated:

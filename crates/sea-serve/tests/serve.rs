@@ -1,11 +1,17 @@
 //! Request-lifecycle tests against an in-process server, plus
 //! SIGTERM-drain E2Es through the real binary. The resilience half
 //! drives the chaos plan: scripted worker crashes and panics, poison
-//! families, load shedding, tenant quotas, and degraded answers.
+//! families, load shedding, tenant quotas, and degraded answers. Two
+//! end-to-end gates close the file: a keep-alive load smoke over
+//! heterogeneous families and a scripted chaos soak.
 
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use sea_cli::client::{RetryPolicy, RetryingClient};
 use sea_serve::{ChaosPlan, QuarantinePolicy, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A 2x2 solvable instance body; `extra` splices in serve-level fields.
@@ -19,55 +25,67 @@ fn instance_body(id: &str, family: Option<&str>, extra: &str) -> String {
     )
 }
 
-/// Minimal HTTP client: one request, whole response, connection closed.
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    write!(
-        conn,
-        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send");
-    let mut raw = String::new();
-    BufReader::new(conn).read_to_string(&mut raw).expect("recv");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad response: {raw:?}"));
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+/// A client connection with Nagle off: each request goes out as one
+/// write, so keep-alive exchanges do not stall on delayed ACKs.
+fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    BufReader::new(stream)
 }
 
-/// Like [`request`], also returning the raw response head (for header
-/// assertions like `Retry-After`).
-fn request_full(
-    addr: std::net::SocketAddr,
+/// Minimal HTTP client: one request on `conn`, its response read back by
+/// `Content-Length`; returns `(status, head, body)`, the head holding
+/// the status line and headers. With `close` the request asks the server
+/// to hang up after answering, and the connection must then reach EOF;
+/// without it the connection stays open for the next request.
+fn exchange(
+    conn: &mut BufReader<TcpStream>,
     method: &str,
     path: &str,
     body: &str,
+    close: bool,
 ) -> (u16, String, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    write!(
-        conn,
-        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    let frame = format!(
+        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n{connection}\r\n{body}",
         body.len()
-    )
-    .expect("send");
-    let mut raw = String::new();
-    BufReader::new(conn).read_to_string(&mut raw).expect("recv");
-    let status: u16 = raw
+    );
+    conn.get_mut()
+        .write_all(frame.as_bytes())
+        .expect("send request");
+    let mut head = String::new();
+    let mut content_length = 0usize;
+    loop {
+        let mut line = String::new();
+        conn.read_line(&mut line).expect("response head");
+        if line.trim().is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = value.trim().parse().expect("content-length value");
+            }
+        }
+        head.push_str(&line);
+    }
+    let status: u16 = head
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad response: {raw:?}"));
-    match raw.split_once("\r\n\r\n") {
-        Some((head, body)) => (status, head.to_string(), body.to_string()),
-        None => (status, raw, String::new()),
+        .unwrap_or_else(|| panic!("bad response head: {head:?}"));
+    let mut bytes = vec![0u8; content_length];
+    conn.read_exact(&mut bytes).expect("response body");
+    if close {
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest).expect("server hangs up");
+        assert!(rest.is_empty(), "bytes after the response: {rest:?}");
     }
+    (status, head, String::from_utf8(bytes).expect("utf-8 body"))
+}
+
+/// [`exchange`] on a fresh connection that closes after the answer.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
+    exchange(&mut connect(addr), method, path, body, true)
 }
 
 fn quick_server(cfg: ServeConfig) -> Server {
@@ -86,10 +104,10 @@ fn metric_value(metrics: &str, name: &str) -> f64 {
 
 /// Poll `/metrics` until `pred` holds (or panic after ~2s): the
 /// supervisor respawns workers asynchronously.
-fn wait_for_metric(addr: std::net::SocketAddr, name: &str, pred: impl Fn(f64) -> bool) -> f64 {
+fn wait_for_metric(addr: SocketAddr, name: &str, pred: impl Fn(f64) -> bool) -> f64 {
     let deadline = Instant::now() + Duration::from_secs(2);
     loop {
-        let (_, metrics) = request(addr, "GET", "/metrics", "");
+        let (_, _, metrics) = request(addr, "GET", "/metrics", "");
         let v = metric_value(&metrics, name);
         if pred(v) {
             return v;
@@ -119,12 +137,12 @@ fn malformed_bodies_answer_400() {
     let server = quick_server(ServeConfig::default());
     let addr = server.addr();
 
-    let (status, body) = request(addr, "POST", "/solve", "this is not json");
+    let (status, _, body) = request(addr, "POST", "/solve", "this is not json");
     assert_eq!(status, 400);
     assert!(body.contains("\"error\""), "{body}");
 
     // Valid JSON, invalid instance: missing id.
-    let (status, body) = request(addr, "POST", "/solve", "{\"class\":\"fixed\"}");
+    let (status, _, body) = request(addr, "POST", "/solve", "{\"class\":\"fixed\"}");
     assert_eq!(status, 400);
     assert!(
         body.contains("missing string field \\\"id\\\"") || body.contains("missing"),
@@ -133,7 +151,7 @@ fn malformed_bodies_answer_400() {
 
     // Batch bodies report the failing line.
     let good = instance_body("a", None, "");
-    let (status, body) = request(addr, "POST", "/batch", &format!("{good}\nnot json\n"));
+    let (status, _, body) = request(addr, "POST", "/batch", &format!("{good}\nnot json\n"));
     assert_eq!(status, 400);
     assert!(body.contains("line 2"), "{body}");
 
@@ -148,7 +166,7 @@ fn oversized_body_answers_413() {
         ..ServeConfig::default()
     });
     let big = instance_body("big", None, "");
-    let (status, body) = request(server.addr(), "POST", "/solve", &big);
+    let (status, _, body) = request(server.addr(), "POST", "/solve", &big);
     assert_eq!(status, 413);
     assert!(body.contains("exceeds limit 64"), "{body}");
     server.shutdown();
@@ -161,19 +179,19 @@ fn solve_solves_and_warm_start_hits_across_requests() {
     let addr = server.addr();
 
     let body = instance_body("r1", Some("fam"), "");
-    let (status, text) = request(addr, "POST", "/solve", &body);
+    let (status, _, text) = request(addr, "POST", "/solve", &body);
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"stop\":\"converged\""), "{text}");
     assert!(text.contains("\"cache\":\"miss\""), "{text}");
 
     let body = instance_body("r2", Some("fam"), "");
-    let (status, text) = request(addr, "POST", "/solve", &body);
+    let (status, _, text) = request(addr, "POST", "/solve", &body);
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"cache\":\"hit\""), "{text}");
 
     // Sparse storage rides the same schema.
     let body = instance_body("r3", None, "\"storage\":\"sparse\",");
-    let (status, text) = request(addr, "POST", "/solve", &body);
+    let (status, _, text) = request(addr, "POST", "/solve", &body);
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"stop\":\"converged\""), "{text}");
 
@@ -183,14 +201,14 @@ fn solve_solves_and_warm_start_hits_across_requests() {
         instance_body("b1", Some("fam"), ""),
         instance_body("b2", Some("fam"), "")
     );
-    let (status, text) = request(addr, "POST", "/batch", &manifest);
+    let (status, _, text) = request(addr, "POST", "/batch", &manifest);
     assert_eq!(status, 200, "{text}");
     assert_eq!(text.lines().count(), 2, "{text}");
     assert!(text.contains("\"id\":\"b1\""), "{text}");
 
     // Metrics reflect the traffic: well-formed families with queue depth,
     // request latency histogram, warm-start outcomes, solver metrics.
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, _, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     for needle in [
         "# TYPE sea_serve_requests_total counter",
@@ -221,7 +239,7 @@ fn over_deadline_request_answers_504_with_partial_result() {
     // epsilon: -1 never converges (residuals are nonnegative), so the
     // request runs exactly to its deadline budget.
     let body = instance_body("slow", None, "\"deadline\":0.2,\"epsilon\":-1.0,");
-    let (status, text) = request(server.addr(), "POST", "/solve", &body);
+    let (status, _, text) = request(server.addr(), "POST", "/solve", &body);
     assert_eq!(status, 504, "{text}");
     assert!(text.contains("\"stop\":\"deadline_exceeded\""), "{text}");
     assert!(text.contains("\"converged\":false"), "{text}");
@@ -250,11 +268,11 @@ fn queue_full_answers_429() {
         // Let the request reach the queue before the next one.
         std::thread::sleep(Duration::from_millis(150));
     }
-    let (status, text) = request(addr, "POST", "/solve", &slow);
+    let (status, _, text) = request(addr, "POST", "/solve", &slow);
     assert_eq!(status, 429, "{text}");
     assert!(text.contains("queue full"), "{text}");
     for h in in_flight {
-        let (status, _) = h.join().expect("in-flight request completes");
+        let (status, _, _) = h.join().expect("in-flight request completes");
         assert_eq!(status, 504, "slow requests stop at their deadline");
     }
     server.shutdown();
@@ -296,15 +314,15 @@ fn contained_panic_answers_typed_500_and_worker_survives() {
         ..ServeConfig::default()
     });
     let addr = server.addr();
-    let (status, text) = request(addr, "POST", "/solve", &instance_body("p1", None, ""));
+    let (status, _, text) = request(addr, "POST", "/solve", &instance_body("p1", None, ""));
     assert_eq!(status, 500, "{text}");
     assert!(text.contains("\"panic\":true"), "{text}");
     assert!(text.contains("worker panicked"), "{text}");
 
-    let (status, text) = request(addr, "POST", "/solve", &instance_body("p2", None, ""));
+    let (status, _, text) = request(addr, "POST", "/solve", &instance_body("p2", None, ""));
     assert_eq!(status, 200, "{text}");
 
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(metric_value(&metrics, "sea_serve_worker_panics_total"), 1.0);
     // No thread died: the pool never needed a respawn.
     assert_eq!(
@@ -327,17 +345,17 @@ fn worker_crash_respawns_and_the_pool_recovers() {
         ..ServeConfig::default()
     });
     let addr = server.addr();
-    let (status, text) = request(addr, "POST", "/solve", &instance_body("c1", None, ""));
+    let (status, _, text) = request(addr, "POST", "/solve", &instance_body("c1", None, ""));
     assert_eq!(status, 500, "{text}");
     assert!(text.contains("\"panic\":true"), "{text}");
     assert!(text.contains("worker crashed"), "{text}");
 
     wait_for_metric(addr, "sea_serve_worker_restarts_total", |v| v >= 1.0);
     wait_for_metric(addr, "sea_serve_workers_alive", |v| v == 1.0);
-    let (status, text) = request(addr, "POST", "/solve", &instance_body("c2", None, ""));
+    let (status, _, text) = request(addr, "POST", "/solve", &instance_body("c2", None, ""));
     assert_eq!(status, 200, "service recovered after respawn: {text}");
 
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(
         metric_value(&metrics, "sea_serve_worker_crashes_total"),
         1.0
@@ -362,13 +380,13 @@ fn restart_storm_flips_readyz_unhealthy() {
     });
     let addr = server.addr();
     assert_eq!(request(addr, "GET", "/readyz", "").0, 200);
-    let (status, _) = request(addr, "POST", "/solve", &instance_body("s1", None, ""));
+    let (status, _, _) = request(addr, "POST", "/solve", &instance_body("s1", None, ""));
     assert_eq!(status, 500);
     wait_for_metric(addr, "sea_serve_worker_restarts_total", |v| v >= 1.0);
-    let (status, _, body) = request_full(addr, "GET", "/readyz", "");
+    let (status, _, body) = request(addr, "GET", "/readyz", "");
     assert_eq!(status, 503);
     assert!(body.contains("restart-storm"), "{body}");
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(
         metric_value(&metrics, "sea_serve_restart_breaker_open"),
         1.0
@@ -395,7 +413,7 @@ fn quarantine_opens_refuses_probes_and_closes() {
     let poison = instance_body("q", Some("toxic"), "");
 
     for n in 1..=2 {
-        let (status, text) = request(addr, "POST", "/solve", &poison);
+        let (status, _, text) = request(addr, "POST", "/solve", &poison);
         assert_eq!(status, 200, "strike {n}: poison is typed, not 5xx: {text}");
         assert!(
             text.contains("breakdown") || text.contains("\"error\""),
@@ -403,13 +421,13 @@ fn quarantine_opens_refuses_probes_and_closes() {
         );
     }
 
-    let (status, head, text) = request_full(addr, "POST", "/solve", &poison);
+    let (status, head, text) = request(addr, "POST", "/solve", &poison);
     assert_eq!(status, 422, "{text}");
     assert!(text.contains("\"quarantined\":true"), "{text}");
     assert!(head.contains("Retry-After:"), "{head}");
 
     // Other families are unaffected while "toxic" is circuit-broken.
-    let (status, _) = request(
+    let (status, _, _) = request(
         addr,
         "POST",
         "/solve",
@@ -420,13 +438,13 @@ fn quarantine_opens_refuses_probes_and_closes() {
     // Past the cooldown the probe is admitted; the chaos plan is spent,
     // so it solves cleanly and the circuit closes.
     std::thread::sleep(Duration::from_millis(350));
-    let (status, text) = request(addr, "POST", "/solve", &poison);
+    let (status, _, text) = request(addr, "POST", "/solve", &poison);
     assert_eq!(status, 200, "probe heals the family: {text}");
     assert!(text.contains("\"stop\":\"converged\""), "{text}");
-    let (status, _) = request(addr, "POST", "/solve", &poison);
+    let (status, _, _) = request(addr, "POST", "/solve", &poison);
     assert_eq!(status, 200, "circuit closed");
 
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert!(metric_value(&metrics, "sea_serve_quarantine_opens_total") >= 1.0);
     assert!(metric_value(&metrics, "sea_serve_quarantine_refusals_total") >= 1.0);
     assert!(metric_value(&metrics, "sea_serve_quarantine_closes_total") >= 1.0);
@@ -466,7 +484,7 @@ fn doomed_requests_are_shed_at_admission_with_retry_after() {
     // not 504 later.
     let doomed = instance_body("doomed", None, "\"deadline\":0.05,\"epsilon\":-1.0,");
     let started = Instant::now();
-    let (status, head, text) = request_full(addr, "POST", "/solve", &doomed);
+    let (status, head, text) = request(addr, "POST", "/solve", &doomed);
     assert_eq!(status, 429, "{text}");
     assert!(text.contains("\"shed\":true"), "{text}");
     assert!(text.contains("estimated queue wait"), "{text}");
@@ -477,10 +495,10 @@ fn doomed_requests_are_shed_at_admission_with_retry_after() {
     );
 
     for h in in_flight {
-        let (status, _) = h.join().expect("in-flight request completes");
+        let (status, _, _) = h.join().expect("in-flight request completes");
         assert_eq!(status, 504);
     }
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert!(metric_value(&metrics, "sea_serve_shed_total{reason=\"wait\"}") >= 1.0);
     server.shutdown();
     server.join();
@@ -498,11 +516,11 @@ fn degraded_epsilon_turns_deadline_miss_into_flagged_200() {
     });
     let addr = server.addr();
     let body = instance_body("deg", None, "\"deadline\":0.2,\"epsilon\":-1.0,");
-    let (status, text) = request(addr, "POST", "/solve", &body);
+    let (status, _, text) = request(addr, "POST", "/solve", &body);
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"degraded\":true"), "{text}");
     assert!(text.contains("\"stop\":\"deadline_exceeded\""), "{text}");
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(metric_value(&metrics, "sea_serve_degraded_total"), 1.0);
     server.shutdown();
     server.join();
@@ -532,21 +550,21 @@ fn tenant_quota_caps_a_flooding_tenant_not_others() {
         }));
         std::thread::sleep(Duration::from_millis(150));
     }
-    let (status, head, text) = request_full(addr, "POST", "/solve", &flood);
+    let (status, head, text) = request(addr, "POST", "/solve", &flood);
     assert_eq!(status, 429, "{text}");
     assert!(text.contains("admission quota"), "{text}");
     assert!(head.contains("Retry-After:"), "{head}");
 
     // A quiet tenant still gets in (and solved once the worker frees).
     let quiet = instance_body("quiet", None, "\"tenant\":\"quiet\",");
-    let (status, text) = request(addr, "POST", "/solve", &quiet);
+    let (status, _, text) = request(addr, "POST", "/solve", &quiet);
     assert_eq!(status, 200, "{text}");
 
     for h in in_flight {
-        let (status, _) = h.join().expect("flood requests complete");
+        let (status, _, _) = h.join().expect("flood requests complete");
         assert_eq!(status, 504);
     }
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert!(metric_value(&metrics, "sea_serve_shed_total{reason=\"quota\"}") >= 1.0);
     server.shutdown();
     server.join();
@@ -574,10 +592,10 @@ fn disconnecting_client_does_not_wedge_worker_or_gauges() {
         // Dropping the stream here resets the connection mid-solve.
     }
     // The next (patient) client is served normally by the same worker.
-    let (status, text) = request(addr, "POST", "/solve", &instance_body("here", None, ""));
+    let (status, _, text) = request(addr, "POST", "/solve", &instance_body("here", None, ""));
     assert_eq!(status, 200, "{text}");
     wait_for_metric(addr, "sea_serve_inflight", |v| v == 0.0);
-    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(metric_value(&metrics, "sea_serve_workers_alive"), 1.0);
     server.shutdown();
     server.join();
@@ -624,7 +642,7 @@ fn sigterm_drains_the_binary_cleanly() {
     let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
     let mut line = String::new();
     stderr.read_line(&mut line).expect("read listen line");
-    let addr: std::net::SocketAddr = line
+    let addr: SocketAddr = line
         .rsplit(' ')
         .next()
         .and_then(|s| s.trim().parse().ok())
@@ -642,7 +660,7 @@ fn sigterm_drains_the_binary_cleanly() {
 
     // The admitted solve still completes (bounded by its deadline) and
     // its response is written before the process exits.
-    let (status, text) = in_flight.join().expect("in-flight response arrives");
+    let (status, _, text) = in_flight.join().expect("in-flight response arrives");
     assert_eq!(status, 504, "{text}");
     assert!(text.contains("\"stop\":\"deadline_exceeded\""), "{text}");
 
@@ -676,20 +694,20 @@ fn chaos_crash_in_the_binary_still_drains_cleanly() {
     let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
     let mut line = String::new();
     stderr.read_line(&mut line).expect("read listen line");
-    let addr: std::net::SocketAddr = line
+    let addr: SocketAddr = line
         .rsplit(' ')
         .next()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or_else(|| panic!("no address in {line:?}"));
 
     // First solve hits the scripted crash: typed 500, worker respawned.
-    let (status, text) = request(addr, "POST", "/solve", &instance_body("boom", None, ""));
+    let (status, _, text) = request(addr, "POST", "/solve", &instance_body("boom", None, ""));
     assert_eq!(status, 500, "{text}");
     assert!(text.contains("\"panic\":true"), "{text}");
     wait_for_metric(addr, "sea_serve_worker_restarts_total", |v| v >= 1.0);
 
     // Second solve proves the pool healed inside the real process.
-    let (status, text) = request(addr, "POST", "/solve", &instance_body("after", None, ""));
+    let (status, _, text) = request(addr, "POST", "/solve", &instance_body("after", None, ""));
     assert_eq!(status, 200, "{text}");
 
     let killed = Command::new("kill")
@@ -728,19 +746,19 @@ fn chaos_cachecorrupt_in_the_binary_is_typed_and_the_family_recovers() {
     let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
     let mut line = String::new();
     stderr.read_line(&mut line).expect("read listen line");
-    let addr: std::net::SocketAddr = line
+    let addr: SocketAddr = line
         .rsplit(' ')
         .next()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or_else(|| panic!("no address in {line:?}"));
 
     let solve = |id: &str| request(addr, "POST", "/solve", &instance_body(id, Some("fam"), ""));
-    let (status, text) = solve("seed");
+    let (status, _, text) = solve("seed");
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"cache\":\"miss\""), "{text}");
 
     // Solve 2 reads the poisoned entry: a typed breakdown, not a 5xx.
-    let (status, text) = solve("poisoned");
+    let (status, _, text) = solve("poisoned");
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"cache\":\"hit\""), "{text}");
     assert!(
@@ -749,11 +767,11 @@ fn chaos_cachecorrupt_in_the_binary_is_typed_and_the_family_recovers() {
     );
 
     // The poisoned seed was dropped: cold, then warm from the fresh seed.
-    let (status, text) = solve("cold-again");
+    let (status, _, text) = solve("cold-again");
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"cache\":\"miss\""), "{text}");
     assert!(text.contains("\"stop\":\"converged\""), "{text}");
-    let (status, text) = solve("warm-again");
+    let (status, _, text) = solve("warm-again");
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"cache\":\"hit\""), "{text}");
     assert!(text.contains("\"stop\":\"converged\""), "{text}");
@@ -765,4 +783,392 @@ fn chaos_cachecorrupt_in_the_binary_is_typed_and_the_family_recovers() {
     assert!(killed.success());
     let exit = child.wait().expect("daemon exits");
     assert_eq!(exit.code(), Some(0), "clean drain exits 0 after chaos");
+}
+
+/// Load-smoke instance order (rows = cols).
+const LOAD_N: usize = 40;
+/// Families cycled by the load smoke.
+const LOAD_FAMILIES: usize = 8;
+
+/// One load-smoke family's request body: weights spanning seven decades
+/// (`chi2` over a seven-phase prior), so convergence takes real work and
+/// a warm dual seed pays off; exact-balance fixed totals at ε 1e-10.
+fn family_body(index: u64) -> String {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xBE8C ^ index);
+    let rows: Vec<String> = (0..LOAD_N)
+        .map(|i| {
+            let cells: Vec<String> = (0..LOAD_N)
+                .map(|j| {
+                    let phase = (i * LOAD_N + j) % 7;
+                    let v: f64 = (1.0 + phase as f64) * rng.random_range(0.9..1.1);
+                    format!("{v:.6}")
+                })
+                .collect();
+            format!("[{}]", cells.join(","))
+        })
+        .collect();
+    let s0: Vec<f64> = (0..LOAD_N)
+        .map(|i| (20.0 + 3.0 * (i % 7) as f64) * rng.random_range(0.9..1.1))
+        .collect();
+    let grand: f64 = s0.iter().sum();
+    let mut d0: Vec<f64> = (0..LOAD_N).map(|j| 30.0 - 4.0 * (j % 7) as f64).collect();
+    let dsum: f64 = d0.iter().sum();
+    for d in &mut d0 {
+        *d *= grand / dsum;
+    }
+    d0[0] += grand - d0.iter().sum::<f64>();
+    // `{x}` prints the shortest round-tripping form, so the server parses
+    // back the exact f64s and the balance fix above survives.
+    let fmt = |v: &[f64]| {
+        let items: Vec<String> = v.iter().map(|x| format!("{x}")).collect();
+        format!("[{}]", items.join(","))
+    };
+    format!(
+        "{{\"id\":\"req-{index}\",\"family\":\"fam-{index}\",\"epsilon\":1e-10,\
+         \"weights\":\"chi2\",\"matrix\":[{}],\"row_totals\":{},\"col_totals\":{}}}",
+        rows.join(","),
+        fmt(&s0),
+        fmt(&d0)
+    )
+}
+
+/// Drive `total` solves over `clients` keep-alive connections, cycling
+/// the family bodies; every answer must be a converged 200. With
+/// `scrape`, `/metrics` is read while the clients run and must carry the
+/// queue gauge, the latency histogram and the request and solve
+/// counters. Returns the warm-start hits.
+fn drive(addr: SocketAddr, bodies: &[String], clients: usize, total: usize, scrape: bool) -> usize {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut conn = connect(addr);
+                    let mut hits = 0usize;
+                    loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= total {
+                            return hits;
+                        }
+                        let body = &bodies[k % bodies.len()];
+                        let (status, _, text) = exchange(&mut conn, "POST", "/solve", body, false);
+                        assert_eq!(status, 200, "solve failed: {text}");
+                        assert!(text.contains("\"stop\":\"converged\""), "{text}");
+                        hits += usize::from(text.contains("\"cache\":\"hit\""));
+                    }
+                })
+            })
+            .collect();
+        if scrape {
+            let (status, _, metrics) = request(addr, "GET", "/metrics", "");
+            assert_eq!(status, 200);
+            for needle in [
+                "# TYPE sea_serve_queue_depth gauge",
+                "# TYPE sea_serve_request_seconds histogram",
+                "sea_serve_request_seconds_bucket",
+                "sea_serve_requests_total",
+                "# TYPE sea_solves_total counter",
+            ] {
+                assert!(
+                    metrics.contains(needle),
+                    "mid-load /metrics missing {needle:?}"
+                );
+            }
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .sum()
+    })
+}
+
+/// Load smoke: 8 heterogeneous 40×40 families against a 4-worker server.
+/// A serial cold pass over an empty cache gets no warm-start hits; a
+/// concurrent keep-alive warm phase (2 clients, 24 solves) hits on at
+/// least 90% of requests, and a `/metrics` scrape taken during it is
+/// well-formed.
+#[test]
+fn load_smoke_cold_misses_then_warm_keep_alive_hits() {
+    let server = quick_server(ServeConfig {
+        workers: 4,
+        queue_capacity: 256,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let bodies: Vec<String> = (0..LOAD_FAMILIES as u64).map(family_body).collect();
+
+    // Serial, so every cold request is a genuine miss rather than racing
+    // another request's fill of the same family.
+    let cold_hits = drive(addr, &bodies, 1, LOAD_FAMILIES, false);
+    assert_eq!(cold_hits, 0, "cold phase must not hit the cache");
+
+    let requests = 3 * LOAD_FAMILIES;
+    let warm_hits = drive(addr, &bodies, 2, requests, true);
+    assert!(
+        warm_hits * 10 >= requests * 9,
+        "warm phase should hit the cache on >= 90% of requests ({warm_hits}/{requests})"
+    );
+    server.shutdown();
+    server.join();
+}
+
+/// Chaos-soak outcomes: every request issued lands in exactly one bucket,
+/// and the soak asserts the buckets sum to the requests issued — nothing
+/// hangs, nothing answers twice.
+#[derive(Default)]
+struct Ledger {
+    issued: usize,
+    converged: usize,
+    degraded: usize,
+    breakdown: usize,
+    deadline_504: usize,
+    panic_500: usize,
+    quarantined_422: usize,
+    shed_429: usize,
+}
+
+impl Ledger {
+    fn accounted(&self) -> usize {
+        self.converged
+            + self.degraded
+            + self.breakdown
+            + self.deadline_504
+            + self.panic_500
+            + self.quarantined_422
+            + self.shed_429
+    }
+
+    /// File a final `(status, body)` under its bucket.
+    fn file(&mut self, status: u16, body: &str) {
+        self.issued += 1;
+        match status {
+            200 if body.contains("\"degraded\":true") => self.degraded += 1,
+            200 if body.contains("breakdown") => self.breakdown += 1,
+            200 => self.converged += 1,
+            500 => self.panic_500 += 1,
+            422 => self.quarantined_422 += 1,
+            429 => self.shed_429 += 1,
+            504 => self.deadline_504 += 1,
+            other => panic!("unexpected status {other}: {body}"),
+        }
+    }
+}
+
+/// The soak's fault script. Solve sequence numbers are global and
+/// 1-based, every scripted request below is serial, and quarantine
+/// refusals never reach a worker (so they consume no sequence number),
+/// which pins each fault to the request written next to it.
+const CHAOS_SPEC: &str = "panic@1,crash@2,nan@3-4,cachecorrupt@6";
+
+/// Deterministic chaos soak against a 2-worker server: a contained panic,
+/// a worker crash and respawn, a poison family driven into quarantine
+/// and back out, a corrupted warm-cache entry, degraded deadline
+/// answers, an overload window shed at admission, a retrying client
+/// riding `Retry-After` to success, and a stalled slow client. Every
+/// request must get exactly one typed response, the pool must heal to
+/// full strength, the quarantine must open and close, `/readyz` must
+/// answer 200 again, and the drain must finish.
+#[test]
+fn chaos_soak_answers_every_request_and_the_service_recovers() {
+    const WORKERS: usize = 2;
+    let server = quick_server(ServeConfig {
+        workers: WORKERS,
+        max_iterations: 1_000_000_000,
+        degraded_epsilon: Some(1.0),
+        quarantine: Some(QuarantinePolicy {
+            strikes: 2,
+            cooldown: Duration::from_millis(300),
+        }),
+        chaos: ChaosPlan::parse(CHAOS_SPEC).expect("valid chaos spec"),
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let mut ledger = Ledger::default();
+
+    // seq 1 — contained panic: typed 500, the worker thread survives.
+    let (status, _, body) = request(
+        addr,
+        "POST",
+        "/solve",
+        &instance_body("r1", Some("pan"), ""),
+    );
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("\"panic\":true"), "{body}");
+    ledger.file(status, &body);
+
+    // seq 2 — worker crash: typed 500 from the dropped channel, then the
+    // supervisor respawns the slot and the pool is whole again.
+    let (status, _, body) = request(
+        addr,
+        "POST",
+        "/solve",
+        &instance_body("r2", Some("crash"), ""),
+    );
+    assert_eq!(status, 500, "{body}");
+    ledger.file(status, &body);
+    wait_for_metric(addr, "sea_serve_worker_restarts_total", |v| v >= 1.0);
+    wait_for_metric(addr, "sea_serve_workers_alive", |v| v == WORKERS as f64);
+
+    // seqs 3-4 — two scripted NaNs poison family "toxic": strike,
+    // strike, circuit open.
+    let toxic = instance_body("r3", Some("toxic"), "");
+    for _ in 0..2 {
+        let (status, _, body) = request(addr, "POST", "/solve", &toxic);
+        assert_eq!(status, 200, "poison is typed, not 5xx: {body}");
+        ledger.file(status, &body);
+    }
+
+    // no seq — the open circuit refuses at admission with 422.
+    let (status, head, body) = request(addr, "POST", "/solve", &toxic);
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("\"quarantined\":true"), "{body}");
+    assert!(head.contains("Retry-After:"), "{head}");
+    ledger.file(status, &body);
+
+    // seqs 5-7 — fill family "victim"'s warm entry, corrupt it with the
+    // scripted fault (one poison strike, entry evicted), then watch the
+    // next solve run cold and converge: the cache heals itself.
+    let victim = instance_body("r6", Some("victim"), "");
+    for expect_breakdown in [false, true, false] {
+        let (status, _, body) = request(addr, "POST", "/solve", &victim);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body.contains("breakdown"), expect_breakdown, "{body}");
+        ledger.file(status, &body);
+    }
+
+    // seq 8 — past the cooldown the probe is admitted, the chaos script
+    // is spent, and the circuit closes.
+    std::thread::sleep(Duration::from_millis(350));
+    let (status, _, body) = request(addr, "POST", "/solve", &toxic);
+    assert_eq!(status, 200, "probe heals the family: {body}");
+    assert!(body.contains("\"stop\":\"converged\""), "{body}");
+    ledger.file(status, &body);
+
+    // seqs 9-11 — never-converging solves run to their deadlines and are
+    // accepted at the degraded tolerance; they also seed the wait
+    // estimator with honest slow-solve samples.
+    for (id, deadline) in [("deg", 0.25), ("seed1", 0.3), ("seed2", 0.3)] {
+        let extra = format!("\"deadline\":{deadline},\"epsilon\":-1.0,");
+        let (status, _, body) = request(
+            addr,
+            "POST",
+            "/solve",
+            &instance_body(id, Some("slow"), &extra),
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"degraded\":true"), "{body}");
+        ledger.file(status, &body);
+    }
+
+    // Overload window: occupy both workers and queue two more slow jobs,
+    // then burst doomed short-deadline requests; every one is shed at
+    // admission (429 + Retry-After) instead of rotting in the queue.
+    let slow = instance_body("fill", Some("slow"), "\"deadline\":0.8,\"epsilon\":-1.0,");
+    let mut fills = Vec::new();
+    for wave in 0..2 {
+        for _ in 0..WORKERS {
+            let slow = slow.clone();
+            fills.push(std::thread::spawn(move || {
+                request(addr, "POST", "/solve", &slow)
+            }));
+        }
+        // The first wave reaches the workers; the second sits in the queue.
+        std::thread::sleep(Duration::from_millis(if wave == 0 { 150 } else { 100 }));
+    }
+    let doomed = instance_body(
+        "doomed",
+        Some("slow"),
+        "\"deadline\":0.05,\"epsilon\":-1.0,",
+    );
+    for _ in 0..6 {
+        let (status, head, body) = request(addr, "POST", "/solve", &doomed);
+        assert_eq!(status, 429, "doomed request is shed at admission: {body}");
+        assert!(body.contains("\"shed\":true"), "{body}");
+        assert!(head.contains("Retry-After:"), "{head}");
+        ledger.file(status, &body);
+    }
+
+    // A well-behaved client rides the Retry-After hints through the
+    // storm: backs off, retries, and lands a (degraded) answer once the
+    // overload clears.
+    let mut client = RetryingClient::new(
+        addr,
+        RetryPolicy {
+            max_attempts: 12,
+            base_backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_millis(300),
+            jitter_seed: 0x5EA_C4405,
+        },
+    );
+    let reply = client
+        .post("/solve", &doomed)
+        .expect("retries ride out the overload");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert!(client.retries >= 1, "the storm forced at least one retry");
+    ledger.file(reply.status, &reply.body);
+
+    // A slow client stalls mid-head while the soak runs; it must cost a
+    // connection thread, never a worker: the service stays live.
+    let mut staller = TcpStream::connect(addr).expect("staller connects");
+    staller
+        .write_all(b"POST /solve HTTP/1.1\r\nContent-Le")
+        .expect("partial head");
+    std::thread::sleep(Duration::from_millis(250));
+    assert_eq!(
+        request(addr, "GET", "/healthz", "").0,
+        200,
+        "live while a client stalls"
+    );
+    drop(staller);
+
+    for h in fills {
+        let (status, _, body) = h.join().expect("fill completes");
+        // The queued wave dequeues with its deadline already spent: a
+        // degraded 200 when the first residual clears the bar, 504 when
+        // the solve never got far enough. Both are typed, final answers.
+        assert!(status == 200 || status == 504, "{status}: {body}");
+        ledger.file(status, &body);
+    }
+
+    // Recovery: queue drained, pool full, breaker closed, ready again.
+    wait_for_metric(addr, "sea_serve_queue_depth", |v| v == 0.0);
+    wait_for_metric(addr, "sea_serve_inflight", |v| v == 0.0);
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
+    let metric = |name: &str| metric_value(&metrics, name);
+    assert!(metric("sea_serve_worker_panics_total") >= 1.0, "{metrics}");
+    assert!(metric("sea_serve_worker_crashes_total") >= 1.0, "{metrics}");
+    assert!(
+        metric("sea_serve_worker_restarts_total") >= 1.0,
+        "{metrics}"
+    );
+    assert!(
+        metric("sea_serve_quarantine_opens_total") >= 1.0,
+        "{metrics}"
+    );
+    assert!(
+        metric("sea_serve_quarantine_refusals_total") >= 1.0,
+        "{metrics}"
+    );
+    assert!(
+        metric("sea_serve_quarantine_closes_total") >= 1.0,
+        "{metrics}"
+    );
+    assert_eq!(metric("sea_serve_quarantined_families"), 0.0);
+    assert!(metric("sea_serve_shed_total{reason=\"wait\"}") >= ledger.shed_429 as f64);
+    assert!(metric("sea_serve_degraded_total") >= 1.0, "{metrics}");
+    assert_eq!(metric("sea_serve_workers_alive"), WORKERS as f64);
+    assert_eq!(metric("sea_serve_restart_breaker_open"), 0.0);
+    assert_eq!(
+        request(addr, "GET", "/readyz", "").0,
+        200,
+        "ready again after the storm"
+    );
+
+    assert_eq!(
+        ledger.accounted(),
+        ledger.issued,
+        "every chaos request got exactly one typed response"
+    );
+    server.shutdown();
+    server.join();
 }
