@@ -298,7 +298,7 @@ pub fn solve_general_bk(p: &GeneralProblem, opts: &BkOptions) -> Result<BkSoluti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_core::{solve_diagonal, SeaOptions};
+    use sea_core::{solve_diagonal_supervised, NullObserver, SeaOptions, SupervisorOptions};
     use sea_linalg::SymMatrix;
 
     fn diagonal_problem() -> DiagonalProblem {
@@ -339,7 +339,15 @@ mod tests {
     fn bk_matches_sea_on_diagonal_problem() {
         let p = diagonal_problem();
         let bk = solve_diagonal_bk(&p, &BkOptions::with_epsilon(1e-8)).unwrap();
-        let sea = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sea = solve_diagonal_supervised(
+            &p,
+            &SeaOptions::with_epsilon(1e-12),
+            &sup,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(bk.converged);
         assert!(
             bk.x.max_abs_diff(&sea.x) < 1e-3,
@@ -401,7 +409,11 @@ mod tests {
         // Frank-Wolfe's O(1/k) rate means even 1e-4 relative gap takes
         // hundreds to thousands of LP solves.
         let bk = solve_diagonal_bk(&p, &BkOptions::with_epsilon(1e-4)).unwrap();
-        let sea = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-6)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sea =
+            solve_diagonal_supervised(&p, &SeaOptions::with_epsilon(1e-6), &sup, &mut NullObserver)
+                .unwrap()
+                .solution;
         assert!(bk.converged && sea.stats.converged);
         assert!(
             bk.sweeps > 10 * sea.stats.iterations,
@@ -430,8 +442,15 @@ mod tests {
         )
         .unwrap();
         let bk = solve_general_bk(&p, &BkOptions::with_epsilon(1e-7)).unwrap();
-        let sea =
-            sea_core::solve_general(&p, &sea_core::GeneralSeaOptions::with_epsilon(1e-9)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sea = sea_core::solve_general_supervised(
+            &p,
+            &sea_core::GeneralSeaOptions::with_epsilon(1e-9),
+            &sup,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(bk.converged);
         assert!(
             bk.x.max_abs_diff(&sea.x) < 1e-3,

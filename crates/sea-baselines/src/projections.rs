@@ -171,7 +171,7 @@ pub fn solve_diagonal_dykstra(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_core::{solve_diagonal, SeaOptions};
+    use sea_core::{solve_diagonal_supervised, NullObserver, SeaOptions, SupervisorOptions};
 
     fn problem() -> DiagonalProblem {
         let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
@@ -193,7 +193,15 @@ mod tests {
     fn dykstra_matches_sea() {
         let p = problem();
         let dy = solve_diagonal_dykstra(&p, 1e-10, 1_000_000).unwrap();
-        let sea = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sea = solve_diagonal_supervised(
+            &p,
+            &SeaOptions::with_epsilon(1e-12),
+            &sup,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(dy.converged);
         assert!(dy.x.max_abs_diff(&sea.x) < 1e-5);
     }
@@ -232,7 +240,15 @@ mod tests {
         let dy = solve_diagonal_dykstra(&p, 1e-9, 1_000_000).unwrap();
         assert!(dy.converged);
         assert!(dy.x.as_slice().iter().all(|&v| v >= -1e-12));
-        let sea = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sea = solve_diagonal_supervised(
+            &p,
+            &SeaOptions::with_epsilon(1e-12),
+            &sup,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(dy.x.max_abs_diff(&sea.x) < 1e-4);
     }
 }

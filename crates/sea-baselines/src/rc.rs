@@ -375,7 +375,8 @@ pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSoluti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_core::general::{solve_general, GeneralSeaOptions};
+    use sea_core::general::{solve_general_supervised, GeneralSeaOptions};
+    use sea_core::{NullObserver, SupervisorOptions};
     use sea_linalg::SymMatrix;
 
     fn dd_matrix(order: usize, diag: f64, off: f64) -> SymMatrix {
@@ -434,7 +435,15 @@ mod tests {
     fn rc_matches_sea_optimum() {
         let p = fixed_problem(1.5);
         let rc = solve_general_rc(&p, &RcOptions::with_epsilon(1e-10)).unwrap();
-        let sea = solve_general(&p, &GeneralSeaOptions::with_epsilon(1e-10)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sea = solve_general_supervised(
+            &p,
+            &GeneralSeaOptions::with_epsilon(1e-10),
+            &sup,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(rc.converged && sea.converged);
         assert!(
             rc.x.max_abs_diff(&sea.x) < 1e-5,

@@ -12,7 +12,8 @@
 use sea_bench::{results_dir, Scale};
 use sea_cli::commands::trace_to_sim_phases;
 use sea_core::{
-    solve_diagonal, solve_diagonal_observed, trace_from_events, SeaOptions, VecObserver,
+    solve_diagonal_supervised, trace_from_events, NullObserver, SeaOptions, SupervisorOptions,
+    VecObserver,
 };
 use sea_data::table1_instance;
 use sea_linalg::sort;
@@ -50,6 +51,7 @@ fn bench_sort(strategy: &str, lens: &[usize], reps: usize) -> f64 {
 
 fn main() {
     let (scale, seed) = Scale::from_args();
+    let sup = SupervisorOptions::default();
     let mut record = ExperimentRecord::new("ablation", "Ablation studies");
 
     // --- 1. Sorting strategies. -------------------------------------------
@@ -104,9 +106,11 @@ fn main() {
         // Wall time comes from an unobserved solve: an observed one also
         // evaluates the dual value at every check, outside the traced
         // phases, which would inflate frequent checking.
-        let sol = solve_diagonal(&cmp, &opts).expect("solvable");
+        let sol = solve_diagonal_supervised(&cmp, &opts, &sup, &mut NullObserver)
+            .expect("solvable")
+            .solution;
         let mut obs = VecObserver::new();
-        solve_diagonal_observed(&cmp, &opts, &mut obs).expect("solvable");
+        solve_diagonal_supervised(&cmp, &opts, &sup, &mut obs).expect("solvable");
         let trace = trace_from_events(&obs.events);
         t.push_row(vec![
             cadence.to_string(),
@@ -128,7 +132,8 @@ fn main() {
     };
     let p = table1_instance(grain_size, seed);
     let mut obs = VecObserver::new();
-    solve_diagonal_observed(&p, &SeaOptions::with_epsilon(0.01), &mut obs).expect("solvable");
+    solve_diagonal_supervised(&p, &SeaOptions::with_epsilon(0.01), &sup, &mut obs)
+        .expect("solvable");
     let phases = trace_to_sim_phases(&trace_from_events(&obs.events));
     let mut t = Table::new(
         "Simulated efficiency vs dispatch overhead (N = 6)",

@@ -6,7 +6,7 @@
 //! 750² … 3000² on one IBM 3090-600E processor.
 
 use sea_bench::{paper_options, results_dir, Scale};
-use sea_core::solve_diagonal;
+use sea_core::{solve_diagonal_supervised, NullObserver, SupervisorOptions};
 use sea_data::table1_instance;
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -30,7 +30,10 @@ fn main() {
     for &size in sizes {
         let problem = table1_instance(size, seed);
         let opts = paper_options(0.01);
-        let sol = solve_diagonal(&problem, &opts).expect("solvable by construction");
+        let sup = SupervisorOptions::default();
+        let sol = solve_diagonal_supervised(&problem, &opts, &sup, &mut NullObserver)
+            .expect("solvable by construction")
+            .solution;
         assert!(sol.stats.converged, "size {size} did not converge");
         table.push_row(vec![
             format!("{size} x {size}"),

@@ -5,7 +5,7 @@
 //! the average of 10 perturbed replications, exactly as in the paper.
 
 use sea_bench::{paper_options, results_dir, Scale};
-use sea_core::solve_diagonal;
+use sea_core::{solve_diagonal_supervised, NullObserver, SupervisorOptions};
 use sea_data::io_tables::{all_variants, io_dataset};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -36,8 +36,11 @@ fn main() {
         for r in 0..reps {
             let problem = io_dataset(v, r);
             density = problem.x0().density();
+            let sup = SupervisorOptions::default();
             let sol =
-                solve_diagonal(&problem, &paper_options(0.01)).expect("feasible by construction");
+                solve_diagonal_supervised(&problem, &paper_options(0.01), &sup, &mut NullObserver)
+                    .expect("feasible by construction")
+                    .solution;
             assert!(sol.stats.converged, "{} did not converge", v.name());
             total_secs += sol.stats.elapsed.as_secs_f64();
             total_iters += sol.stats.iterations;

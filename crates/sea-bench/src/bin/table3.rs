@@ -5,7 +5,7 @@
 //! row balance), per the paper.
 
 use sea_bench::{paper_options, results_dir, Scale};
-use sea_core::solve_diagonal;
+use sea_core::{solve_diagonal_supervised, NullObserver, SupervisorOptions};
 use sea_data::sam::{sam_problem, SamInstance};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -38,8 +38,11 @@ fn main() {
 
     for inst in instances {
         let problem = sam_problem(inst, seed);
+        let sup = SupervisorOptions::default();
         let sol =
-            solve_diagonal(&problem, &paper_options(0.001)).expect("feasible by construction");
+            solve_diagonal_supervised(&problem, &paper_options(0.001), &sup, &mut NullObserver)
+                .expect("feasible by construction")
+                .solution;
         assert!(sol.stats.converged, "{} did not converge", inst.name());
         table.push_row(vec![
             inst.name().to_string(),

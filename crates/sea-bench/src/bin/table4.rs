@@ -6,7 +6,7 @@
 //! entries variant (`c`) solves fastest.
 
 use sea_bench::{paper_options, results_dir, Scale};
-use sea_core::solve_diagonal;
+use sea_core::{solve_diagonal_supervised, NullObserver, SupervisorOptions};
 use sea_data::migration::{migration_problem, MigrationVariant, Period};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -31,8 +31,11 @@ fn main() {
         ] {
             let name = format!("MIG{}{}", period.tag(), variant.letter());
             let problem = migration_problem(period, variant);
+            let sup = SupervisorOptions::default();
             let sol =
-                solve_diagonal(&problem, &paper_options(0.01)).expect("feasible by construction");
+                solve_diagonal_supervised(&problem, &paper_options(0.01), &sup, &mut NullObserver)
+                    .expect("feasible by construction")
+                    .solution;
             assert!(sol.stats.converged, "{name} did not converge");
             let secs = sol.stats.elapsed.as_secs_f64();
             times.insert(name.clone(), (sol.stats.iterations, secs));

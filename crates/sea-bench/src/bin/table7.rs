@@ -10,7 +10,7 @@
 use sea_baselines::bachem_korte::{solve_general_bk, BkOptions};
 use sea_baselines::rc::{solve_general_rc, RcOptions};
 use sea_bench::{paper_general_options, results_dir, Scale};
-use sea_core::solve_general;
+use sea_core::{solve_general_supervised, NullObserver, SupervisorOptions};
 use sea_data::table7_instance;
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -55,7 +55,15 @@ fn main() {
         for r in 0..reps {
             let p = table7_instance(side, seed.wrapping_add(r));
 
-            let sea = solve_general(&p, &paper_general_options(0.001)).expect("solvable");
+            let sup = SupervisorOptions::default();
+            let sea = solve_general_supervised(
+                &p,
+                &paper_general_options(0.001),
+                &sup,
+                &mut NullObserver,
+            )
+            .expect("solvable")
+            .solution;
             assert!(sea.converged, "SEA failed on G {g_order}");
             sea_secs += sea.elapsed.as_secs_f64();
 

@@ -3,7 +3,7 @@
 //! G of order 2304, ε′ = .001.
 
 use sea_bench::{paper_general_options, results_dir, Scale};
-use sea_core::solve_general;
+use sea_core::{solve_general_supervised, NullObserver, SupervisorOptions};
 use sea_data::migration::{migration_general, Period};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
@@ -23,7 +23,15 @@ fn main() {
         for perturb in [false, true] {
             let name = format!("GMIG{}{}", period.tag(), if perturb { 'b' } else { 'a' });
             let p = migration_general(period, perturb);
-            let sol = solve_general(&p, &paper_general_options(0.001)).expect("solvable");
+            let sup = SupervisorOptions::default();
+            let sol = solve_general_supervised(
+                &p,
+                &paper_general_options(0.001),
+                &sup,
+                &mut NullObserver,
+            )
+            .expect("solvable")
+            .solution;
             assert!(sol.converged, "{name} did not converge");
             table.push_row(vec![
                 name.clone(),

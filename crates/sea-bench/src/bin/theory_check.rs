@@ -15,7 +15,10 @@
 //! worst-case bound of eq. 64.
 
 use sea_bench::{paper_options, results_dir, Scale};
-use sea_core::{solve_diagonal, theory, ConvergenceCriterion};
+use sea_core::{
+    solve_diagonal_supervised, theory, ConvergenceCriterion, DiagonalProblem, Event, NullObserver,
+    Observer, SeaOptions, Solution, SupervisorOptions, VecObserver,
+};
 use sea_report::{ExperimentRecord, Table};
 use sea_spatial::random_spe;
 
@@ -36,18 +39,30 @@ fn main() {
         "Theory validation: dual ascent, geometric rate, additive iterations (Section 3.1)",
     );
 
-    // ---- 1 & 2: dual ascent + geometric rate from one instrumented run. --
+    // ---- 1 & 2: dual ascent + geometric rate from one observed run. ------
+    // Every convergence check reports the dual value ζ it evaluated.
     let mut opts = paper_options(1e-9);
     opts.criterion = Some(ConvergenceCriterion::ConstraintNorm);
-    opts.record_history = true;
-    let sol = solve_diagonal(&cmp, &opts).expect("solvable");
+    let mut obs = VecObserver::new();
+    let sol = solve(&cmp, &opts, &mut obs);
     assert!(sol.stats.converged);
-    let history = sol.stats.history.as_ref().expect("history requested");
-    let zeta_star = history.last().expect("nonempty").dual_value;
+    let history: Vec<(usize, f64)> = obs
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::ConvergenceCheck {
+                iteration,
+                dual_value,
+                ..
+            } => dual_value.map(|zeta| (*iteration, zeta)),
+            _ => None,
+        })
+        .collect();
+    let zeta_star = history.last().expect("nonempty").1;
 
     let mut ascent_ok = true;
     for w in history.windows(2) {
-        if w[1].dual_value < w[0].dual_value - 1e-9 * w[0].dual_value.abs().max(1.0) {
+        if w[1].1 < w[0].1 - 1e-9 * w[0].1.abs().max(1.0) {
             ascent_ok = false;
         }
     }
@@ -55,8 +70,8 @@ fn main() {
     // dominated by the active-set changes / floating-point floor).
     let gaps: Vec<(usize, f64)> = history
         .iter()
-        .filter(|s| zeta_star - s.dual_value > 1e-12 * zeta_star.abs().max(1.0))
-        .map(|s| (s.iteration, zeta_star - s.dual_value))
+        .filter(|(_, zeta)| zeta_star - zeta > 1e-12 * zeta_star.abs().max(1.0))
+        .map(|&(iteration, zeta)| (iteration, zeta_star - zeta))
         .collect();
     let mut t = Table::new(
         "Dual gap decay (sampled)",
@@ -99,7 +114,7 @@ fn main() {
         let eps = 10f64.powi(-k);
         let mut o = paper_options(eps);
         o.criterion = Some(ConvergenceCriterion::MaxAbsChange);
-        let s = solve_diagonal(&cmp, &o).expect("solvable");
+        let s = solve(&cmp, &o, &mut NullObserver);
         assert!(s.stats.converged, "eps={eps} did not converge");
         let inc = prev.map(|p| s.stats.iterations as i64 - p as i64);
         if let Some(i) = inc {
@@ -124,7 +139,7 @@ fn main() {
     let eps = 1e-3;
     let mut o = paper_options(eps);
     o.criterion = Some(ConvergenceCriterion::ConstraintNorm);
-    let s = solve_diagonal(&cmp, &o).expect("solvable");
+    let s = solve(&cmp, &o, &mut NullObserver);
     let bound = theory::iteration_bound(&cmp, eps);
     record.push_note(format!(
         "measured iterations {} <= worst-case bound {:.3e} at eps = {eps} \
@@ -146,4 +161,11 @@ fn main() {
     if let Ok(path) = record.save_markdown(&results_dir()) {
         eprintln!("saved {}", path.display());
     }
+}
+
+/// Solve under default supervision, reporting events to `obs`.
+fn solve(p: &DiagonalProblem, opts: &SeaOptions, obs: &mut (impl Observer + Send)) -> Solution {
+    solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), obs)
+        .expect("solvable")
+        .solution
 }

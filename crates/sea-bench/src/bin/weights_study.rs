@@ -8,7 +8,10 @@
 //! chi-square weights on wide-spread data are the hard case.
 
 use sea_bench::{results_dir, Scale};
-use sea_core::{solve_diagonal, theory, DiagonalProblem, SeaOptions, TotalSpec, WeightScheme};
+use sea_core::{
+    solve_diagonal_supervised, theory, DiagonalProblem, NullObserver, SeaOptions,
+    SupervisorOptions, TotalSpec, WeightScheme,
+};
 use sea_report::{fmt_seconds, ExperimentRecord, Table};
 
 fn main() {
@@ -70,7 +73,15 @@ fn main() {
         )
         .expect("valid");
         let bounds = theory::CurvatureBounds::compute(&p);
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(0.001)).expect("solvable");
+        let sup = SupervisorOptions::default();
+        let sol = solve_diagonal_supervised(
+            &p,
+            &SeaOptions::with_epsilon(0.001),
+            &sup,
+            &mut NullObserver,
+        )
+        .expect("solvable")
+        .solution;
         assert!(sol.stats.converged, "{name} did not converge");
         let rel_change =
             sol.x.max_abs_diff(&x0) / x0.as_slice().iter().fold(0.0_f64, |m, &v| m.max(v));

@@ -6,7 +6,7 @@ use crate::{paper_general_options, paper_options, Scale};
 use sea_baselines::rc::{solve_general_rc, RcOptions};
 use sea_cli::commands::trace_to_sim_phases;
 use sea_core::{
-    solve_diagonal_observed, solve_general_supervised, trace_from_events, DiagonalProblem,
+    solve_diagonal_supervised, solve_general_supervised, trace_from_events, DiagonalProblem,
     SeaOptions, SupervisorOptions, VecObserver,
 };
 use sea_data::io_tables::{io_dataset, IoVariant};
@@ -51,7 +51,7 @@ pub fn vector_era_phases(phases: &[SimPhase]) -> Vec<SimPhase> {
 /// its `PhaseEnd` events and simulate it on the diagonal study's machines.
 fn diagonal_speedups(p: &DiagonalProblem, opts: &SeaOptions) -> Vec<SpeedupRow> {
     let mut obs = VecObserver::new();
-    solve_diagonal_observed(p, opts, &mut obs).expect("feasible");
+    solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), &mut obs).expect("feasible");
     let phases = trace_to_sim_phases(&trace_from_events(&obs.events));
     speedup_table(
         &phases,
@@ -132,13 +132,9 @@ pub fn general_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<S
     let g_order = side * side;
 
     let mut obs = VecObserver::new();
-    let sea = solve_general_supervised(
-        &p,
-        &paper_general_options(0.001),
-        &SupervisorOptions::default(),
-        &mut obs,
-    )
-    .expect("solvable");
+    let sup = SupervisorOptions::default();
+    let sea = solve_general_supervised(&p, &paper_general_options(0.001), &sup, &mut obs)
+        .expect("solvable");
     assert!(sea.solution.converged, "general SEA did not converge");
     let sea_phases = trace_to_sim_phases(&trace_from_events(&obs.events));
 

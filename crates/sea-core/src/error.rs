@@ -64,7 +64,8 @@ pub enum SeaError {
     },
     /// The solver produced a non-finite iterate (numerical breakdown).
     NumericalBreakdown {
-        /// Iteration at which breakdown was detected.
+        /// Iteration at which breakdown was detected (for a nested
+        /// driver's inner solve, the last certified iteration before it).
         iteration: usize,
     },
     /// An underlying linear-algebra error.

@@ -12,13 +12,11 @@
 
 use crate::error::SeaError;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
-use crate::solver::{solve_diagonal_observed, SeaOptions};
+use crate::solver::{solve_diagonal_supervised, SeaOptions};
 use crate::storage::Storage;
 use crate::supervisor::{SolveControl, StopReason, SupervisedGeneralSolution, SupervisorOptions};
 use sea_linalg::{vector, DenseMatrix, SymMatrix};
-use sea_observe::{
-    Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
-};
+use sea_observe::{Event, KernelCounters, Observer, PhaseLabel, SpanKind, TelemetrySample};
 use std::time::{Duration, Instant};
 
 /// Total specification for the general problem.
@@ -186,17 +184,8 @@ impl GeneralProblem {
     // were validated against G/A/B at problem construction.
     #[allow(clippy::expect_used)]
     pub fn objective(&self, x: &DenseMatrix, s: &[f64], d: &[f64]) -> f64 {
-        self.objective_flat(x.as_slice(), s, d)
-    }
-
-    /// [`GeneralProblem::objective`] on a row-major flat estimate — the form
-    /// the generic driver uses, since a full-pattern sparse estimate exposes
-    /// exactly this layout via [`Storage::values`].
-    // Allowed: every quadratic form is evaluated on vectors whose lengths
-    // were validated against G/A/B at problem construction.
-    #[allow(clippy::expect_used)]
-    pub fn objective_flat(&self, x: &[f64], s: &[f64], d: &[f64]) -> f64 {
         let dev: Vec<f64> = x
+            .as_slice()
             .iter()
             .zip(self.x0.as_slice())
             .map(|(a, b)| a - b)
@@ -265,7 +254,7 @@ impl GeneralProblem {
     }
 }
 
-/// Options for [`solve_general`].
+/// Options for [`solve_general_supervised`].
 #[derive(Debug, Clone)]
 pub struct GeneralSeaOptions {
     /// Outer stopping tolerance on `maxᵢⱼ |xᵗᵢⱼ − xᵗ⁻¹ᵢⱼ|` (eq. Step 2 of
@@ -304,13 +293,11 @@ impl GeneralSeaOptions {
     }
 }
 
-/// Result of a general solve. `S` is the storage backend used for the
-/// *inner* diagonal subproblems (the outer data `G`, `A`, `B` are dense by
-/// nature); the estimate comes back in that backend.
+/// Result of a general solve.
 #[derive(Debug, Clone)]
-pub struct GeneralSolution<S: Storage = DenseMatrix> {
+pub struct GeneralSolution {
     /// The matrix estimate.
-    pub x: S,
+    pub x: DenseMatrix,
     /// Row totals.
     pub s: Vec<f64>,
     /// Column totals.
@@ -361,37 +348,12 @@ fn diagonalized_prior(
 }
 
 /// Solve a general constrained matrix problem with SEA (projection outer
-/// loop + diagonal SEA inner solves).
-///
-/// # Errors
-/// Propagates validation and inner-solver failures.
-pub fn solve_general(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-) -> Result<GeneralSolution, SeaError> {
-    solve_general_in(p, opts)
-}
-
-/// [`solve_general`] with the inner diagonal subproblems carried in storage
-/// backend `S`. With a sparse backend every stored cell of the projection's
-/// pseudo-prior is kept (full pattern), so results are bitwise identical to
-/// the dense path; this entry point exists to exercise and scale the sparse
-/// plumbing end-to-end through the projection method.
-///
-/// # Errors
-/// Same contract as [`solve_general`].
-pub fn solve_general_in<S: Storage>(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-) -> Result<GeneralSolution<S>, SeaError> {
-    solve_general_inner::<S, _>(p, opts, &mut NullObserver, &mut SolveControl::passive())
-}
-
-/// [`solve_general`] with an event sink, under the fault-tolerant
-/// supervisor. The budget, cancellation, stagnation, and breakdown
-/// watchdogs run at *outer-iteration* granularity (an inner diagonal solve
-/// always runs to its own completion); worker panics inside the inner
-/// equilibration passes surface as [`SeaError::WorkerPanic`] regardless.
+/// loop + diagonal SEA inner solves), under the fault-tolerant supervisor.
+/// The budget, cancellation, stagnation, and breakdown watchdogs run at
+/// *outer-iteration* granularity. Each inner diagonal solve runs to its
+/// own completion under [`SupervisorOptions::default()`]; a breakdown in
+/// one surfaces as [`SeaError::NumericalBreakdown`], and worker panics
+/// inside the inner equilibration passes as [`SeaError::WorkerPanic`].
 ///
 /// The outer loop emits its own `SolveStart`/`SolveEnd` pair plus one
 /// `Projection` phase and one `OuterIteration` event per projection step;
@@ -399,25 +361,14 @@ pub fn solve_general_in<S: Storage>(
 /// log of a general solve contains interleaved solver lifecycles.
 ///
 /// # Errors
-/// Same contract as [`solve_general`].
+/// Propagates validation and inner-solver failures.
 pub fn solve_general_supervised<O: Observer + Send>(
     p: &GeneralProblem,
     opts: &GeneralSeaOptions,
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedGeneralSolution, SeaError> {
-    let mut ctrl = SolveControl::active(sup);
-    let solution = solve_general_inner::<DenseMatrix, _>(p, opts, obs, &mut ctrl)?;
-    let stop = ctrl.final_stop(solution.converged);
-    Ok(SupervisedGeneralSolution { solution, stop })
-}
-
-fn solve_general_inner<S: Storage, O: Observer + Send>(
-    p: &GeneralProblem,
-    opts: &GeneralSeaOptions,
-    obs: &mut O,
-    ctrl: &mut SolveControl<'_>,
-) -> Result<GeneralSolution<S>, SeaError> {
+    let mut ctrl = SolveControl::new(sup);
     let start = Instant::now();
     let (m, n) = (p.m(), p.n());
     let observing = obs.enabled();
@@ -444,14 +395,10 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
     let mut epoch_open = false;
     let mn = m * n;
     let g_diag = p.g().diagonal();
-    let gamma_dense = DenseMatrix::from_vec(m, n, g_diag.iter().map(|&v| 0.5 * v).collect())?;
-    let gamma = S::from_dense(&gamma_dense)?;
+    let gamma = DenseMatrix::from_vec(m, n, g_diag.iter().map(|&v| 0.5 * v).collect())?;
     let parallel = opts.inner.parallelism.is_parallel();
 
-    let (x_init, mut s, mut d) = p.initial_feasible();
-    // A full-pattern conversion keeps every cell, so x.values() stays the
-    // row-major flat layout the projection mat-vec expects.
-    let mut x = S::from_dense(&x_init)?;
+    let (mut x, mut s, mut d) = p.initial_feasible();
     let x0_flat = p.x0().as_slice().to_vec();
 
     let mut inner_iterations = 0usize;
@@ -467,6 +414,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
     let mut scratch: Vec<f64> = Vec::with_capacity(mn);
 
     let mut inner_opts = opts.inner.clone();
+    let inner_sup = SupervisorOptions::default();
 
     for t in 1..=opts.max_outer {
         outer_iterations = t;
@@ -490,7 +438,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         let proj_t0 = Instant::now();
         let q_flat =
             diagonalized_prior(p.g(), &g_diag, x.values(), &x0_flat, &mut scratch, parallel)?;
-        let q = S::from_dense(&DenseMatrix::from_vec(m, n, q_flat)?)?;
+        let q = DenseMatrix::from_vec(m, n, q_flat)?;
 
         let spec = match p.totals() {
             GeneralTotalSpec::Fixed { s0, d0 } => TotalSpec::Fixed {
@@ -533,7 +481,13 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
 
         // ---- Inner diagonal SEA solve. -----------------------------------
         let sub = DiagonalProblem::with_signed_prior(q, gamma.clone(), spec, ZeroPolicy::Free)?;
-        let sol = solve_diagonal_observed(&sub, &inner_opts, &mut *obs)?;
+        let inner = solve_diagonal_supervised(&sub, &inner_opts, &inner_sup, &mut *obs)?;
+        if inner.stop == StopReason::Breakdown {
+            return Err(SeaError::NumericalBreakdown {
+                iteration: inner.solution.stats.iterations,
+            });
+        }
+        let sol = inner.solution;
         if opts.warm_start_inner {
             inner_opts.initial_mu = Some(sol.mu.clone());
         }
@@ -570,35 +524,22 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         }
 
         // ---- Supervisor hooks (outer-iteration granularity). -------------
-        if ctrl.is_active() {
-            if !vector::all_finite(x.values()) {
-                let mut no_multipliers: [f64; 0] = [];
-                let mut no_multipliers2: [f64; 0] = [];
-                if ctrl
-                    .restore_snapshot(
-                        &mut no_multipliers,
-                        &mut no_multipliers2,
-                        x.values_mut(),
-                        &mut s,
-                        &mut d,
-                    )
-                    .map(|(it, res)| {
-                        outer_iterations = it;
-                        outer_residual = res;
-                    })
-                    .is_some()
-                {
-                    break;
-                }
+        if !vector::all_finite(x.values()) {
+            let Some((it, res)) =
+                ctrl.restore_snapshot(&mut [], &mut [], x.values_mut(), &mut s, &mut d)
+            else {
                 return Err(SeaError::NumericalBreakdown { iteration: t });
-            }
-            ctrl.capture_snapshot(t, outer_residual, &[], &[], x.values(), &s, &d);
-            if ctrl.note_residual(outer_residual) {
-                break;
-            }
-            if ctrl.should_stop(t, None).is_some() {
-                break;
-            }
+            };
+            outer_iterations = it;
+            outer_residual = res;
+            break;
+        }
+        ctrl.capture_snapshot(t, outer_residual, &[], &[], x.values(), &s, &d);
+        if ctrl.note_residual(outer_residual) {
+            break;
+        }
+        if ctrl.should_stop(t, None).is_some() {
+            break;
         }
 
         if spanning {
@@ -623,7 +564,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         };
         Residuals::of_sums(&row_sums, col_sums, st, dt)
     };
-    let objective = p.objective_flat(x.values(), &s, &d);
+    let objective = p.objective(&x, &s, &d);
     if spanning {
         // As in the diagonal and bounded drivers, the Solve span also
         // covers the final assembly.
@@ -631,7 +572,7 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
     }
 
     if observing {
-        if ctrl.is_active() && !converged {
+        if !converged {
             obs.record(&Event::SupervisorStop {
                 iteration: outer_iterations,
                 reason: ctrl
@@ -649,26 +590,36 @@ fn solve_general_inner<S: Storage, O: Observer + Send>(
         });
     }
 
-    Ok(GeneralSolution {
-        x,
-        s,
-        d,
-        mu: last_mu,
-        outer_iterations,
-        inner_iterations,
-        converged,
-        outer_residual,
-        objective,
-        residuals,
-        counters,
-        elapsed: start.elapsed(),
+    Ok(SupervisedGeneralSolution {
+        solution: GeneralSolution {
+            x,
+            s,
+            d,
+            mu: last_mu,
+            outer_iterations,
+            inner_iterations,
+            converged,
+            outer_residual,
+            objective,
+            residuals,
+            counters,
+            elapsed: start.elapsed(),
+        },
+        stop: ctrl.final_stop(converged),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solve_diagonal;
+    use sea_observe::NullObserver;
+
+    /// Solve under default supervision and keep the solution.
+    fn solve(p: &GeneralProblem, opts: &GeneralSeaOptions) -> GeneralSolution {
+        solve_general_supervised(p, opts, &SupervisorOptions::default(), &mut NullObserver)
+            .unwrap()
+            .solution
+    }
 
     /// Strictly diagonally dominant SPD matrix with negative off-diagonals,
     /// as the paper's §5.1.1 generator prescribes.
@@ -710,7 +661,7 @@ mod tests {
             d0: vec![5.0, 5.0],
         };
         let p = GeneralProblem::new(x0.clone(), g, totals).unwrap();
-        let sol = solve_general(&p, &GeneralSeaOptions::with_epsilon(1e-10)).unwrap();
+        let sol = solve(&p, &GeneralSeaOptions::with_epsilon(1e-10));
         assert!(sol.converged);
         // Reference: diagonal problem with γ = diag(G)/2... but the
         // objective (x−x0)ᵀG(x−x0) with diagonal G equals Σ G_kk(x_k−x0_k)²,
@@ -725,7 +676,11 @@ mod tests {
             },
         )
         .unwrap();
-        let dsol = solve_diagonal(&dp, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let dopts = SeaOptions::with_epsilon(1e-12);
+        let sup = SupervisorOptions::default();
+        let dsol = solve_diagonal_supervised(&dp, &dopts, &sup, &mut NullObserver)
+            .unwrap()
+            .solution;
         assert!(
             sol.x.max_abs_diff(&dsol.x) < 1e-6,
             "general vs diagonal mismatch: {}",
@@ -749,7 +704,7 @@ mod tests {
             },
         )
         .unwrap();
-        let sol = solve_general(&p, &GeneralSeaOptions::with_epsilon(1e-9)).unwrap();
+        let sol = solve(&p, &GeneralSeaOptions::with_epsilon(1e-9));
         assert!(sol.converged, "residual {}", sol.outer_residual);
         assert!(sol.residuals.row_inf < 1e-6);
         assert!(sol.residuals.col_inf < 1e-6);
@@ -776,7 +731,7 @@ mod tests {
             },
         )
         .unwrap();
-        let sol = solve_general(&p, &GeneralSeaOptions::with_epsilon(1e-9)).unwrap();
+        let sol = solve(&p, &GeneralSeaOptions::with_epsilon(1e-9));
         assert!(sol.converged);
         // Row sums match estimated totals.
         let rs = sol.x.row_sums();
@@ -801,7 +756,7 @@ mod tests {
             },
         )
         .unwrap();
-        let sol = solve_general(&p, &GeneralSeaOptions::with_epsilon(1e-9)).unwrap();
+        let sol = solve(&p, &GeneralSeaOptions::with_epsilon(1e-9));
         assert!(sol.converged);
         let rs = sol.x.row_sums();
         let cs = sol.x.col_sums();
@@ -823,8 +778,8 @@ mod tests {
         warm.warm_start_inner = true;
         let mut cold = GeneralSeaOptions::with_epsilon(1e-10);
         cold.warm_start_inner = false;
-        let a = solve_general(&p, &warm).unwrap();
-        let b = solve_general(&p, &cold).unwrap();
+        let a = solve(&p, &warm);
+        let b = solve(&p, &cold);
         assert!(a.converged && b.converged);
         assert!(a.x.max_abs_diff(&b.x) < 1e-7);
         // Warm starting can only reduce the total inner work.
@@ -841,12 +796,12 @@ mod tests {
         };
         let p = GeneralProblem::new(x0, g, totals).unwrap();
         let opts = GeneralSeaOptions::with_epsilon(1e-10);
-        let cold = solve_general(&p, &opts).unwrap();
+        let cold = solve(&p, &opts);
         assert!(cold.converged);
         assert_eq!(cold.mu.len(), p.n());
         let mut warm_opts = opts.clone();
         warm_opts.inner.initial_mu = Some(cold.mu.clone());
-        let warm = solve_general(&p, &warm_opts).unwrap();
+        let warm = solve(&p, &warm_opts);
         assert!(warm.converged);
         assert!(warm.inner_iterations <= cold.inner_iterations);
         assert!(warm.x.max_abs_diff(&cold.x) < 1e-7);
@@ -866,13 +821,10 @@ mod tests {
         )
         .unwrap();
         let mut obs = sea_observe::VecObserver::new();
-        let sol = solve_general_inner::<DenseMatrix, _>(
-            &p,
-            &GeneralSeaOptions::with_epsilon(1e-9),
-            &mut obs,
-            &mut SolveControl::passive(),
-        )
-        .unwrap();
+        let opts = GeneralSeaOptions::with_epsilon(1e-9);
+        let sol = solve_general_supervised(&p, &opts, &SupervisorOptions::default(), &mut obs)
+            .unwrap()
+            .solution;
         let events = &obs.events;
         assert!(matches!(
             events.first(),
@@ -921,32 +873,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn sparse_inner_storage_matches_dense_bitwise() {
-        // Full-pattern CSR inner storage must replay the dense projection
-        // method exactly: same iterate sequence, same bits.
-        use sea_linalg::CsrMatrix;
-        let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let g = dd_matrix(4, 10.0, 1.0);
-        let p = GeneralProblem::new(
-            x0,
-            g,
-            GeneralTotalSpec::Fixed {
-                s0: vec![4.0, 6.0],
-                d0: vec![5.0, 5.0],
-            },
-        )
-        .unwrap();
-        let opts = GeneralSeaOptions::with_epsilon(1e-9);
-        let dense = solve_general(&p, &opts).unwrap();
-        let sparse: GeneralSolution<CsrMatrix> = solve_general_in(&p, &opts).unwrap();
-        assert!(dense.converged && sparse.converged);
-        assert_eq!(dense.x.as_slice(), sparse.x.values());
-        assert_eq!(dense.outer_iterations, sparse.outer_iterations);
-        assert_eq!(dense.inner_iterations, sparse.inner_iterations);
-        assert_eq!(dense.objective.to_bits(), sparse.objective.to_bits());
     }
 
     #[test]

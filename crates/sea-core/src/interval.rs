@@ -374,7 +374,7 @@ fn supervised<S: Storage, O: Observer>(
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedBoundedSolution<S>, SeaError> {
-    let mut ctrl = SolveControl::active(sup);
+    let mut ctrl = SolveControl::new(sup);
     let (sol, _) = solve_inner(&p.base, Some(p), opts, obs, &mut ctrl)?;
     Ok(SupervisedBoundedSolution {
         stop: ctrl.final_stop(sol.stats.converged),
@@ -624,9 +624,15 @@ mod tests {
             },
         )
         .unwrap();
-        let free =
-            crate::solver::solve_diagonal(&dp, &crate::solver::SeaOptions::with_epsilon(1e-12))
-                .unwrap();
+        let sup = SupervisorOptions::default();
+        let free = crate::solver::solve_diagonal_supervised(
+            &dp,
+            &crate::solver::SeaOptions::with_epsilon(1e-12),
+            &sup,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(bounded.x.max_abs_diff(&free.x) < 1e-6);
     }
 

@@ -16,15 +16,16 @@
 //!   single-constraint QP via breakpoint sort), plus a box-bounded variant.
 //! * [`equilibrate`] — row/column equilibration passes (serial and
 //!   parallel) that fan the kernel out over a matrix.
-//! * [`solver`] — [`solve_diagonal`]: the diagonal SEA driver (§3.1), the
-//!   one iteration loop every diagonal problem class runs.
+//! * [`solver`] — [`solve_diagonal_supervised`]: the diagonal SEA driver
+//!   (§3.1), the one iteration loop every diagonal problem class runs.
 //! * [`storage`] — the [`Storage`] abstraction every driver is generic
 //!   over: row-major dense (`DenseMatrix`) and CSR support-only
 //!   (`CsrMatrix`) problem storage with bitwise-identical solves.
 //! * [`error`] — [`SeaError`], the typed failure vocabulary (no panics in
 //!   library code).
-//! * [`general`] — [`GeneralProblem`] and [`solve_general`]: the
-//!   projection/diagonalization outer loop for dense `A`, `B`, `G` (§3.2).
+//! * [`general`] — [`GeneralProblem`] and [`solve_general_supervised`]:
+//!   the projection/diagonalization outer loop for dense `A`, `B`, `G`
+//!   (§3.2).
 //! * [`dual`] — `ζ₁/ζ₂/ζ₃`, gradients, weak duality.
 //! * [`theory`] — curvature and iteration bounds (eq. 58–64, 77).
 //! * [`components`] — support-graph components and the Modified Algorithm.
@@ -34,19 +35,23 @@
 //!   Ohuchi–Kaji): [`BoundedProblem`] and [`solve_bounded_supervised`],
 //!   the diagonal driver with box-bounded subproblems.
 //! * [`observe`] — glue to the `sea-observe` event schema: every solver
-//!   streams typed lifecycle events to an [`Observer`] sink (the
-//!   `*_supervised` entry points and `solve_diagonal_observed`), and
-//!   recorded logs convert back to [`ExecutionTrace`]s.
+//!   streams typed lifecycle events to the [`Observer`] sink its
+//!   `*_supervised` entry point takes, and recorded logs convert back to
+//!   [`ExecutionTrace`]s.
 //! * [`verify`] — first-principles KKT/duality verification of computed
 //!   solutions.
-//! * [`supervisor`] — fault-tolerant solve supervision: budgets,
-//!   cancellation, breakdown/stagnation watchdogs, crash-safe checkpoints,
-//!   kernel fallback, and a deterministic fault-injection plan.
+//! * [`supervisor`] — fault-tolerant solve supervision, which every solve
+//!   runs under: budgets, cancellation, breakdown/stagnation watchdogs,
+//!   crash-safe checkpoints, kernel fallback, and a deterministic
+//!   fault-injection plan.
 //!
 //! ## Example
 //!
 //! ```
-//! use sea_core::{DiagonalProblem, SeaOptions, TotalSpec, WeightScheme, solve_diagonal};
+//! use sea_core::{
+//!     solve_diagonal_supervised, DiagonalProblem, NullObserver, SeaOptions, StopReason,
+//!     SupervisorOptions, TotalSpec, WeightScheme,
+//! };
 //! use sea_linalg::DenseMatrix;
 //!
 //! let x0 = DenseMatrix::from_rows(&[vec![10.0, 5.0], vec![5.0, 10.0]]).unwrap();
@@ -56,9 +61,11 @@
 //!     gamma,
 //!     TotalSpec::Fixed { s0: vec![18.0, 18.0], d0: vec![18.0, 18.0] },
 //! ).unwrap();
-//! let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
-//! assert!(sol.stats.converged);
-//! assert!(sol.stats.residuals.row_inf < 1e-6);
+//! let opts = SeaOptions::with_epsilon(1e-10);
+//! let out = solve_diagonal_supervised(&p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+//!     .unwrap();
+//! assert_eq!(out.stop, StopReason::Converged);
+//! assert!(out.solution.stats.residuals.row_inf < 1e-6);
 //! ```
 
 // Numeric-kernel idioms: indexed loops over multiple parallel arrays are
@@ -94,8 +101,7 @@ pub mod weights;
 pub use equilibrate::PassCounters;
 pub use error::SeaError;
 pub use general::{
-    solve_general, solve_general_in, solve_general_supervised, GeneralProblem, GeneralSeaOptions,
-    GeneralSolution, GeneralTotalSpec,
+    solve_general_supervised, GeneralProblem, GeneralSeaOptions, GeneralSolution, GeneralTotalSpec,
 };
 pub use interval::{
     solve_bounded_supervised, solve_bounded_supervised_configured, BoundedOptions, BoundedProblem,
@@ -108,8 +114,7 @@ pub use observe::trace_from_events;
 pub use parallel::Parallelism;
 pub use problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
 pub use solver::{
-    solve_diagonal, solve_diagonal_observed, solve_diagonal_supervised, ConvergenceCriterion,
-    IterationSnapshot, SeaOptions, Solution, SolveStats,
+    solve_diagonal_supervised, ConvergenceCriterion, SeaOptions, Solution, SolveStats,
 };
 pub use storage::{RowView, Storage};
 pub use supervisor::{

@@ -1,7 +1,7 @@
 //! Glue between the sea-observe event schema and solver-side types.
 //!
 //! The event stream is the one source of execution traces. An event log
-//! recorded by [`crate::solver::solve_diagonal_observed`] (or the
+//! recorded by [`crate::solver::solve_diagonal_supervised`] (or the
 //! general/bounded drivers) carries, in its `PhaseEnd` events, the
 //! measured per-task cost vector of every row, column, projection and
 //! convergence-check phase. [`trace_from_events`] rebuilds an
@@ -102,7 +102,8 @@ mod tests {
     #[test]
     fn round_trip_through_observed_solve() {
         use crate::problem::{DiagonalProblem, TotalSpec};
-        use crate::solver::{solve_diagonal_observed, SeaOptions};
+        use crate::solver::{solve_diagonal_supervised, SeaOptions};
+        use crate::supervisor::SupervisorOptions;
         use sea_linalg::DenseMatrix;
         use sea_observe::{encode_event, parse_events};
 
@@ -117,7 +118,10 @@ mod tests {
         .unwrap();
         let opts = SeaOptions::with_epsilon(1e-10);
         let mut obs = sea_observe::VecObserver::new();
-        let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
+        let sup = SupervisorOptions::default();
+        let sol = solve_diagonal_supervised(&p, &opts, &sup, &mut obs)
+            .unwrap()
+            .solution;
 
         let in_process = trace_from_events(&obs.events);
         // One row, column and check phase per iteration, each row/column

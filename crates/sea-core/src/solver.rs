@@ -33,18 +33,18 @@ use crate::supervisor::{
 };
 use crate::verify::{Finish, Finishing, KktReport};
 use sea_linalg::{vector, DenseMatrix};
-use sea_observe::{
-    Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
-};
+use sea_observe::{Event, KernelCounters, Observer, PhaseLabel, SpanKind, TelemetrySample};
 use std::time::{Duration, Instant};
 
-/// Telemetry cadence: one sample every this many convergence checks.
-/// The sample payload (dual value ζ and the active-set census) costs a
-/// full O(nnz) sweep each, so emitting it on every check would blow the
-/// span-profiling overhead budget; the residual itself is still checked
-/// at the configured `check_every`, and the profiler's adaptive stride
-/// decimates the stream further on long solves.
-const TELEMETRY_EVERY_CHECKS: u64 = 8;
+/// Telemetry cadence: one sample every this many convergence checks,
+/// starting with the first. The sample payload (dual value ζ and the
+/// active-set census) costs two full O(nnz) sweeps, which is the bulk of
+/// a spanned solve's overhead: at one sample every 8 checks, the four
+/// samples of a 32-check solve cost about 3 of its 4 percentage points of
+/// span overhead. At 64 such a solve pays one sample. The residual itself is still checked at the
+/// configured `check_every`, and the profiler's adaptive stride decimates
+/// the stream further on long solves.
+const TELEMETRY_EVERY_CHECKS: u64 = 64;
 
 /// Stopping rules. The paper uses [`MaxAbsChange`](Self::MaxAbsChange) for
 /// the unknown-totals class (§3.1.1 Step 3) and relative row balance for
@@ -125,7 +125,7 @@ impl Precision {
     }
 }
 
-/// Options for [`solve_diagonal`].
+/// Options for [`solve_diagonal_supervised`].
 #[derive(Debug, Clone)]
 pub struct SeaOptions {
     /// Stopping tolerance `ε` (meaning depends on the criterion).
@@ -160,12 +160,6 @@ pub struct SeaOptions {
     /// Step 0 uses `μ¹ = 0`; the general solver warm-starts its inner
     /// diagonal solves with the previous outer iteration's multipliers.
     pub initial_mu: Option<Vec<f64>>,
-    /// Record a per-check convergence history (iteration, dual value,
-    /// stopping residual) — used by the theory-validation experiments to
-    /// confirm monotone dual ascent and the geometric rate (eq. 71, 76) of
-    /// the paper's SEA (`extrapolation_depth = 0`).
-    /// Costs one ζ evaluation per convergence check.
-    pub record_history: bool,
     /// Shard size (rows/columns per block) for parallel passes; `None`
     /// uses [`DEFAULT_BLOCK_ROWS`]. Passes split into fixed blocks of this
     /// many subproblems; results are bitwise-identical for every shard
@@ -193,7 +187,6 @@ impl Default for SeaOptions {
             precision: Precision::F64,
             multiplier_bound: None,
             initial_mu: None,
-            record_history: false,
             block_size: None,
             extrapolation_depth: 10,
         }
@@ -219,17 +212,6 @@ impl SeaOptions {
     }
 }
 
-/// One entry of the optional convergence history.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IterationSnapshot {
-    /// SEA iteration at which the check ran.
-    pub iteration: usize,
-    /// Dual value `ζ(λ, μ)` after the column pass.
-    pub dual_value: f64,
-    /// Stopping-criterion residual at the check.
-    pub residual: f64,
-}
-
 /// Outcome statistics of a solve.
 #[derive(Debug, Clone)]
 pub struct SolveStats {
@@ -251,8 +233,6 @@ pub struct SolveStats {
     pub counters: KernelCounters,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
-    /// Per-check convergence history (present iff `record_history`).
-    pub history: Option<Vec<IterationSnapshot>>,
 }
 
 /// A computed estimate: the matrix, totals, multipliers, and statistics.
@@ -273,39 +253,15 @@ pub struct Solution<S: Storage = DenseMatrix> {
     pub stats: SolveStats,
 }
 
-/// Solve a diagonal constrained matrix problem with SEA.
-///
-/// # Errors
-/// * [`SeaError::InfeasibleSubproblem`] if a structural-zero row/column has
-///   a positive fixed total.
-/// * [`SeaError::NumericalBreakdown`] if the iterates become non-finite.
-pub fn solve_diagonal<S: Storage>(
-    p: &DiagonalProblem<S>,
-    opts: &SeaOptions,
-) -> Result<Solution<S>, SeaError> {
-    solve_diagonal_observed(p, opts, &mut NullObserver)
-}
-
-/// [`solve_diagonal`] with an event sink.
+/// Solve a diagonal constrained matrix problem with SEA, under a
+/// fault-tolerant supervisor.
 ///
 /// Every lifecycle transition of the solve (phase boundaries, convergence
 /// checks, multiplier-bound activations, kernel work counters) is reported
-/// to `obs` as a typed [`Event`]. With [`NullObserver`] the instrumentation
-/// compiles down to nothing: `enabled()` is a constant `false`, so no event
-/// is ever constructed and the hot loop stays allocation-free.
-///
-/// # Errors
-/// Same contract as [`solve_diagonal`].
-pub fn solve_diagonal_observed<S: Storage, O: Observer + Send>(
-    p: &DiagonalProblem<S>,
-    opts: &SeaOptions,
-    obs: &mut O,
-) -> Result<Solution<S>, SeaError> {
-    opts.parallelism
-        .run(move || Ok(solve_inner(p, None, opts, obs, &mut SolveControl::passive())?.0))
-}
-
-/// [`solve_diagonal_observed`] under a fault-tolerant supervisor.
+/// to `obs` as a typed [`Event`]. With [`sea_observe::NullObserver`] the
+/// instrumentation compiles down to nothing: `enabled()` is a constant
+/// `false`, so no event is ever constructed and the hot loop stays
+/// allocation-free.
 ///
 /// The supervisor enforces the budget, watches for cancellation, stagnation
 /// and numerical breakdown, writes crash-safe checkpoints, and falls back
@@ -314,11 +270,16 @@ pub fn solve_diagonal_observed<S: Storage, O: Observer + Send>(
 /// certificate for the returned (possibly partial) iterate, or a typed
 /// [`SeaError`] — never a panic or a silently wrong answer.
 ///
+/// With `SupervisorOptions::default()` nothing stops the solve early: it
+/// runs to convergence or `opts.max_iterations`, and only a breakdown
+/// after a certified check ends it with another [`StopReason`].
+///
 /// # Errors
-/// Same validation errors as [`solve_diagonal`], plus
-/// [`SeaError::WorkerPanic`] for contained worker panics and
-/// [`SeaError::NumericalBreakdown`] only when iterates go non-finite before
-/// any convergence check has certified a restorable snapshot.
+/// * [`SeaError::InfeasibleSubproblem`] if a structural-zero row/column has
+///   a positive fixed total.
+/// * [`SeaError::WorkerPanic`] for contained worker panics.
+/// * [`SeaError::NumericalBreakdown`] only when iterates go non-finite
+///   before any convergence check has certified a restorable snapshot.
 ///
 /// # Example
 ///
@@ -356,13 +317,13 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
     obs: &mut O,
 ) -> Result<SupervisedSolution<S>, SeaError> {
     opts.parallelism.run(move || {
-        let mut ctrl = SolveControl::active(sup);
+        let mut ctrl = SolveControl::new(sup);
         let (solution, certificate) = solve_inner(p, None, opts, obs, &mut ctrl)?;
         let stop = ctrl.final_stop(solution.stats.converged);
-        // Allowed: `solve_inner` certifies every supervised solve of an
-        // unbounded problem.
+        // Allowed: `solve_inner` certifies every solve of an unbounded
+        // problem.
         #[allow(clippy::expect_used)]
-        let certificate = certificate.expect("a supervised solve certifies");
+        let certificate = certificate.expect("an unbounded solve certifies");
         Ok(SupervisedSolution {
             solution,
             stop,
@@ -377,8 +338,8 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 /// is the box-bounded problem whose unbounded part `p` is (with fixed
 /// totals); the passes hand its entry bounds to the boxed kernel. The
 /// dual value ζ of the unbounded problem does not bound a boxed one, so
-/// bounded solves neither evaluate nor report it. A supervised solve of
-/// an unbounded problem also returns its certificate.
+/// bounded solves neither evaluate nor report it. A solve of an unbounded
+/// problem also returns its certificate.
 pub(crate) fn solve_inner<S: Storage, O: Observer>(
     p: &DiagonalProblem<S>,
     bounds: Option<&BoundedProblem<S>>,
@@ -475,9 +436,9 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     let row_support = p.support().map(|sup| sup.rows.as_slice());
     let col_support = p.support().map(|sup| sup.cols.as_slice());
     let mut x_t = x0_t.zeros_like()?;
-    // Supervised solves restore the last checked iterate after a breakdown
-    // by replaying its column pass, which needs the pass's starting μ.
-    let mut mu_hint = ctrl.is_active().then(|| vec![0.0; n]);
+    // A breakdown restores the last checked iterate by replaying its
+    // column pass, which needs the pass's starting μ.
+    let mut mu_hint = vec![0.0; n];
     let column_pass = |t: usize,
                        fault: Option<TaskFault>,
                        lambda: &[f64],
@@ -517,7 +478,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     // The balance criteria read the row sums of X (= column sums of Xᵀ).
     let sums_checked = criterion != ConvergenceCriterion::MaxAbsChange;
 
-    let mut history: Option<Vec<IterationSnapshot>> = opts.record_history.then(Vec::new);
     let mut row_costs: Vec<f64> = Vec::new();
     let mut col_costs: Vec<f64> = Vec::new();
     // Per-shard timing sink for span profiling of parallel passes. Sized
@@ -618,9 +578,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         {
             // The pass's starting point, from which a breakdown restore
             // replays it.
-            if let Some(hint) = mu_hint.as_mut() {
-                hint.copy_from_slice(&mu);
-            }
+            mu_hint.copy_from_slice(&mu);
             if observing {
                 obs.record(&Event::PhaseStart {
                     label: PhaseLabel::ColumnEquilibration,
@@ -698,46 +656,42 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         });
 
         // ---- Watchdog: non-finite iterates. ------------------------------
-        // Unsupervised solves check multipliers at the convergence check and
-        // error out; supervised solves check every iteration (including the
-        // full iterate) and restore the last certified snapshot instead.
-        if ctrl.is_active() || check_now {
-            let finite = vector::all_finite(&lambda)
-                && vector::all_finite(&mu)
-                && (!ctrl.is_active()
-                    || (check_now && sums_checked && vector::all_finite(&row_sums_buf))
-                    || vector::all_finite(x_t.values()));
-            if !finite {
-                if check_now && spanning {
-                    obs.span_close(&KernelCounters::default());
-                }
-                // The restore point holds the last checked iterate's λ and
-                // its column pass's starting μ: replaying that pass rebuilds
-                // its μ, d and xᵀ bit for bit.
-                let Some((it, res)) =
-                    ctrl.restore_snapshot(&mut lambda, &mut mu, &mut [], &mut s, &mut [])
-                else {
-                    return Err(SeaError::NumericalBreakdown { iteration: t });
-                };
-                column_pass(
-                    it,
-                    ctrl.task_fault(it, "column"),
-                    &lambda,
-                    &mut mu,
-                    &mut d,
-                    &mut x_t,
-                    None,
-                    None,
-                    None,
-                )?;
-                if matches!(p.totals(), TotalSpec::Balanced { .. }) {
-                    s.copy_from_slice(&d);
-                }
-                iterations = it;
-                residual = res;
-                row_sums_of = None;
-                break;
+        // Every iteration checks the multipliers and the full iterate, and
+        // a breakdown restores the last certified snapshot.
+        let finite = vector::all_finite(&lambda)
+            && vector::all_finite(&mu)
+            && ((check_now && sums_checked && vector::all_finite(&row_sums_buf))
+                || vector::all_finite(x_t.values()));
+        if !finite {
+            if check_now && spanning {
+                obs.span_close(&KernelCounters::default());
             }
+            // The restore point holds the last checked iterate's λ and its
+            // column pass's starting μ: replaying that pass rebuilds its μ,
+            // d and xᵀ bit for bit.
+            let Some((it, res)) =
+                ctrl.restore_snapshot(&mut lambda, &mut mu, &mut [], &mut s, &mut [])
+            else {
+                return Err(SeaError::NumericalBreakdown { iteration: t });
+            };
+            column_pass(
+                it,
+                ctrl.task_fault(it, "column"),
+                &lambda,
+                &mut mu,
+                &mut d,
+                &mut x_t,
+                None,
+                None,
+                None,
+            )?;
+            if matches!(p.totals(), TotalSpec::Balanced { .. }) {
+                s.copy_from_slice(&d);
+            }
+            iterations = it;
+            residual = res;
+            row_sums_of = None;
+            break;
         }
 
         // ---- Step 3: convergence verification (serial). ------------------
@@ -778,14 +732,13 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             let check_secs = t0.elapsed().as_secs_f64();
             // Telemetry's payload (ζ and the active-set census) costs a
             // full O(nnz) sweep each, so the stream is rate limited at
-            // the source: one sample every TELEMETRY_EVERY_CHECKS checks
-            // keeps the spanning overhead inside the <2% budget, and the
-            // profiler's own stride decimates further on long solves.
+            // the source (see TELEMETRY_EVERY_CHECKS), and the profiler's
+            // own stride decimates further on long solves.
             let telemetry_now = spanning && checks_seen.is_multiple_of(TELEMETRY_EVERY_CHECKS);
             checks_seen += 1;
-            // ζ is only evaluated when something consumes it: the history
-            // recorder, an attached observer, or a due telemetry sample.
-            let zeta = (bounds.is_none() && (history.is_some() || observing || telemetry_now))
+            // ζ is only evaluated when something consumes it: an attached
+            // observer or a due telemetry sample.
+            let zeta = (bounds.is_none() && (observing || telemetry_now))
                 .then(|| dual::dual_value_with(p, &lambda, &mu, &mut zeta_cols));
             if spanning {
                 obs.span_close(&KernelCounters::default());
@@ -818,13 +771,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                     criterion: criterion.name(),
                 });
             }
-            if let Some(h) = history.as_mut() {
-                h.push(IterationSnapshot {
-                    iteration: t,
-                    dual_value: zeta.unwrap_or(f64::NAN),
-                    residual,
-                });
-            }
             // A step-size criterion measures SEA's own step only across a
             // plain sweep: after an extrapolated one, the next sweep is
             // plain and is checked before stopping.
@@ -840,14 +786,11 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             } else {
                 confirm = false;
             }
-            if ctrl.is_active() {
-                // This iterate passed the finite watchdog and was measured:
-                // it becomes the breakdown restore point.
-                let hint = mu_hint.as_deref().unwrap_or_default();
-                ctrl.capture_snapshot(t, residual, &lambda, hint, &[], &s, &[]);
-                if ctrl.note_residual(residual) {
-                    break; // StopReason::Stagnated latched in ctrl.
-                }
+            // This iterate passed the finite watchdog and was measured: it
+            // becomes the breakdown restore point.
+            ctrl.capture_snapshot(t, residual, &lambda, &mu_hint, &[], &s, &[]);
+            if ctrl.note_residual(residual) {
+                break; // StopReason::Stagnated latched in ctrl.
             }
         }
 
@@ -871,17 +814,15 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         }
 
         // ---- Supervisor epilogue: checkpoint, then budget/cancellation. --
-        if ctrl.is_active() {
-            let history = || anderson.as_ref().and_then(Anderson::history);
-            if let Some(path) = ctrl.maybe_checkpoint(t, solver, &lambda, &mu, history) {
-                if observing {
-                    obs.record(&Event::CheckpointWritten { iteration: t, path });
-                }
+        let history = || anderson.as_ref().and_then(Anderson::history);
+        if let Some(path) = ctrl.maybe_checkpoint(t, solver, &lambda, &mu, history) {
+            if observing {
+                obs.record(&Event::CheckpointWritten { iteration: t, path });
             }
-            let work = counters.snapshot().work();
-            if ctrl.should_stop(t, Some(work)).is_some() {
-                break;
-            }
+        }
+        let work = counters.snapshot().work();
+        if ctrl.should_stop(t, Some(work)).is_some() {
+            break;
         }
 
         if spanning {
@@ -911,10 +852,9 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         // The last sweep was not checked (or was replayed).
         x_t.col_sums_into(&mut row_sums_buf);
     }
-    let level = match (bounds, ctrl.is_active()) {
-        (Some(_), _) => Finishing::Primal,
-        (None, false) => Finishing::Dual,
-        (None, true) => Finishing::Certified,
+    let level = match bounds {
+        Some(_) => Finishing::Primal,
+        None => Finishing::Certified,
     };
     let finished = Finish {
         x_t: &x_t,
@@ -948,7 +888,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             dual_value: dual_value.unwrap_or(f64::NAN),
             counters: counters.snapshot(),
             elapsed: start.elapsed(),
-            history,
         },
     };
     let certificate = finished.certificate;
@@ -959,7 +898,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     ctrl.fallbacks = counters.fallbacks();
 
     if observing {
-        if ctrl.is_active() && !converged {
+        if !converged {
             obs.record(&Event::SupervisorStop {
                 iteration: iterations,
                 reason: ctrl
@@ -1090,6 +1029,14 @@ mod tests {
     use crate::problem::ZeroPolicy;
     use crate::trace::{ExecutionTrace, PhaseKind};
     use crate::weights::WeightScheme;
+    use sea_observe::NullObserver;
+
+    /// Solve under default supervision and keep the solution.
+    fn solve(p: &DiagonalProblem, opts: &SeaOptions) -> Solution {
+        solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), &mut NullObserver)
+            .unwrap()
+            .solution
+    }
 
     fn fixed_problem() -> DiagonalProblem {
         let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
@@ -1117,7 +1064,7 @@ mod tests {
     #[test]
     fn fixed_problem_converges_to_feasible_point() {
         let p = fixed_problem();
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let sol = solve(&p, &SeaOptions::with_epsilon(1e-10));
         assert!(sol.stats.converged, "did not converge: {:?}", sol.stats);
         assert!(sol.stats.residuals.row_inf < 1e-8);
         assert!(sol.stats.residuals.col_inf < 1e-10);
@@ -1135,7 +1082,7 @@ mod tests {
     #[test]
     fn fixed_solution_satisfies_kkt() {
         let p = fixed_problem();
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let sol = solve(&p, &SeaOptions::with_epsilon(1e-12));
         // Stationarity: 2γ(x−x0) − λᵢ − μⱼ = 0 on the support, ≥ 0 off it.
         for i in 0..2 {
             for j in 0..2 {
@@ -1166,7 +1113,7 @@ mod tests {
             },
         )
         .unwrap();
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let sol = solve(&p, &SeaOptions::with_epsilon(1e-12));
         assert!(sol.stats.converged);
         // Symmetric problem: x should stay symmetric, totals between the
         // prior margins (2) and the targets (4).
@@ -1197,7 +1144,7 @@ mod tests {
             },
         )
         .unwrap();
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let sol = solve(&p, &SeaOptions::with_epsilon(1e-10));
         assert!(sol.stats.converged);
         let rows = sol.x.row_sums();
         let cols = sol.x.col_sums();
@@ -1226,7 +1173,7 @@ mod tests {
             ZeroPolicy::Structural,
         )
         .unwrap();
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let sol = solve(&p, &SeaOptions::with_epsilon(1e-10));
         assert!(sol.stats.converged);
         assert_eq!(sol.x.get(0, 0), 0.0);
         assert!(sol.stats.residuals.row_inf < 1e-7);
@@ -1235,10 +1182,10 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let p = fixed_problem();
-        let serial = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let serial = solve(&p, &SeaOptions::with_epsilon(1e-10));
         let mut opts = SeaOptions::with_epsilon(1e-10);
         opts.parallelism = Parallelism::RayonThreads(2);
-        let par = solve_diagonal(&p, &opts).unwrap();
+        let par = solve(&p, &opts);
         assert_eq!(serial.stats.iterations, par.stats.iterations);
         assert!(serial.x.max_abs_diff(&par.x) < 1e-12);
     }
@@ -1247,7 +1194,10 @@ mod tests {
     /// the recorded events.
     fn traced_solve(p: &DiagonalProblem, opts: &SeaOptions) -> (Solution, ExecutionTrace) {
         let mut obs = sea_observe::VecObserver::new();
-        let sol = solve_diagonal_observed(p, opts, &mut obs).unwrap();
+        let sup = SupervisorOptions::default();
+        let sol = solve_diagonal_supervised(p, opts, &sup, &mut obs)
+            .unwrap()
+            .solution;
         (sol, crate::observe::trace_from_events(&obs.events))
     }
 
@@ -1297,7 +1247,7 @@ mod tests {
         .unwrap();
         let mut opts = SeaOptions::with_epsilon(1e-16);
         opts.max_iterations = 1;
-        let sol = solve_diagonal(&p, &opts).unwrap();
+        let sol = solve(&p, &opts);
         assert!(!sol.stats.converged);
         assert_eq!(sol.stats.iterations, 1);
         // Even without convergence the column constraints hold exactly.
@@ -1310,7 +1260,7 @@ mod tests {
         let eps = 1e-4;
         let mut opts = SeaOptions::with_epsilon(eps);
         opts.criterion = Some(ConvergenceCriterion::ConstraintNorm);
-        let sol = solve_diagonal(&p, &opts).unwrap();
+        let sol = solve(&p, &opts);
         assert!(sol.stats.converged);
         let bound = crate::theory::iteration_bound(&p, eps);
         assert!(
@@ -1324,15 +1274,15 @@ mod tests {
     #[test]
     fn modified_algorithm_does_not_change_solution() {
         let p = fixed_problem();
-        let plain = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let plain = solve(&p, &SeaOptions::with_epsilon(1e-10));
         let mut opts = SeaOptions::with_epsilon(1e-10);
         opts.multiplier_bound = Some(1e3);
-        let modified = solve_diagonal(&p, &opts).unwrap();
+        let modified = solve(&p, &opts);
         assert!(plain.x.max_abs_diff(&modified.x) < 1e-8);
     }
 
     #[test]
-    fn history_records_monotone_dual_ascent() {
+    fn convergence_checks_record_monotone_dual_ascent() {
         // The paper's eq. 71: ζ(λ^{t+2}, μ^{t+1}) ≥ ζ(λ^{t+1}, μ^{t+1}) ≥ …
         // — dual values never decrease across plain SEA iterations
         // (extrapolated steps may lower ζ, so the paper's SEA is pinned).
@@ -1353,40 +1303,49 @@ mod tests {
         )
         .unwrap();
         let mut opts = SeaOptions::with_epsilon(1e-10);
-        opts.record_history = true;
         opts.extrapolation_depth = 0;
-        let sol = solve_diagonal(&spe_like, &opts).unwrap();
-        let history = sol.stats.history.as_ref().unwrap();
-        assert!(history.len() > 2, "needs several checks to be meaningful");
-        for w in history.windows(2) {
+        let mut obs = sea_observe::VecObserver::new();
+        let sup = SupervisorOptions::default();
+        let sol = solve_diagonal_supervised(&spe_like, &opts, &sup, &mut obs)
+            .unwrap()
+            .solution;
+        let duals: Vec<f64> = obs
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::ConvergenceCheck { dual_value, .. } => *dual_value,
+                _ => None,
+            })
+            .collect();
+        assert!(duals.len() > 2, "needs several checks to be meaningful");
+        for w in duals.windows(2) {
             assert!(
-                w[1].dual_value >= w[0].dual_value - 1e-9 * w[0].dual_value.abs().max(1.0),
+                w[1] >= w[0] - 1e-9 * w[0].abs().max(1.0),
                 "dual ascent violated: {} then {}",
-                w[0].dual_value,
-                w[1].dual_value
+                w[0],
+                w[1]
             );
         }
         // The dual converges to the primal objective from below.
-        let last = history.last().unwrap();
-        assert!(last.dual_value <= sol.stats.objective + 1e-8);
+        assert!(duals[duals.len() - 1] <= sol.stats.objective + 1e-8);
     }
 
     #[test]
     fn warm_start_reproduces_same_solution() {
         let p = fixed_problem();
-        let cold = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let cold = solve(&p, &SeaOptions::with_epsilon(1e-10));
         // Restarting from the converged multipliers converges immediately
         // to the same point.
         let mut opts = SeaOptions::with_epsilon(1e-10);
         opts.initial_mu = Some(cold.mu.clone());
-        let warm = solve_diagonal(&p, &opts).unwrap();
+        let warm = solve(&p, &opts);
         assert!(warm.stats.converged);
         assert!(warm.stats.iterations <= cold.stats.iterations);
         assert!(warm.x.max_abs_diff(&cold.x) < 1e-8);
         // Wrong length is rejected.
         opts.initial_mu = Some(vec![0.0; 5]);
         assert!(matches!(
-            solve_diagonal(&p, &opts),
+            solve_diagonal_supervised(&p, &opts, &SupervisorOptions::default(), &mut NullObserver),
             Err(SeaError::Shape {
                 context: "initial_mu",
                 ..
@@ -1417,7 +1376,11 @@ mod tests {
     fn observer_sees_full_event_lifecycle() {
         let p = fixed_problem();
         let mut obs = sea_observe::VecObserver::new();
-        let sol = solve_diagonal_observed(&p, &SeaOptions::with_epsilon(1e-10), &mut obs).unwrap();
+        let opts = SeaOptions::with_epsilon(1e-10);
+        let sup = SupervisorOptions::default();
+        let sol = solve_diagonal_supervised(&p, &opts, &sup, &mut obs)
+            .unwrap()
+            .solution;
         let events = &obs.events;
         assert!(matches!(
             events.first(),
@@ -1477,10 +1440,13 @@ mod tests {
     #[test]
     fn observed_solve_matches_unobserved() {
         let p = fixed_problem();
-        let plain = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let plain = solve(&p, &SeaOptions::with_epsilon(1e-10));
         let mut obs = sea_observe::VecObserver::new();
-        let observed =
-            solve_diagonal_observed(&p, &SeaOptions::with_epsilon(1e-10), &mut obs).unwrap();
+        let opts = SeaOptions::with_epsilon(1e-10);
+        let sup = SupervisorOptions::default();
+        let observed = solve_diagonal_supervised(&p, &opts, &sup, &mut obs)
+            .unwrap()
+            .solution;
         assert_eq!(plain.stats.iterations, observed.stats.iterations);
         assert!(plain.x.max_abs_diff(&observed.x) < 1e-15);
     }
@@ -1507,7 +1473,7 @@ mod tests {
         let s0: Vec<f64> = x0.row_sums().iter().map(|v| 2.0 * v).collect();
         let d0: Vec<f64> = x0.col_sums().iter().map(|v| 2.0 * v).collect();
         let p = DiagonalProblem::new(x0.clone(), gamma, TotalSpec::Fixed { s0, d0 }).unwrap();
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let sol = solve(&p, &SeaOptions::with_epsilon(1e-12));
         for i in 0..2 {
             for j in 0..2 {
                 let ratio = sol.x.get(i, j) / x0.get(i, j);

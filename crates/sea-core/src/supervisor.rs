@@ -4,9 +4,9 @@
 //!
 //! The paper's pitch is *large-scale* equilibration — long solves on
 //! mn ≈ 10⁶ problems — where a single non-finite iterate, a panicked
-//! worker, or an operator Ctrl-C must not lose the run. The supervisor
-//! wraps the diagonal/general/bounded drivers and guarantees one
-//! invariant: a supervised solve returns either `Ok` with an honest
+//! worker, or an operator Ctrl-C must not lose the run. Every solve of
+//! the diagonal/general/bounded drivers runs under the supervisor, which
+//! guarantees one invariant: a solve returns either `Ok` with an honest
 //! KKT-residual certificate and a typed [`StopReason`], or a typed
 //! [`SeaError`](crate::SeaError) — never a panic, abort, or silent wrong
 //! answer.
@@ -302,9 +302,9 @@ pub struct SupervisedBoundedSolution<S: crate::storage::Storage = sea_linalg::De
 
 /// A supervised general solve outcome.
 #[derive(Debug, Clone)]
-pub struct SupervisedGeneralSolution<S: crate::storage::Storage = sea_linalg::DenseMatrix> {
+pub struct SupervisedGeneralSolution {
     /// The (possibly partial) general solution.
-    pub solution: crate::general::GeneralSolution<S>,
+    pub solution: crate::general::GeneralSolution,
     /// Why the solve stopped (outer-iteration granularity).
     pub stop: StopReason,
 }
@@ -565,13 +565,13 @@ struct SnapshotBufs {
     d: Vec<f64>,
 }
 
-/// Per-solve supervision state threaded through the driver loops. The
-/// passive control (used by unsupervised entry points) is all `None`s and
-/// compiles down to a handful of branch checks — the steady-state loop
-/// stays allocation-free.
+/// Per-solve supervision state threaded through the driver loops. Under
+/// `SupervisorOptions::default()` every hook but the breakdown watchdog is
+/// a branch that never fires, and the steady-state loop stays
+/// allocation-free.
 #[derive(Debug)]
 pub(crate) struct SolveControl<'a> {
-    sup: Option<&'a SupervisorOptions>,
+    sup: &'a SupervisorOptions,
     start: Instant,
     stop: Option<StopReason>,
     snap: SnapshotBufs,
@@ -584,17 +584,8 @@ pub(crate) struct SolveControl<'a> {
 }
 
 impl<'a> SolveControl<'a> {
-    /// Control for an unsupervised solve: every hook is a no-op.
-    pub(crate) fn passive() -> Self {
-        Self::build(None)
-    }
-
-    /// Control for a supervised solve.
-    pub(crate) fn active(sup: &'a SupervisorOptions) -> Self {
-        Self::build(Some(sup))
-    }
-
-    fn build(sup: Option<&'a SupervisorOptions>) -> Self {
+    /// Control for one solve under `sup`.
+    pub(crate) fn new(sup: &'a SupervisorOptions) -> Self {
         SolveControl {
             sup,
             start: Instant::now(),
@@ -602,19 +593,15 @@ impl<'a> SolveControl<'a> {
             snap: SnapshotBufs::default(),
             best_residual: f64::INFINITY,
             stagnant_checks: 0,
-            checkpoint_enabled: sup.is_some_and(|s| s.checkpoint.is_some()),
+            checkpoint_enabled: sup.checkpoint.is_some(),
             checkpoint_error: None,
             fallbacks: 0,
         }
     }
 
-    pub(crate) fn is_active(&self) -> bool {
-        self.sup.is_some()
-    }
-
-    /// The checkpoint a supervised solve resumes from, if any.
+    /// The checkpoint the solve resumes from, if any.
     pub(crate) fn resume(&self) -> Option<&'a Checkpoint> {
-        self.sup.and_then(|s| s.resume.as_ref())
+        self.sup.resume.as_ref()
     }
 
     /// Why the supervisor stopped the loop, if it did.
@@ -634,8 +621,7 @@ impl<'a> SolveControl<'a> {
 
     /// Scripted worker fault for this iteration and side, if any.
     pub(crate) fn task_fault(&self, t: usize, side: &'static str) -> Option<TaskFault> {
-        let sup = self.sup?;
-        sup.faults.at_iteration(t).find_map(|f| match f {
+        self.sup.faults.at_iteration(t).find_map(|f| match f {
             FaultKind::WorkerPanic { side: s, index } if *s == side => Some(TaskFault {
                 index: *index,
                 panic: true,
@@ -650,8 +636,7 @@ impl<'a> SolveControl<'a> {
 
     /// Apply any scripted NaN injection for iteration `t` to `lambda`.
     pub(crate) fn inject_faults(&self, t: usize, lambda: &mut [f64]) {
-        let Some(sup) = self.sup else { return };
-        for f in sup.faults.at_iteration(t) {
+        for f in self.sup.faults.at_iteration(t) {
             if let FaultKind::NanLambda { index } = f {
                 if let Some(slot) = lambda.get_mut(*index) {
                     *slot = f64::NAN;
@@ -676,7 +661,7 @@ impl<'a> SolveControl<'a> {
         s: &[f64],
         d: &[f64],
     ) {
-        if !self.is_active() || !residual.is_finite() {
+        if !residual.is_finite() {
             return;
         }
         let snap = &mut self.snap;
@@ -722,7 +707,7 @@ impl<'a> SolveControl<'a> {
     /// Feed the stagnation watchdog one residual; `true` means stop with
     /// [`StopReason::Stagnated`].
     pub(crate) fn note_residual(&mut self, residual: f64) -> bool {
-        let Some(policy) = self.sup.and_then(|s| s.stagnation) else {
+        let Some(policy) = self.sup.stagnation else {
             return false;
         };
         let improved = residual
@@ -759,7 +744,7 @@ impl<'a> SolveControl<'a> {
         if !self.checkpoint_enabled {
             return None;
         }
-        let sup = self.sup?;
+        let sup = self.sup;
         let policy = sup.checkpoint.as_ref()?;
         if !t.is_multiple_of(policy.every.max(1)) {
             return None;
@@ -792,7 +777,7 @@ impl<'a> SolveControl<'a> {
     /// Budget / cancellation check, run once per completed iteration.
     /// `work` is the cumulative kernel work when counters are harvested.
     pub(crate) fn should_stop(&mut self, t: usize, work: Option<u64>) -> Option<StopReason> {
-        let sup = self.sup?;
+        let sup = self.sup;
         let mut reason = None;
         for f in sup.faults.at_iteration(t) {
             match f {
@@ -975,9 +960,9 @@ mod tests {
     }
 
     #[test]
-    fn passive_control_never_stops() {
-        let mut ctrl = SolveControl::passive();
-        assert!(!ctrl.is_active());
+    fn default_options_never_stop() {
+        let sup = SupervisorOptions::default();
+        let mut ctrl = SolveControl::new(&sup);
         assert_eq!(ctrl.should_stop(1, None), None);
         assert!(!ctrl.note_residual(1.0));
         assert!(ctrl.task_fault(1, "row").is_none());
@@ -996,13 +981,13 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut ctrl = SolveControl::active(&sup);
+        let mut ctrl = SolveControl::new(&sup);
         assert_eq!(ctrl.should_stop(4, Some(10)), None);
         assert_eq!(
             ctrl.should_stop(4, Some(100)),
             Some(StopReason::WorkCapExceeded)
         );
-        let mut ctrl = SolveControl::active(&sup);
+        let mut ctrl = SolveControl::new(&sup);
         assert_eq!(
             ctrl.should_stop(5, Some(10)),
             Some(StopReason::IterationCap)
@@ -1021,7 +1006,7 @@ mod tests {
             cancel: Some(token),
             ..Default::default()
         };
-        let mut ctrl = SolveControl::active(&sup);
+        let mut ctrl = SolveControl::new(&sup);
         assert_eq!(ctrl.should_stop(1, None), Some(StopReason::Cancelled));
     }
 
@@ -1034,7 +1019,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let mut ctrl = SolveControl::active(&sup);
+        let mut ctrl = SolveControl::new(&sup);
         assert!(!ctrl.note_residual(1.0));
         assert!(!ctrl.note_residual(0.5)); // big improvement resets
         assert!(!ctrl.note_residual(0.4999999));

@@ -94,7 +94,10 @@ impl KktReport {
 /// report exactly.
 ///
 /// ```
-/// use sea_core::{solve_diagonal, verify_solution, DiagonalProblem, SeaOptions, TotalSpec};
+/// use sea_core::{
+///     solve_diagonal_supervised, verify_solution, DiagonalProblem, NullObserver, SeaOptions,
+///     SupervisorOptions, TotalSpec,
+/// };
 /// use sea_linalg::DenseMatrix;
 ///
 /// let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
@@ -104,8 +107,10 @@ impl KktReport {
 ///     gamma,
 ///     TotalSpec::Fixed { s0: vec![4.0, 6.0], d0: vec![5.0, 5.0] },
 /// ).unwrap();
-/// let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
-/// let report = verify_solution(&p, &sol);
+/// let opts = SeaOptions::with_epsilon(1e-12);
+/// let out = solve_diagonal_supervised(&p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+///     .unwrap();
+/// let report = verify_solution(&p, &out.solution);
 /// assert!(report.is_optimal(1e-6));
 /// ```
 pub fn verify_solution<S: Storage>(p: &DiagonalProblem<S>, sol: &Solution<S>) -> KktReport {
@@ -284,16 +289,13 @@ fn report<S: Storage>(
     }
 }
 
-/// How much a solve's finishing sweep reports. Each level includes the
-/// ones before it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How much a solve's finishing sweep reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Finishing {
     /// Residuals and the objective (a box-bounded solve, whose problem ζ
     /// does not bound).
     Primal,
-    /// Also the dual value ζ.
-    Dual,
-    /// Also the KKT certificate (a supervised solve).
+    /// Also the dual value ζ and the KKT certificate.
     Certified,
 }
 
@@ -343,8 +345,9 @@ impl<S: Storage> Finish<'_, S> {
         par: Parallelism,
     ) -> Finished {
         let fan_out = par.is_parallel() && self.x_t.stored() >= PARALLEL_MIN_ENTRIES;
+        let certified = level == Finishing::Certified;
         // A certificate's threshold between positive and zero entries.
-        let tau = if level == Finishing::Certified {
+        let tau = if certified {
             let x0v = self.x0_t.values();
             1e-10 * chunked(x0v.len(), fan_out, 0.0, |r| entry_scale(&x0v[r]), raise)
         } else {
@@ -359,7 +362,7 @@ impl<S: Storage> Finish<'_, S> {
         let residuals =
             p.residuals_of_sums(self.row_sums, parts.iter().map(|c| c.sum), self.s, self.d);
         let objective = p.objective_of_columns(parts.iter().map(|c| c.objective), self.s, self.d);
-        let dual_value = (level >= Finishing::Dual).then(|| {
+        let dual_value = certified.then(|| {
             dual::dual_of_columns(
                 p.totals(),
                 parts.iter().map(|c| c.zeta),
@@ -367,14 +370,12 @@ impl<S: Storage> Finish<'_, S> {
                 self.mu,
             )
         });
-        let certificate = dual_value
-            .filter(|_| level == Finishing::Certified)
-            .map(|zeta| {
-                let (lambda, mu) = (self.lambda, self.mu);
-                report(
-                    p, lambda, mu, self.s, self.d, ext, residuals, objective, zeta,
-                )
-            });
+        let certificate = dual_value.map(|zeta| {
+            let (lambda, mu) = (self.lambda, self.mu);
+            report(
+                p, lambda, mu, self.s, self.d, ext, residuals, objective, zeta,
+            )
+        });
         Finished {
             residuals,
             objective,
@@ -384,8 +385,8 @@ impl<S: Storage> Finish<'_, S> {
     }
 
     /// Sweep subproblems `first..first + parts.len()` into `parts` at
-    /// `level`: their sums, then ζ's terms, then the KKT extremes with
-    /// positive-entry threshold `tau`. With `structural` zeros (a dense
+    /// `level`: their sums, then, when certifying, ζ's terms and the KKT
+    /// extremes with positive-entry threshold `tau`. With `structural` zeros (a dense
     /// prior's zero entries), those entries carry neither a ζ term nor a
     /// KKT condition.
     fn sweep(
@@ -398,13 +399,12 @@ impl<S: Storage> Finish<'_, S> {
     ) -> Extremes {
         // One loop per level, so no entry tests what it computes.
         match level {
-            Finishing::Primal => self.sweep_as::<false, false>(first, parts, structural, tau),
-            Finishing::Dual => self.sweep_as::<true, false>(first, parts, structural, tau),
-            Finishing::Certified => self.sweep_as::<true, true>(first, parts, structural, tau),
+            Finishing::Primal => self.sweep_as::<false>(first, parts, structural, tau),
+            Finishing::Certified => self.sweep_as::<true>(first, parts, structural, tau),
         }
     }
 
-    fn sweep_as<const ZETA: bool, const KKT: bool>(
+    fn sweep_as<const CERTIFIED: bool>(
         &self,
         first: usize,
         parts: &mut [Part],
@@ -426,9 +426,9 @@ impl<S: Storage> Finish<'_, S> {
             // Position `t` of this subproblem is row `idx[t]` of the
             // problem, or row `t` when the layout is dense.
             *part = match self.x0_t.row_view(j) {
-                RowView::Dense(_) => entries.fold::<ZETA, KKT>(&mut ext, |t| t),
+                RowView::Dense(_) => entries.fold::<CERTIFIED>(&mut ext, |t| t),
                 RowView::Indexed { idx, .. } => {
-                    entries.fold::<ZETA, KKT>(&mut ext, |t| idx[t] as usize)
+                    entries.fold::<CERTIFIED>(&mut ext, |t| idx[t] as usize)
                 }
             };
         }
@@ -449,10 +449,11 @@ struct Entries<'a> {
 }
 
 impl Entries<'_> {
-    /// The subproblem's sums in entry order, noting its KKT extremes in
-    /// `ext` when `KKT`; entry `t` pairs with `lambda[row(t)]`.
+    /// The subproblem's sums in entry order, with ζ's terms and its KKT
+    /// extremes in `ext` when `CERTIFIED`; entry `t` pairs with
+    /// `lambda[row(t)]`.
     #[inline(always)]
-    fn fold<const ZETA: bool, const KKT: bool>(
+    fn fold<const CERTIFIED: bool>(
         &self,
         ext: &mut Extremes,
         row: impl Fn(usize) -> usize,
@@ -463,17 +464,16 @@ impl Entries<'_> {
             let dev = x - x0;
             c.sum += x;
             c.objective += g * dev * dev;
-            if KKT {
-                ext.min_entry = lower(ext.min_entry, x);
+            if !CERTIFIED {
+                continue;
             }
-            if !ZETA || (self.structural && x0 == 0.0) {
+            ext.min_entry = lower(ext.min_entry, x);
+            if self.structural && x0 == 0.0 {
                 continue;
             }
             let li = self.lambda[row(t)];
             c.zeta += dual::entry_term(g, x0, li + self.mu);
-            if KKT {
-                ext.note(x, 2.0 * g * dev - li - self.mu, self.tau);
-            }
+            ext.note(x, 2.0 * g * dev - li - self.mu, self.tau);
         }
         c
     }
@@ -544,11 +544,16 @@ fn split_parts(
 mod tests {
     use super::*;
     use crate::problem::ZeroPolicy;
-    use crate::solver::{solve_diagonal, SeaOptions};
+    use crate::solver::{solve_diagonal_supervised, SeaOptions};
+    use crate::supervisor::SupervisorOptions;
     use sea_linalg::DenseMatrix;
+    use sea_observe::NullObserver;
 
     fn solve(p: &DiagonalProblem) -> Solution {
-        solve_diagonal(p, &SeaOptions::with_epsilon(1e-12)).unwrap()
+        let opts = SeaOptions::with_epsilon(1e-12);
+        solve_diagonal_supervised(p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+            .unwrap()
+            .solution
     }
 
     #[test]
@@ -683,7 +688,7 @@ mod tests {
             *d += excess / n as f64;
         }
         let p = DiagonalProblem::new(x0, gamma, TotalSpec::Fixed { s0, d0 }).unwrap();
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+        let sol = solve(&p);
         assert!(sol.stats.converged);
         let report = verify_solution(&p, &sol);
         assert_eq!(

@@ -4,9 +4,11 @@
 //! A counting global allocator wraps the system allocator; after one warm-up
 //! call per (kernel × variant) that sizes the reusable scratch, repeated
 //! kernel invocations must perform exactly zero heap allocations. A second
-//! section audits the whole solve loop under the default `NullObserver`
-//! differentially: a solve doing twice the iterations must allocate exactly
-//! as much as the half-length solve, so the per-iteration cost is zero.
+//! section audits the whole supervised solve loop, for a plain and a
+//! box-bounded problem, under the default `NullObserver` differentially: a
+//! solve doing twice the iterations must allocate exactly as much as the
+//! half-length solve, so the per-iteration cost (including the supervisor's
+//! snapshot capture and every-iteration watchdog) is zero.
 //!
 //! The counter is *per-thread*: the audited paths all run serially on the
 //! test thread, while libtest's harness thread lazily initializes its own
@@ -19,8 +21,9 @@ use std::cell::Cell;
 
 use sea_core::knapsack::exact_equilibration_boxed_with;
 use sea_core::{
-    exact_equilibration_with, solve_diagonal, DiagonalProblem, EquilibrationScratch, KernelKind,
-    SeaOptions, TotalMode, TotalSpec,
+    exact_equilibration_with, solve_bounded_supervised, solve_diagonal_supervised, BoundedProblem,
+    DiagonalProblem, EquilibrationScratch, KernelKind, NullObserver, SeaOptions, SupervisorOptions,
+    TotalMode, TotalSpec,
 };
 use sea_linalg::DenseMatrix;
 
@@ -155,7 +158,8 @@ fn kernels_do_not_allocate_in_steady_state() {
     // buffers), so the audit is differential: with an unattainable
     // tolerance pinning the iteration count to `max_iterations`, a
     // 16-iteration solve must allocate exactly as much as an 8-iteration
-    // solve — i.e. the steady-state loop itself is allocation-free.
+    // solve — i.e. the steady-state loop itself is allocation-free. The
+    // box-bounded problem runs the same loop with the boxed kernel.
     let m = 12;
     let data: Vec<f64> = (0..m * m).map(|k| 0.5 + ((k * 29 % 97) as f64)).collect();
     let x0 = DenseMatrix::from_vec(m, m, data).unwrap();
@@ -163,27 +167,59 @@ fn kernels_do_not_allocate_in_steady_state() {
         DenseMatrix::from_vec(m, m, x0.as_slice().iter().map(|&v| 1.0 / v).collect()).unwrap();
     let s0: Vec<f64> = x0.row_sums().iter().map(|v| 2.0 * v).collect();
     let d0: Vec<f64> = x0.col_sums().iter().map(|v| 2.0 * v).collect();
+    let scaled = |k: f64| {
+        DenseMatrix::from_vec(m, m, x0.as_slice().iter().map(|&v| k * v).collect()).unwrap()
+    };
+    let bounded = BoundedProblem::new(
+        x0.clone(),
+        gamma.clone(),
+        scaled(0.5),
+        scaled(3.0),
+        s0.clone(),
+        d0.clone(),
+    )
+    .unwrap();
     let p = DiagonalProblem::new(x0, gamma, TotalSpec::Fixed { s0, d0 }).unwrap();
+    let sup = SupervisorOptions::default();
 
     for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-        let solve_allocations = |iterations: usize| -> usize {
-            let mut opts = SeaOptions::with_epsilon(1e-8);
-            opts.epsilon = -1.0; // unattainable: always run to the cap
-            opts.max_iterations = iterations;
-            opts.kernel = kernel;
-            let before = allocations();
-            let sol = solve_diagonal(&p, &opts).unwrap();
-            let after = allocations();
-            assert_eq!(sol.stats.iterations, iterations, "cap must bind");
-            after - before
-        };
-        solve_allocations(4); // warm-up (allocator internals, lazy statics)
-        let base = solve_allocations(8);
-        let doubled = solve_allocations(16);
-        assert_eq!(
-            doubled, base,
-            "{kernel}: solve iterations allocated under NullObserver"
-        );
+        for depth in [0, SeaOptions::default().extrapolation_depth] {
+            for class in ["diagonal", "bounded"] {
+                let solve_allocations = |iterations: usize| -> usize {
+                    let mut opts = SeaOptions::with_epsilon(1e-8);
+                    opts.epsilon = -1.0; // unattainable: always run to the cap
+                    opts.max_iterations = iterations;
+                    opts.kernel = kernel;
+                    opts.extrapolation_depth = depth;
+                    let before = allocations();
+                    let done = match class {
+                        "diagonal" => {
+                            solve_diagonal_supervised(&p, &opts, &sup, &mut NullObserver)
+                                .unwrap()
+                                .solution
+                                .stats
+                                .iterations
+                        }
+                        _ => {
+                            solve_bounded_supervised(&bounded, &opts, &sup, &mut NullObserver)
+                                .unwrap()
+                                .solution
+                                .iterations
+                        }
+                    };
+                    let after = allocations();
+                    assert_eq!(done, iterations, "{class}: cap must bind");
+                    after - before
+                };
+                solve_allocations(4); // warm-up (allocator internals, lazy statics)
+                let base = solve_allocations(8);
+                let doubled = solve_allocations(16);
+                assert_eq!(
+                    doubled, base,
+                    "{kernel}/{class}/depth {depth}: solve iterations allocated under NullObserver"
+                );
+            }
+        }
     }
 
     // ---- Span-enabled differential audit. ----
@@ -202,7 +238,9 @@ fn kernels_do_not_allocate_in_steady_state() {
             opts.kernel = kernel;
             profiler.reset();
             let before = allocations();
-            let sol = sea_core::solve_diagonal_observed(&p, &opts, &mut profiler).unwrap();
+            let sol = solve_diagonal_supervised(&p, &opts, &sup, &mut profiler)
+                .unwrap()
+                .solution;
             let after = allocations();
             assert_eq!(sol.stats.iterations, iterations, "cap must bind");
             after - before

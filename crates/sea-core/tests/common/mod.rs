@@ -9,7 +9,8 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sea_core::{
-    DiagonalProblem, KernelKind, Parallelism, SeaOptions, Solution, TotalSpec, WeightScheme,
+    solve_diagonal_supervised, DiagonalProblem, KernelKind, NullObserver, Parallelism, SeaOptions,
+    Solution, SupervisorOptions, TotalSpec, WeightScheme,
 };
 use sea_linalg::DenseMatrix;
 
@@ -125,7 +126,9 @@ pub fn solve_at_depth(
     opts.kernel = kernel;
     opts.parallelism = parallelism;
     opts.extrapolation_depth = depth;
-    let sol = sea_core::solve_diagonal(p, &opts).expect("fixture must solve");
+    let sol = solve_diagonal_supervised(p, &opts, &SupervisorOptions::default(), &mut NullObserver)
+        .expect("fixture must solve")
+        .solution;
     assert!(sol.stats.converged, "fixture must converge");
     sol
 }

@@ -177,6 +177,7 @@ fn kernels_have_independent_trajectories_but_equal_iteration_counts() {
 /// solve is bitwise identical to the Serial, default-shard reference.
 #[test]
 fn sparse_solves_are_bitwise_identical_across_modes_and_shards() {
+    let sup = SupervisorOptions::default();
     let modes = [
         Parallelism::Rayon,
         Parallelism::RayonThreads(2),
@@ -187,15 +188,17 @@ fn sparse_solves_are_bitwise_identical_across_modes_and_shards() {
         for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
             let mut ref_opts = SeaOptions::with_epsilon(1e-8);
             ref_opts.kernel = kernel;
-            let reference =
-                sea_core::solve_diagonal(&problem, &ref_opts).expect("reference sparse solve");
+            let reference = solve_diagonal_supervised(&problem, &ref_opts, &sup, &mut NullObserver)
+                .expect("reference sparse solve")
+                .solution;
             for mode in modes {
                 for block in shard_sizes {
                     let mut opts = ref_opts.clone();
                     opts.parallelism = mode;
                     opts.block_size = block;
-                    let sol =
-                        sea_core::solve_diagonal(&problem, &opts).expect("sharded sparse solve");
+                    let sol = solve_diagonal_supervised(&problem, &opts, &sup, &mut NullObserver)
+                        .expect("sharded sparse solve")
+                        .solution;
                     assert_eq!(
                         sol.stats.iterations, reference.stats.iterations,
                         "{tag}/{kernel}/{mode:?}/{block:?}: iteration count diverged"
@@ -227,6 +230,7 @@ fn sparse_solves_are_bitwise_identical_across_modes_and_shards() {
 /// pattern; Structural prunes to the support).
 #[test]
 fn dense_and_csr_construction_agree_bitwise() {
+    let sup = SupervisorOptions::default();
     use sea_core::DiagonalProblem;
     use sea_linalg::CsrMatrix;
 
@@ -240,8 +244,12 @@ fn dense_and_csr_construction_agree_bitwise() {
         for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
             let mut opts = SeaOptions::with_epsilon(1e-8);
             opts.kernel = kernel;
-            let dsol = sea_core::solve_diagonal(&dense_p, &opts).expect("dense solve");
-            let ssol = sea_core::solve_diagonal(&sparse_p, &opts).expect("sparse solve");
+            let dsol = solve_diagonal_supervised(&dense_p, &opts, &sup, &mut NullObserver)
+                .expect("dense solve")
+                .solution;
+            let ssol = solve_diagonal_supervised(&sparse_p, &opts, &sup, &mut NullObserver)
+                .expect("sparse solve")
+                .solution;
             let sx = ssol.x.to_dense().expect("densify sparse solution");
             assert_eq!(
                 bits(sx.as_slice()),
@@ -278,10 +286,13 @@ fn assert_modes_and_shards_agree(tag: &str, solve: impl Fn(&SeaOptions) -> Bits)
 /// solve is serial and in a fixed order.
 #[test]
 fn dense_and_bounded_solves_are_bitwise_identical_across_modes_and_shards() {
+    let sup = SupervisorOptions::default();
     assert!(SeaOptions::default().extrapolation_depth > 0);
     for (tag, problem) in all_fixtures() {
         assert_modes_and_shards_agree(tag, |opts| {
-            let s = sea_core::solve_diagonal(&problem, opts).expect("dense solve");
+            let s = solve_diagonal_supervised(&problem, opts, &sup, &mut NullObserver)
+                .expect("dense solve")
+                .solution;
             assert!(s.stats.converged, "{tag}");
             (
                 s.stats.iterations,
@@ -293,7 +304,6 @@ fn dense_and_bounded_solves_are_bitwise_identical_across_modes_and_shards() {
     }
     let dense = generator::try_bounded(0xB0_5EA, 9, 7, 3, 1.0).expect("feasible draw");
     let csr = generator::sparse_bounded(0xB1_5EA, 12, 12, 2);
-    let sup = SupervisorOptions::default();
     assert_modes_and_shards_agree("bounded-dense", |opts| {
         let s = solve_bounded_supervised(&dense, opts, &sup, &mut NullObserver)
             .expect("bounded solve")

@@ -10,7 +10,8 @@
 //! counters — must match the committed golden file.
 
 use sea_core::{
-    solve_diagonal_observed, DiagonalProblem, KernelKind, Parallelism, SeaOptions, TotalSpec,
+    solve_diagonal_supervised, DiagonalProblem, KernelKind, Parallelism, SeaOptions,
+    SupervisorOptions, TotalSpec,
 };
 use sea_linalg::DenseMatrix;
 use sea_observe::jsonl::{encode_event, parse_events, JsonlObserver};
@@ -87,7 +88,9 @@ fn event_stream_matches_golden_fixture() {
     opts.extrapolation_depth = 0;
 
     let mut obs = JsonlObserver::new(Vec::new());
-    let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
+    let sol = solve_diagonal_supervised(&p, &opts, &SupervisorOptions::default(), &mut obs)
+        .unwrap()
+        .solution;
     assert!(sol.stats.converged);
 
     let bytes = obs.finish().unwrap();
@@ -162,7 +165,9 @@ fn sparse_event_stream_matches_golden_fixture() {
     opts.extrapolation_depth = 0;
 
     let mut obs = JsonlObserver::new(Vec::new());
-    let sol = solve_diagonal_observed(&p, &opts, &mut obs).unwrap();
+    let sol = solve_diagonal_supervised(&p, &opts, &SupervisorOptions::default(), &mut obs)
+        .unwrap()
+        .solution;
     assert!(sol.stats.converged);
 
     let bytes = obs.finish().unwrap();

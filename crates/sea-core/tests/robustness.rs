@@ -16,10 +16,9 @@ mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_bounded_supervised, solve_diagonal, solve_diagonal_observed, solve_diagonal_supervised,
-    solve_general_supervised, verify_solution, Event, GapCheck, GeneralSeaOptions, KernelKind,
-    NullObserver, Parallelism, SeaOptions, StagnationPolicy, StopReason, SupervisorOptions,
-    VecObserver,
+    solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised, verify_solution,
+    Event, GapCheck, GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions,
+    StagnationPolicy, StopReason, SupervisorOptions, VecObserver,
 };
 
 fn kernel_of(k: u8) -> KernelKind {
@@ -215,7 +214,10 @@ fn checkerboard_weight_spreads_converge_to_a_certificate() {
             o.max_iterations = 50_000;
             o.kernel = kernel_of(k);
             o.extrapolation_depth = depth;
-            let sol = solve_diagonal(&p, &o).expect("checkerboard solve runs");
+            let sol =
+                solve_diagonal_supervised(&p, &o, &SupervisorOptions::default(), &mut NullObserver)
+                    .expect("checkerboard solve runs")
+                    .solution;
             assert!(
                 sol.stats.converged,
                 "{}/depth {depth}: residual {:.3e}",
@@ -239,20 +241,22 @@ fn non_monotone_extrapolated_residuals_do_not_trip_stagnation() {
     let p = generator::heterogeneous(7, 30, 25);
     let mut o = SeaOptions::with_epsilon(1e-10);
     o.max_iterations = 50_000;
-    o.record_history = true;
     let sup = SupervisorOptions {
         stagnation: Some(StagnationPolicy::default()),
         ..SupervisorOptions::default()
     };
-    let sol = solve_diagonal_supervised(&p, &o, &sup, &mut NullObserver).expect("solve runs");
-    let history = sol
-        .solution
-        .stats
-        .history
-        .as_ref()
-        .expect("history recorded");
+    let mut obs = VecObserver::new();
+    let sol = solve_diagonal_supervised(&p, &o, &sup, &mut obs).expect("solve runs");
+    let residuals: Vec<f64> = obs
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::ConvergenceCheck { residual, .. } => Some(*residual),
+            _ => None,
+        })
+        .collect();
     assert!(
-        history.windows(2).any(|w| w[1].residual > w[0].residual),
+        residuals.windows(2).any(|w| w[1] > w[0]),
         "residuals fell monotonically: the test needs a non-monotone sequence"
     );
     assert_eq!(sol.stop, StopReason::Converged);
@@ -272,7 +276,9 @@ fn multiplier_bound_with_extrapolation_matches_the_paper_sea() {
         o.multiplier_bound = Some(1e-3);
         o.extrapolation_depth = depth;
         let mut obs = VecObserver::new();
-        let sol = solve_diagonal_observed(&p, &o, &mut obs).expect("solve runs");
+        let sol = solve_diagonal_supervised(&p, &o, &SupervisorOptions::default(), &mut obs)
+            .expect("solve runs")
+            .solution;
         assert!(sol.stats.converged, "depth {depth}");
         let shifts = obs
             .events
@@ -367,16 +373,16 @@ proptest! {
         let mut o = SeaOptions::with_epsilon(1e-8);
         o.max_iterations = 60;
         o.kernel = kernel_of(k);
-        match sea_core::solve_diagonal(&p, &o) {
+        match solve_diagonal_supervised(&p, &o, &SupervisorOptions::default(), &mut NullObserver) {
             Err(SeaError::InfeasibleSubproblem { side, index }) => {
                 prop_assert_eq!(side, "row");
                 prop_assert_eq!(index, empty_row);
             }
             Err(_) => {} // any other typed error is still a non-panic
-            Ok(sol) => {
+            Ok(out) => {
                 // If the solver returns at the cap it must not claim the
                 // impossible balance converged.
-                prop_assert!(!sol.stats.converged);
+                prop_assert!(!out.solution.stats.converged);
             }
         }
     }

@@ -21,9 +21,8 @@ mod generator;
 
 use proptest::prelude::*;
 use sea_core::{
-    solve_diagonal_observed, solve_diagonal_supervised, DiagonalProblem, KernelCounters,
-    KernelKind, NullObserver, Observer, Parallelism, SeaOptions, SpanKind, SpanProfiler,
-    SpanRecord, StopReason, SupervisorOptions,
+    solve_diagonal_supervised, DiagonalProblem, KernelCounters, KernelKind, NullObserver, Observer,
+    Parallelism, SeaOptions, SpanKind, SpanProfiler, SpanRecord, StopReason, SupervisorOptions,
 };
 use sea_linalg::CsrMatrix;
 use sea_observe::{chrome_trace, folded_stacks, parse_chrome_trace};
@@ -166,9 +165,9 @@ proptest! {
         let solved = if sparse {
             let sp = DiagonalProblem::<CsrMatrix>::from_dense_problem(&p)
                 .expect("CSR lift of a valid dense problem");
-            solve_diagonal_observed(&sp, &o, &mut profiler).is_ok()
+            solve_diagonal_supervised(&sp, &o, &SupervisorOptions::default(), &mut profiler).is_ok()
         } else {
-            solve_diagonal_observed(&p, &o, &mut profiler).is_ok()
+            solve_diagonal_supervised(&p, &o, &SupervisorOptions::default(), &mut profiler).is_ok()
         };
         if !solved {
             return Ok(()); // typed numerical breakdown: tree may be truncated

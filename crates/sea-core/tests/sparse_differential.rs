@@ -10,7 +10,8 @@
 //! support (and zero off it), carry the same first-principles KKT
 //! certificate, and perform bitwise-identical kernel work (the cumulative
 //! [`Event::KernelCounters`] stream) — across Serial and Rayon execution
-//! and all three drivers (diagonal, bounded, general).
+//! and both storage-generic drivers (diagonal and bounded; the general
+//! driver's iterate is dense by construction).
 //!
 //! Two banded CSR solves too large for the dense oracle close the file:
 //! a 2 000 × 2 000 smoke solve to a passing supervised certificate, and
@@ -20,10 +21,9 @@
 mod generator;
 
 use sea_core::{
-    solve_bounded_supervised, solve_diagonal_observed, solve_diagonal_supervised, solve_general,
-    solve_general_in, verify_solution, BoundedProblem, DiagonalProblem, Event, KernelCounters,
-    KernelKind, NullObserver, Parallelism, SeaOptions, StopReason, Storage, SupervisorOptions,
-    VecObserver,
+    solve_bounded_supervised, solve_diagonal_supervised, verify_solution, BoundedProblem,
+    DiagonalProblem, Event, KernelCounters, KernelKind, NullObserver, Parallelism, SeaOptions,
+    StopReason, Storage, SupervisorOptions, VecObserver,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
 
@@ -63,13 +63,16 @@ fn sparse_families_match_dense_oracle() {
                 let mut opts = SeaOptions::with_epsilon(1e-8);
                 opts.kernel = kernel;
                 opts.parallelism = par;
+                let sup = SupervisorOptions::default();
 
                 let mut sparse_obs = VecObserver::new();
-                let ssol = solve_diagonal_observed(&sp, &opts, &mut sparse_obs)
-                    .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"));
+                let ssol = solve_diagonal_supervised(&sp, &opts, &sup, &mut sparse_obs)
+                    .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"))
+                    .solution;
                 let mut dense_obs = VecObserver::new();
-                let dsol = solve_diagonal_observed(&dp, &opts, &mut dense_obs)
-                    .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"));
+                let dsol = solve_diagonal_supervised(&dp, &opts, &sup, &mut dense_obs)
+                    .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"))
+                    .solution;
                 assert!(ssol.stats.converged, "{tag}: sparse did not converge");
                 assert!(dsol.stats.converged, "{tag}: dense did not converge");
 
@@ -210,31 +213,6 @@ fn sparse_bounded_matches_dense_oracle() {
     }
 }
 
-/// The general (non-diagonal) driver produces bitwise-identical iterates
-/// whether its inner diagonal sub-problems run over dense or CSR storage.
-#[test]
-fn sparse_general_matches_dense_bitwise() {
-    for seed in [SEED, SEED ^ 0x6E6] {
-        let Ok(p) = generator::try_general(seed, 5, 4, 2) else {
-            panic!("general fixture {seed:#x} must be constructible");
-        };
-        let opts = sea_core::GeneralSeaOptions::default();
-        let dense = solve_general(&p, &opts).expect("dense general");
-        let sparse = solve_general_in::<CsrMatrix>(&p, &opts).expect("sparse general");
-        assert_eq!(
-            bits(dense.x.as_slice()),
-            bits(sparse.x.values()),
-            "general/{seed:#x}: iterates diverged"
-        );
-        assert_eq!(dense.outer_iterations, sparse.outer_iterations);
-        assert_eq!(
-            dense.objective.to_bits(),
-            sparse.objective.to_bits(),
-            "general/{seed:#x}: objectives diverged"
-        );
-    }
-}
-
 /// Round-trip: a dense problem lifted to CSR (`from_dense_problem`) and
 /// solved sparse reproduces the dense solve bitwise — the companion
 /// direction to the sparse-first families above.
@@ -243,8 +221,13 @@ fn dense_problem_lifted_to_csr_replays_bitwise() {
     let dp = generator::heterogeneous(SEED ^ 0xC5, 7, 9);
     let sp = DiagonalProblem::<CsrMatrix>::from_dense_problem(&dp).expect("lift to CSR");
     let opts = SeaOptions::with_epsilon(1e-10);
-    let dsol = sea_core::solve_diagonal(&dp, &opts).expect("dense solve");
-    let ssol = sea_core::solve_diagonal(&sp, &opts).expect("sparse solve");
+    let sup = SupervisorOptions::default();
+    let dsol = solve_diagonal_supervised(&dp, &opts, &sup, &mut NullObserver)
+        .expect("dense solve")
+        .solution;
+    let ssol = solve_diagonal_supervised(&sp, &opts, &sup, &mut NullObserver)
+        .expect("sparse solve")
+        .solution;
     let sx = ssol.x.to_dense().expect("densify");
     assert_eq!(bits(sx.as_slice()), bits(dsol.x.as_slice()));
     assert_eq!(ssol.stats.iterations, dsol.stats.iterations);

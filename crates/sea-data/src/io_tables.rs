@@ -326,7 +326,15 @@ mod tests {
             ZeroPolicy::Structural,
         )
         .unwrap();
-        let sol = sea_core::solve_diagonal(&p, &sea_core::SeaOptions::with_epsilon(1e-8)).unwrap();
+        let sup = sea_core::SupervisorOptions::default();
+        let sol = sea_core::solve_diagonal_supervised(
+            &p,
+            &sea_core::SeaOptions::with_epsilon(1e-8),
+            &sup,
+            &mut sea_core::NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(sol.stats.converged);
     }
 }

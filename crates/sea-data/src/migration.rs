@@ -221,7 +221,7 @@ pub fn migration_general(period: Period, perturb_entries: bool) -> GeneralProble
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_core::{solve_diagonal, SeaOptions};
+    use sea_core::{solve_diagonal_supervised, NullObserver, SeaOptions, SupervisorOptions};
 
     #[test]
     fn base_table_shape_and_zero_diagonal() {
@@ -296,7 +296,11 @@ mod tests {
         // The c variant starts closest to feasibility, mirroring the
         // paper's observation that it solves fastest.
         let c = migration_problem(Period::P5560, MigrationVariant::C);
-        let sol = solve_diagonal(&c, &SeaOptions::with_epsilon(1e-4)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sol =
+            solve_diagonal_supervised(&c, &SeaOptions::with_epsilon(1e-4), &sup, &mut NullObserver)
+                .unwrap()
+                .solution;
         assert!(sol.stats.converged);
         // Structural diagonal zero preserved.
         assert_eq!(sol.x.get(0, 0), 0.0);

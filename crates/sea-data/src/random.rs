@@ -165,7 +165,15 @@ mod tests {
     #[test]
     fn table1_instance_is_solvable() {
         let p = table1_instance(15, 2);
-        let sol = sea_core::solve_diagonal(&p, &sea_core::SeaOptions::with_epsilon(1e-6)).unwrap();
+        let sup = sea_core::SupervisorOptions::default();
+        let sol = sea_core::solve_diagonal_supervised(
+            &p,
+            &sea_core::SeaOptions::with_epsilon(1e-6),
+            &sup,
+            &mut sea_core::NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(sol.stats.converged);
         assert!(sol.stats.residuals.rel_row_inf < 1e-5);
     }

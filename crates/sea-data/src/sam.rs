@@ -198,7 +198,7 @@ pub fn sam_problem(inst: SamInstance, seed: u64) -> DiagonalProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_core::{solve_diagonal, SeaOptions};
+    use sea_core::{solve_diagonal_supervised, NullObserver, SeaOptions, SupervisorOptions};
 
     #[test]
     fn stone_has_exactly_twelve_transactions() {
@@ -236,7 +236,15 @@ mod tests {
     #[test]
     fn stone_problem_balances_under_sea() {
         let p = sam_problem(SamInstance::Stone, 0);
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+        let sup = SupervisorOptions::default();
+        let sol = solve_diagonal_supervised(
+            &p,
+            &SeaOptions::with_epsilon(1e-10),
+            &sup,
+            &mut NullObserver,
+        )
+        .unwrap()
+        .solution;
         assert!(sol.stats.converged);
         let r = sol.x.row_sums();
         let c = sol.x.col_sums();
@@ -256,7 +264,15 @@ mod tests {
     fn turk_and_sri_balance_under_sea() {
         for inst in [SamInstance::Turk, SamInstance::Sri] {
             let p = sam_problem(inst, 0);
-            let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-9)).unwrap();
+            let sup = SupervisorOptions::default();
+            let sol = solve_diagonal_supervised(
+                &p,
+                &SeaOptions::with_epsilon(1e-9),
+                &sup,
+                &mut NullObserver,
+            )
+            .unwrap()
+            .solution;
             assert!(sol.stats.converged, "{} did not converge", inst.name());
             let r = sol.x.row_sums();
             let c = sol.x.col_sums();

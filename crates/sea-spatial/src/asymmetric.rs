@@ -19,7 +19,9 @@
 
 use crate::model::{EquilibriumReport, SpatialPriceProblem};
 use rand::Rng;
-use sea_core::{solve_diagonal, SeaError, SeaOptions};
+use sea_core::{
+    solve_diagonal_supervised, NullObserver, SeaError, SeaOptions, StopReason, SupervisorOptions,
+};
 use sea_linalg::DenseMatrix;
 use std::time::{Duration, Instant};
 
@@ -217,7 +219,8 @@ pub struct AsymmetricSolution {
 /// cross-market terms frozen at the previous iterate.
 ///
 /// # Errors
-/// Propagates validation and inner-solver failures.
+/// Propagates validation and inner-solver failures. An inner solve that
+/// breaks down surfaces as [`SeaError::NumericalBreakdown`].
 pub fn solve_asymmetric_spe(
     p: &AsymmetricSpe,
     inner: &SeaOptions,
@@ -233,12 +236,19 @@ pub fn solve_asymmetric_spe(
     let mut outer_iterations = 0;
     let mut converged = false;
     let mut outer_residual = f64::INFINITY;
+    let inner_sup = SupervisorOptions::default();
 
     for t in 1..=max_outer {
         outer_iterations = t;
         let sep = p.diagonalized_at(&s, &d);
         let cmp = sep.to_constrained_matrix()?;
-        let sol = solve_diagonal(&cmp, inner)?;
+        let out = solve_diagonal_supervised(&cmp, inner, &inner_sup, &mut NullObserver)?;
+        if out.stop == StopReason::Breakdown {
+            return Err(SeaError::NumericalBreakdown {
+                iteration: out.solution.stats.iterations,
+            });
+        }
+        let sol = out.solution;
         let delta = sol.x.max_abs_diff(&x);
         x = sol.x;
         s = sol.s;

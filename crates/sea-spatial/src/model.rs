@@ -1,7 +1,10 @@
 //! The SPE model, its constrained-matrix transformation, and equilibrium
 //! verification.
 
-use sea_core::{solve_diagonal, DiagonalProblem, SeaError, SeaOptions, TotalSpec, ZeroPolicy};
+use sea_core::{
+    solve_diagonal_supervised, DiagonalProblem, NullObserver, SeaError, SeaOptions,
+    SupervisorOptions, TotalSpec, ZeroPolicy,
+};
 use sea_linalg::DenseMatrix;
 use std::time::Duration;
 
@@ -273,7 +276,9 @@ pub struct SpeSolution {
 /// Propagates validation and solver failures.
 pub fn solve_spe(p: &SpatialPriceProblem, opts: &SeaOptions) -> Result<SpeSolution, SeaError> {
     let cmp = p.to_constrained_matrix()?;
-    let sol = solve_diagonal(&cmp, opts)?;
+    let sol =
+        solve_diagonal_supervised(&cmp, opts, &SupervisorOptions::default(), &mut NullObserver)?
+            .solution;
     let report = check_equilibrium(p, &sol.x, &sol.s, &sol.d);
     Ok(SpeSolution {
         x: sol.x,
@@ -314,7 +319,10 @@ mod tests {
             let solve = |check_every: usize| {
                 let mut opts = SeaOptions::with_epsilon(epsilon);
                 opts.check_every = check_every;
-                let sol = solve_diagonal(&cmp, &opts).unwrap();
+                let sup = SupervisorOptions::default();
+                let sol = solve_diagonal_supervised(&cmp, &opts, &sup, &mut NullObserver)
+                    .unwrap()
+                    .solution;
                 assert!(sol.stats.converged, "check_every {check_every}");
                 sol.stats.iterations
             };

@@ -14,7 +14,10 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sea::baselines::ras::{ras_balance, RasOptions};
-use sea::core::{solve_diagonal, DiagonalProblem, SeaOptions, TotalSpec, ZeroPolicy};
+use sea::core::{
+    solve_diagonal_supervised, DiagonalProblem, NullObserver, SeaOptions, SupervisorOptions,
+    TotalSpec, ZeroPolicy,
+};
 use sea::data::io_tables::synthetic_io_matrix;
 use sea::linalg::DenseMatrix;
 
@@ -65,7 +68,15 @@ fn main() {
         ZeroPolicy::Structural,
     )
     .expect("consistent");
-    let sea_sol = solve_diagonal(&problem, &SeaOptions::with_epsilon(1e-10)).expect("feasible");
+    let sup = SupervisorOptions::default();
+    let sea_sol = solve_diagonal_supervised(
+        &problem,
+        &SeaOptions::with_epsilon(1e-10),
+        &sup,
+        &mut NullObserver,
+    )
+    .expect("feasible")
+    .solution;
     println!(
         "SEA: converged={} iterations={} objective={:.4}",
         sea_sol.stats.converged, sea_sol.stats.iterations, sea_sol.stats.objective
@@ -73,7 +84,10 @@ fn main() {
 
     // --- RAS on the same problem. ---
     let ras = ras_balance(&x0, &s0, &d0, &RasOptions::default()).expect("valid inputs");
-    println!("RAS: converged={} iterations={}", ras.converged, ras.iterations);
+    println!(
+        "RAS: converged={} iterations={}",
+        ras.converged, ras.iterations
+    );
 
     // --- Compare. ---
     let diff = sea_sol.x.max_abs_diff(&ras.x);

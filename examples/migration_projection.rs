@@ -10,7 +10,10 @@
 //! fidelity to the old flow pattern against fidelity to the projected
 //! totals, and returns *estimated* totals alongside the flows.
 
-use sea::core::{solve_diagonal, ConvergenceCriterion, SeaOptions, TotalSpec};
+use sea::core::{
+    solve_diagonal_supervised, ConvergenceCriterion, NullObserver, SeaOptions, SupervisorOptions,
+    TotalSpec,
+};
 use sea::data::migration::{migration_problem, MigrationVariant, Period};
 
 fn main() {
@@ -21,7 +24,10 @@ fn main() {
 
     let mut opts = SeaOptions::with_epsilon(1e-6);
     opts.criterion = Some(ConvergenceCriterion::MaxAbsChange);
-    let sol = solve_diagonal(&problem, &opts).expect("solvable");
+    let sup = SupervisorOptions::default();
+    let sol = solve_diagonal_supervised(&problem, &opts, &sup, &mut NullObserver)
+        .expect("solvable")
+        .solution;
     println!(
         "48x48 projection solved in {} iterations (converged: {})",
         sol.stats.iterations, sol.stats.converged
@@ -33,10 +39,7 @@ fn main() {
     println!("\nfirst five states, out-migration:");
     println!("{:>10} {:>12} {:>12}", "base", "target s0", "estimated s");
     for i in 0..5 {
-        println!(
-            "{:>10.0} {:>12.0} {:>12.0}",
-            base_out[i], s0[i], sol.s[i]
-        );
+        println!("{:>10.0} {:>12.0} {:>12.0}", base_out[i], s0[i], sol.s[i]);
         let lo = base_out[i].min(s0[i]) - 1e-6;
         let hi = base_out[i].max(s0[i]) + 1e-6;
         assert!(

@@ -10,7 +10,10 @@
 //! chi-square sense — the classical constrained matrix problem, solved by
 //! the splitting equilibration algorithm.
 
-use sea::core::{solve_diagonal, DiagonalProblem, SeaOptions, TotalSpec, WeightScheme};
+use sea::core::{
+    solve_diagonal_supervised, DiagonalProblem, NullObserver, SeaOptions, SupervisorOptions,
+    TotalSpec, WeightScheme,
+};
 use sea::linalg::DenseMatrix;
 
 fn main() {
@@ -34,14 +37,32 @@ fn main() {
     let problem = DiagonalProblem::new(x0.clone(), gamma, TotalSpec::Fixed { s0, d0 })
         .expect("consistent margins");
 
-    let solution = solve_diagonal(&problem, &SeaOptions::with_epsilon(1e-10))
-        .expect("feasible problem");
+    let sup = SupervisorOptions::default();
+    let solution = solve_diagonal_supervised(
+        &problem,
+        &SeaOptions::with_epsilon(1e-10),
+        &sup,
+        &mut NullObserver,
+    )
+    .expect("feasible problem")
+    .solution;
 
-    println!("converged: {} in {} iterations", solution.stats.converged, solution.stats.iterations);
-    println!("objective (weighted squared deviation): {:.6}", solution.stats.objective);
+    println!(
+        "converged: {} in {} iterations",
+        solution.stats.converged, solution.stats.iterations
+    );
+    println!(
+        "objective (weighted squared deviation): {:.6}",
+        solution.stats.objective
+    );
     println!("estimate X:");
     for i in 0..3 {
-        let row: Vec<String> = solution.x.row(i).iter().map(|v| format!("{v:7.3}")).collect();
+        let row: Vec<String> = solution
+            .x
+            .row(i)
+            .iter()
+            .map(|v| format!("{v:7.3}"))
+            .collect();
         println!("  [{}]", row.join(", "));
     }
     println!("row sums:    {:?}", solution.x.row_sums());

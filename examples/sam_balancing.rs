@@ -12,8 +12,7 @@
 //! objective `Σ αᵢ(sᵢ−s⁰ᵢ)² + Σ γᵢⱼ(xᵢⱼ−x⁰ᵢⱼ)²`, solved by the SAM
 //! variant of SEA (§3.1.2).
 
-use sea::core::solve_diagonal;
-use sea::core::SeaOptions;
+use sea::core::{solve_diagonal_supervised, NullObserver, SeaOptions, SupervisorOptions};
 use sea::data::sam::{sam_problem, SamInstance};
 
 fn main() {
@@ -33,11 +32,23 @@ fn main() {
         );
     }
 
-    let sol = solve_diagonal(&problem, &SeaOptions::with_epsilon(1e-10)).expect("solvable");
+    let sup = SupervisorOptions::default();
+    let sol = solve_diagonal_supervised(
+        &problem,
+        &SeaOptions::with_epsilon(1e-10),
+        &sup,
+        &mut NullObserver,
+    )
+    .expect("solvable")
+    .solution;
     println!(
         "\nSEA balanced the SAM in {} iterations ({} )",
         sol.stats.iterations,
-        if sol.stats.converged { "converged" } else { "NOT converged" }
+        if sol.stats.converged {
+            "converged"
+        } else {
+            "NOT converged"
+        }
     );
 
     println!("balanced accounts:");
@@ -61,5 +72,8 @@ fn main() {
     }
     // Structural zeros (impossible transactions) stay exactly zero.
     assert_eq!(sol.x.get(0, 0), 0.0);
-    println!("\nstructural zeros preserved; objective = {:.4}", sol.stats.objective);
+    println!(
+        "\nstructural zeros preserved; objective = {:.4}",
+        sol.stats.objective
+    );
 }

@@ -34,7 +34,10 @@
 //! ## Quickstart
 //!
 //! ```
-//! use sea::core::{DiagonalProblem, SeaOptions, TotalSpec, WeightScheme, solve_diagonal};
+//! use sea::core::{
+//!     solve_diagonal_supervised, DiagonalProblem, NullObserver, SeaOptions, StopReason,
+//!     SupervisorOptions, TotalSpec, WeightScheme,
+//! };
 //! use sea::linalg::DenseMatrix;
 //!
 //! // A 2x2 prior whose row/column totals must double.
@@ -46,8 +49,11 @@
 //!     TotalSpec::Fixed { s0: vec![6.0, 14.0], d0: vec![8.0, 12.0] },
 //! )
 //! .unwrap();
-//! let sol = solve_diagonal(&problem, &SeaOptions::default()).unwrap();
-//! let sums = sol.x.row_sums();
+//! let sup = SupervisorOptions::default();
+//! let out = solve_diagonal_supervised(&problem, &SeaOptions::default(), &sup, &mut NullObserver)
+//!     .unwrap();
+//! assert_eq!(out.stop, StopReason::Converged);
+//! let sums = out.solution.x.row_sums();
 //! assert!((sums[0] - 6.0).abs() < 1e-6 && (sums[1] - 14.0).abs() < 1e-6);
 //! ```
 

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sea::core::interval::BoundedSolution;
-use sea::core::{solve_bounded_supervised, solve_diagonal, BoundedProblem, SeaOptions};
+use sea::core::{solve_bounded_supervised, solve_diagonal_supervised, BoundedProblem, SeaOptions};
 use sea::core::{DiagonalProblem, NullObserver, SeaError, SupervisorOptions, TotalSpec};
 use sea::linalg::DenseMatrix;
 
@@ -32,12 +32,8 @@ fn growth_problem(n: usize, seed: u64) -> (DenseMatrix, DenseMatrix, Vec<f64>, V
         (0..n * n).map(|_| rng.random_range(1.0..50.0)).collect(),
     )
     .unwrap();
-    let gamma = DenseMatrix::from_vec(
-        n,
-        n,
-        x0.as_slice().iter().map(|&v| 1.0 / v).collect(),
-    )
-    .unwrap();
+    let gamma =
+        DenseMatrix::from_vec(n, n, x0.as_slice().iter().map(|&v| 1.0 / v).collect()).unwrap();
     let s0: Vec<f64> = x0
         .row_sums()
         .iter()
@@ -68,21 +64,20 @@ fn interval_constraints_tighten_the_estimate() {
         },
     )
     .unwrap();
-    let free = solve_diagonal(&free_p, &SeaOptions::with_epsilon(1e-10)).unwrap();
+    let sup = SupervisorOptions::default();
+    let free = solve_diagonal_supervised(
+        &free_p,
+        &SeaOptions::with_epsilon(1e-10),
+        &sup,
+        &mut NullObserver,
+    )
+    .unwrap()
+    .solution;
 
     // Harrigan–Buchanan style intervals: each entry within ±20 % of prior.
-    let lo = DenseMatrix::from_vec(
-        6,
-        6,
-        x0.as_slice().iter().map(|&v| 0.8 * v).collect(),
-    )
-    .unwrap();
-    let hi = DenseMatrix::from_vec(
-        6,
-        6,
-        x0.as_slice().iter().map(|&v| 1.45 * v).collect(),
-    )
-    .unwrap();
+    let lo = DenseMatrix::from_vec(6, 6, x0.as_slice().iter().map(|&v| 0.8 * v).collect()).unwrap();
+    let hi =
+        DenseMatrix::from_vec(6, 6, x0.as_slice().iter().map(|&v| 1.45 * v).collect()).unwrap();
     let bounded_p = BoundedProblem::new(x0.clone(), gamma, lo, hi, s0, d0).unwrap();
     let bounded = solve_bounded(&bounded_p, 1e-9, 100_000).unwrap();
     assert!(bounded.converged);

@@ -6,17 +6,33 @@
 mod common;
 
 use sea::core::{
-    solve_diagonal, solve_general, GeneralSeaOptions, SeaOptions, TotalSpec,
+    solve_diagonal_supervised, solve_general_supervised, DiagonalProblem, GeneralProblem,
+    GeneralSeaOptions, GeneralSolution, NullObserver, SeaOptions, Solution, SupervisorOptions,
+    TotalSpec,
 };
 use sea::data::io_tables::{io_dataset, IoVariant};
 use sea::data::migration::{migration_problem, MigrationVariant, Period};
 use sea::data::sam::{sam_problem, SamInstance};
 use sea::data::{table1_instance, table7_instance};
 
+/// Diagonal SEA under default supervision; the solution alone.
+fn sea_diagonal(p: &DiagonalProblem, opts: &SeaOptions) -> Solution {
+    solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), &mut NullObserver)
+        .unwrap()
+        .solution
+}
+
+/// General SEA under default supervision; the solution alone.
+fn sea_general(p: &GeneralProblem, opts: &GeneralSeaOptions) -> GeneralSolution {
+    solve_general_supervised(p, opts, &SupervisorOptions::default(), &mut NullObserver)
+        .unwrap()
+        .solution
+}
+
 #[test]
 fn table1_pipeline_reaches_paper_tolerance() {
     let p = table1_instance(60, 99);
-    let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(0.01)).unwrap();
+    let sol = sea_diagonal(&p, &SeaOptions::with_epsilon(0.01));
     assert!(sol.stats.converged);
     // Paper criterion: relative row balance ≤ .01; columns exact.
     assert!(sol.stats.residuals.rel_row_inf <= 0.01);
@@ -27,9 +43,12 @@ fn table1_pipeline_reaches_paper_tolerance() {
 #[test]
 fn io_pipeline_all_families() {
     for family in 0..3u8 {
-        let v = IoVariant { family, variant: 'a' };
+        let v = IoVariant {
+            family,
+            variant: 'a',
+        };
         let p = io_dataset(v, 0);
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(0.01)).unwrap();
+        let sol = sea_diagonal(&p, &SeaOptions::with_epsilon(0.01));
         assert!(sol.stats.converged, "{} failed", v.name());
         // Structural zeros preserved across the whole pipeline.
         for (x0v, xv) in p.x0().as_slice().iter().zip(sol.x.as_slice()) {
@@ -49,7 +68,7 @@ fn sam_pipeline_balances_every_instance() {
         SamInstance::Usda82e,
     ] {
         let p = sam_problem(inst, 3);
-        let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(0.001)).unwrap();
+        let sol = sea_diagonal(&p, &SeaOptions::with_epsilon(0.001));
         assert!(sol.stats.converged, "{} failed", inst.name());
         let rows = sol.x.row_sums();
         let cols = sol.x.col_sums();
@@ -69,7 +88,7 @@ fn sam_pipeline_balances_every_instance() {
 #[test]
 fn migration_pipeline_interpolates_totals() {
     let p = migration_problem(Period::P6570, MigrationVariant::A);
-    let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-4)).unwrap();
+    let sol = sea_diagonal(&p, &SeaOptions::with_epsilon(1e-4));
     assert!(sol.stats.converged);
     let TotalSpec::Elastic { s0, .. } = p.totals() else {
         panic!("elastic expected")
@@ -83,7 +102,11 @@ fn migration_pipeline_interpolates_totals() {
         let slack = 0.25 * (s0[i] - base[i]).abs() + 0.01 * base[i];
         let lo = base[i].min(s0[i]) - slack;
         let hi = base[i].max(s0[i]) + slack;
-        assert!(sol.s[i] >= lo && sol.s[i] <= hi, "state {i}: {} not in [{lo}, {hi}]", sol.s[i]);
+        assert!(
+            sol.s[i] >= lo && sol.s[i] <= hi,
+            "state {i}: {} not in [{lo}, {hi}]",
+            sol.s[i]
+        );
     }
     let total_base: f64 = base.iter().sum();
     let total_target: f64 = s0.iter().sum();
@@ -94,7 +117,7 @@ fn migration_pipeline_interpolates_totals() {
 #[test]
 fn general_pipeline_table7_instance() {
     let p = table7_instance(8, 4);
-    let sol = solve_general(&p, &GeneralSeaOptions::with_epsilon(1e-6)).unwrap();
+    let sol = sea_general(&p, &GeneralSeaOptions::with_epsilon(1e-6));
     assert!(sol.converged);
     assert!(sol.residuals.row_inf < 1e-4);
     assert!(sol.residuals.col_inf < 1e-4);
@@ -119,15 +142,15 @@ fn general_class_matches_dense_kkt_when_interior() {
     for v in &mut d0 {
         *v *= f;
     }
-    let reference = common::general_equality_qp_reference(&x0, &g, &s0, &d0)
-        .expect("nonsingular KKT");
+    let reference =
+        common::general_equality_qp_reference(&x0, &g, &s0, &d0).expect("nonsingular KKT");
     assert!(
         reference.as_slice().iter().all(|&v| v >= 0.0),
         "instance not interior; adjust the perturbation"
     );
-    let p = sea::core::GeneralProblem::new(x0.clone(), g, GeneralTotalSpec::Fixed { s0, d0 })
-        .unwrap();
-    let sol = solve_general(&p, &GeneralSeaOptions::with_epsilon(1e-10)).unwrap();
+    let p =
+        sea::core::GeneralProblem::new(x0.clone(), g, GeneralTotalSpec::Fixed { s0, d0 }).unwrap();
+    let sol = sea_general(&p, &GeneralSeaOptions::with_epsilon(1e-10));
     assert!(sol.converged);
     let scale = x0.as_slice().iter().cloned().fold(1.0_f64, f64::max);
     assert!(
@@ -145,13 +168,13 @@ fn fixed_class_matches_equality_qp_when_interior() {
     let TotalSpec::Fixed { s0, d0 } = p.totals() else {
         panic!("fixed expected")
     };
-    let reference = common::equality_qp_reference(p.x0(), p.gamma(), s0, d0)
-        .expect("nonsingular KKT");
+    let reference =
+        common::equality_qp_reference(p.x0(), p.gamma(), s0, d0).expect("nonsingular KKT");
     assert!(
         reference.as_slice().iter().all(|&v| v >= 0.0),
         "instance not interior; pick a different seed"
     );
-    let sol = solve_diagonal(&p, &SeaOptions::with_epsilon(1e-12)).unwrap();
+    let sol = sea_diagonal(&p, &SeaOptions::with_epsilon(1e-12));
     let diff = sol.x.max_abs_diff(&reference);
     let scale = p.x0().as_slice().iter().cloned().fold(1.0_f64, f64::max);
     assert!(

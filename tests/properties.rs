@@ -8,8 +8,8 @@ mod common;
 
 use proptest::prelude::*;
 use sea::core::{
-    solve_diagonal, verify_solution, ConvergenceCriterion, DiagonalProblem, SeaOptions,
-    TotalSpec,
+    solve_diagonal_supervised, verify_solution, ConvergenceCriterion, DiagonalProblem,
+    NullObserver, SeaOptions, Solution, SupervisorOptions, TotalSpec,
 };
 use sea::linalg::DenseMatrix;
 
@@ -38,6 +38,14 @@ fn tight_opts() -> SeaOptions {
     o
 }
 
+/// SEA at [`tight_opts`] under default supervision; the solution alone.
+fn tight_solve(p: &DiagonalProblem) -> Solution {
+    let sup = SupervisorOptions::default();
+    solve_diagonal_supervised(p, &tight_opts(), &sup, &mut NullObserver)
+        .unwrap()
+        .solution
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -55,7 +63,7 @@ proptest! {
         let ct: f64 = cs.iter().sum();
         let d0: Vec<f64> = cs.iter().map(|v| v * total / ct).collect();
         let p = DiagonalProblem::new(x0, gamma, TotalSpec::Fixed { s0: s0.clone(), d0: d0.clone() }).unwrap();
-        let sol = solve_diagonal(&p, &tight_opts()).unwrap();
+        let sol = tight_solve(&p);
         prop_assert!(sol.stats.converged);
 
         // Feasibility.
@@ -106,7 +114,7 @@ proptest! {
             x0, gamma,
             TotalSpec::Elastic { alpha: alpha.clone(), s0: s0.clone(), beta: beta.clone(), d0: d0.clone() },
         ).unwrap();
-        let sol = solve_diagonal(&p, &tight_opts()).unwrap();
+        let sol = tight_solve(&p);
         prop_assert!(sol.stats.converged);
         // Stationarity of the totals: λᵢ = 2αᵢ(s⁰ᵢ − sᵢ), μⱼ = 2βⱼ(d⁰ⱼ − dⱼ).
         for i in 0..m {
@@ -137,7 +145,7 @@ proptest! {
         let s0: Vec<f64> = x0.row_sums().iter().zip(x0.col_sums())
             .map(|(r, c)| 0.5 * (r + c) * rng.random_range(0.8..1.2)).collect();
         let p = DiagonalProblem::new(x0, gamma, TotalSpec::Balanced { alpha, s0 }).unwrap();
-        let sol = solve_diagonal(&p, &tight_opts()).unwrap();
+        let sol = tight_solve(&p);
         prop_assert!(sol.stats.converged);
         let rs = sol.x.row_sums();
         let cs = sol.x.col_sums();
@@ -163,7 +171,7 @@ proptest! {
         let reference = common::equality_qp_reference(&x0, &gamma, &s0, &d0).unwrap();
         prop_assume!(reference.as_slice().iter().all(|&v| v >= 0.0));
         let p = DiagonalProblem::new(x0.clone(), gamma, TotalSpec::Fixed { s0, d0 }).unwrap();
-        let sol = solve_diagonal(&p, &tight_opts()).unwrap();
+        let sol = tight_solve(&p);
         let scale = x0.as_slice().iter().cloned().fold(1.0_f64, f64::max);
         prop_assert!(sol.x.max_abs_diff(&reference) / scale < 1e-7,
             "diff {}", sol.x.max_abs_diff(&reference));
@@ -208,7 +216,7 @@ proptest! {
             },
         };
         let p = DiagonalProblem::new(x0, gamma, spec).unwrap();
-        let sol = solve_diagonal(&p, &tight_opts()).unwrap();
+        let sol = tight_solve(&p);
         prop_assume!(sol.stats.converged);
         let report = verify_solution(&p, &sol);
         prop_assert!(report.is_optimal(1e-5), "class {}: {:?}", class, report);

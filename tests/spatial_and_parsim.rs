@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use sea::core::{
-    solve_diagonal_observed, trace_from_events, DiagonalProblem, ExecutionTrace, SeaOptions,
-    Solution, VecObserver,
+    solve_diagonal_supervised, trace_from_events, DiagonalProblem, ExecutionTrace, SeaOptions,
+    Solution, SupervisorOptions, VecObserver,
 };
 use sea::data::table1_instance;
 use sea::parsim::{speedup_table, MachineModel};
@@ -17,7 +17,9 @@ use sea_cli::commands::trace_to_sim_phases;
 /// recorded `PhaseEnd` events.
 fn traced_solve(p: &DiagonalProblem, opts: &SeaOptions) -> (Solution, ExecutionTrace) {
     let mut obs = VecObserver::new();
-    let sol = solve_diagonal_observed(p, opts, &mut obs).unwrap();
+    let sol = solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), &mut obs)
+        .unwrap()
+        .solution;
     (sol, trace_from_events(&obs.events))
 }
 
@@ -29,7 +31,10 @@ fn spe_solutions_satisfy_wardrop_style_conditions() {
         assert!(sol.converged, "seed {seed}");
         let scale = sol.report.total_flow.max(1.0);
         assert!(sol.report.max_price_violation < 1e-5, "seed {seed}");
-        assert!(sol.report.max_complementarity_gap / scale < 1e-5, "seed {seed}");
+        assert!(
+            sol.report.max_complementarity_gap / scale < 1e-5,
+            "seed {seed}"
+        );
     }
 }
 
@@ -66,7 +71,10 @@ fn trace_replay_is_consistent_with_measured_solve() {
         "trace time {t1} cannot exceed wall time {wall}"
     );
     // Most of the solve is accounted for by the traced phases.
-    assert!(t1 >= wall * 0.3, "trace {t1} vs wall {wall}: too much untraced time");
+    assert!(
+        t1 >= wall * 0.3,
+        "trace {t1} vs wall {wall}: too much untraced time"
+    );
 }
 
 #[test]
@@ -85,7 +93,10 @@ fn simulated_speedups_have_paper_shape() {
     // Monotone increasing speedups, decreasing efficiencies — the paper's
     // Table 6 shape.
     for w in rows.windows(2) {
-        assert!(w[1].speedup >= w[0].speedup * 0.99, "speedup not increasing");
+        assert!(
+            w[1].speedup >= w[0].speedup * 0.99,
+            "speedup not increasing"
+        );
         assert!(
             w[1].efficiency <= w[0].efficiency + 1e-9,
             "efficiency not decreasing"
