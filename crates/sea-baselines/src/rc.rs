@@ -23,8 +23,8 @@ use sea_core::equilibrate::{equilibration_pass, PassInputs};
 use sea_core::general::{GeneralProblem, GeneralTotalSpec};
 use sea_core::knapsack::{KernelKind, TotalMode};
 use sea_core::parallel::Parallelism;
-use sea_core::trace::{ExecutionTrace, PhaseKind};
-use sea_core::SeaError;
+use sea_core::trace::ExecutionTrace;
+use sea_core::{PhaseLabel, SeaError};
 use sea_linalg::DenseMatrix;
 use std::time::{Duration, Instant};
 
@@ -184,7 +184,7 @@ fn half_step(
             // Coarse-chunked like a real parallel mat-vec (see general.rs).
             let chunks = mn.min(256);
             tr.push(
-                PhaseKind::Projection,
+                PhaseLabel::Projection,
                 vec![proj_secs / chunks as f64; chunks],
             );
         }
@@ -217,9 +217,9 @@ fn half_step(
         if let Some(tr) = trace.as_mut() {
             tr.push(
                 if transposed {
-                    PhaseKind::ColumnEquilibration
+                    PhaseLabel::ColumnEquilibration
                 } else {
-                    PhaseKind::RowEquilibration
+                    PhaseLabel::RowEquilibration
                 },
                 buf.costs.clone(),
             );
@@ -232,7 +232,7 @@ fn half_step(
         std::mem::swap(x, &mut buf.y);
         let check_secs = t0.elapsed().as_secs_f64();
         if let Some(tr) = trace.as_mut() {
-            tr.push(PhaseKind::ConvergenceCheck, vec![check_secs]);
+            tr.push(PhaseLabel::ConvergenceCheck, vec![check_secs]);
         }
         if delta <= opts.projection_epsilon {
             break;
@@ -346,7 +346,7 @@ pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSoluti
             x_prev_outer.as_mut_slice().copy_from_slice(x.as_slice());
             let secs = t0.elapsed().as_secs_f64();
             if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseKind::ConvergenceCheck, vec![secs]);
+                tr.push(PhaseLabel::ConvergenceCheck, vec![secs]);
             }
             outer_residual = delta;
             if delta <= opts.outer_epsilon {
@@ -471,15 +471,15 @@ mod tests {
         )
         .unwrap();
         let sea_trace = sea_core::trace_from_events(&obs.events);
-        let rc_mv = rc_trace.count(PhaseKind::Projection);
-        let sea_mv = sea_trace.count(PhaseKind::Projection);
+        let rc_mv = rc_trace.count(PhaseLabel::Projection);
+        let sea_mv = sea_trace.count(PhaseLabel::Projection);
         assert!(
             rc_mv > sea_mv,
             "RC should need more G mat-vecs: rc={rc_mv} sea={sea_mv}"
         );
         // And more serial convergence checks.
-        let rc_checks = rc_trace.count(PhaseKind::ConvergenceCheck);
-        let sea_checks = sea_trace.count(PhaseKind::ConvergenceCheck);
+        let rc_checks = rc_trace.count(PhaseLabel::ConvergenceCheck);
+        let sea_checks = sea_trace.count(PhaseLabel::ConvergenceCheck);
         assert!(rc_checks > sea_checks);
     }
 

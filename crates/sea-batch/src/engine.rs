@@ -477,7 +477,12 @@ impl BatchEngine {
             if spanning {
                 slot.start_ns = elapsed_ns(start);
             }
-            solve_one(inst, options, cache, observing, slot);
+            let mut buffer = EventBuffer {
+                on: observing,
+                events: mem::take(&mut slot.events),
+            };
+            solve_one(inst, options, cache, &mut buffer, slot);
+            slot.events = buffer.events;
             if spanning {
                 slot.end_ns = elapsed_ns(start);
             }
@@ -598,21 +603,19 @@ impl BatchEngine {
 /// the cache (and whatever lock guards it), resolves sharing and eviction
 /// policy itself, and applies the returned [`CacheUpdate`] (if any)
 /// whenever it chooses — typically immediately, under the same lock a
-/// concurrent worker would take. Events stream to `obs` in order with no
-/// batch framing. The result is bitwise identical to the same instance
-/// going through [`BatchEngine::solve_batch`] with the same options and
-/// cache snapshot (it runs the same per-instance path).
-pub fn solve_instance<O: Observer>(
+/// concurrent worker would take. Events (and span signals, when `obs`
+/// wants them) stream to `obs` as the solve runs, with no batch framing.
+/// The result is bitwise identical to the same instance going through
+/// [`BatchEngine::solve_batch`] with the same options and cache snapshot
+/// (it runs the same per-instance path).
+pub fn solve_instance<O: Observer + Send>(
     inst: &BatchInstance,
     opts: &BatchOptions,
     cache: &WarmStartCache,
     obs: &mut O,
 ) -> (BatchItemReport, Option<CacheUpdate>) {
     let mut slot = Slot::default();
-    solve_one(inst, opts, cache, obs.enabled(), &mut slot);
-    for e in slot.events.drain(..) {
-        obs.record(&e);
-    }
+    solve_one(inst, opts, cache, obs, &mut slot);
     // Allowed: `solve_one` unconditionally fills `outcome` (same proof as
     // the batch epilogue above).
     #[allow(clippy::expect_used)]
@@ -639,10 +642,10 @@ fn elapsed_ns(t0: Instant) -> u64 {
         .saturating_add(u64::from(d.subsec_nanos()))
 }
 
-/// Event sink for one instance: when the batch has an outer observer it
-/// buffers the instance's event stream for in-order replay; otherwise it
-/// reports disabled, so the solvers construct no events and evaluate ζ
-/// at no check. Kernel work comes from the solution either way.
+/// Event sink for one batch instance: when the batch has an outer
+/// observer it buffers the instance's event stream for in-order replay;
+/// otherwise it reports disabled, so the solvers construct no events and
+/// evaluate ζ at no check. Kernel work comes from the solution either way.
 struct EventBuffer {
     on: bool,
     events: Vec<Event>,
@@ -658,12 +661,13 @@ impl Observer for EventBuffer {
     }
 }
 
-/// Solve one instance against the cache snapshot, filling `slot`.
-fn solve_one(
+/// Solve one instance against the cache snapshot, filling `slot`; the
+/// solve's events go straight to `obs`.
+fn solve_one<O: Observer + Send>(
     inst: &BatchInstance,
     opts: &BatchOptions,
     cache: &WarmStartCache,
-    buffer_events: bool,
+    obs: &mut O,
     slot: &mut Slot,
 ) {
     // Resolve the warm start against the read-only snapshot. A cached μ of
@@ -689,10 +693,6 @@ fn solve_one(
     }
     let hit = slot.warm == WarmStart::Hit;
 
-    let mut buffer = EventBuffer {
-        on: buffer_events,
-        events: mem::take(&mut slot.events),
-    };
     // Options for the diagonal-class drivers (plain, sparse and bounded
     // instances alike); the general class nests them in its own options.
     let sea_options = |epsilon: f64, initial_mu: Option<Vec<f64>>| SeaOptions {
@@ -728,23 +728,23 @@ fn solve_one(
     let (outcome, seed) = match &inst.problem {
         BatchProblem::Diagonal(p) => {
             let o = sea_options(opts.epsilon, seed);
-            let r = solve_diagonal_supervised(p, &o, sup, &mut buffer);
+            let r = solve_diagonal_supervised(p, &o, sup, obs);
             (r.map(BatchSolution::Diagonal), o.initial_mu)
         }
         BatchProblem::SparseDiagonal(p) => {
             let o = sea_options(opts.epsilon, seed);
-            let r = solve_diagonal_supervised(p, &o, sup, &mut buffer);
+            let r = solve_diagonal_supervised(p, &o, sup, obs);
             (r.map(BatchSolution::SparseDiagonal), o.initial_mu)
         }
         BatchProblem::Bounded(p) => {
             let o = sea_options(opts.epsilon, seed);
-            let r = solve_bounded_supervised(p, &o, sup, &mut buffer);
+            let r = solve_bounded_supervised(p, &o, sup, obs);
             (r.map(BatchSolution::Bounded), o.initial_mu)
         }
         BatchProblem::General(p) => {
             let mut o = GeneralSeaOptions::with_epsilon(opts.epsilon);
             o.inner = sea_options(o.inner.epsilon, seed);
-            let r = solve_general_supervised(p, &o, sup, &mut buffer);
+            let r = solve_general_supervised(p, &o, sup, obs);
             (r.map(BatchSolution::General), o.inner.initial_mu)
         }
     };
@@ -757,7 +757,6 @@ fn solve_one(
         slot.mu_seed = seed;
     }
 
-    slot.events = buffer.events;
     slot.counters = outcome
         .as_ref()
         .map_or_else(|_| KernelCounters::default(), BatchSolution::counters);

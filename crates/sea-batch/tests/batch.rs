@@ -4,10 +4,13 @@
 #[path = "../../sea-core/tests/common/generator.rs"]
 mod generator;
 
-use sea_batch::{BatchEngine, BatchInstance, BatchOptions, BatchProblem, WarmStart};
+use sea_batch::{
+    solve_instance, BatchEngine, BatchInstance, BatchOptions, BatchParallelism, BatchProblem,
+    WarmStart, WarmStartCache,
+};
 use sea_core::{
-    CancelToken, Event, KernelCounters, NullObserver, SolveBudget, StopReason, SupervisorOptions,
-    VecObserver,
+    CancelToken, Event, KernelCounters, NullObserver, SolveBudget, SpanKind, SpanProfiler,
+    StopReason, SupervisorOptions, VecObserver,
 };
 
 fn diagonal_instance(id: &str, family: Option<&str>, seed: u64) -> BatchInstance {
@@ -247,6 +250,40 @@ fn solution_counters_match_observed_kernel_events() {
             assert_eq!(with.cache_hits, batch.len());
             assert!(with.work_saved > 0, "warm epoch saves work");
         }
+    }
+}
+
+/// `solve_instance` streams an instance's events straight to its
+/// observer; they are the events `solve_batch` buffers for that instance
+/// and replays in submission order, even when instances run in parallel.
+#[test]
+fn solve_instance_streams_what_the_batch_replays() {
+    let batch = one_of_each_class();
+    let mut engine = BatchEngine::new(BatchOptions {
+        parallelism: BatchParallelism::Outer,
+        ..options()
+    });
+    let mut replay = VecObserver::new();
+    engine.solve_batch(&batch, &mut replay);
+    let mut replayed = replay.events[1..replay.events.len() - 1]
+        .split(|e| matches!(e, Event::BatchInstance { .. }))
+        .map(|events| events.iter().map(Event::kind).collect::<Vec<_>>());
+
+    for inst in &batch {
+        let mut streamed = VecObserver::new();
+        solve_instance(inst, &options(), &WarmStartCache::new(), &mut streamed);
+        let kinds: Vec<_> = streamed.events.iter().map(Event::kind).collect();
+        assert!(kinds.len() > 3, "{}: {kinds:?}", inst.id);
+        assert_eq!(Some(kinds), replayed.next(), "{}", inst.id);
+
+        // Span signals reach the caller's observer too.
+        let mut spans = SpanProfiler::new();
+        solve_instance(inst, &options(), &WarmStartCache::new(), &mut spans);
+        assert!(
+            spans.spans().iter().any(|s| s.kind == SpanKind::Solve),
+            "{}",
+            inst.id
+        );
     }
 }
 

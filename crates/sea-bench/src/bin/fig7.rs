@@ -20,7 +20,7 @@ fn main() {
     }
     print!("{csv}");
 
-    let dir = results_dir();
+    let dir = results_dir(scale);
     if std::fs::create_dir_all(&dir).is_ok() {
         if let Ok(mut f) = std::fs::File::create(dir.join("fig7.csv")) {
             let _ = f.write_all(csv.as_bytes());

@@ -1,6 +1,7 @@
 //! Run every experiment binary in sequence at the chosen scale, producing
-//! `results/*.md` and `results/*.csv` for all nine tables and both
-//! figures plus the extension studies.
+//! `*.md` and `*.csv` records in the scale's results directory
+//! (`sea_bench::results_dir`) for all nine tables and both figures plus
+//! the extension studies.
 
 use std::process::Command;
 
@@ -44,7 +45,7 @@ fn main() {
         }
     }
     if failures.is_empty() {
-        eprintln!("all experiments completed; see results/");
+        eprintln!("all experiments completed; see the scale's results directory");
     } else {
         eprintln!("failed experiments: {failures:?}");
         std::process::exit(1);

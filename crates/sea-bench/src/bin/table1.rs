@@ -58,7 +58,7 @@ fn main() {
          2000^2 = 3823.2s, 3000^2 = 13561.6s; compare growth shape, not absolutes.",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

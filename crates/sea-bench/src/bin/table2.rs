@@ -65,7 +65,7 @@ fn main() {
          485^2 series should be roughly an order of magnitude above the 205^2 series.",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

@@ -62,7 +62,7 @@ fn main() {
          second, large random SAMs scaling roughly with account count squared.",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

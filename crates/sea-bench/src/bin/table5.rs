@@ -61,7 +61,7 @@ fn main() {
          Table 1 problems (paper: 84 for SP500, 104 for SP750).",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

@@ -38,7 +38,7 @@ fn main() {
          because they verify convergence far more often (84-104 iterations).",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

@@ -108,7 +108,7 @@ fn main() {
          amplified beyond the paper's; the ordering and growth shape hold.",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

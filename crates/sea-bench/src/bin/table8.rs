@@ -53,7 +53,7 @@ fn main() {
          all six datasets should take nearly identical time.",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

@@ -64,7 +64,7 @@ fn main() {
          below SEA's.",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

@@ -158,7 +158,7 @@ fn main() {
         "scale = {scale:?} (SP{size} x {size}), seed = {seed}"
     ));
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

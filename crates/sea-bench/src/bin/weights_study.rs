@@ -103,7 +103,7 @@ fn main() {
          The weight spread M_l/m_l is the paper's iteration-bound driver.",
     );
     record.print();
-    if let Ok(path) = record.save_markdown(&results_dir()) {
+    if let Ok(path) = record.save_markdown(&results_dir(scale)) {
         eprintln!("saved {}", path.display());
     }
 }

@@ -1,7 +1,8 @@
 //! # sea-bench — the paper's experiment harness
 //!
 //! One binary per table/figure of the evaluation section; each prints the
-//! same rows/series the paper reports and writes `results/<id>.md`:
+//! same rows/series the paper reports and writes `<id>.md` to the
+//! scale's [`results_dir`]:
 //!
 //! | binary    | reproduces |
 //! |-----------|------------|
@@ -59,8 +60,19 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parse a `--scale` value (`small`, `medium` or `paper`).
+    pub fn parse(s: &str) -> Option<Scale> {
+        match s {
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
     /// Parse `--scale` and `--seed` from `std::env::args`. Unknown
-    /// arguments are ignored so binaries can add their own flags.
+    /// arguments are ignored so binaries can add their own flags; an
+    /// unknown `--scale` value exits with status 2.
     pub fn from_args() -> (Scale, u64) {
         let args: Vec<String> = std::env::args().collect();
         let mut scale = Scale::Medium;
@@ -69,13 +81,11 @@ impl Scale {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--scale" => {
-                    if let Some(v) = it.next() {
-                        scale = match v.as_str() {
-                            "small" => Scale::Small,
-                            "paper" => Scale::Paper,
-                            _ => Scale::Medium,
-                        };
-                    }
+                    let v = it.next().map_or("", String::as_str);
+                    scale = Scale::parse(v).unwrap_or_else(|| {
+                        eprintln!("unknown --scale {v:?}: expected small, medium or paper");
+                        std::process::exit(2);
+                    });
                 }
                 "--seed" => {
                     if let Some(v) = it.next() {
@@ -89,9 +99,16 @@ impl Scale {
     }
 }
 
-/// Directory experiment records are written to (`./results`).
-pub fn results_dir() -> PathBuf {
-    PathBuf::from("results")
+/// Directory a run at `scale` writes its records to: the committed
+/// paper-scale records live in `results/` and the medium-scale snapshots
+/// in `results_medium/`; small-scale smoke runs go to the untracked
+/// `target/results_small/`, so no run overwrites another scale's records.
+pub fn results_dir(scale: Scale) -> PathBuf {
+    PathBuf::from(match scale {
+        Scale::Paper => "results",
+        Scale::Medium => "results_medium",
+        Scale::Small => "target/results_small",
+    })
 }
 
 /// Standard speedup columns used by Tables 6 and 9.
@@ -116,6 +133,21 @@ pub fn speedup_rows_to_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_scale_writes_its_own_results_dir() {
+        assert_eq!(results_dir(Scale::Paper), PathBuf::from("results"));
+        assert_eq!(results_dir(Scale::Medium), PathBuf::from("results_medium"));
+        assert_eq!(
+            results_dir(Scale::Small),
+            PathBuf::from("target/results_small")
+        );
+        for scale in [Scale::Small, Scale::Medium, Scale::Paper] {
+            let name = format!("{scale:?}").to_lowercase();
+            assert_eq!(Scale::parse(&name), Some(scale));
+        }
+        assert_eq!(Scale::parse("large"), None);
+    }
 
     #[test]
     fn vector_era_scaling_penalizes_serial_phases_only() {

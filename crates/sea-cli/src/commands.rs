@@ -9,7 +9,7 @@ use sea_baselines::ras::{ras_balance, RasOptions};
 use sea_batch::{BatchEngine, BatchOptions};
 use sea_core::{
     solve_diagonal_supervised, trace_from_events, Checkpoint, CheckpointPolicy, DiagonalProblem,
-    Event, ExecutionTrace, KernelCounters, Observer, PhaseKind, SeaOptions, SpanKind, StopReason,
+    Event, ExecutionTrace, KernelCounters, Observer, PhaseLabel, SeaOptions, SpanKind, StopReason,
     Storage, SupervisorOptions, TelemetrySample, TotalSpec, ZeroPolicy,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
@@ -510,7 +510,7 @@ pub fn trace_to_sim_phases(trace: &ExecutionTrace) -> Vec<SimPhase> {
         .iter()
         .map(|ph| match ph.kind {
             k if !k.is_parallel() => SimPhase::serial(ph.task_seconds.clone()),
-            PhaseKind::Projection => SimPhase::parallel_memory_bound(ph.task_seconds.clone()),
+            PhaseLabel::Projection => SimPhase::parallel_memory_bound(ph.task_seconds.clone()),
             _ => SimPhase::parallel(ph.task_seconds.clone()),
         })
         .collect()
@@ -967,7 +967,7 @@ mod tests {
         };
         let trace = trace_from_events(&evs);
         assert_eq!(trace.phases.len(), 3 * iterations);
-        assert_eq!(trace.count(PhaseKind::RowEquilibration), *iterations);
+        assert_eq!(trace.count(PhaseLabel::RowEquilibration), *iterations);
 
         // Metrics render in Prometheus text format.
         let prom = std::fs::read_to_string(&metrics).unwrap();
@@ -1003,9 +1003,9 @@ mod tests {
     #[test]
     fn trace_conversion_respects_parallelism() {
         let mut tr = ExecutionTrace::new();
-        tr.push(PhaseKind::RowEquilibration, vec![1.0, 2.0]);
-        tr.push(PhaseKind::ConvergenceCheck, vec![0.5]);
-        tr.push(PhaseKind::Projection, vec![0.1; 4]);
+        tr.push(PhaseLabel::RowEquilibration, vec![1.0, 2.0]);
+        tr.push(PhaseLabel::ConvergenceCheck, vec![0.5]);
+        tr.push(PhaseLabel::Projection, vec![0.1; 4]);
         let phases = trace_to_sim_phases(&tr);
         assert!(phases[0].parallel && !phases[0].memory_bound);
         assert_eq!(phases[0].tasks, vec![1.0, 2.0]);

@@ -877,7 +877,7 @@ mod tests {
 
     #[test]
     fn trace_contains_projection_phases() {
-        use crate::trace::PhaseKind;
+        use sea_observe::PhaseLabel;
         let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let g = dd_matrix(4, 10.0, 1.0);
         let p = GeneralProblem::new(
@@ -895,7 +895,7 @@ mod tests {
             .unwrap()
             .solution;
         let tr = crate::observe::trace_from_events(&obs.events);
-        assert_eq!(tr.count(PhaseKind::Projection), sol.outer_iterations);
-        assert!(tr.count(PhaseKind::RowEquilibration) >= sol.outer_iterations);
+        assert_eq!(tr.count(PhaseLabel::Projection), sol.outer_iterations);
+        assert!(tr.count(PhaseLabel::RowEquilibration) >= sol.outer_iterations);
     }
 }

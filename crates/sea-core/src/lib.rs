@@ -122,7 +122,7 @@ pub use supervisor::{
     SolveBudget, StagnationPolicy, StopReason, SupervisedBoundedSolution,
     SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
 };
-pub use trace::{ExecutionTrace, Phase, PhaseKind};
+pub use trace::{ExecutionTrace, Phase};
 pub use verify::{verify_solution, GapCheck, KktReport};
 pub use weights::WeightScheme;
 

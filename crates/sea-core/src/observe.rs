@@ -10,28 +10,8 @@
 //! log, so either can be replayed through the sea-parsim scheduling
 //! simulator.
 
-use crate::trace::{ExecutionTrace, PhaseKind};
-use sea_observe::{Event, PhaseLabel};
-
-/// Map a trace phase kind to its event-schema label (same wire names).
-pub fn phase_label(kind: PhaseKind) -> PhaseLabel {
-    match kind {
-        PhaseKind::RowEquilibration => PhaseLabel::RowEquilibration,
-        PhaseKind::ColumnEquilibration => PhaseLabel::ColumnEquilibration,
-        PhaseKind::ConvergenceCheck => PhaseLabel::ConvergenceCheck,
-        PhaseKind::Projection => PhaseLabel::Projection,
-    }
-}
-
-/// Inverse of [`phase_label`].
-pub fn phase_kind(label: PhaseLabel) -> PhaseKind {
-    match label {
-        PhaseLabel::RowEquilibration => PhaseKind::RowEquilibration,
-        PhaseLabel::ColumnEquilibration => PhaseKind::ColumnEquilibration,
-        PhaseLabel::ConvergenceCheck => PhaseKind::ConvergenceCheck,
-        PhaseLabel::Projection => PhaseKind::Projection,
-    }
-}
+use crate::trace::ExecutionTrace;
+use sea_observe::Event;
 
 /// Rebuild an [`ExecutionTrace`] from a recorded event stream.
 ///
@@ -53,7 +33,7 @@ pub fn trace_from_events(events: &[Event]) -> ExecutionTrace {
             } else {
                 task_seconds.clone()
             };
-            trace.push(phase_kind(*label), costs);
+            trace.push(*label, costs);
         }
     }
     trace
@@ -62,14 +42,7 @@ pub fn trace_from_events(events: &[Event]) -> ExecutionTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn label_mapping_is_a_bijection() {
-        for kind in PhaseKind::ALL {
-            assert_eq!(phase_kind(phase_label(kind)), kind);
-            assert_eq!(phase_label(kind).name(), kind.name());
-        }
-    }
+    use sea_observe::PhaseLabel;
 
     #[test]
     fn trace_from_events_uses_task_costs_and_falls_back() {
@@ -93,7 +66,7 @@ mod tests {
         ];
         let trace = trace_from_events(&events);
         assert_eq!(trace.phases.len(), 2);
-        assert_eq!(trace.phases[0].kind, PhaseKind::RowEquilibration);
+        assert_eq!(trace.phases[0].kind, PhaseLabel::RowEquilibration);
         assert_eq!(trace.phases[0].task_seconds, vec![0.1, 0.2, 0.3]);
         assert_eq!(trace.phases[1].task_seconds, vec![0.05]);
         assert!((trace.serial_fraction() - 0.05 / 0.65).abs() < 1e-12);

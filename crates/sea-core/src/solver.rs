@@ -1027,9 +1027,9 @@ fn row_target<'a>(spec: &'a TotalSpec, s: &'a [f64]) -> impl Fn(usize) -> f64 + 
 mod tests {
     use super::*;
     use crate::problem::ZeroPolicy;
-    use crate::trace::{ExecutionTrace, PhaseKind};
+    use crate::trace::ExecutionTrace;
     use crate::weights::WeightScheme;
-    use sea_observe::NullObserver;
+    use sea_observe::{NullObserver, PhaseLabel};
 
     /// Solve under default supervision and keep the solution.
     fn solve(p: &DiagonalProblem, opts: &SeaOptions) -> Solution {
@@ -1206,14 +1206,14 @@ mod tests {
         let p = fixed_problem();
         let (sol, trace) = traced_solve(&p, &SeaOptions::with_epsilon(1e-8));
         let iters = sol.stats.iterations;
-        assert_eq!(trace.count(PhaseKind::RowEquilibration), iters);
-        assert_eq!(trace.count(PhaseKind::ColumnEquilibration), iters);
-        assert_eq!(trace.count(PhaseKind::ConvergenceCheck), iters);
+        assert_eq!(trace.count(PhaseLabel::RowEquilibration), iters);
+        assert_eq!(trace.count(PhaseLabel::ColumnEquilibration), iters);
+        assert_eq!(trace.count(PhaseLabel::ConvergenceCheck), iters);
         // Row phases have one task per row.
         let row_phase = trace
             .phases
             .iter()
-            .find(|ph| ph.kind == PhaseKind::RowEquilibration)
+            .find(|ph| ph.kind == PhaseLabel::RowEquilibration)
             .unwrap();
         assert_eq!(row_phase.task_seconds.len(), 2);
     }
@@ -1224,7 +1224,7 @@ mod tests {
         let mut opts = SeaOptions::with_epsilon(1e-10);
         opts.check_every = 2;
         let (sol, trace) = traced_solve(&p, &opts);
-        assert!(trace.count(PhaseKind::ConvergenceCheck) <= sol.stats.iterations / 2 + 1);
+        assert!(trace.count(PhaseLabel::ConvergenceCheck) <= sol.stats.iterations / 2 + 1);
         assert!(sol.stats.converged);
     }
 

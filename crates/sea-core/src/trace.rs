@@ -11,53 +11,14 @@
 //! from an observed solve's events (or a recorded JSONL log), and
 //! `sea-parsim` then replays it on a simulated N-processor machine.
 
-/// What a phase represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseKind {
-    /// Parallel row equilibration (one task per row subproblem).
-    RowEquilibration,
-    /// Parallel column equilibration (one task per column subproblem).
-    ColumnEquilibration,
-    /// Serial convergence verification (the paper's O(m²) serial stage).
-    ConvergenceCheck,
-    /// Serial projection-step work in the general solvers (building the
-    /// diagonalized linear terms; dominated by the G mat-vec). Task costs
-    /// are per-row of the mat-vec, so this phase is parallelizable.
-    Projection,
-}
-
-impl PhaseKind {
-    /// All kinds, in a fixed order.
-    pub const ALL: [PhaseKind; 4] = [
-        PhaseKind::RowEquilibration,
-        PhaseKind::ColumnEquilibration,
-        PhaseKind::ConvergenceCheck,
-        PhaseKind::Projection,
-    ];
-
-    /// Whether tasks in this phase may execute concurrently.
-    pub fn is_parallel(self) -> bool {
-        !matches!(self, PhaseKind::ConvergenceCheck)
-    }
-
-    /// Stable wire name; identical to the corresponding
-    /// [`sea_observe::PhaseLabel`] name so traces and event logs share one
-    /// vocabulary.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseKind::RowEquilibration => "row_equilibration",
-            PhaseKind::ColumnEquilibration => "column_equilibration",
-            PhaseKind::ConvergenceCheck => "convergence_check",
-            PhaseKind::Projection => "projection",
-        }
-    }
-}
+use sea_observe::PhaseLabel;
 
 /// One stage of a solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
-    /// The stage type.
-    pub kind: PhaseKind,
+    /// The stage type (whether its tasks may run concurrently is
+    /// [`PhaseLabel::is_parallel`]).
+    pub kind: PhaseLabel,
     /// Per-task costs in seconds (one entry per independent subproblem).
     /// Serial phases carry a single entry.
     pub task_seconds: Vec<f64>,
@@ -89,7 +50,7 @@ impl ExecutionTrace {
     }
 
     /// Append a phase.
-    pub fn push(&mut self, kind: PhaseKind, task_seconds: Vec<f64>) {
+    pub fn push(&mut self, kind: PhaseLabel, task_seconds: Vec<f64>) {
         self.phases.push(Phase { kind, task_seconds });
     }
 
@@ -118,7 +79,7 @@ impl ExecutionTrace {
     }
 
     /// Number of phases of a given kind.
-    pub fn count(&self, kind: PhaseKind) -> usize {
+    pub fn count(&self, kind: PhaseLabel) -> usize {
         self.phases.iter().filter(|p| p.kind == kind).count()
     }
 }
@@ -129,9 +90,9 @@ mod tests {
 
     fn sample() -> ExecutionTrace {
         let mut t = ExecutionTrace::new();
-        t.push(PhaseKind::RowEquilibration, vec![1.0, 2.0, 3.0]);
-        t.push(PhaseKind::ColumnEquilibration, vec![2.0, 2.0]);
-        t.push(PhaseKind::ConvergenceCheck, vec![0.5]);
+        t.push(PhaseLabel::RowEquilibration, vec![1.0, 2.0, 3.0]);
+        t.push(PhaseLabel::ColumnEquilibration, vec![2.0, 2.0]);
+        t.push(PhaseLabel::ConvergenceCheck, vec![0.5]);
         t
     }
 
@@ -146,20 +107,20 @@ mod tests {
     #[test]
     fn counts_by_kind() {
         let t = sample();
-        assert_eq!(t.count(PhaseKind::RowEquilibration), 1);
-        assert_eq!(t.count(PhaseKind::Projection), 0);
+        assert_eq!(t.count(PhaseLabel::RowEquilibration), 1);
+        assert_eq!(t.count(PhaseLabel::Projection), 0);
     }
 
     #[test]
     fn phase_aggregates() {
         let p = Phase {
-            kind: PhaseKind::RowEquilibration,
+            kind: PhaseLabel::RowEquilibration,
             task_seconds: vec![1.0, 4.0, 2.0],
         };
         assert_eq!(p.total_work(), 7.0);
         assert_eq!(p.longest_task(), 4.0);
         assert!(p.kind.is_parallel());
-        assert!(!PhaseKind::ConvergenceCheck.is_parallel());
+        assert!(!PhaseLabel::ConvergenceCheck.is_parallel());
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! counters — must match the committed golden file.
 
 use sea_core::{
-    solve_diagonal_supervised, DiagonalProblem, KernelKind, Parallelism, SeaOptions,
-    SupervisorOptions, TotalSpec,
+    solve_diagonal_supervised, solve_general_supervised, DiagonalProblem, GeneralSeaOptions,
+    KernelKind, Parallelism, SeaOptions, SupervisorOptions, TotalSpec, VecObserver,
 };
 use sea_linalg::DenseMatrix;
 use sea_observe::jsonl::{encode_event, parse_events, JsonlObserver};
-use sea_observe::Event;
+use sea_observe::{Event, MetricsObserver, Observer};
+
+#[path = "common/generator.rs"]
+mod generator;
 
 /// Zero every wall-clock / numeric-result field, keeping structure.
 fn normalized(event: &Event) -> Event {
@@ -202,4 +205,61 @@ fn sparse_event_stream_matches_golden_fixture() {
         actual, golden,
         "event count diverges from the golden sparse fixture"
     );
+}
+
+/// Metrics recorded per solve and merged equal metrics replayed from
+/// both solves' events into one registry: the serve worker's
+/// merge-once-per-solve renders what the per-event replay it replaced
+/// did. The two streams differ in shape (a diagonal solve, then a general
+/// one with outer iterations and projection phases), so the merge adds
+/// counters and histograms, overwrites gauges and appends new families.
+/// Timings are rounded to multiples of 2⁻³⁰ s, which makes every float
+/// sum exact and so independent of the order it is added in.
+#[test]
+fn merged_solve_metrics_render_as_replayed_events() {
+    let sup = SupervisorOptions::default();
+    let mut diagonal = VecObserver::new();
+    let p = generator::heterogeneous(5, 6, 7);
+    solve_diagonal_supervised(&p, &SeaOptions::with_epsilon(1e-9), &sup, &mut diagonal).unwrap();
+    let mut general = VecObserver::new();
+    let g = generator::try_general(11, 2, 3, 2).unwrap();
+    let opts = GeneralSeaOptions::with_epsilon(1e-6);
+    solve_general_supervised(&g, &opts, &sup, &mut general).unwrap();
+
+    let dyadic = |s: &mut f64| *s = (*s * 2f64.powi(30)).round() / 2f64.powi(30);
+    let streams: Vec<Vec<Event>> = [diagonal.events, general.events]
+        .into_iter()
+        .map(|mut events| {
+            for e in &mut events {
+                match e {
+                    Event::PhaseEnd {
+                        seconds,
+                        task_seconds,
+                        ..
+                    } => {
+                        dyadic(seconds);
+                        task_seconds.iter_mut().for_each(dyadic);
+                    }
+                    Event::SolveEnd { seconds, .. } => dyadic(seconds),
+                    _ => {}
+                }
+            }
+            events
+        })
+        .collect();
+
+    let mut replayed = MetricsObserver::new();
+    let mut merged = MetricsObserver::new();
+    for events in &streams {
+        let mut local = MetricsObserver::new();
+        for e in events {
+            replayed.record(e);
+            local.record(e);
+        }
+        merged.registry.merge(&local.registry);
+    }
+    let text = replayed.render();
+    assert!(text.contains("sea_outer_iterations_total"), "{text}");
+    assert!(text.contains("sea_subproblem_seconds_bucket"), "{text}");
+    assert_eq!(merged.render(), text);
 }

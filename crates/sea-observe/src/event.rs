@@ -8,11 +8,7 @@
 //! transition keeps logs small enough to record every solve while still
 //! reconstructing the full per-phase timing breakdown offline.
 
-/// Which solver phase an event belongs to.
-///
-/// This mirrors `sea_core::PhaseKind` but lives here so the event schema
-/// has no dependency on the solver crate (sea-core depends on sea-observe,
-/// not the other way around).
+/// Which solver phase an event (or an execution-trace phase) belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseLabel {
     /// Row equilibration: one knapsack subproblem per row, parallel.

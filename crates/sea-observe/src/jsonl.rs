@@ -443,38 +443,24 @@ fn intern(s: &str, vocab: &[&'static str], what: &str) -> Result<&'static str, S
 ///
 /// Wrap the inner writer in a `BufWriter` for file sinks. The observer is
 /// durable against abnormal exits: it flushes the writer after every
-/// `flush_every` events (default 1, i.e. after each event) and again on
-/// `Drop`, so a cancelled or crashed solve keeps its event-log tail up to
+/// event, so a cancelled or crashed solve keeps its event-log tail up to
 /// the last completed line — every line written is complete and parseable.
 #[derive(Debug)]
 pub struct JsonlObserver<W: Write> {
-    /// `None` only after `finish` moved the writer out (so `Drop` has
-    /// nothing left to flush).
-    writer: Option<W>,
+    writer: W,
     /// First I/O error encountered, if any. Events after an error are
     /// dropped; solvers are never interrupted by a sink failure.
     error: Option<std::io::Error>,
     line: String,
-    /// Flush after this many recorded events (0 is treated as 1).
-    flush_every: usize,
-    since_flush: usize,
 }
 
 impl<W: Write> JsonlObserver<W> {
     /// Wrap a writer, flushing after every event.
     pub fn new(writer: W) -> Self {
-        Self::with_flush_every(writer, 1)
-    }
-
-    /// Wrap a writer, flushing after every `flush_every` events (and on
-    /// `Drop`). Larger batches trade durability for fewer syscalls.
-    pub fn with_flush_every(writer: W, flush_every: usize) -> Self {
         JsonlObserver {
-            writer: Some(writer),
+            writer,
             error: None,
             line: String::new(),
-            flush_every: flush_every.max(1),
-            since_flush: 0,
         }
     }
 
@@ -486,24 +472,8 @@ impl<W: Write> JsonlObserver<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        let mut writer = self
-            .writer
-            .take()
-            .ok_or_else(|| std::io::Error::other("writer already taken"))?;
-        writer.flush()?;
-        Ok(writer)
-    }
-}
-
-impl<W: Write> Drop for JsonlObserver<W> {
-    fn drop(&mut self) {
-        // Best effort: keep the event-log tail on abnormal exit. Errors
-        // are unreportable here, so they are ignored.
-        if self.error.is_none() {
-            if let Some(w) = self.writer.as_mut() {
-                let _ = w.flush();
-            }
-        }
+        self.writer.flush()?;
+        Ok(self.writer)
     }
 }
 
@@ -512,21 +482,13 @@ impl<W: Write> crate::Observer for JsonlObserver<W> {
         if self.error.is_some() {
             return;
         }
-        let Some(writer) = self.writer.as_mut() else {
-            return;
-        };
         self.line.clear();
         event_to_json(event).write(&mut self.line);
         self.line.push('\n');
-        let wrote = writer.write_all(self.line.as_bytes()).and_then(|()| {
-            self.since_flush += 1;
-            if self.since_flush >= self.flush_every {
-                self.since_flush = 0;
-                writer.flush()
-            } else {
-                Ok(())
-            }
-        });
+        let wrote = self
+            .writer
+            .write_all(self.line.as_bytes())
+            .and_then(|()| self.writer.flush());
         if let Err(e) = wrote {
             self.error = Some(e);
         }
@@ -738,20 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_observer_flushes_every_n_events() {
-        let buf = SharedBuf::default();
-        let mut obs = JsonlObserver::with_flush_every(buf.clone(), 4);
-        let events = sample_events();
-        for e in &events {
-            obs.record(e);
-        }
-        assert_eq!(buf.0.borrow().1, events.len() / 4);
-        drop(obs);
-        // Drop flushed the partial batch.
-        assert_eq!(buf.0.borrow().1, events.len() / 4 + 1);
-    }
-
-    #[test]
     fn mid_solve_abort_leaves_parseable_jsonl() {
         // Simulate a solve that dies partway: the observer is dropped
         // without finish(), as happens when a panic or cancellation
@@ -761,7 +709,7 @@ mod tests {
         let events = sample_events();
         let recorded = 4;
         {
-            let mut obs = JsonlObserver::with_flush_every(buf.clone(), 3);
+            let mut obs = JsonlObserver::new(buf.clone());
             for e in &events[..recorded] {
                 obs.record(e);
             }

@@ -31,7 +31,7 @@ pub mod telemetry;
 pub use event::{Event, KernelCounters, PhaseLabel};
 pub use jsonl::{decode_event, encode_event, parse_events, JsonlObserver, WIRE_VERSION};
 pub use metrics::{MetricsObserver, MetricsRegistry};
-pub use observer::{NullObserver, Observer, TeeObserver, VecObserver};
+pub use observer::{NullObserver, Observer, VecObserver};
 pub use span::{
     chrome_trace, folded_stacks, parse_chrome_trace, ParsedSpan, SpanKind, SpanProfiler, SpanRecord,
 };

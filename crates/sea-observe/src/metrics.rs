@@ -67,6 +67,18 @@ impl Histogram {
         self.sum += v;
         self.total += 1;
     }
+
+    fn merge(&mut self, other: &Histogram) {
+        assert_eq!(
+            self.bounds, other.bounds,
+            "histogram series merged across different buckets"
+        );
+        for (c, d) in self.counts.iter_mut().zip(&other.counts) {
+            *c += d;
+        }
+        self.sum += other.sum;
+        self.total += other.total;
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -162,17 +174,21 @@ impl MetricsRegistry {
         }
     }
 
-    /// Record one observation in a histogram series. `bounds` fixes the
-    /// finite bucket upper bounds on first use of the series (later calls
-    /// may pass the same or empty bounds).
+    /// Record observations in a histogram series, looking it up once.
+    /// `bounds` fixes the finite bucket upper bounds on first use of the
+    /// series (later calls may pass the same or empty bounds). An empty
+    /// `values` registers nothing.
     pub fn histogram_observe(
         &mut self,
         name: &str,
         help: &str,
         labels: Labels,
         bounds: &[f64],
-        value: f64,
+        values: &[f64],
     ) {
+        if values.is_empty() {
+            return;
+        }
         let family = self.family_mut(name, help, MetricType::Histogram);
         let labels = sorted_labels(labels);
         let idx = match family.series.binary_search_by(|(k, _)| k.cmp(&labels)) {
@@ -186,7 +202,39 @@ impl MetricsRegistry {
             }
         };
         if let Sample::Histogram(h) = &mut family.series[idx].1 {
-            h.observe(value);
+            for &v in values {
+                h.observe(v);
+            }
+        }
+    }
+
+    /// Fold `other` into this registry: counters add, gauges take
+    /// `other`'s value, histograms add bucket counts, sum and count, and
+    /// families new here register in `other`'s order. Merging a registry
+    /// that recorded an event stream therefore renders what replaying
+    /// that stream here would, except that float sums are added in a
+    /// different order (equal whenever they are exact).
+    pub fn merge(&mut self, other: &MetricsRegistry) {
+        for theirs in &other.families {
+            let family = self.family_mut(&theirs.name, &theirs.help, theirs.kind);
+            let kind = family.kind;
+            for (labels, sample) in &theirs.series {
+                let i = match family.series.binary_search_by(|(k, _)| k.cmp(labels)) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        family.series.insert(i, (labels.clone(), sample.clone()));
+                        continue;
+                    }
+                };
+                match (&mut family.series[i].1, sample) {
+                    (Sample::Scalar(v), Sample::Scalar(w)) if kind == MetricType::Counter => {
+                        *v += w;
+                    }
+                    (Sample::Scalar(v), Sample::Scalar(w)) => *v = *w,
+                    (Sample::Histogram(h), Sample::Histogram(g)) => h.merge(g),
+                    _ => unreachable!("a family holds one sample type"),
+                }
+            }
         }
     }
 
@@ -367,15 +415,13 @@ impl Observer for MetricsObserver {
                 task_seconds,
                 ..
             } => {
-                for &task in task_seconds {
-                    reg.histogram_observe(
-                        "sea_subproblem_seconds",
-                        "Per-task (knapsack subproblem) latency distribution.",
-                        Self::phase_labels(*label),
-                        &TASK_SECONDS_BUCKETS,
-                        task,
-                    );
-                }
+                reg.histogram_observe(
+                    "sea_subproblem_seconds",
+                    "Per-task (knapsack subproblem) latency distribution.",
+                    Self::phase_labels(*label),
+                    &TASK_SECONDS_BUCKETS,
+                    task_seconds,
+                );
                 reg.counter_add(
                     "sea_phase_total",
                     "Solver phases executed, by phase.",
@@ -393,7 +439,7 @@ impl Observer for MetricsObserver {
                     "Per-phase wall-clock duration distribution.",
                     Self::phase_labels(*label),
                     &PHASE_SECONDS_BUCKETS,
-                    *seconds,
+                    &[*seconds],
                 );
             }
             Event::ConvergenceCheck {
@@ -608,7 +654,7 @@ impl Observer for MetricsObserver {
                     "Per-shard latency of parallel equilibration passes.",
                     vec![],
                     &TASK_SECONDS_BUCKETS,
-                    seconds,
+                    &[seconds],
                 );
             }
             SpanKind::Instance => {
@@ -617,7 +663,7 @@ impl Observer for MetricsObserver {
                     "Per-instance latency inside batch solves.",
                     vec![],
                     &PHASE_SECONDS_BUCKETS,
-                    seconds,
+                    &[seconds],
                 );
             }
             _ => {}
@@ -704,9 +750,8 @@ mod tests {
     fn histogram_buckets_are_cumulative_and_end_with_inf() {
         let mut reg = MetricsRegistry::new();
         let bounds = [0.1, 1.0, 10.0];
-        for v in [0.05, 0.5, 0.5, 5.0, 50.0] {
-            reg.histogram_observe("lat", "Latency.", vec![], &bounds, v);
-        }
+        reg.histogram_observe("lat", "Latency.", vec![], &bounds, &[0.05, 0.5]);
+        reg.histogram_observe("lat", "Latency.", vec![], &bounds, &[0.5, 5.0, 50.0]);
         let text = reg.render();
         assert!(text.contains("# TYPE lat histogram\n"));
         assert!(text.contains("lat_bucket{le=\"0.1\"} 1\n"), "{text}");
@@ -728,7 +773,7 @@ mod tests {
             "h",
             vec![("phase".to_string(), "row".to_string())],
             &[1.0],
-            0.5,
+            &[0.5],
         );
         let text = reg.render();
         assert!(

@@ -210,102 +210,6 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 }
 
-/// Fan-out to two sinks (compose for more). Enabled if either side is.
-#[derive(Debug, Default)]
-pub struct TeeObserver<A, B> {
-    /// First sink.
-    pub first: A,
-    /// Second sink.
-    pub second: B,
-}
-
-impl<A: Observer, B: Observer> TeeObserver<A, B> {
-    /// Combine two sinks.
-    pub fn new(first: A, second: B) -> Self {
-        TeeObserver { first, second }
-    }
-}
-
-impl<A: Observer, B: Observer> Observer for TeeObserver<A, B> {
-    fn enabled(&self) -> bool {
-        self.first.enabled() || self.second.enabled()
-    }
-
-    fn record(&mut self, event: &Event) {
-        if self.first.enabled() {
-            self.first.record(event);
-        }
-        if self.second.enabled() {
-            self.second.record(event);
-        }
-    }
-
-    fn spans_enabled(&self) -> bool {
-        self.first.spans_enabled() || self.second.spans_enabled()
-    }
-
-    fn span_open(&mut self, kind: SpanKind, index: u64, tasks: u64) {
-        if self.first.spans_enabled() {
-            self.first.span_open(kind, index, tasks);
-        }
-        if self.second.spans_enabled() {
-            self.second.span_open(kind, index, tasks);
-        }
-    }
-
-    fn span_close(&mut self, self_counters: &KernelCounters) {
-        if self.first.spans_enabled() {
-            self.first.span_close(self_counters);
-        }
-        if self.second.spans_enabled() {
-            self.second.span_close(self_counters);
-        }
-    }
-
-    fn span_leaf(
-        &mut self,
-        kind: SpanKind,
-        index: u64,
-        rel_start_ns: u64,
-        rel_end_ns: u64,
-        tasks: u64,
-        counters: &KernelCounters,
-        detail: &'static str,
-    ) {
-        if self.first.spans_enabled() {
-            self.first.span_leaf(
-                kind,
-                index,
-                rel_start_ns,
-                rel_end_ns,
-                tasks,
-                counters,
-                detail,
-            );
-        }
-        if self.second.spans_enabled() {
-            self.second.span_leaf(
-                kind,
-                index,
-                rel_start_ns,
-                rel_end_ns,
-                tasks,
-                counters,
-                detail,
-            );
-        }
-    }
-
-    fn telemetry(&mut self, sample: &TelemetrySample) {
-        if self.first.spans_enabled() {
-            self.first.telemetry(sample);
-        }
-        if self.second.spans_enabled() {
-            self.second.telemetry(sample);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,20 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_observer_fans_out_and_skips_disabled() {
-        let mut tee = TeeObserver::new(VecObserver::new(), NullObserver);
-        assert!(tee.enabled());
-        tee.record(&Event::KernelCounters {
-            counters: crate::KernelCounters::default(),
-        });
-        assert_eq!(tee.first.events.len(), 1);
-
-        let both_null = TeeObserver::new(NullObserver, NullObserver);
-        assert!(!both_null.enabled());
-        assert!(!both_null.spans_enabled());
-    }
-
-    #[test]
     fn mut_reference_forwards() {
         let mut obs = VecObserver::new();
         {
@@ -376,14 +266,5 @@ mod tests {
         obs.span_leaf(SpanKind::Shard, 0, 0, 1, 1, &KernelCounters::default(), "");
         obs.telemetry(&TelemetrySample::zeroed());
         assert!(obs.events.is_empty());
-    }
-
-    #[test]
-    fn tee_forwards_spans_to_enabled_sides_only() {
-        let mut tee = TeeObserver::new(crate::SpanProfiler::new(), NullObserver);
-        assert!(tee.spans_enabled());
-        tee.span_open(SpanKind::Solve, 0, 1);
-        tee.span_close(&KernelCounters::default());
-        assert_eq!(tee.first.spans().len(), 1);
     }
 }

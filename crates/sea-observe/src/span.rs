@@ -173,8 +173,8 @@ const HIGH_WATER_QUARTERS: usize = 3;
 ///
 /// `enabled()` is `false`: the profiler consumes only span signals and
 /// telemetry, so drivers skip discrete-event construction entirely
-/// (keeping the span-enabled solve loop allocation-free). Compose with
-/// [`crate::TeeObserver`] to collect events alongside spans.
+/// (keeping the span-enabled solve loop allocation-free). A sink that
+/// also wants events forwards span signals to a profiler it holds.
 #[derive(Debug)]
 pub struct SpanProfiler {
     epoch_instant: Instant,

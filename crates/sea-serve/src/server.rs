@@ -163,7 +163,7 @@ struct Job {
 /// Server + solver metrics behind one lock, rendered together.
 struct Metrics {
     server: MetricsRegistry,
-    solver: MetricsObserver,
+    solver: MetricsRegistry,
     /// Last cache-eviction count folded into the counter (so the counter
     /// advances by deltas of the cache's cumulative figure).
     evictions_seen: u64,
@@ -268,7 +268,7 @@ impl Shared {
             "End-to-end request latency (read to response write), by route.",
             vec![("route".to_string(), route.to_string())],
             &REQUEST_SECONDS_BUCKETS,
-            started.elapsed().as_secs_f64(),
+            &[started.elapsed().as_secs_f64()],
         );
     }
 
@@ -339,7 +339,7 @@ impl Server {
             queue: FairQueue::with_tenant_quota(cfg.queue_capacity, cfg.tenant_quota),
             metrics: Mutex::new(Metrics {
                 server: MetricsRegistry::new(),
-                solver: MetricsObserver::new(),
+                solver: MetricsRegistry::new(),
                 evictions_seen: 0,
                 quarantine_seen: (0, 0, 0),
             }),
@@ -974,7 +974,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 "Time jobs spent queued before a worker picked them up.",
                 vec![],
                 &PHASE_SECONDS_BUCKETS,
-                wait,
+                &[wait],
             );
         }
         shared.set_queue_gauges();
@@ -1153,8 +1153,8 @@ fn solve_with_cache(
         }
     }
 
-    let mut events = CappedObserver::default();
-    let (report, update) = solve_instance(inst, &opts, &local, &mut events);
+    let mut local_metrics = SolveMetrics::default();
+    let (report, update) = solve_instance(inst, &opts, &local, &mut local_metrics);
 
     {
         let mut cache = lock(&shared.cache);
@@ -1172,17 +1172,7 @@ fn solve_with_cache(
     }
     {
         let mut m = lock(&shared.metrics);
-        for e in &events.events {
-            m.solver.record(e);
-        }
-        if events.dropped > 0 {
-            m.server.counter_add(
-                "sea_serve_solver_events_dropped_total",
-                "Per-iteration solver events past the per-solve replay cap.",
-                vec![],
-                events.dropped as f64,
-            );
-        }
+        m.solver.merge(&local_metrics.0.registry);
         m.server.counter_add(
             "sea_serve_warm_total",
             "Solves by warm-start cache outcome (hit/miss/bypass).",
@@ -1193,51 +1183,16 @@ fn solve_with_cache(
     report
 }
 
-/// Per-solve chatty-event budget for [`CappedObserver`]. A converging
-/// solve emits a few per-iteration events per iteration and stays far
-/// below this; only pathological drills (deadline-capped `epsilon: -1`
-/// solves run hundreds of thousands of iterations) hit it.
-const CHATTY_EVENT_CAP: usize = 4096;
-
-/// A [`VecObserver`](sea_observe::VecObserver) with a ceiling on
-/// per-iteration chatter.
-///
-/// The worker buffers solver events during the solve and replays them
-/// into the metrics registry afterwards (so the solve never holds the
-/// metrics lock). Unbounded, that replay is O(iterations): a solve that
-/// legitimately stops at its deadline after ~500k iterations would then
-/// hold its worker for several more *seconds* grinding the lock — a
-/// deadline overshoot that starves the queue exactly when the service is
-/// overloaded. Boundary events (start/end/stop/fallbacks) always land;
-/// per-iteration chatter past the cap is counted and dropped.
+/// One solve's metrics, recorded worker-locally so the solve never takes
+/// the metrics lock; the worker merges them into the shared registry once
+/// afterwards, holding the lock for O(series), not O(events). Span
+/// signalling stays off (the trait default), so serve solves record no
+/// shard histograms and pay for no telemetry sampling.
 #[derive(Default)]
-struct CappedObserver {
-    events: Vec<Event>,
-    chatty: usize,
-    dropped: u64,
-}
+struct SolveMetrics(MetricsObserver);
 
-impl Observer for CappedObserver {
-    fn enabled(&self) -> bool {
-        true
-    }
-
+impl Observer for SolveMetrics {
     fn record(&mut self, event: &Event) {
-        let chatty = matches!(
-            event,
-            Event::ConvergenceCheck { .. }
-                | Event::PhaseStart { .. }
-                | Event::PhaseEnd { .. }
-                | Event::MultiplierBound { .. }
-                | Event::OuterIteration { .. }
-        );
-        if chatty {
-            self.chatty += 1;
-            if self.chatty > CHATTY_EVENT_CAP {
-                self.dropped += 1;
-                return;
-            }
-        }
-        self.events.push(event.clone());
+        self.0.record(event);
     }
 }

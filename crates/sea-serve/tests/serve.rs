@@ -229,6 +229,32 @@ fn solve_solves_and_warm_start_hits_across_requests() {
     server.join();
 }
 
+/// A solve's metrics reach `/metrics` whole: a request that never
+/// converges runs to the 10 000-iteration cap, well past the 4096
+/// per-iteration events a solve could once replay, and every one of its
+/// convergence checks is counted.
+#[test]
+fn capped_solve_counts_every_convergence_check() {
+    let cfg = ServeConfig::default();
+    let cap = cfg.max_iterations;
+    let server = quick_server(cfg);
+    let addr = server.addr();
+    let body = instance_body("capped", None, "\"epsilon\":-1.0,");
+    let (_, _, text) = request(addr, "POST", "/solve", &body);
+    assert!(text.contains("\"stop\":\"iteration_cap\""), "{text}");
+    assert!(text.contains(&format!("\"iterations\":{cap}")), "{text}");
+
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(
+        metric_value(&metrics, "sea_convergence_checks_total"),
+        cap as f64,
+        "{metrics}"
+    );
+    assert!(!metrics.contains("dropped"), "{metrics}");
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn over_deadline_request_answers_504_with_partial_result() {
     // A huge iteration cap so the deadline is the binding budget.
