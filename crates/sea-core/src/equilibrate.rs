@@ -13,8 +13,14 @@
 //! pass is generic over [`Storage`]: dense rows go to the kernel whole (or
 //! gathered through structural-zero support lists), while CSR rows *are*
 //! the support — the kernel runs directly over the stored value slices
-//! with only the shift vector gathered, so sparse subproblem cost is
-//! `O(k log k)` in the row's support size `k`, never `O(n)`.
+//! and reads the shift vector through the row's column index, so sparse
+//! subproblem cost is `O(k log k)` in the row's support size `k`, never
+//! `O(n)`.
+//!
+//! A pass writes its iterate only when the caller keeps it: the solver's
+//! row pass does so only for the Modified Algorithm's support witness.
+//! Without one, plain subproblems yield just `(λ, total)`, while boxed ones
+//! still clamp every entry, because their clamp count is kernel work.
 //!
 //! Parallel passes are **sharded**: rows are grouped into cache-sized
 //! contiguous blocks and the blocks are distributed over the worker pool.
@@ -23,8 +29,8 @@
 
 use crate::error::SeaError;
 use crate::knapsack::{
-    exact_equilibration_boxed_hinted, exact_equilibration_hinted, EquilibrationScratch, KernelKind,
-    TotalMode,
+    exact_equilibration_boxed_hinted, exact_equilibration_hinted, EquilibrationScratch,
+    IndexedShift, KernelKind, Shift, TotalMode,
 };
 use crate::parallel::Parallelism;
 use crate::storage::{RowView, Storage};
@@ -164,15 +170,14 @@ fn elapsed_ns(base: Instant) -> u64 {
         .saturating_add(u64::from(d.subsec_nanos()))
 }
 
-/// Per-thread scratch: gather buffers for structural-zero subproblems plus
-/// the kernel's own workspace. Reused across every subproblem a thread
-/// handles (allocation-free hot loop).
+/// Per-thread scratch: gather buffers for dense rows with structural-zero
+/// support lists plus the kernel's own workspace. Reused across every
+/// subproblem a thread handles (allocation-free hot loop).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct TaskScratch {
     eq: EquilibrationScratch,
     q: Vec<f64>,
     g: Vec<f64>,
-    sh: Vec<f64>,
     x: Vec<f64>,
     /// Quickselect→sort-scan fallbacks taken by this thread's tasks.
     fallbacks: u64,
@@ -256,7 +261,8 @@ pub struct PassInputs<'a, S: Storage> {
 
 /// Run the configured kernel on one subproblem — the box-bounded variant
 /// when `bounds` carries the subproblem's bounds, else the plain kernel —
-/// warm-started from `hint`, the previous multiplier; on a
+/// warm-started from `hint`, the previous multiplier, writing the entries
+/// to `x` when the pass keeps its iterate; on a
 /// pathological result (non-finite `λ` or total — or a scripted kernel
 /// fault) re-solve with the robust sort-scan kernel and count the fallback.
 /// Quickselect's median-of-three pivoting can in principle degrade on
@@ -268,16 +274,16 @@ fn kernel_solve(
     force_fallback: bool,
     q: &[f64],
     g: &[f64],
-    sh: &[f64],
+    sh: impl Shift,
     bounds: Option<BoxRow<'_>>,
     mode: TotalMode,
     hint: Option<f64>,
-    x: &mut [f64],
+    mut x: Option<&mut [f64]>,
     eq: &mut EquilibrationScratch,
     fallbacks: &mut u64,
 ) -> Result<(f64, f64), SeaError> {
     let mut solve = |kernel| match bounds {
-        None => exact_equilibration_hinted(kernel, q, g, sh, mode, hint, x, eq),
+        None => exact_equilibration_hinted(kernel, q, g, sh, mode, hint, x.as_deref_mut(), eq),
         Some((lo, hi, sums)) => exact_equilibration_boxed_hinted(
             kernel,
             q,
@@ -288,7 +294,7 @@ fn kernel_solve(
             Some(sums),
             mode,
             hint,
-            x,
+            x.as_deref_mut(),
             eq,
         ),
     };
@@ -348,11 +354,12 @@ fn gather(src: &[f64], idx: &[u32], out: &mut Vec<f64>) {
     out.extend(idx.iter().map(|&j| src[j as usize]));
 }
 
-/// Solve one subproblem; returns `(λ, realized total)` and writes the
-/// subproblem's entries into `x_row` (the iterate's stored values for this
-/// row: length `n` dense, support size for CSR), or into the task scratch
-/// when the pass does not materialize its iterate. `hint` is the row's
-/// previous multiplier when the pass is warm.
+/// Solve one subproblem; returns `(λ, realized total)` and, when the pass
+/// keeps its iterate, writes the subproblem's entries into `x_row` (the
+/// iterate's stored values for this row: length `n` dense, support size for
+/// CSR). A CSR row or a support list reads the shift through its column
+/// index; nothing gathers it. `hint` is the row's previous multiplier when
+/// the pass is warm.
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,
@@ -377,19 +384,22 @@ fn solve_task<S: Storage>(
         eq,
         q: q_buf,
         g: g_buf,
-        sh,
         x,
         fallbacks,
     } = scratch;
     match (inp.prior.row_view(i), inp.gamma.row_view(i)) {
         // Sparse row: the stored entries are the support. The kernel runs
-        // directly over the prior/weight value slices and writes the
-        // iterate's stored values in place — only the shift is gathered.
+        // directly over the prior/weight value slices, reads the shift
+        // through the column index and writes the iterate's stored values
+        // in place.
         (RowView::Indexed { idx, vals: q }, RowView::Indexed { vals: g, .. }) => {
             if idx.is_empty() {
                 return empty_support_result(mode, bounds.is_some(), inp.side, i);
             }
-            gather(inp.shift, idx, sh);
+            let sh = IndexedShift {
+                src: inp.shift,
+                idx,
+            };
             kernel_solve(
                 inp.kernel,
                 force_fallback,
@@ -399,7 +409,7 @@ fn solve_task<S: Storage>(
                 bounds,
                 mode,
                 hint,
-                row_or_scratch(x_row, x, q.len()),
+                x_row,
                 eq,
                 fallbacks,
             )
@@ -415,7 +425,7 @@ fn solve_task<S: Storage>(
                 bounds,
                 mode,
                 hint,
-                row_or_scratch(x_row, x, prior_row.len()),
+                x_row,
                 eq,
                 fallbacks,
             ),
@@ -437,8 +447,17 @@ fn solve_task<S: Storage>(
                 }
                 gather(prior_row, idx, q_buf);
                 gather(gamma_row, idx, g_buf);
-                gather(inp.shift, idx, sh);
-                x.resize(k, 0.0);
+                let sh = IndexedShift {
+                    src: inp.shift,
+                    idx,
+                };
+                let x_k = match x_row {
+                    Some(_) => {
+                        x.resize(k, 0.0);
+                        Some(&mut x[..])
+                    }
+                    None => None,
+                };
                 let (lambda, total) = kernel_solve(
                     inp.kernel,
                     force_fallback,
@@ -448,7 +467,7 @@ fn solve_task<S: Storage>(
                     None,
                     mode,
                     hint,
-                    x,
+                    x_k,
                     eq,
                     fallbacks,
                 )
@@ -467,22 +486,6 @@ fn solve_task<S: Storage>(
         _ => Err(SeaError::PatternMismatch {
             context: "pass inputs (mixed row views)",
         }),
-    }
-}
-
-/// The iterate's row when the pass materializes it, else a scratch row of
-/// the same length.
-fn row_or_scratch<'a>(
-    x_row: Option<&'a mut [f64]>,
-    scratch: &'a mut Vec<f64>,
-    len: usize,
-) -> &'a mut [f64] {
-    match x_row {
-        Some(row) => row,
-        None => {
-            scratch.resize(len, 0.0);
-            scratch
-        }
     }
 }
 
@@ -601,7 +604,8 @@ fn build_shards<'a, S: Storage>(
 /// the realized total (when `inp.warm`, `lambda` is read first as each
 /// subproblem's starting hint); `x`, when given (same orientation — and,
 /// for sparse storage, the same pattern — as `inp.prior`), receives the
-/// primal iterate. When
+/// primal iterate. λ, the totals and the kernel counters come out the same,
+/// bit for bit, with or without `x`. When
 /// `costs` is provided it is filled with per-task wall-clock seconds for
 /// the scheduling simulator. When `counters` is provided the kernels' work
 /// counters are accumulated into it (pass `None` when nothing is
@@ -1307,6 +1311,185 @@ mod tests {
         )
         .unwrap();
         assert_eq!(counters.fallbacks(), 0, "sort-scan has no fallback target");
+    }
+
+    /// Run one pass of every kernel, cold and then warm, serially and on
+    /// two threads, with and without an output iterate, and require the
+    /// same λ, totals and kernel counters bit for bit.
+    fn assert_iterate_is_optional<S: Storage>(
+        prior: &S,
+        gamma: &S,
+        support: Option<&[Vec<u32>]>,
+        bounds: Option<&PassBounds<'_, S>>,
+        modes: &(dyn Fn(usize) -> TotalMode + Sync),
+        shifts: [&[f64]; 2],
+    ) {
+        let m = prior.rows();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+            for par in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+                // The cold pass's multipliers start the warm pass, which
+                // sees a moved shift, so it both hits and misses.
+                let mut hints = vec![0.0; m];
+                for (warm, shift) in [(false, shifts[0]), (true, shifts[1])] {
+                    let inp = PassInputs {
+                        prior,
+                        gamma,
+                        support,
+                        bounds,
+                        shift,
+                        side: "row",
+                        kernel,
+                        warm,
+                        fault: None,
+                    };
+                    let run = |keep: bool| {
+                        let mut lambda = hints.clone();
+                        let mut totals = vec![0.0; m];
+                        let mut x = prior.zeros_like().unwrap();
+                        let counters = PassCounters::default();
+                        par.run(|| {
+                            equilibration_pass(
+                                &inp,
+                                modes,
+                                &mut lambda,
+                                &mut totals,
+                                keep.then_some(&mut x),
+                                par,
+                                None,
+                                Some(&counters),
+                                None,
+                                None,
+                            )
+                        })
+                        .unwrap();
+                        (lambda, totals, counters.snapshot(), counters.fallbacks())
+                    };
+                    let (with_x, without_x) = (run(true), run(false));
+                    let what = format!("{kernel:?} {par:?} warm={warm}");
+                    assert_eq!(bits(&with_x.0), bits(&without_x.0), "λ, {what}");
+                    assert_eq!(bits(&with_x.1), bits(&without_x.1), "totals, {what}");
+                    assert_eq!(with_x.2, without_x.2, "counters, {what}");
+                    assert_eq!(with_x.3, without_x.3, "fallbacks, {what}");
+                    assert!(with_x.2.subproblems > 0);
+                    hints = with_x.0;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn passes_without_an_iterate_match_passes_with_one() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(25);
+        let (m, n) = (40, 23);
+        // About a third of the cells are zero; every row keeps a cell.
+        let vals: Vec<f64> = (0..m * n)
+            .map(|k| {
+                if k % n != k / n % n && rng.random_range(0.0..1.0) < 0.35 {
+                    0.0
+                } else {
+                    rng.random_range(0.5..10.0)
+                }
+            })
+            .collect();
+        let prior = DenseMatrix::from_vec(m, n, vals).unwrap();
+        let gamma = DenseMatrix::from_vec(
+            m,
+            n,
+            (0..m * n).map(|_| rng.random_range(0.05..5.0)).collect(),
+        )
+        .unwrap();
+        let support: Vec<Vec<u32>> = (0..m)
+            .map(|i| {
+                (0..n as u32)
+                    .filter(|&j| prior.get(i, j as usize) > 0.0)
+                    .collect()
+            })
+            .collect();
+        let shift_cold: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0..2.0)).collect();
+        let shift_warm: Vec<f64> = shift_cold
+            .iter()
+            .map(|&v| v + rng.random_range(-0.3..0.3))
+            .collect();
+        let shifts = [&shift_cold[..], &shift_warm[..]];
+        let totals: Vec<f64> = (0..m)
+            .map(|i| prior.row(i).iter().sum::<f64>() * 1.1)
+            .collect();
+        let modes = |i: usize| {
+            if i.is_multiple_of(3) {
+                TotalMode::Elastic {
+                    alpha: 0.5 + i as f64 / 10.0,
+                    prior: totals[i],
+                    cross: 0.1,
+                }
+            } else {
+                TotalMode::Fixed { total: totals[i] }
+            }
+        };
+
+        // Plain subproblems: dense rows, dense rows with support lists, CSR.
+        assert_iterate_is_optional(&prior, &gamma, None, None, &modes, shifts);
+        assert_iterate_is_optional(&prior, &gamma, Some(&support), None, &modes, shifts);
+        let prior_csr = CsrMatrix::from_dense_pruned(&prior).unwrap();
+        let on_pattern = |d: &DenseMatrix| {
+            let v = (0..m)
+                .flat_map(|i| {
+                    prior_csr
+                        .row_cols(i)
+                        .iter()
+                        .map(move |&j| d.get(i, j as usize))
+                })
+                .collect();
+            prior_csr.with_values(v).unwrap()
+        };
+        let gamma_csr = on_pattern(&gamma);
+        assert_iterate_is_optional(&prior_csr, &gamma_csr, None, None, &modes, shifts);
+
+        // Boxed subproblems, dense and CSR, totals inside their boxes.
+        let lo = DenseMatrix::from_vec(
+            m,
+            n,
+            (0..m * n).map(|_| rng.random_range(0.0..1.0)).collect(),
+        )
+        .unwrap();
+        let hi = DenseMatrix::from_vec(
+            m,
+            n,
+            (0..m * n)
+                .map(|k| lo.as_slice()[k] + rng.random_range(0.0..4.0))
+                .collect(),
+        )
+        .unwrap();
+        let sums = |lo: &[f64], hi: &[f64]| (lo.iter().sum::<f64>(), hi.iter().sum::<f64>());
+        let dense_sums: Vec<(f64, f64)> = (0..m).map(|i| sums(lo.row(i), hi.row(i))).collect();
+        let boxed_modes = |sums: &[(f64, f64)], i: usize| {
+            let (slo, shi) = sums[i];
+            if i.is_multiple_of(3) {
+                TotalMode::Elastic {
+                    alpha: 0.7,
+                    prior: 0.5 * (slo + shi),
+                    cross: -0.2,
+                }
+            } else {
+                TotalMode::Fixed {
+                    total: slo + (0.2 + 0.6 * (i % 5) as f64 / 4.0) * (shi - slo),
+                }
+            }
+        };
+        let bounds = PassBounds::new(&lo, &hi, &dense_sums);
+        let modes = |i| boxed_modes(&dense_sums, i);
+        assert_iterate_is_optional(&prior, &gamma, None, Some(&bounds), &modes, shifts);
+        let (lo_csr, hi_csr) = (on_pattern(&lo), on_pattern(&hi));
+        let csr_sums: Vec<(f64, f64)> = (0..m)
+            .map(|i| {
+                let r = lo_csr.row_range(i);
+                sums(&lo_csr.values()[r.clone()], &hi_csr.values()[r])
+            })
+            .collect();
+        let bounds = PassBounds::new(&lo_csr, &hi_csr, &csr_sums);
+        let modes = |i| boxed_modes(&csr_sums, i);
+        assert_iterate_is_optional(&prior_csr, &gamma_csr, None, Some(&bounds), &modes, shifts);
     }
 
     #[test]

@@ -31,6 +31,16 @@
 //! A box-bounded variant ([`exact_equilibration_boxed`]) supports the
 //! Ohuchi–Kaji (1984) bounded model and Harrigan–Buchanan (1984) interval
 //! constraints.
+//!
+//! Passes call the crate-internal entries [`exact_equilibration_hinted`]
+//! and [`exact_equilibration_boxed_hinted`]. They read the shift in place
+//! or through a sparse row's column index ([`Shift`]), and start the
+//! quickselect kernel from the subproblem's previous multiplier. The warm
+//! test ([`warm_segment`], [`warm_boxed_segment`]) computes each entry's
+//! breakpoints in registers in one pass over the row; only on a miss does
+//! the kernel fill its event array and select. A pass that keeps no
+//! iterate passes no output row, and the plain kernel then returns λ and
+//! the total without materializing the entries.
 
 use crate::error::SeaError;
 use sea_linalg::sort;
@@ -127,6 +137,81 @@ struct SelectEvent {
     db: f64,
 }
 
+/// Entry `(q, γ, shift)`'s one event in the plain kernel. The warm test
+/// and the event fill both build events here, so they see the same bits.
+#[inline(always)]
+fn plain_event(qj: f64, gj: f64, sj: f64) -> SelectEvent {
+    let inv2g = 1.0 / (2.0 * gj);
+    SelectEvent {
+        v: -2.0 * gj * qj - sj,
+        // Crossing the breakpoint activates xⱼ(λ) = daⱼ + λ·dbⱼ.
+        da: qj + sj * inv2g,
+        db: inv2g,
+    }
+}
+
+/// Entry `(q, γ, shift, lo, hi)`'s `(lower, upper)` event pair in the boxed
+/// kernel, shared by the warm test and the event fill like [`plain_event`].
+#[inline(always)]
+fn boxed_events(qj: f64, gj: f64, sj: f64, lj: f64, hj: f64) -> [SelectEvent; 2] {
+    let inv2g = 1.0 / (2.0 * gj);
+    let interior = qj + sj * inv2g;
+    [
+        SelectEvent {
+            v: 2.0 * gj * (lj - qj) - sj,
+            // Leaving the lower bound swaps loⱼ for the interior response.
+            da: interior - lj,
+            db: inv2g,
+        },
+        SelectEvent {
+            v: 2.0 * gj * (hj - qj) - sj,
+            // Saturating at the upper bound freezes the response at hiⱼ.
+            da: hj - interior,
+            db: -inv2g,
+        },
+    ]
+}
+
+/// The opposite side's multipliers as one subproblem reads them: entry `k`
+/// sees `at(k)`. A slice is read in place; [`IndexedShift`] reads a sparse
+/// row's (or support list's) entries through its column index, so a pass
+/// never gathers them into a buffer first.
+pub(crate) trait Shift: Copy {
+    /// Number of entries.
+    fn len(self) -> usize;
+    /// Entry `k`'s shift.
+    fn at(self, k: usize) -> f64;
+}
+
+impl Shift for &[f64] {
+    #[inline(always)]
+    fn len(self) -> usize {
+        <[f64]>::len(self)
+    }
+    #[inline(always)]
+    fn at(self, k: usize) -> f64 {
+        self[k]
+    }
+}
+
+/// Entry `k`'s shift is `src[idx[k]]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexedShift<'a> {
+    pub(crate) src: &'a [f64],
+    pub(crate) idx: &'a [u32],
+}
+
+impl Shift for IndexedShift<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.idx.len()
+    }
+    #[inline(always)]
+    fn at(self, k: usize) -> f64 {
+        self.src[self.idx[k] as usize]
+    }
+}
+
 /// Reusable workspace so the hot loop performs no allocation (workhorse
 /// buffers, per the performance guide). Buffers grow to the subproblem size
 /// on first use; every subsequent solve of the same (or smaller) size is
@@ -184,7 +269,12 @@ pub fn operation_count_for(kernel: KernelKind, n: usize) -> f64 {
 }
 
 #[inline]
-fn validate_inputs(q: &[f64], gamma: &[f64], shift: &[f64], x_out: &[f64]) -> Result<(), SeaError> {
+fn validate_inputs(
+    q: &[f64],
+    gamma: &[f64],
+    shift: impl Shift,
+    x_out: Option<&[f64]>,
+) -> Result<(), SeaError> {
     let n = q.len();
     if gamma.len() != n {
         return Err(SeaError::Shape {
@@ -200,7 +290,7 @@ fn validate_inputs(q: &[f64], gamma: &[f64], shift: &[f64], x_out: &[f64]) -> Re
             actual: shift.len(),
         });
     }
-    if x_out.len() != n {
+    if let Some(x_out) = x_out.filter(|x| x.len() != n) {
         return Err(SeaError::Shape {
             context: "exact_equilibration x_out",
             expected: n,
@@ -269,25 +359,29 @@ pub fn exact_equilibration_with(
     x_out: &mut [f64],
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
-    exact_equilibration_hinted(kernel, q, gamma, shift, mode, None, x_out, scratch)
+    exact_equilibration_hinted(kernel, q, gamma, shift, mode, None, Some(x_out), scratch)
 }
 
-/// [`exact_equilibration_with`] warm-started from `hint`, the subproblem's
-/// previous multiplier. The quickselect kernel first tries the segment
-/// holding `hint` ([`warm_segment`]) and runs its selection only when the
-/// root lies elsewhere; sort-scan ignores the hint.
+/// [`exact_equilibration_with`] for a pass: warm-started from `hint`, the
+/// subproblem's previous multiplier, with `shift` read in place or through
+/// a column index, and the iterate optional. The quickselect kernel first
+/// tries the segment holding `hint` ([`warm_segment`]) and fills and
+/// searches its events only when the root lies elsewhere; sort-scan ignores
+/// the hint. Given no `x_out`, only λ and the total are computed: the
+/// materialization and rounding-correction loops are skipped, and the
+/// result's `active` is 0.
 #[allow(clippy::too_many_arguments)] // kernel inputs + hint + output + workspace
 pub(crate) fn exact_equilibration_hinted(
     kernel: KernelKind,
     q: &[f64],
     gamma: &[f64],
-    shift: &[f64],
+    shift: impl Shift,
     mode: TotalMode,
     hint: Option<f64>,
-    x_out: &mut [f64],
+    x_out: Option<&mut [f64]>,
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
-    validate_inputs(q, gamma, shift, x_out)?;
+    validate_inputs(q, gamma, shift, x_out.as_deref())?;
     let n = q.len();
     scratch.stats.subproblems += 1;
 
@@ -339,19 +433,6 @@ pub(crate) fn exact_equilibration_hinted(
         return Err(SeaError::NumericalBreakdown { iteration: 0 });
     }
 
-    // Materialize the solution.
-    let mut sum = 0.0;
-    let mut active = 0usize;
-    for j in 0..n {
-        let v = q[j] + (shift[j] + lambda) / (2.0 * gamma[j]);
-        let v = if v > 0.0 { v } else { 0.0 };
-        if v > 0.0 {
-            active += 1;
-        }
-        x_out[j] = v;
-        sum += v;
-    }
-
     let total = match mode {
         TotalMode::Fixed { total } => total,
         TotalMode::Elastic {
@@ -360,6 +441,26 @@ pub(crate) fn exact_equilibration_hinted(
             cross,
         } => prior - (lambda + cross) / (2.0 * alpha),
     };
+    let Some(x_out) = x_out else {
+        return Ok(EquilibrationResult {
+            lambda,
+            total,
+            active: 0,
+        });
+    };
+
+    // Materialize the solution.
+    let mut sum = 0.0;
+    let mut active = 0usize;
+    for j in 0..n {
+        let v = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
+        let v = if v > 0.0 { v } else { 0.0 };
+        if v > 0.0 {
+            active += 1;
+        }
+        x_out[j] = v;
+        sum += v;
+    }
 
     // Absorb the residual rounding error into the largest entries so the
     // constraint holds to near machine precision (keeps downstream
@@ -403,7 +504,7 @@ fn elastic_constants(mode: TotalMode) -> (f64, f64) {
 fn plain_lambda_sort_scan(
     q: &[f64],
     gamma: &[f64],
-    shift: &[f64],
+    shift: impl Shift,
     mode: TotalMode,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
@@ -412,7 +513,9 @@ fn plain_lambda_sort_scan(
     scratch.prepare(n);
     for j in 0..n {
         debug_assert!(gamma[j] > 0.0, "gamma must be strictly positive");
-        scratch.breakpoints.push(-2.0 * gamma[j] * q[j] - shift[j]);
+        scratch
+            .breakpoints
+            .push(-2.0 * gamma[j] * q[j] - shift.at(j));
     }
     scratch.order.resize(n, 0);
     sort::identity_permutation(&mut scratch.order);
@@ -459,7 +562,7 @@ fn plain_lambda_sort_scan(
         if r < n {
             let j = scratch.order[r] as usize;
             let inv2g = 1.0 / (2.0 * gamma[j]);
-            a += q[j] + shift[j] * inv2g;
+            a += q[j] + shift.at(j) * inv2g;
             b += inv2g;
         }
     }
@@ -467,59 +570,47 @@ fn plain_lambda_sort_scan(
     lambda
 }
 
-/// Selection kernel for the nonnegative subproblem: one breakpoint event
-/// per entry, then [`select_events`]. Returns NaN on breakdown.
+/// Selection kernel for the nonnegative subproblem: the warm segment first
+/// when a `hint` is given ([`warm_segment`]); else, or on a miss, one
+/// breakpoint event per entry, then [`select_events`]. A warm attempt, hit
+/// or miss, counts as one partition round: it is one pass over the entries,
+/// like a round. Returns NaN on breakdown.
 fn plain_lambda_quickselect(
     q: &[f64],
     gamma: &[f64],
-    shift: &[f64],
+    shift: impl Shift,
     mode: TotalMode,
     hint: Option<f64>,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
+    // Sized on hits too, so a miss after a run of hits finds its buffer.
     scratch.prepare(q.len());
     debug_assert!(
         gamma.iter().all(|&g| g > 0.0),
         "gamma must be strictly positive"
     );
-    // `extend` over zipped slices: no per-event capacity or bounds checks.
-    let entries = q.iter().zip(gamma).zip(shift);
-    scratch.events.extend(entries.map(|((&qj, &gj), &sj)| {
-        let inv2g = 1.0 / (2.0 * gj);
-        SelectEvent {
-            v: -2.0 * gj * qj - sj,
-            // Crossing the breakpoint activates xⱼ(λ) = daⱼ + λ·dbⱼ.
-            da: qj + sj * inv2g,
-            db: inv2g,
+    if let Some(h) = hint {
+        scratch.stats.quickselect_pivots += 1;
+        if let Some(lambda) = warm_segment(q, gamma, shift, h, mode) {
+            return lambda;
         }
-    }));
-    select_events(scratch, 0.0, mode, FlatPolicy::NonnegativePrefix, hint)
+    }
+    // `extend` over zipped slices: no per-event capacity checks.
+    let entries = q.iter().zip(gamma).enumerate();
+    scratch
+        .events
+        .extend(entries.map(|(k, (&qj, &gj))| plain_event(qj, gj, shift.at(k))));
+    select_events(scratch, 0.0, mode, FlatPolicy::NonnegativePrefix)
 }
 
-/// Locate λ over the filled event array: the warm segment first when a
-/// `hint` is given ([`warm_segment`] for the plain kernel's events,
-/// [`warm_boxed_segment`] for the boxed kernel's pairs), else (or on a
-/// miss) [`select_lambda`] with `base_a` and the kernel's `flat` rule.
-/// A warm attempt, hit or miss, counts as one partition round: it is one
-/// pass over the events, like a round.
-/// Returns NaN on breakdown.
+/// Locate λ over the filled event array by [`select_lambda`], with
+/// `base_a` and the kernel's `flat` rule. Returns NaN on breakdown.
 fn select_events(
     scratch: &mut EquilibrationScratch,
     base_a: f64,
     mode: TotalMode,
     flat: FlatPolicy,
-    hint: Option<f64>,
 ) -> f64 {
-    if let Some(h) = hint {
-        scratch.stats.quickselect_pivots += 1;
-        let warm = match flat {
-            FlatPolicy::NonnegativePrefix => warm_segment(&scratch.events, h, mode),
-            FlatPolicy::BoundedMatch => warm_boxed_segment(&scratch.events, base_a, h, mode),
-        };
-        if let Some(lambda) = warm {
-            return lambda;
-        }
-    }
     select_lambda(
         &mut scratch.events,
         base_a,
@@ -530,58 +621,109 @@ fn select_events(
     .unwrap_or(f64::NAN)
 }
 
+/// Lanes of the warm tests' accumulators: entry `k` goes to lane `k mod 4`.
+/// Four interleaved sums break the loop-carried dependency of one running
+/// sum; the order is fixed, so every caller gets the same bits.
+const LANES: usize = 4;
+
+/// Call `fold(lane, k)` for every entry `k < n`, in order, with `lane` a
+/// constant after unrolling.
+#[inline(always)]
+fn for_each_lane(n: usize, mut fold: impl FnMut(usize, usize)) {
+    let full = n - n % LANES;
+    for base in (0..full).step_by(LANES) {
+        for lane in 0..LANES {
+            fold(lane, base + lane);
+        }
+    }
+    for lane in 0..n - full {
+        fold(lane, full + lane);
+    }
+}
+
+/// The warm segment's bracket `[lo, hi]`: the largest breakpoint at or
+/// below the hint and the smallest above it. Maxima and minima are exact,
+/// so unlike the sums one pair serves every lane and any order gives ends
+/// that compare the same (they can differ only in the sign of a zero). A
+/// NaN breakpoint is never at or below the hint and never below `hi`, so it
+/// moves neither end.
+#[derive(Clone, Copy)]
+struct Bracket {
+    lo: f64,
+    hi: f64,
+}
+
+impl Bracket {
+    const OPEN: Bracket = Bracket {
+        lo: f64::NEG_INFINITY,
+        hi: f64::INFINITY,
+    };
+
+    /// Count breakpoint `v`, which is at or below the hint iff `below`.
+    #[inline(always)]
+    fn push(&mut self, v: f64, below: bool) {
+        if below {
+            self.lo = if v > self.lo { v } else { self.lo };
+        } else {
+            self.hi = if v < self.hi { v } else { self.hi };
+        }
+    }
+
+    /// Solve `f(λ) = a + b·λ = S(λ)` on the segment from the intercept and
+    /// the lanes' slope sums; the root if it lies inside. In fixed mode a
+    /// flat segment (zero slope) is a miss.
+    fn root(self, a: f64, b: [f64; LANES], mode: TotalMode) -> Option<f64> {
+        let b = (b[0] + b[1]) + (b[2] + b[3]);
+        let root = match mode {
+            TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
+            TotalMode::Fixed { .. } => return None,
+            TotalMode::Elastic { .. } => {
+                let (el_slope, el_const) = elastic_constants(mode);
+                (el_const - a) / (b + el_slope)
+            }
+        };
+        (self.lo <= root && root <= self.hi).then_some(root)
+    }
+}
+
 /// One-pass check of the segment that holds `hint` (SEA's previous
 /// multiplier for this subproblem, which moves little between iterations).
 ///
-/// Sums the active linear form `f(λ) = a + b·λ` over the events at or
-/// below `hint` while tracking the nearest breakpoint on each side, solves
-/// `f(λ) = S(λ)` on that segment, and returns the root when it lies inside
-/// the bracket. `None` means the root is elsewhere (or, in fixed mode, the
-/// segment is flat), and the caller runs the full selection. Every hint in
-/// the same segment sums the same events in the same order, so all of them
-/// return the same bits. Any hint is safe: the bracket check, not the
-/// hint, decides acceptance.
-fn warm_segment(events: &[SelectEvent], hint: f64, mode: TotalMode) -> Option<f64> {
-    // Four interleaved accumulators (event k goes to lane k mod 4) break
-    // the loop-carried dependency of one running sum; the order is fixed,
-    // so every caller gets the same bits.
-    const W: usize = 4;
-    let (mut a, mut b) = ([0.0_f64; W], [0.0_f64; W]);
-    let (mut lo, mut hi) = ([f64::NEG_INFINITY; W], [f64::INFINITY; W]);
-    // Branch-free: breakpoints fall on both sides of the hint at random,
-    // and adding +0.0 leaves a sum that starts at +0.0 bitwise unchanged.
-    let mut fold = |k: usize, e: &SelectEvent| {
+/// Computes each entry's breakpoint and `(da, db)` ([`plain_event`]) in
+/// registers, sums the active linear form `f(λ) = a + b·λ` over the entries
+/// whose breakpoint is at or below `hint` while tracking the nearest
+/// breakpoint on each side, solves `f(λ) = S(λ)` on that segment, and
+/// returns the root when it lies inside the bracket. `None` means the root
+/// is elsewhere (or, in fixed mode, the segment is flat), and the caller
+/// fills the events and runs the full selection. Every hint in the same
+/// segment sums the same entries in the same order, so all of them return
+/// the same bits. Any hint is safe: the bracket check, not the hint,
+/// decides acceptance.
+fn warm_segment(
+    q: &[f64],
+    gamma: &[f64],
+    shift: impl Shift,
+    hint: f64,
+    mode: TotalMode,
+) -> Option<f64> {
+    let gamma = &gamma[..q.len()];
+    let (mut a, mut b) = ([0.0_f64; LANES], [0.0_f64; LANES]);
+    let mut bracket = Bracket::OPEN;
+    // An entry above the hint adds +0.0, which leaves a sum that starts at
+    // +0.0 bitwise unchanged, so each lane sums exactly its entries at or
+    // below the hint, in order.
+    for_each_lane(q.len(), |lane, k| {
+        let e = plain_event(q[k], gamma[k], shift.at(k));
         let below = e.v <= hint;
-        a[k] += if below { e.da } else { 0.0 };
-        b[k] += if below { e.db } else { 0.0 };
-        lo[k] = if below { lo[k].max(e.v) } else { lo[k] };
-        hi[k] = if below { hi[k] } else { hi[k].min(e.v) };
-    };
-    let mut chunks = events.chunks_exact(W);
-    for chunk in &mut chunks {
-        for (k, e) in chunk.iter().enumerate() {
-            fold(k, e);
-        }
-    }
-    for (k, e) in chunks.remainder().iter().enumerate() {
-        fold(k, e);
-    }
-    let (a, b) = ((a[0] + a[1]) + (a[2] + a[3]), (b[0] + b[1]) + (b[2] + b[3]));
-    let seg_lo = lo[0].max(lo[1]).max(lo[2].max(lo[3]));
-    let seg_hi = hi[0].min(hi[1]).min(hi[2].min(hi[3]));
-    let root = match mode {
-        TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
-        TotalMode::Fixed { .. } => return None,
-        TotalMode::Elastic { .. } => {
-            let (el_slope, el_const) = elastic_constants(mode);
-            (el_const - a) / (b + el_slope)
-        }
-    };
-    (seg_lo <= root && root <= seg_hi).then_some(root)
+        a[lane] += if below { e.da } else { 0.0 };
+        b[lane] += if below { e.db } else { 0.0 };
+        bracket.push(e.v, below);
+    });
+    bracket.root((a[0] + a[1]) + (a[2] + a[3]), b, mode)
 }
 
-/// [`warm_segment`] for the boxed kernel, whose events come in
-/// `(lower, upper)` pairs, one pair per entry, over the base `Σ lo`.
+/// [`warm_segment`] for the boxed kernel: each entry has a `(lower, upper)`
+/// event pair ([`boxed_events`]) over the base `Σ lo`.
 ///
 /// The intercept sums `da` over every event at or below `hint`; the slope
 /// sums `db` only over entries strictly inside their box on that segment
@@ -589,50 +731,30 @@ fn warm_segment(events: &[SelectEvent], hint: f64, mode: TotalMode) -> Option<f6
 /// `−w` at the upper one would leave a ±ε residue for entries pinned at
 /// `hi`. In fixed mode a flat segment (zero slope) is a miss, so
 /// [`select_lambda`]'s `BoundedMatch` rule resolves it.
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + base + hint
 fn warm_boxed_segment(
-    events: &[SelectEvent],
+    q: &[f64],
+    gamma: &[f64],
+    shift: impl Shift,
+    lo: &[f64],
+    hi: &[f64],
     base: f64,
     hint: f64,
     mode: TotalMode,
 ) -> Option<f64> {
-    // Entry k goes to lane k mod 4, as in `warm_segment`.
-    const W: usize = 4;
-    let (mut a, mut b) = ([0.0_f64; W], [0.0_f64; W]);
-    let (mut lo, mut hi) = ([f64::NEG_INFINITY; W], [f64::INFINITY; W]);
-    let mut fold = |k: usize, pair: &[SelectEvent]| {
-        let (l, u) = (&pair[0], &pair[1]);
+    let n = q.len();
+    let (gamma, lo, hi) = (&gamma[..n], &lo[..n], &hi[..n]);
+    let (mut a, mut b) = ([0.0_f64; LANES], [0.0_f64; LANES]);
+    let mut bracket = Bracket::OPEN;
+    for_each_lane(n, |lane, k| {
+        let [l, u] = boxed_events(q[k], gamma[k], shift.at(k), lo[k], hi[k]);
         let (below_l, below_u) = (l.v <= hint, u.v <= hint);
-        a[k] += (if below_l { l.da } else { 0.0 }) + (if below_u { u.da } else { 0.0 });
-        b[k] += if below_l && !below_u { l.db } else { 0.0 };
-        lo[k] = lo[k]
-            .max(if below_l { l.v } else { f64::NEG_INFINITY })
-            .max(if below_u { u.v } else { f64::NEG_INFINITY });
-        hi[k] = hi[k]
-            .min(if below_l { f64::INFINITY } else { l.v })
-            .min(if below_u { f64::INFINITY } else { u.v });
-    };
-    let mut chunks = events.chunks_exact(2 * W);
-    for chunk in &mut chunks {
-        for (k, pair) in chunk.chunks_exact(2).enumerate() {
-            fold(k, pair);
-        }
-    }
-    for (k, pair) in chunks.remainder().chunks_exact(2).enumerate() {
-        fold(k, pair);
-    }
-    let a = base + ((a[0] + a[1]) + (a[2] + a[3]));
-    let b = (b[0] + b[1]) + (b[2] + b[3]);
-    let seg_lo = lo[0].max(lo[1]).max(lo[2].max(lo[3]));
-    let seg_hi = hi[0].min(hi[1]).min(hi[2].min(hi[3]));
-    let root = match mode {
-        TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
-        TotalMode::Fixed { .. } => return None,
-        TotalMode::Elastic { .. } => {
-            let (el_slope, el_const) = elastic_constants(mode);
-            (el_const - a) / (b + el_slope)
-        }
-    };
-    (seg_lo <= root && root <= seg_hi).then_some(root)
+        a[lane] += (if below_l { l.da } else { 0.0 }) + (if below_u { u.da } else { 0.0 });
+        b[lane] += if below_l && !below_u { l.db } else { 0.0 };
+        bracket.push(l.v, below_l);
+        bracket.push(u.v, below_u);
+    });
+    bracket.root(base + ((a[0] + a[1]) + (a[2] + a[3])), b, mode)
 }
 
 /// How a flat (zero-slope) terminal segment is resolved in fixed mode.
@@ -840,7 +962,17 @@ pub fn exact_equilibration_boxed_with(
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
     exact_equilibration_boxed_hinted(
-        kernel, q, gamma, shift, lo, hi, None, mode, None, x_out, scratch,
+        kernel,
+        q,
+        gamma,
+        shift,
+        lo,
+        hi,
+        None,
+        mode,
+        None,
+        Some(x_out),
+        scratch,
     )
 }
 
@@ -851,22 +983,24 @@ pub fn exact_equilibration_boxed_with(
 /// (as [`crate::BoundedProblem::new`] does), and the per-call crossing scan
 /// and sums are skipped. `None` checks and sums here. The quickselect
 /// kernel first tries the segment holding `hint` ([`warm_boxed_segment`]);
-/// sort-scan ignores the hint.
+/// sort-scan ignores the hint. `shift` is read as in
+/// [`exact_equilibration_hinted`]. Given no `x_out`, every entry is still
+/// clamped to count `boxed_clamps`, but nothing is written.
 #[allow(clippy::too_many_arguments)] // kernel inputs + bounds + hint + output + workspace
 pub(crate) fn exact_equilibration_boxed_hinted(
     kernel: KernelKind,
     q: &[f64],
     gamma: &[f64],
-    shift: &[f64],
+    shift: impl Shift,
     lo: &[f64],
     hi: &[f64],
     sums: Option<(f64, f64)>,
     mode: TotalMode,
     hint: Option<f64>,
-    x_out: &mut [f64],
+    mut x_out: Option<&mut [f64]>,
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
-    validate_inputs(q, gamma, shift, x_out)?;
+    validate_inputs(q, gamma, shift, x_out.as_deref())?;
     let n = q.len();
     scratch.stats.subproblems += 1;
     if lo.len() != n || hi.len() != n {
@@ -928,12 +1062,14 @@ pub(crate) fn exact_equilibration_boxed_hinted(
 
     let mut active = 0usize;
     for j in 0..n {
-        let raw = q[j] + (shift[j] + lambda) / (2.0 * gamma[j]);
+        let raw = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
         let v = raw.clamp(lo[j], hi[j]);
         if v > lo[j] && v < hi[j] {
             active += 1;
         }
-        x_out[j] = v;
+        if let Some(x) = x_out.as_deref_mut() {
+            x[j] = v;
+        }
     }
     let total = match mode {
         TotalMode::Fixed { total } => total,
@@ -959,7 +1095,7 @@ pub(crate) fn exact_equilibration_boxed_hinted(
 fn boxed_lambda_sort_scan(
     q: &[f64],
     gamma: &[f64],
-    shift: &[f64],
+    shift: impl Shift,
     lo: &[f64],
     hi: &[f64],
     sum_lo: f64,
@@ -975,12 +1111,12 @@ fn boxed_lambda_sort_scan(
     for j in 0..n {
         scratch
             .events_hi
-            .push(2.0 * gamma[j] * (lo[j] - q[j]) - shift[j]);
+            .push(2.0 * gamma[j] * (lo[j] - q[j]) - shift.at(j));
     }
     for j in 0..n {
         scratch
             .events_hi
-            .push(2.0 * gamma[j] * (hi[j] - q[j]) - shift[j]);
+            .push(2.0 * gamma[j] * (hi[j] - q[j]) - shift.at(j));
     }
     scratch.order.resize(2 * n, 0);
     sort::identity_permutation(&mut scratch.order);
@@ -1030,11 +1166,11 @@ fn boxed_lambda_sort_scan(
             let inv2g = 1.0 / (2.0 * gamma[j]);
             if e < n {
                 // Entry leaves its lower bound.
-                a += q[j] + shift[j] * inv2g - lo[j];
+                a += q[j] + shift.at(j) * inv2g - lo[j];
                 b += inv2g;
             } else {
                 // Entry saturates at its upper bound.
-                a += hi[j] - (q[j] + shift[j] * inv2g);
+                a += hi[j] - (q[j] + shift.at(j) * inv2g);
                 b -= inv2g;
             }
             seg_lo = upper;
@@ -1047,14 +1183,14 @@ fn boxed_lambda_sort_scan(
 /// Selection kernel for the boxed subproblem: the clamp decomposes into a
 /// `+w` hinge at the lower-bound event and a `−w` hinge at the upper-bound
 /// event, so the same [`select_events`] search applies with `base = Σ loⱼ`.
-/// Each entry pushes its two events next to each other, the pairing
-/// [`warm_boxed_segment`] reads. Returns NaN when no segment accepts
-/// (caller clamps).
+/// The warm segment is tried first, as in the plain kernel
+/// ([`warm_boxed_segment`]); on a miss each entry pushes its two events
+/// next to each other. Returns NaN when no segment accepts (caller clamps).
 #[allow(clippy::too_many_arguments)]
 fn boxed_lambda_quickselect(
     q: &[f64],
     gamma: &[f64],
-    shift: &[f64],
+    shift: impl Shift,
     lo: &[f64],
     hi: &[f64],
     sum_lo: f64,
@@ -1064,22 +1200,17 @@ fn boxed_lambda_quickselect(
 ) -> f64 {
     let n = q.len();
     scratch.prepare(n);
-    for j in 0..n {
-        let inv2g = 1.0 / (2.0 * gamma[j]);
-        scratch.events.push(SelectEvent {
-            v: 2.0 * gamma[j] * (lo[j] - q[j]) - shift[j],
-            // Leaving the lower bound swaps loⱼ for the interior response.
-            da: q[j] + shift[j] * inv2g - lo[j],
-            db: inv2g,
-        });
-        scratch.events.push(SelectEvent {
-            v: 2.0 * gamma[j] * (hi[j] - q[j]) - shift[j],
-            // Saturating at the upper bound freezes the response at hiⱼ.
-            da: hi[j] - (q[j] + shift[j] * inv2g),
-            db: -inv2g,
-        });
+    if let Some(h) = hint {
+        scratch.stats.quickselect_pivots += 1;
+        if let Some(lambda) = warm_boxed_segment(q, gamma, shift, lo, hi, sum_lo, h, mode) {
+            return lambda;
+        }
     }
-    select_events(scratch, sum_lo, mode, FlatPolicy::BoundedMatch, hint)
+    for j in 0..n {
+        let pair = boxed_events(q[j], gamma[j], shift.at(j), lo[j], hi[j]);
+        scratch.events.extend(pair);
+    }
+    select_events(scratch, sum_lo, mode, FlatPolicy::BoundedMatch)
 }
 
 #[cfg(test)]
@@ -1791,7 +1922,7 @@ mod tests {
             shift,
             mode,
             Some(hint),
-            &mut x,
+            Some(&mut x),
             &mut sc,
         )
         .unwrap();
@@ -1842,7 +1973,7 @@ mod tests {
             Some(sums),
             mode,
             hint,
-            &mut x,
+            Some(&mut x),
             &mut sc,
         )
         .unwrap();
@@ -1878,6 +2009,117 @@ mod tests {
         let (cold, _, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, None);
         assert!(stats.quickselect_pivots > 1);
         assert_eq!(cold.lambda.to_bits(), r.lambda.to_bits());
+    }
+
+    /// The plain kernel's warm check as it was before it was fused into
+    /// the entry loop: one pass over the filled event array. Kept as the
+    /// reference [`warm_segment`] must match bit for bit.
+    fn reference_warm_segment(events: &[SelectEvent], hint: f64, mode: TotalMode) -> Option<f64> {
+        const W: usize = 4;
+        let (mut a, mut b) = ([0.0_f64; W], [0.0_f64; W]);
+        let (mut lo, mut hi) = ([f64::NEG_INFINITY; W], [f64::INFINITY; W]);
+        let mut fold = |k: usize, e: &SelectEvent| {
+            let below = e.v <= hint;
+            a[k] += if below { e.da } else { 0.0 };
+            b[k] += if below { e.db } else { 0.0 };
+            lo[k] = if below { lo[k].max(e.v) } else { lo[k] };
+            hi[k] = if below { hi[k] } else { hi[k].min(e.v) };
+        };
+        let mut chunks = events.chunks_exact(W);
+        for chunk in &mut chunks {
+            for (k, e) in chunk.iter().enumerate() {
+                fold(k, e);
+            }
+        }
+        for (k, e) in chunks.remainder().iter().enumerate() {
+            fold(k, e);
+        }
+        let (a, b) = ((a[0] + a[1]) + (a[2] + a[3]), (b[0] + b[1]) + (b[2] + b[3]));
+        let seg_lo = lo[0].max(lo[1]).max(lo[2].max(lo[3]));
+        let seg_hi = hi[0].min(hi[1]).min(hi[2].min(hi[3]));
+        let root = match mode {
+            TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
+            TotalMode::Fixed { .. } => return None,
+            TotalMode::Elastic { .. } => {
+                let (el_slope, el_const) = elastic_constants(mode);
+                (el_const - a) / (b + el_slope)
+            }
+        };
+        (seg_lo <= root && root <= seg_hi).then_some(root)
+    }
+
+    /// The boxed kernel's warm check before fusion, over `(lower, upper)`
+    /// event pairs: the reference for [`warm_boxed_segment`].
+    fn reference_warm_boxed_segment(
+        events: &[SelectEvent],
+        base: f64,
+        hint: f64,
+        mode: TotalMode,
+    ) -> Option<f64> {
+        const W: usize = 4;
+        let (mut a, mut b) = ([0.0_f64; W], [0.0_f64; W]);
+        let (mut lo, mut hi) = ([f64::NEG_INFINITY; W], [f64::INFINITY; W]);
+        let mut fold = |k: usize, pair: &[SelectEvent]| {
+            let (l, u) = (&pair[0], &pair[1]);
+            let (below_l, below_u) = (l.v <= hint, u.v <= hint);
+            a[k] += (if below_l { l.da } else { 0.0 }) + (if below_u { u.da } else { 0.0 });
+            b[k] += if below_l && !below_u { l.db } else { 0.0 };
+            lo[k] = lo[k]
+                .max(if below_l { l.v } else { f64::NEG_INFINITY })
+                .max(if below_u { u.v } else { f64::NEG_INFINITY });
+            hi[k] = hi[k]
+                .min(if below_l { f64::INFINITY } else { l.v })
+                .min(if below_u { f64::INFINITY } else { u.v });
+        };
+        let mut chunks = events.chunks_exact(2 * W);
+        for chunk in &mut chunks {
+            for (k, pair) in chunk.chunks_exact(2).enumerate() {
+                fold(k, pair);
+            }
+        }
+        for (k, pair) in chunks.remainder().chunks_exact(2).enumerate() {
+            fold(k, pair);
+        }
+        let a = base + ((a[0] + a[1]) + (a[2] + a[3]));
+        let b = (b[0] + b[1]) + (b[2] + b[3]);
+        let seg_lo = lo[0].max(lo[1]).max(lo[2].max(lo[3]));
+        let seg_hi = hi[0].min(hi[1]).min(hi[2].min(hi[3]));
+        let root = match mode {
+            TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
+            TotalMode::Fixed { .. } => return None,
+            TotalMode::Elastic { .. } => {
+                let (el_slope, el_const) = elastic_constants(mode);
+                (el_const - a) / (b + el_slope)
+            }
+        };
+        (seg_lo <= root && root <= seg_hi).then_some(root)
+    }
+
+    /// The hinted selection as it ran before fusion: fill every event, try
+    /// the reference warm check (one round), and select on a miss. Returns
+    /// the raw λ and the partition rounds.
+    fn reference_hinted_lambda(
+        events: &mut [SelectEvent],
+        base: f64,
+        mode: TotalMode,
+        flat: FlatPolicy,
+        hint: f64,
+    ) -> (f64, u64) {
+        let warm = match flat {
+            FlatPolicy::NonnegativePrefix => reference_warm_segment(events, hint, mode),
+            FlatPolicy::BoundedMatch => reference_warm_boxed_segment(events, base, hint, mode),
+        };
+        if let Some(lambda) = warm {
+            return (lambda, 1);
+        }
+        let mut pivots = 1;
+        let lambda = select_lambda(events, base, mode, flat, &mut pivots).unwrap_or(f64::NAN);
+        (lambda, pivots)
+    }
+
+    /// Bits of a warm check's answer: `None` for a miss.
+    fn hit_bits(r: Option<f64>) -> Option<u64> {
+        r.map(f64::to_bits)
     }
 
     proptest! {
@@ -2069,6 +2311,144 @@ mod tests {
                     x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     first.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
                 );
+            }
+        }
+
+        /// The fused warm tests against the event-array references they
+        /// replace: the same hit or miss, the same λ bits and the same
+        /// partition rounds, for the plain and boxed kernels, with the
+        /// shift read in place and through a column index, in fixed and
+        /// elastic modes. Rows of 1–9 entries exercise every lane
+        /// remainder; cases cover tie grids, flat segments (a zero plain
+        /// total, boxed totals at `Σ lo` or `Σ hi`), `lo == hi` entries,
+        /// non-finite hints and hints on a breakpoint.
+        #[test]
+        fn fused_warm_tests_match_event_array_references(
+            n in 1usize..10,
+            seed in 0u64..4000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xF05E);
+            let tie_grid = seed % 3 == 0;
+            let snap = |v: f64| if tie_grid { (v * 2.0).round() / 2.0 } else { v };
+            let q: Vec<f64> = (0..n).map(|_| snap(rng.random_range(-5.0..10.0))).collect();
+            let gamma: Vec<f64> = (0..n)
+                .map(|_| if tie_grid { 1.0 } else { rng.random_range(0.05..5.0) })
+                .collect();
+            // The opposite side's multipliers and a column index into them.
+            let src: Vec<f64> = (0..n + 3).map(|_| snap(rng.random_range(-3.0..3.0))).collect();
+            let idx: Vec<u32> = (0..n).map(|_| rng.random_range(0..n as u32 + 3)).collect();
+            let dense: Vec<f64> = idx.iter().map(|&j| src[j as usize]).collect();
+            let indexed = IndexedShift { src: &src, idx: &idx };
+            let lo: Vec<f64> = (0..n).map(|_| snap(rng.random_range(-1.0..2.0))).collect();
+            let hi: Vec<f64> = lo
+                .iter()
+                .map(|&l| {
+                    if rng.random_range(0.0..1.0) < 0.25 {
+                        l
+                    } else {
+                        l + snap(rng.random_range(0.1..5.0)).max(0.5)
+                    }
+                })
+                .collect();
+            let (slo, shi): (f64, f64) = (lo.iter().sum(), hi.iter().sum());
+            let elastic = seed % 2 == 0;
+            let elastic_mode = |rng: &mut rand_chacha::ChaCha8Rng, prior: f64| TotalMode::Elastic {
+                alpha: rng.random_range(0.05..5.0),
+                prior,
+                cross: rng.random_range(-2.0..2.0),
+            };
+            let plain_mode = if elastic {
+                let prior = rng.random_range(-5.0..30.0);
+                elastic_mode(&mut rng, prior)
+            } else if seed % 5 == 1 {
+                TotalMode::Fixed { total: 0.0 }
+            } else {
+                TotalMode::Fixed { total: rng.random_range(0.0..40.0) }
+            };
+            let boxed_mode = match (elastic, seed % 5) {
+                (true, 1) => elastic_mode(&mut rng, if seed % 4 == 0 { -1e3 } else { 1e3 }),
+                (true, _) => {
+                    let prior = rng.random_range(slo - 5.0..shi + 5.0);
+                    elastic_mode(&mut rng, prior)
+                }
+                (false, 1) => TotalMode::Fixed { total: slo },
+                (false, 2) => TotalMode::Fixed { total: shi },
+                (false, _) => TotalMode::Fixed { total: rng.random_range(slo..=shi) },
+            };
+
+            let plain_events: Vec<SelectEvent> = (0..n)
+                .map(|k| plain_event(q[k], gamma[k], dense[k]))
+                .collect();
+            let boxed_pairs: Vec<SelectEvent> = (0..n)
+                .flat_map(|k| boxed_events(q[k], gamma[k], dense[k], lo[k], hi[k]))
+                .collect();
+            // Hints: non-finite, zero, every breakpoint (ties with the
+            // hint), the cold roots and points near them, and random ones.
+            let mut hints = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0];
+            hints.extend(plain_events.iter().chain(&boxed_pairs).map(|e| e.v));
+            for (events, base, mode, flat) in [
+                (&plain_events, 0.0, plain_mode, FlatPolicy::NonnegativePrefix),
+                (&boxed_pairs, slo, boxed_mode, FlatPolicy::BoundedMatch),
+            ] {
+                let mut pivots = 0;
+                let cold = select_lambda(&mut events.clone(), base, mode, flat, &mut pivots);
+                if let Some(root) = cold.filter(|r| r.is_finite()) {
+                    hints.push(root);
+                    for delta in [1e-9, 1e-3, 0.5] {
+                        hints.push(root + delta * (1.0 + root.abs()));
+                        hints.push(root - delta * (1.0 + root.abs()));
+                    }
+                }
+            }
+            hints.extend((0..4).map(|_| rng.random_range(-50.0..50.0)));
+
+            for &hint in &hints {
+                // The warm tests alone.
+                let want = hit_bits(reference_warm_segment(&plain_events, hint, plain_mode));
+                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, &dense[..], hint, plain_mode)), want);
+                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, indexed, hint, plain_mode)), want);
+                let want = hit_bits(reference_warm_boxed_segment(&boxed_pairs, slo, hint, boxed_mode));
+                prop_assert_eq!(
+                    hit_bits(warm_boxed_segment(&q, &gamma, &dense[..], &lo, &hi, slo, hint, boxed_mode)),
+                    want
+                );
+                prop_assert_eq!(
+                    hit_bits(warm_boxed_segment(&q, &gamma, indexed, &lo, &hi, slo, hint, boxed_mode)),
+                    want
+                );
+
+                // The hinted selection: same λ bits, same rounds.
+                let (want, want_pivots) = reference_hinted_lambda(
+                    &mut plain_events.clone(), 0.0, plain_mode, FlatPolicy::NonnegativePrefix, hint,
+                );
+                for indexed_shift in [false, true] {
+                    let mut sc = EquilibrationScratch::new();
+                    let got = if indexed_shift {
+                        plain_lambda_quickselect(&q, &gamma, indexed, plain_mode, Some(hint), &mut sc)
+                    } else {
+                        plain_lambda_quickselect(&q, &gamma, &dense[..], plain_mode, Some(hint), &mut sc)
+                    };
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "plain, hint {}", hint);
+                    prop_assert_eq!(sc.stats.quickselect_pivots, want_pivots);
+                }
+                let (want, want_pivots) = reference_hinted_lambda(
+                    &mut boxed_pairs.clone(), slo, boxed_mode, FlatPolicy::BoundedMatch, hint,
+                );
+                for indexed_shift in [false, true] {
+                    let mut sc = EquilibrationScratch::new();
+                    let got = if indexed_shift {
+                        boxed_lambda_quickselect(
+                            &q, &gamma, indexed, &lo, &hi, slo, boxed_mode, Some(hint), &mut sc,
+                        )
+                    } else {
+                        boxed_lambda_quickselect(
+                            &q, &gamma, &dense[..], &lo, &hi, slo, boxed_mode, Some(hint), &mut sc,
+                        )
+                    };
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "boxed, hint {}", hint);
+                    prop_assert_eq!(sc.stats.quickselect_pivots, want_pivots);
+                }
             }
         }
 
