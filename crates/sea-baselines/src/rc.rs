@@ -18,13 +18,16 @@
 //! collapse to the same iteration, and RC ≡ diagonal SEA (§3.1.3) — so
 //! this module only implements the general, fixed-totals case the paper
 //! benchmarks (Tables 7 and 9).
+//!
+//! Like SEA's drivers, RC reports each of its phases to an [`Observer`] as
+//! a `PhaseStart`/`PhaseEnd` pair carrying per-task costs, which is what
+//! the Table 9 / Figure 7 scheduling simulation replays.
 
 use sea_core::equilibrate::{equilibration_pass, PassInputs};
 use sea_core::general::{GeneralProblem, GeneralTotalSpec};
 use sea_core::knapsack::{KernelKind, TotalMode};
 use sea_core::parallel::Parallelism;
-use sea_core::trace::ExecutionTrace;
-use sea_core::{PhaseLabel, SeaError};
+use sea_core::{Event, Observer, PhaseLabel, SeaError};
 use sea_linalg::DenseMatrix;
 use std::time::{Duration, Instant};
 
@@ -44,8 +47,6 @@ pub struct RcOptions {
     pub parallelism: Parallelism,
     /// Equilibration kernel for the half-step subproblems.
     pub kernel: KernelKind,
-    /// Record a phase trace for the scheduling simulator.
-    pub record_trace: bool,
 }
 
 impl Default for RcOptions {
@@ -57,7 +58,6 @@ impl Default for RcOptions {
             max_projection_iterations: 500,
             parallelism: Parallelism::Serial,
             kernel: KernelKind::default(),
-            record_trace: false,
         }
     }
 }
@@ -95,8 +95,6 @@ pub struct RcSolution {
     pub objective: f64,
     /// Wall-clock duration.
     pub elapsed: Duration,
-    /// Phase trace (present iff requested).
-    pub trace: Option<ExecutionTrace>,
 }
 
 struct HalfStepBuffers {
@@ -108,12 +106,41 @@ struct HalfStepBuffers {
     costs: Vec<f64>,
 }
 
+/// Open a phase of `tasks` tasks: record its `PhaseStart` and start its
+/// clock, when `obs` wants events.
+fn phase_start(obs: &mut impl Observer, label: PhaseLabel, tasks: usize) -> Option<Instant> {
+    obs.enabled().then(|| {
+        obs.record(&Event::PhaseStart { label, tasks });
+        Instant::now()
+    })
+}
+
+/// Close a phase opened by [`phase_start`]; `task_seconds` turns the
+/// phase's wall time into its per-task costs.
+fn phase_end(
+    obs: &mut impl Observer,
+    label: PhaseLabel,
+    tasks: usize,
+    t0: Option<Instant>,
+    task_seconds: impl FnOnce(f64) -> Vec<f64>,
+) {
+    if let Some(t0) = t0 {
+        let seconds = t0.elapsed().as_secs_f64();
+        obs.record(&Event::PhaseEnd {
+            label,
+            tasks,
+            seconds,
+            task_seconds: task_seconds(seconds),
+        });
+    }
+}
+
 /// One half-step: projection method to convergence on the general objective
 /// subject to only this orientation's constraints.
 ///
 /// `x` enters/leaves in *row orientation of this half-step* (the column
-/// phase passes transposed data). `flatten` maps this orientation's flat
-/// index to the canonical row-major index of `G`.
+/// phase passes transposed data); `G` and `g_diag` stay indexed in the
+/// canonical row-major order.
 #[allow(clippy::too_many_arguments)]
 fn half_step(
     p: &GeneralProblem,
@@ -127,12 +154,20 @@ fn half_step(
     transposed: bool,
     opts: &RcOptions,
     buf: &mut HalfStepBuffers,
-    trace: &mut Option<ExecutionTrace>,
+    obs: &mut impl Observer,
 ) -> Result<usize, SeaError> {
     let rows = x.rows();
     let cols = x.cols();
     let mn = rows * cols;
     let parallel = opts.parallelism.is_parallel();
+    // The dense mat-vec is reported as coarse chunks, like a real parallel
+    // mat-vec (see general.rs).
+    let chunks = mn.min(256);
+    let pass_label = if transposed {
+        PhaseLabel::ColumnEquilibration
+    } else {
+        PhaseLabel::RowEquilibration
+    };
     let mut projection_iterations = 0;
 
     for _ in 0..opts.max_projection_iterations {
@@ -140,7 +175,7 @@ fn half_step(
 
         // --- Projection step: q = y − G(y − x0)/diag(G), in G's canonical
         // (row-major, untransposed) index space.
-        let t0 = Instant::now();
+        let t0 = phase_start(obs, PhaseLabel::Projection, chunks);
         if transposed {
             // Map this orientation (n×m) back to canonical (m×n) flat order.
             for j in 0..rows {
@@ -179,17 +214,12 @@ fn half_step(
                 qs[k] = x.as_slice()[k] - buf.g_dev[k] / g_diag[k];
             }
         }
-        let proj_secs = t0.elapsed().as_secs_f64();
-        if let Some(tr) = trace.as_mut() {
-            // Coarse-chunked like a real parallel mat-vec (see general.rs).
-            let chunks = mn.min(256);
-            tr.push(
-                PhaseLabel::Projection,
-                vec![proj_secs / chunks as f64; chunks],
-            );
-        }
+        phase_end(obs, PhaseLabel::Projection, chunks, t0, |secs| {
+            vec![secs / chunks as f64; chunks]
+        });
 
-        // --- Equilibration pass on this orientation only.
+        // --- Equilibration pass on this orientation only, one measured
+        // cost per subproblem.
         let inputs = PassInputs {
             prior: &buf.q,
             gamma,
@@ -201,7 +231,7 @@ fn half_step(
             warm: false,
             fault: None,
         };
-        let costs = opts.record_trace.then_some(&mut buf.costs);
+        let t0 = phase_start(obs, pass_label, rows);
         equilibration_pass(
             &inputs,
             &|i| TotalMode::Fixed { total: totals[i] },
@@ -209,31 +239,19 @@ fn half_step(
             &mut buf.totals_tmp,
             Some(&mut buf.y),
             opts.parallelism,
-            costs,
+            t0.is_some().then_some(&mut buf.costs),
             None,
             None,
             None,
         )?;
-        if let Some(tr) = trace.as_mut() {
-            tr.push(
-                if transposed {
-                    PhaseLabel::ColumnEquilibration
-                } else {
-                    PhaseLabel::RowEquilibration
-                },
-                buf.costs.clone(),
-            );
-        }
+        phase_end(obs, pass_label, rows, t0, |_| buf.costs.clone());
 
         // --- Serial projection-convergence verification (RC's extra
         // serial phase).
-        let t0 = Instant::now();
+        let t0 = phase_start(obs, PhaseLabel::ConvergenceCheck, 1);
         let delta = buf.y.max_abs_diff(x);
         std::mem::swap(x, &mut buf.y);
-        let check_secs = t0.elapsed().as_secs_f64();
-        if let Some(tr) = trace.as_mut() {
-            tr.push(PhaseLabel::ConvergenceCheck, vec![check_secs]);
-        }
+        phase_end(obs, PhaseLabel::ConvergenceCheck, 1, t0, |secs| vec![secs]);
         if delta <= opts.projection_epsilon {
             break;
         }
@@ -249,7 +267,15 @@ fn half_step(
 ///   [`GeneralTotalSpec::Fixed`] (RC, like B-K, was designed for the fixed
 ///   class — §5.1.1).
 /// * Propagated equilibration failures.
-pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSolution, SeaError> {
+///
+/// Every projection step, equilibration pass and convergence check (the
+/// projection checks and the outer check) is reported to `obs` as a
+/// `PhaseStart`/`PhaseEnd` pair; RC emits no other events.
+pub fn solve_general_rc(
+    p: &GeneralProblem,
+    opts: &RcOptions,
+    obs: &mut (impl Observer + Send),
+) -> Result<RcSolution, SeaError> {
     let (s0, d0) = match p.totals() {
         GeneralTotalSpec::Fixed { s0, d0 } => (s0.clone(), d0.clone()),
         _ => {
@@ -276,7 +302,6 @@ pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSoluti
     let mut lambda = vec![0.0; m];
     let mut mu = vec![0.0; n];
 
-    let mut trace = opts.record_trace.then(ExecutionTrace::new);
     let mut buf_row = HalfStepBuffers {
         dev: vec![0.0; mn],
         g_dev: vec![0.0; mn],
@@ -318,7 +343,7 @@ pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSoluti
                 false,
                 opts,
                 &mut buf_row,
-                &mut trace,
+                obs,
             )?;
 
             // Column phase on the transposed orientation.
@@ -336,18 +361,15 @@ pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSoluti
                 true,
                 opts,
                 &mut buf_col,
-                &mut trace,
+                obs,
             )?;
             x = x_t.transposed();
 
             // Outer convergence check (serial).
-            let t0 = Instant::now();
+            let t0 = phase_start(obs, PhaseLabel::ConvergenceCheck, 1);
             let delta = x.max_abs_diff(&x_prev_outer);
             x_prev_outer.as_mut_slice().copy_from_slice(x.as_slice());
-            let secs = t0.elapsed().as_secs_f64();
-            if let Some(tr) = trace.as_mut() {
-                tr.push(PhaseLabel::ConvergenceCheck, vec![secs]);
-            }
+            phase_end(obs, PhaseLabel::ConvergenceCheck, 1, t0, |secs| vec![secs]);
             outer_residual = delta;
             if delta <= opts.outer_epsilon {
                 converged = true;
@@ -368,7 +390,6 @@ pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSoluti
         outer_residual,
         objective,
         elapsed: start.elapsed(),
-        trace,
     })
 }
 
@@ -376,8 +397,43 @@ pub fn solve_general_rc(p: &GeneralProblem, opts: &RcOptions) -> Result<RcSoluti
 mod tests {
     use super::*;
     use sea_core::general::{solve_general_supervised, GeneralSeaOptions};
-    use sea_core::{NullObserver, SupervisorOptions};
+    use sea_core::{NullObserver, SupervisorOptions, VecObserver};
     use sea_linalg::SymMatrix;
+
+    fn rc(p: &GeneralProblem, opts: &RcOptions) -> RcSolution {
+        solve_general_rc(p, opts, &mut NullObserver).unwrap()
+    }
+
+    /// `(label, tasks)` of every `PhaseEnd` in `events`, in order, checking
+    /// that each has its `PhaseStart` right before it and one cost per task.
+    fn phase_ends(events: &[Event]) -> Vec<(PhaseLabel, usize)> {
+        let mut open = None;
+        let mut ends = Vec::new();
+        for e in events {
+            match e {
+                Event::PhaseStart { label, tasks } => {
+                    assert_eq!(open.replace((*label, *tasks)), None, "nested phase");
+                }
+                Event::PhaseEnd {
+                    label,
+                    tasks,
+                    task_seconds,
+                    ..
+                } => {
+                    assert_eq!(open.take(), Some((*label, *tasks)), "unpaired PhaseEnd");
+                    assert_eq!(task_seconds.len(), *tasks, "{label:?}");
+                    ends.push((*label, *tasks));
+                }
+                other => panic!("RC emitted {other:?}"),
+            }
+        }
+        assert_eq!(open, None, "unclosed phase");
+        ends
+    }
+
+    fn count(ends: &[(PhaseLabel, usize)], label: PhaseLabel) -> usize {
+        ends.iter().filter(|(l, _)| *l == label).count()
+    }
 
     fn dd_matrix(order: usize, diag: f64, off: f64) -> SymMatrix {
         let mut mtx = DenseMatrix::zeros(order, order).unwrap();
@@ -416,13 +472,13 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(solve_general_rc(&p, &RcOptions::default()).is_err());
+        assert!(solve_general_rc(&p, &RcOptions::default(), &mut NullObserver).is_err());
     }
 
     #[test]
     fn rc_converges_and_is_feasible() {
         let p = fixed_problem(1.0);
-        let sol = solve_general_rc(&p, &RcOptions::with_epsilon(1e-9)).unwrap();
+        let sol = rc(&p, &RcOptions::with_epsilon(1e-9));
         assert!(sol.converged);
         let rs = sol.x.row_sums();
         let cs = sol.x.col_sums();
@@ -434,7 +490,7 @@ mod tests {
     #[test]
     fn rc_matches_sea_optimum() {
         let p = fixed_problem(1.5);
-        let rc = solve_general_rc(&p, &RcOptions::with_epsilon(1e-10)).unwrap();
+        let rc = rc(&p, &RcOptions::with_epsilon(1e-10));
         let sup = SupervisorOptions::default();
         let sea = solve_general_supervised(
             &p,
@@ -458,38 +514,103 @@ mod tests {
         // The structural claim behind Table 7: RC pays projection
         // iterations inside *each* half step.
         let p = fixed_problem(1.0);
-        let mut rc_opts = RcOptions::with_epsilon(1e-8);
-        rc_opts.record_trace = true;
-        let rc = solve_general_rc(&p, &rc_opts).unwrap();
-        let rc_trace = rc.trace.as_ref().unwrap();
-        let mut obs = sea_core::VecObserver::new();
-        sea_core::solve_general_supervised(
+        let mut rc_obs = VecObserver::new();
+        solve_general_rc(&p, &RcOptions::with_epsilon(1e-8), &mut rc_obs).unwrap();
+        let rc_ends = phase_ends(&rc_obs.events);
+        let mut obs = VecObserver::new();
+        solve_general_supervised(
             &p,
             &GeneralSeaOptions::with_epsilon(1e-8),
-            &sea_core::SupervisorOptions::default(),
+            &SupervisorOptions::default(),
             &mut obs,
         )
         .unwrap();
-        let sea_trace = sea_core::trace_from_events(&obs.events);
-        let rc_mv = rc_trace.count(PhaseLabel::Projection);
-        let sea_mv = sea_trace.count(PhaseLabel::Projection);
+        let sea_ends: Vec<(PhaseLabel, usize)> = obs
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::PhaseEnd { label, tasks, .. } => Some((*label, *tasks)),
+                _ => None,
+            })
+            .collect();
+        let rc_mv = count(&rc_ends, PhaseLabel::Projection);
+        let sea_mv = count(&sea_ends, PhaseLabel::Projection);
         assert!(
             rc_mv > sea_mv,
             "RC should need more G mat-vecs: rc={rc_mv} sea={sea_mv}"
         );
         // And more serial convergence checks.
-        let rc_checks = rc_trace.count(PhaseLabel::ConvergenceCheck);
-        let sea_checks = sea_trace.count(PhaseLabel::ConvergenceCheck);
+        let rc_checks = count(&rc_ends, PhaseLabel::ConvergenceCheck);
+        let sea_checks = count(&sea_ends, PhaseLabel::ConvergenceCheck);
         assert!(rc_checks > sea_checks);
+    }
+
+    #[test]
+    fn rc_phase_events_follow_the_algorithm() {
+        // 2 × 3, so row passes (2 tasks) and column passes (3 tasks) differ.
+        let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+        let p = GeneralProblem::new(
+            x0,
+            dd_matrix(6, 10.0, 1.0),
+            GeneralTotalSpec::Fixed {
+                s0: vec![7.0, 14.0],
+                d0: vec![6.0, 6.0, 9.0],
+            },
+        )
+        .unwrap();
+        let opts = RcOptions::with_epsilon(1e-9);
+        let mut obs = VecObserver::new();
+        let sol = solve_general_rc(&p, &opts, &mut obs).unwrap();
+        assert!(sol.converged && sol.outer_iterations > 1);
+
+        // Each projection iteration is a (mat-vec over min(mn, 256) = 6
+        // chunks, pass, check) triple; a half step repeats it, and each
+        // outer iteration is a row half step, a column half step and one
+        // outer check.
+        let ends = phase_ends(&obs.events);
+        fn half_step(rest: &mut &[(PhaseLabel, usize)], pass: PhaseLabel, tasks: usize) -> usize {
+            let iteration = [
+                (PhaseLabel::Projection, 6),
+                (pass, tasks),
+                (PhaseLabel::ConvergenceCheck, 1),
+            ];
+            let mut iterations = 0;
+            while rest.starts_with(&iteration) {
+                iterations += 1;
+                *rest = &rest[iteration.len()..];
+            }
+            assert!(iterations >= 1, "no {pass:?} iteration at {rest:?}");
+            iterations
+        }
+        let mut rest = ends.as_slice();
+        let (mut outer, mut projections) = (0, 0);
+        while !rest.is_empty() {
+            projections += half_step(&mut rest, PhaseLabel::RowEquilibration, 2);
+            projections += half_step(&mut rest, PhaseLabel::ColumnEquilibration, 3);
+            let [(PhaseLabel::ConvergenceCheck, 1), tail @ ..] = rest else {
+                panic!("outer iteration {outer} does not end in a check: {rest:?}");
+            };
+            rest = tail;
+            outer += 1;
+        }
+        assert_eq!(outer, sol.outer_iterations);
+        assert_eq!(projections, sol.projection_iterations);
+
+        // Observing changes no bit of the answer.
+        let quiet = rc(&p, &opts);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(sol.x.as_slice()), bits(quiet.x.as_slice()));
+        assert_eq!(bits(&sol.lambda), bits(&quiet.lambda));
+        assert_eq!(bits(&sol.mu), bits(&quiet.mu));
     }
 
     #[test]
     fn rc_parallel_matches_serial() {
         let p = fixed_problem(1.0);
-        let serial = solve_general_rc(&p, &RcOptions::with_epsilon(1e-9)).unwrap();
+        let serial = rc(&p, &RcOptions::with_epsilon(1e-9));
         let mut opts = RcOptions::with_epsilon(1e-9);
         opts.parallelism = Parallelism::RayonThreads(2);
-        let par = solve_general_rc(&p, &opts).unwrap();
+        let par = rc(&p, &opts);
         assert!(serial.x.max_abs_diff(&par.x) < 1e-9);
     }
 }

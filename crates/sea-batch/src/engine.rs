@@ -15,7 +15,6 @@
 //! any submission order. Per-instance event streams are buffered and
 //! replayed in submission order for the same reason.
 
-use std::mem;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -27,7 +26,6 @@ use sea_core::{
 };
 use sea_linalg::CsrMatrix;
 
-use crate::arena::{BatchArena, Slot};
 use crate::cache::{CacheEntry, CacheUpdate, WarmStartCache};
 
 /// Where the thread budget goes: across instances or inside each solve.
@@ -371,14 +369,13 @@ impl BatchReport {
     }
 }
 
-/// A long-lived batch solver owning the warm-start cache and the workspace
-/// arena. Solve related batches through one engine to accumulate cache
-/// state; see [`crate::cache::WarmStartCache`] for snapshot semantics.
+/// A long-lived batch solver owning the warm-start cache. Solve related
+/// batches through one engine to accumulate cache state; see
+/// [`crate::cache::WarmStartCache`] for snapshot semantics.
 #[derive(Debug, Default)]
 pub struct BatchEngine {
     options: BatchOptions,
     cache: WarmStartCache,
-    arena: BatchArena,
 }
 
 impl BatchEngine {
@@ -387,7 +384,6 @@ impl BatchEngine {
         BatchEngine {
             options,
             cache: WarmStartCache::new(),
-            arena: BatchArena::new(),
         }
     }
 
@@ -399,11 +395,6 @@ impl BatchEngine {
     /// Number of families currently cached.
     pub fn cached_families(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Pooled workspace slots (grows to the largest batch seen).
-    pub fn arena_capacity(&self) -> usize {
-        self.arena.capacity()
     }
 
     /// Drop all cached warm starts.
@@ -467,40 +458,26 @@ impl BatchEngine {
             obs.span_open(SpanKind::Batch, 0, instances.len() as u64);
         }
 
-        let BatchEngine {
-            options,
-            cache,
-            arena,
-        } = self;
-        let slots = arena.acquire(instances.len());
-        let run = |slot: &mut Slot, inst: &BatchInstance| {
-            if spanning {
-                slot.start_ns = elapsed_ns(start);
-            }
+        let (options, cache) = (&self.options, &self.cache);
+        let run = |inst: &BatchInstance| {
+            let start_ns = if spanning { elapsed_ns(start) } else { 0 };
             let mut buffer = EventBuffer {
                 on: observing,
-                events: mem::take(&mut slot.events),
+                events: Vec::new(),
             };
-            solve_one(inst, options, cache, &mut buffer, slot);
-            slot.events = buffer.events;
-            if spanning {
-                slot.end_ns = elapsed_ns(start);
-            }
+            let solved = solve_instance(inst, options, cache, &mut buffer);
+            let end_ns = if spanning { elapsed_ns(start) } else { 0 };
+            (solved, buffer.events, start_ns, end_ns)
         };
+        let mut runs: Vec<Option<_>> = instances.iter().map(|_| None).collect();
+        let fill = |(slot, inst): (&mut Option<_>, &BatchInstance)| *slot = Some(run(inst));
         match options.parallelism {
             BatchParallelism::Outer | BatchParallelism::OuterThreads(_) => {
                 options.parallelism.outer().run(|| {
-                    slots
-                        .par_iter_mut()
-                        .zip(instances.par_iter())
-                        .for_each(|(slot, inst)| run(slot, inst));
+                    runs.par_iter_mut().zip(instances.par_iter()).for_each(fill);
                 });
             }
-            _ => {
-                for (slot, inst) in slots.iter_mut().zip(instances) {
-                    run(slot, inst);
-                }
-            }
+            _ => runs.iter_mut().zip(instances).for_each(fill),
         }
 
         // Serial epilogue: replay buffered events in submission order,
@@ -509,66 +486,52 @@ impl BatchEngine {
         let mut updates: Vec<CacheUpdate> = Vec::new();
         let (mut converged, mut hits, mut misses) = (0usize, 0usize, 0usize);
         let (mut work, mut saved) = (0u64, 0u64);
-        for (index, (slot, inst)) in slots.iter_mut().zip(instances).enumerate() {
+        // Every slot was filled above, so `flatten` keeps submission indices.
+        let runs = runs.into_iter().flatten().enumerate();
+        for (index, ((mut item, update), events, start_ns, end_ns)) in runs {
+            item.index = index;
             if observing {
-                for e in slot.events.drain(..) {
-                    obs.record(&e);
+                for e in &events {
+                    obs.record(e);
                 }
                 obs.record(&Event::BatchInstance {
                     index,
-                    id: inst.id.clone(),
-                    family: inst.family.clone(),
-                    cache: slot.warm.name(),
-                    kernel_work: slot.kernel_work,
-                    work_saved: slot.work_saved,
+                    id: item.id.clone(),
+                    family: item.family.clone(),
+                    cache: item.warm_start.name(),
+                    kernel_work: item.kernel_work,
+                    work_saved: item.work_saved,
                 });
-            } else {
-                slot.events.clear();
             }
             if spanning {
-                let tasks = slot
-                    .outcome
-                    .as_ref()
-                    .and_then(|o| o.as_ref().ok())
-                    .map_or(0, |s| s.iterations() as u64);
+                let (tasks, counters) = item.outcome.as_ref().map_or_else(
+                    |_| (0, KernelCounters::default()),
+                    |s| (s.iterations() as u64, s.counters()),
+                );
                 obs.span_leaf(
                     SpanKind::Instance,
                     index as u64,
-                    slot.start_ns,
-                    slot.end_ns,
+                    start_ns,
+                    end_ns,
                     tasks,
-                    &slot.counters,
-                    slot.warm.name(),
+                    &counters,
+                    item.warm_start.name(),
                 );
             }
-            match slot.warm {
+            match item.warm_start {
                 WarmStart::Hit => hits += 1,
                 WarmStart::Miss => misses += 1,
                 WarmStart::Bypass => {}
             }
-            work += slot.kernel_work;
-            saved += slot.work_saved;
-            if let Some(u) = slot.update.take() {
-                updates.push(u);
-            }
-            // Allowed: `solve_one` unconditionally fills `outcome`; the
-            // `Option` only exists so reset slots have a vacant state.
-            #[allow(clippy::expect_used)]
-            let outcome = slot.outcome.take().expect("slot was solved");
-            if outcome.as_ref().is_ok_and(BatchSolution::converged) {
+            work += item.kernel_work;
+            saved += item.work_saved;
+            updates.extend(update);
+            if item.outcome.as_ref().is_ok_and(BatchSolution::converged) {
                 converged += 1;
             }
-            items.push(BatchItemReport {
-                index,
-                id: inst.id.clone(),
-                family: inst.family.clone(),
-                warm_start: slot.warm,
-                kernel_work: slot.kernel_work,
-                work_saved: slot.work_saved,
-                outcome,
-            });
+            items.push(item);
         }
-        cache.apply(updates);
+        self.cache.apply(updates);
         if spanning {
             obs.span_close(&KernelCounters::default());
         }
@@ -607,30 +570,119 @@ impl BatchEngine {
 /// wants them) stream to `obs` as the solve runs, with no batch framing.
 /// The result is bitwise identical to the same instance going through
 /// [`BatchEngine::solve_batch`] with the same options and cache snapshot
-/// (it runs the same per-instance path).
+/// (the batch runs every instance through this function); the report's
+/// `index` is 0.
 pub fn solve_instance<O: Observer + Send>(
     inst: &BatchInstance,
     opts: &BatchOptions,
     cache: &WarmStartCache,
     obs: &mut O,
 ) -> (BatchItemReport, Option<CacheUpdate>) {
-    let mut slot = Slot::default();
-    solve_one(inst, opts, cache, obs, &mut slot);
-    // Allowed: `solve_one` unconditionally fills `outcome` (same proof as
-    // the batch epilogue above).
-    #[allow(clippy::expect_used)]
-    let outcome = slot.outcome.take().expect("instance was solved");
+    // Resolve the warm start against the read-only snapshot. A cached μ of
+    // the wrong length (the family changed shape) is a miss, not an error.
+    // The general class seeds μ alone, and so does a hit whose λ does not
+    // fit the rows.
+    let general = matches!(inst.problem, BatchProblem::General(_));
+    let mut warm = WarmStart::Bypass;
+    let mut baseline = 0u64;
+    let (mut mu_seed, mut lambda_seed) = (None, None);
+    if opts.warm_start {
+        if let Some(family) = &inst.family {
+            match cache.lookup(family) {
+                Some(entry) if entry.mu.len() == inst.problem.n() => {
+                    mu_seed = Some(entry.mu.clone());
+                    if !general && entry.lambda.len() == inst.problem.m() {
+                        lambda_seed = Some(entry.lambda.clone());
+                    }
+                    warm = WarmStart::Hit;
+                    baseline = entry.cold_kernel_work;
+                }
+                _ => warm = WarmStart::Miss,
+            }
+        }
+    }
+    let hit = warm == WarmStart::Hit;
+
+    // Options for the diagonal-class drivers (plain, sparse and bounded
+    // instances alike); the general class nests them in its own options.
+    let sea_options = |epsilon: f64, initial_mu: Option<Vec<f64>>| SeaOptions {
+        max_iterations: opts.max_iterations,
+        kernel: opts.kernel,
+        parallelism: opts.parallelism.instance(),
+        initial_mu,
+        ..SeaOptions::with_epsilon(epsilon)
+    };
+    // A hit carrying λ seeds a diagonal-class driver the way a checkpoint
+    // does: from `resume`, whose λ also hints the first row pass, where
+    // `initial_mu` hints only the column passes.
+    let resume = lambda_seed.and_then(|lambda| {
+        mu_seed.take().map(|mu| SupervisorOptions {
+            resume: Some(Checkpoint {
+                solver: match inst.problem {
+                    BatchProblem::Bounded(_) => "bounded",
+                    _ => "diagonal",
+                }
+                .to_string(),
+                iteration: 0,
+                lambda,
+                mu,
+                history: None,
+            }),
+            ..opts.supervisor.clone()
+        })
+    });
+    let sup = resume.as_ref().unwrap_or(&opts.supervisor);
+    let outcome = match &inst.problem {
+        BatchProblem::Diagonal(p) => {
+            solve_diagonal_supervised(p, &sea_options(opts.epsilon, mu_seed), sup, obs)
+                .map(BatchSolution::Diagonal)
+        }
+        BatchProblem::SparseDiagonal(p) => {
+            solve_diagonal_supervised(p, &sea_options(opts.epsilon, mu_seed), sup, obs)
+                .map(BatchSolution::SparseDiagonal)
+        }
+        BatchProblem::Bounded(p) => {
+            solve_bounded_supervised(p, &sea_options(opts.epsilon, mu_seed), sup, obs)
+                .map(BatchSolution::Bounded)
+        }
+        BatchProblem::General(p) => {
+            let mut o = GeneralSeaOptions::with_epsilon(opts.epsilon);
+            o.inner = sea_options(o.inner.epsilon, mu_seed);
+            solve_general_supervised(p, &o, sup, obs).map(BatchSolution::General)
+        }
+    };
+
+    let kernel_work = outcome.as_ref().map_or(0, |s| s.counters().work());
+    let work_saved = if hit {
+        baseline.saturating_sub(kernel_work)
+    } else {
+        0
+    };
+    // Only converged solutions are cached: a partial μ from a stopped or
+    // errored solve would poison later warm starts. A hit keeps the
+    // family's original cold baseline; only the seed is refreshed.
+    let update = match (&inst.family, &outcome) {
+        (Some(family), Ok(sol)) if opts.warm_start && sol.converged() => Some(CacheUpdate {
+            family: family.clone(),
+            entry: CacheEntry {
+                lambda: sol.lambda().to_vec(),
+                mu: sol.mu().to_vec(),
+                cold_kernel_work: if hit { baseline } else { kernel_work },
+            },
+        }),
+        _ => None,
+    };
     (
         BatchItemReport {
             index: 0,
             id: inst.id.clone(),
             family: inst.family.clone(),
-            warm_start: slot.warm,
-            kernel_work: slot.kernel_work,
-            work_saved: slot.work_saved,
+            warm_start: warm,
+            kernel_work,
+            work_saved,
             outcome,
         },
-        slot.update.take(),
+        update,
     )
 }
 
@@ -659,129 +711,6 @@ impl Observer for EventBuffer {
     fn record(&mut self, event: &Event) {
         self.events.push(event.clone());
     }
-}
-
-/// Solve one instance against the cache snapshot, filling `slot`; the
-/// solve's events go straight to `obs`.
-fn solve_one<O: Observer + Send>(
-    inst: &BatchInstance,
-    opts: &BatchOptions,
-    cache: &WarmStartCache,
-    obs: &mut O,
-    slot: &mut Slot,
-) {
-    // Resolve the warm start against the read-only snapshot. A cached μ of
-    // the wrong length (the family changed shape) is a miss, not an error.
-    // The general class seeds μ alone, and so does a hit whose λ does not
-    // fit the rows.
-    let general = matches!(inst.problem, BatchProblem::General(_));
-    let mut baseline = 0u64;
-    if opts.warm_start {
-        if let Some(family) = &inst.family {
-            match cache.lookup(family) {
-                Some(entry) if entry.mu.len() == inst.problem.n() => {
-                    slot.mu_seed.extend_from_slice(&entry.mu);
-                    if !general && entry.lambda.len() == inst.problem.m() {
-                        slot.lambda_seed.extend_from_slice(&entry.lambda);
-                    }
-                    slot.warm = WarmStart::Hit;
-                    baseline = entry.cold_kernel_work;
-                }
-                _ => slot.warm = WarmStart::Miss,
-            }
-        }
-    }
-    let hit = slot.warm == WarmStart::Hit;
-
-    // Options for the diagonal-class drivers (plain, sparse and bounded
-    // instances alike); the general class nests them in its own options.
-    let sea_options = |epsilon: f64, initial_mu: Option<Vec<f64>>| SeaOptions {
-        max_iterations: opts.max_iterations,
-        kernel: opts.kernel,
-        parallelism: opts.parallelism.instance(),
-        initial_mu,
-        ..SeaOptions::with_epsilon(epsilon)
-    };
-    let mut seed = hit.then(|| mem::take(&mut slot.mu_seed));
-    // A hit carrying λ seeds a diagonal-class driver the way a checkpoint
-    // does: from `resume`, whose λ also hints the first row pass, where
-    // `initial_mu` hints only the column passes.
-    let resume = if slot.lambda_seed.is_empty() {
-        None
-    } else {
-        seed.take().map(|mu| SupervisorOptions {
-            resume: Some(Checkpoint {
-                solver: match inst.problem {
-                    BatchProblem::Bounded(_) => "bounded",
-                    _ => "diagonal",
-                }
-                .to_string(),
-                iteration: 0,
-                lambda: mem::take(&mut slot.lambda_seed),
-                mu,
-                history: None,
-            }),
-            ..opts.supervisor.clone()
-        })
-    };
-    let sup = resume.as_ref().unwrap_or(&opts.supervisor);
-    let (outcome, seed) = match &inst.problem {
-        BatchProblem::Diagonal(p) => {
-            let o = sea_options(opts.epsilon, seed);
-            let r = solve_diagonal_supervised(p, &o, sup, obs);
-            (r.map(BatchSolution::Diagonal), o.initial_mu)
-        }
-        BatchProblem::SparseDiagonal(p) => {
-            let o = sea_options(opts.epsilon, seed);
-            let r = solve_diagonal_supervised(p, &o, sup, obs);
-            (r.map(BatchSolution::SparseDiagonal), o.initial_mu)
-        }
-        BatchProblem::Bounded(p) => {
-            let o = sea_options(opts.epsilon, seed);
-            let r = solve_bounded_supervised(p, &o, sup, obs);
-            (r.map(BatchSolution::Bounded), o.initial_mu)
-        }
-        BatchProblem::General(p) => {
-            let mut o = GeneralSeaOptions::with_epsilon(opts.epsilon);
-            o.inner = sea_options(o.inner.epsilon, seed);
-            let r = solve_general_supervised(p, &o, sup, obs);
-            (r.map(BatchSolution::General), o.inner.initial_mu)
-        }
-    };
-    // Reclaim the seed buffers for the arena.
-    if let Some(ck) = resume.and_then(|s| s.resume) {
-        slot.lambda_seed = ck.lambda;
-        slot.mu_seed = ck.mu;
-    }
-    if let Some(seed) = seed {
-        slot.mu_seed = seed;
-    }
-
-    slot.counters = outcome
-        .as_ref()
-        .map_or_else(|_| KernelCounters::default(), BatchSolution::counters);
-    slot.kernel_work = slot.counters.work();
-    if hit {
-        slot.work_saved = baseline.saturating_sub(slot.kernel_work);
-    }
-    // Only converged solutions are cached: a partial μ from a stopped or
-    // errored solve would poison later warm starts. A hit keeps the
-    // family's original cold baseline; only the seed is refreshed.
-    if opts.warm_start {
-        if let (Some(family), Ok(sol)) = (&inst.family, &outcome) {
-            if sol.converged() {
-                slot.update = Some(CacheUpdate {
-                    family: family.clone(),
-                    entry: CacheEntry {
-                        lambda: sol.lambda().to_vec(),
-                        mu: sol.mu().to_vec(),
-                        cold_kernel_work: if hit { baseline } else { slot.kernel_work },
-                    },
-                });
-            }
-        }
-    }
-    slot.outcome = Some(outcome);
 }
 
 #[cfg(test)]

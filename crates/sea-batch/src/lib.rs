@@ -4,7 +4,7 @@
 //! an estimation pipeline re-balances many related matrices (regions,
 //! sectors, time steps) every cycle, and consecutive cycles differ only by
 //! drifting priors. This crate schedules such workloads over the
-//! supervised sea-core drivers with three batch-level mechanisms:
+//! supervised sea-core drivers with two batch-level mechanisms:
 //!
 //! * **Shared thread budget** — [`BatchParallelism`] places the rayon
 //!   threads either *across* instances (many small problems) or *inside*
@@ -16,9 +16,6 @@
 //!   hints the first row pass's kernel, as a resumed checkpoint's does.
 //!   Hit/miss and kernel-work-saved are reported per instance and per
 //!   batch through `sea-observe` events.
-//! * **Workspace arena** — [`BatchArena`] pools per-instance buffers so a
-//!   long-lived engine's own bookkeeping stops allocating once it reaches
-//!   steady state.
 //!
 //! Results are bitwise deterministic across every parallelism policy and
 //! any submission order: instance solves are parallelism-invariant, the
@@ -65,11 +62,9 @@
 // `#[allow]` with a proof comment; tests are exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod arena;
 pub mod cache;
 pub mod engine;
 
-pub use arena::BatchArena;
 pub use cache::{CacheEntry, CacheUpdate, WarmStartCache};
 pub use engine::{
     solve_instance, BatchEngine, BatchInstance, BatchItemReport, BatchOptions, BatchParallelism,

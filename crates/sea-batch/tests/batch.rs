@@ -380,27 +380,3 @@ fn event_stream_wraps_instances_with_batch_lifecycle() {
         assert!(matches!(events[pos + 1], Event::BatchInstance { .. }));
     }
 }
-
-#[test]
-fn arena_reaches_steady_state() {
-    let mut engine = BatchEngine::new(options());
-    let batch = vec![
-        diagonal_instance("a", Some("f1"), 1),
-        diagonal_instance("b", Some("f2"), 2),
-        diagonal_instance("c", None, 3),
-    ];
-    engine.solve_batch(&batch, &mut NullObserver);
-    let grown = engine.arena_capacity();
-    assert_eq!(grown, 3);
-    for _ in 0..3 {
-        engine.solve_batch(&batch, &mut NullObserver);
-        assert_eq!(
-            engine.arena_capacity(),
-            grown,
-            "no regrowth at steady state"
-        );
-    }
-    // Smaller batches reuse the existing pool.
-    engine.solve_batch(&batch[..1], &mut NullObserver);
-    assert_eq!(engine.arena_capacity(), grown);
-}

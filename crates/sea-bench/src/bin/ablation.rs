@@ -12,13 +12,12 @@
 use sea_bench::{results_dir, Scale};
 use sea_cli::commands::trace_to_sim_phases;
 use sea_core::{
-    solve_diagonal_supervised, trace_from_events, NullObserver, SeaOptions, SupervisorOptions,
-    VecObserver,
+    solve_diagonal_supervised, NullObserver, SeaOptions, SupervisorOptions, VecObserver,
 };
 use sea_data::table1_instance;
 use sea_linalg::sort;
 use sea_parsim::{speedup_table, MachineModel};
-use sea_report::{fmt_seconds, ExperimentRecord, Table};
+use sea_report::{fmt_seconds, ExperimentRecord, SolveSummary, Table};
 use sea_spatial::random_spe;
 use std::time::Instant;
 
@@ -111,12 +110,12 @@ fn main() {
             .solution;
         let mut obs = VecObserver::new();
         solve_diagonal_supervised(&cmp, &opts, &sup, &mut obs).expect("solvable");
-        let trace = trace_from_events(&obs.events);
+        let summary = SolveSummary::from_events(&obs.events);
         t.push_row(vec![
             cadence.to_string(),
             sol.stats.iterations.to_string(),
             fmt_seconds(sol.stats.elapsed.as_secs_f64()),
-            format!("{:.4}", trace.serial_fraction()),
+            format!("{:.4}", summary.serial_fraction()),
         ]);
     }
     record.push_table(t);
@@ -134,7 +133,7 @@ fn main() {
     let mut obs = VecObserver::new();
     solve_diagonal_supervised(&p, &SeaOptions::with_epsilon(0.01), &sup, &mut obs)
         .expect("solvable");
-    let phases = trace_to_sim_phases(&trace_from_events(&obs.events));
+    let phases = trace_to_sim_phases(&obs.events);
     let mut t = Table::new(
         "Simulated efficiency vs dispatch overhead (N = 6)",
         &["dispatch overhead (s/task)", "E_6"],

@@ -67,7 +67,8 @@ fn main() {
             assert!(sea.converged, "SEA failed on G {g_order}");
             sea_secs += sea.elapsed.as_secs_f64();
 
-            let rc = solve_general_rc(&p, &RcOptions::with_epsilon(0.001)).expect("solvable");
+            let rc = solve_general_rc(&p, &RcOptions::with_epsilon(0.001), &mut NullObserver)
+                .expect("solvable");
             assert!(rc.converged, "RC failed on G {g_order}");
             rc_secs += rc.elapsed.as_secs_f64();
             agreement = agreement.max(sea.x.max_abs_diff(&rc.x));

@@ -6,8 +6,8 @@ use crate::{paper_general_options, paper_options, Scale};
 use sea_baselines::rc::{solve_general_rc, RcOptions};
 use sea_cli::commands::trace_to_sim_phases;
 use sea_core::{
-    solve_diagonal_supervised, solve_general_supervised, trace_from_events, DiagonalProblem,
-    SeaOptions, SupervisorOptions, VecObserver,
+    solve_diagonal_supervised, solve_general_supervised, DiagonalProblem, SeaOptions,
+    SupervisorOptions, VecObserver,
 };
 use sea_data::io_tables::{io_dataset, IoVariant};
 use sea_data::{table1_instance, table7_instance};
@@ -47,12 +47,12 @@ pub fn vector_era_phases(phases: &[SimPhase]) -> Vec<SimPhase> {
         .collect()
 }
 
-/// Solve `p` with an event recorder, rebuild the execution trace from
-/// its `PhaseEnd` events and simulate it on the diagonal study's machines.
+/// Solve `p` with an event recorder and simulate its `PhaseEnd` events
+/// on the diagonal study's machines.
 fn diagonal_speedups(p: &DiagonalProblem, opts: &SeaOptions) -> Vec<SpeedupRow> {
     let mut obs = VecObserver::new();
     solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), &mut obs).expect("feasible");
-    let phases = trace_to_sim_phases(&trace_from_events(&obs.events));
+    let phases = trace_to_sim_phases(&obs.events);
     speedup_table(
         &phases,
         &DIAGONAL_PROCESSORS,
@@ -136,13 +136,12 @@ pub fn general_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<S
     let sea = solve_general_supervised(&p, &paper_general_options(0.001), &sup, &mut obs)
         .expect("solvable");
     assert!(sea.solution.converged, "general SEA did not converge");
-    let sea_phases = trace_to_sim_phases(&trace_from_events(&obs.events));
+    let sea_phases = trace_to_sim_phases(&obs.events);
 
-    let mut rc_opts = RcOptions::with_epsilon(0.001);
-    rc_opts.record_trace = true;
-    let rc = solve_general_rc(&p, &rc_opts).expect("solvable");
+    let mut obs = VecObserver::new();
+    let rc = solve_general_rc(&p, &RcOptions::with_epsilon(0.001), &mut obs).expect("solvable");
     assert!(rc.converged, "general RC did not converge");
-    let rc_phases = trace_to_sim_phases(rc.trace.as_ref().expect("trace"));
+    let rc_phases = trace_to_sim_phases(&obs.events);
 
     let run = |phases: &[SimPhase]| {
         speedup_table(
@@ -165,4 +164,32 @@ pub fn general_speedup_experiment(scale: Scale, seed: u64) -> Vec<(String, Vec<S
             run(&vector_era_phases(&rc_phases)),
         ),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn general_speedup_experiment_replays_both_event_streams() {
+        let series = general_speedup_experiment(Scale::Small, 1);
+        let names: Vec<&str> = series.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "SEA 400 x 400",
+                "RC 400 x 400",
+                "SEA 400 x 400 (vector-era)",
+                "RC 400 x 400 (vector-era)",
+            ]
+        );
+        for (name, rows) in &series {
+            let processors: Vec<usize> = rows.iter().map(|r| r.processors).collect();
+            assert_eq!(processors, GENERAL_PROCESSORS, "{name}");
+            for r in rows {
+                assert!(r.time.is_finite() && r.time > 0.0, "{name}: {r:?}");
+                assert!(r.speedup.is_finite() && r.speedup > 0.0, "{name}: {r:?}");
+            }
+        }
+    }
 }

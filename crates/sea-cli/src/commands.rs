@@ -8,9 +8,9 @@ use crate::sigint;
 use sea_baselines::ras::{ras_balance, RasOptions};
 use sea_batch::{BatchEngine, BatchOptions};
 use sea_core::{
-    solve_diagonal_supervised, trace_from_events, Checkpoint, CheckpointPolicy, DiagonalProblem,
-    Event, ExecutionTrace, KernelCounters, Observer, PhaseLabel, SeaOptions, SpanKind, StopReason,
-    Storage, SupervisorOptions, TelemetrySample, TotalSpec, ZeroPolicy,
+    solve_diagonal_supervised, Checkpoint, CheckpointPolicy, DiagonalProblem, Event,
+    KernelCounters, Observer, PhaseLabel, SeaOptions, SpanKind, StopReason, Storage,
+    SupervisorOptions, TelemetrySample, TotalSpec, ZeroPolicy,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
 use sea_observe::json::parse as parse_json;
@@ -500,18 +500,34 @@ fn run_batch(manifest: &Path, opts: &BatchOpts) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Convert an execution trace into simulator phases: serial phases
-/// (convergence checks) stay serial, the projection's dense mat-vec is
-/// memory-bound on a shared-memory machine, and the row/column passes
-/// scale compute-bound with their per-task costs.
-pub fn trace_to_sim_phases(trace: &ExecutionTrace) -> Vec<SimPhase> {
-    trace
-        .phases
+/// Convert a recorded event stream into simulator phases, one per
+/// `PhaseEnd` in log order. A phase's tasks are its per-task costs, or,
+/// when the event carries none, one task of the phase's wall time. Serial
+/// phases (convergence checks) stay serial, the projection's dense
+/// mat-vec is memory-bound on a shared-memory machine, and the row/column
+/// passes scale compute-bound.
+pub fn trace_to_sim_phases(events: &[Event]) -> Vec<SimPhase> {
+    events
         .iter()
-        .map(|ph| match ph.kind {
-            k if !k.is_parallel() => SimPhase::serial(ph.task_seconds.clone()),
-            PhaseLabel::Projection => SimPhase::parallel_memory_bound(ph.task_seconds.clone()),
-            _ => SimPhase::parallel(ph.task_seconds.clone()),
+        .filter_map(|e| match e {
+            Event::PhaseEnd {
+                label,
+                seconds,
+                task_seconds,
+                ..
+            } => {
+                let tasks = if task_seconds.is_empty() {
+                    vec![*seconds]
+                } else {
+                    task_seconds.clone()
+                };
+                Some(match label {
+                    l if !l.is_parallel() => SimPhase::serial(tasks),
+                    PhaseLabel::Projection => SimPhase::parallel_memory_bound(tasks),
+                    _ => SimPhase::parallel(tasks),
+                })
+            }
+            _ => None,
         })
         .collect()
 }
@@ -563,10 +579,7 @@ fn report_from_log(
                 span_phases_to_sim(&SpanBreakdown::phases(spans)),
                 "Simulated replay (measured span phases)",
             ),
-            (None, Some(evs)) => (
-                trace_to_sim_phases(&trace_from_events(evs)),
-                "Simulated replay",
-            ),
+            (None, Some(evs)) => (trace_to_sim_phases(evs), "Simulated replay"),
             (None, None) => unreachable!("report requires --events or --spans"),
         };
         // Powers of two up to N, always ending at N itself.
@@ -957,7 +970,7 @@ mod tests {
         assert!(report.contains("# events:"));
         assert!(report.contains("# metrics:"));
 
-        // The JSONL log alone rebuilds the execution trace: one row,
+        // The JSONL log alone records the execution trace: one row,
         // column and check phase per iteration.
         let log = std::fs::read_to_string(&events).unwrap();
         let evs = parse_events(&log).unwrap();
@@ -965,9 +978,18 @@ mod tests {
         let Some(Event::SolveEnd { iterations, .. }) = evs.last() else {
             panic!("log must end with SolveEnd");
         };
-        let trace = trace_from_events(&evs);
-        assert_eq!(trace.phases.len(), 3 * iterations);
-        assert_eq!(trace.count(PhaseLabel::RowEquilibration), *iterations);
+        let rows = |e: &Event| {
+            matches!(
+                e,
+                Event::PhaseEnd {
+                    label: PhaseLabel::RowEquilibration,
+                    ..
+                }
+            )
+        };
+        let phases = trace_to_sim_phases(&evs);
+        assert_eq!(phases.len(), 3 * iterations);
+        assert_eq!(evs.iter().filter(|e| rows(e)).count(), *iterations);
 
         // Metrics render in Prometheus text format.
         let prom = std::fs::read_to_string(&metrics).unwrap();
@@ -990,7 +1012,7 @@ mod tests {
         assert!(summary.contains("serial fraction"));
         assert!(summary.contains("row_equilibration"));
         assert!(summary.contains("Simulated replay"));
-        let rows = sea_parsim::speedup_table(&trace_to_sim_phases(&trace), &[1, 2, 4], 0.0, 0.0);
+        let rows = sea_parsim::speedup_table(&phases, &[1, 2, 4], 0.0, 0.0);
         for r in &rows {
             assert!(
                 summary.contains(&sea_report::fmt_seconds(r.time)),
@@ -1002,16 +1024,67 @@ mod tests {
 
     #[test]
     fn trace_conversion_respects_parallelism() {
-        let mut tr = ExecutionTrace::new();
-        tr.push(PhaseLabel::RowEquilibration, vec![1.0, 2.0]);
-        tr.push(PhaseLabel::ConvergenceCheck, vec![0.5]);
-        tr.push(PhaseLabel::Projection, vec![0.1; 4]);
-        let phases = trace_to_sim_phases(&tr);
+        let end = |label, seconds, task_seconds: Vec<f64>| Event::PhaseEnd {
+            label,
+            tasks: task_seconds.len().max(1),
+            seconds,
+            task_seconds,
+        };
+        let events = vec![
+            Event::PhaseStart {
+                label: PhaseLabel::RowEquilibration,
+                tasks: 2,
+            },
+            end(PhaseLabel::RowEquilibration, 3.5, vec![1.0, 2.0]),
+            end(PhaseLabel::ConvergenceCheck, 0.5, vec![0.5]),
+            end(PhaseLabel::Projection, 0.4, vec![0.1; 4]),
+            // A log without per-task costs replays each phase as one task
+            // of its wall time.
+            end(PhaseLabel::ConvergenceCheck, 0.05, Vec::new()),
+        ];
+        let phases = trace_to_sim_phases(&events);
+        assert_eq!(phases.len(), 4);
         assert!(phases[0].parallel && !phases[0].memory_bound);
         assert_eq!(phases[0].tasks, vec![1.0, 2.0]);
         assert!(!phases[1].parallel);
         // The projection's dense mat-vec is bandwidth-bound.
         assert!(phases[2].parallel && phases[2].memory_bound);
+        assert!(!phases[3].parallel);
+        assert_eq!(phases[3].tasks, vec![0.05]);
+    }
+
+    #[test]
+    fn trace_replays_the_same_from_a_jsonl_log() {
+        let p = DiagonalProblem::new(
+            DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap(),
+            DenseMatrix::filled(2, 2, 1.0).unwrap(),
+            TotalSpec::Fixed {
+                s0: vec![4.0, 6.0],
+                d0: vec![5.0, 5.0],
+            },
+        )
+        .unwrap();
+        let mut obs = sea_core::VecObserver::new();
+        let opts = SeaOptions::with_epsilon(1e-10);
+        let sol = solve_diagonal_supervised(&p, &opts, &SupervisorOptions::default(), &mut obs)
+            .unwrap()
+            .solution;
+        // One row, column and check phase per iteration, each row/column
+        // phase with one measured cost per subproblem.
+        let in_process = trace_to_sim_phases(&obs.events);
+        assert_eq!(in_process.len(), 3 * sol.stats.iterations);
+        for ph in &in_process {
+            assert_eq!(ph.tasks.len(), if ph.parallel { 2 } else { 1 });
+        }
+        let log: String = obs
+            .events
+            .iter()
+            .map(|e| sea_observe::encode_event(e) + "\n")
+            .collect();
+        assert_eq!(
+            trace_to_sim_phases(&parse_events(&log).unwrap()),
+            in_process
+        );
     }
 
     #[test]

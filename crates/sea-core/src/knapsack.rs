@@ -32,11 +32,11 @@
 //! Ohuchi–Kaji (1984) bounded model and Harrigan–Buchanan (1984) interval
 //! constraints.
 //!
-//! Passes call the crate-internal entries [`exact_equilibration_hinted`]
-//! and [`exact_equilibration_boxed_hinted`]. They read the shift in place
-//! or through a sparse row's column index ([`Shift`]), and start the
+//! Passes call the crate-internal entries `exact_equilibration_hinted`
+//! and `exact_equilibration_boxed_hinted`. They read the shift in place
+//! or through a sparse row's column index (`Shift`), and start the
 //! quickselect kernel from the subproblem's previous multiplier. The warm
-//! test ([`warm_segment`], [`warm_boxed_segment`]) computes each entry's
+//! test (`warm_segment`, `warm_boxed_segment`) computes each entry's
 //! breakpoints in registers in one pass over the row; only on a miss does
 //! the kernel fill its event array and select. A pass that keeps no
 //! iterate passes no output row, and the plain kernel then returns λ and

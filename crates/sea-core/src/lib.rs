@@ -29,15 +29,16 @@
 //! * [`dual`] — `ζ₁/ζ₂/ζ₃`, gradients, weak duality.
 //! * [`theory`] — curvature and iteration bounds (eq. 58–64, 77).
 //! * [`components`] — support-graph components and the Modified Algorithm.
-//! * [`parallel`], [`trace`] — execution control and phase traces for the
-//!   scheduling simulator.
+//! * [`parallel`] — execution control: serial or Rayon fan-out of the
+//!   equilibration passes.
 //! * [`interval`] — interval/box-constrained extension (Harrigan–Buchanan,
 //!   Ohuchi–Kaji): [`BoundedProblem`] and [`solve_bounded_supervised`],
 //!   the diagonal driver with box-bounded subproblems.
-//! * [`observe`] — glue to the `sea-observe` event schema: every solver
-//!   streams typed lifecycle events to the [`Observer`] sink its
-//!   `*_supervised` entry point takes, and recorded logs convert back to
-//!   [`ExecutionTrace`]s.
+//! * Events — every solver streams typed lifecycle events (the
+//!   `sea-observe` schema, re-exported here) to the [`Observer`] sink its
+//!   `*_supervised` entry point takes. Their `PhaseEnd` events, with
+//!   per-task costs, are the one record of a solve's phases for the
+//!   scheduling simulator.
 //! * [`verify`] — first-principles KKT/duality verification of computed
 //!   solutions.
 //! * [`supervisor`] — fault-tolerant solve supervision, which every solve
@@ -87,14 +88,12 @@ pub mod error;
 pub mod general;
 pub mod interval;
 pub mod knapsack;
-pub mod observe;
 pub mod parallel;
 pub mod problem;
 pub mod solver;
 pub mod storage;
 pub mod supervisor;
 pub mod theory;
-pub mod trace;
 pub mod verify;
 pub mod weights;
 
@@ -110,7 +109,6 @@ pub use knapsack::{
     exact_equilibration, exact_equilibration_with, EquilibrationResult, EquilibrationScratch,
     KernelKind, TotalMode,
 };
-pub use observe::trace_from_events;
 pub use parallel::Parallelism;
 pub use problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
 pub use solver::{
@@ -122,7 +120,6 @@ pub use supervisor::{
     SolveBudget, StagnationPolicy, StopReason, SupervisedBoundedSolution,
     SupervisedGeneralSolution, SupervisedSolution, SupervisorOptions,
 };
-pub use trace::{ExecutionTrace, Phase};
 pub use verify::{verify_solution, GapCheck, KktReport};
 pub use weights::WeightScheme;
 

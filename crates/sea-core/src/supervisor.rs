@@ -128,13 +128,13 @@ impl Default for CancelToken {
 
 /// Resource limits for one supervised solve. All limits are optional and
 /// checked once per completed iteration (the iterate is always a valid
-/// post-column-pass point when a limit fires).
+/// post-column-pass point when a limit fires). Iteration caps live in the
+/// solver options (`SeaOptions::max_iterations`,
+/// `GeneralSeaOptions::max_outer`).
 #[derive(Debug, Clone, Default)]
 pub struct SolveBudget {
     /// Wall-clock deadline, measured from solve start.
     pub deadline: Option<Duration>,
-    /// Extra iteration cap below the options' `max_iterations`.
-    pub max_iterations: Option<usize>,
     /// Cap on cumulative kernel work, measured in breakpoint scans plus
     /// quickselect partition rounds plus boxed clamps (the quantities the
     /// paper's per-iteration cost model counts). A warm-start attempt of
@@ -802,8 +802,6 @@ impl<'a> SolveControl<'a> {
                 .is_some_and(|(cap, w)| w >= cap)
             {
                 reason = Some(StopReason::WorkCapExceeded);
-            } else if sup.budget.max_iterations.is_some_and(|cap| t >= cap) {
-                reason = Some(StopReason::IterationCap);
             }
         }
         if reason.is_some() {
@@ -975,9 +973,20 @@ mod tests {
     fn budget_checks_fire_in_priority_order() {
         let sup = SupervisorOptions {
             budget: SolveBudget {
-                deadline: None,
-                max_iterations: Some(5),
+                deadline: Some(Duration::ZERO),
                 max_kernel_work: Some(100),
+            },
+            ..Default::default()
+        };
+        let mut ctrl = SolveControl::new(&sup);
+        assert_eq!(
+            ctrl.should_stop(4, Some(100)),
+            Some(StopReason::DeadlineExceeded)
+        );
+        let sup = SupervisorOptions {
+            budget: SolveBudget {
+                max_kernel_work: Some(100),
+                ..Default::default()
             },
             ..Default::default()
         };
@@ -987,11 +996,6 @@ mod tests {
             ctrl.should_stop(4, Some(100)),
             Some(StopReason::WorkCapExceeded)
         );
-        let mut ctrl = SolveControl::new(&sup);
-        assert_eq!(
-            ctrl.should_stop(5, Some(10)),
-            Some(StopReason::IterationCap)
-        );
     }
 
     #[test]
@@ -1000,8 +1004,8 @@ mod tests {
         token.cancel();
         let sup = SupervisorOptions {
             budget: SolveBudget {
-                max_iterations: Some(1),
-                ..Default::default()
+                deadline: Some(Duration::ZERO),
+                max_kernel_work: Some(0),
             },
             cancel: Some(token),
             ..Default::default()

@@ -13,8 +13,8 @@ mod generator;
 use common::{all_fixtures, solve_with};
 use sea_core::{
     solve_bounded_supervised, solve_diagonal_supervised, solve_general_supervised, DiagonalProblem,
-    GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions, SolveBudget, StopReason,
-    Storage, SupervisorOptions,
+    GeneralSeaOptions, KernelKind, NullObserver, Parallelism, SeaOptions, StopReason, Storage,
+    SupervisorOptions,
 };
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -335,24 +335,18 @@ fn dense_and_bounded_solves_are_bitwise_identical_across_modes_and_shards() {
 /// equal a from-scratch `verify_solution` of the returned solution
 /// exactly, in every mode, for sparse and dense problems of every class.
 /// The last two inputs fan the sweep out (they are above the pool's
-/// fan-out size), and one of them is stopped by its iteration budget one
+/// fan-out size), and one of them is stopped by its iteration cap one
 /// sweep after a check, so the sweep must sum its rows afresh.
 #[test]
 fn supervised_certificates_match_verify_solution_exactly() {
     let sup = SupervisorOptions::default();
-    let capped = SupervisorOptions {
-        budget: SolveBudget {
-            max_iterations: Some(7),
-            ..SolveBudget::default()
-        },
-        ..SupervisorOptions::default()
-    };
+    // (tag, problem, iteration cap, check cadence)
     let sparse = generator::sparse_families(0xCE_27);
-    let mut dense: Vec<(String, DiagonalProblem, &SupervisorOptions, usize)> = sparse
+    let mut dense: Vec<(String, DiagonalProblem, Option<usize>, usize)> = sparse
         .iter()
         .map(|(tag, p)| {
             let dp = p.to_dense_problem().expect("dense image fits");
-            (format!("dense-{tag}"), dp, &sup, 1)
+            (format!("dense-{tag}"), dp, None, 1)
         })
         .collect();
     let fallible = [
@@ -370,19 +364,19 @@ fn supervised_certificates_match_verify_solution_exactly() {
     ];
     for (tag, p) in fallible {
         if let Ok(p) = p {
-            dense.push((tag.to_string(), p, &sup, 1));
+            dense.push((tag.to_string(), p, None, 1));
         }
     }
     dense.push((
         "checkerboard".to_string(),
         generator::checkerboard_weights(8, 10),
-        &sup,
+        None,
         1,
     ));
     dense.push((
         "heterogeneous-capped".to_string(),
         generator::heterogeneous(0xCE_2D, 130, 140),
-        &capped,
+        Some(7),
         3,
     ));
     assert!(dense.len() >= sparse.len() + 7, "dense families built");
@@ -400,11 +394,12 @@ fn supervised_certificates_match_verify_solution_exactly() {
                 "{tag}/{mode:?}"
             );
         }
-        for (tag, problem, sup, check_every) in &dense {
+        for (tag, problem, cap, check_every) in &dense {
             let mut opts = SeaOptions::with_epsilon(1e-8);
             opts.parallelism = mode;
             opts.check_every = *check_every;
-            let sol = solve_diagonal_supervised(problem, &opts, sup, &mut NullObserver)
+            opts.max_iterations = cap.unwrap_or(opts.max_iterations);
+            let sol = solve_diagonal_supervised(problem, &opts, &sup, &mut NullObserver)
                 .unwrap_or_else(|e| panic!("{tag}: {e:?}"));
             if *check_every == 3 {
                 assert_eq!(sol.stop, StopReason::IterationCap, "{tag}");

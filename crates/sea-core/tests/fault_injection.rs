@@ -158,13 +158,9 @@ fn nan_lambda_with_a_snapshot_recovers_the_previous_iterate() {
     // bit for bit the iterate a solve capped at that iteration returns.
     assert_eq!(sol.solution.stats.iterations, 2);
     assert_finite_solution(&sol);
-    let mut capped = SupervisorOptions::default();
-    capped.budget.max_iterations = Some(2);
-    let capped = supervised_hard(
-        &capped,
-        &opts(-1.0, Parallelism::Serial, KernelKind::SortScan),
-    )
-    .unwrap();
+    let mut capped = opts(-1.0, Parallelism::Serial, KernelKind::SortScan);
+    capped.max_iterations = 2;
+    let capped = supervised_hard(&SupervisorOptions::default(), &capped).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&sol.solution.mu), bits(&capped.solution.mu));
     assert_eq!(bits(&sol.solution.lambda), bits(&capped.solution.lambda));
@@ -293,14 +289,10 @@ fn scripted_deadline_and_cancel_stop_with_partial_solutions() {
 
 #[test]
 fn real_budget_limits_fire_with_their_stop_reasons() {
-    // Iteration budget.
-    let mut sup = SupervisorOptions::default();
-    sup.budget.max_iterations = Some(3);
-    let sol = supervised(
-        &sup,
-        &opts(1e-300, Parallelism::Serial, KernelKind::SortScan),
-    )
-    .unwrap();
+    // Iteration cap.
+    let mut capped = opts(1e-300, Parallelism::Serial, KernelKind::SortScan);
+    capped.max_iterations = 3;
+    let sol = supervised(&SupervisorOptions::default(), &capped).unwrap();
     assert_eq!(sol.stop, StopReason::IterationCap);
     assert_eq!(sol.solution.stats.iterations, 3);
 
@@ -367,13 +359,13 @@ fn residual_stagnation_is_detected_at_the_convergence_floor() {
 
 #[test]
 fn supervisor_stop_events_are_recorded() {
-    let mut sup = SupervisorOptions::default();
-    sup.budget.max_iterations = Some(2);
+    let mut capped = opts(1e-300, Parallelism::Serial, KernelKind::SortScan);
+    capped.max_iterations = 2;
     let mut obs = VecObserver::new();
     let sol = solve_diagonal_supervised(
         &fixed_problem(),
-        &opts(1e-300, Parallelism::Serial, KernelKind::SortScan),
-        &sup,
+        &capped,
+        &SupervisorOptions::default(),
         &mut obs,
     )
     .unwrap();
@@ -660,11 +652,12 @@ fn bounded_driver_honors_budgets_and_faults() {
     assert_eq!(sol.stop, StopReason::DeadlineExceeded);
     assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
 
-    // Iteration budget.
-    let mut sup = SupervisorOptions::default();
-    sup.budget.max_iterations = Some(2);
+    // Iteration cap.
+    let mut capped = never.clone();
+    capped.max_iterations = 2;
+    let sup = SupervisorOptions::default();
     let sol =
-        solve_bounded_supervised(&bounded_problem(), &never, &sup, &mut NullObserver).unwrap();
+        solve_bounded_supervised(&bounded_problem(), &capped, &sup, &mut NullObserver).unwrap();
     assert_eq!(sol.stop, StopReason::IterationCap);
     assert_eq!(sol.solution.iterations, 2);
 
@@ -837,8 +830,8 @@ fn general_driver_honors_budgets_at_outer_granularity() {
     assert_eq!(sol.solution.outer_iterations, 1);
     assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
 
-    let mut sup = SupervisorOptions::default();
-    sup.budget.max_iterations = Some(2);
+    o.max_outer = 2;
+    let sup = SupervisorOptions::default();
     let sol = solve_general_supervised(&general_problem(), &o, &sup, &mut NullObserver).unwrap();
     assert_eq!(sol.stop, StopReason::IterationCap);
     assert_eq!(sol.solution.outer_iterations, 2);

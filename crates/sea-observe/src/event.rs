@@ -168,9 +168,11 @@ pub enum Event {
         seconds: f64,
         /// Per-task seconds when the solver recorded them (one per
         /// row/column subproblem, projection chunk or check), empty
-        /// otherwise. These events are the only source of execution
-        /// traces: `sea_core::trace_from_events` rebuilds an
-        /// `ExecutionTrace` from them.
+        /// otherwise. These events are the only record of a solve's
+        /// phases, SEA's and the RC baseline's alike: the scheduling
+        /// simulator replays them (`sea_cli::commands::trace_to_sim_phases`),
+        /// one phase per event, falling back to one task of `seconds` when
+        /// this is empty.
         task_seconds: Vec<f64>,
     },
     /// A convergence check ran (every `check_every` iterations).

@@ -63,7 +63,7 @@ fn sea_rc_bk_agree_on_general_problems() {
     for seed in [10u64, 20] {
         let p = table7_instance(6, seed);
         let sea = sea_general(&p, &GeneralSeaOptions::with_epsilon(1e-9));
-        let rc = solve_general_rc(&p, &RcOptions::with_epsilon(1e-9)).unwrap();
+        let rc = solve_general_rc(&p, &RcOptions::with_epsilon(1e-9), &mut NullObserver).unwrap();
         let bk = solve_general_bk(&p, &BkOptions::with_epsilon(1e-5)).unwrap();
         assert!(sea.converged && rc.converged && bk.converged);
         let scale = p.x0().as_slice().iter().cloned().fold(1.0_f64, f64::max);

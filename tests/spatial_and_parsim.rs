@@ -5,22 +5,22 @@
 
 use proptest::prelude::*;
 use sea::core::{
-    solve_diagonal_supervised, trace_from_events, DiagonalProblem, ExecutionTrace, SeaOptions,
-    Solution, SupervisorOptions, VecObserver,
+    solve_diagonal_supervised, DiagonalProblem, SeaOptions, Solution, SupervisorOptions,
+    VecObserver,
 };
 use sea::data::table1_instance;
-use sea::parsim::{speedup_table, MachineModel};
+use sea::parsim::{speedup_table, MachineModel, SimPhase};
 use sea::spatial::{check_equilibrium, random_spe, solve_spe};
 use sea_cli::commands::trace_to_sim_phases;
 
-/// Solve with an event recorder and rebuild the execution trace from the
-/// recorded `PhaseEnd` events.
-fn traced_solve(p: &DiagonalProblem, opts: &SeaOptions) -> (Solution, ExecutionTrace) {
+/// Solve with an event recorder and turn the recorded `PhaseEnd` events
+/// into simulator phases.
+fn traced_solve(p: &DiagonalProblem, opts: &SeaOptions) -> (Solution, Vec<SimPhase>) {
     let mut obs = VecObserver::new();
     let sol = solve_diagonal_supervised(p, opts, &SupervisorOptions::default(), &mut obs)
         .unwrap()
         .solution;
-    (sol, trace_from_events(&obs.events))
+    (sol, trace_to_sim_phases(&obs.events))
 }
 
 #[test]
@@ -62,8 +62,8 @@ fn trace_replay_is_consistent_with_measured_solve() {
     // T1 from the trace (sum of phase work) must approximate the measured
     // serial wall time of the same solve.
     let p = table1_instance(80, 3);
-    let (sol, trace) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
-    let t1 = trace.serial_time();
+    let (sol, phases) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
+    let t1: f64 = phases.iter().flat_map(|ph| &ph.tasks).sum();
     let wall = sol.stats.elapsed.as_secs_f64();
     assert!(t1 > 0.0);
     assert!(
@@ -80,8 +80,7 @@ fn trace_replay_is_consistent_with_measured_solve() {
 #[test]
 fn simulated_speedups_have_paper_shape() {
     let p = table1_instance(150, 7);
-    let (_, trace) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
-    let phases = trace_to_sim_phases(&trace);
+    let (_, phases) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
     let rows = speedup_table(
         &phases,
         &[1, 2, 4, 6],
