@@ -3,8 +3,9 @@
 //! SEA's row and column equilibration phases are embarrassingly parallel
 //! (each subproblem is independent and solved in closed form); the paper
 //! allocates them to distinct processors via Parallel FORTRAN. Here the
-//! fan-out uses rayon, either on the global pool or on a dedicated pool of
-//! a requested width (the speedup experiments sweep 1, 2, 4, 6 workers).
+//! fan-out uses rayon, on a pool as wide as the machine or of a requested
+//! width (the speedup experiments sweep 1, 2, 4, 6 workers), installed
+//! once per solve so that every pass of the solve reuses its workers.
 
 /// How the solver should fan out its independent subproblems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -12,7 +13,7 @@ pub enum Parallelism {
     /// Plain sequential loops — the serial implementation of §4.1.
     #[default]
     Serial,
-    /// Rayon on the global thread pool.
+    /// Rayon on a pool as wide as the machine.
     Rayon,
     /// Rayon on a dedicated pool of exactly this many threads (the
     /// "N CPUs" of the speedup tables).
@@ -35,23 +36,26 @@ impl Parallelism {
         }
     }
 
-    /// Run `f` in the appropriate execution context. For
-    /// [`Parallelism::RayonThreads`], builds a dedicated pool and installs
-    /// it for the duration of `f` (so any nested rayon iterators use it).
+    /// Run `f` in the appropriate execution context. The rayon variants
+    /// build a pool (the machine's width for [`Parallelism::Rayon`]) and
+    /// install it for the duration of `f`: every parallel drive inside
+    /// reuses the install's workers, which are spawned on the first drive
+    /// that fans out and joined before this returns.
     // Allowed: pool construction only fails on unsatisfiable resource
     // limits; there is no meaningful recovery short of aborting the solve.
     #[allow(clippy::expect_used)]
     pub fn run<R: Send>(self, f: impl FnOnce() -> R + Send) -> R {
-        match self {
-            Parallelism::Serial | Parallelism::Rayon => f(),
-            Parallelism::RayonThreads(k) => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(k.max(1))
-                    .build()
-                    .expect("failed to build rayon pool");
-                pool.install(f)
-            }
-        }
+        let width = match self {
+            Parallelism::Serial => return f(),
+            // Zero asks the builder for the machine's width.
+            Parallelism::Rayon => 0,
+            Parallelism::RayonThreads(k) => k.max(1),
+        };
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("failed to build rayon pool")
+            .install(f)
     }
 }
 
