@@ -246,7 +246,9 @@ pub struct PassInputs<'a, S: Storage> {
     /// When `true` the pass's multiplier output already holds each
     /// subproblem's previous multiplier (a later iteration, or one supplied
     /// up front), and the quickselect kernel, plain or boxed, starts its
-    /// search from it. `false` solves every subproblem from scratch.
+    /// search from it. When `false` the plain kernel first tests the
+    /// segment where no entry is clamped at zero ([`PassInputs::hint`]),
+    /// and the boxed kernel solves every subproblem from scratch.
     ///
     /// The answer's last bits depend on the hint. The solver therefore
     /// warms bounded passes only when it extrapolates
@@ -259,9 +261,25 @@ pub struct PassInputs<'a, S: Storage> {
     pub fault: Option<TaskFault>,
 }
 
+impl<S: Storage> PassInputs<'_, S> {
+    /// The quickselect kernel's starting hint for a subproblem whose
+    /// previous multiplier is `previous`: that multiplier on a warm pass.
+    /// A cold plain pass starts from `+∞`, whose segment has every entry
+    /// active; it holds the root whenever the subproblem's solution is
+    /// interior, and a miss costs one extra read of the row. A cold boxed
+    /// pass gets no hint (see [`PassInputs::warm`]).
+    fn hint(&self, previous: f64) -> Option<f64> {
+        match (self.warm, self.bounds) {
+            (true, _) => Some(previous),
+            (false, None) => Some(f64::INFINITY),
+            (false, Some(_)) => None,
+        }
+    }
+}
+
 /// Run the configured kernel on one subproblem — the box-bounded variant
 /// when `bounds` carries the subproblem's bounds, else the plain kernel —
-/// warm-started from `hint`, the previous multiplier, writing the entries
+/// started from `hint` ([`PassInputs::hint`]), writing the entries
 /// to `x` when the pass keeps its iterate; on a
 /// pathological result (non-finite `λ` or total — or a scripted kernel
 /// fault) re-solve with the robust sort-scan kernel and count the fallback.
@@ -358,8 +376,8 @@ fn gather(src: &[f64], idx: &[u32], out: &mut Vec<f64>) {
 /// keeps its iterate, writes the subproblem's entries into `x_row` (the
 /// iterate's stored values for this row: length `n` dense, support size for
 /// CSR). A CSR row or a support list reads the shift through its column
-/// index; nothing gathers it. `hint` is the row's previous multiplier when
-/// the pass is warm.
+/// index; nothing gathers it. `hint` is the quickselect kernel's starting
+/// point ([`PassInputs::hint`]).
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,
@@ -661,7 +679,7 @@ pub fn equilibration_pass<S: Storage>(
             scratch.fallbacks = 0;
             for i in 0..m {
                 let t0 = timing.then(Instant::now);
-                let hint = inp.warm.then_some(lambda[i]);
+                let hint = inp.hint(lambda[i]);
                 let x_row = x.as_deref_mut().map(|x| x.row_values_mut(i));
                 let (l, s) = run_task(inp, i, modes(i), hint, x_row, scratch)?;
                 lambda[i] = l;
@@ -704,7 +722,7 @@ pub fn equilibration_pass<S: Storage>(
                     for t in 0..shard.lambda.len() {
                         let i = shard.base + t;
                         let t0 = timing.then(Instant::now);
-                        let hint = inp.warm.then_some(shard.lambda[t]);
+                        let hint = inp.hint(shard.lambda[t]);
                         let x_row = shard.rows.get_mut(t).map(|r| &mut **r);
                         let (lv, sv) = run_task(inp, i, modes(i), hint, x_row, scratch)?;
                         shard.lambda[t] = lv;
@@ -1533,6 +1551,78 @@ mod tests {
                     message,
                 }) => assert!(message.contains("injected"), "message: {message}"),
                 other => panic!("expected WorkerPanic, got {other:?} (par={par:?})"),
+            }
+        }
+    }
+
+    #[test]
+    fn cold_plain_pass_tests_the_all_active_segment_first() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(27);
+        let (m, n) = (40, 31);
+        let prior = DenseMatrix::from_vec(
+            m,
+            n,
+            (0..m * n).map(|_| rng.random_range(0.1..10.0)).collect(),
+        )
+        .unwrap();
+        let gamma = DenseMatrix::from_vec(
+            m,
+            n,
+            (0..m * n).map(|_| rng.random_range(0.05..5.0)).collect(),
+        )
+        .unwrap();
+        let shift: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let sums = prior.row_sums();
+        let pass = |kernel: KernelKind, scale: f64, par: Parallelism| {
+            let inp = PassInputs {
+                prior: &prior,
+                gamma: &gamma,
+                support: None,
+                bounds: None,
+                shift: &shift,
+                side: "row",
+                kernel,
+                warm: false,
+                fault: None,
+            };
+            let mut lambda = vec![0.0; m];
+            let mut totals = vec![0.0; m];
+            let counters = PassCounters::default();
+            par.run(|| {
+                equilibration_pass(
+                    &inp,
+                    &|i| TotalMode::Fixed {
+                        total: scale * sums[i],
+                    },
+                    &mut lambda,
+                    &mut totals,
+                    None,
+                    par,
+                    None,
+                    Some(&counters),
+                    None,
+                    None,
+                )
+            })
+            .unwrap();
+            (lambda, counters.snapshot())
+        };
+        // Totals far above the row sums put every entry above zero; a third
+        // of them clamp some entries at zero.
+        for (scale, interior) in [(3.0, true), (0.3, false)] {
+            for par in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+                let (oracle, _) = pass(KernelKind::SortScan, scale, par);
+                let (lambda, stats) = pass(KernelKind::Quickselect, scale, par);
+                assert_eq!(stats.subproblems, m as u64);
+                let hits_all = stats.quickselect_pivots == stats.subproblems;
+                assert_eq!(hits_all, interior, "scale {scale}, {par:?}: {stats:?}");
+                for (l, o) in lambda.iter().zip(&oracle) {
+                    assert!(
+                        (l - o).abs() <= 1e-12 * o.abs().max(1.0),
+                        "scale {scale}, {par:?}: λ {l} vs sort-scan {o}"
+                    );
+                }
             }
         }
     }
