@@ -80,6 +80,11 @@ impl<S: Storage> BoundedProblem<S> {
                 });
             }
         }
+        // Keep one copy of the pattern: every later pattern check is then a
+        // pointer comparison.
+        let gamma = x0.with_values(gamma.into_values())?;
+        let lo = x0.with_values(lo.into_values())?;
+        let hi = x0.with_values(hi.into_values())?;
         if s0.len() != m || d0.len() != n {
             return Err(SeaError::Shape {
                 context: "bounded totals",
@@ -406,6 +411,26 @@ mod tests {
         let lo = DenseMatrix::filled(2, 2, 0.5).unwrap();
         let hi = DenseMatrix::filled(2, 2, 10.0).unwrap();
         BoundedProblem::new(x0, gamma, lo, hi, vec![4.0, 6.0], vec![5.0, 5.0]).unwrap()
+    }
+
+    #[test]
+    fn equal_patterns_become_one_shared_pattern() {
+        use sea_linalg::CsrMatrix;
+        let csr = |v: f64| CsrMatrix::from_parts(2, 2, vec![0, 1, 3], vec![0, 0, 1], vec![v; 3]);
+        let p = BoundedProblem::new(
+            csr(2.0).unwrap(),
+            csr(1.0).unwrap(),
+            csr(0.0).unwrap(),
+            csr(9.0).unwrap(),
+            vec![2.0, 4.0],
+            vec![4.0, 2.0],
+        )
+        .unwrap();
+        let x0 = p.x0();
+        for (mat, want) in [(p.gamma(), 1.0), (p.lo(), 0.0), (p.hi(), 9.0)] {
+            assert!(x0.shares_pattern(mat));
+            assert_eq!(mat.vals(), &[want; 3]);
+        }
     }
 
     /// A default-options supervised solve, returning just the solution.

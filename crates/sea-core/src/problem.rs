@@ -223,6 +223,9 @@ impl<S: Storage> DiagonalProblem<S> {
                 context: "gamma support pattern",
             });
         }
+        // Keep one copy of the pattern: every later pattern check is then a
+        // pointer comparison.
+        let gamma = x0.with_values(gamma.into_values())?;
         if !vector::all_finite(x0.values()) {
             return Err(SeaError::NonFinite {
                 context: "prior X0",
@@ -586,6 +589,24 @@ mod tests {
 
     fn ones() -> DenseMatrix {
         DenseMatrix::filled(2, 2, 1.0).unwrap()
+    }
+
+    /// A 2×3 CSR matrix with a fresh copy of one fixed pattern.
+    fn csr(vals: [f64; 4]) -> CsrMatrix {
+        CsrMatrix::from_parts(2, 3, vec![0, 2, 4], vec![0, 2, 1, 2], vals.to_vec()).unwrap()
+    }
+
+    #[test]
+    fn equal_patterns_become_one_shared_pattern() {
+        let (x0, gamma) = (csr([1.0, 2.0, 3.0, 4.0]), csr([1.0; 4]));
+        assert!(x0.same_pattern(&gamma) && !x0.shares_pattern(&gamma));
+        let totals = TotalSpec::Fixed {
+            s0: vec![3.0, 7.0],
+            d0: vec![1.0, 3.0, 6.0],
+        };
+        let p = DiagonalProblem::new(x0, gamma, totals).unwrap();
+        assert!(p.x0().shares_pattern(p.gamma()));
+        assert_eq!(p.gamma().vals(), &[1.0; 4]);
     }
 
     #[test]

@@ -407,6 +407,12 @@ impl CsrMatrix {
             && (Arc::ptr_eq(&self.col_idx, &other.col_idx) || *self.col_idx == *other.col_idx)
     }
 
+    /// `true` when both matrices hold the same pattern `Arc`s, so they
+    /// share one copy of the structure.
+    pub fn shares_pattern(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.row_ptr, &other.row_ptr) && Arc::ptr_eq(&self.col_idx, &other.col_idx)
+    }
+
     /// Explicit transpose via counting sort: O(nnz + rows + cols), and within
     /// each transposed row the entries are ordered by original row index —
     /// exactly the order the dense column pass walks, which keeps the sparse
