@@ -247,7 +247,7 @@ pub struct PassInputs<'a, S: Storage> {
     /// subproblem's previous multiplier (a later iteration, or one supplied
     /// up front), and the quickselect kernel, plain or boxed, starts its
     /// search from it. When `false` the plain kernel first tests the
-    /// segment where no entry is clamped at zero ([`PassInputs::hint`]),
+    /// segment where no entry is clamped at zero (`PassInputs::hint`),
     /// and the boxed kernel solves every subproblem from scratch.
     ///
     /// The answer's last bits depend on the hint. The solver therefore

@@ -352,8 +352,10 @@ impl DenseMatrix {
 const STRIP: usize = 8;
 
 /// Entries below which a `parallel` [`transpose_into`] still runs on the
-/// calling thread: a parallel drive spawns its workers, which costs more
-/// than copying a matrix this small (128 KiB of `f64`).
+/// calling thread: a parallel drive hands chunks to the pool's workers and
+/// waits for all of them (spawning them first, on an install's first drive
+/// that fans out), which costs more than copying a matrix this small
+/// (128 KiB of `f64`).
 pub const PARALLEL_MIN_ENTRIES: usize = 1 << 14;
 
 /// Write the transpose of the row-major `rows × cols` matrix `src` into
