@@ -11,8 +11,9 @@
 //! equilibration passes.
 
 use crate::error::SeaError;
+use crate::phase::{close_solve, open_solve, Phase};
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
-use crate::solver::{solve_diagonal_supervised, SeaOptions};
+use crate::solver::{solve_inner, SeaOptions};
 use crate::storage::Storage;
 use crate::supervisor::{SolveControl, StopReason, SupervisedGeneralSolution, SupervisorOptions};
 use sea_linalg::{vector, DenseMatrix, SymMatrix};
@@ -346,8 +347,8 @@ fn diagonalized_prior(
 
 /// Solve a general constrained matrix problem with SEA (projection outer
 /// loop + diagonal SEA inner solves), under the fault-tolerant supervisor.
-/// The budget, cancellation, stagnation, and breakdown watchdogs run at
-/// *outer-iteration* granularity. Each inner diagonal solve runs to its
+/// The budget (deadline and kernel-work cap), cancellation, stagnation,
+/// and breakdown watchdogs run at *outer-iteration* granularity. Each inner diagonal solve runs to its
 /// own completion under [`SupervisorOptions::default()`]; a breakdown in
 /// one surfaces as [`SeaError::NumericalBreakdown`], and worker panics
 /// inside the inner equilibration passes as [`SeaError::WorkerPanic`].
@@ -365,12 +366,13 @@ pub fn solve_general_supervised<O: Observer + Send>(
     sup: &SupervisorOptions,
     obs: &mut O,
 ) -> Result<SupervisedGeneralSolution, SeaError> {
-    let mut ctrl = SolveControl::new(sup);
-    let start = Instant::now();
-    let (m, n) = (p.m(), p.n());
-    let observing = obs.enabled();
-    if observing {
-        obs.record(&Event::SolveStart {
+    // One install for the whole solve: the projection mat-vecs and every
+    // inner solve's passes share its workers.
+    opts.inner.parallelism.run(move || {
+        let mut ctrl = SolveControl::new(sup);
+        let start = Instant::now();
+        let (m, n) = (p.m(), p.n());
+        open_solve(obs, m + n, || Event::SolveStart {
             solver: "general",
             rows: m,
             cols: n,
@@ -380,233 +382,192 @@ pub fn solve_general_supervised<O: Observer + Send>(
             // step; the inner solves report their own criterion.
             criterion: "max_abs_change",
         });
-    }
-    // Outer spans: the general driver contributes no kernel work of its
-    // own, so every span here closes with zero self-counters; the inner
-    // diagonal solves open nested Solve spans through the lent observer
-    // and their counters roll up into the outer Epoch automatically.
-    let spanning = obs.spans_enabled();
-    if spanning {
-        obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
-    }
-    let mut epoch_open = false;
-    let mn = m * n;
-    let g_diag = p.g().diagonal();
-    let gamma = DenseMatrix::from_vec(m, n, g_diag.iter().map(|&v| 0.5 * v).collect())?;
-    let parallel = opts.inner.parallelism.is_parallel();
+        // Outer spans: the general driver contributes no kernel work of its
+        // own, so every span here closes with zero self-counters; the inner
+        // diagonal solves open nested Solve spans through the lent observer
+        // and their counters roll up into the outer Epoch automatically.
+        let spanning = obs.spans_enabled();
+        let mn = m * n;
+        let g_diag = p.g().diagonal();
+        let gamma = DenseMatrix::from_vec(m, n, g_diag.iter().map(|&v| 0.5 * v).collect())?;
+        let parallel = opts.inner.parallelism.is_parallel();
 
-    let (mut x, mut s, mut d) = p.initial_feasible();
-    let x0_flat = p.x0().as_slice().to_vec();
+        let (mut x, mut s, mut d) = p.initial_feasible();
+        let x0_flat = p.x0().as_slice().to_vec();
 
-    let mut inner_iterations = 0usize;
-    let mut counters = KernelCounters::default();
-    let mut outer_iterations = 0usize;
-    let mut converged = false;
-    let mut outer_residual = f64::INFINITY;
-    let mut last_mu = opts
-        .inner
-        .initial_mu
-        .clone()
-        .unwrap_or_else(|| vec![0.0; n]);
-    let mut scratch: Vec<f64> = Vec::with_capacity(mn);
+        let mut inner_iterations = 0usize;
+        let mut counters = KernelCounters::default();
+        let mut outer_iterations = 0usize;
+        let mut converged = false;
+        let mut outer_residual = f64::INFINITY;
+        let mut scratch: Vec<f64> = Vec::with_capacity(mn);
 
-    let mut inner_opts = opts.inner.clone();
-    let inner_sup = SupervisorOptions::default();
+        let mut inner_opts = opts.inner.clone();
+        let inner_sup = SupervisorOptions::default();
 
-    for t in 1..=opts.max_outer {
-        outer_iterations = t;
-
-        // ---- Projection step: freeze off-diagonal coupling (eq. 79). ----
-        // The dense mat-vec parallelizes over rows of G; a real scheduler
-        // hands out coarse chunks, so the phase is reported as up to 256
-        // equal chunks rather than mn micro-tasks.
-        let chunks = mn.min(256);
-        if spanning {
-            obs.span_open(SpanKind::Epoch, t as u64, 0);
-            epoch_open = true;
-            obs.span_open(SpanKind::Projection, t as u64, chunks as u64);
-        }
-        if observing {
-            obs.record(&Event::PhaseStart {
-                label: PhaseLabel::Projection,
-                tasks: chunks,
-            });
-        }
-        let proj_t0 = Instant::now();
-        let q_flat =
-            diagonalized_prior(p.g(), &g_diag, x.values(), &x0_flat, &mut scratch, parallel)?;
-        let q = DenseMatrix::from_vec(m, n, q_flat)?;
-
-        let spec = match p.totals() {
-            GeneralTotalSpec::Fixed { s0, d0 } => TotalSpec::Fixed {
-                s0: s0.clone(),
-                d0: d0.clone(),
-            },
-            GeneralTotalSpec::Elastic { a, s0, b, d0 } => {
-                let a_diag = a.diagonal();
-                let b_diag = b.diagonal();
-                let ps = diagonalized_prior(a, &a_diag, &s, s0, &mut scratch, parallel)?;
-                let pd = diagonalized_prior(b, &b_diag, &d, d0, &mut scratch, parallel)?;
-                TotalSpec::Elastic {
-                    alpha: a_diag.iter().map(|&v| 0.5 * v).collect(),
-                    s0: ps,
-                    beta: b_diag.iter().map(|&v| 0.5 * v).collect(),
-                    d0: pd,
+        for t in 1..=opts.max_outer {
+            outer_iterations = t;
+            if spanning {
+                // Each epoch closes when the next opens, or after the loop.
+                if t > 1 {
+                    obs.span_close(&KernelCounters::default());
                 }
+                obs.span_open(SpanKind::Epoch, t as u64, 0);
             }
-            GeneralTotalSpec::Balanced { a, s0 } => {
-                let a_diag = a.diagonal();
-                let ps = diagonalized_prior(a, &a_diag, &s, s0, &mut scratch, parallel)?;
-                TotalSpec::Balanced {
-                    alpha: a_diag.iter().map(|&v| 0.5 * v).collect(),
-                    s0: ps,
+
+            // ---- Projection step: freeze off-diagonal coupling (eq. 79). ----
+            // The dense mat-vec parallelizes over rows of G; a real scheduler
+            // hands out coarse chunks, so the phase is reported as up to 256
+            // equal chunks rather than mn micro-tasks.
+            let projection = Phase::open(obs, PhaseLabel::Projection, t, mn.min(256), None);
+            let q_flat =
+                diagonalized_prior(p.g(), &g_diag, x.values(), &x0_flat, &mut scratch, parallel)?;
+            let q = DenseMatrix::from_vec(m, n, q_flat)?;
+
+            let spec = match p.totals() {
+                GeneralTotalSpec::Fixed { s0, d0 } => TotalSpec::Fixed {
+                    s0: s0.clone(),
+                    d0: d0.clone(),
+                },
+                GeneralTotalSpec::Elastic { a, s0, b, d0 } => {
+                    let a_diag = a.diagonal();
+                    let b_diag = b.diagonal();
+                    let ps = diagonalized_prior(a, &a_diag, &s, s0, &mut scratch, parallel)?;
+                    let pd = diagonalized_prior(b, &b_diag, &d, d0, &mut scratch, parallel)?;
+                    TotalSpec::Elastic {
+                        alpha: a_diag.iter().map(|&v| 0.5 * v).collect(),
+                        s0: ps,
+                        beta: b_diag.iter().map(|&v| 0.5 * v).collect(),
+                        d0: pd,
+                    }
                 }
-            }
-        };
-        if observing {
-            let proj_secs = proj_t0.elapsed().as_secs_f64();
-            obs.record(&Event::PhaseEnd {
-                label: PhaseLabel::Projection,
-                tasks: chunks,
-                seconds: proj_secs,
-                task_seconds: vec![proj_secs / chunks as f64; chunks],
-            });
-        }
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-        }
-
-        // ---- Inner diagonal SEA solve. -----------------------------------
-        let sub = DiagonalProblem::with_signed_prior(q, gamma.clone(), spec, ZeroPolicy::Free)?;
-        let inner = solve_diagonal_supervised(&sub, &inner_opts, &inner_sup, &mut *obs)?;
-        if inner.stop == StopReason::Breakdown {
-            return Err(SeaError::NumericalBreakdown {
-                iteration: inner.solution.stats.iterations,
-            });
-        }
-        let sol = inner.solution;
-        inner_opts.initial_mu = Some(sol.mu.clone());
-        last_mu = sol.mu;
-        inner_iterations += sol.stats.iterations;
-        counters = counters.merged(sol.stats.counters);
-
-        // ---- Outer convergence check. ------------------------------------
-        outer_residual = sol.x.max_abs_diff(&x);
-        x = sol.x;
-        s = sol.s;
-        d = sol.d;
-        if observing {
-            obs.record(&Event::OuterIteration {
-                iteration: t,
-                inner_iterations: sol.stats.iterations,
-                outer_residual,
-            });
-        }
-        if spanning {
-            let active_set = x.values().iter().filter(|v| **v > 0.0).count() as u64;
-            obs.telemetry(&TelemetrySample {
-                iteration: t as u64,
-                seconds: start.elapsed().as_secs_f64(),
-                residual: outer_residual,
-                dual_value: f64::NAN,
-                kernel_work: 0,
-                active_set,
-            });
-        }
-        if outer_residual <= opts.outer_epsilon {
-            converged = true;
-            break;
-        }
-
-        // ---- Supervisor hooks (outer-iteration granularity). -------------
-        if !vector::all_finite(x.values()) {
-            let Some((it, res)) =
-                ctrl.restore_snapshot(&mut [], &mut [], x.values_mut(), &mut s, &mut d)
-            else {
-                return Err(SeaError::NumericalBreakdown { iteration: t });
+                GeneralTotalSpec::Balanced { a, s0 } => {
+                    let a_diag = a.diagonal();
+                    let ps = diagonalized_prior(a, &a_diag, &s, s0, &mut scratch, parallel)?;
+                    TotalSpec::Balanced {
+                        alpha: a_diag.iter().map(|&v| 0.5 * v).collect(),
+                        s0: ps,
+                    }
+                }
             };
-            outer_iterations = it;
-            outer_residual = res;
-            break;
-        }
-        ctrl.capture_snapshot(t, outer_residual, &[], &[], x.values(), &s, &d);
-        if ctrl.note_residual(outer_residual) {
-            break;
-        }
-        if ctrl.should_stop(t, None).is_some() {
-            break;
-        }
+            projection.close(obs, None, None);
 
-        if spanning {
+            // ---- Inner diagonal SEA solve. -----------------------------------
+            let sub = DiagonalProblem::with_signed_prior(q, gamma.clone(), spec, ZeroPolicy::Free)?;
+            let mut inner_ctrl = SolveControl::new(&inner_sup);
+            let (sol, _) = solve_inner(&sub, None, &inner_opts, &mut *obs, &mut inner_ctrl)?;
+            if inner_ctrl.stop() == Some(StopReason::Breakdown) {
+                return Err(SeaError::NumericalBreakdown {
+                    iteration: sol.stats.iterations,
+                });
+            }
+            inner_opts.initial_mu = Some(sol.mu);
+            inner_iterations += sol.stats.iterations;
+            counters = counters.merged(sol.stats.counters);
+
+            // ---- Outer convergence check. ------------------------------------
+            outer_residual = sol.x.max_abs_diff(&x);
+            x = sol.x;
+            s = sol.s;
+            d = sol.d;
+            if obs.enabled() {
+                obs.record(&Event::OuterIteration {
+                    iteration: t,
+                    inner_iterations: sol.stats.iterations,
+                    outer_residual,
+                });
+            }
+            if spanning {
+                let active_set = x.values().iter().filter(|v| **v > 0.0).count() as u64;
+                obs.telemetry(&TelemetrySample {
+                    iteration: t as u64,
+                    seconds: start.elapsed().as_secs_f64(),
+                    residual: outer_residual,
+                    dual_value: f64::NAN,
+                    kernel_work: 0,
+                    active_set,
+                });
+            }
+            if outer_residual <= opts.outer_epsilon {
+                converged = true;
+                break;
+            }
+
+            // ---- Supervisor hooks (outer-iteration granularity). -------------
+            if !vector::all_finite(x.values()) {
+                let Some((it, res)) =
+                    ctrl.restore_snapshot(&mut [], &mut [], x.values_mut(), &mut s, &mut d)
+                else {
+                    return Err(SeaError::NumericalBreakdown { iteration: t });
+                };
+                outer_iterations = it;
+                outer_residual = res;
+                break;
+            }
+            ctrl.capture_snapshot(t, outer_residual, &[], &[], x.values(), &s, &d);
+            if ctrl.note_residual(outer_residual) {
+                break;
+            }
+            if ctrl.should_stop(t, Some(counters.work())).is_some() {
+                break;
+            }
+        }
+        if spanning && outer_iterations > 0 {
             obs.span_close(&KernelCounters::default());
-            epoch_open = false;
         }
-    }
-    if spanning && epoch_open {
-        obs.span_close(&KernelCounters::default());
-    }
 
-    // Residuals against this problem's constraints.
-    let residuals = {
-        let mut row_sums = vec![0.0; m];
-        let mut col_sums = vec![0.0; n];
-        x.row_sums_into(&mut row_sums);
-        x.col_sums_into(&mut col_sums);
-        let (st, dt): (&[f64], &[f64]) = match p.totals() {
-            GeneralTotalSpec::Fixed { s0, d0 } => (s0, d0),
-            GeneralTotalSpec::Elastic { .. } => (&s, &d),
-            GeneralTotalSpec::Balanced { .. } => (&s, &s),
+        // Residuals against this problem's constraints.
+        let residuals = {
+            let mut row_sums = vec![0.0; m];
+            let mut col_sums = vec![0.0; n];
+            x.row_sums_into(&mut row_sums);
+            x.col_sums_into(&mut col_sums);
+            let (st, dt): (&[f64], &[f64]) = match p.totals() {
+                GeneralTotalSpec::Fixed { s0, d0 } => (s0, d0),
+                GeneralTotalSpec::Elastic { .. } => (&s, &d),
+                GeneralTotalSpec::Balanced { .. } => (&s, &s),
+            };
+            Residuals::of_sums(&row_sums, col_sums, st, dt)
         };
-        Residuals::of_sums(&row_sums, col_sums, st, dt)
-    };
-    let objective = p.objective(&x, &s, &d);
-    if spanning {
-        // As in the diagonal and bounded drivers, the Solve span also
-        // covers the final assembly.
-        obs.span_close(&KernelCounters::default());
-    }
-
-    if observing {
-        if !converged {
-            obs.record(&Event::SupervisorStop {
-                iteration: outer_iterations,
-                reason: ctrl
-                    .stop()
-                    .map_or(StopReason::IterationCap.name(), StopReason::name),
-            });
-        }
-        obs.record(&Event::SolveEnd {
-            iterations: outer_iterations,
-            converged,
-            residual: outer_residual,
-            objective,
-            dual_value: None,
-            seconds: start.elapsed().as_secs_f64(),
+        let objective = p.objective(&x, &s, &d);
+        // As in the diagonal and bounded drivers, the Solve span also covers
+        // the final assembly. The inner solves report the kernel work.
+        close_solve(obs, ctrl.stop(), KernelCounters::default(), || {
+            Event::SolveEnd {
+                iterations: outer_iterations,
+                converged,
+                residual: outer_residual,
+                objective,
+                dual_value: None,
+                seconds: start.elapsed().as_secs_f64(),
+            }
         });
-    }
 
-    Ok(SupervisedGeneralSolution {
-        solution: GeneralSolution {
-            x,
-            s,
-            d,
-            mu: last_mu,
-            outer_iterations,
-            inner_iterations,
-            converged,
-            outer_residual,
-            objective,
-            residuals,
-            counters,
-            elapsed: start.elapsed(),
-        },
-        stop: ctrl.final_stop(converged),
+        Ok(SupervisedGeneralSolution {
+            solution: GeneralSolution {
+                x,
+                s,
+                d,
+                mu: inner_opts.initial_mu.unwrap_or_else(|| vec![0.0; n]),
+                outer_iterations,
+                inner_iterations,
+                converged,
+                outer_residual,
+                objective,
+                residuals,
+                counters,
+                elapsed: start.elapsed(),
+            },
+            stop: ctrl.final_stop(converged),
+        })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Parallelism;
+    use crate::solver::solve_diagonal_supervised;
     use sea_observe::NullObserver;
 
     /// Solve under default supervision and keep the solution.
@@ -847,6 +808,49 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Records the pool width each event is reported at.
+    struct Widths(Vec<usize>);
+
+    impl Observer for Widths {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&mut self, _event: &Event) {
+            self.0.push(rayon::current_num_threads());
+        }
+    }
+
+    #[test]
+    fn general_solve_runs_in_one_install() {
+        let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let p = GeneralProblem::new(
+            x0,
+            dd_matrix(4, 10.0, 1.0),
+            GeneralTotalSpec::Fixed {
+                s0: vec![4.0, 6.0],
+                d0: vec![5.0, 5.0],
+            },
+        )
+        .unwrap();
+        // Wider than the machine, so no pool but the solve's own has it.
+        let width = rayon::current_num_threads() + 1;
+        let mut opts = GeneralSeaOptions::with_epsilon(1e-9);
+        opts.inner.parallelism = Parallelism::RayonThreads(width);
+        // Three projection steps: the outer change never falls below -1.
+        opts.outer_epsilon = -1.0;
+        opts.max_outer = 3;
+        let mut obs = Widths(Vec::new());
+        let sol = solve_general_supervised(&p, &opts, &SupervisorOptions::default(), &mut obs)
+            .unwrap()
+            .solution;
+        assert_eq!(sol.outer_iterations, 3);
+        // The outer events (SolveStart, projections, OuterIteration,
+        // SolveEnd) and every inner solve's read the solve's one pool.
+        assert!(obs.0.len() > 2 * sol.outer_iterations);
+        assert!(obs.0.iter().all(|&w| w == width), "{:?}", obs.0);
     }
 
     #[test]

@@ -89,6 +89,7 @@ pub mod general;
 pub mod interval;
 pub mod knapsack;
 pub mod parallel;
+mod phase;
 pub mod problem;
 pub mod solver;
 pub mod storage;

@@ -5,7 +5,9 @@
 //! allocates them to distinct processors via Parallel FORTRAN. Here the
 //! fan-out uses rayon, on a pool as wide as the machine or of a requested
 //! width (the speedup experiments sweep 1, 2, 4, 6 workers), installed
-//! once per solve so that every pass of the solve reuses its workers.
+//! once per solve so that every pass of the solve reuses its workers. That
+//! holds for every problem class: a general solve's projection mat-vecs
+//! and all of its inner diagonal solves run in its one install.
 
 /// How the solver should fan out its independent subproblems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

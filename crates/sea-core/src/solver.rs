@@ -20,30 +20,33 @@ use crate::anderson::Anderson;
 use crate::components::normalize_multipliers_storage;
 use crate::dual;
 use crate::equilibrate::{
-    equilibration_pass, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
+    equilibration_pass, PassBounds, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
 };
 use crate::error::SeaError;
 use crate::interval::BoundedProblem;
 use crate::knapsack::{KernelKind, TotalMode};
 use crate::parallel::Parallelism;
+use crate::phase::{close_solve, open_solve, Phase};
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::storage::{Storage, Transposer};
-use crate::supervisor::{
-    SolveControl, StopReason, SupervisedSolution, SupervisorOptions, TaskFault,
-};
+use crate::supervisor::{FaultPlan, SolveControl, SupervisedSolution, SupervisorOptions};
 use crate::verify::{Finish, Finishing, KktReport};
 use sea_linalg::{vector, DenseMatrix};
-use sea_observe::{Event, KernelCounters, Observer, PhaseLabel, SpanKind, TelemetrySample};
+use sea_observe::{
+    Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
+};
 use std::time::{Duration, Instant};
 
-/// Telemetry cadence: one sample every this many convergence checks,
-/// starting with the first. The sample payload (dual value ζ and the
-/// active-set census) costs two full O(nnz) sweeps, which is the bulk of
-/// a spanned solve's overhead: at one sample every 8 checks, the four
-/// samples of a 32-check solve cost about 3 of its 4 percentage points of
-/// span overhead. At 64 such a solve pays one sample. The residual itself is still checked at the
-/// configured `check_every`, and the profiler's adaptive stride decimates
-/// the stream further on long solves.
+/// Telemetry cadence: a spanned solve takes one telemetry sample every
+/// this many convergence checks, starting with the first.
+///
+/// Each sample's payload (the dual value ζ and the active-set census)
+/// costs two full O(nnz) sweeps, the bulk of a spanned solve's overhead:
+/// at one sample every 8 checks, the four samples of a 32-check solve
+/// cost about 3 of its 4 percentage points of span overhead, and at 64
+/// such a solve pays for one. The residual is still checked at the
+/// configured `check_every`, and the profiler's adaptive stride thins the
+/// stream further on long solves.
 const TELEMETRY_EVERY_CHECKS: u64 = 64;
 
 /// Stopping rules. The paper uses [`MaxAbsChange`](Self::MaxAbsChange) for
@@ -266,13 +269,15 @@ pub struct Solution<S: Storage = DenseMatrix> {
 /// The supervisor enforces the budget, watches for cancellation, stagnation
 /// and numerical breakdown, writes crash-safe checkpoints, and falls back
 /// per-subproblem from quickselect to sort-scan on kernel pathology. The
-/// contract is: either `Ok` with a typed [`StopReason`] and a KKT-residual
-/// certificate for the returned (possibly partial) iterate, or a typed
-/// [`SeaError`] — never a panic or a silently wrong answer.
+/// contract is: either `Ok` with a typed
+/// [`StopReason`](crate::StopReason) and a KKT-residual certificate for
+/// the returned (possibly partial) iterate, or a typed [`SeaError`] —
+/// never a panic or a silently wrong answer.
 ///
 /// With `SupervisorOptions::default()` nothing stops the solve early: it
 /// runs to convergence or `opts.max_iterations`, and only a breakdown
-/// after a certified check ends it with another [`StopReason`].
+/// after a certified check ends it with another
+/// [`StopReason`](crate::StopReason).
 ///
 /// # Errors
 /// * [`SeaError::InfeasibleSubproblem`] if a structural-zero row/column has
@@ -350,37 +355,26 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
 ) -> Result<(Solution<S>, Option<KktReport>), SeaError> {
     let start = Instant::now();
     let (m, n) = (p.m(), p.n());
-    let solver = if bounds.is_some() {
-        "bounded"
-    } else {
-        "diagonal"
-    };
+    let solver = bounds.map_or("diagonal", |_| "bounded");
     let check_every = opts.check_every.max(1);
     let criterion = opts.effective_criterion(p.totals());
-    let observing = obs.enabled();
-    if observing {
-        obs.record(&Event::SolveStart {
-            solver,
-            rows: m,
-            cols: n,
-            kernel: opts.kernel.name(),
-            parallelism: opts.parallelism.label(),
-            criterion: criterion.name(),
-        });
-    }
+    open_solve(obs, m + n, || Event::SolveStart {
+        solver,
+        rows: m,
+        cols: n,
+        kernel: opts.kernel.name(),
+        parallelism: opts.parallelism.label(),
+        criterion: criterion.name(),
+    });
     // Span signalling is independent of event observation: a profiler can
     // consume spans with events off (the alloc-free configuration) and an
     // event sink can run without span overhead.
-    let spanning = obs.spans_enabled();
-    if spanning {
-        obs.span_open(SpanKind::Solve, 0, (m + n) as u64);
-    }
-    // Kernel counters travel with the result, so every solve harvests
-    // them: one relaxed atomic add per shard.
-    let counters = PassCounters::default();
-    // Fallbacks reported so far, to emit per-pass deltas.
-    let mut fallbacks_seen = 0u64;
+    let (observing, spanning) = (obs.enabled(), obs.spans_enabled());
     let parallel = opts.parallelism.is_parallel();
+    let tally = &mut Tally {
+        shards: (spanning && parallel).then(ShardSink::new),
+        ..Tally::default()
+    };
 
     // Transposed copies once per solve: the column pass then walks
     // contiguous memory (for sparse storage, transposition doubles as the
@@ -396,25 +390,41 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         });
     };
     let bounds_t = transposed.next().zip(transposed.next());
-    // The bounds and their per-subproblem sums, for both orientations.
-    let row_bounds = bounds.map(BoundedProblem::row_bounds);
-    let col_bounds = bounds
-        .zip(bounds_t.as_ref())
-        .map(|(b, (lo, hi))| b.col_bounds(lo, hi));
-    // Boxed answers depend on the hint in their last bits, so bounded
-    // passes are warm only when extrapolating; the paper's SEA (depth 0)
-    // keeps the cold boxed kernel's bits (see `PassInputs::warm`).
-    let hinted = bounds.is_none() || opts.extrapolation_depth > 0;
 
     // Fixed-size shards for parallel passes. Rows are independent, so
     // results are bitwise-identical for every sharding.
     let block = opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS).max(1);
     let shards = |len: usize| parallel.then(|| (0..len).step_by(block).collect::<Vec<_>>());
-    let (row_starts, col_starts) = (shards(m), shards(n));
-
     // A resumed solve starts from its checkpoint's multipliers and
     // extrapolation history instead of `initial_mu`.
     let resume = ctrl.resume();
+    let rows = Side {
+        label: PhaseLabel::RowEquilibration,
+        prior: p.x0(),
+        gamma: p.gamma(),
+        support: p.support().map(|sup| sup.rows.as_slice()),
+        bounds: bounds.map(BoundedProblem::row_bounds),
+        starts: shards(m),
+        warm_start: resume.is_some(),
+        faults: ctrl.faults(),
+        totals: p.totals(),
+        opts,
+    };
+    let cols = Side {
+        label: PhaseLabel::ColumnEquilibration,
+        prior: &x0_t,
+        gamma: &gamma_t,
+        support: p.support().map(|sup| sup.cols.as_slice()),
+        bounds: bounds
+            .zip(bounds_t.as_ref())
+            .map(|(b, (lo, hi))| b.col_bounds(lo, hi)),
+        starts: shards(n),
+        warm_start: resume.is_some() || opts.initial_mu.is_some(),
+        faults: ctrl.faults(),
+        totals: p.totals(),
+        opts,
+    };
+
     let mut lambda = initial_multipliers(resume.map(|ck| &ck.lambda[..]), m, "resume lambda")?;
     let mut mu = match resume {
         Some(ck) => initial_multipliers(Some(&ck.mu), n, "resume mu")?,
@@ -424,8 +434,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     if let (Some(aa), Some(h)) = (anderson.as_mut(), resume.and_then(|ck| ck.history.as_ref())) {
         aa.restore(h)?;
     }
-    let row_warm = resume.is_some();
-    let col_warm = resume.is_some() || opts.initial_mu.is_some();
     let mut s = vec![0.0; m];
     let mut d = vec![0.0; n];
     // The row pass's iterate is read only as the Modified Algorithm's
@@ -434,58 +442,15 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         Some(_) => Some(p.x0().zeros_like()?),
         None => None,
     };
-    let row_support = p.support().map(|sup| sup.rows.as_slice());
-    let col_support = p.support().map(|sup| sup.cols.as_slice());
     let mut x_t = x0_t.zeros_like()?;
     // A breakdown restores the last checked iterate by replaying its
     // column pass, which needs the pass's starting μ.
     let mut mu_hint = vec![0.0; n];
-    let column_pass = |t: usize,
-                       fault: Option<TaskFault>,
-                       lambda: &[f64],
-                       mu: &mut [f64],
-                       d: &mut [f64],
-                       x_t: &mut S,
-                       costs: Option<&mut Vec<f64>>,
-                       counters: Option<&PassCounters>,
-                       sink: Option<&mut ShardSink>| {
-        let inputs = PassInputs {
-            prior: &x0_t,
-            gamma: &gamma_t,
-            support: col_support,
-            bounds: col_bounds.as_ref(),
-            shift: lambda,
-            side: "column",
-            kernel: opts.kernel,
-            warm: hinted && (t > 1 || col_warm),
-            fault,
-        };
-        let modes = subproblem_modes(p.totals(), false, lambda);
-        equilibration_pass(
-            &inputs,
-            &modes,
-            mu,
-            d,
-            Some(x_t),
-            opts.parallelism,
-            costs,
-            counters,
-            col_starts.as_deref(),
-            sink,
-        )
-    };
     // For MaxAbsChange: the iterate at the previous check (x⁰ := X⁰).
     let mut x_t_prev = (criterion == ConvergenceCriterion::MaxAbsChange).then(|| x0_t.clone());
     // The balance criteria read the row sums of X (= column sums of Xᵀ).
     let sums_checked = criterion != ConvergenceCriterion::MaxAbsChange;
 
-    let mut row_costs: Vec<f64> = Vec::new();
-    let mut col_costs: Vec<f64> = Vec::new();
-    // Per-shard timing sink for span profiling of parallel passes. Sized
-    // on first use and reused every pass (allocation-free steady state).
-    let mut shard_sink = (spanning && parallel).then(ShardSink::new);
-    // Whether an Epoch span is open (breaks exit mid-epoch).
-    let mut epoch_open = false;
     // Convergence checks seen, for telemetry payload rate limiting.
     let mut checks_seen = 0u64;
     // Row sums of X (= column sums of Xᵀ), reused every check so the
@@ -506,126 +471,23 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     for t in 1..=opts.max_iterations {
         iterations = t;
         if spanning {
+            // Each epoch closes when the next opens, or after the loop.
+            if t > 1 {
+                obs.span_close(&KernelCounters::default());
+            }
             obs.span_open(SpanKind::Epoch, t as u64, 0);
-            epoch_open = true;
         }
         // Start the sweep from the extrapolated multipliers.
         if let Some(aa) = anderson.as_mut() {
             aa.begin_sweep(&mut mu);
         }
 
-        // ---- Step 1: row equilibration (parallel over rows). -------------
-        {
-            let inputs = PassInputs {
-                prior: p.x0(),
-                gamma: p.gamma(),
-                support: row_support,
-                bounds: row_bounds.as_ref(),
-                shift: &mu,
-                side: "row",
-                kernel: opts.kernel,
-                warm: hinted && (t > 1 || row_warm),
-                fault: ctrl.task_fault(t, "row"),
-            };
-            if observing {
-                obs.record(&Event::PhaseStart {
-                    label: PhaseLabel::RowEquilibration,
-                    tasks: m,
-                });
-            }
-            let span_c0 = span_snapshot(spanning, &counters);
-            if spanning {
-                obs.span_open(SpanKind::RowPass, t as u64, m as u64);
-            }
-            let phase_t0 = observing.then(Instant::now);
-            let costs = observing.then_some(&mut row_costs);
-            equilibration_pass(
-                &inputs,
-                &subproblem_modes(p.totals(), true, &mu),
-                &mut lambda,
-                &mut s,
-                x.as_mut(),
-                opts.parallelism,
-                costs,
-                Some(&counters),
-                row_starts.as_deref(),
-                shard_sink.as_mut(),
-            )?;
-            if spanning {
-                close_pass_span(obs, shard_sink.as_ref(), &counters, span_c0);
-            }
-            if let Some(t0) = phase_t0 {
-                obs.record(&Event::PhaseEnd {
-                    label: PhaseLabel::RowEquilibration,
-                    tasks: m,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    task_seconds: row_costs.clone(),
-                });
-            }
-            if observing {
-                let total = counters.fallbacks();
-                if total > fallbacks_seen {
-                    obs.record(&Event::FallbackTriggered {
-                        iteration: t,
-                        phase: PhaseLabel::RowEquilibration,
-                        count: total - fallbacks_seen,
-                    });
-                    fallbacks_seen = total;
-                }
-            }
-        }
-
-        // ---- Step 2: column equilibration (parallel over columns). -------
-        {
-            // The pass's starting point, from which a breakdown restore
-            // replays it.
-            mu_hint.copy_from_slice(&mu);
-            if observing {
-                obs.record(&Event::PhaseStart {
-                    label: PhaseLabel::ColumnEquilibration,
-                    tasks: n,
-                });
-            }
-            let span_c0 = span_snapshot(spanning, &counters);
-            if spanning {
-                obs.span_open(SpanKind::ColPass, t as u64, n as u64);
-            }
-            let phase_t0 = observing.then(Instant::now);
-            let costs = observing.then_some(&mut col_costs);
-            column_pass(
-                t,
-                ctrl.task_fault(t, "column"),
-                &lambda,
-                &mut mu,
-                &mut d,
-                &mut x_t,
-                costs,
-                Some(&counters),
-                shard_sink.as_mut(),
-            )?;
-            if spanning {
-                close_pass_span(obs, shard_sink.as_ref(), &counters, span_c0);
-            }
-            if let Some(t0) = phase_t0 {
-                obs.record(&Event::PhaseEnd {
-                    label: PhaseLabel::ColumnEquilibration,
-                    tasks: n,
-                    seconds: t0.elapsed().as_secs_f64(),
-                    task_seconds: col_costs.clone(),
-                });
-            }
-            if observing {
-                let total = counters.fallbacks();
-                if total > fallbacks_seen {
-                    obs.record(&Event::FallbackTriggered {
-                        iteration: t,
-                        phase: PhaseLabel::ColumnEquilibration,
-                        count: total - fallbacks_seen,
-                    });
-                    fallbacks_seen = total;
-                }
-            }
-        }
+        // ---- Steps 1 and 2: row, then column equilibration. --------------
+        rows.pass(t, &mu, (&mut lambda, &mut s, x.as_mut()), obs, tally)?;
+        // The column pass's starting point, from which a breakdown restore
+        // replays it.
+        mu_hint.copy_from_slice(&mu);
+        cols.pass(t, &lambda, (&mut mu, &mut d, Some(&mut x_t)), obs, tally)?;
 
         // For the balanced class the column totals *are* the account totals.
         if matches!(p.totals(), TotalSpec::Balanced { .. }) {
@@ -668,24 +530,16 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 obs.span_close(&KernelCounters::default());
             }
             // The restore point holds the last checked iterate's λ and its
-            // column pass's starting μ: replaying that pass rebuilds its μ,
-            // d and xᵀ bit for bit.
+            // column pass's starting μ: replaying that pass, unobserved and
+            // uncounted, rebuilds its μ, d and xᵀ bit for bit.
             let Some((it, res)) =
                 ctrl.restore_snapshot(&mut lambda, &mut mu, &mut [], &mut s, &mut [])
             else {
                 return Err(SeaError::NumericalBreakdown { iteration: t });
             };
-            column_pass(
-                it,
-                ctrl.task_fault(it, "column"),
-                &lambda,
-                &mut mu,
-                &mut d,
-                &mut x_t,
-                None,
-                None,
-                None,
-            )?;
+            let replay = (&mut mu[..], &mut d[..], Some(&mut x_t));
+            let unobserved = &mut Tally::default();
+            cols.pass(it, &lambda, replay, &mut NullObserver, unobserved)?;
             if matches!(p.totals(), TotalSpec::Balanced { .. }) {
                 s.copy_from_slice(&d);
             }
@@ -745,7 +599,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 obs.span_close(&KernelCounters::default());
             }
             if telemetry_now {
-                let snap = counters.snapshot();
+                let snap = tally.counters.snapshot();
                 // Active set = positive stored entries of the iterate; the
                 // profiler derives churn from consecutive samples.
                 let active_set = x_t.values().iter().filter(|v| **v > 0.0).count() as u64;
@@ -821,19 +675,12 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 obs.record(&Event::CheckpointWritten { iteration: t, path });
             }
         }
-        let work = counters.snapshot().work();
+        let work = tally.counters.snapshot().work();
         if ctrl.should_stop(t, Some(work)).is_some() {
             break;
         }
-
-        if spanning {
-            obs.span_close(&KernelCounters::default());
-            epoch_open = false;
-        }
     }
-
-    if spanning && epoch_open {
-        // Breaks exit mid-epoch; close the dangling Epoch.
+    if spanning && iterations > 0 {
         obs.span_close(&KernelCounters::default());
     }
 
@@ -887,40 +734,22 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             residuals: finished.residuals,
             objective,
             dual_value: dual_value.unwrap_or(f64::NAN),
-            counters: counters.snapshot(),
+            counters: tally.counters.snapshot(),
             elapsed: start.elapsed(),
         },
     };
-    let certificate = finished.certificate;
-    if spanning {
-        obs.span_close(&KernelCounters::default());
-    }
-
-    ctrl.fallbacks = counters.fallbacks();
-
-    if observing {
-        if !converged {
-            obs.record(&Event::SupervisorStop {
-                iteration: iterations,
-                reason: ctrl
-                    .stop()
-                    .map_or(StopReason::IterationCap.name(), StopReason::name),
-            });
-        }
-        let snap = counters.snapshot();
-        if !snap.is_empty() {
-            obs.record(&Event::KernelCounters { counters: snap });
-        }
-        obs.record(&Event::SolveEnd {
+    ctrl.fallbacks = tally.counters.fallbacks();
+    close_solve(obs, ctrl.stop(), solution.stats.counters, || {
+        Event::SolveEnd {
             iterations,
             converged,
             residual,
             objective,
             dual_value,
             seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-    Ok((solution, certificate))
+        }
+    });
+    Ok((solution, finished.certificate))
 }
 
 /// Starting multipliers: zeros (the paper's Step 0), or the supplied ones
@@ -941,44 +770,84 @@ fn initial_multipliers(
     }
 }
 
-/// Counter snapshot taken at a pass-span boundary (zero when not spanning).
-fn span_snapshot(spanning: bool, counters: &PassCounters) -> KernelCounters {
-    if spanning {
-        counters.snapshot()
-    } else {
-        KernelCounters::default()
-    }
+/// One side of the SEA sweep (§3.1, Steps 1–2), built once per solve.
+/// Row and column equilibration are the same step on opposite sides: the
+/// row side solves the rows of `(x⁰, γ)` against μ, the column side the
+/// rows of `(x⁰ᵀ, γᵀ)` against λ.
+struct Side<'a, S: Storage> {
+    label: PhaseLabel,
+    prior: &'a S,
+    gamma: &'a S,
+    support: Option<&'a [Vec<u32>]>,
+    bounds: Option<PassBounds<'a, S>>,
+    /// Shard starts of a parallel pass.
+    starts: Option<Vec<usize>>,
+    /// Whether the first sweep's pass starts from supplied multipliers.
+    warm_start: bool,
+    faults: &'a FaultPlan,
+    totals: &'a TotalSpec,
+    opts: &'a SeaOptions,
 }
 
-/// Close an equilibration-pass span: replay per-shard timings as Shard
-/// leaves (parallel passes), then close the pass. When shard leaves were
-/// emitted they carry the pass's whole kernel-work attribution (their
-/// per-shard counters sum to the pass delta exactly), so the pass closes
-/// with zero *self* counters; serial passes close with the full delta.
-fn close_pass_span<O: Observer>(
-    obs: &mut O,
-    sink: Option<&ShardSink>,
-    counters: &PassCounters,
-    pass_begin: KernelCounters,
-) {
-    let timings = sink.map_or(&[][..], ShardSink::timings);
-    for (si, tm) in timings.iter().enumerate() {
-        obs.span_leaf(
-            SpanKind::Shard,
-            si as u64,
-            tm.start_ns,
-            tm.end_ns,
-            tm.tasks,
-            &tm.counters,
-            "",
-        );
+/// What a solve's passes record. Kernel counters travel with the result,
+/// so every pass harvests them, at one relaxed atomic add per shard. The
+/// per-task costs (for events) and per-shard timings (for spans) are
+/// sized on first use and reused every pass, so the steady state does
+/// not allocate.
+#[derive(Default)]
+struct Tally {
+    counters: PassCounters,
+    costs: Vec<f64>,
+    shards: Option<ShardSink>,
+}
+
+impl<S: Storage> Side<'_, S> {
+    /// Run this side's pass of sweep `t` against the opposite side's
+    /// multipliers `shift`, writing this side's multipliers, its totals
+    /// and, when given, its iterate. The pass is a phase reported to
+    /// `obs`, and its work is counted into `tally`.
+    fn pass<O: Observer>(
+        &self,
+        t: usize,
+        shift: &[f64],
+        (multipliers, totals, x): (&mut [f64], &mut [f64], Option<&mut S>),
+        obs: &mut O,
+        tally: &mut Tally,
+    ) -> Result<(), SeaError> {
+        let rows = self.label == PhaseLabel::RowEquilibration;
+        let side = if rows { "row" } else { "column" };
+        let inputs = PassInputs {
+            prior: self.prior,
+            gamma: self.gamma,
+            support: self.support,
+            bounds: self.bounds.as_ref(),
+            shift,
+            side,
+            kernel: self.opts.kernel,
+            // Boxed answers depend on the hint in their last bits, so
+            // bounded passes are warm only when extrapolating; the paper's
+            // SEA (depth 0) keeps the cold boxed kernel's bits (see
+            // `PassInputs::warm`).
+            warm: (self.bounds.is_none() || self.opts.extrapolation_depth > 0)
+                && (t > 1 || self.warm_start),
+            fault: self.faults.task_fault(t, side),
+        };
+        let phase = Phase::open(obs, self.label, t, multipliers.len(), Some(&tally.counters));
+        equilibration_pass(
+            &inputs,
+            &subproblem_modes(self.totals, rows, shift),
+            multipliers,
+            totals,
+            x,
+            self.opts.parallelism,
+            obs.enabled().then_some(&mut tally.costs),
+            Some(&tally.counters),
+            self.starts.as_deref(),
+            tally.shards.as_mut(),
+        )?;
+        phase.close(obs, Some(&tally.costs), tally.shards.as_ref());
+        Ok(())
     }
-    let self_counters = if timings.is_empty() {
-        counters.snapshot().delta_from(pass_begin)
-    } else {
-        KernelCounters::default()
-    };
-    obs.span_close(&self_counters);
 }
 
 /// The total specification of each subproblem of a row (`rows`) or column

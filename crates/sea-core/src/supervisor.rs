@@ -241,6 +241,21 @@ impl FaultPlan {
             .filter(move |(ft, _)| *ft == t)
             .map(|(_, f)| f)
     }
+
+    /// Scripted worker fault for iteration `t` and `side`, if any.
+    pub(crate) fn task_fault(&self, t: usize, side: &'static str) -> Option<TaskFault> {
+        self.at_iteration(t).find_map(|f| match f {
+            FaultKind::WorkerPanic { side: s, index } if *s == side => Some(TaskFault {
+                index: *index,
+                panic: true,
+            }),
+            FaultKind::KernelNan { side: s, index } if *s == side => Some(TaskFault {
+                index: *index,
+                panic: false,
+            }),
+            _ => None,
+        })
+    }
 }
 
 /// Configuration of one supervised solve.
@@ -619,19 +634,9 @@ impl<'a> SolveControl<'a> {
         }
     }
 
-    /// Scripted worker fault for this iteration and side, if any.
-    pub(crate) fn task_fault(&self, t: usize, side: &'static str) -> Option<TaskFault> {
-        self.sup.faults.at_iteration(t).find_map(|f| match f {
-            FaultKind::WorkerPanic { side: s, index } if *s == side => Some(TaskFault {
-                index: *index,
-                panic: true,
-            }),
-            FaultKind::KernelNan { side: s, index } if *s == side => Some(TaskFault {
-                index: *index,
-                panic: false,
-            }),
-            _ => None,
-        })
+    /// The solve's scripted faults.
+    pub(crate) fn faults(&self) -> &'a FaultPlan {
+        &self.sup.faults
     }
 
     /// Apply any scripted NaN injection for iteration `t` to `lambda`.
@@ -963,7 +968,7 @@ mod tests {
         let mut ctrl = SolveControl::new(&sup);
         assert_eq!(ctrl.should_stop(1, None), None);
         assert!(!ctrl.note_residual(1.0));
-        assert!(ctrl.task_fault(1, "row").is_none());
+        assert!(ctrl.faults().task_fault(1, "row").is_none());
         assert!(ctrl
             .maybe_checkpoint(1, "diagonal", &[], &[], || None)
             .is_none());

@@ -332,6 +332,24 @@ fn real_budget_limits_fire_with_their_stop_reasons() {
     assert_eq!(sol.solution.stats.iterations, 1);
 }
 
+/// The general driver checks the kernel-work cap once per outer
+/// iteration, against the work of all its inner solves so far.
+#[test]
+fn general_work_cap_stops_after_the_first_outer_iteration() {
+    let mut sup = SupervisorOptions::default();
+    sup.budget.max_kernel_work = Some(1);
+    // An unattainable outer tolerance: only a budget stops the loop.
+    let mut o = GeneralSeaOptions::with_epsilon(1e-10);
+    o.outer_epsilon = -1.0;
+    o.max_outer = 50;
+    let sol = solve_general_supervised(&general_problem(), &o, &sup, &mut NullObserver).unwrap();
+    assert_eq!(sol.stop, StopReason::WorkCapExceeded);
+    assert_eq!(sol.solution.outer_iterations, 1);
+    assert!(!sol.solution.converged);
+    assert!(sol.solution.counters.work() >= 1);
+    assert!(sol.solution.x.as_slice().iter().all(|v| v.is_finite()));
+}
+
 #[test]
 fn residual_stagnation_is_detected_at_the_convergence_floor() {
     // Unattainable tolerance: the residual bottoms out at the floating
