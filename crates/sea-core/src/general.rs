@@ -348,10 +348,12 @@ fn diagonalized_prior(
 /// Solve a general constrained matrix problem with SEA (projection outer
 /// loop + diagonal SEA inner solves), under the fault-tolerant supervisor.
 /// The budget (deadline and kernel-work cap), cancellation, stagnation,
-/// and breakdown watchdogs run at *outer-iteration* granularity. Each inner diagonal solve runs to its
-/// own completion under [`SupervisorOptions::default()`]; a breakdown in
-/// one surfaces as [`SeaError::NumericalBreakdown`], and worker panics
-/// inside the inner equilibration passes as [`SeaError::WorkerPanic`].
+/// and breakdown watchdogs run at *outer-iteration* granularity. Each
+/// inner diagonal solve runs to its own completion under
+/// [`SupervisorOptions::default()`]; a breakdown in one surfaces as
+/// [`SeaError::NumericalBreakdown`], and worker panics inside the inner
+/// equilibration passes as [`SeaError::WorkerPanic`]. The whole solve runs
+/// in one install of `opts.inner.parallelism`.
 ///
 /// The outer loop emits its own `SolveStart`/`SolveEnd` pair plus one
 /// `Projection` phase and one `OuterIteration` event per projection step;
