@@ -181,9 +181,6 @@ impl Observer for CliObserver {
     }
 
     fn telemetry(&mut self, sample: &TelemetrySample) {
-        if let Some(p) = &mut self.spans {
-            p.telemetry(sample);
-        }
         if let Some(pr) = &mut self.progress {
             pr.observe(sample);
         }

@@ -480,14 +480,10 @@ pub fn solve_general_supervised<O: Observer + Send>(
                 });
             }
             if spanning {
-                let active_set = x.values().iter().filter(|v| **v > 0.0).count() as u64;
                 obs.telemetry(&TelemetrySample {
                     iteration: t as u64,
                     seconds: start.elapsed().as_secs_f64(),
                     residual: outer_residual,
-                    dual_value: f64::NAN,
-                    kernel_work: 0,
-                    active_set,
                 });
             }
             if outer_residual <= opts.outer_epsilon {

@@ -37,18 +37,6 @@ use sea_observe::{
 };
 use std::time::{Duration, Instant};
 
-/// Telemetry cadence: a spanned solve takes one telemetry sample every
-/// this many convergence checks, starting with the first.
-///
-/// Each sample's payload (the dual value ζ and the active-set census)
-/// costs two full O(nnz) sweeps, the bulk of a spanned solve's overhead:
-/// at one sample every 8 checks, the four samples of a 32-check solve
-/// cost about 3 of its 4 percentage points of span overhead, and at 64
-/// such a solve pays for one. The residual is still checked at the
-/// configured `check_every`, and the profiler's adaptive stride thins the
-/// stream further on long solves.
-const TELEMETRY_EVERY_CHECKS: u64 = 64;
-
 /// Stopping rules. The paper uses [`MaxAbsChange`](Self::MaxAbsChange) for
 /// the unknown-totals class (§3.1.1 Step 3) and relative row balance for
 /// the SAM and fixed classes (§3.1.2/3.1.3 Step 3); the dual view (eq. 27)
@@ -451,8 +439,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     // The balance criteria read the row sums of X (= column sums of Xᵀ).
     let sums_checked = criterion != ConvergenceCriterion::MaxAbsChange;
 
-    // Convergence checks seen, for telemetry payload rate limiting.
-    let mut checks_seen = 0u64;
     // Row sums of X (= column sums of Xᵀ), reused every check so the
     // steady-state loop performs no allocation, and the sweep whose
     // iterate they sum: the finishing sweep reuses the last check's.
@@ -585,31 +571,16 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 }
             };
             let check_secs = t0.elapsed().as_secs_f64();
-            // Telemetry's payload (ζ and the active-set census) costs a
-            // full O(nnz) sweep each, so the stream is rate limited at
-            // the source (see TELEMETRY_EVERY_CHECKS), and the profiler's
-            // own stride decimates further on long solves.
-            let telemetry_now = spanning && checks_seen.is_multiple_of(TELEMETRY_EVERY_CHECKS);
-            checks_seen += 1;
-            // ζ is only evaluated when something consumes it: an attached
-            // observer or a due telemetry sample.
-            let zeta = (bounds.is_none() && (observing || telemetry_now))
+            // ζ is evaluated only for an observer that takes the events
+            // reporting it, so a spanned check does an untraced check's work.
+            let zeta = (bounds.is_none() && observing)
                 .then(|| dual::dual_value_with(p, &lambda, &mu, &mut zeta_cols));
             if spanning {
                 obs.span_close(&KernelCounters::default());
-            }
-            if telemetry_now {
-                let snap = tally.counters.snapshot();
-                // Active set = positive stored entries of the iterate; the
-                // profiler derives churn from consecutive samples.
-                let active_set = x_t.values().iter().filter(|v| **v > 0.0).count() as u64;
                 obs.telemetry(&TelemetrySample {
                     iteration: t as u64,
                     seconds: start.elapsed().as_secs_f64(),
                     residual,
-                    dual_value: zeta.unwrap_or(f64::NAN),
-                    kernel_work: snap.work(),
-                    active_set,
                 });
             }
             if observing {

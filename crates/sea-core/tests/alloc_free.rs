@@ -225,10 +225,11 @@ fn kernels_do_not_allocate_in_steady_state() {
     // ---- Span-enabled differential audit. ----
     //
     // Same differential contract with a preallocated SpanProfiler
-    // attached: spans and telemetry land in the profiler's rings in
-    // place, so a span-recording solve loop must stay allocation-free
-    // per iteration exactly like the NullObserver loop. The profiler is
-    // built (and its rings sized) before the baseline measurement.
+    // attached: spans land in the profiler's ring in place and each
+    // check's telemetry sample is a `Copy` value the profiler drops, so a
+    // span-recording solve loop must stay allocation-free per iteration
+    // exactly like the NullObserver loop. The profiler is built (and its
+    // ring sized) before the baseline measurement.
     let mut profiler = sea_core::SpanProfiler::with_capacity(4096, 512);
     for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
         let mut solve_allocations = |iterations: usize| -> usize {

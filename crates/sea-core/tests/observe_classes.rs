@@ -24,18 +24,21 @@ use sea_core::{
 };
 use sea_linalg::{DenseMatrix, SymMatrix};
 use sea_observe::jsonl::encode_event;
-use sea_observe::{Event, KernelCounters, Observer, SpanKind, SpanProfiler, SpanRecord};
+use sea_observe::{
+    Event, KernelCounters, Observer, SpanKind, SpanProfiler, SpanRecord, TelemetrySample,
+};
 
 #[path = "common/normalize.rs"]
 mod normalize;
 use normalize::normalized;
 
 /// Takes events and spans: events into a buffer, span signals into a
-/// profiler.
+/// profiler, telemetry samples into a buffer.
 #[derive(Default)]
 struct Both {
     events: Vec<Event>,
     spans: SpanProfiler,
+    telemetry: Vec<TelemetrySample>,
 }
 
 impl Observer for Both {
@@ -78,6 +81,10 @@ impl Observer for Both {
             counters,
             detail,
         );
+    }
+
+    fn telemetry(&mut self, sample: &TelemetrySample) {
+        self.telemetry.push(*sample);
     }
 }
 
@@ -285,4 +292,39 @@ fn every_class_reports_as_pinned() {
         actual, golden,
         "line count diverges from the golden fixture"
     );
+}
+
+/// Telemetry is each check's progress tick: every sample is, in order, one
+/// reported convergence check (diagonal and bounded drivers, and the
+/// general driver's inner solves) or outer iteration (general driver).
+#[test]
+fn every_telemetry_sample_is_one_reported_check() {
+    for case in Case::ALL {
+        let mut both = Both::default();
+        case.run(&mut both);
+        let checks: Vec<(u64, u64)> = both
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::ConvergenceCheck {
+                    iteration,
+                    residual,
+                    ..
+                } => Some((*iteration as u64, residual.to_bits())),
+                Event::OuterIteration {
+                    iteration,
+                    outer_residual,
+                    ..
+                } => Some((*iteration as u64, outer_residual.to_bits())),
+                _ => None,
+            })
+            .collect();
+        let samples: Vec<(u64, u64)> = both
+            .telemetry
+            .iter()
+            .map(|s| (s.iteration, s.residual.to_bits()))
+            .collect();
+        assert!(!checks.is_empty(), "{case:?} reports checks");
+        assert_eq!(samples, checks, "{case:?}");
+    }
 }

@@ -113,7 +113,7 @@ impl KernelCounters {
     }
 
     /// Total kernel work: breakpoints + pivots + clamps (the quantity the
-    /// batch engine and telemetry stream report as `kernel_work`).
+    /// batch engine reports as `kernel_work`).
     pub fn work(self) -> u64 {
         self.breakpoints_scanned + self.quickselect_pivots + self.boxed_clamps
     }

@@ -8,9 +8,10 @@
 //! sinks — [`NullObserver`] (the default), [`JsonlObserver`] (streaming
 //! JSONL solve logs), [`MetricsObserver`] (an in-memory registry
 //! rendering Prometheus text exposition format), and [`SpanProfiler`]
-//! (hierarchical spans in a preallocated ring buffer plus convergence
-//! telemetry, exporting chrome-trace JSON and folded flamegraph
-//! stacks).
+//! (hierarchical spans in a preallocated ring buffer, exporting
+//! chrome-trace JSON and folded flamegraph stacks). Drivers also emit one
+//! [`TelemetrySample`] per convergence check, the progress tick that the
+//! CLI's `--progress` line fits [`ConvergenceEstimator`] to.
 //!
 //! The crate is deliberately dependency-free: JSON is hand-rolled in
 //! [`json`], and nothing here touches the solver crates — `sea-core`
@@ -35,4 +36,4 @@ pub use observer::{NullObserver, Observer, VecObserver};
 pub use span::{
     chrome_trace, folded_stacks, parse_chrome_trace, ParsedSpan, SpanKind, SpanProfiler, SpanRecord,
 };
-pub use telemetry::{ConvergenceEstimator, EtaEstimate, TelemetryBuffer, TelemetrySample};
+pub use telemetry::{ConvergenceEstimator, EtaEstimate, TelemetrySample};

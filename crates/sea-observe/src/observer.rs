@@ -92,7 +92,11 @@ pub trait Observer {
         );
     }
 
-    /// Deliver one convergence telemetry sample (per periodic check).
+    /// Deliver one convergence telemetry sample: the progress tick of
+    /// every convergence check (and of every outer iteration of the
+    /// general driver), sent when [`spans_enabled`](Observer::spans_enabled).
+    /// A sample carries only what the check already computed, so a sink
+    /// that takes them adds no work to the solve.
     fn telemetry(&mut self, sample: &TelemetrySample) {
         let _ = sample;
     }
@@ -264,7 +268,11 @@ mod tests {
         obs.span_open(SpanKind::Solve, 0, 1);
         obs.span_close(&KernelCounters::default());
         obs.span_leaf(SpanKind::Shard, 0, 0, 1, 1, &KernelCounters::default(), "");
-        obs.telemetry(&TelemetrySample::zeroed());
+        obs.telemetry(&TelemetrySample {
+            iteration: 0,
+            seconds: 0.0,
+            residual: 0.0,
+        });
         assert!(obs.events.is_empty());
     }
 }

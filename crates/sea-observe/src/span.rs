@@ -27,7 +27,6 @@ use std::time::Instant;
 use crate::event::{Event, KernelCounters};
 use crate::json::JsonValue;
 use crate::observer::Observer;
-use crate::telemetry::{ConvergenceEstimator, EtaEstimate, TelemetryBuffer, TelemetrySample};
 
 /// What a span measures. The hierarchy is Solve → Epoch →
 /// RowPass/ColPass/Check/Projection → Shard, plus Batch → Instance
@@ -160,19 +159,17 @@ struct OpenSpan {
 
 /// Default ring capacity (records). 64 bytes per record → 4 MiB.
 const DEFAULT_SPAN_CAPACITY: usize = 65_536;
-/// Default telemetry buffer capacity (samples).
-const DEFAULT_TELEMETRY_CAPACITY: usize = 4_096;
 /// Maximum nesting depth tracked. Deeper opens are counted and dropped.
 const MAX_DEPTH: usize = 64;
 /// Ring occupancy (in quarters) at which the epoch stride doubles.
 const HIGH_WATER_QUARTERS: usize = 3;
 
 /// The span-assembling observer: records driver span signals into a
-/// preallocated ring buffer and convergence telemetry into a bounded
-/// sample buffer. See the module docs for the sampling policy.
+/// preallocated ring buffer. See the module docs for the sampling policy.
+/// It ignores telemetry samples: the CLI's progress line takes those.
 ///
-/// `enabled()` is `false`: the profiler consumes only span signals and
-/// telemetry, so drivers skip discrete-event construction entirely
+/// `enabled()` is `false`: the profiler consumes only span signals, so
+/// drivers skip discrete-event construction entirely
 /// (keeping the span-enabled solve loop allocation-free). A sink that
 /// also wants events forwards span signals to a profiler it holds.
 #[derive(Debug)]
@@ -192,7 +189,6 @@ pub struct SpanProfiler {
     epochs_seen: u64,
     /// Sampling decision for the innermost Epoch currently open.
     epoch_recording: bool,
-    telemetry: TelemetryBuffer,
 }
 
 impl Default for SpanProfiler {
@@ -202,14 +198,18 @@ impl Default for SpanProfiler {
 }
 
 impl SpanProfiler {
-    /// A profiler with the default span-ring and telemetry capacities.
+    /// A profiler with the default span-ring capacity.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_SPAN_CAPACITY, DEFAULT_TELEMETRY_CAPACITY)
+        Self::with_capacity(DEFAULT_SPAN_CAPACITY, 0)
     }
 
-    /// A profiler retaining at most `spans` records and
-    /// `telemetry_samples` telemetry samples (minimums 16 / 4).
+    /// A profiler retaining at most `spans` records (minimum 16).
+    ///
+    /// `telemetry_samples` is retired and ignored: the profiler keeps no
+    /// telemetry. The parameter stays so that callers which size both
+    /// buffers keep compiling.
     pub fn with_capacity(spans: usize, telemetry_samples: usize) -> Self {
+        let _ = telemetry_samples;
         let capacity = spans.max(16);
         SpanProfiler {
             epoch_instant: Instant::now(),
@@ -223,7 +223,6 @@ impl SpanProfiler {
             epoch_stride: 1,
             epochs_seen: 0,
             epoch_recording: true,
-            telemetry: TelemetryBuffer::with_capacity(telemetry_samples),
         }
     }
 
@@ -271,17 +270,7 @@ impl SpanProfiler {
         out
     }
 
-    /// The retained telemetry samples, in arrival order.
-    pub fn telemetry_samples(&self) -> &[TelemetrySample] {
-        self.telemetry.samples()
-    }
-
-    /// Convergence-rate ETA to `target` from the retained telemetry.
-    pub fn eta(&self, target: f64) -> Option<EtaEstimate> {
-        ConvergenceEstimator::estimate(self.telemetry.samples(), target)
-    }
-
-    /// Clear all recorded spans and telemetry, keeping capacities (for
+    /// Clear all recorded spans, keeping the capacity (for
     /// reusing one profiler across benchmark repetitions).
     pub fn reset(&mut self) {
         self.ring.clear();
@@ -293,7 +282,6 @@ impl SpanProfiler {
         self.epoch_stride = 1;
         self.epochs_seen = 0;
         self.epoch_recording = true;
-        self.telemetry.clear();
         self.epoch_instant = Instant::now();
     }
 }
@@ -414,10 +402,6 @@ impl Observer for SpanProfiler {
             counters: *counters,
             detail,
         });
-    }
-
-    fn telemetry(&mut self, sample: &TelemetrySample) {
-        self.telemetry.push(*sample);
     }
 }
 
@@ -842,23 +826,5 @@ mod tests {
         let folded = folded_stacks(&spans);
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines, vec!["solve 2000", "solve;epoch 8000"]);
-    }
-
-    #[test]
-    fn telemetry_flows_through_the_profiler() {
-        let mut prof = SpanProfiler::new();
-        for k in 0..6u64 {
-            prof.telemetry(&TelemetrySample {
-                iteration: k,
-                seconds: k as f64,
-                residual: 0.5f64.powi(k as i32),
-                dual_value: f64::NAN,
-                kernel_work: k * 100,
-                active_set: 50,
-            });
-        }
-        assert_eq!(prof.telemetry_samples().len(), 6);
-        let eta = prof.eta(1e-12).expect("eta");
-        assert!((eta.rate - 0.5).abs() < 1e-9);
     }
 }

@@ -1,21 +1,16 @@
-//! Convergence telemetry: bounded sample buffers and rate estimation.
+//! Convergence telemetry: the per-check progress tick and rate estimation.
 //!
-//! The span profiler ([`crate::span::SpanProfiler`]) and the CLI
-//! `--progress` line both consume a stream of per-check
-//! [`TelemetrySample`]s emitted by the drivers through
-//! [`crate::Observer::telemetry`]. Samples are `Copy` and the buffer is
-//! preallocated, so recording a sample never allocates — the audited
-//! alloc-free steady-state loop stays alloc-free with telemetry enabled.
-//!
-//! When the buffer fills it decimates in place (keeps every other
-//! retained sample) and doubles its acceptance stride, so memory stays
-//! bounded while the retained trajectory keeps roughly uniform coverage
-//! of the whole solve.
+//! The drivers emit one [`TelemetrySample`] per convergence check (and
+//! one per outer iteration of the general driver) through
+//! [`crate::Observer::telemetry`]. A sample holds only what the check has
+//! already computed, so taking one costs O(1) and adds no arithmetic to
+//! the solve. The CLI `--progress` line is the consumer: it keeps a short
+//! tail of samples and fits [`ConvergenceEstimator`] to it.
 
-/// One convergence snapshot, taken at a driver's periodic check.
+/// One convergence snapshot, taken at a driver's convergence check.
 ///
 /// All fields are plain numbers so the sample is `Copy` and can be
-/// recorded without allocation from inside the solve loop.
+/// delivered without allocation from inside the solve loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySample {
     /// Iteration (epoch) index at which the check ran.
@@ -24,114 +19,6 @@ pub struct TelemetrySample {
     pub seconds: f64,
     /// Convergence residual under the driver's active criterion.
     pub residual: f64,
-    /// Dual objective value, or NaN when the driver did not compute it.
-    pub dual_value: f64,
-    /// Cumulative kernel work (breakpoints scanned + quickselect pivots
-    /// + boxed clamps) up to this check.
-    pub kernel_work: u64,
-    /// Number of strictly positive entries in the iterate — the active
-    /// set of the equilibration subproblems. The churn between two
-    /// consecutive samples is the absolute change in this count.
-    pub active_set: u64,
-}
-
-impl TelemetrySample {
-    /// A sample with every field zeroed (residual/dual NaN-free zero).
-    pub fn zeroed() -> Self {
-        TelemetrySample {
-            iteration: 0,
-            seconds: 0.0,
-            residual: 0.0,
-            dual_value: f64::NAN,
-            kernel_work: 0,
-            active_set: 0,
-        }
-    }
-}
-
-/// Preallocated, self-decimating buffer of [`TelemetrySample`]s.
-///
-/// `push` is alloc-free: the backing `Vec` is reserved up front and
-/// never grows. When the buffer is full it drops every other retained
-/// sample in place and doubles the acceptance stride, so an arbitrarily
-/// long solve keeps a bounded, roughly uniformly spaced trajectory.
-#[derive(Debug)]
-pub struct TelemetryBuffer {
-    samples: Vec<TelemetrySample>,
-    capacity: usize,
-    /// Accept one sample in every `stride` offered.
-    stride: u64,
-    /// Samples offered so far (accepted or not).
-    offered: u64,
-    /// Samples dropped by striding or decimation.
-    dropped: u64,
-}
-
-impl TelemetryBuffer {
-    /// A buffer retaining at most `capacity` samples (minimum 4).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(4);
-        TelemetryBuffer {
-            samples: Vec::with_capacity(capacity),
-            capacity,
-            stride: 1,
-            offered: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Offer a sample; returns `true` if it was retained.
-    pub fn push(&mut self, sample: TelemetrySample) -> bool {
-        let offered = self.offered;
-        self.offered += 1;
-        if !offered.is_multiple_of(self.stride) {
-            self.dropped += 1;
-            return false;
-        }
-        if self.samples.len() == self.capacity {
-            // Decimate in place: keep even-indexed samples, then double
-            // the stride so future samples arrive at the thinned rate.
-            let len = self.samples.len();
-            let mut keep = 0usize;
-            for i in (0..len).step_by(2) {
-                self.samples[keep] = self.samples[i];
-                keep += 1;
-            }
-            self.dropped += (len - keep) as u64;
-            self.samples.truncate(keep);
-            self.stride = self.stride.saturating_mul(2);
-        }
-        self.samples.push(sample);
-        true
-    }
-
-    /// The retained samples, in arrival order.
-    pub fn samples(&self) -> &[TelemetrySample] {
-        &self.samples
-    }
-
-    /// Samples dropped by striding or decimation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total samples offered to the buffer.
-    pub fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    /// The most recently retained sample.
-    pub fn last(&self) -> Option<&TelemetrySample> {
-        self.samples.last()
-    }
-
-    /// Forget all retained samples and reset the stride.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.stride = 1;
-        self.offered = 0;
-        self.dropped = 0;
-    }
 }
 
 /// Estimated convergence rate and time-to-target from recent samples.
@@ -231,50 +118,7 @@ mod tests {
             iteration,
             seconds,
             residual,
-            dual_value: f64::NAN,
-            kernel_work: 0,
-            active_set: 0,
         }
-    }
-
-    #[test]
-    fn buffer_retains_everything_under_capacity() {
-        let mut buf = TelemetryBuffer::with_capacity(8);
-        for i in 0..8 {
-            assert!(buf.push(sample(i, 1.0, i as f64)));
-        }
-        assert_eq!(buf.samples().len(), 8);
-        assert_eq!(buf.dropped(), 0);
-    }
-
-    #[test]
-    fn buffer_decimates_and_strides_when_full() {
-        let mut buf = TelemetryBuffer::with_capacity(8);
-        for i in 0..64 {
-            buf.push(sample(i, 1.0, i as f64));
-        }
-        assert!(buf.samples().len() <= 8);
-        assert_eq!(buf.offered(), 64);
-        assert_eq!(
-            buf.samples().len() as u64 + buf.dropped(),
-            buf.offered(),
-            "every offered sample is retained or counted dropped"
-        );
-        // Retained iterations stay sorted (uniform-ish coverage).
-        let iters: Vec<u64> = buf.samples().iter().map(|s| s.iteration).collect();
-        let mut sorted = iters.clone();
-        sorted.sort_unstable();
-        assert_eq!(iters, sorted);
-    }
-
-    #[test]
-    fn buffer_push_never_grows_backing_storage() {
-        let mut buf = TelemetryBuffer::with_capacity(16);
-        let cap = buf.samples.capacity();
-        for i in 0..1000 {
-            buf.push(sample(i, 1.0, 0.0));
-        }
-        assert_eq!(buf.samples.capacity(), cap);
     }
 
     #[test]

@@ -1187,7 +1187,7 @@ fn solve_with_cache(
 /// the metrics lock; the worker merges them into the shared registry once
 /// afterwards, holding the lock for O(series), not O(events). Span
 /// signalling stays off (the trait default), so serve solves record no
-/// shard histograms and pay for no telemetry sampling.
+/// shard histograms and take no telemetry samples.
 #[derive(Default)]
 struct SolveMetrics(MetricsObserver);
 
