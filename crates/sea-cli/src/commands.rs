@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 /// Rate-limited single-line progress display: overwrites one stderr line
 /// (`\r`, no newline) with the latest iteration, residual, and — once the
 /// estimator has enough samples — the fitted convergence rate and an ETA.
+/// The line ends on the last check the solve made.
 #[derive(Debug)]
 struct ProgressLine {
     /// Residual target the ETA projects to (the solve's epsilon).
@@ -36,8 +37,8 @@ struct ProgressLine {
     /// Recent telemetry tail the rate fit runs over.
     samples: Vec<TelemetrySample>,
     last_emit: Option<Instant>,
-    /// Whether anything was written (so `finish` knows to emit `\n`).
-    dirty: bool,
+    /// Whether the newest sample is the one on screen.
+    painted: bool,
 }
 
 impl ProgressLine {
@@ -52,7 +53,7 @@ impl ProgressLine {
             target,
             samples: Vec::with_capacity(Self::KEEP),
             last_emit: None,
-            dirty: false,
+            painted: false,
         }
     }
 
@@ -61,6 +62,7 @@ impl ProgressLine {
             self.samples.drain(..Self::KEEP / 2);
         }
         self.samples.push(*sample);
+        self.painted = false;
         let now = Instant::now();
         if self
             .last_emit
@@ -69,6 +71,14 @@ impl ProgressLine {
             return;
         }
         self.last_emit = Some(now);
+        self.paint();
+    }
+
+    /// Overwrite the line with the newest sample.
+    fn paint(&mut self) {
+        let Some(sample) = self.samples.last() else {
+            return;
+        };
         let mut line = format!(
             "\r# iter {:>6}  residual {:9.3e}",
             sample.iteration, sample.residual
@@ -82,14 +92,17 @@ impl ProgressLine {
         let mut err = std::io::stderr();
         let _ = err.write_all(line.as_bytes());
         let _ = err.flush();
-        self.dirty = true;
+        self.painted = true;
     }
 
-    /// Terminate the overwritten line so the report prints cleanly below.
+    /// Repaint the last sample if the throttle skipped it, then terminate
+    /// the overwritten line so the report prints cleanly below.
     fn finish(&mut self) {
-        if self.dirty {
+        if !self.painted {
+            self.paint();
+        }
+        if self.painted {
             let _ = writeln!(std::io::stderr());
-            self.dirty = false;
         }
     }
 }
@@ -315,10 +328,9 @@ fn solve_and_emit<S: Storage>(
         // whether the solve converged, stopped, or failed.
         p.finish();
     }
-    let sup_sol = sup_sol.map_err(CliError::Solver)?;
-    let sol = &sup_sol.solution;
-    // Flush every sink before judging convergence, so a stopped solve
-    // still leaves its log/metrics behind for diagnosis.
+    // Flush every sink before looking at the outcome, so a failed or
+    // stopped solve still leaves its log, metrics and trace behind for
+    // diagnosis.
     let mut sink_notes = String::new();
     if let Some(jsonl) = obs.jsonl.take() {
         let path = common.observe.as_ref().expect("observe path set");
@@ -340,6 +352,8 @@ fn solve_and_emit<S: Storage>(
             &mut sink_notes,
         )?;
     }
+    let sup_sol = sup_sol.map_err(CliError::Solver)?;
+    let sol = &sup_sol.solution;
     if let Some(err) = &sup_sol.checkpoint_error {
         sink_notes.push_str(&format!("# checkpoint write failed: {err}\n"));
     }

@@ -482,3 +482,90 @@ fn stdout_output_when_no_out_flag() {
     assert!(text.lines().last().unwrap().starts_with('#'));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn failed_solve_still_writes_its_sinks() {
+    let dir = tmpdir("failsinks");
+    // Row 0 has no structural support but a positive total.
+    write(&dir, "m.csv", "0,0\n3,4\n");
+    write(&dir, "s.csv", "5,6\n");
+    write(&dir, "d.csv", "5,6\n");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let output = Command::new(bin())
+        .args([
+            "fixed",
+            "--matrix",
+            &path("m.csv"),
+            "--row-totals",
+            &path("s.csv"),
+            "--col-totals",
+            &path("d.csv"),
+            "--structural-zeros",
+            "--observe",
+            &path("ev.jsonl"),
+            "--metrics",
+            &path("m.prom"),
+            "--trace-spans",
+            &path("t.json"),
+            "--flamegraph",
+            &path("f.txt"),
+        ])
+        .output()
+        .expect("binary runs");
+    // InfeasibleSubproblem keeps its documented exit code.
+    assert_eq!(output.status.code(), Some(16));
+    let events = std::fs::read_to_string(dir.join("ev.jsonl")).unwrap();
+    assert!(events.contains("solve_start"), "{events}");
+    let metrics = std::fs::read_to_string(dir.join("m.prom")).unwrap();
+    assert!(
+        metrics.lines().any(|l| l.starts_with("sea_solves_total")),
+        "{metrics}"
+    );
+    let trace = std::fs::read_to_string(dir.join("t.json")).unwrap();
+    let doc = sea_observe::json::parse(&trace).expect("trace is JSON");
+    sea_observe::parse_chrome_trace(&doc).expect("trace re-parses");
+    assert!(dir.join("f.txt").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn progress_line_ends_on_the_last_check() {
+    let dir = tmpdir("progress");
+    let n = 60;
+    let matrix: String = (0..n)
+        .map(|i| {
+            let row: Vec<String> = (0..n)
+                .map(|j| format!("{}", 1 + (7 * i + 13 * j) % 17))
+                .collect();
+            row.join(",") + "\n"
+        })
+        .collect();
+    write(&dir, "m.csv", &matrix);
+    let run = |progress: bool| {
+        let mut cmd = Command::new(bin());
+        cmd.args(["sam", "--matrix", dir.join("m.csv").to_str().unwrap()]);
+        if progress {
+            cmd.arg("--progress");
+        }
+        cmd.output().expect("binary runs")
+    };
+    let plain = run(false);
+    let shown = run(true);
+    assert!(plain.status.success() && shown.status.success());
+    assert_eq!(shown.stdout, plain.stdout, "--progress leaves stdout alone");
+    let stdout = String::from_utf8_lossy(&shown.stdout);
+    let converged = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("# converged in "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("converged trailer");
+    let stderr = String::from_utf8_lossy(&shown.stderr);
+    let last = stderr.rsplit('\r').next().unwrap_or_default();
+    let iteration = last
+        .strip_prefix("# iter")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no progress line in {stderr:?}"));
+    assert_eq!(iteration, converged, "final progress segment {last:?}");
+    assert!(last.ends_with('\n'), "the line is terminated");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
