@@ -16,6 +16,7 @@ use crate::problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
 use crate::solver::{solve_inner, SeaOptions};
 use crate::storage::Storage;
 use crate::supervisor::{SolveControl, StopReason, SupervisedGeneralSolution, SupervisorOptions};
+use crate::verify::Finishing;
 use sea_linalg::{vector, DenseMatrix, SymMatrix};
 use sea_observe::{Event, KernelCounters, Observer, PhaseLabel, SpanKind, TelemetrySample};
 use std::time::{Duration, Instant};
@@ -406,6 +407,14 @@ pub fn solve_general_supervised<O: Observer + Send>(
 
         let mut inner_opts = opts.inner.clone();
         let inner_sup = SupervisorOptions::default();
+        // The driver reads neither an inner solve's ζ nor its certificate;
+        // only its `SolveEnd` event reports ζ, so only an observer that takes
+        // events pays for them.
+        let level = if obs.enabled() {
+            Finishing::Certified
+        } else {
+            Finishing::Primal
+        };
 
         for t in 1..=opts.max_outer {
             outer_iterations = t;
@@ -457,7 +466,7 @@ pub fn solve_general_supervised<O: Observer + Send>(
             // ---- Inner diagonal SEA solve. -----------------------------------
             let sub = DiagonalProblem::with_signed_prior(q, gamma.clone(), spec, ZeroPolicy::Free)?;
             let mut inner_ctrl = SolveControl::new(&inner_sup);
-            let (sol, _) = solve_inner(&sub, None, &inner_opts, &mut *obs, &mut inner_ctrl)?;
+            let (sol, _) = solve_inner(&sub, None, level, &inner_opts, &mut *obs, &mut inner_ctrl)?;
             if inner_ctrl.stop() == Some(StopReason::Breakdown) {
                 return Err(SeaError::NumericalBreakdown {
                     iteration: sol.stats.iterations,
@@ -806,6 +815,46 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// An inner solve certifies only for an observer that takes events;
+    /// its finishing level never changes what the solve computes.
+    #[test]
+    fn observing_changes_no_bit_of_a_general_solve() {
+        let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0, 1.5], vec![3.0, 4.0, 0.5]]).unwrap();
+        let g = dd_matrix(6, 10.0, 1.0);
+        let fixed = GeneralTotalSpec::Fixed {
+            s0: vec![5.0, 8.0],
+            d0: vec![4.5, 6.5, 2.0],
+        };
+        let elastic = GeneralTotalSpec::Elastic {
+            a: dd_matrix(2, 4.0, 0.5),
+            s0: vec![6.0, 7.0],
+            b: dd_matrix(3, 4.0, 0.5),
+            d0: vec![4.0, 6.0, 3.0],
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for totals in [fixed, elastic] {
+            let p = GeneralProblem::new(x0.clone(), g.clone(), totals).unwrap();
+            for par in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+                let mut opts = GeneralSeaOptions::with_epsilon(1e-9);
+                opts.inner.parallelism = par;
+                let sup = SupervisorOptions::default();
+                let plain = solve(&p, &opts);
+                let mut obs = sea_observe::VecObserver::new();
+                let seen = solve_general_supervised(&p, &opts, &sup, &mut obs)
+                    .unwrap()
+                    .solution;
+                assert!(!obs.events.is_empty());
+                assert_eq!(bits(seen.x.as_slice()), bits(plain.x.as_slice()));
+                assert_eq!(bits(&seen.s), bits(&plain.s));
+                assert_eq!(bits(&seen.d), bits(&plain.d));
+                assert_eq!(bits(&seen.mu), bits(&plain.mu));
+                assert_eq!(seen.outer_iterations, plain.outer_iterations);
+                assert_eq!(seen.inner_iterations, plain.inner_iterations);
+                assert_eq!(seen.counters, plain.counters);
+            }
+        }
     }
 
     /// Records the pool width each event is reported at.

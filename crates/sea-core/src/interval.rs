@@ -16,6 +16,7 @@ use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::{solve_inner, SeaOptions};
 use crate::storage::{RowView, Storage};
 use crate::supervisor::{SolveControl, SupervisedBoundedSolution, SupervisorOptions};
+use crate::verify::Finishing;
 use sea_linalg::DenseMatrix;
 use sea_observe::{KernelCounters, Observer};
 use std::time::Duration;
@@ -380,7 +381,7 @@ fn supervised<S: Storage, O: Observer>(
     obs: &mut O,
 ) -> Result<SupervisedBoundedSolution<S>, SeaError> {
     let mut ctrl = SolveControl::new(sup);
-    let (sol, _) = solve_inner(&p.base, Some(p), opts, obs, &mut ctrl)?;
+    let (sol, _) = solve_inner(&p.base, Some(p), Finishing::Primal, opts, obs, &mut ctrl)?;
     Ok(SupervisedBoundedSolution {
         stop: ctrl.final_stop(sol.stats.converged),
         solution: BoundedSolution {

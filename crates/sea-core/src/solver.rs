@@ -216,8 +216,8 @@ pub struct SolveStats {
     pub residuals: Residuals,
     /// Primal objective at the returned solution.
     pub objective: f64,
-    /// Dual value `ζ(λ, μ)` at the returned multipliers (NaN for a
-    /// box-bounded solve, which does not evaluate ζ).
+    /// Dual value `ζ(λ, μ)` at the returned multipliers (NaN for a solve
+    /// finished without a certificate, such as a box-bounded one).
     pub dual_value: f64,
     /// Kernel work of the solve's passes: every solve harvests its
     /// counters, observed or not, at one relaxed atomic add per shard.
@@ -312,12 +312,12 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 ) -> Result<SupervisedSolution<S>, SeaError> {
     opts.parallelism.run(move || {
         let mut ctrl = SolveControl::new(sup);
-        let (solution, certificate) = solve_inner(p, None, opts, obs, &mut ctrl)?;
+        let (solution, certificate) =
+            solve_inner(p, None, Finishing::Certified, opts, obs, &mut ctrl)?;
         let stop = ctrl.final_stop(solution.stats.converged);
-        // Allowed: `solve_inner` certifies every solve of an unbounded
-        // problem.
+        // Allowed: a `Certified` finish returns a certificate.
         #[allow(clippy::expect_used)]
-        let certificate = certificate.expect("an unbounded solve certifies");
+        let certificate = certificate.expect("a certified solve certifies");
         Ok(SupervisedSolution {
             solution,
             stop,
@@ -332,11 +332,13 @@ pub fn solve_diagonal_supervised<S: Storage, O: Observer + Send>(
 /// is the box-bounded problem whose unbounded part `p` is (with fixed
 /// totals); the passes hand its entry bounds to the boxed kernel. The
 /// dual value ζ of the unbounded problem does not bound a boxed one, so
-/// bounded solves neither evaluate nor report it. A solve of an unbounded
-/// problem also returns its certificate.
+/// bounded solves neither evaluate nor report it and finish at
+/// [`Finishing::Primal`]. A solve finished at `level`
+/// [`Finishing::Certified`] also returns its dual value and certificate.
 pub(crate) fn solve_inner<S: Storage, O: Observer>(
     p: &DiagonalProblem<S>,
     bounds: Option<&BoundedProblem<S>>,
+    level: Finishing,
     opts: &SeaOptions,
     obs: &mut O,
     ctrl: &mut SolveControl<'_>,
@@ -671,10 +673,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         // The last sweep was not checked (or was replayed).
         x_t.col_sums_into(&mut row_sums_buf);
     }
-    let level = match bounds {
-        Some(_) => Finishing::Primal,
-        None => Finishing::Certified,
-    };
     let finished = Finish {
         x_t: &x_t,
         x0_t: &x0_t,
