@@ -155,12 +155,6 @@ impl WarmStartCache {
         self.evictions
     }
 
-    /// Drop every entry (e.g. after a problem-shape migration).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
-    }
-
     /// Drop one family's entry. Returns true when something was removed.
     /// This is how a long-running server discards a warm seed that just
     /// broke a solve (e.g. a corrupted μ vector): the next solve for the
@@ -281,9 +275,6 @@ mod tests {
             c.bytes(),
             (3 * 8 + 1 + ENTRY_OVERHEAD) + (8 + 1 + ENTRY_OVERHEAD)
         );
-        c.clear();
-        assert!(c.lookup("a").is_none());
-        assert_eq!(c.bytes(), 0);
     }
 
     #[test]

@@ -397,11 +397,6 @@ impl BatchEngine {
         self.cache.len()
     }
 
-    /// Drop all cached warm starts.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Solve every instance, returning per-instance outcomes in submission
     /// order. Emits `BatchStart`, the buffered per-instance solve streams
     /// interleaved with `BatchInstance`, and `BatchEnd` when `obs` is

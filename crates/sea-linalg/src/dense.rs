@@ -205,11 +205,6 @@ impl DenseMatrix {
         self.data.par_chunks_exact(self.cols)
     }
 
-    /// Parallel iterator over mutable row slices.
-    pub fn par_row_iter_mut(&mut self) -> impl IndexedParallelIterator<Item = &mut [f64]> {
-        self.data.par_chunks_exact_mut(self.cols)
-    }
-
     /// Copy column `j` into `out`.
     ///
     /// # Panics
@@ -282,11 +277,6 @@ impl DenseMatrix {
     pub fn max_abs_diff(&self, other: &DenseMatrix) -> f64 {
         debug_assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         crate::vector::max_abs_diff(&self.data, &other.data)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        crate::vector::norm2(&self.data)
     }
 
     /// Matrix–vector product `y = self · x` (serial).

@@ -85,12 +85,6 @@ impl SymMatrix {
         self.inner.get(i, j)
     }
 
-    /// Borrow the full-storage representation.
-    #[inline]
-    pub fn as_dense(&self) -> &DenseMatrix {
-        &self.inner
-    }
-
     /// Copy of the diagonal, `diag(M)` — the fixed matrix of the projection
     /// step (eq. 79 uses `Ã = diag(A)`, `G̃ = diag(G)`, `B̃ = diag(B)`).
     pub fn diagonal(&self) -> Vec<f64> {

@@ -22,12 +22,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Euclidean norm `‖x‖₂`.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
 /// One-norm `‖x‖₁`.
 #[inline]
 pub fn norm1(x: &[f64]) -> f64 {
@@ -94,7 +88,6 @@ mod tests {
         let x = [3.0, 4.0];
         let y = [1.0, 2.0];
         assert_eq!(dot(&x, &y), 11.0);
-        assert_eq!(norm2(&x), 5.0);
         assert_eq!(norm1(&x), 7.0);
         assert_eq!(norm_inf(&[-6.0, 2.0]), 6.0);
         assert_eq!(norm_inf(&[]), 0.0);

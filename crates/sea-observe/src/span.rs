@@ -98,12 +98,6 @@ impl SpanKind {
             SpanKind::Solve | SpanKind::Batch | SpanKind::Epoch | SpanKind::Instance
         )
     }
-
-    /// Whether the span's wall time is serial on the solve's critical
-    /// path (no internal parallelism).
-    pub fn is_serial(self) -> bool {
-        matches!(self, SpanKind::Check | SpanKind::Shard | SpanKind::Instance)
-    }
 }
 
 /// One closed span. `Copy`, fixed-size, and free of heap data so the

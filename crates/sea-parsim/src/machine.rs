@@ -58,12 +58,6 @@ impl MachineModel {
         }
     }
 
-    /// Override the memory-parallelism cap.
-    pub fn with_memory_parallelism(mut self, cap: usize) -> Self {
-        self.memory_parallelism = cap.max(1);
-        self
-    }
-
     /// An idealized machine: no overheads at all (pure Amdahl behaviour).
     pub fn ideal(processors: usize) -> Self {
         Self::with_overheads(processors, 0.0, 0.0)
