@@ -199,11 +199,10 @@ impl SpanProfiler {
 
     /// A profiler retaining at most `spans` records (minimum 16).
     ///
-    /// `telemetry_samples` is retired and ignored: the profiler keeps no
-    /// telemetry. The parameter stays so that callers which size both
-    /// buffers keep compiling.
-    pub fn with_capacity(spans: usize, telemetry_samples: usize) -> Self {
-        let _ = telemetry_samples;
+    /// The second parameter, once the telemetry capacity, is retired and
+    /// ignored: the profiler keeps no telemetry. It stays so that callers
+    /// which size both buffers keep compiling.
+    pub fn with_capacity(spans: usize, _telemetry_samples: usize) -> Self {
         let capacity = spans.max(16);
         SpanProfiler {
             epoch_instant: Instant::now(),
