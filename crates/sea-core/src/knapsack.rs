@@ -748,7 +748,8 @@ fn warm_boxed_segment(
     let mut bracket = Bracket::OPEN;
     for_each_lane(n, |lane, k| {
         let [l, u] = boxed_events(q[k], gamma[k], shift.at(k), lo[k], hi[k]);
-        let (below_l, below_u) = (l.v <= hint, u.v <= hint);
+        // An upper event at +∞ is never crossed.
+        let (below_l, below_u) = (l.v <= hint, u.v <= hint && u.v != f64::INFINITY);
         a[lane] += (if below_l { l.da } else { 0.0 }) + (if below_u { u.da } else { 0.0 });
         b[lane] += if below_l && !below_u { l.db } else { 0.0 };
         bracket.push(l.v, below_l);
@@ -1207,8 +1208,13 @@ fn boxed_lambda_quickselect(
         }
     }
     for j in 0..n {
-        let pair = boxed_events(q[j], gamma[j], shift.at(j), lo[j], hi[j]);
-        scratch.events.extend(pair);
+        let [l, u] = boxed_events(q[j], gamma[j], shift.at(j), lo[j], hi[j]);
+        scratch.events.push(l);
+        // An upper event at +∞ is never crossed: a pivot there would fold
+        // an infinite intercept into the search.
+        if u.v != f64::INFINITY {
+            scratch.events.push(u);
+        }
     }
     select_events(scratch, sum_lo, mode, FlatPolicy::BoundedMatch)
 }
@@ -2674,6 +2680,57 @@ mod tests {
             let sum: f64 = x2.iter().sum();
             prop_assert!((sum - total).abs() <= 1e-6 * (1.0 + total.abs()));
             let _ = r2;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Bounds `[0, +∞)` make the boxed subproblem the nonnegative one,
+        /// so each kernel must return the plain kernel's λ: sort-scan bit
+        /// for bit, quickselect to 1e-12 relative. Upper events at `+∞`
+        /// are never crossed; a selection that pivots on one folds an
+        /// infinite intercept and answers `Ok` with λ = −√f64::MAX.
+        #[test]
+        fn infinite_upper_bounds_match_the_plain_kernel(
+            n in 1usize..200,
+            seed in 0u64..4000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x1AF1);
+            let q: Vec<f64> = (0..n).map(|_| rng.random_range(-5.0..10.0)).collect();
+            let gamma: Vec<f64> = (0..n).map(|_| rng.random_range(0.1..1.1)).collect();
+            let shift: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
+            let mode = if seed % 2 == 0 {
+                TotalMode::Fixed { total: rng.random_range(0.0..40.0) }
+            } else {
+                TotalMode::Elastic {
+                    alpha: rng.random_range(0.05..5.0),
+                    prior: rng.random_range(-5.0..30.0),
+                    cross: rng.random_range(-2.0..2.0),
+                }
+            };
+            let (lo, hi) = (vec![0.0; n], vec![f64::INFINITY; n]);
+            let mut x = vec![0.0; n];
+            let mut sc = EquilibrationScratch::new();
+            for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+                let plain = exact_equilibration_with(kernel, &q, &gamma, &shift, mode, &mut x, &mut sc)
+                    .unwrap()
+                    .lambda;
+                let boxed = exact_equilibration_boxed_with(
+                    kernel, &q, &gamma, &shift, &lo, &hi, mode, &mut x, &mut sc,
+                )
+                .unwrap()
+                .lambda;
+                if kernel == KernelKind::SortScan {
+                    prop_assert_eq!(boxed.to_bits(), plain.to_bits(), "sort-scan λ {} vs {}", boxed, plain);
+                } else {
+                    prop_assert!(
+                        (boxed - plain).abs() <= 1e-12 * (1.0 + plain.abs()),
+                        "quickselect λ {} vs {}", boxed, plain
+                    );
+                }
+            }
         }
     }
 }
