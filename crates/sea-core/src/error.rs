@@ -70,8 +70,8 @@ pub enum SeaError {
     },
     /// An underlying linear-algebra error.
     Linalg(LinalgError),
-    /// Box-constrained problems require `lower ≤ upper` and bounds
-    /// compatible with the totals.
+    /// Box-constrained problems require `lower ≤ upper`, neither NaN, a
+    /// finite `lower`, and bounds compatible with the totals.
     InconsistentBounds {
         /// Flat index of the offending entry, if entry-level.
         index: usize,
@@ -141,7 +141,7 @@ impl fmt::Display for SeaError {
                 upper,
             } => write!(
                 f,
-                "inconsistent bounds at entry {index}: lower {lower} > upper {upper}"
+                "inconsistent bounds at entry {index}: lower {lower}, upper {upper} (need a finite lower ≤ upper)"
             ),
             SeaError::PatternMismatch { context } => {
                 write!(f, "sparse pattern mismatch in {context}")

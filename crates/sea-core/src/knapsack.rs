@@ -918,7 +918,8 @@ fn clamp_to_segment(root: f64, seg_lo: f64, seg_hi: f64) -> f64 {
 ///
 /// # Errors
 /// * [`SeaError::Shape`] on length mismatches.
-/// * [`SeaError::InconsistentBounds`] if some `loⱼ > hiⱼ`.
+/// * [`SeaError::InconsistentBounds`] if some `loⱼ > hiⱼ`, either bound is
+///   NaN, or `loⱼ` is infinite.
 /// * [`SeaError::InfeasibleSubproblem`] if the fixed total lies outside
 ///   `[Σ lo, Σ hi]`.
 #[allow(clippy::too_many_arguments)]
@@ -1015,7 +1016,9 @@ pub(crate) fn exact_equilibration_boxed_hinted(
         Some(sums) => sums,
         None => {
             for j in 0..n {
-                if lo[j] > hi[j] {
+                // A NaN bound fails `lo ≤ hi`. An upper bound may be +∞
+                // (its event is never crossed); a lower bound must be finite.
+                if !(lo[j] <= hi[j] && lo[j].is_finite()) {
                     return Err(SeaError::InconsistentBounds {
                         index: j,
                         lower: lo[j],
@@ -1527,6 +1530,62 @@ mod tests {
                 upper,
             }) if lower == 2.0 && upper == 1.0
         ));
+    }
+
+    /// Both kernels' answers to a boxed subproblem with bounds `lo`, `hi`.
+    fn boxed_both_kernels(
+        lo: [f64; 2],
+        hi: [f64; 2],
+    ) -> Vec<Result<EquilibrationResult, SeaError>> {
+        let mut x = [0.0; 2];
+        let mut sc = EquilibrationScratch::new();
+        [KernelKind::SortScan, KernelKind::Quickselect]
+            .map(|kernel| {
+                exact_equilibration_boxed_with(
+                    kernel,
+                    &[1.0, 2.0],
+                    &[1.0, 1.0],
+                    &[0.0, 0.0],
+                    &lo,
+                    &hi,
+                    TotalMode::Fixed { total: 9.0 },
+                    &mut x,
+                    &mut sc,
+                )
+            })
+            .to_vec()
+    }
+
+    #[test]
+    fn boxed_rejects_a_nan_lower_bound() {
+        for r in boxed_both_kernels([f64::NAN, 0.0], [5.0, 5.0]) {
+            assert!(
+                matches!(r, Err(SeaError::InconsistentBounds { index: 0, lower, upper: 5.0 }) if lower.is_nan()),
+                "{r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn boxed_rejects_a_nan_upper_bound() {
+        for r in boxed_both_kernels([0.0, 0.0], [5.0, f64::NAN]) {
+            assert!(
+                matches!(r, Err(SeaError::InconsistentBounds { index: 1, lower: 0.0, upper }) if upper.is_nan()),
+                "{r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn boxed_rejects_an_infinite_lower_bound() {
+        for lower in [f64::NEG_INFINITY, f64::INFINITY] {
+            for r in boxed_both_kernels([lower, 0.0], [f64::INFINITY, 5.0]) {
+                assert!(
+                    matches!(r, Err(SeaError::InconsistentBounds { index: 0, .. })),
+                    "lower {lower}: {r:?}"
+                );
+            }
+        }
     }
 
     #[test]
