@@ -29,8 +29,8 @@
 
 use crate::error::SeaError;
 use crate::knapsack::{
-    exact_equilibration_boxed_hinted, exact_equilibration_hinted, EquilibrationScratch,
-    IndexedShift, KernelKind, Shift, TotalMode,
+    empty_subproblem, exact_equilibration_hinted, Bounds, EquilibrationScratch, IndexedShift,
+    Interval, KernelKind, Shift, TotalMode, Unbounded,
 };
 use crate::parallel::Parallelism;
 use crate::storage::{RowView, Storage};
@@ -210,18 +210,15 @@ impl<'a, S: Storage> PassBounds<'a, S> {
         Self { lo, hi, sums }
     }
 
-    /// Row `i`'s `(lo, hi)` slices and their sums.
-    fn row(&self, i: usize) -> BoxRow<'_> {
-        (
-            &self.lo.values()[self.lo.row_range(i)],
-            &self.hi.values()[self.hi.row_range(i)],
-            self.sums[i],
-        )
+    /// Row `i`'s bounds and their sums.
+    fn row(&self, i: usize) -> Interval<'_> {
+        Interval {
+            lo: &self.lo.values()[self.lo.row_range(i)],
+            hi: &self.hi.values()[self.hi.row_range(i)],
+            sums: self.sums[i],
+        }
     }
 }
-
-/// One subproblem's bounds: `(lo, hi, (Σ lo, Σ hi))`.
-type BoxRow<'a> = (&'a [f64], &'a [f64], (f64, f64));
 
 /// Inputs shared by every subproblem of a pass, in "row orientation".
 pub struct PassInputs<'a, S: Storage> {
@@ -277,8 +274,7 @@ impl<S: Storage> PassInputs<'_, S> {
     }
 }
 
-/// Run the configured kernel on one subproblem — the box-bounded variant
-/// when `bounds` carries the subproblem's bounds, else the plain kernel —
+/// Run the configured kernel on one subproblem within its `bounds`,
 /// started from `hint` ([`PassInputs::hint`]), writing the entries
 /// to `x` when the pass keeps its iterate; on a
 /// pathological result (non-finite `λ` or total — or a scripted kernel
@@ -293,28 +289,15 @@ fn kernel_solve(
     q: &[f64],
     g: &[f64],
     sh: impl Shift,
-    bounds: Option<BoxRow<'_>>,
+    bounds: impl Bounds,
     mode: TotalMode,
     hint: Option<f64>,
     mut x: Option<&mut [f64]>,
     eq: &mut EquilibrationScratch,
     fallbacks: &mut u64,
 ) -> Result<(f64, f64), SeaError> {
-    let mut solve = |kernel| match bounds {
-        None => exact_equilibration_hinted(kernel, q, g, sh, mode, hint, x.as_deref_mut(), eq),
-        Some((lo, hi, sums)) => exact_equilibration_boxed_hinted(
-            kernel,
-            q,
-            g,
-            sh,
-            lo,
-            hi,
-            Some(sums),
-            mode,
-            hint,
-            x.as_deref_mut(),
-            eq,
-        ),
+    let mut solve = |kernel| {
+        exact_equilibration_hinted(kernel, q, g, sh, bounds, mode, hint, x.as_deref_mut(), eq)
     };
     let r = solve(kernel)?;
     let pathological = force_fallback || !r.lambda.is_finite() || !r.total.is_finite();
@@ -326,35 +309,18 @@ fn kernel_solve(
     Ok((r.lambda, r.total))
 }
 
-/// Shared semantics for a subproblem with no active entries: the iterate
-/// stays zero, a positive fixed total is infeasible, and an elastic total
-/// settles at its unconstrained optimum. A box-bounded subproblem may have
-/// a total of either sign, so there only `|total| ≤ 10⁻⁹` is attainable —
-/// the tolerance bounded validation applies to its margin sums.
+/// A subproblem with no support: the iterate stays zero, and the kernel's
+/// one rule for an empty subproblem ([`empty_subproblem`]) gives λ and the
+/// total, without counting a kernel solve.
 fn empty_support_result(
+    bounds: impl Bounds,
     mode: TotalMode,
-    bounded: bool,
     side: &'static str,
     i: usize,
 ) -> Result<(f64, f64), SeaError> {
-    match mode {
-        TotalMode::Fixed { total } => {
-            let infeasible = if bounded {
-                total.abs() > 1e-9
-            } else {
-                total > 0.0
-            };
-            if infeasible {
-                return Err(SeaError::InfeasibleSubproblem { side, index: i });
-            }
-            Ok((0.0, 0.0))
-        }
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => Ok((2.0 * alpha * prior - cross, 0.0)),
-    }
+    empty_subproblem(bounds, mode)
+        .map(|r| (r.lambda, r.total))
+        .map_err(|e| locate(e, side, i))
 }
 
 /// Re-attribute a kernel's infeasibility error to this pass's side and
@@ -377,10 +343,12 @@ fn gather(src: &[f64], idx: &[u32], out: &mut Vec<f64>) {
 /// iterate's stored values for this row: length `n` dense, support size for
 /// CSR). A CSR row or a support list reads the shift through its column
 /// index; nothing gathers it. `hint` is the quickselect kernel's starting
-/// point ([`PassInputs::hint`]).
+/// point ([`PassInputs::hint`]); `bounds` are the row's entry bounds.
+#[allow(clippy::too_many_arguments)] // pass inputs + subproblem + bounds + output + workspace
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,
+    bounds: impl Bounds,
     mode: TotalMode,
     hint: Option<f64>,
     x_row: Option<&mut [f64]>,
@@ -395,9 +363,6 @@ fn solve_task<S: Storage>(
         }
         _ => false,
     };
-    // Bounds share the prior's orientation and pattern, so their stored
-    // values for row `i` line up with the prior row entry by entry.
-    let bounds = inp.bounds.map(|b| b.row(i));
     let TaskScratch {
         eq,
         q: q_buf,
@@ -412,7 +377,7 @@ fn solve_task<S: Storage>(
         // in place.
         (RowView::Indexed { idx, vals: q }, RowView::Indexed { vals: g, .. }) => {
             if idx.is_empty() {
-                return empty_support_result(mode, bounds.is_some(), inp.side, i);
+                return empty_support_result(bounds, mode, inp.side, i);
             }
             let sh = IndexedShift {
                 src: inp.shift,
@@ -450,7 +415,7 @@ fn solve_task<S: Storage>(
             Some(support) => {
                 // Box-bounded problems carry any support in a sparse
                 // pattern; dense support lists only come with `x ≥ 0`.
-                if bounds.is_some() {
+                if inp.bounds.is_some() {
                     return Err(SeaError::PatternMismatch {
                         context: "pass inputs (bounds with dense support lists)",
                     });
@@ -461,7 +426,7 @@ fn solve_task<S: Storage>(
                     if let Some(row) = x_row {
                         row.fill(0.0);
                     }
-                    return empty_support_result(mode, false, inp.side, i);
+                    return empty_support_result(Unbounded, mode, inp.side, i);
                 }
                 gather(prior_row, idx, q_buf);
                 gather(gamma_row, idx, g_buf);
@@ -482,7 +447,7 @@ fn solve_task<S: Storage>(
                     q_buf,
                     g_buf,
                     sh,
-                    None,
+                    Unbounded,
                     mode,
                     hint,
                     x_k,
@@ -520,8 +485,11 @@ fn run_task<S: Storage>(
     x_row: Option<&mut [f64]>,
     scratch: &mut TaskScratch,
 ) -> Result<(f64, f64), SeaError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_task(inp, i, mode, hint, x_row, scratch)
+    // Bounds share the prior's orientation and pattern, so their stored
+    // values for row `i` line up with the prior row entry by entry.
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match inp.bounds {
+        None => solve_task(inp, i, Unbounded, mode, hint, x_row, scratch),
+        Some(b) => solve_task(inp, i, b.row(i), mode, hint, x_row, scratch),
     })) {
         Ok(r) => r,
         Err(payload) => {

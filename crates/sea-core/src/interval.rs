@@ -5,7 +5,8 @@
 //! `loᵢⱼ ≤ xᵢⱼ ≤ hiᵢⱼ` (interval constraints on the estimates). The SEA
 //! machinery carries over unchanged: each row/column subproblem becomes a
 //! box-bounded continuous quadratic knapsack, still solvable exactly by a
-//! breakpoint sweep ([`crate::knapsack::exact_equilibration_boxed`]), and
+//! breakpoint sweep ([`crate::knapsack::exact_equilibration`] given the
+//! bounds; the passes run it generic over `knapsack::Interval`), and
 //! the solve runs the diagonal driver's own loop ([`crate::solver`]) with
 //! the bounds handed to its passes.
 

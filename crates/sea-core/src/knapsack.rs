@@ -28,19 +28,22 @@
 //!   where `cross` is 0 for the unknown-totals problem and the transpose
 //!   multiplier for the SAM problem.
 //!
-//! A box-bounded variant ([`exact_equilibration_boxed`]) supports the
+//! The same kernel solves the box-bounded subproblem `loⱼ ≤ xⱼ ≤ hiⱼ` of the
 //! Ohuchi–Kaji (1984) bounded model and Harrigan–Buchanan (1984) interval
-//! constraints.
+//! constraints: [`exact_equilibration`] takes the bounds as an argument.
+//! Inside the crate the kernel is generic over the box (`Bounds`), and each
+//! routine is compiled once for `Unbounded` (`x ≥ 0`: one breakpoint per
+//! entry) and once for `Interval` (a breakpoint at each bound). An upper
+//! bound of `+∞` has no breakpoint the search can cross.
 //!
-//! Passes call the crate-internal entries `exact_equilibration_hinted`
-//! and `exact_equilibration_boxed_hinted`. They read the shift in place
-//! or through a sparse row's column index (`Shift`), and start the
-//! quickselect kernel from the subproblem's previous multiplier. The warm
-//! test (`warm_segment`, `warm_boxed_segment`) computes each entry's
-//! breakpoints in registers in one pass over the row; only on a miss does
-//! the kernel fill its event array and select. A pass that keeps no
-//! iterate passes no output row, and the plain kernel then returns λ and
-//! the total without materializing the entries.
+//! Passes call the crate-internal entry `exact_equilibration_hinted`. It
+//! reads the shift in place or through a sparse row's column index
+//! (`Shift`), and starts the quickselect kernel from the subproblem's
+//! previous multiplier. The warm test (`warm_segment`) computes each
+//! entry's breakpoints in registers in one pass over the row; only on a
+//! miss does the kernel fill its event array and select. A pass that keeps
+//! no iterate passes no output row, and the unbounded kernel then returns λ
+//! and the total without materializing the entries.
 
 use crate::error::SeaError;
 use sea_linalg::sort;
@@ -137,39 +140,321 @@ struct SelectEvent {
     db: f64,
 }
 
-/// Entry `(q, γ, shift)`'s one event in the plain kernel. The warm test
-/// and the event fill both build events here, so they see the same bits.
-#[inline(always)]
-fn plain_event(qj: f64, gj: f64, sj: f64) -> SelectEvent {
-    let inv2g = 1.0 / (2.0 * gj);
-    SelectEvent {
-        v: -2.0 * gj * qj - sj,
-        // Crossing the breakpoint activates xⱼ(λ) = daⱼ + λ·dbⱼ.
-        da: qj + sj * inv2g,
-        db: inv2g,
+/// The box every entry of a subproblem lives in. The kernel is generic over
+/// it and compiled once per implementation, so each keeps its own exact
+/// operations: [`Unbounded`] is the paper's `x ≥ 0`, [`Interval`] the box
+/// `lo ≤ x ≤ hi`.
+pub(crate) trait Bounds: Copy {
+    /// Whether entries have upper bounds, and so a second event each.
+    const UPPER: bool;
+
+    /// Check that the bounds cover the subproblem's `n` entries.
+    fn check_len(self, n: usize) -> Result<(), SeaError>;
+
+    /// The bounds of the first `n` entries, so that loops over `0..n` read
+    /// them without bounds checks.
+    fn prefix(self, n: usize) -> Self;
+
+    /// Whether no point of the box sums to the fixed `total` (`n` entries).
+    fn out_of_reach(self, n: usize, total: f64) -> bool;
+
+    /// `Σ loⱼ`: the entries' sum left of every breakpoint.
+    fn base(self) -> f64;
+
+    /// Entry `k`'s lower bound and its breakpoint, the λ at which the entry
+    /// leaves that bound.
+    fn lower(self, k: usize, qj: f64, gj: f64, sj: f64) -> (f64, f64);
+
+    /// Entry `k`'s upper bound, `+∞` when it has none.
+    fn upper(self, k: usize) -> f64;
+
+    /// Fixed mode on a flat segment (zero slope, every entry at a bound):
+    /// whether the entries' sum `a` already meets `total`.
+    fn flat_solves(a: f64, total: f64) -> bool;
+
+    /// Sort-scan's multiplier for the root `c` it accepted on the segment
+    /// that starts at `seg_lo`.
+    fn settle(c: f64, seg_lo: f64) -> f64;
+
+    /// The search's λ, or what a non-finite one means for these bounds.
+    fn finite_lambda(self, lambda: f64, mode: TotalMode) -> Result<f64, SeaError>;
+
+    /// Write the entries `xⱼ(λ)` to `x_out` and return how many lie strictly
+    /// inside their box. `total` is the realized total.
+    #[allow(clippy::too_many_arguments)] // kernel inputs + λ + total + output + counters
+    fn materialize(
+        self,
+        q: &[f64],
+        gamma: &[f64],
+        shift: impl Shift,
+        lambda: f64,
+        total: f64,
+        x_out: Option<&mut [f64]>,
+        stats: &mut KernelCounters,
+    ) -> usize;
+}
+
+/// `xⱼ ≥ 0`: one breakpoint `−2γⱼqⱼ − shiftⱼ` per entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Unbounded;
+
+impl Bounds for Unbounded {
+    const UPPER: bool = false;
+
+    fn check_len(self, _: usize) -> Result<(), SeaError> {
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn prefix(self, _: usize) -> Self {
+        self
+    }
+
+    fn out_of_reach(self, n: usize, total: f64) -> bool {
+        n == 0 && total > 0.0
+    }
+
+    fn base(self) -> f64 {
+        0.0
+    }
+
+    #[inline(always)]
+    fn lower(self, _: usize, qj: f64, gj: f64, sj: f64) -> (f64, f64) {
+        // Not `2γ(0 − q) − s`, which can differ in the sign of a zero.
+        (0.0, -2.0 * gj * qj - sj)
+    }
+
+    #[inline(always)]
+    fn upper(self, _: usize) -> f64 {
+        f64::INFINITY
+    }
+
+    /// The slope is zero only left of every breakpoint, where every entry
+    /// is zero: a solution iff `total ≤ 0`.
+    fn flat_solves(_: f64, total: f64) -> bool {
+        total <= 0.0
+    }
+
+    /// Crossing a breakpoint only adds slope, so the root stays put.
+    fn settle(c: f64, _: f64) -> f64 {
+        c
+    }
+
+    /// A fixed positive total with every segment exhausted; only `n == 0`
+    /// can do that, and it is answered before the search — defensive.
+    fn finite_lambda(self, lambda: f64, _: TotalMode) -> Result<f64, SeaError> {
+        if lambda.is_finite() {
+            Ok(lambda)
+        } else {
+            Err(SeaError::NumericalBreakdown { iteration: 0 })
+        }
+    }
+
+    /// Without an output row only λ and the total are wanted: nothing is
+    /// computed and `active` is 0.
+    fn materialize(
+        self,
+        q: &[f64],
+        gamma: &[f64],
+        shift: impl Shift,
+        lambda: f64,
+        total: f64,
+        x_out: Option<&mut [f64]>,
+        _: &mut KernelCounters,
+    ) -> usize {
+        let Some(x_out) = x_out else {
+            return 0;
+        };
+        let mut sum = 0.0;
+        let mut active = 0usize;
+        for j in 0..q.len() {
+            let v = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
+            let v = if v > 0.0 { v } else { 0.0 };
+            if v > 0.0 {
+                active += 1;
+            }
+            x_out[j] = v;
+            sum += v;
+        }
+
+        // Absorb the residual rounding error into the largest entries so the
+        // constraint holds to near machine precision (keeps downstream
+        // convergence checks honest). Proportional correction preserves
+        // nonnegativity.
+        let err = total - sum;
+        if err != 0.0 && sum > 0.0 && err.abs() > 0.0 {
+            let scale = total / sum;
+            if scale.is_finite() && scale > 0.0 {
+                for v in x_out.iter_mut() {
+                    *v *= scale;
+                }
+            }
+        }
+        active
     }
 }
 
-/// Entry `(q, γ, shift, lo, hi)`'s `(lower, upper)` event pair in the boxed
-/// kernel, shared by the warm test and the event fill like [`plain_event`].
+/// `loⱼ ≤ xⱼ ≤ hiⱼ`, with `sums = (Σ lo, Σ hi)` as `iter().sum()` gives
+/// them: two breakpoints per entry, and none at an upper bound of `+∞`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Interval<'a> {
+    pub(crate) lo: &'a [f64],
+    pub(crate) hi: &'a [f64],
+    pub(crate) sums: (f64, f64),
+}
+
+impl<'a> Interval<'a> {
+    /// Check every entry's bounds and sum them. A NaN bound fails
+    /// `lo ≤ hi`; an upper bound may be `+∞`, a lower one must be finite.
+    ///
+    /// # Errors
+    /// [`SeaError::InconsistentBounds`] for the first entry that fails.
+    pub(crate) fn new(lo: &'a [f64], hi: &'a [f64]) -> Result<Self, SeaError> {
+        for (index, (&lower, &upper)) in lo.iter().zip(hi).enumerate() {
+            if !(lower <= upper && lower.is_finite()) {
+                return Err(SeaError::InconsistentBounds {
+                    index,
+                    lower,
+                    upper,
+                });
+            }
+        }
+        Ok(Self {
+            lo,
+            hi,
+            sums: (lo.iter().sum(), hi.iter().sum()),
+        })
+    }
+}
+
+impl Bounds for Interval<'_> {
+    const UPPER: bool = true;
+
+    fn check_len(self, n: usize) -> Result<(), SeaError> {
+        if self.lo.len() != n || self.hi.len() != n {
+            return Err(SeaError::Shape {
+                context: "exact_equilibration bounds",
+                expected: n,
+                actual: self.lo.len().min(self.hi.len()),
+            });
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn prefix(self, n: usize) -> Self {
+        Self {
+            lo: &self.lo[..n],
+            hi: &self.hi[..n],
+            sums: self.sums,
+        }
+    }
+
+    fn out_of_reach(self, _: usize, total: f64) -> bool {
+        let (sum_lo, sum_hi) = self.sums;
+        let span = (sum_hi - sum_lo).abs().max(1.0);
+        total < sum_lo - 1e-9 * span || total > sum_hi + 1e-9 * span
+    }
+
+    fn base(self) -> f64 {
+        self.sums.0
+    }
+
+    #[inline(always)]
+    fn lower(self, k: usize, qj: f64, gj: f64, sj: f64) -> (f64, f64) {
+        let lj = self.lo[k];
+        (lj, 2.0 * gj * (lj - qj) - sj)
+    }
+
+    #[inline(always)]
+    fn upper(self, k: usize) -> f64 {
+        self.hi[k]
+    }
+
+    /// Flat segments occur anywhere every entry is pinned at a bound.
+    fn flat_solves(a: f64, total: f64) -> bool {
+        (a - total).abs() <= 1e-12 * total.abs().max(1.0)
+    }
+
+    /// An entry saturating at its upper bound takes its slope back, so the
+    /// slope can cancel to a ±ε residue and the division can fling the root
+    /// far from the segment that holds it: clamp it there.
+    fn settle(c: f64, seg_lo: f64) -> f64 {
+        c.max(seg_lo)
+    }
+
+    /// A fixed total attained only at an extreme: clamp to `±√f64::MAX`.
+    fn finite_lambda(self, lambda: f64, mode: TotalMode) -> Result<f64, SeaError> {
+        Ok(if lambda.is_finite() {
+            lambda
+        } else {
+            match mode {
+                TotalMode::Fixed { total } if total >= self.sums.1 => f64::MAX.sqrt(),
+                _ => -f64::MAX.sqrt(),
+            }
+        })
+    }
+
+    /// Every entry is clamped, with or without an output row, because the
+    /// clamps are counted (`boxed_clamps`).
+    fn materialize(
+        self,
+        q: &[f64],
+        gamma: &[f64],
+        shift: impl Shift,
+        lambda: f64,
+        _: f64,
+        mut x_out: Option<&mut [f64]>,
+        stats: &mut KernelCounters,
+    ) -> usize {
+        let n = q.len();
+        let mut active = 0usize;
+        for j in 0..n {
+            let raw = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
+            let v = raw.clamp(self.lo[j], self.hi[j]);
+            if v > self.lo[j] && v < self.hi[j] {
+                active += 1;
+            }
+            if let Some(x) = x_out.as_deref_mut() {
+                x[j] = v;
+            }
+        }
+        stats.boxed_clamps += (n - active) as u64;
+        active
+    }
+}
+
+/// Entry `k`'s breakpoint events: leaving its lower bound, and, when the
+/// bounds have upper ones ([`Bounds::UPPER`]), saturating at its upper
+/// bound. An upper event at `+∞` is never crossed: the warm test never
+/// counts it below the hint and the fill leaves it out of the selection.
+/// The warm test and the event fills all build events here, so they see the
+/// same bits.
 #[inline(always)]
-fn boxed_events(qj: f64, gj: f64, sj: f64, lj: f64, hj: f64) -> [SelectEvent; 2] {
+fn entry_events<B: Bounds>(
+    bounds: B,
+    k: usize,
+    qj: f64,
+    gj: f64,
+    sj: f64,
+) -> (SelectEvent, SelectEvent) {
     let inv2g = 1.0 / (2.0 * gj);
     let interior = qj + sj * inv2g;
-    [
-        SelectEvent {
-            v: 2.0 * gj * (lj - qj) - sj,
-            // Leaving the lower bound swaps loⱼ for the interior response.
-            da: interior - lj,
-            db: inv2g,
-        },
-        SelectEvent {
-            v: 2.0 * gj * (hj - qj) - sj,
-            // Saturating at the upper bound freezes the response at hiⱼ.
-            da: hj - interior,
-            db: -inv2g,
-        },
-    ]
+    let (lj, v) = bounds.lower(k, qj, gj, sj);
+    // Crossing it swaps loⱼ for the interior response interior + λ·inv2g.
+    let lower = SelectEvent {
+        v,
+        da: interior - lj,
+        db: inv2g,
+    };
+    let hj = bounds.upper(k);
+    // Crossing it freezes the response at hiⱼ.
+    let upper = SelectEvent {
+        v: 2.0 * gj * (hj - qj) - sj,
+        da: hj - interior,
+        db: -inv2g,
+    };
+    (lower, upper)
 }
 
 /// The opposite side's multipliers as one subproblem reads them: entry `k`
@@ -218,11 +503,10 @@ impl Shift for IndexedShift<'_> {
 /// allocation-free regardless of kernel.
 #[derive(Debug, Default, Clone)]
 pub struct EquilibrationScratch {
+    /// Sort-scan's argsort keys: its events' breakpoints.
     breakpoints: Vec<f64>,
     order: Vec<u32>,
-    /// Second event array for the boxed variant.
-    events_hi: Vec<f64>,
-    /// Breakpoint events for the quickselect kernel (plain and boxed).
+    /// Breakpoint events, up to two per entry.
     events: Vec<SelectEvent>,
     /// Cumulative work counters across every solve that used this scratch
     /// (subproblems, breakpoint segments swept, quickselect partition
@@ -240,7 +524,7 @@ impl EquilibrationScratch {
 
     fn prepare(&mut self, n: usize) {
         self.breakpoints.clear();
-        self.breakpoints.reserve(n);
+        self.breakpoints.reserve(2 * n);
         self.order.clear();
         self.order.reserve(2 * n);
         self.events.clear();
@@ -273,6 +557,7 @@ fn validate_inputs(
     q: &[f64],
     gamma: &[f64],
     shift: impl Shift,
+    bounds: impl Bounds,
     x_out: Option<&[f64]>,
 ) -> Result<(), SeaError> {
     let n = q.len();
@@ -297,26 +582,36 @@ fn validate_inputs(
             actual: x_out.len(),
         });
     }
-    Ok(())
+    bounds.check_len(n)
 }
 
 /// Solve the single-constraint subproblem by exact equilibration.
 ///
 /// `q` are the priors, `gamma` the strictly positive quadratic weights,
 /// `shift` the opposite-side multipliers, `mode` the total specification.
+/// `bounds` is `None` for the subproblem's `xⱼ ≥ 0`, or `Some((lo, hi))`
+/// for the box `loⱼ ≤ xⱼ ≤ hiⱼ` of the Ohuchi–Kaji (1984) bounded model and
+/// the Harrigan–Buchanan (1984) interval constraints, where the entry is
+/// `clamp(qⱼ + (shiftⱼ + λ)/(2γⱼ), loⱼ, hiⱼ)`. An upper bound may be `+∞`.
 /// The optimal entries are written to `x_out`.
 ///
+/// [`KernelKind::SortScan`] is the reference oracle; [`KernelKind::Quickselect`]
+/// locates the same root segment by in-place selection in expected linear
+/// time. Both write the same solution (to floating-point roundoff).
+///
 /// ```
-/// use sea_core::knapsack::{exact_equilibration, EquilibrationScratch, TotalMode};
+/// use sea_core::knapsack::{exact_equilibration, EquilibrationScratch, KernelKind, TotalMode};
 ///
 /// // Spread a total of 9 across priors (1, 2, 3) with unit weights:
 /// // every entry shifts by +1.
 /// let mut x = [0.0; 3];
 /// let mut scratch = EquilibrationScratch::new();
 /// let r = exact_equilibration(
+///     KernelKind::SortScan,
 ///     &[1.0, 2.0, 3.0],
 ///     &[1.0, 1.0, 1.0],
 ///     &[0.0, 0.0, 0.0],
+///     None,
 ///     TotalMode::Fixed { total: 9.0 },
 ///     &mut x,
 ///     &mut scratch,
@@ -327,61 +622,57 @@ fn validate_inputs(
 ///
 /// # Errors
 /// * [`SeaError::Shape`] on length mismatches.
-/// * [`SeaError::InfeasibleSubproblem`] for a fixed positive total with no
-///   entries.
+/// * [`SeaError::InconsistentBounds`] if some `loⱼ > hiⱼ`, either bound is
+///   NaN, or `loⱼ` is infinite.
+/// * [`SeaError::InfeasibleSubproblem`] if the fixed total is out of reach:
+///   positive with no entries, or outside `[Σ lo, Σ hi]`.
 /// * [`SeaError::NonPositiveWeight`] if any `gamma` (or elastic `alpha`) is
 ///   not strictly positive (checked in debug and on the slow path).
+#[allow(clippy::too_many_arguments)] // kernel + inputs + bounds + output + workspace
 pub fn exact_equilibration(
-    q: &[f64],
-    gamma: &[f64],
-    shift: &[f64],
-    mode: TotalMode,
-    x_out: &mut [f64],
-    scratch: &mut EquilibrationScratch,
-) -> Result<EquilibrationResult, SeaError> {
-    exact_equilibration_with(KernelKind::SortScan, q, gamma, shift, mode, x_out, scratch)
-}
-
-/// [`exact_equilibration`] with an explicit kernel choice.
-///
-/// [`KernelKind::SortScan`] is the reference oracle; [`KernelKind::Quickselect`]
-/// locates the same root segment by in-place selection in expected linear
-/// time. Both write the same solution (to floating-point roundoff).
-///
-/// # Errors
-/// Same contract as [`exact_equilibration`].
-pub fn exact_equilibration_with(
     kernel: KernelKind,
     q: &[f64],
     gamma: &[f64],
     shift: &[f64],
+    bounds: Option<(&[f64], &[f64])>,
     mode: TotalMode,
     x_out: &mut [f64],
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
-    exact_equilibration_hinted(kernel, q, gamma, shift, mode, None, Some(x_out), scratch)
+    let x_out = Some(x_out);
+    match bounds {
+        None => exact_equilibration_hinted(
+            kernel, q, gamma, shift, Unbounded, mode, None, x_out, scratch,
+        ),
+        Some((lo, hi)) => {
+            let bounds = Interval::new(lo, hi)?;
+            exact_equilibration_hinted(kernel, q, gamma, shift, bounds, mode, None, x_out, scratch)
+        }
+    }
 }
 
-/// [`exact_equilibration_with`] for a pass: warm-started from `hint`, the
+/// [`exact_equilibration`] for a pass: warm-started from `hint`, the
 /// subproblem's previous multiplier, with `shift` read in place or through
-/// a column index, and the iterate optional. The quickselect kernel first
-/// tries the segment holding `hint` ([`warm_segment`]) and fills and
+/// a column index, and the iterate optional. An [`Interval`] here carries
+/// sums the caller computed, and its bounds are not checked again (as
+/// [`crate::BoundedProblem::new`] already did). The quickselect kernel
+/// first tries the segment holding `hint` ([`warm_segment`]) and fills and
 /// searches its events only when the root lies elsewhere; sort-scan ignores
-/// the hint. Given no `x_out`, only λ and the total are computed: the
-/// materialization and rounding-correction loops are skipped, and the
-/// result's `active` is 0.
-#[allow(clippy::too_many_arguments)] // kernel inputs + hint + output + workspace
-pub(crate) fn exact_equilibration_hinted(
+/// the hint. What is computed without `x_out` is up to the bounds
+/// ([`Bounds::materialize`]).
+#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + hint + output + workspace
+pub(crate) fn exact_equilibration_hinted<B: Bounds>(
     kernel: KernelKind,
     q: &[f64],
     gamma: &[f64],
     shift: impl Shift,
+    bounds: B,
     mode: TotalMode,
     hint: Option<f64>,
     x_out: Option<&mut [f64]>,
     scratch: &mut EquilibrationScratch,
 ) -> Result<EquilibrationResult, SeaError> {
-    validate_inputs(q, gamma, shift, x_out.as_deref())?;
+    validate_inputs(q, gamma, shift, bounds, x_out.as_deref())?;
     let n = q.len();
     scratch.stats.subproblems += 1;
 
@@ -394,45 +685,23 @@ pub(crate) fn exact_equilibration_hinted(
             });
         }
     }
-
     if n == 0 {
-        return match mode {
-            TotalMode::Fixed { total } if total > 0.0 => Err(SeaError::InfeasibleSubproblem {
+        return empty_subproblem(bounds, mode);
+    }
+    if let TotalMode::Fixed { total } = mode {
+        if bounds.out_of_reach(n, total) {
+            return Err(SeaError::InfeasibleSubproblem {
                 side: "row",
                 index: 0,
-            }),
-            TotalMode::Fixed { .. } => Ok(EquilibrationResult {
-                lambda: 0.0,
-                total: 0.0,
-                active: 0,
-            }),
-            TotalMode::Elastic {
-                alpha,
-                prior,
-                cross,
-            } => {
-                // Only the elastic total remains: s = prior − (λ+cross)/(2α)
-                // with s = Σx = 0 ⇒ λ = 2α·prior − cross.
-                Ok(EquilibrationResult {
-                    lambda: 2.0 * alpha * prior - cross,
-                    total: 0.0,
-                    active: 0,
-                })
-            }
-        };
+            });
+        }
     }
 
     let lambda = match kernel {
-        KernelKind::SortScan => plain_lambda_sort_scan(q, gamma, shift, mode, scratch),
-        KernelKind::Quickselect => plain_lambda_quickselect(q, gamma, shift, mode, hint, scratch),
+        KernelKind::SortScan => lambda_sort_scan(q, gamma, shift, bounds, mode, scratch),
+        KernelKind::Quickselect => lambda_quickselect(q, gamma, shift, bounds, mode, hint, scratch),
     };
-
-    if !lambda.is_finite() {
-        // Fixed positive total but every segment exhausted: can only happen
-        // when b stays 0, i.e. n == 0 (handled above) — defensive.
-        return Err(SeaError::NumericalBreakdown { iteration: 0 });
-    }
-
+    let lambda = bounds.finite_lambda(lambda, mode)?;
     let total = match mode {
         TotalMode::Fixed { total } => total,
         TotalMode::Elastic {
@@ -441,45 +710,40 @@ pub(crate) fn exact_equilibration_hinted(
             cross,
         } => prior - (lambda + cross) / (2.0 * alpha),
     };
-    let Some(x_out) = x_out else {
-        return Ok(EquilibrationResult {
-            lambda,
-            total,
-            active: 0,
-        });
-    };
-
-    // Materialize the solution.
-    let mut sum = 0.0;
-    let mut active = 0usize;
-    for j in 0..n {
-        let v = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
-        let v = if v > 0.0 { v } else { 0.0 };
-        if v > 0.0 {
-            active += 1;
-        }
-        x_out[j] = v;
-        sum += v;
-    }
-
-    // Absorb the residual rounding error into the largest entries so the
-    // constraint holds to near machine precision (keeps downstream
-    // convergence checks honest). Proportional correction preserves
-    // nonnegativity.
-    let err = total - sum;
-    if err != 0.0 && sum > 0.0 && err.abs() > 0.0 {
-        let scale = total / sum;
-        if scale.is_finite() && scale > 0.0 {
-            for v in x_out.iter_mut() {
-                *v *= scale;
-            }
-        }
-    }
-
+    let active = bounds.materialize(q, gamma, shift, lambda, total, x_out, &mut scratch.stats);
     Ok(EquilibrationResult {
         lambda,
         total,
         active,
+    })
+}
+
+/// The one answer for a subproblem with no entries, whatever the kernel:
+/// the total is 0, so a fixed total out of reach of the empty box (`> 0`,
+/// or `|total| > 10⁻⁹` for an [`Interval`]) is infeasible, and an elastic
+/// total settles at `s = prior − (λ + cross)/(2α) = 0`.
+pub(crate) fn empty_subproblem<B: Bounds>(
+    bounds: B,
+    mode: TotalMode,
+) -> Result<EquilibrationResult, SeaError> {
+    let lambda = match mode {
+        TotalMode::Fixed { total } if bounds.out_of_reach(0, total) => {
+            return Err(SeaError::InfeasibleSubproblem {
+                side: "row",
+                index: 0,
+            })
+        }
+        TotalMode::Fixed { .. } => 0.0,
+        TotalMode::Elastic {
+            alpha,
+            prior,
+            cross,
+        } => 2.0 * alpha * prior - cross,
+    };
+    Ok(EquilibrationResult {
+        lambda,
+        total: 0.0,
+        active: 0,
     })
 }
 
@@ -497,42 +761,58 @@ fn elastic_constants(mode: TotalMode) -> (f64, f64) {
     }
 }
 
-/// Sort-based segment search for the nonnegative subproblem: argsort the
-/// breakpoints, then sweep segments left to right accumulating the active
-/// linear form. Returns NaN when no segment accepts (numerical breakdown;
-/// the caller reports it).
-fn plain_lambda_sort_scan(
+/// Sort-based segment search: argsort the breakpoint events, then sweep the
+/// segments left to right, each crossing adding its event's `(da, db)` to
+/// the linear form `f(λ) = a + b·λ`. Returns NaN when no segment accepts
+/// (the bounds say what that means, [`Bounds::finite_lambda`]).
+fn lambda_sort_scan<B: Bounds>(
     q: &[f64],
     gamma: &[f64],
     shift: impl Shift,
+    bounds: B,
     mode: TotalMode,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
     let n = q.len();
-    // Breakpoints bⱼ = −2γⱼqⱼ − shiftⱼ: entry j is active for λ > bⱼ.
+    let bounds = bounds.prefix(n);
     scratch.prepare(n);
-    for j in 0..n {
-        debug_assert!(gamma[j] > 0.0, "gamma must be strictly positive");
-        scratch
-            .breakpoints
-            .push(-2.0 * gamma[j] * q[j] - shift.at(j));
+    // Every lower event in entry order, then every upper event: the order
+    // the argsort sees ties in.
+    for k in 0..n {
+        debug_assert!(gamma[k] > 0.0, "gamma must be strictly positive");
+        let (lower, _) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
+        scratch.events.push(lower);
     }
-    scratch.order.resize(n, 0);
-    sort::identity_permutation(&mut scratch.order);
-    sort::argsort(&mut scratch.order, &scratch.breakpoints);
+    for k in (0..n).filter(|_| B::UPPER) {
+        let (_, upper) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
+        if upper.v != f64::INFINITY {
+            scratch.events.push(upper);
+        }
+    }
+    let EquilibrationScratch {
+        breakpoints,
+        order,
+        events,
+        stats,
+    } = scratch;
+    breakpoints.extend(events.iter().map(|e| e.v));
+    let len = events.len();
+    order.resize(len, 0);
+    sort::identity_permutation(order);
+    sort::argsort(order, breakpoints);
 
-    // Sweep the segments. Active prefix r contributes Σ (qⱼ + shiftⱼ/(2γⱼ))
-    // (accumulated in `a`) plus λ·Σ 1/(2γⱼ) (accumulated in `b`).
-    let mut a = 0.0_f64;
-    let mut b = 0.0_f64;
     let (el_slope, el_const) = elastic_constants(mode);
-
+    // Left of every event, each entry sits at its lower bound.
+    let mut a = bounds.base();
+    let mut b = 0.0_f64;
+    // Lower end of the current segment: the last event crossed.
+    let mut seg_lo = f64::NEG_INFINITY;
     let mut lambda = f64::NAN;
     let mut swept = 0u64;
-    for r in 0..=n {
+    for r in 0..=len {
         swept += 1;
-        let upper = if r < n {
-            scratch.breakpoints[scratch.order[r] as usize]
+        let upper = if r < len {
+            breakpoints[order[r] as usize]
         } else {
             f64::INFINITY
         };
@@ -542,11 +822,11 @@ fn plain_lambda_sort_scan(
             TotalMode::Fixed { total } => {
                 if b > 0.0 {
                     Some((total - a) / b)
-                } else if total <= 0.0 {
-                    // All entries zero is the solution; λ may sit anywhere
-                    // at or below the first breakpoint — report the
-                    // boundary (the largest valid multiplier).
-                    Some(if r < n { upper } else { 0.0 })
+                } else if B::flat_solves(a, total) {
+                    // λ may sit anywhere on the flat segment: report its
+                    // upper end, the largest valid multiplier, or past the
+                    // last event its lower end.
+                    Some(if r < len { upper } else { seg_lo })
                 } else {
                     None
                 }
@@ -555,73 +835,68 @@ fn plain_lambda_sort_scan(
         };
         if let Some(c) = cand {
             if c <= upper {
-                lambda = c;
+                lambda = B::settle(c, seg_lo);
                 break;
             }
         }
-        if r < n {
-            let j = scratch.order[r] as usize;
-            let inv2g = 1.0 / (2.0 * gamma[j]);
-            a += q[j] + shift.at(j) * inv2g;
-            b += inv2g;
+        if r < len {
+            let e = events[order[r] as usize];
+            a += e.da;
+            b += e.db;
+            seg_lo = upper;
         }
     }
-    scratch.stats.breakpoints_scanned += swept;
+    stats.breakpoints_scanned += swept;
     lambda
 }
 
-/// Selection kernel for the nonnegative subproblem: the warm segment first
-/// when a `hint` is given ([`warm_segment`]); else, or on a miss, one
-/// breakpoint event per entry, then [`select_events`]. A warm attempt, hit
-/// or miss, counts as one partition round: it is one pass over the entries,
-/// like a round. Returns NaN on breakdown.
-fn plain_lambda_quickselect(
+/// Selection kernel: the warm segment first when a `hint` is given
+/// ([`warm_segment`]); else, or on a miss, fill the breakpoint events (an
+/// entry's lower and upper events next to each other), then
+/// [`select_lambda`]. A warm attempt, hit or miss, counts as one partition
+/// round: it is one pass over the entries, like a round. Returns NaN when
+/// no segment accepts.
+fn lambda_quickselect<B: Bounds>(
     q: &[f64],
     gamma: &[f64],
     shift: impl Shift,
+    bounds: B,
     mode: TotalMode,
     hint: Option<f64>,
     scratch: &mut EquilibrationScratch,
 ) -> f64 {
+    let n = q.len();
     // Sized on hits too, so a miss after a run of hits finds its buffer.
-    scratch.prepare(q.len());
+    scratch.prepare(n);
     debug_assert!(
         gamma.iter().all(|&g| g > 0.0),
         "gamma must be strictly positive"
     );
     if let Some(h) = hint {
         scratch.stats.quickselect_pivots += 1;
-        if let Some(lambda) = warm_segment(q, gamma, shift, h, mode) {
+        if let Some(lambda) = warm_segment(q, gamma, shift, bounds, h, mode) {
             return lambda;
         }
     }
-    // `extend` over zipped slices: no per-event capacity checks.
-    let entries = q.iter().zip(gamma).enumerate();
-    scratch
-        .events
-        .extend(entries.map(|(k, (&qj, &gj))| plain_event(qj, gj, shift.at(k))));
-    select_events(scratch, 0.0, mode, FlatPolicy::NonnegativePrefix)
-}
-
-/// Locate λ over the filled event array by [`select_lambda`], with
-/// `base_a` and the kernel's `flat` rule. Returns NaN on breakdown.
-fn select_events(
-    scratch: &mut EquilibrationScratch,
-    base_a: f64,
-    mode: TotalMode,
-    flat: FlatPolicy,
-) -> f64 {
-    select_lambda(
+    let (gamma, bounds) = (&gamma[..n], bounds.prefix(n));
+    for k in 0..n {
+        let (lower, upper) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
+        scratch.events.push(lower);
+        // A pivot at +∞ would fold an infinite intercept into the search.
+        if B::UPPER && upper.v != f64::INFINITY {
+            scratch.events.push(upper);
+        }
+    }
+    select_lambda::<B>(
         &mut scratch.events,
-        base_a,
+        bounds.base(),
         mode,
-        flat,
         &mut scratch.stats.quickselect_pivots,
     )
     .unwrap_or(f64::NAN)
 }
 
-/// Lanes of the warm tests' accumulators: entry `k` goes to lane `k mod 4`.
+/// Lanes of the warm test's accumulators: entry `k` goes to lane `k mod 4`.
 /// Four interleaved sums break the loop-carried dependency of one running
 /// sum; the order is fixed, so every caller gets the same bits.
 const LANES: usize = 4;
@@ -689,85 +964,50 @@ impl Bracket {
 /// One-pass check of the segment that holds `hint` (SEA's previous
 /// multiplier for this subproblem, which moves little between iterations).
 ///
-/// Computes each entry's breakpoint and `(da, db)` ([`plain_event`]) in
-/// registers, sums the active linear form `f(λ) = a + b·λ` over the entries
-/// whose breakpoint is at or below `hint` while tracking the nearest
+/// Computes each entry's events ([`entry_events`]) in registers, sums the
+/// active linear form `f(λ) = Σ lo + a + b·λ` while tracking the nearest
 /// breakpoint on each side, solves `f(λ) = S(λ)` on that segment, and
-/// returns the root when it lies inside the bracket. `None` means the root
-/// is elsewhere (or, in fixed mode, the segment is flat), and the caller
-/// fills the events and runs the full selection. Every hint in the same
-/// segment sums the same entries in the same order, so all of them return
-/// the same bits. Any hint is safe: the bracket check, not the hint,
-/// decides acceptance.
-fn warm_segment(
+/// returns the root when it lies inside the bracket. The intercept sums
+/// `da` over every event at or below `hint`; the slope sums `db` only over
+/// entries strictly inside their box there (lower event crossed, upper
+/// not): adding `+w` at the lower event and `−w` at the upper one would
+/// leave a ±ε residue for entries pinned at `hi`. `None` means the root is
+/// elsewhere (or, in fixed mode, the segment is flat), and the caller fills
+/// the events and runs the full selection. Every hint in the same segment
+/// sums the same entries in the same order, so all of them return the same
+/// bits. Any hint is safe: the bracket check, not the hint, decides
+/// acceptance.
+fn warm_segment<B: Bounds>(
     q: &[f64],
     gamma: &[f64],
     shift: impl Shift,
+    bounds: B,
     hint: f64,
     mode: TotalMode,
 ) -> Option<f64> {
-    let gamma = &gamma[..q.len()];
+    let n = q.len();
+    let (gamma, bounds) = (&gamma[..n], bounds.prefix(n));
     let (mut a, mut b) = ([0.0_f64; LANES], [0.0_f64; LANES]);
     let mut bracket = Bracket::OPEN;
     // An entry above the hint adds +0.0, which leaves a sum that starts at
     // +0.0 bitwise unchanged, so each lane sums exactly its entries at or
     // below the hint, in order.
-    for_each_lane(q.len(), |lane, k| {
-        let e = plain_event(q[k], gamma[k], shift.at(k));
-        let below = e.v <= hint;
-        a[lane] += if below { e.da } else { 0.0 };
-        b[lane] += if below { e.db } else { 0.0 };
-        bracket.push(e.v, below);
-    });
-    bracket.root((a[0] + a[1]) + (a[2] + a[3]), b, mode)
-}
-
-/// [`warm_segment`] for the boxed kernel: each entry has a `(lower, upper)`
-/// event pair ([`boxed_events`]) over the base `Σ lo`.
-///
-/// The intercept sums `da` over every event at or below `hint`; the slope
-/// sums `db` only over entries strictly inside their box on that segment
-/// (lower event crossed, upper not). Adding `+w` at the lower event and
-/// `−w` at the upper one would leave a ±ε residue for entries pinned at
-/// `hi`. In fixed mode a flat segment (zero slope) is a miss, so
-/// [`select_lambda`]'s `BoundedMatch` rule resolves it.
-#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + base + hint
-fn warm_boxed_segment(
-    q: &[f64],
-    gamma: &[f64],
-    shift: impl Shift,
-    lo: &[f64],
-    hi: &[f64],
-    base: f64,
-    hint: f64,
-    mode: TotalMode,
-) -> Option<f64> {
-    let n = q.len();
-    let (gamma, lo, hi) = (&gamma[..n], &lo[..n], &hi[..n]);
-    let (mut a, mut b) = ([0.0_f64; LANES], [0.0_f64; LANES]);
-    let mut bracket = Bracket::OPEN;
     for_each_lane(n, |lane, k| {
-        let [l, u] = boxed_events(q[k], gamma[k], shift.at(k), lo[k], hi[k]);
-        // An upper event at +∞ is never crossed.
-        let (below_l, below_u) = (l.v <= hint, u.v <= hint && u.v != f64::INFINITY);
-        a[lane] += (if below_l { l.da } else { 0.0 }) + (if below_u { u.da } else { 0.0 });
-        b[lane] += if below_l && !below_u { l.db } else { 0.0 };
+        let (l, u) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
+        let below_l = l.v <= hint;
+        let mut da = if below_l { l.da } else { 0.0 };
+        let mut inside = below_l;
         bracket.push(l.v, below_l);
-        bracket.push(u.v, below_u);
+        if B::UPPER {
+            let below_u = u.v <= hint && u.v != f64::INFINITY;
+            da += if below_u { u.da } else { 0.0 };
+            inside &= !below_u;
+            bracket.push(u.v, below_u);
+        }
+        a[lane] += da;
+        b[lane] += if inside { l.db } else { 0.0 };
     });
-    bracket.root(base + ((a[0] + a[1]) + (a[2] + a[3])), b, mode)
-}
-
-/// How a flat (zero-slope) terminal segment is resolved in fixed mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FlatPolicy {
-    /// Plain kernel: zero slope only happens left of every breakpoint,
-    /// where all entries clamp to zero — a solution iff `total ≤ 0`; report
-    /// the segment's upper boundary, matching the sort-scan sweep.
-    NonnegativePrefix,
-    /// Boxed kernel: flat segments can occur anywhere (every entry pinned
-    /// at a bound); accept when the pinned sum already matches the total.
-    BoundedMatch,
+    bracket.root(bounds.base() + ((a[0] + a[1]) + (a[2] + a[3])), b, mode)
 }
 
 #[inline]
@@ -782,8 +1022,7 @@ fn median3(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// Expected-O(n) segment search shared by the plain and boxed selection
-/// kernels.
+/// Expected-O(n) segment search over the filled events.
 ///
 /// `events` encodes `f(λ) = base_a + Σ_{vₑ ≤ λ} (daₑ + λ·dbₑ)`: each event,
 /// once crossed, adds `(daₑ, dbₑ)` to the active linear form — and is built
@@ -797,11 +1036,10 @@ fn median3(a: f64, b: f64, c: f64) -> f64 {
 ///
 /// Returns `None` when fixed mode finds no consistent segment (the caller
 /// picks its fallback).
-fn select_lambda(
+fn select_lambda<B: Bounds>(
     events: &mut [SelectEvent],
     base_a: f64,
     mode: TotalMode,
-    flat: FlatPolicy,
     pivots: &mut u64,
 ) -> Option<f64> {
     let (el_slope, el_const) = elastic_constants(mode);
@@ -864,24 +1102,16 @@ fn select_lambda(
         TotalMode::Fixed { total } => {
             if acc_b > 0.0 {
                 Some(clamp_to_segment((total - acc_a) / acc_b, seg_lo, seg_hi))
-            } else {
-                let flat_solves = match flat {
-                    FlatPolicy::NonnegativePrefix => total <= 0.0,
-                    FlatPolicy::BoundedMatch => {
-                        (acc_a - total).abs() <= 1e-12 * total.abs().max(1.0)
-                    }
-                };
-                if flat_solves {
-                    Some(if seg_hi.is_finite() {
-                        seg_hi
-                    } else if seg_lo.is_finite() {
-                        seg_lo
-                    } else {
-                        0.0
-                    })
+            } else if B::flat_solves(acc_a, total) {
+                Some(if seg_hi.is_finite() {
+                    seg_hi
+                } else if seg_lo.is_finite() {
+                    seg_lo
                 } else {
-                    None
-                }
+                    0.0
+                })
+            } else {
+                None
             }
         }
         TotalMode::Elastic { .. } => Some(clamp_to_segment(
@@ -906,320 +1136,6 @@ fn clamp_to_segment(root: f64, seg_lo: f64, seg_hi: f64) -> f64 {
     } else {
         root
     }
-}
-
-/// Box-bounded exact equilibration: `loⱼ ≤ xⱼ ≤ hiⱼ` instead of `xⱼ ≥ 0`.
-///
-/// Supports the Ohuchi–Kaji (1984) bounded transportation model and the
-/// Harrigan–Buchanan (1984) interval-constrained I/O estimation model. The
-/// projected entry is `xⱼ(λ) = clamp(qⱼ + (shiftⱼ + λ)/(2γⱼ), loⱼ, hiⱼ)`,
-/// so each entry contributes two breakpoints; the sweep is otherwise the
-/// same as [`exact_equilibration`].
-///
-/// # Errors
-/// * [`SeaError::Shape`] on length mismatches.
-/// * [`SeaError::InconsistentBounds`] if some `loⱼ > hiⱼ`, either bound is
-///   NaN, or `loⱼ` is infinite.
-/// * [`SeaError::InfeasibleSubproblem`] if the fixed total lies outside
-///   `[Σ lo, Σ hi]`.
-#[allow(clippy::too_many_arguments)]
-pub fn exact_equilibration_boxed(
-    q: &[f64],
-    gamma: &[f64],
-    shift: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    mode: TotalMode,
-    x_out: &mut [f64],
-    scratch: &mut EquilibrationScratch,
-) -> Result<EquilibrationResult, SeaError> {
-    exact_equilibration_boxed_with(
-        KernelKind::SortScan,
-        q,
-        gamma,
-        shift,
-        lo,
-        hi,
-        mode,
-        x_out,
-        scratch,
-    )
-}
-
-/// [`exact_equilibration_boxed`] with an explicit kernel choice (see
-/// [`exact_equilibration_with`]).
-///
-/// # Errors
-/// Same contract as [`exact_equilibration_boxed`].
-#[allow(clippy::too_many_arguments)]
-pub fn exact_equilibration_boxed_with(
-    kernel: KernelKind,
-    q: &[f64],
-    gamma: &[f64],
-    shift: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    mode: TotalMode,
-    x_out: &mut [f64],
-    scratch: &mut EquilibrationScratch,
-) -> Result<EquilibrationResult, SeaError> {
-    exact_equilibration_boxed_hinted(
-        kernel,
-        q,
-        gamma,
-        shift,
-        lo,
-        hi,
-        None,
-        mode,
-        None,
-        Some(x_out),
-        scratch,
-    )
-}
-
-/// [`exact_equilibration_boxed_with`] for a pass, which solves the same
-/// subproblems every sweep. `sums`, when given, is the subproblem's
-/// `(Σ lo, Σ hi)`, summed by the caller over the same slices with
-/// `iter().sum()`; the caller then also guarantees `lo ≤ hi` entrywise
-/// (as [`crate::BoundedProblem::new`] does), and the per-call crossing scan
-/// and sums are skipped. `None` checks and sums here. The quickselect
-/// kernel first tries the segment holding `hint` ([`warm_boxed_segment`]);
-/// sort-scan ignores the hint. `shift` is read as in
-/// [`exact_equilibration_hinted`]. Given no `x_out`, every entry is still
-/// clamped to count `boxed_clamps`, but nothing is written.
-#[allow(clippy::too_many_arguments)] // kernel inputs + bounds + hint + output + workspace
-pub(crate) fn exact_equilibration_boxed_hinted(
-    kernel: KernelKind,
-    q: &[f64],
-    gamma: &[f64],
-    shift: impl Shift,
-    lo: &[f64],
-    hi: &[f64],
-    sums: Option<(f64, f64)>,
-    mode: TotalMode,
-    hint: Option<f64>,
-    mut x_out: Option<&mut [f64]>,
-    scratch: &mut EquilibrationScratch,
-) -> Result<EquilibrationResult, SeaError> {
-    validate_inputs(q, gamma, shift, x_out.as_deref())?;
-    let n = q.len();
-    scratch.stats.subproblems += 1;
-    if lo.len() != n || hi.len() != n {
-        return Err(SeaError::Shape {
-            context: "exact_equilibration_boxed bounds",
-            expected: n,
-            actual: lo.len().min(hi.len()),
-        });
-    }
-    let (sum_lo, sum_hi) = match sums {
-        Some(sums) => sums,
-        None => {
-            for j in 0..n {
-                // A NaN bound fails `lo ≤ hi`. An upper bound may be +∞
-                // (its event is never crossed); a lower bound must be finite.
-                if !(lo[j] <= hi[j] && lo[j].is_finite()) {
-                    return Err(SeaError::InconsistentBounds {
-                        index: j,
-                        lower: lo[j],
-                        upper: hi[j],
-                    });
-                }
-            }
-            (lo.iter().sum(), hi.iter().sum())
-        }
-    };
-    if let TotalMode::Fixed { total } = mode {
-        let span = (sum_hi - sum_lo).abs().max(1.0);
-        if total < sum_lo - 1e-9 * span || total > sum_hi + 1e-9 * span {
-            return Err(SeaError::InfeasibleSubproblem {
-                side: "row",
-                index: 0,
-            });
-        }
-    }
-    if let TotalMode::Elastic { alpha, .. } = mode {
-        if !(alpha > 0.0) {
-            return Err(SeaError::NonPositiveWeight {
-                which: "alpha",
-                index: 0,
-                value: alpha,
-            });
-        }
-    }
-
-    let mut lambda = match kernel {
-        KernelKind::SortScan => {
-            boxed_lambda_sort_scan(q, gamma, shift, lo, hi, sum_lo, mode, scratch)
-        }
-        KernelKind::Quickselect => {
-            boxed_lambda_quickselect(q, gamma, shift, lo, hi, sum_lo, mode, hint, scratch)
-        }
-    };
-    if !lambda.is_finite() {
-        // Fixed mode where the total is only attained at the extreme: clamp.
-        lambda = match mode {
-            TotalMode::Fixed { total } if total >= sum_hi => f64::MAX.sqrt(),
-            _ => -f64::MAX.sqrt(),
-        };
-    }
-
-    let mut active = 0usize;
-    for j in 0..n {
-        let raw = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
-        let v = raw.clamp(lo[j], hi[j]);
-        if v > lo[j] && v < hi[j] {
-            active += 1;
-        }
-        if let Some(x) = x_out.as_deref_mut() {
-            x[j] = v;
-        }
-    }
-    let total = match mode {
-        TotalMode::Fixed { total } => total,
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => prior - (lambda + cross) / (2.0 * alpha),
-    };
-    scratch.stats.boxed_clamps += (n - active) as u64;
-
-    Ok(EquilibrationResult {
-        lambda,
-        total,
-        active,
-    })
-}
-
-/// Sort-based segment search for the boxed subproblem: two events per entry
-/// (leaving its lower bound, saturating at its upper bound), argsorted and
-/// swept. Returns NaN when no segment accepts (caller clamps).
-#[allow(clippy::too_many_arguments)]
-fn boxed_lambda_sort_scan(
-    q: &[f64],
-    gamma: &[f64],
-    shift: impl Shift,
-    lo: &[f64],
-    hi: &[f64],
-    sum_lo: f64,
-    mode: TotalMode,
-    scratch: &mut EquilibrationScratch,
-) -> f64 {
-    let n = q.len();
-    // Event k < n is entry k leaving its lower bound; event k ≥ n is entry
-    // k−n saturating at its upper bound.
-    scratch.prepare(n);
-    scratch.events_hi.clear();
-    scratch.events_hi.reserve(2 * n);
-    for j in 0..n {
-        scratch
-            .events_hi
-            .push(2.0 * gamma[j] * (lo[j] - q[j]) - shift.at(j));
-    }
-    for j in 0..n {
-        scratch
-            .events_hi
-            .push(2.0 * gamma[j] * (hi[j] - q[j]) - shift.at(j));
-    }
-    scratch.order.resize(2 * n, 0);
-    sort::identity_permutation(&mut scratch.order);
-    sort::argsort(&mut scratch.order, &scratch.events_hi);
-
-    let (el_slope, el_const) = elastic_constants(mode);
-
-    // Start below every event: all entries pinned at lo.
-    let mut a = sum_lo;
-    let mut b = 0.0_f64;
-    let mut lambda = f64::NAN;
-    // Lower edge of the current segment (the last event crossed). Accepted
-    // candidates are clamped to it: when the slope `b` cancels to a tiny
-    // residue (all entries pinned at bounds), the division can otherwise
-    // fling λ far outside the segment that actually contains the root.
-    let mut seg_lo = f64::NEG_INFINITY;
-    let mut swept = 0u64;
-    for r in 0..=(2 * n) {
-        swept += 1;
-        let upper = if r < 2 * n {
-            scratch.events_hi[scratch.order[r] as usize]
-        } else {
-            f64::INFINITY
-        };
-        let cand = match mode {
-            TotalMode::Fixed { total } => {
-                if b > 0.0 {
-                    Some((total - a) / b)
-                } else if (a - total).abs() <= 1e-12 * total.abs().max(1.0) {
-                    // Flat segment already matching the total.
-                    Some(if r < 2 * n { upper } else { seg_lo })
-                } else {
-                    None
-                }
-            }
-            TotalMode::Elastic { .. } => Some((el_const - a) / (b + el_slope)),
-        };
-        if let Some(c) = cand {
-            if c <= upper {
-                lambda = c.max(seg_lo);
-                break;
-            }
-        }
-        if r < 2 * n {
-            let e = scratch.order[r] as usize;
-            let j = e % n;
-            let inv2g = 1.0 / (2.0 * gamma[j]);
-            if e < n {
-                // Entry leaves its lower bound.
-                a += q[j] + shift.at(j) * inv2g - lo[j];
-                b += inv2g;
-            } else {
-                // Entry saturates at its upper bound.
-                a += hi[j] - (q[j] + shift.at(j) * inv2g);
-                b -= inv2g;
-            }
-            seg_lo = upper;
-        }
-    }
-    scratch.stats.breakpoints_scanned += swept;
-    lambda
-}
-
-/// Selection kernel for the boxed subproblem: the clamp decomposes into a
-/// `+w` hinge at the lower-bound event and a `−w` hinge at the upper-bound
-/// event, so the same [`select_events`] search applies with `base = Σ loⱼ`.
-/// The warm segment is tried first, as in the plain kernel
-/// ([`warm_boxed_segment`]); on a miss each entry pushes its two events
-/// next to each other. Returns NaN when no segment accepts (caller clamps).
-#[allow(clippy::too_many_arguments)]
-fn boxed_lambda_quickselect(
-    q: &[f64],
-    gamma: &[f64],
-    shift: impl Shift,
-    lo: &[f64],
-    hi: &[f64],
-    sum_lo: f64,
-    mode: TotalMode,
-    hint: Option<f64>,
-    scratch: &mut EquilibrationScratch,
-) -> f64 {
-    let n = q.len();
-    scratch.prepare(n);
-    if let Some(h) = hint {
-        scratch.stats.quickselect_pivots += 1;
-        if let Some(lambda) = warm_boxed_segment(q, gamma, shift, lo, hi, sum_lo, h, mode) {
-            return lambda;
-        }
-    }
-    for j in 0..n {
-        let [l, u] = boxed_events(q[j], gamma[j], shift.at(j), lo[j], hi[j]);
-        scratch.events.push(l);
-        // An upper event at +∞ is never crossed: a pivot there would fold
-        // an infinite intercept into the search.
-        if u.v != f64::INFINITY {
-            scratch.events.push(u);
-        }
-    }
-    select_events(scratch, sum_lo, mode, FlatPolicy::BoundedMatch)
 }
 
 #[cfg(test)]
@@ -1297,9 +1213,11 @@ mod tests {
         let mut x = [0.0; 3];
         let mut sc = EquilibrationScratch::new();
         let r = exact_equilibration(
+            KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
+            None,
             TotalMode::Fixed { total: 9.0 },
             &mut x,
             &mut sc,
@@ -1322,9 +1240,11 @@ mod tests {
         let mut x = [0.0; 2];
         let mut sc = EquilibrationScratch::new();
         let r = exact_equilibration(
+            KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
+            None,
             TotalMode::Fixed { total: 2.0 },
             &mut x,
             &mut sc,
@@ -1344,9 +1264,11 @@ mod tests {
         let mut x = [9.0; 2];
         let mut sc = EquilibrationScratch::new();
         let r = exact_equilibration(
+            KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
+            None,
             TotalMode::Fixed { total: 0.0 },
             &mut x,
             &mut sc,
@@ -1368,9 +1290,11 @@ mod tests {
         let mut x = [0.0];
         let mut sc = EquilibrationScratch::new();
         let r = exact_equilibration(
+            KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
+            None,
             TotalMode::Elastic {
                 alpha: 0.5,
                 prior: 4.0,
@@ -1394,9 +1318,11 @@ mod tests {
         let mut x = [0.0];
         let mut sc = EquilibrationScratch::new();
         let r = exact_equilibration(
+            KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
+            None,
             TotalMode::Elastic {
                 alpha: 0.5,
                 prior: 4.0,
@@ -1416,18 +1342,22 @@ mod tests {
         let mut x: [f64; 0] = [];
         let mut sc = EquilibrationScratch::new();
         assert!(exact_equilibration(
+            KernelKind::SortScan,
             &[],
             &[],
             &[],
+            None,
             TotalMode::Fixed { total: 1.0 },
             &mut x,
             &mut sc
         )
         .is_err());
         let r = exact_equilibration(
+            KernelKind::SortScan,
             &[],
             &[],
             &[],
+            None,
             TotalMode::Fixed { total: 0.0 },
             &mut x,
             &mut sc,
@@ -1435,9 +1365,11 @@ mod tests {
         .unwrap();
         assert_eq!(r.active, 0);
         let r = exact_equilibration(
+            KernelKind::SortScan,
             &[],
             &[],
             &[],
+            None,
             TotalMode::Elastic {
                 alpha: 1.0,
                 prior: 3.0,
@@ -1452,14 +1384,52 @@ mod tests {
     }
 
     #[test]
+    fn empty_subproblem_has_one_rule() {
+        let elastic = TotalMode::Elastic {
+            alpha: 1.5,
+            prior: 3.0,
+            cross: 0.25,
+        };
+        for (mode, want) in [
+            (TotalMode::Fixed { total: 0.0 }, Some(0.0)),
+            (TotalMode::Fixed { total: 1.0 }, None),
+            (elastic, Some(2.0 * 1.5 * 3.0 - 0.25)),
+        ] {
+            let mut sc = EquilibrationScratch::new();
+            for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+                for bounds in [None, Some((&[][..], &[][..]))] {
+                    let r =
+                        exact_equilibration(kernel, &[], &[], &[], bounds, mode, &mut [], &mut sc);
+                    let at = format!("{mode:?}, {kernel}, bounds {bounds:?}: {r:?}");
+                    match want {
+                        Some(lambda) => {
+                            let r = r.expect(&at);
+                            assert_eq!(r.lambda.to_bits(), f64::to_bits(lambda), "{at}");
+                            assert_eq!((r.total, r.active), (0.0, 0), "{at}");
+                        }
+                        None => {
+                            assert!(
+                                matches!(r, Err(SeaError::InfeasibleSubproblem { .. })),
+                                "{at}"
+                            )
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn shape_errors() {
         let mut x = [0.0; 2];
         let mut sc = EquilibrationScratch::new();
         assert!(matches!(
             exact_equilibration(
+                KernelKind::SortScan,
                 &[1.0, 2.0],
                 &[1.0],
                 &[0.0, 0.0],
+                None,
                 TotalMode::Fixed { total: 1.0 },
                 &mut x,
                 &mut sc
@@ -1477,12 +1447,12 @@ mod tests {
         let hi = [2.0, 3.0, 2.5];
         let mut x = [0.0; 3];
         let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration_boxed(
+        let r = exact_equilibration(
+            KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
-            &lo,
-            &hi,
+            Some((&lo[..], &hi[..])),
             TotalMode::Fixed { total: 6.0 },
             &mut x,
             &mut sc,
@@ -1501,12 +1471,12 @@ mod tests {
         let mut x = [0.0; 2];
         let mut sc = EquilibrationScratch::new();
         assert!(matches!(
-            exact_equilibration_boxed(
+            exact_equilibration(
+                KernelKind::SortScan,
                 &[1.0, 1.0],
                 &[1.0, 1.0],
                 &[0.0, 0.0],
-                &[0.0, 0.0],
-                &[1.0, 1.0],
+                Some((&[0.0, 0.0][..], &[1.0, 1.0][..])),
                 TotalMode::Fixed { total: 5.0 },
                 &mut x,
                 &mut sc
@@ -1514,16 +1484,7 @@ mod tests {
             Err(SeaError::InfeasibleSubproblem { .. })
         ));
         assert!(matches!(
-            exact_equilibration_boxed(
-                &[1.0, 1.0],
-                &[1.0, 1.0],
-                &[0.0, 0.0],
-                &[2.0, 0.0],
-                &[1.0, 1.0],
-                TotalMode::Fixed { total: 1.5 },
-                &mut x,
-                &mut sc
-            ),
+            exact_equilibration(KernelKind::SortScan, &[1.0, 1.0], &[1.0, 1.0], &[0.0, 0.0], Some((&[2.0, 0.0][..], &[1.0, 1.0][..])), TotalMode::Fixed { total: 1.5 }, &mut x, &mut sc),
             Err(SeaError::InconsistentBounds {
                 index: 0,
                 lower,
@@ -1541,13 +1502,12 @@ mod tests {
         let mut sc = EquilibrationScratch::new();
         [KernelKind::SortScan, KernelKind::Quickselect]
             .map(|kernel| {
-                exact_equilibration_boxed_with(
+                exact_equilibration(
                     kernel,
                     &[1.0, 2.0],
                     &[1.0, 1.0],
                     &[0.0, 0.0],
-                    &lo,
-                    &hi,
+                    Some((&lo[..], &hi[..])),
                     TotalMode::Fixed { total: 9.0 },
                     &mut x,
                     &mut sc,
@@ -1599,9 +1559,28 @@ mod tests {
         let mut x_box = [0.0; 3];
         let mut sc = EquilibrationScratch::new();
         let mode = TotalMode::Fixed { total: 7.0 };
-        let r1 = exact_equilibration(&q, &gamma, &shift, mode, &mut x_plain, &mut sc).unwrap();
-        let r2 = exact_equilibration_boxed(&q, &gamma, &shift, &lo, &hi, mode, &mut x_box, &mut sc)
-            .unwrap();
+        let r1 = exact_equilibration(
+            KernelKind::SortScan,
+            &q,
+            &gamma,
+            &shift,
+            None,
+            mode,
+            &mut x_plain,
+            &mut sc,
+        )
+        .unwrap();
+        let r2 = exact_equilibration(
+            KernelKind::SortScan,
+            &q,
+            &gamma,
+            &shift,
+            Some((&lo[..], &hi[..])),
+            mode,
+            &mut x_box,
+            &mut sc,
+        )
+        .unwrap();
         assert!((r1.lambda - r2.lambda).abs() < 1e-9);
         for j in 0..3 {
             assert!((x_plain[j] - x_box[j]).abs() < 1e-9);
@@ -1619,12 +1598,12 @@ mod tests {
         let hi = [1.0, 1.0];
         let mut x = [0.0; 2];
         let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration_boxed(
+        let r = exact_equilibration(
+            KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
-            &lo,
-            &hi,
+            Some((&lo[..], &hi[..])),
             TotalMode::Elastic {
                 alpha: 0.5,
                 prior: 100.0,
@@ -1655,12 +1634,30 @@ mod tests {
         let mut x_plain = [0.0; 3];
         let mut x_boxed = [0.0; 3];
         let mut sc = EquilibrationScratch::new();
-        let r1 = exact_equilibration(&q, &gamma, &shift, mode, &mut x_plain, &mut sc).unwrap();
+        let r1 = exact_equilibration(
+            KernelKind::SortScan,
+            &q,
+            &gamma,
+            &shift,
+            None,
+            mode,
+            &mut x_plain,
+            &mut sc,
+        )
+        .unwrap();
         let lo = [0.0; 3];
         let hi = [1e9; 3];
-        let r2 =
-            exact_equilibration_boxed(&q, &gamma, &shift, &lo, &hi, mode, &mut x_boxed, &mut sc)
-                .unwrap();
+        let r2 = exact_equilibration(
+            KernelKind::SortScan,
+            &q,
+            &gamma,
+            &shift,
+            Some((&lo[..], &hi[..])),
+            mode,
+            &mut x_boxed,
+            &mut sc,
+        )
+        .unwrap();
         assert!((r1.lambda - r2.lambda).abs() < 1e-9);
         assert!((r1.total - r2.total).abs() < 1e-9);
         for k in 0..3 {
@@ -1694,11 +1691,12 @@ mod tests {
         let mode = TotalMode::Fixed { total: 12.0 };
 
         let mut sc = EquilibrationScratch::new();
-        exact_equilibration_with(
+        exact_equilibration(
             KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
+            None,
             mode,
             &mut x,
             &mut sc,
@@ -1708,11 +1706,12 @@ mod tests {
         assert!(sc.stats.breakpoints_scanned >= 1);
         assert_eq!(sc.stats.quickselect_pivots, 0);
 
-        exact_equilibration_with(
+        exact_equilibration(
             KernelKind::Quickselect,
             &q,
             &gamma,
             &shift,
+            None,
             mode,
             &mut x,
             &mut sc,
@@ -1724,13 +1723,12 @@ mod tests {
         // Boxed solve records clamps for every entry pinned at a bound.
         let lo = [0.0; 4];
         let hi = [2.0; 4];
-        exact_equilibration_boxed_with(
+        exact_equilibration(
             KernelKind::SortScan,
             &q,
             &gamma,
             &shift,
-            &lo,
-            &hi,
+            Some((&lo[..], &hi[..])),
             TotalMode::Fixed { total: 8.0 },
             &mut x,
             &mut sc,
@@ -1757,92 +1755,52 @@ mod tests {
         );
     }
 
-    /// Run both kernels on the same plain subproblem; panic on hard error.
-    fn both_plain(
-        q: &[f64],
-        gamma: &[f64],
-        shift: &[f64],
-        mode: TotalMode,
-    ) -> (
-        (EquilibrationResult, Vec<f64>),
-        (EquilibrationResult, Vec<f64>),
-    ) {
-        let n = q.len();
-        let mut sc = EquilibrationScratch::new();
-        let mut x_sort = vec![0.0; n];
-        let r_sort = exact_equilibration_with(
-            KernelKind::SortScan,
-            q,
-            gamma,
-            shift,
-            mode,
-            &mut x_sort,
-            &mut sc,
-        )
-        .unwrap();
-        let mut x_qs = vec![0.0; n];
-        let r_qs = exact_equilibration_with(
-            KernelKind::Quickselect,
-            q,
-            gamma,
-            shift,
-            mode,
-            &mut x_qs,
-            &mut sc,
-        )
-        .unwrap();
-        ((r_sort, x_sort), (r_qs, x_qs))
+    /// Checked bounds `[lo, hi]`; panic on inconsistent ones.
+    fn boxed<'a>(lo: &'a [f64], hi: &'a [f64]) -> Interval<'a> {
+        Interval::new(lo, hi).unwrap()
     }
 
-    /// Run both kernels on the same boxed subproblem; panic on hard error.
-    #[allow(clippy::too_many_arguments)]
-    fn both_boxed(
+    /// Run both kernels on the same subproblem; panic on hard error.
+    fn both<B: Bounds>(
         q: &[f64],
         gamma: &[f64],
         shift: &[f64],
-        lo: &[f64],
-        hi: &[f64],
+        bounds: B,
         mode: TotalMode,
     ) -> (
         (EquilibrationResult, Vec<f64>),
         (EquilibrationResult, Vec<f64>),
     ) {
-        let n = q.len();
         let mut sc = EquilibrationScratch::new();
-        let mut x_sort = vec![0.0; n];
-        let r_sort = exact_equilibration_boxed_with(
-            KernelKind::SortScan,
-            q,
-            gamma,
-            shift,
-            lo,
-            hi,
-            mode,
-            &mut x_sort,
-            &mut sc,
-        )
-        .unwrap();
-        let mut x_qs = vec![0.0; n];
-        let r_qs = exact_equilibration_boxed_with(
-            KernelKind::Quickselect,
-            q,
-            gamma,
-            shift,
-            lo,
-            hi,
-            mode,
-            &mut x_qs,
-            &mut sc,
-        )
-        .unwrap();
-        ((r_sort, x_sort), (r_qs, x_qs))
+        let [sort, qs] = [KernelKind::SortScan, KernelKind::Quickselect].map(|kernel| {
+            let mut x = vec![0.0; q.len()];
+            let r = exact_equilibration_hinted(
+                kernel,
+                q,
+                gamma,
+                shift,
+                bounds,
+                mode,
+                None,
+                Some(&mut x),
+                &mut sc,
+            )
+            .unwrap();
+            (r, x)
+        });
+        (sort, qs)
     }
 
     #[test]
     fn quickselect_single_element_rows() {
         // Single-element subproblems exercise the trivial selection window.
-        let ((r1, x1), (r2, x2)) =
-            both_plain(&[3.0], &[0.7], &[0.2], TotalMode::Fixed { total: 5.0 });
+        let ((r1, x1), (r2, x2)) = both(
+            &[3.0],
+            &[0.7],
+            &[0.2],
+            Unbounded,
+            TotalMode::Fixed { total: 5.0 },
+        );
         assert_eq!(x1, x2);
         assert!((r1.lambda - r2.lambda).abs() < 1e-12);
         assert!((x1[0] - 5.0).abs() < 1e-12);
@@ -1852,7 +1810,7 @@ mod tests {
             prior: 4.0,
             cross: 0.0,
         };
-        let ((r1, x1), (r2, x2)) = both_plain(&[0.0], &[0.5], &[0.0], mode);
+        let ((r1, x1), (r2, x2)) = both(&[0.0], &[0.5], &[0.0], Unbounded, mode);
         assert_eq!(x1, x2);
         assert!((r1.lambda - 2.0).abs() < 1e-12);
         assert!((r2.lambda - 2.0).abs() < 1e-12);
@@ -1866,7 +1824,8 @@ mod tests {
         let gamma = [1.0; 6];
         let shift = [0.0; 6];
         for total in [0.0, 3.0, 12.0, 24.0] {
-            let ((r1, x1), (r2, x2)) = both_plain(&q, &gamma, &shift, TotalMode::Fixed { total });
+            let ((r1, x1), (r2, x2)) =
+                both(&q, &gamma, &shift, Unbounded, TotalMode::Fixed { total });
             for j in 0..6 {
                 assert!(
                     (x1[j] - x2[j]).abs() <= 1e-10 * (1.0 + x1[j].abs()),
@@ -1889,7 +1848,13 @@ mod tests {
         let q = [1.0, 2.0, 4.0];
         let gamma = [0.5, 2.0, 1.0];
         let shift = [0.3, -0.7, 0.1];
-        let ((r1, x1), (r2, x2)) = both_plain(&q, &gamma, &shift, TotalMode::Fixed { total: 0.0 });
+        let ((r1, x1), (r2, x2)) = both(
+            &q,
+            &gamma,
+            &shift,
+            Unbounded,
+            TotalMode::Fixed { total: 0.0 },
+        );
         assert_eq!(x1, vec![0.0; 3]);
         assert_eq!(x2, vec![0.0; 3]);
         check_kkt(&q, &gamma, &shift, &x1, r1.lambda, 1e-9);
@@ -1904,7 +1869,8 @@ mod tests {
         let gamma = [1e-5, 1e5, 1.0, 1e-5];
         let shift = [0.0, 1.0, -1.0, 0.5];
         for total in [1.0, 10.0, 50.0] {
-            let ((r1, x1), (r2, x2)) = both_plain(&q, &gamma, &shift, TotalMode::Fixed { total });
+            let ((r1, x1), (r2, x2)) =
+                both(&q, &gamma, &shift, Unbounded, TotalMode::Fixed { total });
             assert!(
                 (r1.lambda - r2.lambda).abs() <= 1e-10 * (1.0 + r1.lambda.abs()),
                 "λ {} vs {}",
@@ -1929,8 +1895,13 @@ mod tests {
         // total = Σlo pins every entry at its lower bound; total = Σhi at the
         // upper bound. Both sit on flat segments of the breakpoint function.
         for total in [slo, shi] {
-            let ((r1, x1), (r2, x2)) =
-                both_boxed(&q, &gamma, &shift, &lo, &hi, TotalMode::Fixed { total });
+            let ((r1, x1), (r2, x2)) = both(
+                &q,
+                &gamma,
+                &shift,
+                boxed(&lo, &hi),
+                TotalMode::Fixed { total },
+            );
             for j in 0..3 {
                 assert!(
                     (x1[j] - x2[j]).abs() <= 1e-10 * (1.0 + x1[j].abs()),
@@ -1954,12 +1925,11 @@ mod tests {
         let shift = [0.0; 3];
         let lo = [1.5, 0.0, 2.0];
         let hi = [1.5, 4.0, 2.0];
-        let ((_, x1), (r2, x2)) = both_boxed(
+        let ((_, x1), (r2, x2)) = both(
             &q,
             &gamma,
             &shift,
-            &lo,
-            &hi,
+            boxed(&lo, &hi),
             TotalMode::Fixed { total: 6.0 },
         );
         assert!((x2[0] - 1.5).abs() < 1e-12 && (x2[2] - 2.0).abs() < 1e-12);
@@ -1970,13 +1940,15 @@ mod tests {
         let _ = r2;
     }
 
-    /// Warm-started quickselect solve with the given hint.
-    fn warm_plain(
+    /// Quickselect solve through the pass entry, warm-started from `hint`
+    /// when one is given.
+    fn warm<B: Bounds>(
         q: &[f64],
         gamma: &[f64],
         shift: &[f64],
+        bounds: B,
         mode: TotalMode,
-        hint: f64,
+        hint: Option<f64>,
     ) -> (EquilibrationResult, Vec<f64>, KernelCounters) {
         let mut sc = EquilibrationScratch::new();
         let mut x = vec![0.0; q.len()];
@@ -1985,8 +1957,9 @@ mod tests {
             q,
             gamma,
             shift,
+            bounds,
             mode,
-            Some(hint),
+            hint,
             Some(&mut x),
             &mut sc,
         )
@@ -2002,47 +1975,15 @@ mod tests {
         let mode = TotalMode::Fixed { total: 12.0 };
         // Every entry active at the root λ = 1 (xⱼ = qⱼ + ½): any hint at
         // or above the last breakpoint (−2) hits on the first pass.
-        let (r, x, stats) = warm_plain(&q, &gamma, &shift, mode, 1.5);
+        let (r, x, stats) = warm(&q, &gamma, &shift, Unbounded, mode, Some(1.5));
         assert_eq!(stats.quickselect_pivots, 1);
         assert!((r.lambda - 1.0).abs() < 1e-12);
         assert!((x[0] - 1.5).abs() < 1e-12);
         // Below every breakpoint the fixed-total segment is flat: a miss,
         // counted as one round, then the full selection.
-        let (r, _, stats) = warm_plain(&q, &gamma, &shift, mode, -100.0);
+        let (r, _, stats) = warm(&q, &gamma, &shift, Unbounded, mode, Some(-100.0));
         assert!(stats.quickselect_pivots > 1);
         assert!((r.lambda - 1.0).abs() < 1e-12);
-    }
-
-    /// Warm-started boxed quickselect solve with the given hint, through
-    /// the pass entry (bound sums supplied by the caller).
-    #[allow(clippy::too_many_arguments)]
-    fn warm_boxed(
-        q: &[f64],
-        gamma: &[f64],
-        shift: &[f64],
-        lo: &[f64],
-        hi: &[f64],
-        mode: TotalMode,
-        hint: Option<f64>,
-    ) -> (EquilibrationResult, Vec<f64>, KernelCounters) {
-        let mut sc = EquilibrationScratch::new();
-        let mut x = vec![0.0; q.len()];
-        let sums = (lo.iter().sum(), hi.iter().sum());
-        let r = exact_equilibration_boxed_hinted(
-            KernelKind::Quickselect,
-            q,
-            gamma,
-            shift,
-            lo,
-            hi,
-            Some(sums),
-            mode,
-            hint,
-            Some(&mut x),
-            &mut sc,
-        )
-        .unwrap();
-        (r, x, sc.stats)
     }
 
     #[test]
@@ -2054,7 +1995,7 @@ mod tests {
         let mode = TotalMode::Fixed { total: 12.0 };
         // Lower events at −2qⱼ, upper events at 2(10 − qⱼ) ∈ [12, 18]; the
         // root λ = 1 has every entry inside its box (xⱼ = qⱼ + ½).
-        let (r, x, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(1.5));
+        let (r, x, stats) = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, Some(1.5));
         assert_eq!(stats.quickselect_pivots, 1);
         assert!((r.lambda - 1.0).abs() < 1e-12);
         assert!((x[0] - 1.5).abs() < 1e-12);
@@ -2062,16 +2003,16 @@ mod tests {
         // the fixed-total segment is flat: a miss, counted as one round,
         // then the full selection.
         for hint in [-100.0, 100.0] {
-            let (r, _, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(hint));
+            let (r, _, stats) = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, Some(hint));
             assert!(stats.quickselect_pivots > 1, "hint {hint}");
             assert!((r.lambda - 1.0).abs() < 1e-12, "hint {hint}");
         }
         // On [12, 14] the last entry sits at hi: that segment's line meets
         // the total at λ = −8/3, outside the bracket, so it misses too.
-        let (r, _, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(13.0));
+        let (r, _, stats) = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, Some(13.0));
         assert!(stats.quickselect_pivots > 1);
         assert!((r.lambda - 1.0).abs() < 1e-12);
-        let (cold, _, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, None);
+        let (cold, _, stats) = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, None);
         assert!(stats.quickselect_pivots > 1);
         assert_eq!(cold.lambda.to_bits(), r.lambda.to_bits());
     }
@@ -2160,26 +2101,51 @@ mod tests {
         (seg_lo <= root && root <= seg_hi).then_some(root)
     }
 
-    /// The hinted selection as it ran before fusion: fill every event, try
-    /// the reference warm check (one round), and select on a miss. Returns
-    /// the raw λ and the partition rounds.
-    fn reference_hinted_lambda(
+    /// The hinted selection as it ran before fusion: fill every event, take
+    /// the reference warm check's answer `warm` (one round), and select on a
+    /// miss. Returns the raw λ and the partition rounds.
+    fn reference_hinted_lambda<B: Bounds>(
+        warm: Option<f64>,
         events: &mut [SelectEvent],
         base: f64,
         mode: TotalMode,
-        flat: FlatPolicy,
-        hint: f64,
     ) -> (f64, u64) {
-        let warm = match flat {
-            FlatPolicy::NonnegativePrefix => reference_warm_segment(events, hint, mode),
-            FlatPolicy::BoundedMatch => reference_warm_boxed_segment(events, base, hint, mode),
-        };
         if let Some(lambda) = warm {
             return (lambda, 1);
         }
         let mut pivots = 1;
-        let lambda = select_lambda(events, base, mode, flat, &mut pivots).unwrap_or(f64::NAN);
+        let lambda = select_lambda::<B>(events, base, mode, &mut pivots).unwrap_or(f64::NAN);
         (lambda, pivots)
+    }
+
+    /// Entry `(q, γ, shift)`'s one event as the nonnegative kernel built it
+    /// before the kernel was generic over its bounds.
+    fn reference_plain_event(qj: f64, gj: f64, sj: f64) -> SelectEvent {
+        let inv2g = 1.0 / (2.0 * gj);
+        SelectEvent {
+            v: -2.0 * gj * qj - sj,
+            da: qj + sj * inv2g,
+            db: inv2g,
+        }
+    }
+
+    /// Entry `(q, γ, shift, lo, hi)`'s `(lower, upper)` event pair as the
+    /// boxed kernel built it before the kernel was generic over its bounds.
+    fn reference_boxed_events(qj: f64, gj: f64, sj: f64, lj: f64, hj: f64) -> [SelectEvent; 2] {
+        let inv2g = 1.0 / (2.0 * gj);
+        let interior = qj + sj * inv2g;
+        [
+            SelectEvent {
+                v: 2.0 * gj * (lj - qj) - sj,
+                da: interior - lj,
+                db: inv2g,
+            },
+            SelectEvent {
+                v: 2.0 * gj * (hj - qj) - sj,
+                da: hj - interior,
+                db: -inv2g,
+            },
+        ]
     }
 
     /// Bits of a warm check's answer: `None` for a miss.
@@ -2220,7 +2186,7 @@ mod tests {
             };
             let mut sc = EquilibrationScratch::new();
             let mut x_ref = vec![0.0; n];
-            let r_ref = exact_equilibration(&q, &gamma, &shift, mode, &mut x_ref, &mut sc).unwrap();
+            let r_ref = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, None, mode, &mut x_ref, &mut sc).unwrap();
             let lam = r_ref.lambda;
             // λ is unique whenever some entry is active or the total is elastic.
             let unique = r_ref.active > 0 || matches!(mode, TotalMode::Elastic { .. });
@@ -2232,7 +2198,7 @@ mod tests {
             }
             hints.extend((0..4).map(|_| rng.random_range(-50.0..50.0)));
             for &hint in &hints {
-                let (r, x, stats) = warm_plain(&q, &gamma, &shift, mode, hint);
+                let (r, x, stats) = warm(&q, &gamma, &shift, Unbounded, mode, Some(hint));
                 prop_assert!(stats.quickselect_pivots >= 1, "warm attempt not counted");
                 if unique {
                     prop_assert!(
@@ -2259,9 +2225,9 @@ mod tests {
                 same_segment.push(0.5 * (seg_lo + lam));
             }
             same_segment.push(if seg_hi.is_finite() { 0.5 * (lam + seg_hi) } else { lam + 1.0 });
-            let first = warm_plain(&q, &gamma, &shift, mode, same_segment[0]);
+            let first = warm(&q, &gamma, &shift, Unbounded, mode, Some(same_segment[0]));
             for &hint in &same_segment[1..] {
-                let (r, x, _) = warm_plain(&q, &gamma, &shift, mode, hint);
+                let (r, x, _) = warm(&q, &gamma, &shift, Unbounded, mode, Some(hint));
                 prop_assert_eq!(r.lambda.to_bits(), first.0.lambda.to_bits());
                 prop_assert_eq!(
                     x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -2319,7 +2285,7 @@ mod tests {
             } else {
                 TotalMode::Fixed { total: rng.random_range(slo..=shi) }
             };
-            let (r_ref, x_ref, _) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, None);
+            let (r_ref, x_ref, _) = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, None);
             let lam = r_ref.lambda;
             // λ is unique whenever some entry is inside its box or the total
             // is elastic.
@@ -2332,7 +2298,7 @@ mod tests {
             }
             hints.extend((0..4).map(|_| rng.random_range(-50.0..50.0)));
             for &hint in &hints {
-                let (r, x, stats) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(hint));
+                let (r, x, stats) = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, Some(hint));
                 prop_assert!(stats.quickselect_pivots >= 1, "warm attempt not counted");
                 if unique {
                     prop_assert!(
@@ -2368,9 +2334,9 @@ mod tests {
                 same_segment.push(0.5 * (seg_lo + lam));
             }
             same_segment.push(if seg_hi.is_finite() { 0.5 * (lam + seg_hi) } else { lam + 1.0 });
-            let first = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(same_segment[0]));
+            let first = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, Some(same_segment[0]));
             for &hint in &same_segment[1..] {
-                let (r, x, _) = warm_boxed(&q, &gamma, &shift, &lo, &hi, mode, Some(hint));
+                let (r, x, _) = warm(&q, &gamma, &shift, boxed(&lo, &hi), mode, Some(hint));
                 prop_assert_eq!(r.lambda.to_bits(), first.0.lambda.to_bits());
                 prop_assert_eq!(
                     x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -2443,73 +2409,64 @@ mod tests {
             };
 
             let plain_events: Vec<SelectEvent> = (0..n)
-                .map(|k| plain_event(q[k], gamma[k], dense[k]))
+                .map(|k| reference_plain_event(q[k], gamma[k], dense[k]))
                 .collect();
             let boxed_pairs: Vec<SelectEvent> = (0..n)
-                .flat_map(|k| boxed_events(q[k], gamma[k], dense[k], lo[k], hi[k]))
+                .flat_map(|k| reference_boxed_events(q[k], gamma[k], dense[k], lo[k], hi[k]))
                 .collect();
+            let bx = boxed(&lo, &hi);
             // Hints: non-finite, zero, every breakpoint (ties with the
             // hint), the cold roots and points near them, and random ones.
             let mut hints = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0];
             hints.extend(plain_events.iter().chain(&boxed_pairs).map(|e| e.v));
-            for (events, base, mode, flat) in [
-                (&plain_events, 0.0, plain_mode, FlatPolicy::NonnegativePrefix),
-                (&boxed_pairs, slo, boxed_mode, FlatPolicy::BoundedMatch),
-            ] {
-                let mut pivots = 0;
-                let cold = select_lambda(&mut events.clone(), base, mode, flat, &mut pivots);
-                if let Some(root) = cold.filter(|r| r.is_finite()) {
-                    hints.push(root);
-                    for delta in [1e-9, 1e-3, 0.5] {
-                        hints.push(root + delta * (1.0 + root.abs()));
-                        hints.push(root - delta * (1.0 + root.abs()));
-                    }
+            let mut pivots = 0;
+            let cold = [
+                select_lambda::<Unbounded>(&mut plain_events.clone(), 0.0, plain_mode, &mut pivots),
+                select_lambda::<Interval>(&mut boxed_pairs.clone(), slo, boxed_mode, &mut pivots),
+            ];
+            for root in cold.into_iter().flatten().filter(|r| r.is_finite()) {
+                hints.push(root);
+                for delta in [1e-9, 1e-3, 0.5] {
+                    hints.push(root + delta * (1.0 + root.abs()));
+                    hints.push(root - delta * (1.0 + root.abs()));
                 }
             }
             hints.extend((0..4).map(|_| rng.random_range(-50.0..50.0)));
 
             for &hint in &hints {
                 // The warm tests alone.
-                let want = hit_bits(reference_warm_segment(&plain_events, hint, plain_mode));
-                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, &dense[..], hint, plain_mode)), want);
-                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, indexed, hint, plain_mode)), want);
-                let want = hit_bits(reference_warm_boxed_segment(&boxed_pairs, slo, hint, boxed_mode));
-                prop_assert_eq!(
-                    hit_bits(warm_boxed_segment(&q, &gamma, &dense[..], &lo, &hi, slo, hint, boxed_mode)),
-                    want
-                );
-                prop_assert_eq!(
-                    hit_bits(warm_boxed_segment(&q, &gamma, indexed, &lo, &hi, slo, hint, boxed_mode)),
-                    want
-                );
+                let plain_warm = reference_warm_segment(&plain_events, hint, plain_mode);
+                let want = hit_bits(plain_warm);
+                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, &dense[..], Unbounded, hint, plain_mode)), want);
+                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, indexed, Unbounded, hint, plain_mode)), want);
+                let boxed_warm = reference_warm_boxed_segment(&boxed_pairs, slo, hint, boxed_mode);
+                let want = hit_bits(boxed_warm);
+                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, &dense[..], bx, hint, boxed_mode)), want);
+                prop_assert_eq!(hit_bits(warm_segment(&q, &gamma, indexed, bx, hint, boxed_mode)), want);
 
                 // The hinted selection: same λ bits, same rounds.
-                let (want, want_pivots) = reference_hinted_lambda(
-                    &mut plain_events.clone(), 0.0, plain_mode, FlatPolicy::NonnegativePrefix, hint,
+                let (want, want_pivots) = reference_hinted_lambda::<Unbounded>(
+                    plain_warm, &mut plain_events.clone(), 0.0, plain_mode,
                 );
                 for indexed_shift in [false, true] {
                     let mut sc = EquilibrationScratch::new();
                     let got = if indexed_shift {
-                        plain_lambda_quickselect(&q, &gamma, indexed, plain_mode, Some(hint), &mut sc)
+                        lambda_quickselect(&q, &gamma, indexed, Unbounded, plain_mode, Some(hint), &mut sc)
                     } else {
-                        plain_lambda_quickselect(&q, &gamma, &dense[..], plain_mode, Some(hint), &mut sc)
+                        lambda_quickselect(&q, &gamma, &dense[..], Unbounded, plain_mode, Some(hint), &mut sc)
                     };
                     prop_assert_eq!(got.to_bits(), want.to_bits(), "plain, hint {}", hint);
                     prop_assert_eq!(sc.stats.quickselect_pivots, want_pivots);
                 }
-                let (want, want_pivots) = reference_hinted_lambda(
-                    &mut boxed_pairs.clone(), slo, boxed_mode, FlatPolicy::BoundedMatch, hint,
+                let (want, want_pivots) = reference_hinted_lambda::<Interval>(
+                    boxed_warm, &mut boxed_pairs.clone(), slo, boxed_mode,
                 );
                 for indexed_shift in [false, true] {
                     let mut sc = EquilibrationScratch::new();
                     let got = if indexed_shift {
-                        boxed_lambda_quickselect(
-                            &q, &gamma, indexed, &lo, &hi, slo, boxed_mode, Some(hint), &mut sc,
-                        )
+                        lambda_quickselect(&q, &gamma, indexed, bx, boxed_mode, Some(hint), &mut sc)
                     } else {
-                        boxed_lambda_quickselect(
-                            &q, &gamma, &dense[..], &lo, &hi, slo, boxed_mode, Some(hint), &mut sc,
-                        )
+                        lambda_quickselect(&q, &gamma, &dense[..], bx, boxed_mode, Some(hint), &mut sc)
                     };
                     prop_assert_eq!(got.to_bits(), want.to_bits(), "boxed, hint {}", hint);
                     prop_assert_eq!(sc.stats.quickselect_pivots, want_pivots);
@@ -2531,7 +2488,7 @@ mod tests {
             let mode = TotalMode::Fixed { total };
             let mut x = vec![0.0; n];
             let mut sc = EquilibrationScratch::new();
-            let r = exact_equilibration(&q, &gamma, &shift, mode, &mut x, &mut sc).unwrap();
+            let r = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, None, mode, &mut x, &mut sc).unwrap();
             let (lam_ref, x_ref) = bisect_reference(&q, &gamma, &shift, mode);
             // Feasibility.
             let sum: f64 = x.iter().sum();
@@ -2563,7 +2520,7 @@ mod tests {
             let mode = TotalMode::Elastic { alpha, prior, cross };
             let mut x = vec![0.0; n];
             let mut sc = EquilibrationScratch::new();
-            let r = exact_equilibration(&q, &gamma, &shift, mode, &mut x, &mut sc).unwrap();
+            let r = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, None, mode, &mut x, &mut sc).unwrap();
             let (lam_ref, _x_ref) = bisect_reference(&q, &gamma, &shift, mode);
             prop_assert!((r.lambda - lam_ref).abs() <= 1e-5 * (1.0 + lam_ref.abs()));
             // Realized total equals the elastic stationarity value and the
@@ -2592,10 +2549,7 @@ mod tests {
             let total = rng.random_range(slo..=shi);
             let mut x = vec![0.0; n];
             let mut sc = EquilibrationScratch::new();
-            let r = exact_equilibration_boxed(
-                &q, &gamma, &shift, &lo, &hi,
-                TotalMode::Fixed { total }, &mut x, &mut sc,
-            ).unwrap();
+            let r = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, Some((&lo[..], &hi[..])), TotalMode::Fixed { total }, &mut x, &mut sc).unwrap();
             let sum: f64 = x.iter().sum();
             prop_assert!((sum - total).abs() <= 1e-6 * (1.0 + total.abs()), "sum {} vs total {}", sum, total);
             for j in 0..n {
@@ -2642,7 +2596,7 @@ mod tests {
                 _ => rng.random_range(0.0..40.0),
             };
             let mode = TotalMode::Fixed { total };
-            let ((r1, x1), (r2, x2)) = both_plain(&q, &gamma, &shift, mode);
+            let ((r1, x1), (r2, x2)) = both(&q, &gamma, &shift, Unbounded, mode);
             for j in 0..n {
                 prop_assert!(
                     (x1[j] - x2[j]).abs() <= 1e-10 * (1.0 + x1[j].abs()),
@@ -2678,7 +2632,7 @@ mod tests {
                 prior: rng.random_range(-5.0..30.0),
                 cross: rng.random_range(-2.0..2.0),
             };
-            let ((r1, x1), (r2, x2)) = both_plain(&q, &gamma, &shift, mode);
+            let ((r1, x1), (r2, x2)) = both(&q, &gamma, &shift, Unbounded, mode);
             prop_assert!(
                 (r1.lambda - r2.lambda).abs() <= 1e-9 * (1.0 + r1.lambda.abs()),
                 "λ: {} vs {}", r1.lambda, r2.lambda
@@ -2728,7 +2682,7 @@ mod tests {
                 _ => rng.random_range(slo..=shi),
             };
             let mode = TotalMode::Fixed { total };
-            let ((_r1, x1), (r2, x2)) = both_boxed(&q, &gamma, &shift, &lo, &hi, mode);
+            let ((_r1, x1), (r2, x2)) = both(&q, &gamma, &shift, boxed(&lo, &hi), mode);
             for j in 0..n {
                 prop_assert!(
                     (x1[j] - x2[j]).abs() <= 1e-10 * (1.0 + x1[j].abs()),
@@ -2773,12 +2727,10 @@ mod tests {
             let mut x = vec![0.0; n];
             let mut sc = EquilibrationScratch::new();
             for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-                let plain = exact_equilibration_with(kernel, &q, &gamma, &shift, mode, &mut x, &mut sc)
+                let plain = exact_equilibration(kernel, &q, &gamma, &shift, None, mode, &mut x, &mut sc)
                     .unwrap()
                     .lambda;
-                let boxed = exact_equilibration_boxed_with(
-                    kernel, &q, &gamma, &shift, &lo, &hi, mode, &mut x, &mut sc,
-                )
+                let boxed = exact_equilibration(kernel, &q, &gamma, &shift, Some((&lo[..], &hi[..])), mode, &mut x, &mut sc)
                 .unwrap()
                 .lambda;
                 if kernel == KernelKind::SortScan {

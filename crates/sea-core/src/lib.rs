@@ -107,8 +107,7 @@ pub use interval::{
     solve_bounded_supervised, solve_bounded_supervised_configured, BoundedOptions, BoundedProblem,
 };
 pub use knapsack::{
-    exact_equilibration, exact_equilibration_with, EquilibrationResult, EquilibrationScratch,
-    KernelKind, TotalMode,
+    exact_equilibration, EquilibrationResult, EquilibrationScratch, KernelKind, TotalMode,
 };
 pub use parallel::Parallelism;
 pub use problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};

@@ -19,9 +19,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sea_core::knapsack::exact_equilibration_boxed_with;
 use sea_core::{
-    exact_equilibration_with, solve_bounded_supervised, solve_diagonal_supervised, BoundedProblem,
+    exact_equilibration, solve_bounded_supervised, solve_diagonal_supervised, BoundedProblem,
     DiagonalProblem, EquilibrationScratch, KernelKind, NullObserver, SeaOptions, SupervisorOptions,
     TotalMode, TotalSpec,
 };
@@ -80,6 +79,7 @@ fn kernels_do_not_allocate_in_steady_state() {
     let hi: Vec<f64> = lo.iter().map(|&l| l + 3.0).collect();
     let slo: f64 = lo.iter().sum();
     let shi: f64 = hi.iter().sum();
+    let bounds = Some((&lo[..], &hi[..]));
     let mut x = vec![0.0; n];
     let mut scratch = EquilibrationScratch::new();
 
@@ -96,16 +96,15 @@ fn kernels_do_not_allocate_in_steady_state() {
     // Warm-up: size the scratch buffers for every code path once.
     for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
         for mode in [fixed, elastic] {
-            exact_equilibration_with(kernel, &q, &gamma, &shift, mode, &mut x, &mut scratch)
+            exact_equilibration(kernel, &q, &gamma, &shift, None, mode, &mut x, &mut scratch)
                 .unwrap();
         }
-        exact_equilibration_boxed_with(
+        exact_equilibration(
             kernel,
             &q,
             &gamma,
             &shift,
-            &lo,
-            &hi,
+            bounds,
             boxed_total,
             &mut x,
             &mut scratch,
@@ -118,26 +117,35 @@ fn kernels_do_not_allocate_in_steady_state() {
         for round in 0..200 {
             // Vary the total so the active set moves between calls.
             let total = 100.0 + (round as f64) * 2.0;
-            exact_equilibration_with(
+            exact_equilibration(
                 kernel,
                 &q,
                 &gamma,
                 &shift,
+                None,
                 TotalMode::Fixed { total },
                 &mut x,
                 &mut scratch,
             )
             .unwrap();
-            exact_equilibration_with(kernel, &q, &gamma, &shift, elastic, &mut x, &mut scratch)
-                .unwrap();
-            let boxed_t = slo + (shi - slo) * ((round as f64) + 0.5) / 200.0;
-            exact_equilibration_boxed_with(
+            exact_equilibration(
                 kernel,
                 &q,
                 &gamma,
                 &shift,
-                &lo,
-                &hi,
+                None,
+                elastic,
+                &mut x,
+                &mut scratch,
+            )
+            .unwrap();
+            let boxed_t = slo + (shi - slo) * ((round as f64) + 0.5) / 200.0;
+            exact_equilibration(
+                kernel,
+                &q,
+                &gamma,
+                &shift,
+                bounds,
                 TotalMode::Fixed { total: boxed_t },
                 &mut x,
                 &mut scratch,
