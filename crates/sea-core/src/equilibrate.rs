@@ -344,7 +344,6 @@ fn gather(src: &[f64], idx: &[u32], out: &mut Vec<f64>) {
 /// CSR). A CSR row or a support list reads the shift through its column
 /// index; nothing gathers it. `hint` is the quickselect kernel's starting
 /// point ([`PassInputs::hint`]); `bounds` are the row's entry bounds.
-#[allow(clippy::too_many_arguments)] // pass inputs + subproblem + bounds + output + workspace
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,

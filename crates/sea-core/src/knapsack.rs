@@ -1203,26 +1203,41 @@ mod tests {
         }
     }
 
+    /// Solve with `kernel` into a fresh output row, NaN-filled so that every
+    /// entry must be written; the result and the row.
+    fn solve(
+        kernel: KernelKind,
+        q: &[f64],
+        gamma: &[f64],
+        shift: &[f64],
+        bounds: Option<(&[f64], &[f64])>,
+        mode: TotalMode,
+    ) -> Result<(EquilibrationResult, Vec<f64>), SeaError> {
+        let mut x = vec![f64::NAN; q.len()];
+        let mut sc = EquilibrationScratch::new();
+        exact_equilibration(kernel, q, gamma, shift, bounds, mode, &mut x, &mut sc).map(|r| (r, x))
+    }
+
+    /// [`solve`] with the sort-scan oracle on the subproblem `x ≥ 0`.
+    fn oracle(
+        q: &[f64],
+        gamma: &[f64],
+        shift: &[f64],
+        mode: TotalMode,
+    ) -> (EquilibrationResult, Vec<f64>) {
+        solve(KernelKind::SortScan, q, gamma, shift, None, mode).unwrap()
+    }
+
     #[test]
     fn fixed_mode_simple() {
         // Equal weights, zero shift: equilibration spreads the total with
         // equal adjustments.
-        let q = [1.0, 2.0, 3.0];
-        let gamma = [1.0, 1.0, 1.0];
-        let shift = [0.0; 3];
-        let mut x = [0.0; 3];
-        let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            None,
+        let (r, x) = oracle(
+            &[1.0, 2.0, 3.0],
+            &[1.0; 3],
+            &[0.0; 3],
             TotalMode::Fixed { total: 9.0 },
-            &mut x,
-            &mut sc,
-        )
-        .unwrap();
+        );
         // Each entry shifts by +1 ⇒ x = (2,3,4), λ = 2.
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -1237,19 +1252,7 @@ mod tests {
         let q = [1.0, 10.0];
         let gamma = [1.0, 1.0];
         let shift = [0.0; 2];
-        let mut x = [0.0; 2];
-        let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            None,
-            TotalMode::Fixed { total: 2.0 },
-            &mut x,
-            &mut sc,
-        )
-        .unwrap();
+        let (r, x) = oracle(&q, &gamma, &shift, TotalMode::Fixed { total: 2.0 });
         assert_eq!(x[0], 0.0);
         assert!((x[1] - 2.0).abs() < 1e-12);
         assert_eq!(r.active, 1);
@@ -1261,19 +1264,7 @@ mod tests {
         let q = [1.0, 2.0];
         let gamma = [0.5, 2.0];
         let shift = [0.3, -0.7];
-        let mut x = [9.0; 2];
-        let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            None,
-            TotalMode::Fixed { total: 0.0 },
-            &mut x,
-            &mut sc,
-        )
-        .unwrap();
+        let (r, x) = oracle(&q, &gamma, &shift, TotalMode::Fixed { total: 0.0 });
         assert_eq!(x, [0.0, 0.0]);
         assert_eq!(r.active, 0);
         // λ must keep every entry at or below zero.
@@ -1284,26 +1275,12 @@ mod tests {
     fn elastic_mode_matches_hand_computation() {
         // One entry, q=0, γ=1/2, shift=0, α=1/2, prior=4:
         // x(λ)=(λ)₊, s(λ)=4−λ; x=s ⇒ λ=2, x=2, s=2.
-        let q = [0.0];
-        let gamma = [0.5];
-        let shift = [0.0];
-        let mut x = [0.0];
-        let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            None,
-            TotalMode::Elastic {
-                alpha: 0.5,
-                prior: 4.0,
-                cross: 0.0,
-            },
-            &mut x,
-            &mut sc,
-        )
-        .unwrap();
+        let mode = TotalMode::Elastic {
+            alpha: 0.5,
+            prior: 4.0,
+            cross: 0.0,
+        };
+        let (r, x) = oracle(&[0.0], &[0.5], &[0.0], mode);
         assert!((r.lambda - 2.0).abs() < 1e-12);
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((r.total - 2.0).abs() < 1e-12);
@@ -1312,79 +1289,22 @@ mod tests {
     #[test]
     fn elastic_cross_shift_moves_total() {
         // SAM-style cross term reduces the realized total.
-        let q = [0.0];
-        let gamma = [0.5];
-        let shift = [0.0];
-        let mut x = [0.0];
-        let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            None,
-            TotalMode::Elastic {
-                alpha: 0.5,
-                prior: 4.0,
-                cross: 1.0,
-            },
-            &mut x,
-            &mut sc,
-        )
-        .unwrap();
+        let mode = TotalMode::Elastic {
+            alpha: 0.5,
+            prior: 4.0,
+            cross: 1.0,
+        };
+        let (r, x) = oracle(&[0.0], &[0.5], &[0.0], mode);
         // x(λ)=λ₊, s=4−(λ+1) ⇒ λ = 1.5, x = 1.5.
         assert!((r.lambda - 1.5).abs() < 1e-12);
         assert!((x[0] - 1.5).abs() < 1e-12);
     }
 
+    /// Every kernel, with and without bounds, answers an empty subproblem
+    /// alike: λ = 0 for a fixed total of 0, infeasible for a positive one,
+    /// and the elastic optimum `2α·prior − cross`.
     #[test]
     fn empty_subproblem_cases() {
-        let mut x: [f64; 0] = [];
-        let mut sc = EquilibrationScratch::new();
-        assert!(exact_equilibration(
-            KernelKind::SortScan,
-            &[],
-            &[],
-            &[],
-            None,
-            TotalMode::Fixed { total: 1.0 },
-            &mut x,
-            &mut sc
-        )
-        .is_err());
-        let r = exact_equilibration(
-            KernelKind::SortScan,
-            &[],
-            &[],
-            &[],
-            None,
-            TotalMode::Fixed { total: 0.0 },
-            &mut x,
-            &mut sc,
-        )
-        .unwrap();
-        assert_eq!(r.active, 0);
-        let r = exact_equilibration(
-            KernelKind::SortScan,
-            &[],
-            &[],
-            &[],
-            None,
-            TotalMode::Elastic {
-                alpha: 1.0,
-                prior: 3.0,
-                cross: 0.0,
-            },
-            &mut x,
-            &mut sc,
-        )
-        .unwrap();
-        assert_eq!(r.total, 0.0);
-        assert!((r.lambda - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_subproblem_has_one_rule() {
         let elastic = TotalMode::Elastic {
             alpha: 1.5,
             prior: 3.0,
@@ -1395,24 +1315,17 @@ mod tests {
             (TotalMode::Fixed { total: 1.0 }, None),
             (elastic, Some(2.0 * 1.5 * 3.0 - 0.25)),
         ] {
-            let mut sc = EquilibrationScratch::new();
             for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
                 for bounds in [None, Some((&[][..], &[][..]))] {
-                    let r =
-                        exact_equilibration(kernel, &[], &[], &[], bounds, mode, &mut [], &mut sc);
+                    let r = solve(kernel, &[], &[], &[], bounds, mode).map(|(r, _)| r);
                     let at = format!("{mode:?}, {kernel}, bounds {bounds:?}: {r:?}");
-                    match want {
-                        Some(lambda) => {
-                            let r = r.expect(&at);
+                    match (want, r) {
+                        (Some(lambda), Ok(r)) => {
                             assert_eq!(r.lambda.to_bits(), f64::to_bits(lambda), "{at}");
                             assert_eq!((r.total, r.active), (0.0, 0), "{at}");
                         }
-                        None => {
-                            assert!(
-                                matches!(r, Err(SeaError::InfeasibleSubproblem { .. })),
-                                "{at}"
-                            )
-                        }
+                        (None, Err(SeaError::InfeasibleSubproblem { .. })) => {}
+                        _ => panic!("{at}"),
                     }
                 }
             }
@@ -1421,41 +1334,30 @@ mod tests {
 
     #[test]
     fn shape_errors() {
-        let mut x = [0.0; 2];
-        let mut sc = EquilibrationScratch::new();
-        assert!(matches!(
-            exact_equilibration(
-                KernelKind::SortScan,
-                &[1.0, 2.0],
-                &[1.0],
-                &[0.0, 0.0],
-                None,
-                TotalMode::Fixed { total: 1.0 },
-                &mut x,
-                &mut sc
-            ),
-            Err(SeaError::Shape { .. })
-        ));
+        let r = solve(
+            KernelKind::SortScan,
+            &[1.0, 2.0],
+            &[1.0],
+            &[0.0, 0.0],
+            None,
+            TotalMode::Fixed { total: 1.0 },
+        );
+        assert!(matches!(r, Err(SeaError::Shape { .. })));
     }
 
     #[test]
     fn boxed_respects_bounds_and_total() {
-        let q = [1.0, 5.0, 2.0];
-        let gamma = [1.0, 1.0, 1.0];
-        let shift = [0.0; 3];
         let lo = [0.5, 0.0, 1.0];
         let hi = [2.0, 3.0, 2.5];
-        let mut x = [0.0; 3];
-        let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration(
+        let bounds = Some((&lo[..], &hi[..]));
+        let mode = TotalMode::Fixed { total: 6.0 };
+        let (_, x) = solve(
             KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            Some((&lo[..], &hi[..])),
-            TotalMode::Fixed { total: 6.0 },
-            &mut x,
-            &mut sc,
+            &[1.0, 5.0, 2.0],
+            &[1.0; 3],
+            &[0.0; 3],
+            bounds,
+            mode,
         )
         .unwrap();
         let sum: f64 = x.iter().sum();
@@ -1463,62 +1365,48 @@ mod tests {
         for j in 0..3 {
             assert!(x[j] >= lo[j] - 1e-12 && x[j] <= hi[j] + 1e-12);
         }
-        let _ = r;
+    }
+
+    /// Both kernels' answers to a subproblem of two entries with bounds
+    /// `lo`, `hi` and the fixed `total`.
+    fn boxed_both_kernels(
+        lo: [f64; 2],
+        hi: [f64; 2],
+        total: f64,
+    ) -> [Result<EquilibrationResult, SeaError>; 2] {
+        [KernelKind::SortScan, KernelKind::Quickselect].map(|kernel| {
+            let bounds = Some((&lo[..], &hi[..]));
+            solve(
+                kernel,
+                &[1.0, 1.0],
+                &[1.0, 1.0],
+                &[0.0, 0.0],
+                bounds,
+                TotalMode::Fixed { total },
+            )
+            .map(|(r, _)| r)
+        })
     }
 
     #[test]
     fn boxed_detects_infeasible_total() {
-        let mut x = [0.0; 2];
-        let mut sc = EquilibrationScratch::new();
-        assert!(matches!(
-            exact_equilibration(
-                KernelKind::SortScan,
-                &[1.0, 1.0],
-                &[1.0, 1.0],
-                &[0.0, 0.0],
-                Some((&[0.0, 0.0][..], &[1.0, 1.0][..])),
-                TotalMode::Fixed { total: 5.0 },
-                &mut x,
-                &mut sc
-            ),
-            Err(SeaError::InfeasibleSubproblem { .. })
-        ));
-        assert!(matches!(
-            exact_equilibration(KernelKind::SortScan, &[1.0, 1.0], &[1.0, 1.0], &[0.0, 0.0], Some((&[2.0, 0.0][..], &[1.0, 1.0][..])), TotalMode::Fixed { total: 1.5 }, &mut x, &mut sc),
-            Err(SeaError::InconsistentBounds {
-                index: 0,
-                lower,
-                upper,
-            }) if lower == 2.0 && upper == 1.0
-        ));
-    }
-
-    /// Both kernels' answers to a boxed subproblem with bounds `lo`, `hi`.
-    fn boxed_both_kernels(
-        lo: [f64; 2],
-        hi: [f64; 2],
-    ) -> Vec<Result<EquilibrationResult, SeaError>> {
-        let mut x = [0.0; 2];
-        let mut sc = EquilibrationScratch::new();
-        [KernelKind::SortScan, KernelKind::Quickselect]
-            .map(|kernel| {
-                exact_equilibration(
-                    kernel,
-                    &[1.0, 2.0],
-                    &[1.0, 1.0],
-                    &[0.0, 0.0],
-                    Some((&lo[..], &hi[..])),
-                    TotalMode::Fixed { total: 9.0 },
-                    &mut x,
-                    &mut sc,
-                )
-            })
-            .to_vec()
+        for r in boxed_both_kernels([0.0, 0.0], [1.0, 1.0], 5.0) {
+            assert!(
+                matches!(r, Err(SeaError::InfeasibleSubproblem { .. })),
+                "{r:?}"
+            );
+        }
+        for r in boxed_both_kernels([2.0, 0.0], [1.0, 1.0], 1.5) {
+            assert!(
+                matches!(r, Err(SeaError::InconsistentBounds { index: 0, lower, upper }) if lower == 2.0 && upper == 1.0),
+                "{r:?}"
+            );
+        }
     }
 
     #[test]
     fn boxed_rejects_a_nan_lower_bound() {
-        for r in boxed_both_kernels([f64::NAN, 0.0], [5.0, 5.0]) {
+        for r in boxed_both_kernels([f64::NAN, 0.0], [5.0, 5.0], 9.0) {
             assert!(
                 matches!(r, Err(SeaError::InconsistentBounds { index: 0, lower, upper: 5.0 }) if lower.is_nan()),
                 "{r:?}"
@@ -1528,7 +1416,7 @@ mod tests {
 
     #[test]
     fn boxed_rejects_a_nan_upper_bound() {
-        for r in boxed_both_kernels([0.0, 0.0], [5.0, f64::NAN]) {
+        for r in boxed_both_kernels([0.0, 0.0], [5.0, f64::NAN], 9.0) {
             assert!(
                 matches!(r, Err(SeaError::InconsistentBounds { index: 1, lower: 0.0, upper }) if upper.is_nan()),
                 "{r:?}"
@@ -1539,7 +1427,7 @@ mod tests {
     #[test]
     fn boxed_rejects_an_infinite_lower_bound() {
         for lower in [f64::NEG_INFINITY, f64::INFINITY] {
-            for r in boxed_both_kernels([lower, 0.0], [f64::INFINITY, 5.0]) {
+            for r in boxed_both_kernels([lower, 0.0], [f64::INFINITY, 5.0], 9.0) {
                 assert!(
                     matches!(r, Err(SeaError::InconsistentBounds { index: 0, .. })),
                     "lower {lower}: {r:?}"
@@ -1553,34 +1441,10 @@ mod tests {
         let q = [1.0, 2.0, 3.0];
         let gamma = [0.5, 1.5, 1.0];
         let shift = [0.1, -0.2, 0.0];
-        let lo = [0.0; 3];
-        let hi = [1e12; 3];
-        let mut x_plain = [0.0; 3];
-        let mut x_box = [0.0; 3];
-        let mut sc = EquilibrationScratch::new();
+        let bounds = Some((&[0.0; 3][..], &[1e12; 3][..]));
         let mode = TotalMode::Fixed { total: 7.0 };
-        let r1 = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            None,
-            mode,
-            &mut x_plain,
-            &mut sc,
-        )
-        .unwrap();
-        let r2 = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            Some((&lo[..], &hi[..])),
-            mode,
-            &mut x_box,
-            &mut sc,
-        )
-        .unwrap();
+        let (r1, x_plain) = oracle(&q, &gamma, &shift, mode);
+        let (r2, x_box) = solve(KernelKind::SortScan, &q, &gamma, &shift, bounds, mode).unwrap();
         assert!((r1.lambda - r2.lambda).abs() < 1e-9);
         for j in 0..3 {
             assert!((x_plain[j] - x_box[j]).abs() < 1e-9);
@@ -1591,26 +1455,19 @@ mod tests {
     fn boxed_elastic_mode_balances_total_against_bounds() {
         // Elastic total with tight upper bounds: the realized total cannot
         // exceed Σ hi even though the prior total asks for more.
-        let q = [0.0, 0.0];
-        let gamma = [0.5, 0.5];
-        let shift = [0.0, 0.0];
-        let lo = [0.0, 0.0];
-        let hi = [1.0, 1.0];
-        let mut x = [0.0; 2];
-        let mut sc = EquilibrationScratch::new();
-        let r = exact_equilibration(
+        let bounds = Some((&[0.0, 0.0][..], &[1.0, 1.0][..]));
+        let mode = TotalMode::Elastic {
+            alpha: 0.5,
+            prior: 100.0,
+            cross: 0.0,
+        };
+        let (r, x) = solve(
             KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            Some((&lo[..], &hi[..])),
-            TotalMode::Elastic {
-                alpha: 0.5,
-                prior: 100.0,
-                cross: 0.0,
-            },
-            &mut x,
-            &mut sc,
+            &[0.0, 0.0],
+            &[0.5, 0.5],
+            &[0.0, 0.0],
+            bounds,
+            mode,
         )
         .unwrap();
         // Entries saturate at the bounds; the elastic total then sits at
@@ -1631,33 +1488,9 @@ mod tests {
             prior: 9.0,
             cross: 0.3,
         };
-        let mut x_plain = [0.0; 3];
-        let mut x_boxed = [0.0; 3];
-        let mut sc = EquilibrationScratch::new();
-        let r1 = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            None,
-            mode,
-            &mut x_plain,
-            &mut sc,
-        )
-        .unwrap();
-        let lo = [0.0; 3];
-        let hi = [1e9; 3];
-        let r2 = exact_equilibration(
-            KernelKind::SortScan,
-            &q,
-            &gamma,
-            &shift,
-            Some((&lo[..], &hi[..])),
-            mode,
-            &mut x_boxed,
-            &mut sc,
-        )
-        .unwrap();
+        let (r1, x_plain) = oracle(&q, &gamma, &shift, mode);
+        let bounds = Some((&[0.0; 3][..], &[1e9; 3][..]));
+        let (r2, x_boxed) = solve(KernelKind::SortScan, &q, &gamma, &shift, bounds, mode).unwrap();
         assert!((r1.lambda - r2.lambda).abs() < 1e-9);
         assert!((r1.total - r2.total).abs() < 1e-9);
         for k in 0..3 {
@@ -2055,7 +1888,7 @@ mod tests {
     }
 
     /// The boxed kernel's warm check before fusion, over `(lower, upper)`
-    /// event pairs: the reference for [`warm_boxed_segment`].
+    /// event pairs: the reference for [`warm_segment`] with [`Interval`].
     fn reference_warm_boxed_segment(
         events: &[SelectEvent],
         base: f64,
@@ -2184,9 +2017,7 @@ mod tests {
             } else {
                 TotalMode::Fixed { total: rng.random_range(0.0..40.0) }
             };
-            let mut sc = EquilibrationScratch::new();
-            let mut x_ref = vec![0.0; n];
-            let r_ref = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, None, mode, &mut x_ref, &mut sc).unwrap();
+            let (r_ref, x_ref) = oracle(&q, &gamma, &shift, mode);
             let lam = r_ref.lambda;
             // λ is unique whenever some entry is active or the total is elastic.
             let unique = r_ref.active > 0 || matches!(mode, TotalMode::Elastic { .. });
@@ -2486,9 +2317,7 @@ mod tests {
             let shift: Vec<f64> = (0..n).map(|_| rng.random_range(-3.0..3.0)).collect();
             let total = rng.random_range(0.0..30.0);
             let mode = TotalMode::Fixed { total };
-            let mut x = vec![0.0; n];
-            let mut sc = EquilibrationScratch::new();
-            let r = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, None, mode, &mut x, &mut sc).unwrap();
+            let (r, x) = oracle(&q, &gamma, &shift, mode);
             let (lam_ref, x_ref) = bisect_reference(&q, &gamma, &shift, mode);
             // Feasibility.
             let sum: f64 = x.iter().sum();
@@ -2518,9 +2347,7 @@ mod tests {
             let prior = rng.random_range(-5.0..30.0);
             let cross = rng.random_range(-2.0..2.0);
             let mode = TotalMode::Elastic { alpha, prior, cross };
-            let mut x = vec![0.0; n];
-            let mut sc = EquilibrationScratch::new();
-            let r = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, None, mode, &mut x, &mut sc).unwrap();
+            let (r, x) = oracle(&q, &gamma, &shift, mode);
             let (lam_ref, _x_ref) = bisect_reference(&q, &gamma, &shift, mode);
             prop_assert!((r.lambda - lam_ref).abs() <= 1e-5 * (1.0 + lam_ref.abs()));
             // Realized total equals the elastic stationarity value and the
@@ -2547,9 +2374,8 @@ mod tests {
             let slo: f64 = lo.iter().sum();
             let shi: f64 = hi.iter().sum();
             let total = rng.random_range(slo..=shi);
-            let mut x = vec![0.0; n];
-            let mut sc = EquilibrationScratch::new();
-            let r = exact_equilibration(KernelKind::SortScan, &q, &gamma, &shift, Some((&lo[..], &hi[..])), TotalMode::Fixed { total }, &mut x, &mut sc).unwrap();
+            let bounds = Some((&lo[..], &hi[..]));
+            let (r, x) = solve(KernelKind::SortScan, &q, &gamma, &shift, bounds, TotalMode::Fixed { total }).unwrap();
             let sum: f64 = x.iter().sum();
             prop_assert!((sum - total).abs() <= 1e-6 * (1.0 + total.abs()), "sum {} vs total {}", sum, total);
             for j in 0..n {
@@ -2724,15 +2550,9 @@ mod tests {
                 }
             };
             let (lo, hi) = (vec![0.0; n], vec![f64::INFINITY; n]);
-            let mut x = vec![0.0; n];
-            let mut sc = EquilibrationScratch::new();
             for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-                let plain = exact_equilibration(kernel, &q, &gamma, &shift, None, mode, &mut x, &mut sc)
-                    .unwrap()
-                    .lambda;
-                let boxed = exact_equilibration(kernel, &q, &gamma, &shift, Some((&lo[..], &hi[..])), mode, &mut x, &mut sc)
-                .unwrap()
-                .lambda;
+                let lambda = |bounds| solve(kernel, &q, &gamma, &shift, bounds, mode).unwrap().0.lambda;
+                let (plain, boxed) = (lambda(None), lambda(Some((&lo[..], &hi[..]))));
                 if kernel == KernelKind::SortScan {
                     prop_assert_eq!(boxed.to_bits(), plain.to_bits(), "sort-scan λ {} vs {}", boxed, plain);
                 } else {
