@@ -783,10 +783,12 @@ fn lambda_sort_scan<B: Bounds>(
         let (lower, _) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
         scratch.events.push(lower);
     }
-    for k in (0..n).filter(|_| B::UPPER) {
-        let (_, upper) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
-        if upper.v != f64::INFINITY {
-            scratch.events.push(upper);
+    if B::UPPER {
+        for k in 0..n {
+            let (_, upper) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
+            if upper.v != f64::INFINITY {
+                scratch.events.push(upper);
+            }
         }
     }
     let EquilibrationScratch {
