@@ -23,7 +23,7 @@
 //! a `PhaseStart`/`PhaseEnd` pair carrying per-task costs, which is what
 //! the Table 9 / Figure 7 scheduling simulation replays.
 
-use sea_core::equilibrate::{equilibration_pass, PassInputs};
+use sea_core::equilibrate::{equilibration_pass, PassCounters, PassInputs, DEFAULT_BLOCK_ROWS};
 use sea_core::general::{GeneralProblem, GeneralTotalSpec};
 use sea_core::knapsack::{KernelKind, TotalMode};
 use sea_core::parallel::Parallelism;
@@ -239,9 +239,9 @@ fn half_step(
             &mut buf.totals_tmp,
             Some(&mut buf.y),
             opts.parallelism,
+            DEFAULT_BLOCK_ROWS,
             t0.is_some().then_some(&mut buf.costs),
-            None,
-            None,
+            &PassCounters::default(),
             None,
         )?;
         phase_end(obs, pass_label, rows, t0, |_| buf.costs.clone());

@@ -59,36 +59,12 @@ impl UnionFind {
 }
 
 /// Compute the component label of each row and column of the bipartite
-/// support graph: rows `i` and columns `j` are connected when
-/// `x[i·n + j] > threshold`. Returns `(row_labels, col_labels)` where labels
-/// are root ids in the combined `m + n` index space.
-pub fn support_components(
-    x: &[f64],
-    m: usize,
-    n: usize,
-    threshold: f64,
-) -> (Vec<usize>, Vec<usize>) {
-    debug_assert_eq!(x.len(), m * n);
-    let mut uf = UnionFind::new(m + n);
-    for i in 0..m {
-        let row = &x[i * n..(i + 1) * n];
-        for (j, &v) in row.iter().enumerate() {
-            if v > threshold {
-                uf.union(i, m + j);
-            }
-        }
-    }
-    let rows = (0..m).map(|i| uf.find(i)).collect();
-    let cols = (0..n).map(|j| uf.find(m + j)).collect();
-    (rows, cols)
-}
-
-/// [`support_components`] generalized over [`Storage`]: rows `i` and columns
-/// `j` are connected when a *stored* entry `x[i, j] > threshold`. For dense
-/// storage the union order is identical to the slice-based function (row
-/// major over every cell), so labels are bitwise-equal; for sparse storage
-/// only the stored support is visited, making this `O(nnz α(m+n))`.
-pub fn storage_support_components<S: Storage>(x: &S, threshold: f64) -> (Vec<usize>, Vec<usize>) {
+/// support graph: rows `i` and columns `j` are connected when a *stored*
+/// entry `x[i, j] > threshold`. Returns `(row_labels, col_labels)` where
+/// labels are root ids in the combined `m + n` index space. Dense storage
+/// visits every cell in row-major order; sparse storage visits only the
+/// stored support, making this `O(nnz α(m+n))`.
+pub fn support_components<S: Storage>(x: &S, threshold: f64) -> (Vec<usize>, Vec<usize>) {
     let (m, n) = (x.rows(), x.cols());
     let mut uf = UnionFind::new(m + n);
     for i in 0..m {
@@ -119,30 +95,10 @@ pub fn storage_support_components<S: Storage>(x: &S, threshold: f64) -> (Vec<usi
 /// from the component's `λ`s and adding it to the component's `μ`s — which
 /// leaves `ζ₂`/`ζ₃` unchanged but returns the iterates to a bounded cube.
 ///
-/// `x` is the current (row-major, `m×n`) primal iterate defining the
-/// support graph. Returns the number of components shifted.
-pub fn normalize_multipliers(
-    x: &[f64],
-    m: usize,
-    n: usize,
-    lambda: &mut [f64],
-    mu: &mut [f64],
-    bound: f64,
-) -> usize {
-    debug_assert_eq!(lambda.len(), m);
-    debug_assert_eq!(mu.len(), n);
-    if lambda.iter().all(|&l| l.abs() <= bound) {
-        return 0;
-    }
-    let (row_labels, col_labels) = support_components(x, m, n, 0.0);
-    apply_component_shifts(&row_labels, &col_labels, lambda, mu, bound)
-}
-
-/// [`normalize_multipliers`] generalized over [`Storage`]: identical shift
-/// selection and application (first offending `λ` per component, in row
-/// order), but the support graph is read through row views so sparse
-/// iterates pay only for their stored entries.
-pub fn normalize_multipliers_storage<S: Storage>(
+/// `x` is the current primal iterate defining the support graph, read
+/// through row views so sparse iterates pay only for their stored entries.
+/// Returns the number of components shifted.
+pub fn normalize_multipliers<S: Storage>(
     x: &S,
     lambda: &mut [f64],
     mu: &mut [f64],
@@ -153,7 +109,7 @@ pub fn normalize_multipliers_storage<S: Storage>(
     if lambda.iter().all(|&l| l.abs() <= bound) {
         return 0;
     }
-    let (row_labels, col_labels) = storage_support_components(x, 0.0);
+    let (row_labels, col_labels) = support_components(x, 0.0);
     apply_component_shifts(&row_labels, &col_labels, lambda, mu, bound)
 }
 
@@ -189,6 +145,11 @@ fn apply_component_shifts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sea_linalg::{CsrMatrix, DenseMatrix};
+
+    fn dense(m: usize, n: usize, x: &[f64]) -> DenseMatrix {
+        DenseMatrix::from_vec(m, n, x.to_vec()).unwrap()
+    }
 
     #[test]
     fn union_find_basics() {
@@ -207,8 +168,8 @@ mod tests {
     fn components_of_block_diagonal_support() {
         // 2x2 block support: rows {0}, cols {0} one component; rows {1},
         // cols {1} another.
-        let x = [1.0, 0.0, 0.0, 2.0];
-        let (r, c) = support_components(&x, 2, 2, 0.0);
+        let x = dense(2, 2, &[1.0, 0.0, 0.0, 2.0]);
+        let (r, c) = support_components(&x, 0.0);
         assert_eq!(r[0], c[0]);
         assert_eq!(r[1], c[1]);
         assert_ne!(r[0], r[1]);
@@ -216,18 +177,18 @@ mod tests {
 
     #[test]
     fn dense_support_is_one_component() {
-        let x = [1.0; 6];
-        let (r, c) = support_components(&x, 2, 3, 0.0);
+        let x = dense(2, 3, &[1.0; 6]);
+        let (r, c) = support_components(&x, 0.0);
         assert!(r.iter().chain(c.iter()).all(|&l| l == r[0]));
     }
 
     #[test]
     fn normalize_shifts_offending_component_only() {
         // Two components; only the first offends.
-        let x = [1.0, 0.0, 0.0, 2.0];
+        let x = dense(2, 2, &[1.0, 0.0, 0.0, 2.0]);
         let mut lambda = vec![100.0, 1.0];
         let mut mu = vec![-3.0, 4.0];
-        let shifted = normalize_multipliers(&x, 2, 2, &mut lambda, &mut mu, 10.0);
+        let shifted = normalize_multipliers(&x, &mut lambda, &mut mu, 10.0);
         assert_eq!(shifted, 1);
         assert_eq!(lambda, vec![0.0, 1.0]);
         assert_eq!(mu, vec![97.0, 4.0]);
@@ -235,73 +196,60 @@ mod tests {
 
     #[test]
     fn normalize_noop_when_bounded() {
-        let x = [1.0; 4];
+        let x = dense(2, 2, &[1.0; 4]);
         let mut lambda = vec![1.0, -2.0];
         let mut mu = vec![0.5, 0.5];
-        let shifted = normalize_multipliers(&x, 2, 2, &mut lambda, &mut mu, 10.0);
+        let shifted = normalize_multipliers(&x, &mut lambda, &mut mu, 10.0);
         assert_eq!(shifted, 0);
         assert_eq!(lambda, vec![1.0, -2.0]);
     }
 
     #[test]
-    fn storage_components_match_slice_components() {
-        use sea_linalg::{CsrMatrix, DenseMatrix};
-        let x = [1.0, 0.0, 2.0, 0.0, 3.0, 0.0];
-        let dense = DenseMatrix::from_vec(2, 3, x.to_vec()).unwrap();
-        let (r_ref, c_ref) = support_components(&x, 2, 3, 0.0);
-        let (r_d, c_d) = storage_support_components(&dense, 0.0);
-        assert_eq!(r_ref, r_d);
-        assert_eq!(c_ref, c_d);
+    fn csr_components_match_dense_components() {
+        let dense = dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
+        let (r_d, c_d) = support_components(&dense, 0.0);
         // CSR drops the zeros but labels must describe the same partition.
         let csr = CsrMatrix::from_dense_pruned(&dense).unwrap();
-        let (r_s, c_s) = storage_support_components(&csr, 0.0);
+        let (r_s, c_s) = support_components(&csr, 0.0);
         for a in 0..2 {
             for b in 0..2 {
-                assert_eq!(r_ref[a] == r_ref[b], r_s[a] == r_s[b]);
+                assert_eq!(r_d[a] == r_d[b], r_s[a] == r_s[b]);
             }
         }
         for a in 0..3 {
             for b in 0..3 {
-                assert_eq!(c_ref[a] == c_ref[b], c_s[a] == c_s[b]);
+                assert_eq!(c_d[a] == c_d[b], c_s[a] == c_s[b]);
             }
         }
     }
 
     #[test]
-    fn normalize_storage_matches_slice_variant() {
-        use sea_linalg::{CsrMatrix, DenseMatrix};
-        let x = [1.0, 0.0, 0.0, 2.0];
-        let dense = DenseMatrix::from_vec(2, 2, x.to_vec()).unwrap();
+    fn normalize_csr_matches_dense() {
+        let dense = dense(2, 2, &[1.0, 0.0, 0.0, 2.0]);
         let csr = CsrMatrix::from_dense_pruned(&dense).unwrap();
         let mut l_ref = vec![100.0, 1.0];
         let mut m_ref = vec![-3.0, 4.0];
-        let n_ref = normalize_multipliers(&x, 2, 2, &mut l_ref, &mut m_ref, 10.0);
-        for backend in 0..2 {
-            let mut lambda = vec![100.0, 1.0];
-            let mut mu = vec![-3.0, 4.0];
-            let shifted = if backend == 0 {
-                normalize_multipliers_storage(&dense, &mut lambda, &mut mu, 10.0)
-            } else {
-                normalize_multipliers_storage(&csr, &mut lambda, &mut mu, 10.0)
-            };
-            assert_eq!(shifted, n_ref);
-            assert_eq!(lambda, l_ref);
-            assert_eq!(mu, m_ref);
-        }
+        let n_ref = normalize_multipliers(&dense, &mut l_ref, &mut m_ref, 10.0);
+        let mut lambda = vec![100.0, 1.0];
+        let mut mu = vec![-3.0, 4.0];
+        let shifted = normalize_multipliers(&csr, &mut lambda, &mut mu, 10.0);
+        assert_eq!(shifted, n_ref);
+        assert_eq!(lambda, l_ref);
+        assert_eq!(mu, m_ref);
     }
 
     #[test]
     fn normalize_preserves_lambda_plus_mu_on_support() {
         // λᵢ + μⱼ is the quantity entering x(λ,μ); shifting must preserve
         // it on every edge of the offending component.
-        let x = [1.0, 1.0, 1.0, 1.0];
+        let x = dense(2, 2, &[1.0, 1.0, 1.0, 1.0]);
         let mut lambda = vec![50.0, 30.0];
         let mut mu = vec![-3.0, 4.0];
         let before: Vec<f64> = (0..2)
             .flat_map(|i| (0..2).map(move |j| (i, j)))
             .map(|(i, j)| lambda[i] + mu[j])
             .collect();
-        normalize_multipliers(&x, 2, 2, &mut lambda, &mut mu, 10.0);
+        normalize_multipliers(&x, &mut lambda, &mut mu, 10.0);
         let after: Vec<f64> = (0..2)
             .flat_map(|i| (0..2).map(move |j| (i, j)))
             .map(|(i, j)| lambda[i] + mu[j])

@@ -22,10 +22,11 @@
 //! Without one, plain subproblems yield just `(λ, total)`, while boxed ones
 //! still clamp every entry, because their clamp count is kernel work.
 //!
-//! Parallel passes are **sharded**: rows are grouped into cache-sized
-//! contiguous blocks and the blocks are distributed over the worker pool.
-//! Each row is still solved independently, so results are bitwise
-//! identical across worker counts *and* shard sizes.
+//! Every pass runs one loop over its subproblems, a *shard*: a serial
+//! pass is one shard spanning every row, run on the calling thread; a
+//! parallel pass splits its rows into uniform contiguous blocks and runs
+//! each on the worker pool. Each row is still solved independently, so
+//! results are bitwise identical across worker counts *and* shard sizes.
 
 use crate::error::SeaError;
 use crate::knapsack::{
@@ -41,26 +42,26 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Default shard size (rows per block) for parallel passes when the solver
-/// does not supply explicit boundaries. Sized so a typical block's working
-/// set (a few KB per row even on dense mid-size instances) stays within an
-/// L2 cache.
+/// Default shard size (rows per block) of a parallel pass, when
+/// `SeaOptions::block_size` does not set one. Sized so a typical block's
+/// working set (a few KB per row even on dense mid-size instances) stays
+/// within an L2 cache.
 pub const DEFAULT_BLOCK_ROWS: usize = 256;
 
 thread_local! {
-    /// Workspace reused by every *serial* pass run on this thread. A pass
-    /// sizes the buffers on first use and later passes (and later solves)
-    /// reuse them, keeping the steady-state solver loop allocation-free —
-    /// the property `tests/alloc_free.rs` audits. Rayon passes instead get
-    /// one scratch per worker via `try_for_each_init`.
-    static SERIAL_SCRATCH: RefCell<TaskScratch> = RefCell::new(TaskScratch::new());
+    /// Workspace of every shard run on this thread: a serial pass's one
+    /// shard on the caller, a parallel pass's shards on the caller and the
+    /// solve's workers, which persist for the whole solve. A shard sizes
+    /// the buffers on first use and later shards (and later solves) reuse
+    /// them, keeping the steady-state solver loop allocation-free — the
+    /// property `tests/alloc_free.rs` audits.
+    static SCRATCH: RefCell<TaskScratch> = RefCell::new(TaskScratch::new());
 }
 
 /// Thread-safe accumulator for [`KernelCounters`] harvested from the
-/// per-thread `TaskScratch` workspaces of a rayon pass. The pass hands
-/// each worker its own scratch (`try_for_each_init`), so counters are
-/// flushed here with relaxed atomics once per shard — contention-free in
-/// practice and exact in total.
+/// thread-local `TaskScratch` workspaces a pass's shards run on. Each shard
+/// flushes its counters here with relaxed atomics once — contention-free
+/// in practice and exact in total.
 #[derive(Debug, Default)]
 pub struct PassCounters {
     subproblems: AtomicU64,
@@ -111,7 +112,7 @@ impl PassCounters {
 }
 
 /// Wall-clock window and kernel work of one shard of a parallel pass,
-/// filled by the worker that ran the shard. Offsets are nanoseconds from
+/// filled by the thread that ran the shard. Offsets are nanoseconds from
 /// the pass start, so the serial caller can replay shards as span leaves
 /// without workers ever touching the observer.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,42 +125,6 @@ pub struct ShardTiming {
     pub tasks: u64,
     /// Kernel work done by the shard's tasks.
     pub counters: KernelCounters,
-}
-
-/// Preallocated per-shard timing sink for span profiling.
-///
-/// Reused across passes: `equilibration_pass` resizes it to the shard
-/// count (a no-op allocation-wise after the first pass, since the shard
-/// layout of a solve is fixed) and workers fill disjoint slots. Serial
-/// passes leave it empty — the pass span itself carries their timing.
-#[derive(Debug, Default)]
-pub struct ShardSink {
-    timings: Vec<ShardTiming>,
-}
-
-impl ShardSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Size for `shards` slots and zero them.
-    fn prepare(&mut self, shards: usize) {
-        self.timings.clear();
-        self.timings.resize(shards, ShardTiming::default());
-    }
-
-    /// The per-shard timings of the most recent parallel pass (empty
-    /// after a serial pass).
-    pub fn timings(&self) -> &[ShardTiming] {
-        &self.timings
-    }
-
-    /// Drop any recorded timings (used before serial passes so stale
-    /// shards from a previous pass are not replayed).
-    pub fn clear(&mut self) {
-        self.timings.clear();
-    }
 }
 
 /// Nanoseconds elapsed since `base`, saturating.
@@ -506,80 +471,115 @@ fn run_task<S: Storage>(
     }
 }
 
-/// One contiguous block of subproblems of a parallel pass, carrying the
-/// disjoint output slices its rows write. Blocks are the unit of work
-/// distribution *and* of counter flushing; rows inside a block run
-/// sequentially on one worker.
+/// One contiguous block of a pass's subproblems, carrying the disjoint
+/// outputs its rows write. A serial pass is one shard over every row; a
+/// parallel pass splits that shard into blocks ([`Shard::split`]). Shards
+/// are the unit of work distribution *and* of counter flushing; the rows
+/// of a shard run in order on one thread ([`run_shard`]).
 struct Shard<'a> {
     /// Global index of the first row in this shard.
     base: usize,
     lambda: &'a mut [f64],
     totals: &'a mut [f64],
-    /// Per-row stored-value slices of the iterate (empty when the pass
-    /// does not materialize it).
-    rows: Vec<&'a mut [f64]>,
+    /// The rows' contiguous run of the iterate's stored values, when the
+    /// pass keeps the iterate.
+    values: Option<&'a mut [f64]>,
+    /// Index in the iterate's stored values of `values[0]`.
+    offset: usize,
     /// Per-row wall-clock sinks, when the pass is timing tasks.
     costs: Option<&'a mut [f64]>,
     /// This shard's timing slot, when the pass is span-profiled.
     timing: Option<&'a mut ShardTiming>,
 }
 
-/// Split the pass outputs into [`Shard`]s at the given start indices
-/// (`starts[0] == 0`, strictly increasing, each `< m`).
-fn build_shards<'a, S: Storage>(
-    starts: &[usize],
-    m: usize,
-    lambda: &'a mut [f64],
-    totals_out: &'a mut [f64],
-    x: Option<&'a mut S>,
-    mut costs: Option<&'a mut [f64]>,
-    mut timings: Option<&'a mut [ShardTiming]>,
-) -> Vec<Shard<'a>> {
-    debug_assert_eq!(starts.first(), Some(&0));
-    let row_lens: Vec<usize> = match &x {
-        Some(x) => (0..m).map(|i| x.row_range(i).len()).collect(),
-        None => Vec::new(),
-    };
-    let mut lam_rest = lambda;
-    let mut tot_rest = totals_out;
-    // Stored values are row-major and contiguous in both backends, so the
-    // per-row slices tile `values_mut()` exactly.
-    let mut vals_rest = x.map_or(&mut [][..], Storage::values_mut);
-    let mut shards = Vec::with_capacity(starts.len());
-    for (si, &start) in starts.iter().enumerate() {
-        let end = starts.get(si + 1).copied().unwrap_or(m);
-        let cnt = end - start;
-        let (lam, rest) = std::mem::take(&mut lam_rest).split_at_mut(cnt);
-        lam_rest = rest;
-        let (tot, rest) = std::mem::take(&mut tot_rest).split_at_mut(cnt);
-        tot_rest = rest;
-        let shard_costs = costs.as_mut().map(|c| {
-            let (head, rest) = std::mem::take(c).split_at_mut(cnt);
-            *c = rest;
-            head
+/// Cut the first `len` items off `rest`.
+fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+impl<'a> Shard<'a> {
+    /// Split this whole-pass shard into blocks of `block` rows (the last
+    /// may be shorter), giving each a slot of `timings` when the pass is
+    /// span-profiled. `prior` lays out the iterate's stored values.
+    fn split(
+        mut self,
+        prior: &impl Storage,
+        block: usize,
+        timings: Option<&'a mut Vec<ShardTiming>>,
+    ) -> Vec<Shard<'a>> {
+        let m = self.lambda.len();
+        let count = m.div_ceil(block);
+        let mut slots = timings.map(|t| {
+            t.clear();
+            t.resize(count, ShardTiming::default());
+            t.iter_mut()
         });
-        let shard_timing = timings.as_mut().map(|t| {
-            let (head, rest) = std::mem::take(t).split_at_mut(1);
-            *t = rest;
-            &mut head[0]
-        });
-        let lens = row_lens.get(start..end).unwrap_or_default();
-        let mut rows = Vec::with_capacity(lens.len());
-        for &len in lens {
-            let (row, rest) = std::mem::take(&mut vals_rest).split_at_mut(len);
-            vals_rest = rest;
-            rows.push(row);
+        let mut shards = Vec::with_capacity(count);
+        for base in (0..m).step_by(block) {
+            let rows = block.min(m - base);
+            let end = prior.row_range(base + rows - 1).end;
+            shards.push(Shard {
+                base,
+                lambda: take_front(&mut self.lambda, rows),
+                totals: take_front(&mut self.totals, rows),
+                values: self
+                    .values
+                    .as_mut()
+                    .map(|v| take_front(v, end - self.offset)),
+                offset: std::mem::replace(&mut self.offset, end),
+                costs: self.costs.as_mut().map(|c| take_front(c, rows)),
+                timing: slots.as_mut().and_then(Iterator::next),
+            });
         }
-        shards.push(Shard {
-            base: start,
-            lambda: lam,
-            totals: tot,
-            rows,
-            costs: shard_costs,
-            timing: shard_timing,
-        });
+        shards
     }
-    shards
+}
+
+/// Solve a shard's subproblems in order on the calling thread's scratch,
+/// then flush the shard's kernel work into `counters` (and its timing
+/// slot) once. `pass_t0` is the pass start the timing slot is relative to.
+fn run_shard<S: Storage>(
+    inp: &PassInputs<'_, S>,
+    modes: &(dyn Fn(usize) -> TotalMode + Sync),
+    shard: &mut Shard<'_>,
+    counters: &PassCounters,
+    pass_t0: Instant,
+) -> Result<(), SeaError> {
+    SCRATCH.with_borrow_mut(|scratch| {
+        // The scratch outlives any one shard; drop counts a previous
+        // (possibly aborted) shard left behind before accumulating.
+        scratch.eq.stats = KernelCounters::default();
+        scratch.fallbacks = 0;
+        if let Some(tm) = shard.timing.as_mut() {
+            tm.start_ns = elapsed_ns(pass_t0);
+        }
+        let timing = shard.costs.is_some();
+        for t in 0..shard.lambda.len() {
+            let i = shard.base + t;
+            let t0 = timing.then(Instant::now);
+            let hint = inp.hint(shard.lambda[t]);
+            let x_row = shard.values.as_deref_mut().map(|v| {
+                let r = inp.prior.row_range(i);
+                &mut v[r.start - shard.offset..r.end - shard.offset]
+            });
+            let (l, s) = run_task(inp, i, modes(i), hint, x_row, scratch)?;
+            shard.lambda[t] = l;
+            shard.totals[t] = s;
+            if let (Some(c), Some(t0)) = (shard.costs.as_deref_mut(), t0) {
+                c[t] = t0.elapsed().as_secs_f64();
+            }
+        }
+        if let Some(tm) = shard.timing.as_mut() {
+            tm.end_ns = elapsed_ns(pass_t0);
+            tm.tasks = shard.lambda.len() as u64;
+            tm.counters = scratch.eq.stats;
+        }
+        counters.add(&scratch.eq.stats);
+        counters.add_fallbacks(scratch.fallbacks);
+        Ok(())
+    })
 }
 
 /// Run a full equilibration pass.
@@ -590,132 +590,68 @@ fn build_shards<'a, S: Storage>(
 /// subproblem's starting hint); `x`, when given (same orientation — and,
 /// for sparse storage, the same pattern — as `inp.prior`), receives the
 /// primal iterate. λ, the totals and the kernel counters come out the same,
-/// bit for bit, with or without `x`. When
-/// `costs` is provided it is filled with per-task wall-clock seconds for
-/// the scheduling simulator. When `counters` is provided the kernels' work
-/// counters are accumulated into it (pass `None` when nothing is
-/// observing; the flush is skipped entirely).
+/// bit for bit, with or without `x`. When `costs` is provided it is filled
+/// with per-task wall-clock seconds for the scheduling simulator. The
+/// kernels' work counters are accumulated into `counters`.
 ///
-/// `shard_starts` optionally supplies explicit shard boundaries for the
-/// parallel path (start indices, first `0`). `None` shards uniformly every
-/// [`DEFAULT_BLOCK_ROWS`] rows. Serial passes ignore sharding. Results are
-/// bitwise independent of the sharding because every row is solved
-/// independently.
+/// A serial pass runs every row as one shard on the calling thread. A
+/// parallel pass splits the rows into shards of `block` rows and runs them
+/// on the current pool. Results are bitwise independent of the sharding
+/// because every row is solved independently.
 ///
-/// When `timings` is provided, parallel workers fill one [`ShardTiming`]
-/// slot per shard (wall window relative to pass start, task count, and
-/// kernel counters) for the caller to replay as span leaves; serial
-/// passes clear the sink instead. Per-shard counters require `counters`
-/// to also be present (the per-shard flush is what isolates them).
+/// When `timings` is provided, a parallel pass fills one [`ShardTiming`]
+/// per shard (wall window relative to pass start, task count, and kernel
+/// counters) for the caller to replay as span leaves; a serial pass
+/// clears it instead.
 ///
 /// # Errors
 /// Propagates the first subproblem failure (infeasibility, invalid data).
-#[allow(clippy::too_many_arguments)] // pass = inputs + three outputs + mode + three optional sinks
+#[allow(clippy::too_many_arguments)] // pass = inputs + three outputs + mode + shard size + three sinks
 pub fn equilibration_pass<S: Storage>(
     inp: &PassInputs<'_, S>,
     modes: &(dyn Fn(usize) -> TotalMode + Sync),
     lambda: &mut [f64],
     totals_out: &mut [f64],
-    mut x: Option<&mut S>,
+    x: Option<&mut S>,
     par: Parallelism,
-    mut costs: Option<&mut Vec<f64>>,
-    counters: Option<&PassCounters>,
-    shard_starts: Option<&[usize]>,
-    timings: Option<&mut ShardSink>,
+    block: usize,
+    costs: Option<&mut Vec<f64>>,
+    counters: &PassCounters,
+    timings: Option<&mut Vec<ShardTiming>>,
 ) -> Result<(), SeaError> {
     let m = inp.prior.rows();
     debug_assert_eq!(lambda.len(), m);
     debug_assert_eq!(totals_out.len(), m);
     debug_assert!(x.as_ref().is_none_or(|x| x.same_pattern(inp.prior)));
 
-    if let Some(c) = costs.as_deref_mut() {
-        c.clear();
-        c.resize(m, 0.0);
-    }
-    let timing = costs.is_some();
-
-    match par {
-        Parallelism::Serial => SERIAL_SCRATCH.with_borrow_mut(|scratch| {
-            if let Some(sink) = timings {
-                sink.clear();
-            }
-            let mut cost_slice: Option<&mut [f64]> = costs.map(Vec::as_mut_slice);
-            // The scratch outlives any one pass; drop counts a previous
-            // (possibly aborted) pass left behind before accumulating.
-            scratch.eq.stats = KernelCounters::default();
-            scratch.fallbacks = 0;
-            for i in 0..m {
-                let t0 = timing.then(Instant::now);
-                let hint = inp.hint(lambda[i]);
-                let x_row = x.as_deref_mut().map(|x| x.row_values_mut(i));
-                let (l, s) = run_task(inp, i, modes(i), hint, x_row, scratch)?;
-                lambda[i] = l;
-                totals_out[i] = s;
-                if let (Some(c), Some(t0)) = (cost_slice.as_deref_mut(), t0) {
-                    c[i] = t0.elapsed().as_secs_f64();
-                }
-            }
-            if let Some(c) = counters {
-                c.add(&scratch.eq.stats);
-                c.add_fallbacks(scratch.fallbacks);
-            }
-            Ok(())
+    // Stored values are row-major and contiguous in both backends, so any
+    // run of rows owns one slice of `values_mut()`.
+    let mut whole = Shard {
+        base: 0,
+        lambda,
+        totals: totals_out,
+        values: x.map(Storage::values_mut),
+        offset: 0,
+        costs: costs.map(|c| {
+            c.clear();
+            c.resize(m, 0.0);
+            c.as_mut_slice()
         }),
-        Parallelism::Rayon | Parallelism::RayonThreads(_) => {
-            // `RayonThreads` pools are installed by the solver around the
-            // whole solve; here both variants fan out on the current pool.
-            let default_starts: Vec<usize>;
-            let starts: &[usize] = match shard_starts {
-                Some(s) if !s.is_empty() => s,
-                _ => {
-                    default_starts = (0..m).step_by(DEFAULT_BLOCK_ROWS).collect();
-                    &default_starts
-                }
-            };
-            let cost_slice: Option<&mut [f64]> = costs.map(Vec::as_mut_slice);
-            let timing_slots: Option<&mut [ShardTiming]> = timings.map(|sink| {
-                sink.prepare(starts.len());
-                sink.timings.as_mut_slice()
-            });
-            let pass_t0 = Instant::now();
-            let mut shards =
-                build_shards(starts, m, lambda, totals_out, x, cost_slice, timing_slots);
-            shards
-                .par_iter_mut()
-                .try_for_each_init(TaskScratch::new, |scratch, shard| {
-                    if let Some(tm) = shard.timing.as_mut() {
-                        tm.start_ns = elapsed_ns(pass_t0);
-                    }
-                    for t in 0..shard.lambda.len() {
-                        let i = shard.base + t;
-                        let t0 = timing.then(Instant::now);
-                        let hint = inp.hint(shard.lambda[t]);
-                        let x_row = shard.rows.get_mut(t).map(|r| &mut **r);
-                        let (lv, sv) = run_task(inp, i, modes(i), hint, x_row, scratch)?;
-                        shard.lambda[t] = lv;
-                        shard.totals[t] = sv;
-                        if let (Some(c), Some(t0)) = (shard.costs.as_deref_mut(), t0) {
-                            c[t] = t0.elapsed().as_secs_f64();
-                        }
-                    }
-                    if let Some(tm) = shard.timing.as_mut() {
-                        tm.end_ns = elapsed_ns(pass_t0);
-                        tm.tasks = shard.lambda.len() as u64;
-                        // Valid only alongside `counters`: the per-shard
-                        // flush below is what scopes the scratch stats to
-                        // this shard.
-                        tm.counters = scratch.eq.stats;
-                    }
-                    if let Some(acc) = counters {
-                        acc.add(&scratch.eq.stats);
-                        acc.add_fallbacks(scratch.fallbacks);
-                        scratch.eq.stats = KernelCounters::default();
-                        scratch.fallbacks = 0;
-                    }
-                    Ok(())
-                })
+        timing: None,
+    };
+    let pass_t0 = Instant::now();
+    if !par.is_parallel() {
+        if let Some(t) = timings {
+            t.clear();
         }
+        return run_shard(inp, modes, &mut whole, counters, pass_t0);
     }
+    // `RayonThreads` pools are installed by the solver around the whole
+    // solve; here both variants fan out on the current pool.
+    whole
+        .split(inp.prior, block.max(1), timings)
+        .par_iter_mut()
+        .try_for_each(|shard| run_shard(inp, modes, shard, counters, pass_t0))
 }
 
 #[cfg(test)]
@@ -729,36 +665,60 @@ mod tests {
         (x0, gamma)
     }
 
-    #[test]
-    fn fixed_pass_hits_row_totals() {
-        let (x0, gamma) = setup();
-        let shift = vec![0.0; 3];
-        let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
+    /// A cold sort-scan row pass over `(prior, gamma)` against `shift`,
+    /// without support lists, bounds or a scripted fault.
+    fn inputs<'a, S: Storage>(prior: &'a S, gamma: &'a S, shift: &'a [f64]) -> PassInputs<'a, S> {
+        PassInputs {
+            prior,
+            gamma,
             support: None,
             bounds: None,
-            shift: &shift,
+            shift,
             side: "row",
             kernel: KernelKind::SortScan,
             warm: false,
             fault: None,
-        };
-        let s0 = [9.0, 3.0];
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
-        let mut x = DenseMatrix::zeros(2, 3).unwrap();
+        }
+    }
+
+    /// Run `inp` on `par` from zero multipliers, writing `x`; returns λ,
+    /// the totals and the pass's counters.
+    fn pass<S: Storage>(
+        inp: &PassInputs<'_, S>,
+        modes: &(dyn Fn(usize) -> TotalMode + Sync),
+        x: &mut S,
+        par: Parallelism,
+    ) -> Result<(Vec<f64>, Vec<f64>, PassCounters), SeaError> {
+        let m = inp.prior.rows();
+        let (mut lambda, mut totals) = (vec![0.0; m], vec![0.0; m]);
+        let counters = PassCounters::default();
         equilibration_pass(
-            &inp,
-            &|i| TotalMode::Fixed { total: s0[i] },
+            inp,
+            modes,
             &mut lambda,
             &mut totals,
-            Some(&mut x),
+            Some(x),
+            par,
+            DEFAULT_BLOCK_ROWS,
+            None,
+            &counters,
+            None,
+        )?;
+        Ok((lambda, totals, counters))
+    }
+
+    #[test]
+    fn fixed_pass_hits_row_totals() {
+        let (x0, gamma) = setup();
+        let shift = vec![0.0; 3];
+        let s0 = [9.0, 3.0];
+        let mut x = DenseMatrix::zeros(2, 3).unwrap();
+        let modes = |i: usize| TotalMode::Fixed { total: s0[i] };
+        pass(
+            &inputs(&x0, &gamma, &shift),
+            &modes,
+            &mut x,
             Parallelism::Serial,
-            None,
-            None,
-            None,
-            None,
         )
         .unwrap();
         let sums = x.row_sums();
@@ -771,38 +731,15 @@ mod tests {
     fn serial_and_parallel_agree() {
         let (x0, gamma) = setup();
         let shift = vec![0.5, -0.5, 0.25];
-        let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
-        };
+        let inp = inputs(&x0, &gamma, &shift);
         let run = |par: Parallelism| {
-            let mut lambda = vec![0.0; 2];
-            let mut totals = vec![0.0; 2];
             let mut x = DenseMatrix::zeros(2, 3).unwrap();
-            equilibration_pass(
-                &inp,
-                &|i| TotalMode::Elastic {
-                    alpha: 1.0 + i as f64,
-                    prior: 5.0,
-                    cross: 0.0,
-                },
-                &mut lambda,
-                &mut totals,
-                Some(&mut x),
-                par,
-                None,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
+            let modes = |i: usize| TotalMode::Elastic {
+                alpha: 1.0 + i as f64,
+                prior: 5.0,
+                cross: 0.0,
+            };
+            let (lambda, totals, _) = pass(&inp, &modes, &mut x, par).unwrap();
             (lambda, totals, x)
         };
         let (l1, t1, x1) = run(Parallelism::Serial);
@@ -818,32 +755,12 @@ mod tests {
         let support = vec![vec![0u32, 1, 2], vec![0u32, 2]];
         let shift = vec![0.0; 3];
         let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
             support: Some(&support),
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
+            ..inputs(&x0, &gamma, &shift)
         };
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
         let mut x = DenseMatrix::zeros(2, 3).unwrap();
-        equilibration_pass(
-            &inp,
-            &|_| TotalMode::Fixed { total: 8.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
-            Parallelism::Serial,
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let modes = |_| TotalMode::Fixed { total: 8.0 };
+        pass(&inp, &modes, &mut x, Parallelism::Serial).unwrap();
         assert_eq!(x.get(1, 1), 0.0, "structural zero must stay zero");
         let sums = x.row_sums();
         assert!((sums[1] - 8.0).abs() < 1e-9);
@@ -852,21 +769,11 @@ mod tests {
         let hi = DenseMatrix::filled(2, 3, 10.0).unwrap();
         let sums = [(0.0, 30.0); 2];
         let bounds = PassBounds::new(&lo, &hi, &sums);
-        let e = equilibration_pass(
-            &PassInputs {
-                bounds: Some(&bounds),
-                ..inp
-            },
-            &|_| TotalMode::Fixed { total: 8.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
-            Parallelism::Serial,
-            None,
-            None,
-            None,
-            None,
-        );
+        let boxed = PassInputs {
+            bounds: Some(&bounds),
+            ..inp
+        };
+        let e = pass(&boxed, &modes, &mut x, Parallelism::Serial);
         assert!(matches!(e, Err(SeaError::PatternMismatch { .. })));
     }
 
@@ -879,33 +786,14 @@ mod tests {
         let (x0, gamma) = setup();
         let support = vec![vec![0u32, 1, 2], vec![0u32, 2]];
         let shift = vec![0.37, -0.21, 0.11];
+        let modes = |_| TotalMode::Fixed { total: 8.0 };
 
-        let mut lambda_d = vec![0.0; 2];
-        let mut totals_d = vec![0.0; 2];
         let mut xd = DenseMatrix::zeros(2, 3).unwrap();
-        equilibration_pass(
-            &PassInputs {
-                prior: &x0,
-                gamma: &gamma,
-                support: Some(&support),
-                bounds: None,
-                shift: &shift,
-                side: "row",
-                kernel: KernelKind::SortScan,
-                warm: false,
-                fault: None,
-            },
-            &|_| TotalMode::Fixed { total: 8.0 },
-            &mut lambda_d,
-            &mut totals_d,
-            Some(&mut xd),
-            Parallelism::Serial,
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let dense = PassInputs {
+            support: Some(&support),
+            ..inputs(&x0, &gamma, &shift)
+        };
+        let (lambda_d, totals_d, _) = pass(&dense, &modes, &mut xd, Parallelism::Serial).unwrap();
 
         let x0_csr = CsrMatrix::from_dense_pruned(&x0).unwrap();
         let gvals: Vec<f64> = (0..2)
@@ -919,33 +807,10 @@ mod tests {
             })
             .collect();
         let gamma_csr = x0_csr.with_values(gvals).unwrap();
-        let mut lambda_s = vec![0.0; 2];
-        let mut totals_s = vec![0.0; 2];
         let mut xs = x0_csr.zeros_like();
         for par in [Parallelism::Serial, Parallelism::Rayon] {
-            equilibration_pass(
-                &PassInputs {
-                    prior: &x0_csr,
-                    gamma: &gamma_csr,
-                    support: None,
-                    bounds: None,
-                    shift: &shift,
-                    side: "row",
-                    kernel: KernelKind::SortScan,
-                    warm: false,
-                    fault: None,
-                },
-                &|_| TotalMode::Fixed { total: 8.0 },
-                &mut lambda_s,
-                &mut totals_s,
-                Some(&mut xs),
-                par,
-                None,
-                None,
-                None,
-                None,
-            )
-            .unwrap();
+            let sparse = inputs(&x0_csr, &gamma_csr, &shift);
+            let (lambda_s, totals_s, _) = pass(&sparse, &modes, &mut xs, par).unwrap();
             assert_eq!(lambda_d, lambda_s, "par={par:?}");
             assert_eq!(totals_d, totals_s, "par={par:?}");
             let dense_back = xs.to_dense().unwrap();
@@ -954,95 +819,36 @@ mod tests {
     }
 
     #[test]
-    fn shard_boundaries_do_not_change_results() {
-        // 8 rows, solved with every sharding from one block to per-row
-        // blocks: bitwise-identical λ/totals/x.
-        let m = 8;
-        let x0 = DenseMatrix::from_vec(m, 3, (0..m * 3).map(|k| 1.0 + (k % 7) as f64).collect())
-            .unwrap();
-        let gamma = DenseMatrix::filled(m, 3, 1.0).unwrap();
-        let shift = vec![0.3, -0.4, 0.1];
-        let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
-        };
-        let run = |starts: Option<&[usize]>| {
-            let mut lambda = vec![0.0; m];
-            let mut totals = vec![0.0; m];
-            let mut x = DenseMatrix::zeros(m, 3).unwrap();
+    fn task_costs_and_counters_cover_every_task() {
+        let (x0, gamma) = setup();
+        let shift = vec![0.0; 3];
+        let inp = inputs(&x0, &gamma, &shift);
+        for (par, block) in [
+            (Parallelism::Serial, DEFAULT_BLOCK_ROWS),
+            (Parallelism::Rayon, 1),
+        ] {
+            let counters = PassCounters::default();
+            let mut lambda = vec![0.0; 2];
+            let mut totals = vec![0.0; 2];
+            let mut x = DenseMatrix::zeros(2, 3).unwrap();
+            let mut costs = Vec::new();
             equilibration_pass(
                 &inp,
-                &|i| TotalMode::Fixed {
-                    total: 5.0 + i as f64,
-                },
+                &|_| TotalMode::Fixed { total: 5.0 },
                 &mut lambda,
                 &mut totals,
                 Some(&mut x),
-                Parallelism::Rayon,
-                None,
-                None,
-                starts,
+                par,
+                block,
+                Some(&mut costs),
+                &counters,
                 None,
             )
             .unwrap();
-            (lambda, totals, x)
-        };
-        let base = run(None);
-        let whole = run(Some(&[0]));
-        let pairs = run(Some(&[0, 2, 4, 6]));
-        let ragged = run(Some(&[0, 1, 5]));
-        let per_row: Vec<usize> = (0..m).collect();
-        let singles = run(Some(&per_row));
-        for other in [&whole, &pairs, &ragged, &singles] {
-            assert_eq!(base.0, other.0);
-            assert_eq!(base.1, other.1);
-            assert_eq!(base.2, other.2);
+            assert_eq!(costs.len(), 2);
+            assert!(costs.iter().all(|&c| c >= 0.0));
+            assert_eq!(counters.snapshot().subproblems, 2);
         }
-    }
-
-    #[test]
-    fn sharded_costs_and_counters_cover_every_task() {
-        let (x0, gamma) = setup();
-        let shift = vec![0.0; 3];
-        let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
-        };
-        let counters = PassCounters::default();
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
-        let mut x = DenseMatrix::zeros(2, 3).unwrap();
-        let mut costs = Vec::new();
-        equilibration_pass(
-            &inp,
-            &|_| TotalMode::Fixed { total: 5.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
-            Parallelism::Rayon,
-            Some(&mut costs),
-            Some(&counters),
-            Some(&[0, 1]),
-            None,
-        )
-        .unwrap();
-        assert_eq!(costs.len(), 2);
-        assert!(costs.iter().all(|&c| c >= 0.0));
-        assert_eq!(counters.snapshot().subproblems, 2);
     }
 
     #[test]
@@ -1051,30 +857,16 @@ mod tests {
         let support = vec![vec![0u32, 1, 2], vec![]];
         let shift = vec![0.0; 3];
         let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
             support: Some(&support),
-            bounds: None,
-            shift: &shift,
             side: "column",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
+            ..inputs(&x0, &gamma, &shift)
         };
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
         let mut x = DenseMatrix::zeros(2, 3).unwrap();
-        let e = equilibration_pass(
+        let e = pass(
             &inp,
             &|_| TotalMode::Fixed { total: 8.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
+            &mut x,
             Parallelism::Serial,
-            None,
-            None,
-            None,
-            None,
         );
         assert!(matches!(
             e,
@@ -1091,31 +883,13 @@ mod tests {
         let x0 = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0)]).unwrap();
         let gamma = x0.with_values(vec![1.0, 1.0]).unwrap();
         let shift = vec![0.0; 3];
-        let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
-        };
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
+        let inp = inputs(&x0, &gamma, &shift);
         let mut x = x0.zeros_like();
-        let e = equilibration_pass(
+        let e = pass(
             &inp,
             &|_| TotalMode::Fixed { total: 4.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
+            &mut x,
             Parallelism::Serial,
-            None,
-            None,
-            None,
-            None,
         );
         assert!(matches!(
             e,
@@ -1125,93 +899,22 @@ mod tests {
             })
         ));
         // A zero fixed total (or an elastic one) is fine.
-        let ok = equilibration_pass(
-            &inp,
-            &|i| TotalMode::Fixed {
-                total: if i == 0 { 4.0 } else { 0.0 },
-            },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
-            Parallelism::Serial,
-            None,
-            None,
-            None,
-            None,
-        );
-        assert!(ok.is_ok());
-        assert_eq!(totals[1], 0.0);
-    }
-
-    #[test]
-    fn cost_recording_fills_per_task_entries() {
-        let (x0, gamma) = setup();
-        let shift = vec![0.0; 3];
-        let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
+        let modes = |i| TotalMode::Fixed {
+            total: if i == 0 { 4.0 } else { 0.0 },
         };
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
-        let mut x = DenseMatrix::zeros(2, 3).unwrap();
-        let mut costs = Vec::new();
-        equilibration_pass(
-            &inp,
-            &|_| TotalMode::Fixed { total: 5.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
-            Parallelism::Serial,
-            Some(&mut costs),
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(costs.len(), 2);
-        assert!(costs.iter().all(|&c| c >= 0.0));
+        let (_, totals, _) = pass(&inp, &modes, &mut x, Parallelism::Serial).unwrap();
+        assert_eq!(totals[1], 0.0);
     }
 
     #[test]
     fn pass_counters_collect_from_every_worker() {
         let (x0, gamma) = setup();
         let shift = vec![0.0; 3];
-        let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
-            fault: None,
-        };
+        let inp = inputs(&x0, &gamma, &shift);
         for par in [Parallelism::Serial, Parallelism::Rayon] {
-            let counters = PassCounters::default();
-            let mut lambda = vec![0.0; 2];
-            let mut totals = vec![0.0; 2];
             let mut x = DenseMatrix::zeros(2, 3).unwrap();
-            equilibration_pass(
-                &inp,
-                &|_| TotalMode::Fixed { total: 5.0 },
-                &mut lambda,
-                &mut totals,
-                Some(&mut x),
-                par,
-                None,
-                Some(&counters),
-                None,
-                None,
-            )
-            .unwrap();
+            let modes = |_| TotalMode::Fixed { total: 5.0 };
+            let (_, _, counters) = pass(&inp, &modes, &mut x, par).unwrap();
             let snap = counters.snapshot();
             assert_eq!(snap.subproblems, 2, "par={par:?}");
             assert!(snap.breakpoints_scanned >= 2);
@@ -1224,36 +927,16 @@ mod tests {
         let (x0, gamma) = setup();
         let shift = vec![0.0; 3];
         let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
             kernel: KernelKind::Quickselect,
-            warm: false,
             fault: Some(TaskFault {
                 index: 1,
                 panic: false,
             }),
+            ..inputs(&x0, &gamma, &shift)
         };
-        let counters = PassCounters::default();
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
         let mut x = DenseMatrix::zeros(2, 3).unwrap();
-        equilibration_pass(
-            &inp,
-            &|_| TotalMode::Fixed { total: 5.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
-            Parallelism::Serial,
-            None,
-            Some(&counters),
-            None,
-            None,
-        )
-        .unwrap();
+        let modes = |_| TotalMode::Fixed { total: 5.0 };
+        let (_, _, counters) = pass(&inp, &modes, &mut x, Parallelism::Serial).unwrap();
         assert_eq!(counters.fallbacks(), 1);
         // The fallback re-solve still hits the row total exactly.
         let sums = x.row_sums();
@@ -1265,43 +948,24 @@ mod tests {
         let (x0, gamma) = setup();
         let shift = vec![0.0; 3];
         let inp = PassInputs {
-            prior: &x0,
-            gamma: &gamma,
-            support: None,
-            bounds: None,
-            shift: &shift,
-            side: "row",
-            kernel: KernelKind::SortScan,
-            warm: false,
             fault: Some(TaskFault {
                 index: 0,
                 panic: false,
             }),
+            ..inputs(&x0, &gamma, &shift)
         };
-        let counters = PassCounters::default();
-        let mut lambda = vec![0.0; 2];
-        let mut totals = vec![0.0; 2];
         let mut x = DenseMatrix::zeros(2, 3).unwrap();
-        equilibration_pass(
-            &inp,
-            &|_| TotalMode::Fixed { total: 5.0 },
-            &mut lambda,
-            &mut totals,
-            Some(&mut x),
-            Parallelism::Serial,
-            None,
-            Some(&counters),
-            None,
-            None,
-        )
-        .unwrap();
+        let modes = |_| TotalMode::Fixed { total: 5.0 };
+        let (_, _, counters) = pass(&inp, &modes, &mut x, Parallelism::Serial).unwrap();
         assert_eq!(counters.fallbacks(), 0, "sort-scan has no fallback target");
     }
 
     /// Run one pass of every kernel, cold and then warm, serially and on
-    /// two threads, with and without an output iterate, and require the
-    /// same λ, totals and kernel counters bit for bit.
-    fn assert_iterate_is_optional<S: Storage>(
+    /// two threads, in blocks of 1, 2, 3, m and m + 1 rows, with and without
+    /// an output iterate, and require the same λ, totals, iterate and
+    /// kernel counters bit for bit, and a parallel pass's shard timings to
+    /// cover each block once.
+    fn assert_passes_agree<S: Storage>(
         prior: &S,
         gamma: &S,
         support: Option<&[Vec<u32>]>,
@@ -1312,53 +976,76 @@ mod tests {
         let m = prior.rows();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
-            for par in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
-                // The cold pass's multipliers start the warm pass, which
-                // sees a moved shift, so it both hits and misses.
-                let mut hints = vec![0.0; m];
-                for (warm, shift) in [(false, shifts[0]), (true, shifts[1])] {
-                    let inp = PassInputs {
-                        prior,
-                        gamma,
-                        support,
-                        bounds,
-                        shift,
-                        side: "row",
-                        kernel,
-                        warm,
-                        fault: None,
-                    };
-                    let run = |keep: bool| {
-                        let mut lambda = hints.clone();
-                        let mut totals = vec![0.0; m];
-                        let mut x = prior.zeros_like().unwrap();
-                        let counters = PassCounters::default();
-                        par.run(|| {
-                            equilibration_pass(
-                                &inp,
-                                modes,
-                                &mut lambda,
-                                &mut totals,
-                                keep.then_some(&mut x),
-                                par,
-                                None,
-                                Some(&counters),
-                                None,
-                                None,
-                            )
-                        })
-                        .unwrap();
-                        (lambda, totals, counters.snapshot(), counters.fallbacks())
-                    };
-                    let (with_x, without_x) = (run(true), run(false));
-                    let what = format!("{kernel:?} {par:?} warm={warm}");
-                    assert_eq!(bits(&with_x.0), bits(&without_x.0), "λ, {what}");
-                    assert_eq!(bits(&with_x.1), bits(&without_x.1), "totals, {what}");
-                    assert_eq!(with_x.2, without_x.2, "counters, {what}");
-                    assert_eq!(with_x.3, without_x.3, "fallbacks, {what}");
-                    assert!(with_x.2.subproblems > 0);
-                    hints = with_x.0;
+            // The cold pass's multipliers start the warm pass, which sees a
+            // moved shift, so it both hits and misses.
+            let mut hints = vec![0.0; m];
+            for (warm, shift) in [(false, shifts[0]), (true, shifts[1])] {
+                let inp = PassInputs {
+                    support,
+                    bounds,
+                    kernel,
+                    warm,
+                    ..inputs(prior, gamma, shift)
+                };
+                let run = |par: Parallelism, block: usize, keep: bool| {
+                    let mut lambda = hints.clone();
+                    let mut totals = vec![0.0; m];
+                    let mut x = prior.zeros_like().unwrap();
+                    let counters = PassCounters::default();
+                    // Stale slots, which a serial pass must clear.
+                    let mut timings = vec![ShardTiming::default(); 2];
+                    par.run(|| {
+                        equilibration_pass(
+                            &inp,
+                            modes,
+                            &mut lambda,
+                            &mut totals,
+                            keep.then_some(&mut x),
+                            par,
+                            block,
+                            None,
+                            &counters,
+                            Some(&mut timings),
+                        )
+                    })
+                    .unwrap();
+                    let work = (counters.snapshot(), counters.fallbacks());
+                    (
+                        lambda,
+                        bits(&totals),
+                        keep.then(|| bits(x.values())),
+                        work,
+                        timings,
+                    )
+                };
+                let reference = run(Parallelism::Serial, m, true);
+                assert!(reference.3 .0.subproblems > 0);
+                for par in [Parallelism::Serial, Parallelism::RayonThreads(2)] {
+                    for block in [1, 2, 3, m, m + 1] {
+                        for keep in [true, false] {
+                            let what = format!("{kernel:?} warm={warm} {par:?} {block} {keep}");
+                            let (lambda, totals, x, work, timings) = run(par, block, keep);
+                            assert_eq!(bits(&lambda), bits(&reference.0), "λ, {what}");
+                            assert_eq!(totals, reference.1, "totals, {what}");
+                            if keep {
+                                assert_eq!(x, reference.2, "x, {what}");
+                            }
+                            assert_eq!(work, reference.3, "counters, {what}");
+                            if !par.is_parallel() {
+                                assert!(timings.is_empty(), "{what}");
+                                continue;
+                            }
+                            assert_eq!(timings.len(), m.div_ceil(block), "{what}");
+                            let tasks: u64 = timings.iter().map(|tm| tm.tasks).sum();
+                            assert_eq!(tasks, m as u64, "{what}");
+                            let shard_work = timings
+                                .iter()
+                                .fold(KernelCounters::default(), |a, tm| a.merged(tm.counters));
+                            assert_eq!(shard_work, work.0, "shard counters, {what}");
+                        }
+                    }
                 }
+                hints = reference.0;
             }
         }
     }
@@ -1414,8 +1101,8 @@ mod tests {
         };
 
         // Plain subproblems: dense rows, dense rows with support lists, CSR.
-        assert_iterate_is_optional(&prior, &gamma, None, None, &modes, shifts);
-        assert_iterate_is_optional(&prior, &gamma, Some(&support), None, &modes, shifts);
+        assert_passes_agree(&prior, &gamma, None, None, &modes, shifts);
+        assert_passes_agree(&prior, &gamma, Some(&support), None, &modes, shifts);
         let prior_csr = CsrMatrix::from_dense_pruned(&prior).unwrap();
         let on_pattern = |d: &DenseMatrix| {
             let v = (0..m)
@@ -1429,7 +1116,7 @@ mod tests {
             prior_csr.with_values(v).unwrap()
         };
         let gamma_csr = on_pattern(&gamma);
-        assert_iterate_is_optional(&prior_csr, &gamma_csr, None, None, &modes, shifts);
+        assert_passes_agree(&prior_csr, &gamma_csr, None, None, &modes, shifts);
 
         // Boxed subproblems, dense and CSR, totals inside their boxes.
         let lo = DenseMatrix::from_vec(
@@ -1464,7 +1151,7 @@ mod tests {
         };
         let bounds = PassBounds::new(&lo, &hi, &dense_sums);
         let modes = |i| boxed_modes(&dense_sums, i);
-        assert_iterate_is_optional(&prior, &gamma, None, Some(&bounds), &modes, shifts);
+        assert_passes_agree(&prior, &gamma, None, Some(&bounds), &modes, shifts);
         let (lo_csr, hi_csr) = (on_pattern(&lo), on_pattern(&hi));
         let csr_sums: Vec<(f64, f64)> = (0..m)
             .map(|i| {
@@ -1474,44 +1161,24 @@ mod tests {
             .collect();
         let bounds = PassBounds::new(&lo_csr, &hi_csr, &csr_sums);
         let modes = |i| boxed_modes(&csr_sums, i);
-        assert_iterate_is_optional(&prior_csr, &gamma_csr, None, Some(&bounds), &modes, shifts);
+        assert_passes_agree(&prior_csr, &gamma_csr, None, Some(&bounds), &modes, shifts);
     }
 
     #[test]
     fn worker_panic_is_contained_as_typed_error() {
         let (x0, gamma) = setup();
         let shift = vec![0.0; 3];
+        let inp = PassInputs {
+            side: "column",
+            fault: Some(TaskFault {
+                index: 1,
+                panic: true,
+            }),
+            ..inputs(&x0, &gamma, &shift)
+        };
         for par in [Parallelism::Serial, Parallelism::Rayon] {
-            let inp = PassInputs {
-                prior: &x0,
-                gamma: &gamma,
-                support: None,
-                bounds: None,
-                shift: &shift,
-                side: "column",
-                kernel: KernelKind::SortScan,
-                warm: false,
-                fault: Some(TaskFault {
-                    index: 1,
-                    panic: true,
-                }),
-            };
-            let mut lambda = vec![0.0; 2];
-            let mut totals = vec![0.0; 2];
             let mut x = DenseMatrix::zeros(2, 3).unwrap();
-            let e = equilibration_pass(
-                &inp,
-                &|_| TotalMode::Fixed { total: 5.0 },
-                &mut lambda,
-                &mut totals,
-                Some(&mut x),
-                par,
-                None,
-                None,
-                None,
-                None,
-            );
-            match e {
+            match pass(&inp, &|_| TotalMode::Fixed { total: 5.0 }, &mut x, par) {
                 Err(SeaError::WorkerPanic {
                     side: "column",
                     index: 1,
@@ -1543,15 +1210,8 @@ mod tests {
         let sums = prior.row_sums();
         let pass = |kernel: KernelKind, scale: f64, par: Parallelism| {
             let inp = PassInputs {
-                prior: &prior,
-                gamma: &gamma,
-                support: None,
-                bounds: None,
-                shift: &shift,
-                side: "row",
                 kernel,
-                warm: false,
-                fault: None,
+                ..inputs(&prior, &gamma, &shift)
             };
             let mut lambda = vec![0.0; m];
             let mut totals = vec![0.0; m];
@@ -1566,9 +1226,9 @@ mod tests {
                     &mut totals,
                     None,
                     par,
+                    DEFAULT_BLOCK_ROWS,
                     None,
-                    Some(&counters),
-                    None,
+                    &counters,
                     None,
                 )
             })
@@ -1592,5 +1252,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn empty_rows_at_shard_edges_keep_every_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(32);
+        // Rows 0, 2, 3, 5 and 8 store nothing: blocks of 1, 2 or 3 rows
+        // open or close on them, and row 8 ends the pass.
+        let (m, n) = (9, 5);
+        let empty = [0, 2, 3, 5, 8];
+        let mut triplets = Vec::new();
+        for i in (0..m).filter(|i| !empty.contains(i)) {
+            for j in 0..n {
+                if j == i % n || rng.random_range(0.0..1.0) < 0.6 {
+                    triplets.push((i, j, rng.random_range(0.5..10.0)));
+                }
+            }
+        }
+        let prior = CsrMatrix::from_triplets(m, n, &triplets).unwrap();
+        let mut on_pattern = |lo: f64, hi: f64| {
+            let v = (0..prior.stored())
+                .map(|_| rng.random_range(lo..hi))
+                .collect();
+            prior.with_values(v).unwrap()
+        };
+        let (gamma, lo, width) = (
+            on_pattern(0.05, 5.0),
+            on_pattern(0.0, 1.0),
+            on_pattern(0.5, 4.0),
+        );
+        let hi = lo
+            .with_values(
+                lo.values()
+                    .iter()
+                    .zip(width.values())
+                    .map(|(l, w)| l + w)
+                    .collect(),
+            )
+            .unwrap();
+        let shift_cold: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let shift_warm: Vec<f64> = shift_cold
+            .iter()
+            .map(|v| v + rng.random_range(-0.3..0.3))
+            .collect();
+        let shifts = [&shift_cold[..], &shift_warm[..]];
+        let sums: Vec<(f64, f64)> = (0..m)
+            .map(|i| {
+                let r = prior.row_range(i);
+                (
+                    lo.values()[r.clone()].iter().sum(),
+                    hi.values()[r].iter().sum(),
+                )
+            })
+            .collect();
+        // Odd rows are elastic; an empty fixed row's total is 0.
+        let modes = |i: usize| {
+            let (slo, shi) = sums[i];
+            if i % 2 == 1 {
+                TotalMode::Elastic {
+                    alpha: 0.8,
+                    prior: 0.5 * (slo + shi),
+                    cross: 0.1,
+                }
+            } else {
+                TotalMode::Fixed {
+                    total: slo + 0.4 * (shi - slo),
+                }
+            }
+        };
+        assert_passes_agree(&prior, &gamma, None, None, &modes, shifts);
+        let bounds = PassBounds::new(&lo, &hi, &sums);
+        assert_passes_agree(&prior, &gamma, None, Some(&bounds), &modes, shifts);
     }
 }

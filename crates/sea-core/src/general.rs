@@ -461,7 +461,7 @@ pub fn solve_general_supervised<O: Observer + Send>(
                     }
                 }
             };
-            projection.close(obs, None, None);
+            projection.close(obs, None, &[]);
 
             // ---- Inner diagonal SEA solve. -----------------------------------
             let sub = DiagonalProblem::with_signed_prior(q, gamma.clone(), spec, ZeroPolicy::Free)?;

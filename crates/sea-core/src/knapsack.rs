@@ -383,8 +383,12 @@ impl Bounds for Interval<'_> {
         c.max(seg_lo)
     }
 
-    /// A fixed total attained only at an extreme: clamp to `±√f64::MAX`.
+    /// A fixed total attained only at an extreme: clamp an infinite λ to
+    /// `±√f64::MAX`. A NaN λ is a breakdown, as for [`Unbounded`].
     fn finite_lambda(self, lambda: f64, mode: TotalMode) -> Result<f64, SeaError> {
+        if lambda.is_nan() {
+            return Err(SeaError::NumericalBreakdown { iteration: 0 });
+        }
         Ok(if lambda.is_finite() {
             lambda
         } else {
@@ -1403,6 +1407,39 @@ mod tests {
                 matches!(r, Err(SeaError::InconsistentBounds { index: 0, lower, upper }) if lower == 2.0 && upper == 1.0),
                 "{r:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_nan_search_is_a_breakdown_with_or_without_bounds() {
+        // A NaN shift makes the search's λ NaN. The boxed kernel must not
+        // clamp that to ±√MAX and answer `Ok`.
+        let (lo, hi) = ([0.0, 0.0], [5.0, 5.0]);
+        let modes = [
+            TotalMode::Fixed { total: 1.0 },
+            TotalMode::Elastic {
+                alpha: 1.0,
+                prior: 1.0,
+                cross: 0.0,
+            },
+        ];
+        for kernel in [KernelKind::SortScan, KernelKind::Quickselect] {
+            for bounds in [None, Some((&lo[..], &hi[..]))] {
+                for mode in modes {
+                    let r = solve(
+                        kernel,
+                        &[1.0, 2.0],
+                        &[1.0, 1.0],
+                        &[f64::NAN, 0.0],
+                        bounds,
+                        mode,
+                    );
+                    assert!(
+                        matches!(r, Err(SeaError::NumericalBreakdown { .. })),
+                        "{kernel:?} {bounds:?} {mode:?}: {r:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! Both are decided by the observer: under [`sea_observe::NullObserver`]
 //! every branch here is on a constant `false` and compiles away.
 
-use crate::equilibrate::{PassCounters, ShardSink};
+use crate::equilibrate::{PassCounters, ShardTiming};
 use crate::supervisor::StopReason;
 use sea_observe::{Event, KernelCounters, Observer, PhaseLabel, SpanKind};
 use std::time::Instant;
@@ -69,9 +69,9 @@ impl<'c> Phase<'c> {
         }
     }
 
-    /// Close the phase. The span first replays the shard timings of a
-    /// parallel pass as leaves, which then carry the pass's whole kernel
-    /// work, so the span closes with zero *self* counters; a serial pass
+    /// Close the phase. The span first replays `shards`, the shard timings
+    /// of a parallel pass, as leaves, which then carry the pass's whole
+    /// kernel work, so the span closes with zero *self* counters; a serial pass
     /// closes with its full work. Then `PhaseEnd` carries `task_seconds`,
     /// the per-task costs the phase measured (`None` splits its wall time
     /// evenly over its tasks), and quickselect fallbacks taken during the
@@ -80,11 +80,10 @@ impl<'c> Phase<'c> {
         self,
         obs: &mut O,
         task_seconds: Option<&[f64]>,
-        shards: Option<&ShardSink>,
+        shards: &[ShardTiming],
     ) {
         if let Some(before) = self.work_before {
-            let timings = shards.map_or(&[][..], ShardSink::timings);
-            for (si, tm) in timings.iter().enumerate() {
+            for (si, tm) in shards.iter().enumerate() {
                 obs.span_leaf(
                     SpanKind::Shard,
                     si as u64,
@@ -96,7 +95,7 @@ impl<'c> Phase<'c> {
                 );
             }
             let own = match self.counters {
-                Some(c) if timings.is_empty() => c.snapshot().delta_from(before),
+                Some(c) if shards.is_empty() => c.snapshot().delta_from(before),
                 _ => KernelCounters::default(),
             };
             obs.span_close(&own);

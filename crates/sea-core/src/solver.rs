@@ -17,10 +17,10 @@
 //! which turns every subproblem into a box-bounded knapsack.
 
 use crate::anderson::Anderson;
-use crate::components::normalize_multipliers_storage;
+use crate::components::normalize_multipliers;
 use crate::dual;
 use crate::equilibrate::{
-    equilibration_pass, PassBounds, PassCounters, PassInputs, ShardSink, DEFAULT_BLOCK_ROWS,
+    equilibration_pass, PassBounds, PassCounters, PassInputs, ShardTiming, DEFAULT_BLOCK_ROWS,
 };
 use crate::error::SeaError;
 use crate::interval::BoundedProblem;
@@ -361,10 +361,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     // event sink can run without span overhead.
     let (observing, spanning) = (obs.enabled(), obs.spans_enabled());
     let parallel = opts.parallelism.is_parallel();
-    let tally = &mut Tally {
-        shards: (spanning && parallel).then(ShardSink::new),
-        ..Tally::default()
-    };
+    let tally = &mut Tally::default();
 
     // Transposed copies once per solve: the column pass then walks
     // contiguous memory (for sparse storage, transposition doubles as the
@@ -381,10 +378,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     };
     let bounds_t = transposed.next().zip(transposed.next());
 
-    // Fixed-size shards for parallel passes. Rows are independent, so
-    // results are bitwise-identical for every sharding.
-    let block = opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS).max(1);
-    let shards = |len: usize| parallel.then(|| (0..len).step_by(block).collect::<Vec<_>>());
     // A resumed solve starts from its checkpoint's multipliers and
     // extrapolation history instead of `initial_mu`.
     let resume = ctrl.resume();
@@ -394,7 +387,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         gamma: p.gamma(),
         support: p.support().map(|sup| sup.rows.as_slice()),
         bounds: bounds.map(BoundedProblem::row_bounds),
-        starts: shards(m),
         warm_start: resume.is_some(),
         faults: ctrl.faults(),
         totals: p.totals(),
@@ -408,7 +400,6 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         bounds: bounds
             .zip(bounds_t.as_ref())
             .map(|(b, (lo, hi))| b.col_bounds(lo, hi)),
-        starts: shards(n),
         warm_start: resume.is_some() || opts.initial_mu.is_some(),
         faults: ctrl.faults(),
         totals: p.totals(),
@@ -626,7 +617,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         if let (Some(bound), Some(x)) = (opts.multiplier_bound, x.as_ref()) {
             // x (row-pass iterate) is a valid support witness: shifting is
             // only applied within its positive components.
-            let shifted = normalize_multipliers_storage(x, &mut lambda, &mut mu, bound);
+            let shifted = normalize_multipliers(x, &mut lambda, &mut mu, bound);
             if shifted > 0 {
                 if let Some(aa) = anderson.as_mut() {
                     aa.shift_output(&mu);
@@ -749,8 +740,6 @@ struct Side<'a, S: Storage> {
     gamma: &'a S,
     support: Option<&'a [Vec<u32>]>,
     bounds: Option<PassBounds<'a, S>>,
-    /// Shard starts of a parallel pass.
-    starts: Option<Vec<usize>>,
     /// Whether the first sweep's pass starts from supplied multipliers.
     warm_start: bool,
     faults: &'a FaultPlan,
@@ -767,7 +756,7 @@ struct Side<'a, S: Storage> {
 struct Tally {
     counters: PassCounters,
     costs: Vec<f64>,
-    shards: Option<ShardSink>,
+    shards: Vec<ShardTiming>,
 }
 
 impl<S: Storage> Side<'_, S> {
@@ -809,12 +798,14 @@ impl<S: Storage> Side<'_, S> {
             totals,
             x,
             self.opts.parallelism,
+            // Fixed-size shards; rows are independent, so results are
+            // bitwise-identical for every sharding.
+            self.opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS),
             obs.enabled().then_some(&mut tally.costs),
-            Some(&tally.counters),
-            self.starts.as_deref(),
-            tally.shards.as_mut(),
+            &tally.counters,
+            obs.spans_enabled().then_some(&mut tally.shards),
         )?;
-        phase.close(obs, Some(&tally.costs), tally.shards.as_ref());
+        phase.close(obs, Some(&tally.costs), &tally.shards);
         Ok(())
     }
 }
