@@ -9,7 +9,7 @@
 //! `|λᵢ| > R`, shift the component containing it so its multipliers return
 //! to the bounded cube, guaranteeing the convergence analysis applies.
 
-use crate::storage::{RowView, Storage};
+use crate::storage::{Storage, Vars};
 
 /// Union–find over `m + n` nodes (rows `0..m`, columns `m..m+n`) with
 /// path-halving and union by size.
@@ -68,22 +68,12 @@ pub fn support_components<S: Storage>(x: &S, threshold: f64) -> (Vec<usize>, Vec
     let (m, n) = (x.rows(), x.cols());
     let mut uf = UnionFind::new(m + n);
     for i in 0..m {
-        match x.row_view(i) {
-            RowView::Dense(row) => {
-                for (j, &v) in row.iter().enumerate() {
-                    if v > threshold {
-                        uf.union(i, m + j);
-                    }
-                }
+        let row = &x.values()[x.row_range(i)];
+        Vars::of(x, None, i).for_each(|j, k| {
+            if row[k] > threshold {
+                uf.union(i, m + j);
             }
-            RowView::Indexed { idx, vals } => {
-                for (&j, &v) in idx.iter().zip(vals) {
-                    if v > threshold {
-                        uf.union(i, m + j as usize);
-                    }
-                }
-            }
-        }
+        });
     }
     let rows = (0..m).map(|i| uf.find(i)).collect();
     let cols = (0..n).map(|j| uf.find(m + j)).collect();
@@ -96,7 +86,7 @@ pub fn support_components<S: Storage>(x: &S, threshold: f64) -> (Vec<usize>, Vec
 /// leaves `ζ₂`/`ζ₃` unchanged but returns the iterates to a bounded cube.
 ///
 /// `x` is the current primal iterate defining the support graph, read
-/// through row views so sparse iterates pay only for their stored entries.
+/// over its stored entries only, so sparse iterates pay only for those.
 /// Returns the number of components shifted.
 pub fn normalize_multipliers<S: Storage>(
     x: &S,

@@ -13,7 +13,7 @@
 //!    stopping criterion.
 
 use crate::problem::{DiagonalProblem, TotalSpec};
-use crate::storage::{RowView, Storage};
+use crate::storage::Storage;
 #[cfg(test)]
 use sea_linalg::DenseMatrix;
 
@@ -55,31 +55,13 @@ pub(crate) fn dual_value_with<S: Storage>(
     cols.fill(0.0);
     for i in 0..m {
         let li = lambda[i];
-        match (x0.row_view(i), gamma.row_view(i)) {
-            (RowView::Dense(x0r), RowView::Dense(gr)) => match p.support() {
-                None => {
-                    for j in 0..n {
-                        cols[j] += entry_term(gr[j], x0r[j], li + mu[j]);
-                    }
-                }
-                Some(sup) => {
-                    for &j in &sup.rows[i] {
-                        let j = j as usize;
-                        cols[j] += entry_term(gr[j], x0r[j], li + mu[j]);
-                    }
-                }
-            },
-            (RowView::Indexed { idx, vals }, RowView::Indexed { vals: gvals, .. }) => {
-                // The stored pattern is the support; each column sees its
-                // entries in row order, as in the dense support path, so
-                // sums agree bitwise for the same logical problem.
-                for (t, &j) in idx.iter().enumerate() {
-                    cols[j as usize] += entry_term(gvals[t], vals[t], li + mu[j as usize]);
-                }
-            }
-            // Constructors enforce a shared pattern between X^0 and Gamma.
-            _ => debug_assert!(false, "mismatched row views in dual_value"),
-        }
+        let range = x0.row_range(i);
+        let (x0r, gr) = (&x0.values()[range.clone()], &gamma.values()[range]);
+        // Each column sees its entries in row order in every layout, so
+        // sums agree bitwise for the same logical problem.
+        p.vars(i).for_each(|j, k| {
+            cols[j] += entry_term(gr[k], x0r[k], li + mu[j]);
+        });
     }
     dual_of_columns(p.totals(), cols.iter().copied(), lambda, mu)
 }
@@ -147,31 +129,12 @@ pub fn primal_from_multipliers<S: Storage>(
     let gamma = p.gamma();
     for i in 0..m {
         let li = lambda[i];
-        match (x0.row_view(i), gamma.row_view(i)) {
-            (RowView::Dense(x0r), RowView::Dense(gr)) => {
-                let xr = x.row_values_mut(i);
-                match p.support() {
-                    None => {
-                        for j in 0..n {
-                            xr[j] = (x0r[j] + (li + mu[j]) / (2.0 * gr[j])).max(0.0);
-                        }
-                    }
-                    Some(sup) => {
-                        for &j in &sup.rows[i] {
-                            let j = j as usize;
-                            xr[j] = (x0r[j] + (li + mu[j]) / (2.0 * gr[j])).max(0.0);
-                        }
-                    }
-                }
-            }
-            (RowView::Indexed { idx, vals }, RowView::Indexed { vals: gvals, .. }) => {
-                let xr = x.row_values_mut(i);
-                for t in 0..idx.len() {
-                    xr[t] = (vals[t] + (li + mu[idx[t] as usize]) / (2.0 * gvals[t])).max(0.0);
-                }
-            }
-            _ => debug_assert!(false, "mismatched row views in primal_from_multipliers"),
-        }
+        let range = x0.row_range(i);
+        let (x0r, gr) = (&x0.values()[range.clone()], &gamma.values()[range]);
+        let xr = x.row_values_mut(i);
+        p.vars(i).for_each(|j, k| {
+            xr[k] = (x0r[k] + (li + mu[j]) / (2.0 * gr[k])).max(0.0);
+        });
     }
     let (s, d) = match p.totals() {
         TotalSpec::Fixed { s0, d0 } => (s0.clone(), d0.clone()),
@@ -218,15 +181,6 @@ pub fn dual_gradient<S: Storage>(
     for j in 0..p.n() {
         grad_mu[j] = d[j] - col_sums[j];
     }
-}
-
-/// Euclidean norm of the dual gradient — the paper's `‖∇ζ‖ ≤ ε ~
-/// ‖Constraints‖ ≤ ε` stopping quantity (eq. 27).
-pub fn dual_gradient_norm<S: Storage>(p: &DiagonalProblem<S>, lambda: &[f64], mu: &[f64]) -> f64 {
-    let mut gl = vec![0.0; p.m()];
-    let mut gm = vec![0.0; p.n()];
-    dual_gradient(p, lambda, mu, &mut gl, &mut gm);
-    (sea_linalg::vector::dot(&gl, &gl) + sea_linalg::vector::dot(&gm, &gm)).sqrt()
 }
 
 #[cfg(test)]

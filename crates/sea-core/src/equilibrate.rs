@@ -11,11 +11,13 @@
 //! supplies the prior and weight matrices oriented so subproblems are rows
 //! (the column pass passes transposed copies built once per solve). The
 //! pass is generic over [`Storage`]: dense rows go to the kernel whole (or
-//! gathered through structural-zero support lists), while CSR rows *are*
-//! the support — the kernel runs directly over the stored value slices
-//! and reads the shift vector through the row's column index, so sparse
-//! subproblem cost is `O(k log k)` in the row's support size `k`, never
-//! `O(n)`.
+//! gathered through the rows of a structural support pattern,
+//! [`PassInputs::support`]), while CSR rows *are* the support — the kernel
+//! runs directly over the stored value slices and reads the shift vector
+//! through the row's column index, so sparse subproblem cost is
+//! `O(k log k)` in the row's support size `k`, never `O(n)`. A pass picks
+//! one of these three kernel calls per row; it is the one walk over a
+//! problem's cells that does not go through `Vars`.
 //!
 //! A pass writes its iterate only when the caller keeps it: the solver's
 //! row pass does so only for the Modified Algorithm's support witness.
@@ -34,9 +36,10 @@ use crate::knapsack::{
     Interval, KernelKind, Shift, TotalMode, Unbounded,
 };
 use crate::parallel::Parallelism;
-use crate::storage::{RowView, Storage};
+use crate::storage::Storage;
 use crate::supervisor::TaskFault;
 use rayon::prelude::*;
+use sea_linalg::CsrMatrix;
 use sea_observe::KernelCounters;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,8 +138,8 @@ fn elapsed_ns(base: Instant) -> u64 {
         .saturating_add(u64::from(d.subsec_nanos()))
 }
 
-/// Per-thread scratch: gather buffers for dense rows with structural-zero
-/// support lists plus the kernel's own workspace. Reused across every
+/// Per-thread scratch: gather buffers for dense rows with a structural
+/// support pattern plus the kernel's own workspace. Reused across every
 /// subproblem a thread handles (allocation-free hot loop).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct TaskScratch {
@@ -192,9 +195,11 @@ pub struct PassInputs<'a, S: Storage> {
     /// Weight matrix, same orientation (and, for sparse storage, the same
     /// pattern).
     pub gamma: &'a S,
-    /// Structural-zero support lists (per subproblem), if any. Dense
-    /// storage only: sparse rows carry their support in the pattern.
-    pub support: Option<&'a [Vec<u32>]>,
+    /// A dense structural problem's support in this orientation: row `i`
+    /// of the pattern lists subproblem `i`'s variables. `None` when every
+    /// dense cell is a variable; sparse rows carry their support in their
+    /// own pattern and ignore it.
+    pub support: Option<&'a CsrMatrix>,
     /// Entry bounds in the same orientation and pattern as `prior`, for
     /// box-bounded problems: each subproblem then becomes a box-bounded
     /// knapsack. `None` keeps the plain `x ≥ 0` subproblem.
@@ -241,9 +246,11 @@ impl<S: Storage> PassInputs<'_, S> {
 
 /// Run the configured kernel on one subproblem within its `bounds`,
 /// started from `hint` ([`PassInputs::hint`]), writing the entries
-/// to `x` when the pass keeps its iterate; on a
-/// pathological result (non-finite `λ` or total — or a scripted kernel
-/// fault) re-solve with the robust sort-scan kernel and count the fallback.
+/// to `x` when the pass keeps its iterate; on a pathological result (a
+/// non-finite `λ`, which the kernel reports as
+/// [`SeaError::NumericalBreakdown`], a non-finite total, or a scripted
+/// kernel fault) re-solve with the robust sort-scan kernel and count the
+/// fallback. Every other error propagates as it is.
 /// Quickselect's median-of-three pivoting can in principle degrade on
 /// adversarial breakpoint patterns; sort-scan is the slower oracle both
 /// kernels are differentially tested against, so it is the safe harbor.
@@ -264,14 +271,16 @@ fn kernel_solve(
     let mut solve = |kernel| {
         exact_equilibration_hinted(kernel, q, g, sh, bounds, mode, hint, x.as_deref_mut(), eq)
     };
-    let r = solve(kernel)?;
-    let pathological = force_fallback || !r.lambda.is_finite() || !r.total.is_finite();
+    let mut r = solve(kernel);
+    let pathological = match &r {
+        Ok(r) => force_fallback || !r.lambda.is_finite() || !r.total.is_finite(),
+        Err(e) => matches!(e, SeaError::NumericalBreakdown { .. }),
+    };
     if pathological && kernel == KernelKind::Quickselect {
         *fallbacks += 1;
-        let r = solve(KernelKind::SortScan)?;
-        return Ok((r.lambda, r.total));
+        r = solve(KernelKind::SortScan);
     }
-    Ok((r.lambda, r.total))
+    r.map(|r| (r.lambda, r.total))
 }
 
 /// A subproblem with no support: the iterate stays zero, and the kernel's
@@ -306,8 +315,8 @@ fn gather(src: &[f64], idx: &[u32], out: &mut Vec<f64>) {
 /// Solve one subproblem; returns `(λ, realized total)` and, when the pass
 /// keeps its iterate, writes the subproblem's entries into `x_row` (the
 /// iterate's stored values for this row: length `n` dense, support size for
-/// CSR). A CSR row or a support list reads the shift through its column
-/// index; nothing gathers it. `hint` is the quickselect kernel's starting
+/// CSR). A CSR row or a support-pattern row reads the shift through its
+/// column index; nothing gathers it. `hint` is the quickselect kernel's starting
 /// point ([`PassInputs::hint`]); `bounds` are the row's entry bounds.
 fn solve_task<S: Storage>(
     inp: &PassInputs<'_, S>,
@@ -334,12 +343,17 @@ fn solve_task<S: Storage>(
         x,
         fallbacks,
     } = scratch;
-    match (inp.prior.row_view(i), inp.gamma.row_view(i)) {
+    let range = inp.prior.row_range(i);
+    let (q, g) = (
+        &inp.prior.values()[range.clone()],
+        &inp.gamma.values()[range],
+    );
+    match (inp.prior.row_cols(i), inp.support) {
         // Sparse row: the stored entries are the support. The kernel runs
         // directly over the prior/weight value slices, reads the shift
         // through the column index and writes the iterate's stored values
         // in place.
-        (RowView::Indexed { idx, vals: q }, RowView::Indexed { vals: g, .. }) => {
+        (Some(idx), _) => {
             if idx.is_empty() {
                 return empty_support_result(bounds, mode, inp.side, i);
             }
@@ -362,77 +376,70 @@ fn solve_task<S: Storage>(
             )
             .map_err(|e| locate(e, inp.side, i))
         }
-        (RowView::Dense(prior_row), RowView::Dense(gamma_row)) => match inp.support {
-            None => kernel_solve(
-                inp.kernel,
-                force_fallback,
-                prior_row,
-                gamma_row,
-                inp.shift,
-                bounds,
-                mode,
-                hint,
-                x_row,
-                eq,
-                fallbacks,
-            ),
-            Some(support) => {
-                // Box-bounded problems carry any support in a sparse
-                // pattern; dense support lists only come with `x ≥ 0`.
-                if inp.bounds.is_some() {
-                    return Err(SeaError::PatternMismatch {
-                        context: "pass inputs (bounds with dense support lists)",
-                    });
-                }
-                let idx = &support[i];
-                let k = idx.len();
-                if k == 0 {
-                    if let Some(row) = x_row {
-                        row.fill(0.0);
-                    }
-                    return empty_support_result(Unbounded, mode, inp.side, i);
-                }
-                gather(prior_row, idx, q_buf);
-                gather(gamma_row, idx, g_buf);
-                let sh = IndexedShift {
-                    src: inp.shift,
-                    idx,
-                };
-                let x_k = match x_row {
-                    Some(_) => {
-                        x.resize(k, 0.0);
-                        Some(&mut x[..])
-                    }
-                    None => None,
-                };
-                let (lambda, total) = kernel_solve(
-                    inp.kernel,
-                    force_fallback,
-                    q_buf,
-                    g_buf,
-                    sh,
-                    Unbounded,
-                    mode,
-                    hint,
-                    x_k,
-                    eq,
-                    fallbacks,
-                )
-                .map_err(|e| locate(e, inp.side, i))?;
+        (None, None) => kernel_solve(
+            inp.kernel,
+            force_fallback,
+            q,
+            g,
+            inp.shift,
+            bounds,
+            mode,
+            hint,
+            x_row,
+            eq,
+            fallbacks,
+        ),
+        (None, Some(support)) => {
+            // Box-bounded problems carry any support in a sparse
+            // pattern; dense support patterns only come with `x ≥ 0`.
+            if inp.bounds.is_some() {
+                return Err(SeaError::PatternMismatch {
+                    context: "pass inputs (bounds with a dense support pattern)",
+                });
+            }
+            let idx = support.row_cols(i);
+            let k = idx.len();
+            if k == 0 {
                 if let Some(row) = x_row {
                     row.fill(0.0);
-                    for (&j, &v) in idx.iter().zip(x.iter()) {
-                        row[j as usize] = v;
-                    }
                 }
-                Ok((lambda, total))
+                return empty_support_result(Unbounded, mode, inp.side, i);
             }
-        },
-        // A problem's prior and weights share one storage type and pattern,
-        // so mixed views cannot occur.
-        _ => Err(SeaError::PatternMismatch {
-            context: "pass inputs (mixed row views)",
-        }),
+            gather(q, idx, q_buf);
+            gather(g, idx, g_buf);
+            let sh = IndexedShift {
+                src: inp.shift,
+                idx,
+            };
+            let x_k = match x_row {
+                Some(_) => {
+                    x.resize(k, 0.0);
+                    Some(&mut x[..])
+                }
+                None => None,
+            };
+            let (lambda, total) = kernel_solve(
+                inp.kernel,
+                force_fallback,
+                q_buf,
+                g_buf,
+                sh,
+                Unbounded,
+                mode,
+                hint,
+                x_k,
+                eq,
+                fallbacks,
+            )
+            .map_err(|e| locate(e, inp.side, i))?;
+            if let Some(row) = x_row {
+                row.fill(0.0);
+                for (&j, &v) in idx.iter().zip(x.iter()) {
+                    row[j as usize] = v;
+                }
+            }
+            Ok((lambda, total))
+        }
     }
 }
 
@@ -665,8 +672,19 @@ mod tests {
         (x0, gamma)
     }
 
+    /// The support pattern of an `n`-column problem whose row `i` has
+    /// its variables in the columns `lists[i]`.
+    fn support_of(n: usize, lists: &[&[usize]]) -> CsrMatrix {
+        let cells: Vec<_> = lists
+            .iter()
+            .enumerate()
+            .flat_map(|(i, cols)| cols.iter().map(move |&j| (i, j, 1.0)))
+            .collect();
+        CsrMatrix::from_triplets(lists.len(), n, &cells).unwrap()
+    }
+
     /// A cold sort-scan row pass over `(prior, gamma)` against `shift`,
-    /// without support lists, bounds or a scripted fault.
+    /// without a support pattern, bounds or a scripted fault.
     fn inputs<'a, S: Storage>(prior: &'a S, gamma: &'a S, shift: &'a [f64]) -> PassInputs<'a, S> {
         PassInputs {
             prior,
@@ -752,7 +770,7 @@ mod tests {
     #[test]
     fn structural_support_keeps_zeros() {
         let (x0, gamma) = setup();
-        let support = vec![vec![0u32, 1, 2], vec![0u32, 2]];
+        let support = support_of(3, &[&[0, 1, 2], &[0, 2]]);
         let shift = vec![0.0; 3];
         let inp = PassInputs {
             support: Some(&support),
@@ -764,7 +782,7 @@ mod tests {
         assert_eq!(x.get(1, 1), 0.0, "structural zero must stay zero");
         let sums = x.row_sums();
         assert!((sums[1] - 8.0).abs() < 1e-9);
-        // Box bounds come with sparse patterns, never dense support lists.
+        // Box bounds come with sparse patterns, never dense support ones.
         let lo = DenseMatrix::zeros(2, 3).unwrap();
         let hi = DenseMatrix::filled(2, 3, 10.0).unwrap();
         let sums = [(0.0, 30.0); 2];
@@ -784,7 +802,7 @@ mod tests {
         // identical value sequences, so λ, totals, and stored x agree
         // *bitwise* and the structural cell stays zero.
         let (x0, gamma) = setup();
-        let support = vec![vec![0u32, 1, 2], vec![0u32, 2]];
+        let support = support_of(3, &[&[0, 1, 2], &[0, 2]]);
         let shift = vec![0.37, -0.21, 0.11];
         let modes = |_| TotalMode::Fixed { total: 8.0 };
 
@@ -854,7 +872,7 @@ mod tests {
     #[test]
     fn empty_structural_row_with_positive_total_is_infeasible() {
         let (x0, gamma) = setup();
-        let support = vec![vec![0u32, 1, 2], vec![]];
+        let support = support_of(3, &[&[0, 1, 2], &[]]);
         let shift = vec![0.0; 3];
         let inp = PassInputs {
             support: Some(&support),
@@ -960,6 +978,50 @@ mod tests {
         assert_eq!(counters.fallbacks(), 0, "sort-scan has no fallback target");
     }
 
+    #[test]
+    fn quickselect_breakdown_falls_back_to_sort_scan() {
+        // A cold boxed row on which quickselect's λ search turns NaN,
+        // which the kernel reports as a numerical breakdown; sort-scan
+        // solves it.
+        let prior = DenseMatrix::from_rows(&[vec![4.920354201757114, 3.324402027296827]]).unwrap();
+        let gamma = DenseMatrix::from_rows(&[vec![1e-3, 1e-9]]).unwrap();
+        let shift = [-216.03418934188431, -164983689.35059723];
+        let lo = DenseMatrix::zeros(1, 2).unwrap();
+        let hi = DenseMatrix::filled(1, 2, 3.0417921775195813).unwrap();
+        let sums = [(lo.row(0).iter().sum(), hi.row(0).iter().sum())];
+        let bounds = PassBounds::new(&lo, &hi, &sums);
+        let modes = |_| TotalMode::Fixed {
+            total: 0.5277373285115058,
+        };
+        let alone = exact_equilibration_hinted(
+            KernelKind::Quickselect,
+            prior.row(0),
+            gamma.row(0),
+            &shift[..],
+            bounds.row(0),
+            modes(0),
+            None,
+            None,
+            &mut EquilibrationScratch::default(),
+        );
+        assert!(matches!(alone, Err(SeaError::NumericalBreakdown { .. })));
+        let run = |kernel| {
+            let inp = PassInputs {
+                bounds: Some(&bounds),
+                kernel,
+                ..inputs(&prior, &gamma, &shift)
+            };
+            let mut x = DenseMatrix::zeros(1, 2).unwrap();
+            let (lambda, _, counters) = pass(&inp, &modes, &mut x, Parallelism::Serial).unwrap();
+            let x_bits: Vec<u64> = x.as_slice().iter().map(|v| v.to_bits()).collect();
+            (lambda[0].to_bits(), x_bits, counters.fallbacks())
+        };
+        let oracle = run(KernelKind::SortScan);
+        assert_eq!(f64::from_bits(oracle.0), 216.0254041081378);
+        assert_eq!(oracle.2, 0);
+        assert_eq!(run(KernelKind::Quickselect), (oracle.0, oracle.1, 1));
+    }
+
     /// Run one pass of every kernel, cold and then warm, serially and on
     /// two threads, in blocks of 1, 2, 3, m and m + 1 rows, with and without
     /// an output iterate, and require the same λ, totals, iterate and
@@ -968,7 +1030,7 @@ mod tests {
     fn assert_passes_agree<S: Storage>(
         prior: &S,
         gamma: &S,
-        support: Option<&[Vec<u32>]>,
+        support: Option<&CsrMatrix>,
         bounds: Option<&PassBounds<'_, S>>,
         modes: &(dyn Fn(usize) -> TotalMode + Sync),
         shifts: [&[f64]; 2],
@@ -1072,13 +1134,6 @@ mod tests {
             (0..m * n).map(|_| rng.random_range(0.05..5.0)).collect(),
         )
         .unwrap();
-        let support: Vec<Vec<u32>> = (0..m)
-            .map(|i| {
-                (0..n as u32)
-                    .filter(|&j| prior.get(i, j as usize) > 0.0)
-                    .collect()
-            })
-            .collect();
         let shift_cold: Vec<f64> = (0..n).map(|_| rng.random_range(-2.0..2.0)).collect();
         let shift_warm: Vec<f64> = shift_cold
             .iter()
@@ -1100,10 +1155,11 @@ mod tests {
             }
         };
 
-        // Plain subproblems: dense rows, dense rows with support lists, CSR.
-        assert_passes_agree(&prior, &gamma, None, None, &modes, shifts);
-        assert_passes_agree(&prior, &gamma, Some(&support), None, &modes, shifts);
+        // Plain subproblems: dense rows, dense rows with a support
+        // pattern, CSR.
         let prior_csr = CsrMatrix::from_dense_pruned(&prior).unwrap();
+        assert_passes_agree(&prior, &gamma, None, None, &modes, shifts);
+        assert_passes_agree(&prior, &gamma, Some(&prior_csr), None, &modes, shifts);
         let on_pattern = |d: &DenseMatrix| {
             let v = (0..m)
                 .flat_map(|i| {

@@ -15,7 +15,7 @@ use crate::error::SeaError;
 use crate::knapsack::KernelKind;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::{solve_inner, SeaOptions};
-use crate::storage::{RowView, Storage};
+use crate::storage::{Storage, Vars};
 use crate::supervisor::{SolveControl, SupervisedBoundedSolution, SupervisorOptions};
 use crate::verify::Finishing;
 use sea_linalg::DenseMatrix;
@@ -252,32 +252,22 @@ impl<S: Storage> BoundedProblem<S> {
 /// transposed row gives, so the column pass reads the bits it would have
 /// summed itself. A column with no stored entry sums to `-0.0`.
 fn bound_sums<S: Storage>(lo: &S, hi: &S) -> (BoundSums, BoundSums) {
-    let mut col_lo = vec![-0.0; lo.cols()];
-    let mut col_hi = vec![-0.0; lo.cols()];
+    let mut cols = vec![(-0.0, -0.0); lo.cols()];
     let rows = (0..lo.rows())
         .map(|i| {
             let l = &lo.values()[lo.row_range(i)];
             let h = &hi.values()[hi.row_range(i)];
-            match lo.row_view(i) {
-                RowView::Dense(_) => {
-                    for (c, v) in col_lo.iter_mut().zip(l) {
-                        *c += v;
-                    }
-                    for (c, v) in col_hi.iter_mut().zip(h) {
-                        *c += v;
-                    }
-                }
-                RowView::Indexed { idx, .. } => {
-                    for ((&j, a), b) in idx.iter().zip(l).zip(h) {
-                        col_lo[j as usize] += a;
-                        col_hi[j as usize] += b;
-                    }
-                }
-            }
+            // A slice, not the `Vec`, so the walk need not reload the
+            // length after every store.
+            let cols = &mut cols[..];
+            Vars::of(lo, None, i).for_each(|j, k| {
+                cols[j].0 += l[k];
+                cols[j].1 += h[k];
+            });
             (l.iter().sum(), h.iter().sum())
         })
         .collect();
-    (rows, col_lo.into_iter().zip(col_hi).collect())
+    (rows, cols)
 }
 
 /// The error for a non-finite bound (or bound row sum), blaming `lo` when
@@ -525,13 +515,8 @@ mod tests {
         .unwrap();
         let sol = solve_bounded(&ok, 1e-10, 10_000).unwrap();
         assert!(sol.converged);
-        assert_eq!(
-            sol.x.row_view(1),
-            RowView::Indexed {
-                idx: &[],
-                vals: &[]
-            }
-        );
+        assert_eq!(Storage::row_cols(&sol.x, 1), Some(&[][..]));
+        assert!(sol.x.row_range(1).is_empty());
         assert!((sol.x.values().iter().sum::<f64>() - 4.0).abs() < 1e-8);
     }
 

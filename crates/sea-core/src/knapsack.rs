@@ -463,8 +463,8 @@ fn entry_events<B: Bounds>(
 
 /// The opposite side's multipliers as one subproblem reads them: entry `k`
 /// sees `at(k)`. A slice is read in place; [`IndexedShift`] reads a sparse
-/// row's (or support list's) entries through its column index, so a pass
-/// never gathers them into a buffer first.
+/// row's (or support-pattern row's) entries through its column index, so a
+/// pass never gathers them into a buffer first.
 pub(crate) trait Shift: Copy {
     /// Number of entries.
     fn len(self) -> usize;

@@ -114,7 +114,7 @@ pub use problem::{DiagonalProblem, Residuals, TotalSpec, ZeroPolicy};
 pub use solver::{
     solve_diagonal_supervised, ConvergenceCriterion, SeaOptions, Solution, SolveStats,
 };
-pub use storage::{RowView, Storage};
+pub use storage::Storage;
 pub use supervisor::{
     CancelToken, Checkpoint, CheckpointPolicy, ExtrapolationHistory, FaultKind, FaultPlan,
     SolveBudget, StagnationPolicy, StopReason, SupervisedBoundedSolution,

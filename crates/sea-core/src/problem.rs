@@ -16,10 +16,13 @@
 //! Entries may be declared **structural zeros** via [`ZeroPolicy`]: a
 //! structural zero stays exactly zero (excluded from equilibration), which
 //! is how sparse I/O tables (16–58 % nonzero in the paper's datasets) are
-//! handled.
+//! handled. A problem's *variables* are then the cells of its CSR pattern,
+//! or of a dense prior's nonzero pattern (kept with its transpose for the
+//! column side); every other dense cell is a variable. Each sum the solver
+//! and its certificate take ranges over exactly that set.
 
 use crate::error::SeaError;
-use crate::storage::{RowView, Storage};
+use crate::storage::{Storage, Vars};
 use sea_linalg::{vector, CsrMatrix, DenseMatrix};
 
 /// Specification of the row/column totals — selects the problem class.
@@ -67,13 +70,15 @@ pub enum ZeroPolicy {
     Structural,
 }
 
-/// Precomputed support lists for [`ZeroPolicy::Structural`].
+/// The support of a dense prior under [`ZeroPolicy::Structural`]: the
+/// pattern of its nonzero cells, and that pattern's transpose for the
+/// column side.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Support {
-    /// For each row, the column indices of nonzero prior entries.
-    pub rows: Vec<Vec<u32>>,
-    /// For each column, the row indices of nonzero prior entries.
-    pub cols: Vec<Vec<u32>>,
+    /// Row `i` lists the columns of row `i`'s nonzero prior entries.
+    pub rows: CsrMatrix,
+    /// Row `j` lists the rows of column `j`'s nonzero prior entries.
+    pub cols: CsrMatrix,
 }
 
 /// Constraint violations of a candidate solution.
@@ -287,34 +292,13 @@ impl<S: Storage> DiagonalProblem<S> {
             }
         }
 
-        // Structural-zero support lists are a *dense* notion: sparse
-        // backends already carry the support in their pattern, so an
-        // indexed row view leaves `support` as `None` and the passes use
-        // the pattern directly.
+        // A sparse prior's pattern already is its support.
         let support = match zero_policy {
             ZeroPolicy::Free => None,
-            ZeroPolicy::Structural => {
-                let mut rows: Vec<Vec<u32>> = vec![Vec::new(); m];
-                let mut cols: Vec<Vec<u32>> = vec![Vec::new(); n];
-                let mut dense_rows = true;
-                'scan: for i in 0..m {
-                    match x0.row_view(i) {
-                        RowView::Dense(row) => {
-                            for (j, &v) in row.iter().enumerate() {
-                                if v != 0.0 {
-                                    rows[i].push(j as u32);
-                                    cols[j].push(i as u32);
-                                }
-                            }
-                        }
-                        RowView::Indexed { .. } => {
-                            dense_rows = false;
-                            break 'scan;
-                        }
-                    }
-                }
-                dense_rows.then_some(Support { rows, cols })
-            }
+            ZeroPolicy::Structural => x0.nonzero_pattern()?.map(|rows| Support {
+                cols: rows.transposed(),
+                rows,
+            }),
         };
 
         Ok(Self {
@@ -337,43 +321,6 @@ impl<S: Storage> DiagonalProblem<S> {
             zero_policy: ZeroPolicy::Free,
             support: None,
         }
-    }
-
-    /// Convenience: fixed-totals problem whose targets are the prior's own
-    /// margins scaled by `row_growth` / `col_growth` — the construction the
-    /// paper's I/O experiments use ("10 % growth factor" etc.). The scale
-    /// factors must produce a consistent grand total, so a single scalar
-    /// pair (g, g) always works.
-    ///
-    /// # Errors
-    /// Propagates validation failures from [`DiagonalProblem::new`].
-    pub fn fixed_from_growth(
-        x0: S,
-        gamma: S,
-        row_growth: f64,
-        col_growth: f64,
-    ) -> Result<Self, SeaError> {
-        let mut s0 = vec![0.0; x0.rows()];
-        let mut d0 = vec![0.0; x0.cols()];
-        x0.row_sums_into(&mut s0);
-        x0.col_sums_into(&mut d0);
-        for v in &mut s0 {
-            *v *= row_growth;
-        }
-        for v in &mut d0 {
-            *v *= col_growth;
-        }
-        // Rebalance the grand total onto the columns so the polytope is
-        // nonempty even when the two growth factors differ.
-        let rs: f64 = s0.iter().sum();
-        let cs: f64 = d0.iter().sum();
-        if cs > 0.0 {
-            let f = rs / cs;
-            for v in &mut d0 {
-                *v *= f;
-            }
-        }
-        Self::new(x0, gamma, TotalSpec::Fixed { s0, d0 })
     }
 
     /// Number of rows `m`.
@@ -422,8 +369,14 @@ impl<S: Storage> DiagonalProblem<S> {
     pub fn variable_count(&self) -> usize {
         match &self.support {
             None => self.x0.stored(),
-            Some(s) => s.rows.iter().map(Vec::len).sum(),
+            Some(s) => s.rows.stored(),
         }
+    }
+
+    /// Where row `i`'s variables sit among its stored values.
+    #[inline]
+    pub(crate) fn vars(&self, i: usize) -> Vars<'_> {
+        Vars::of(&self.x0, self.support.as_ref().map(|s| &s.rows), i)
     }
 
     /// Evaluate the primal objective (eq. 5 / 9 / 13) at `(x, s, d)`.
@@ -436,30 +389,21 @@ impl<S: Storage> DiagonalProblem<S> {
     /// solve's finishing sweep uses, so the two agree bit for bit.
     pub fn objective(&self, x: &S, s: &[f64], d: &[f64]) -> f64 {
         debug_assert!(x.same_pattern(&self.x0));
-        let mut cols = vec![0.0; self.n()];
+        let mut sums = vec![0.0; self.n()];
+        // A slice, not the `Vec`, so the walk need not reload the length
+        // after every store.
+        let cols = &mut sums[..];
         for i in 0..self.m() {
             let range = x.row_range(i);
             let xr = &x.values()[range.clone()];
             let x0r = &self.x0.values()[range.clone()];
             let gr = &self.gamma.values()[range];
-            let term = |t: usize| {
-                let dev = xr[t] - x0r[t];
-                gr[t] * dev * dev
-            };
-            match self.x0.row_view(i) {
-                RowView::Dense(_) => {
-                    for (t, c) in cols.iter_mut().enumerate() {
-                        *c += term(t);
-                    }
-                }
-                RowView::Indexed { idx, .. } => {
-                    for (t, &j) in idx.iter().enumerate() {
-                        cols[j as usize] += term(t);
-                    }
-                }
-            }
+            self.vars(i).for_each(|j, k| {
+                let dev = xr[k] - x0r[k];
+                cols[j] += gr[k] * dev * dev;
+            });
         }
-        self.objective_of_columns(cols, s, d)
+        self.objective_of_columns(sums, s, d)
     }
 
     /// The objective from each column's `Σ γ(x − x⁰)²`, summed in column
@@ -722,8 +666,8 @@ mod tests {
         .unwrap();
         assert_eq!(p.variable_count(), 3);
         let sup = p.support().unwrap();
-        assert_eq!(sup.rows[1], vec![0]);
-        assert_eq!(sup.cols[1], vec![0]);
+        assert_eq!(sup.rows.row_cols(1), &[0]);
+        assert_eq!(sup.cols.row_cols(1), &[0]);
     }
 
     #[test]
@@ -763,19 +707,5 @@ mod tests {
         assert!((r.col_inf - 1.0).abs() < 1e-12);
         assert!((r.rel_row_inf - 0.25).abs() < 1e-12);
         assert!((r.norm2 - (2.0_f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn growth_construction_is_consistent() {
-        let p = DiagonalProblem::fixed_from_growth(x0(), ones(), 1.1, 1.3).unwrap();
-        match p.totals() {
-            TotalSpec::Fixed { s0, d0 } => {
-                let rs: f64 = s0.iter().sum();
-                let cs: f64 = d0.iter().sum();
-                assert!((rs - cs).abs() < 1e-9);
-                assert!((s0[0] - 3.0 * 1.1).abs() < 1e-12);
-            }
-            _ => panic!("expected fixed totals"),
-        }
     }
 }

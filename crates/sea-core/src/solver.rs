@@ -31,7 +31,7 @@ use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::storage::{Storage, Transposer};
 use crate::supervisor::{FaultPlan, SolveControl, SupervisedSolution, SupervisorOptions};
 use crate::verify::{Finish, Finishing, KktReport};
-use sea_linalg::{vector, DenseMatrix};
+use sea_linalg::{vector, CsrMatrix, DenseMatrix};
 use sea_observe::{
     Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
 };
@@ -385,7 +385,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         label: PhaseLabel::RowEquilibration,
         prior: p.x0(),
         gamma: p.gamma(),
-        support: p.support().map(|sup| sup.rows.as_slice()),
+        support: p.support().map(|sup| &sup.rows),
         bounds: bounds.map(BoundedProblem::row_bounds),
         warm_start: resume.is_some(),
         faults: ctrl.faults(),
@@ -396,7 +396,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         label: PhaseLabel::ColumnEquilibration,
         prior: &x0_t,
         gamma: &gamma_t,
-        support: p.support().map(|sup| sup.cols.as_slice()),
+        support: p.support().map(|sup| &sup.cols),
         bounds: bounds
             .zip(bounds_t.as_ref())
             .map(|(b, (lo, hi))| b.col_bounds(lo, hi)),
@@ -738,7 +738,7 @@ struct Side<'a, S: Storage> {
     label: PhaseLabel,
     prior: &'a S,
     gamma: &'a S,
-    support: Option<&'a [Vec<u32>]>,
+    support: Option<&'a CsrMatrix>,
     bounds: Option<PassBounds<'a, S>>,
     /// Whether the first sweep's pass starts from supplied multipliers.
     warm_start: bool,

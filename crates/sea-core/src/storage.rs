@@ -21,7 +21,15 @@
 //! zeros — are variables. `ZeroPolicy` therefore has no effect on sparse
 //! problems; [`Storage::from_dense`] keeps every dense cell (stored zeros
 //! included) so that a dense problem and its sparse re-construction describe
-//! the same feasible set.
+//! the same feasible set. A dense problem with structural zeros keeps its
+//! support as the CSR pattern of its prior's nonzero cells
+//! ([`Storage::nonzero_pattern`]).
+//!
+//! A backend tells its rows apart only through [`Storage::row_cols`], and
+//! the crate reads it in two places: the pass, which picks a kernel call
+//! from a row's layout, and `Vars`, which every other walk over a
+//! problem's variables (ζ, the objective, the certificate, the support
+//! graph) goes through.
 
 use crate::error::SeaError;
 use rayon::prelude::*;
@@ -30,28 +38,49 @@ use sea_linalg::{CsrMatrix, DenseMatrix};
 use std::fmt;
 use std::ops::Range;
 
-/// Borrowed view of one row of a [`Storage`] backend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RowView<'a> {
-    /// A contiguous dense row: entry `j` lives at `row[j]`.
-    Dense(&'a [f64]),
-    /// A sparse row: entry `idx[k]` (strictly increasing) has value
-    /// `vals[k]`; absent columns are structural zeros.
-    Indexed {
-        /// Column indices of the stored entries, strictly increasing.
-        idx: &'a [u32],
-        /// Stored values, parallel to `idx`.
-        vals: &'a [f64],
-    },
+/// Where one row's variables sit among its stored values: the only code
+/// that tells a row's layout apart. A problem's variables are its CSR
+/// pattern, a dense structural problem's listed support, or every cell of
+/// a free dense row; every walk over them (passes aside, which hand whole
+/// rows to the kernel) goes through [`Vars::for_each`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Vars<'a> {
+    /// Every cell of a dense row with this many columns.
+    Full(usize),
+    /// A stored CSR row: its `k`-th value is in column `cols[k]`.
+    Stored(&'a [u32]),
+    /// The listed columns of a dense row: column `j`'s value is at `j`.
+    Listed(&'a [u32]),
 }
 
-impl RowView<'_> {
-    /// Number of stored entries in this row.
+impl<'a> Vars<'a> {
+    /// Row `i` of `s`, whose variables, when `s` is dense and has a
+    /// `support` pattern, are that pattern's row `i`.
     #[inline]
-    pub fn stored(&self) -> usize {
+    pub(crate) fn of<S: Storage>(s: &'a S, support: Option<&'a CsrMatrix>, i: usize) -> Self {
+        match (s.row_cols(i), support) {
+            (Some(cols), _) => Vars::Stored(cols),
+            (None, Some(pattern)) => Vars::Listed(pattern.row_cols(i)),
+            (None, None) => Vars::Full(s.cols()),
+        }
+    }
+
+    /// Call `f(j, k)` for each variable in column order: `j` is its
+    /// column and `k` its position among the row's stored values.
+    #[inline(always)]
+    pub(crate) fn for_each(self, mut f: impl FnMut(usize, usize)) {
         match self {
-            RowView::Dense(row) => row.len(),
-            RowView::Indexed { vals, .. } => vals.len(),
+            Vars::Full(n) => (0..n).for_each(|j| f(j, j)),
+            Vars::Stored(cols) => {
+                for (k, &j) in cols.iter().enumerate() {
+                    f(j as usize, k);
+                }
+            }
+            Vars::Listed(cols) => {
+                for &j in cols {
+                    f(j as usize, j as usize);
+                }
+            }
         }
     }
 }
@@ -90,8 +119,9 @@ pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// [`SeaError::Linalg`] when `vals` does not match the stored count.
     fn with_values(&self, vals: Vec<f64>) -> Result<Self, SeaError>;
 
-    /// Borrowed view of row `i`.
-    fn row_view(&self, i: usize) -> RowView<'_>;
+    /// The columns of row `i`'s stored values, strictly increasing, for a
+    /// sparse backend; `None` for a dense row, which stores every column.
+    fn row_cols(&self, i: usize) -> Option<&[u32]>;
 
     /// Range of row `i`'s stored values within [`Storage::values`].
     fn row_range(&self, i: usize) -> Range<usize>;
@@ -156,6 +186,14 @@ pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// # Errors
     /// Propagates allocation failures from the backend.
     fn to_dense(&self) -> Result<DenseMatrix, SeaError>;
+
+    /// The pattern of a dense matrix's nonzero cells, which a structural
+    /// zero policy makes the support; `None` for a sparse backend, whose
+    /// stored pattern already is the support.
+    ///
+    /// # Errors
+    /// Propagates construction failures from [`CsrMatrix`].
+    fn nonzero_pattern(&self) -> Result<Option<CsrMatrix>, SeaError>;
 }
 
 impl Storage for DenseMatrix {
@@ -198,8 +236,8 @@ impl Storage for DenseMatrix {
     }
 
     #[inline]
-    fn row_view(&self, i: usize) -> RowView<'_> {
-        RowView::Dense(self.row(i))
+    fn row_cols(&self, _i: usize) -> Option<&[u32]> {
+        None
     }
 
     #[inline]
@@ -271,6 +309,10 @@ impl Storage for DenseMatrix {
     fn to_dense(&self) -> Result<DenseMatrix, SeaError> {
         Ok(self.clone())
     }
+
+    fn nonzero_pattern(&self) -> Result<Option<CsrMatrix>, SeaError> {
+        Ok(Some(CsrMatrix::from_dense_pruned(self)?))
+    }
 }
 
 impl Storage for CsrMatrix {
@@ -312,11 +354,8 @@ impl Storage for CsrMatrix {
     }
 
     #[inline]
-    fn row_view(&self, i: usize) -> RowView<'_> {
-        RowView::Indexed {
-            idx: self.row_cols(i),
-            vals: self.row_vals(i),
-        }
+    fn row_cols(&self, i: usize) -> Option<&[u32]> {
+        Some(CsrMatrix::row_cols(self, i))
     }
 
     #[inline]
@@ -395,6 +434,10 @@ impl Storage for CsrMatrix {
 
     fn to_dense(&self) -> Result<DenseMatrix, SeaError> {
         CsrMatrix::to_dense(self).map_err(SeaError::from)
+    }
+
+    fn nonzero_pattern(&self) -> Result<Option<CsrMatrix>, SeaError> {
+        Ok(None)
     }
 }
 
@@ -576,20 +619,13 @@ mod tests {
     }
 
     #[test]
-    fn row_views_agree_across_backends() {
+    fn row_cols_agree_across_backends() {
         let d = dense();
         let c = CsrMatrix::from_dense_pruned(&d).unwrap();
-        match c.row_view(0) {
-            RowView::Indexed { idx, vals } => {
-                assert_eq!(idx, &[0, 2]);
-                assert_eq!(vals, &[1.0, 2.0]);
-            }
-            RowView::Dense(_) => panic!("CSR row view must be indexed"),
-        }
-        match Storage::row_view(&d, 0) {
-            RowView::Dense(row) => assert_eq!(row, &[1.0, 0.0, 2.0]),
-            RowView::Indexed { .. } => panic!("dense row view must be dense"),
-        }
+        assert_eq!(Storage::row_cols(&c, 0), Some(&[0, 2][..]));
+        assert_eq!(&c.values()[Storage::row_range(&c, 0)], &[1.0, 2.0]);
+        assert_eq!(Storage::row_cols(&d, 0), None);
+        assert_eq!(&d.values()[Storage::row_range(&d, 0)], &[1.0, 0.0, 2.0]);
     }
 
     #[test]

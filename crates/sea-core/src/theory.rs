@@ -31,20 +31,9 @@ impl CurvatureBounds {
             lo = lo.min(v);
             hi = hi.max(v);
         };
-        match p.support() {
-            None => {
-                for &g in p.gamma().as_slice() {
-                    absorb(g);
-                }
-            }
-            Some(sup) => {
-                for (i, row) in sup.rows.iter().enumerate() {
-                    let gr = p.gamma().row(i);
-                    for &j in row {
-                        absorb(gr[j as usize]);
-                    }
-                }
-            }
+        for i in 0..p.m() {
+            let gr = p.gamma().row(i);
+            p.vars(i).for_each(|_, k| absorb(gr[k]));
         }
         match p.totals() {
             TotalSpec::Fixed { .. } => {}

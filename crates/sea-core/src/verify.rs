@@ -11,9 +11,10 @@ use crate::dual;
 use crate::parallel::Parallelism;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::Solution;
-use crate::storage::{RowView, Storage};
+use crate::storage::{Storage, Vars};
 use rayon::prelude::*;
 use sea_linalg::dense::PARALLEL_MIN_ENTRIES;
+use sea_linalg::CsrMatrix;
 
 /// A first-principles optimality report.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +36,8 @@ pub struct KktReport {
     /// Primal objective value at the verified point — the natural scale
     /// for a relative duality-gap check on large problems.
     pub objective: f64,
-    /// Smallest entry (must be ≥ 0).
+    /// Smallest variable entry (must be ≥ 0). Structural zeros are not
+    /// variables, so the value does not depend on the problem's storage.
     pub min_entry: f64,
 }
 
@@ -119,36 +121,17 @@ pub fn verify_solution<S: Storage>(p: &DiagonalProblem<S>, sol: &Solution<S>) ->
     let zeta = dual::dual_value(p, &sol.lambda, &sol.mu);
     let (x0, gamma) = (p.x0(), p.gamma());
     let tau = 1e-10 * entry_scale(x0.values());
-    let structural = p.support().is_some();
     let mut ext = Extremes::EMPTY;
     for i in 0..p.m() {
         let li = sol.lambda[i];
-        match (x0.row_view(i), gamma.row_view(i), sol.x.row_view(i)) {
-            (RowView::Dense(x0r), RowView::Dense(gr), RowView::Dense(xr)) => {
-                for j in 0..p.n() {
-                    ext.min_entry = lower(ext.min_entry, xr[j]);
-                    // Structural zeros carry no KKT condition.
-                    if structural && x0r[j] == 0.0 {
-                        continue;
-                    }
-                    ext.note(xr[j], 2.0 * gr[j] * (xr[j] - x0r[j]) - li - sol.mu[j], tau);
-                }
-            }
-            (
-                RowView::Indexed { idx, vals: x0v },
-                RowView::Indexed { vals: gv, .. },
-                RowView::Indexed { vals: xv, .. },
-            ) => {
-                // Stored entries are the variables; missing entries are
-                // structural zeros and carry no KKT condition.
-                for t in 0..idx.len() {
-                    let j = idx[t] as usize;
-                    ext.min_entry = lower(ext.min_entry, xv[t]);
-                    ext.note(xv[t], 2.0 * gv[t] * (xv[t] - x0v[t]) - li - sol.mu[j], tau);
-                }
-            }
-            _ => debug_assert!(false, "mismatched row views in verify_solution"),
-        }
+        let range = x0.row_range(i);
+        let (x0r, gr) = (&x0.values()[range.clone()], &gamma.values()[range.clone()]);
+        let xr = &sol.x.values()[range];
+        // Only variables carry a KKT condition; structural zeros do not.
+        p.vars(i).for_each(|j, k| {
+            ext.min_entry = lower(ext.min_entry, xr[k]);
+            ext.note(xr[k], 2.0 * gr[k] * (xr[k] - x0r[k]) - li - sol.mu[j], tau);
+        });
     }
     let (lambda, mu) = (&sol.lambda[..], &sol.mu[..]);
     report(
@@ -353,10 +336,10 @@ impl<S: Storage> Finish<'_, S> {
         } else {
             0.0
         };
-        let structural = p.support().is_some();
+        let support = p.support().map(|s| &s.cols);
         let mut parts = vec![Part::default(); self.x_t.rows()];
         let ext = split_parts(&mut parts, fan_out, |first, chunk| {
-            self.sweep(first, chunk, level, structural, tau)
+            self.sweep(first, chunk, level, support, tau)
         });
 
         let residuals =
@@ -386,21 +369,21 @@ impl<S: Storage> Finish<'_, S> {
 
     /// Sweep subproblems `first..first + parts.len()` into `parts` at
     /// `level`: their sums, then, when certifying, ζ's terms and the KKT
-    /// extremes with positive-entry threshold `tau`. With `structural` zeros (a dense
-    /// prior's zero entries), those entries carry neither a ζ term nor a
-    /// KKT condition.
+    /// extremes with positive-entry threshold `tau`, over the variables
+    /// of each subproblem (the column-side `support` pattern's, for a
+    /// dense structural problem).
     fn sweep(
         &self,
         first: usize,
         parts: &mut [Part],
         level: Finishing,
-        structural: bool,
+        support: Option<&CsrMatrix>,
         tau: f64,
     ) -> Extremes {
         // One loop per level, so no entry tests what it computes.
         match level {
-            Finishing::Primal => self.sweep_as::<false>(first, parts, structural, tau),
-            Finishing::Certified => self.sweep_as::<true>(first, parts, structural, tau),
+            Finishing::Primal => self.sweep_as::<false>(first, parts, support, tau),
+            Finishing::Certified => self.sweep_as::<true>(first, parts, support, tau),
         }
     }
 
@@ -408,74 +391,32 @@ impl<S: Storage> Finish<'_, S> {
         &self,
         first: usize,
         parts: &mut [Part],
-        structural: bool,
+        support: Option<&CsrMatrix>,
         tau: f64,
     ) -> Extremes {
         let mut ext = Extremes::EMPTY;
         for (j, part) in (first..).zip(parts) {
             let range = self.x_t.row_range(j);
-            let entries = Entries {
-                x: &self.x_t.values()[range.clone()],
-                x0: &self.x0_t.values()[range.clone()],
-                gamma: &self.gamma_t.values()[range],
-                lambda: self.lambda,
-                mu: self.mu[j],
-                structural,
-                tau,
-            };
-            // Position `t` of this subproblem is row `idx[t]` of the
-            // problem, or row `t` when the layout is dense.
-            *part = match self.x0_t.row_view(j) {
-                RowView::Dense(_) => entries.fold::<CERTIFIED>(&mut ext, |t| t),
-                RowView::Indexed { idx, .. } => {
-                    entries.fold::<CERTIFIED>(&mut ext, |t| idx[t] as usize)
+            let x = &self.x_t.values()[range.clone()];
+            let x0 = &self.x0_t.values()[range.clone()];
+            let gamma = &self.gamma_t.values()[range];
+            let mu = self.mu[j];
+            let mut c = Part::default();
+            // Variable `k` of subproblem `j` is row `i` of the problem.
+            Vars::of(self.x0_t, support, j).for_each(|i, k| {
+                let dev = x[k] - x0[k];
+                c.sum += x[k];
+                c.objective += gamma[k] * dev * dev;
+                if CERTIFIED {
+                    let li = self.lambda[i];
+                    c.zeta += dual::entry_term(gamma[k], x0[k], li + mu);
+                    ext.min_entry = lower(ext.min_entry, x[k]);
+                    ext.note(x[k], 2.0 * gamma[k] * dev - li - mu, tau);
                 }
-            };
+            });
+            *part = c;
         }
         ext
-    }
-}
-
-/// One subproblem's entries in a finishing sweep, with its multiplier
-/// `mu` and the other side's `lambda`.
-struct Entries<'a> {
-    x: &'a [f64],
-    x0: &'a [f64],
-    gamma: &'a [f64],
-    lambda: &'a [f64],
-    mu: f64,
-    structural: bool,
-    tau: f64,
-}
-
-impl Entries<'_> {
-    /// The subproblem's sums in entry order, with ζ's terms and its KKT
-    /// extremes in `ext` when `CERTIFIED`; entry `t` pairs with
-    /// `lambda[row(t)]`.
-    #[inline(always)]
-    fn fold<const CERTIFIED: bool>(
-        &self,
-        ext: &mut Extremes,
-        row: impl Fn(usize) -> usize,
-    ) -> Part {
-        let mut c = Part::default();
-        let entries = self.x.iter().zip(self.x0).zip(self.gamma);
-        for (t, ((&x, &x0), &g)) in entries.enumerate() {
-            let dev = x - x0;
-            c.sum += x;
-            c.objective += g * dev * dev;
-            if !CERTIFIED {
-                continue;
-            }
-            ext.min_entry = lower(ext.min_entry, x);
-            if self.structural && x0 == 0.0 {
-                continue;
-            }
-            let li = self.lambda[row(t)];
-            c.zeta += dual::entry_term(g, x0, li + self.mu);
-            ext.note(x, 2.0 * g * dev - li - self.mu, self.tau);
-        }
-        c
     }
 }
 

@@ -22,8 +22,8 @@ mod generator;
 
 use sea_core::{
     solve_bounded_supervised, solve_diagonal_supervised, verify_solution, BoundedProblem,
-    DiagonalProblem, Event, KernelCounters, KernelKind, NullObserver, Parallelism, SeaOptions,
-    StopReason, Storage, SupervisorOptions, VecObserver,
+    DiagonalProblem, Event, KernelCounters, KernelKind, KktReport, NullObserver, Parallelism,
+    SeaOptions, StopReason, Storage, SupervisorOptions, VecObserver,
 };
 use sea_linalg::{CsrMatrix, DenseMatrix};
 
@@ -41,6 +41,24 @@ fn counters_of(obs: &VecObserver) -> Option<KernelCounters> {
 /// Bitwise image of a float slice (NaN-safe equality for assertions).
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every field of a certificate, as bits.
+fn report_bits(r: &KktReport) -> [u64; 10] {
+    let res = r.residuals;
+    [
+        r.max_stationarity,
+        r.max_sign_violation,
+        r.max_total_stationarity,
+        res.row_inf,
+        res.col_inf,
+        res.rel_row_inf,
+        res.norm2,
+        r.duality_gap,
+        r.objective,
+        r.min_entry,
+    ]
+    .map(f64::to_bits)
 }
 
 fn parallel_modes() -> [Parallelism; 2] {
@@ -66,13 +84,12 @@ fn sparse_families_match_dense_oracle() {
                 let sup = SupervisorOptions::default();
 
                 let mut sparse_obs = VecObserver::new();
-                let ssol = solve_diagonal_supervised(&sp, &opts, &sup, &mut sparse_obs)
-                    .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"))
-                    .solution;
+                let sparse = solve_diagonal_supervised(&sp, &opts, &sup, &mut sparse_obs)
+                    .unwrap_or_else(|e| panic!("{tag}: sparse solve failed: {e}"));
                 let mut dense_obs = VecObserver::new();
-                let dsol = solve_diagonal_supervised(&dp, &opts, &sup, &mut dense_obs)
-                    .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"))
-                    .solution;
+                let dense = solve_diagonal_supervised(&dp, &opts, &sup, &mut dense_obs)
+                    .unwrap_or_else(|e| panic!("{tag}: dense solve failed: {e}"));
+                let (ssol, dsol) = (&sparse.solution, &dense.solution);
                 assert!(ssol.stats.converged, "{tag}: sparse did not converge");
                 assert!(dsol.stats.converged, "{tag}: dense did not converge");
 
@@ -101,10 +118,25 @@ fn sparse_families_match_dense_oracle() {
                 // Same first-principles certificate on both sides (1e-5:
                 // the duality-gap check is absolute, and stopping at 1e-8
                 // leaves a gap of a few 1e-6 on the larger instances).
-                let sparse_cert = verify_solution(&sp, &ssol);
-                let dense_cert = verify_solution(&dp, &dsol);
+                let sparse_cert = verify_solution(&sp, ssol);
+                let dense_cert = verify_solution(&dp, dsol);
                 assert!(sparse_cert.is_optimal(1e-5), "{tag}: {sparse_cert:?}");
                 assert!(dense_cert.is_optimal(1e-5), "{tag}: {dense_cert:?}");
+                // A certificate ranges over the variables, whatever the
+                // layout: both sides' reports agree in every field, bit
+                // for bit, and so do the solves' own certificates.
+                assert_eq!(
+                    report_bits(&sparse_cert),
+                    report_bits(&dense_cert),
+                    "{tag}: verify reports differ: {sparse_cert:?} vs {dense_cert:?}"
+                );
+                assert_eq!(
+                    report_bits(&sparse.certificate),
+                    report_bits(&dense.certificate),
+                    "{tag}: certificates differ: {:?} vs {:?}",
+                    sparse.certificate,
+                    dense.certificate
+                );
 
                 // Bitwise-identical kernel work on the support.
                 let sc = counters_of(&sparse_obs)

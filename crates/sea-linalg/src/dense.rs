@@ -205,17 +205,6 @@ impl DenseMatrix {
         self.data.par_chunks_exact(self.cols)
     }
 
-    /// Copy column `j` into `out`.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `out.len() != rows`.
-    pub fn copy_column_into(&self, j: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.rows);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.data[i * self.cols + j];
-        }
-    }
-
     /// Freshly allocated transposed copy (column pass cache locality),
     /// built serially by [`transpose_into`].
     pub fn transposed(&self) -> DenseMatrix {
@@ -509,14 +498,6 @@ mod tests {
         let mut bad_y = [0.0; 3];
         assert!(m.matvec(&[1.0, 2.0, 3.0], &mut bad_y).is_err());
         assert!(m.matvec_parallel(&[1.0], &mut y).is_err());
-    }
-
-    #[test]
-    fn copy_column() {
-        let m = sample();
-        let mut c = [0.0; 2];
-        m.copy_column_into(1, &mut c);
-        assert_eq!(c, [2.0, 5.0]);
     }
 
     #[test]

@@ -22,12 +22,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// One-norm `‖x‖₁`.
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Infinity norm `‖x‖∞` (0.0 for an empty slice).
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
@@ -57,16 +51,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// Componentwise positive part `(x)₊`, in place.
-#[inline]
-pub fn positive_part(x: &mut [f64]) {
-    for v in x {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-}
-
 /// True if every component is finite (no NaN/±∞).
 #[inline]
 pub fn all_finite(x: &[f64]) -> bool {
@@ -88,7 +72,6 @@ mod tests {
         let x = [3.0, 4.0];
         let y = [1.0, 2.0];
         assert_eq!(dot(&x, &y), 11.0);
-        assert_eq!(norm1(&x), 7.0);
         assert_eq!(norm_inf(&[-6.0, 2.0]), 6.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }
@@ -108,12 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_positive_part() {
+    fn scale_in_place() {
         let mut x = [1.0, -2.0];
         scale(3.0, &mut x);
         assert_eq!(x, [3.0, -6.0]);
-        positive_part(&mut x);
-        assert_eq!(x, [3.0, 0.0]);
     }
 
     #[test]

@@ -60,20 +60,30 @@ fn spe_supply_shift_reduces_trade() {
 #[test]
 fn trace_replay_is_consistent_with_measured_solve() {
     // T1 from the trace (sum of phase work) must approximate the measured
-    // serial wall time of the same solve.
+    // serial wall time of the same solve. The solve takes about a
+    // millisecond, so a lost timeslice can inflate one run's wall time
+    // (never its traced time): every run must respect the upper bound,
+    // and the lower bound is judged on the median of five runs.
     let p = table1_instance(80, 3);
-    let (sol, phases) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
-    let t1: f64 = phases.iter().flat_map(|ph| &ph.tasks).sum();
-    let wall = sol.stats.elapsed.as_secs_f64();
-    assert!(t1 > 0.0);
-    assert!(
-        t1 <= wall * 1.05,
-        "trace time {t1} cannot exceed wall time {wall}"
-    );
+    let mut ratios: Vec<f64> = (0..5)
+        .map(|_| {
+            let (sol, phases) = traced_solve(&p, &SeaOptions::with_epsilon(0.01));
+            let t1: f64 = phases.iter().flat_map(|ph| &ph.tasks).sum();
+            let wall = sol.stats.elapsed.as_secs_f64();
+            assert!(t1 > 0.0);
+            assert!(
+                t1 <= wall * 1.05,
+                "trace time {t1} cannot exceed wall time {wall}"
+            );
+            t1 / wall
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
     // Most of the solve is accounted for by the traced phases.
     assert!(
-        t1 >= wall * 0.3,
-        "trace {t1} vs wall {wall}: too much untraced time"
+        ratios[2] >= 0.3,
+        "median trace/wall {} of {ratios:?}: too much untraced time",
+        ratios[2]
     );
 }
 
