@@ -7,17 +7,20 @@
 //! [`crate::knapsack::exact_equilibration`]. Independence is what makes SEA
 //! parallel: every subproblem can go to a distinct processor.
 //!
-//! Both passes share one orientation-agnostic implementation: the caller
-//! supplies the prior and weight matrices oriented so subproblems are rows
-//! (the column pass passes transposed copies built once per solve). The
+//! Both passes of a sparse solve share one orientation-agnostic
+//! implementation: the caller supplies the prior and weight matrices
+//! oriented so subproblems are rows (its column pass passes transposed
+//! copies built once per solve). A dense solve's column pass reads the
+//! problem's own row-major matrices in column tiles instead
+//! (`crate::tiles`), with the same kernel and the same bits. The
 //! pass is generic over [`Storage`]: dense rows go to the kernel whole (or
 //! gathered through the rows of a structural support pattern,
 //! [`PassInputs::support`]), while CSR rows *are* the support — the kernel
 //! runs directly over the stored value slices and reads the shift vector
 //! through the row's column index, so sparse subproblem cost is
 //! `O(k log k)` in the row's support size `k`, never `O(n)`. A pass picks
-//! one of these three kernel calls per row; it is the one walk over a
-//! problem's cells that does not go through `Vars`.
+//! one of these three kernel calls per row; it and the tiled column pass
+//! are the walks over a problem's cells that do not go through `Vars`.
 //!
 //! A pass writes its iterate only when the caller keeps it: the solver's
 //! row pass does so only for the Modified Algorithm's support witness.
@@ -38,6 +41,7 @@ use crate::knapsack::{
 use crate::parallel::Parallelism;
 use crate::storage::Storage;
 use crate::supervisor::TaskFault;
+use crate::tiles::TileScratch;
 use rayon::prelude::*;
 use sea_linalg::CsrMatrix;
 use sea_observe::KernelCounters;
@@ -58,7 +62,7 @@ thread_local! {
     /// the buffers on first use and later shards (and later solves) reuse
     /// them, keeping the steady-state solver loop allocation-free — the
     /// property `tests/alloc_free.rs` audits.
-    static SCRATCH: RefCell<TaskScratch> = RefCell::new(TaskScratch::new());
+    pub(crate) static SCRATCH: RefCell<TaskScratch> = RefCell::new(TaskScratch::new());
 }
 
 /// Thread-safe accumulator for [`KernelCounters`] harvested from the
@@ -131,7 +135,7 @@ pub struct ShardTiming {
 }
 
 /// Nanoseconds elapsed since `base`, saturating.
-fn elapsed_ns(base: Instant) -> u64 {
+pub(crate) fn elapsed_ns(base: Instant) -> u64 {
     let d = base.elapsed();
     d.as_secs()
         .saturating_mul(1_000_000_000)
@@ -139,16 +143,18 @@ fn elapsed_ns(base: Instant) -> u64 {
 }
 
 /// Per-thread scratch: gather buffers for dense rows with a structural
-/// support pattern plus the kernel's own workspace. Reused across every
-/// subproblem a thread handles (allocation-free hot loop).
+/// support pattern, a dense column pass's tile workspace, plus the
+/// kernel's own workspace. Reused across every subproblem a thread
+/// handles (allocation-free hot loop).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct TaskScratch {
-    eq: EquilibrationScratch,
+    pub(crate) eq: EquilibrationScratch,
     q: Vec<f64>,
     g: Vec<f64>,
     x: Vec<f64>,
+    pub(crate) tile: TileScratch,
     /// Quickselect→sort-scan fallbacks taken by this thread's tasks.
-    fallbacks: u64,
+    pub(crate) fallbacks: u64,
 }
 
 impl TaskScratch {
@@ -163,9 +169,9 @@ impl TaskScratch {
 /// from the problem, which computed them once while validating it.
 #[derive(Debug)]
 pub struct PassBounds<'a, S: Storage> {
-    lo: &'a S,
-    hi: &'a S,
-    sums: &'a [(f64, f64)],
+    pub(crate) lo: &'a S,
+    pub(crate) hi: &'a S,
+    pub(crate) sums: &'a [(f64, f64)],
 }
 
 impl<'a, S: Storage> PassBounds<'a, S> {
@@ -235,7 +241,7 @@ impl<S: Storage> PassInputs<'_, S> {
     /// active; it holds the root whenever the subproblem's solution is
     /// interior, and a miss costs one extra read of the row. A cold boxed
     /// pass gets no hint (see [`PassInputs::warm`]).
-    fn hint(&self, previous: f64) -> Option<f64> {
+    pub(crate) fn hint(&self, previous: f64) -> Option<f64> {
         match (self.warm, self.bounds) {
             (true, _) => Some(previous),
             (false, None) => Some(f64::INFINITY),
@@ -255,7 +261,7 @@ impl<S: Storage> PassInputs<'_, S> {
 /// adversarial breakpoint patterns; sort-scan is the slower oracle both
 /// kernels are differentially tested against, so it is the safe harbor.
 #[allow(clippy::too_many_arguments)] // kernel inputs + output + workspace + fallback sink
-fn kernel_solve(
+pub(crate) fn kernel_solve(
     kernel: KernelKind,
     force_fallback: bool,
     q: &[f64],
@@ -286,7 +292,7 @@ fn kernel_solve(
 /// A subproblem with no support: the iterate stays zero, and the kernel's
 /// one rule for an empty subproblem ([`empty_subproblem`]) gives λ and the
 /// total, without counting a kernel solve.
-fn empty_support_result(
+pub(crate) fn empty_support_result(
     bounds: impl Bounds,
     mode: TotalMode,
     side: &'static str,
@@ -299,7 +305,7 @@ fn empty_support_result(
 
 /// Re-attribute a kernel's infeasibility error to this pass's side and
 /// subproblem index (the kernel only sees one anonymous subproblem).
-fn locate(e: SeaError, side: &'static str, i: usize) -> SeaError {
+pub(crate) fn locate(e: SeaError, side: &'static str, i: usize) -> SeaError {
     match e {
         SeaError::InfeasibleSubproblem { .. } => SeaError::InfeasibleSubproblem { side, index: i },
         other => other,
@@ -327,21 +333,14 @@ fn solve_task<S: Storage>(
     x_row: Option<&mut [f64]>,
     scratch: &mut TaskScratch,
 ) -> Result<(f64, f64), SeaError> {
-    let force_fallback = match inp.fault {
-        Some(f) if f.index == i => {
-            if f.panic {
-                panic!("injected worker panic (fault plan)");
-            }
-            true
-        }
-        _ => false,
-    };
+    let force_fallback = scripted_fallback(inp, i);
     let TaskScratch {
         eq,
         q: q_buf,
         g: g_buf,
         x,
         fallbacks,
+        ..
     } = scratch;
     let range = inp.prior.row_range(i);
     let (q, g) = (
@@ -443,11 +442,7 @@ fn solve_task<S: Storage>(
     }
 }
 
-/// [`solve_task`] with panic containment: a worker panic (including a
-/// scripted one) becomes [`SeaError::WorkerPanic`] instead of unwinding
-/// through — or, under rayon, aborting — the whole solve. The non-panic
-/// path of `catch_unwind` costs no allocation, preserving the
-/// allocation-free steady state.
+/// [`solve_task`] with panic containment ([`contain`]).
 fn run_task<S: Storage>(
     inp: &PassInputs<'_, S>,
     i: usize,
@@ -458,10 +453,23 @@ fn run_task<S: Storage>(
 ) -> Result<(f64, f64), SeaError> {
     // Bounds share the prior's orientation and pattern, so their stored
     // values for row `i` line up with the prior row entry by entry.
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match inp.bounds {
+    contain(inp.side, i, || match inp.bounds {
         None => solve_task(inp, i, Unbounded, mode, hint, x_row, scratch),
         Some(b) => solve_task(inp, i, b.row(i), mode, hint, x_row, scratch),
-    })) {
+    })
+}
+
+/// Run subproblem `i`'s `solve` with panic containment: a worker panic
+/// (including a scripted one) becomes [`SeaError::WorkerPanic`] instead
+/// of unwinding through — or, under rayon, aborting — the whole solve.
+/// The non-panic path of `catch_unwind` costs no allocation, preserving
+/// the allocation-free steady state.
+pub(crate) fn contain(
+    side: &'static str,
+    i: usize,
+    solve: impl FnOnce() -> Result<(f64, f64), SeaError>,
+) -> Result<(f64, f64), SeaError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)) {
         Ok(r) => r,
         Err(payload) => {
             let message = payload
@@ -470,11 +478,25 @@ fn run_task<S: Storage>(
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "panic payload of unknown type".to_string());
             Err(SeaError::WorkerPanic {
-                side: inp.side,
+                side,
                 index: i,
                 message,
             })
         }
+    }
+}
+
+/// The scripted fault for subproblem `i`: whether its kernel result is
+/// to be treated as pathological. A scripted panic panics here.
+pub(crate) fn scripted_fallback<S: Storage>(inp: &PassInputs<'_, S>, i: usize) -> bool {
+    match inp.fault {
+        Some(f) if f.index == i => {
+            if f.panic {
+                panic!("injected worker panic (fault plan)");
+            }
+            true
+        }
+        _ => false,
     }
 }
 
@@ -500,7 +522,7 @@ struct Shard<'a> {
 }
 
 /// Cut the first `len` items off `rest`.
-fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+pub(crate) fn take_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     let (head, tail) = std::mem::take(rest).split_at_mut(len);
     *rest = tail;
     head
@@ -1020,6 +1042,32 @@ mod tests {
         assert_eq!(f64::from_bits(oracle.0), 216.0254041081378);
         assert_eq!(oracle.2, 0);
         assert_eq!(run(KernelKind::Quickselect), (oracle.0, oracle.1, 1));
+    }
+
+    #[test]
+    fn sub_ulp_box_falls_back_to_sort_scan() {
+        // One column whose box is narrower in λ than one ulp of its
+        // breakpoints: quickselect breaks down, sort-scan answers.
+        let prior = DenseMatrix::from_rows(&[vec![2.4124137354181463]]).unwrap();
+        let gamma = DenseMatrix::from_rows(&[vec![1e-7]]).unwrap();
+        let shift = [-946.2301502104547];
+        let lo = DenseMatrix::zeros(1, 1).unwrap();
+        let hi = DenseMatrix::filled(1, 1, 3.2771388482279756e-12).unwrap();
+        let sums = [(0.0, 3.2771388482279756e-12)];
+        let bounds = PassBounds::new(&lo, &hi, &sums);
+        let modes = |_| TotalMode::Fixed {
+            total: 2.182213976090877e-12,
+        };
+        let inp = PassInputs {
+            bounds: Some(&bounds),
+            kernel: KernelKind::Quickselect,
+            ..inputs(&prior, &gamma, &shift)
+        };
+        let mut x = DenseMatrix::zeros(1, 1).unwrap();
+        let (lambda, _, counters) = pass(&inp, &modes, &mut x, Parallelism::Serial).unwrap();
+        assert_eq!(counters.fallbacks(), 1);
+        assert_eq!(lambda[0], 946.2301497279719);
+        assert!((0.0..=3.2771388482279756e-12).contains(&x.get(0, 0)));
     }
 
     /// Run one pass of every kernel, cold and then warm, serially and on

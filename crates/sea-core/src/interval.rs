@@ -216,10 +216,15 @@ impl<S: Storage> BoundedProblem<S> {
         PassBounds::new(&self.lo, &self.hi, &self.row_sums)
     }
 
-    /// The bounds of the column pass: `(lo, hi)` transposed to its layout,
+    /// The bounds of the column pass: `(lo, hi)` in its layout (transposed
+    /// for a sparse solve, as they are for a dense one's column tiles),
     /// with each column's `(Σ lo, Σ hi)`.
-    pub(crate) fn col_bounds<'a>(&'a self, lo_t: &'a S, hi_t: &'a S) -> PassBounds<'a, S> {
-        PassBounds::new(lo_t, hi_t, &self.col_sums)
+    pub(crate) fn col_bounds<'a>(&'a self, lo: &'a S, hi: &'a S) -> PassBounds<'a, S> {
+        PassBounds {
+            lo,
+            hi,
+            sums: &self.col_sums,
+        }
     }
 
     /// Row totals `s⁰`.
@@ -537,8 +542,21 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&p.row_sums), bits(&sums(&p.lo, &p.hi)), "rows");
-        let (t, _) = S::transpose_together(&[&p.lo, &p.hi], false).unwrap();
-        assert_eq!(bits(&p.col_sums), bits(&sums(&t[0], &t[1])), "columns");
+        // Each column's stored values in row order: a transposed row.
+        let column = |a: &S, j: usize| -> Vec<f64> {
+            (0..a.rows())
+                .filter(|&i| a.row_cols(i).is_none_or(|c| c.contains(&(j as u32))))
+                .map(|i| a.get(i, j))
+                .collect()
+        };
+        let col_sums: Vec<(f64, f64)> = (0..p.lo.cols())
+            .map(|j| {
+                let l: f64 = column(&p.lo, j).iter().sum();
+                let h: f64 = column(&p.hi, j).iter().sum();
+                (l, h)
+            })
+            .collect();
+        assert_eq!(bits(&p.col_sums), bits(&col_sums), "columns");
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub struct EquilibrationResult {
 /// One breakpoint event for the selection kernel: crossing `v` changes the
 /// active-set linear form `f(λ) = A + B·λ` by `(da, db)`.
 #[derive(Debug, Default, Clone, Copy)]
-struct SelectEvent {
+pub(crate) struct SelectEvent {
     v: f64,
     da: f64,
     db: f64,
@@ -178,6 +178,13 @@ pub(crate) trait Bounds: Copy {
 
     /// The search's λ, or what a non-finite one means for these bounds.
     fn finite_lambda(self, lambda: f64, mode: TotalMode) -> Result<f64, SeaError>;
+
+    /// Entry `k`'s response `raw = qⱼ + (shiftⱼ + λ)/(2γⱼ)` clamped into
+    /// its box.
+    fn clamp(self, k: usize, raw: f64) -> f64;
+
+    /// Whether entry `k`'s value `v` lies strictly inside its box.
+    fn inside(self, k: usize, v: f64) -> bool;
 
     /// Write the entries `xⱼ(λ)` to `x_out` and return how many lie strictly
     /// inside their box. `total` is the realized total.
@@ -250,6 +257,20 @@ impl Bounds for Unbounded {
         }
     }
 
+    #[inline(always)]
+    fn clamp(self, _: usize, raw: f64) -> f64 {
+        if raw > 0.0 {
+            raw
+        } else {
+            0.0
+        }
+    }
+
+    #[inline(always)]
+    fn inside(self, _: usize, v: f64) -> bool {
+        v > 0.0
+    }
+
     /// Without an output row only λ and the total are wanted: nothing is
     /// computed and `active` is 0.
     fn materialize(
@@ -268,30 +289,39 @@ impl Bounds for Unbounded {
         let mut sum = 0.0;
         let mut active = 0usize;
         for j in 0..q.len() {
-            let v = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
-            let v = if v > 0.0 { v } else { 0.0 };
-            if v > 0.0 {
+            let v = self.clamp(j, q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]));
+            if self.inside(j, v) {
                 active += 1;
             }
             x_out[j] = v;
             sum += v;
         }
 
-        // Absorb the residual rounding error into the largest entries so the
-        // constraint holds to near machine precision (keeps downstream
-        // convergence checks honest). Proportional correction preserves
-        // nonnegativity.
-        let err = total - sum;
-        if err != 0.0 && sum > 0.0 && err.abs() > 0.0 {
-            let scale = total / sum;
-            if scale.is_finite() && scale > 0.0 {
-                for v in x_out.iter_mut() {
-                    *v *= scale;
-                }
+        if let Some(scale) = rounding_scale(total, sum) {
+            for v in x_out.iter_mut() {
+                *v *= scale;
             }
         }
         active
     }
+}
+
+/// The factor that absorbs the residual rounding error of entries summing
+/// to `sum` into them, so the constraint `Σ x = total` holds to near
+/// machine precision (keeps downstream convergence checks honest), or
+/// `None` when they need none. Proportional correction preserves
+/// nonnegativity. A dense column pass keeps it beside its iterate instead
+/// of applying it.
+#[inline]
+pub(crate) fn rounding_scale(total: f64, sum: f64) -> Option<f64> {
+    let err = total - sum;
+    if err != 0.0 && sum > 0.0 && err.abs() > 0.0 {
+        let scale = total / sum;
+        if scale.is_finite() && scale > 0.0 {
+            return Some(scale);
+        }
+    }
+    None
 }
 
 /// `loⱼ ≤ xⱼ ≤ hiⱼ`, with `sums = (Σ lo, Σ hi)` as `iter().sum()` gives
@@ -399,6 +429,26 @@ impl Bounds for Interval<'_> {
         })
     }
 
+    /// `raw.clamp(lo, hi)`'s bits, without its `lo ≤ hi` assertion (the
+    /// bounds were checked when the problem was built), so loops over
+    /// entries vectorize.
+    #[inline(always)]
+    fn clamp(self, k: usize, raw: f64) -> f64 {
+        let (lo, hi) = (self.lo[k], self.hi[k]);
+        if raw < lo {
+            lo
+        } else if raw > hi {
+            hi
+        } else {
+            raw
+        }
+    }
+
+    #[inline(always)]
+    fn inside(self, k: usize, v: f64) -> bool {
+        v > self.lo[k] && v < self.hi[k]
+    }
+
     /// Every entry is clamped, with or without an output row, because the
     /// clamps are counted (`boxed_clamps`).
     fn materialize(
@@ -414,9 +464,8 @@ impl Bounds for Interval<'_> {
         let n = q.len();
         let mut active = 0usize;
         for j in 0..n {
-            let raw = q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]);
-            let v = raw.clamp(self.lo[j], self.hi[j]);
-            if v > self.lo[j] && v < self.hi[j] {
+            let v = self.clamp(j, q[j] + (shift.at(j) + lambda) / (2.0 * gamma[j]));
+            if self.inside(j, v) {
                 active += 1;
             }
             if let Some(x) = x_out.as_deref_mut() {
@@ -435,7 +484,7 @@ impl Bounds for Interval<'_> {
 /// The warm test and the event fills all build events here, so they see the
 /// same bits.
 #[inline(always)]
-fn entry_events<B: Bounds>(
+pub(crate) fn entry_events<B: Bounds>(
     bounds: B,
     k: usize,
     qj: f64,
@@ -706,20 +755,27 @@ pub(crate) fn exact_equilibration_hinted<B: Bounds>(
         KernelKind::Quickselect => lambda_quickselect(q, gamma, shift, bounds, mode, hint, scratch),
     };
     let lambda = bounds.finite_lambda(lambda, mode)?;
-    let total = match mode {
-        TotalMode::Fixed { total } => total,
-        TotalMode::Elastic {
-            alpha,
-            prior,
-            cross,
-        } => prior - (lambda + cross) / (2.0 * alpha),
-    };
+    let total = realized_total(mode, lambda);
     let active = bounds.materialize(q, gamma, shift, lambda, total, x_out, &mut scratch.stats);
     Ok(EquilibrationResult {
         lambda,
         total,
         active,
     })
+}
+
+/// The total a subproblem realizes at multiplier `lambda`: the fixed one,
+/// or the elastic `prior − (λ + cross)/(2α)`.
+#[inline]
+pub(crate) fn realized_total(mode: TotalMode, lambda: f64) -> f64 {
+    match mode {
+        TotalMode::Fixed { total } => total,
+        TotalMode::Elastic {
+            alpha,
+            prior,
+            cross,
+        } => prior - (lambda + cross) / (2.0 * alpha),
+    }
 }
 
 /// The one answer for a subproblem with no entries, whatever the kernel:
@@ -767,7 +823,8 @@ fn elastic_constants(mode: TotalMode) -> (f64, f64) {
 
 /// Sort-based segment search: argsort the breakpoint events, then sweep the
 /// segments left to right, each crossing adding its event's `(da, db)` to
-/// the linear form `f(λ) = a + b·λ`. Returns NaN when no segment accepts
+/// the linear form `f(λ) = a + b·λ`. When no segment accepts, returns the
+/// breakpoint at which a fixed-mode `f` jumps over the total, or else NaN
 /// (the bounds say what that means, [`Bounds::finite_lambda`]).
 fn lambda_sort_scan<B: Bounds>(
     q: &[f64],
@@ -814,6 +871,9 @@ fn lambda_sort_scan<B: Bounds>(
     // Lower end of the current segment: the last event crossed.
     let mut seg_lo = f64::NEG_INFINITY;
     let mut lambda = f64::NAN;
+    // In fixed mode, the upper end of the last segment whose root lies to
+    // its right: f is below the total up to there.
+    let mut below_until = f64::NAN;
     let mut swept = 0u64;
     for r in 0..=len {
         swept += 1;
@@ -844,6 +904,9 @@ fn lambda_sort_scan<B: Bounds>(
                 lambda = B::settle(c, seg_lo);
                 break;
             }
+            if c > upper && matches!(mode, TotalMode::Fixed { .. }) {
+                below_until = upper;
+            }
         }
         if r < len {
             let e = events[order[r] as usize];
@@ -853,6 +916,14 @@ fn lambda_sort_scan<B: Bounds>(
         }
     }
     stats.breakpoints_scanned += swept;
+    // No segment accepted although every event was crossed with finite
+    // sums: f jumped over the fixed total at one breakpoint. A box narrower
+    // in λ than one ulp of its breakpoints does that (its two breakpoints
+    // coincide, and the slope it adds and takes back leaves a flat segment
+    // whose level is rounding noise). That breakpoint is the root.
+    if lambda.is_nan() && a.is_finite() && b.is_finite() {
+        lambda = below_until;
+    }
     lambda
 }
 
@@ -905,7 +976,7 @@ fn lambda_quickselect<B: Bounds>(
 /// Lanes of the warm test's accumulators: entry `k` goes to lane `k mod 4`.
 /// Four interleaved sums break the loop-carried dependency of one running
 /// sum; the order is fixed, so every caller gets the same bits.
-const LANES: usize = 4;
+pub(crate) const LANES: usize = 4;
 
 /// Call `fold(lane, k)` for every entry `k < n`, in order, with `lane` a
 /// constant after unrolling.
@@ -929,13 +1000,13 @@ fn for_each_lane(n: usize, mut fold: impl FnMut(usize, usize)) {
 /// NaN breakpoint is never at or below the hint and never below `hi`, so it
 /// moves neither end.
 #[derive(Clone, Copy)]
-struct Bracket {
-    lo: f64,
-    hi: f64,
+pub(crate) struct Bracket {
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
 }
 
 impl Bracket {
-    const OPEN: Bracket = Bracket {
+    pub(crate) const OPEN: Bracket = Bracket {
         lo: f64::NEG_INFINITY,
         hi: f64::INFINITY,
     };
@@ -950,10 +1021,17 @@ impl Bracket {
         }
     }
 
-    /// Solve `f(λ) = a + b·λ = S(λ)` on the segment from the intercept and
-    /// the lanes' slope sums; the root if it lies inside. In fixed mode a
+    /// Solve `f(λ) = base + a + b·λ = S(λ)` on the segment from the lanes'
+    /// intercept and slope sums; the root if it lies inside. In fixed mode a
     /// flat segment (zero slope) is a miss.
-    fn root(self, a: f64, b: [f64; LANES], mode: TotalMode) -> Option<f64> {
+    pub(crate) fn root(
+        self,
+        a: [f64; LANES],
+        b: [f64; LANES],
+        base: f64,
+        mode: TotalMode,
+    ) -> Option<f64> {
+        let a = base + ((a[0] + a[1]) + (a[2] + a[3]));
         let b = (b[0] + b[1]) + (b[2] + b[3]);
         let root = match mode {
             TotalMode::Fixed { total } if b > 0.0 => (total - a) / b,
@@ -1000,20 +1078,36 @@ fn warm_segment<B: Bounds>(
     // below the hint, in order.
     for_each_lane(n, |lane, k| {
         let (l, u) = entry_events(bounds, k, q[k], gamma[k], shift.at(k));
-        let below_l = l.v <= hint;
-        let mut da = if below_l { l.da } else { 0.0 };
-        let mut inside = below_l;
-        bracket.push(l.v, below_l);
-        if B::UPPER {
-            let below_u = u.v <= hint && u.v != f64::INFINITY;
-            da += if below_u { u.da } else { 0.0 };
-            inside &= !below_u;
-            bracket.push(u.v, below_u);
-        }
-        a[lane] += da;
-        b[lane] += if inside { l.db } else { 0.0 };
+        warm_fold::<B>(l, u, hint, &mut a[lane], &mut b[lane], &mut bracket);
     });
-    bracket.root(bounds.base() + ((a[0] + a[1]) + (a[2] + a[3])), b, mode)
+    bracket.root(a, b, bounds.base(), mode)
+}
+
+/// Fold one entry's events `(l, u)` into its lane's intercept `a` and
+/// slope `b` and into the `bracket` around `hint` ([`warm_segment`]). A
+/// dense column pass folds its tiles through this too, so both see the
+/// same bits.
+#[inline(always)]
+pub(crate) fn warm_fold<B: Bounds>(
+    l: SelectEvent,
+    u: SelectEvent,
+    hint: f64,
+    a: &mut f64,
+    b: &mut f64,
+    bracket: &mut Bracket,
+) {
+    let below_l = l.v <= hint;
+    let mut da = if below_l { l.da } else { 0.0 };
+    let mut inside = below_l;
+    bracket.push(l.v, below_l);
+    if B::UPPER {
+        let below_u = u.v <= hint && u.v != f64::INFINITY;
+        da += if below_u { u.da } else { 0.0 };
+        inside &= !below_u;
+        bracket.push(u.v, below_u);
+    }
+    *a += da;
+    *b += if inside { l.db } else { 0.0 };
 }
 
 #[inline]
@@ -1441,6 +1535,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sort_scan_answers_a_box_narrower_than_one_ulp() {
+        // Both of the entry's breakpoints round to 946.2301497279719: the
+        // box is 6.6e-19 wide in λ, below ulp(946) ≈ 1.1e-13, so f jumps
+        // from 0 to the upper bound at that one breakpoint.
+        let (q, g, shift) = ([2.4124137354181463], [1e-7], [-946.2301502104547]);
+        let (lo, hi) = ([0.0], [3.2771388482279756e-12]);
+        let mode = TotalMode::Fixed {
+            total: 2.182213976090877e-12,
+        };
+        let solve = |kernel| {
+            let mut x = [f64::NAN];
+            let r = exact_equilibration(
+                kernel,
+                &q,
+                &g,
+                &shift,
+                Some((&lo, &hi)),
+                mode,
+                &mut x,
+                &mut EquilibrationScratch::new(),
+            );
+            (r, x[0])
+        };
+        let (r, x) = solve(KernelKind::SortScan);
+        let r = r.expect("sort-scan answers");
+        assert_eq!(r.lambda, 946.2301497279719);
+        assert!(lo[0] <= x && x <= hi[0], "x = {x}");
+        // Quickselect still breaks down here; a pass falls back to
+        // sort-scan (`equilibrate`'s `sub_ulp_box_falls_back_to_sort_scan`).
+        assert!(matches!(
+            solve(KernelKind::Quickselect).0,
+            Err(SeaError::NumericalBreakdown { .. })
+        ));
     }
 
     #[test]

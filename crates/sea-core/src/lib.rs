@@ -95,6 +95,7 @@ pub mod solver;
 pub mod storage;
 pub mod supervisor;
 pub mod theory;
+mod tiles;
 pub mod verify;
 pub mod weights;
 

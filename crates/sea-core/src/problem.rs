@@ -71,14 +71,12 @@ pub enum ZeroPolicy {
 }
 
 /// The support of a dense prior under [`ZeroPolicy::Structural`]: the
-/// pattern of its nonzero cells, and that pattern's transpose for the
-/// column side.
+/// pattern of its nonzero cells. Both passes read it by rows (the column
+/// pass walks the rows in column tiles).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Support {
     /// Row `i` lists the columns of row `i`'s nonzero prior entries.
     pub rows: CsrMatrix,
-    /// Row `j` lists the rows of column `j`'s nonzero prior entries.
-    pub cols: CsrMatrix,
 }
 
 /// Constraint violations of a candidate solution.
@@ -295,10 +293,7 @@ impl<S: Storage> DiagonalProblem<S> {
         // A sparse prior's pattern already is its support.
         let support = match zero_policy {
             ZeroPolicy::Free => None,
-            ZeroPolicy::Structural => x0.nonzero_pattern()?.map(|rows| Support {
-                cols: rows.transposed(),
-                rows,
-            }),
+            ZeroPolicy::Structural => x0.nonzero_pattern()?.map(|rows| Support { rows }),
         };
 
         Ok(Self {
@@ -667,7 +662,6 @@ mod tests {
         assert_eq!(p.variable_count(), 3);
         let sup = p.support().unwrap();
         assert_eq!(sup.rows.row_cols(1), &[0]);
-        assert_eq!(sup.cols.row_cols(1), &[0]);
     }
 
     #[test]

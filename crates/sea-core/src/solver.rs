@@ -30,7 +30,8 @@ use crate::phase::{close_solve, open_solve, Phase};
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::storage::{Storage, Transposer};
 use crate::supervisor::{FaultPlan, SolveControl, SupervisedSolution, SupervisorOptions};
-use crate::verify::{Finish, Finishing, KktReport};
+use crate::tiles::{self, Scaled};
+use crate::verify::{Columns, Finish, Finishing, KktReport};
 use sea_linalg::{vector, CsrMatrix, DenseMatrix};
 use sea_observe::{
     Event, KernelCounters, NullObserver, Observer, PhaseLabel, SpanKind, TelemetrySample,
@@ -363,19 +364,19 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     let parallel = opts.parallelism.is_parallel();
     let tally = &mut Tally::default();
 
-    // Transposed copies once per solve: the column pass then walks
-    // contiguous memory (for sparse storage, transposition doubles as the
-    // column-access view of the support).
+    // The column pass's layout. A dense problem's column pass walks the
+    // problem's own row-major matrices in column tiles; a sparse one solves
+    // the rows of transposed copies, made once per solve (transposition
+    // doubles as the column-access view of the support).
     let mut inputs = vec![p.x0(), p.gamma()];
     inputs.extend(bounds.iter().flat_map(|b| [b.lo(), b.hi()]));
-    let (transposer, transposed) = Transposer::over(&inputs, parallel)?;
-    let mut transposed = transposed.into_iter();
-    // `over` returns one transpose per input.
-    let (Some(x0_t), Some(gamma_t)) = (transposed.next(), transposed.next()) else {
-        return Err(SeaError::PatternMismatch {
-            context: "solver transposition",
-        });
+    let (transposer, transposed) = match Transposer::over(&inputs, parallel)? {
+        Some((plan, ts)) => (Some(plan), ts),
+        None => (None, Vec::new()),
     };
+    let tiled = transposer.is_none();
+    let mut transposed = transposed.into_iter();
+    let (x0_t, gamma_t) = (transposed.next(), transposed.next());
     let bounds_t = transposed.next().zip(transposed.next());
 
     // A resumed solve starts from its checkpoint's multipliers and
@@ -394,12 +395,15 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     };
     let cols = Side {
         label: PhaseLabel::ColumnEquilibration,
-        prior: &x0_t,
-        gamma: &gamma_t,
-        support: p.support().map(|sup| &sup.cols),
-        bounds: bounds
-            .zip(bounds_t.as_ref())
-            .map(|(b, (lo, hi))| b.col_bounds(lo, hi)),
+        prior: x0_t.as_ref().unwrap_or(p.x0()),
+        gamma: gamma_t.as_ref().unwrap_or(p.gamma()),
+        // Only a dense problem has a support pattern, and its tiled pass
+        // walks rows, so it reads the pattern by rows too.
+        support: p.support().map(|sup| &sup.rows),
+        bounds: bounds.map(|b| match &bounds_t {
+            Some((lo, hi)) => b.col_bounds(lo, hi),
+            None => b.col_bounds(b.lo(), b.hi()),
+        }),
         warm_start: resume.is_some() || opts.initial_mu.is_some(),
         faults: ctrl.faults(),
         totals: p.totals(),
@@ -423,18 +427,23 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         Some(_) => Some(p.x0().zeros_like()?),
         None => None,
     };
-    let mut x_t = x0_t.zeros_like()?;
+    let mut x_c = if tiled {
+        ColumnIterate::Tiled(Scaled::zeros_like(p.x0())?)
+    } else {
+        ColumnIterate::Transposed(cols.prior.zeros_like()?)
+    };
     // A breakdown restores the last checked iterate by replaying its
     // column pass, which needs the pass's starting μ.
     let mut mu_hint = vec![0.0; n];
-    // For MaxAbsChange: the iterate at the previous check (x⁰ := X⁰).
-    let mut x_t_prev = (criterion == ConvergenceCriterion::MaxAbsChange).then(|| x0_t.clone());
-    // The balance criteria read the row sums of X (= column sums of Xᵀ).
+    // For MaxAbsChange: the iterate at the previous check (x⁰ := X⁰), in
+    // the column pass's layout.
+    let mut x_prev = (criterion == ConvergenceCriterion::MaxAbsChange).then(|| cols.prior.clone());
+    // The balance criteria read the row sums of X.
     let sums_checked = criterion != ConvergenceCriterion::MaxAbsChange;
 
-    // Row sums of X (= column sums of Xᵀ), reused every check so the
-    // steady-state loop performs no allocation, and the sweep whose
-    // iterate they sum: the finishing sweep reuses the last check's.
+    // Row sums of X, reused every check so the steady-state loop performs
+    // no allocation, and the sweep whose iterate they sum: the finishing
+    // sweep reuses the last check's.
     let mut row_sums_buf = vec![0.0; m];
     let mut row_sums_of: Option<usize> = None;
     // ζ's per-column sums, for the checks that evaluate it.
@@ -462,11 +471,17 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         }
 
         // ---- Steps 1 and 2: row, then column equilibration. --------------
-        rows.pass(t, &mu, (&mut lambda, &mut s, x.as_mut()), obs, tally)?;
+        rows.pass(
+            t,
+            &mu,
+            (&mut lambda, &mut s, Out::Plain(x.as_mut())),
+            obs,
+            tally,
+        )?;
         // The column pass's starting point, from which a breakdown restore
         // replays it.
         mu_hint.copy_from_slice(&mu);
-        cols.pass(t, &lambda, (&mut mu, &mut d, Some(&mut x_t)), obs, tally)?;
+        cols.pass(t, &lambda, (&mut mu, &mut d, x_c.out()), obs, tally)?;
 
         // For the balanced class the column totals *are* the account totals.
         if matches!(p.totals(), TotalSpec::Balanced { .. }) {
@@ -491,7 +506,7 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
             }
             let t0 = Instant::now();
             if sums_checked {
-                x_t.col_sums_into(&mut row_sums_buf);
+                x_c.row_sums_into(&mut row_sums_buf, parallel);
                 row_sums_of = Some(t);
             }
             t0
@@ -503,20 +518,20 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         let finite = vector::all_finite(&lambda)
             && vector::all_finite(&mu)
             && ((check_now && sums_checked && vector::all_finite(&row_sums_buf))
-                || vector::all_finite(x_t.values()));
+                || x_c.all_finite());
         if !finite {
             if check_now && spanning {
                 obs.span_close(&KernelCounters::default());
             }
             // The restore point holds the last checked iterate's λ and its
             // column pass's starting μ: replaying that pass, unobserved and
-            // uncounted, rebuilds its μ, d and xᵀ bit for bit.
+            // uncounted, rebuilds its μ, d and x bit for bit.
             let Some((it, res)) =
                 ctrl.restore_snapshot(&mut lambda, &mut mu, &mut [], &mut s, &mut [])
             else {
                 return Err(SeaError::NumericalBreakdown { iteration: t });
             };
-            let replay = (&mut mu[..], &mut d[..], Some(&mut x_t));
+            let replay = (&mut mu[..], &mut d[..], x_c.out());
             let unobserved = &mut Tally::default();
             cols.pass(it, &lambda, replay, &mut NullObserver, unobserved)?;
             if matches!(p.totals(), TotalSpec::Balanced { .. }) {
@@ -537,13 +552,9 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
                 });
             }
             residual = match criterion {
-                ConvergenceCriterion::MaxAbsChange => {
-                    x_t_prev.as_mut().map_or(f64::INFINITY, |prev| {
-                        let delta = x_t.max_abs_diff(prev);
-                        prev.copy_values_from(&x_t);
-                        delta
-                    })
-                }
+                ConvergenceCriterion::MaxAbsChange => x_prev
+                    .as_mut()
+                    .map_or(f64::INFINITY, |prev| x_c.max_abs_change(prev)),
                 ConvergenceCriterion::ConstraintNorm => {
                     let target = row_target(p.totals(), &s);
                     let mut sq = 0.0;
@@ -662,12 +673,17 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     };
     if row_sums_of != Some(iterations) {
         // The last sweep was not checked (or was replayed).
-        x_t.col_sums_into(&mut row_sums_buf);
+        x_c.row_sums_into(&mut row_sums_buf, parallel);
     }
+    let columns = match (&mut x_c, &x0_t, &gamma_t) {
+        (ColumnIterate::Tiled(x), _, _) => Columns::Tiled(x),
+        (ColumnIterate::Transposed(x_t), Some(x0_t), Some(gamma_t)) => {
+            Columns::Transposed { x_t, x0_t, gamma_t }
+        }
+        _ => return Err(transposition_error()),
+    };
     let finished = Finish {
-        x_t: &x_t,
-        x0_t: &x0_t,
-        gamma_t: &gamma_t,
+        columns,
         lambda: &lambda,
         mu: &mu,
         s: &s_final,
@@ -675,11 +691,19 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
         row_sums: &row_sums_buf,
     }
     .run(p, level, opts.parallelism);
-    let x_final = transposer.back(&x_t, p.x0(), gamma_t)?;
+    // The finishing sweep applied a tiled iterate's scales; a transposed
+    // one comes back into the weights' transpose, spare now.
+    let x_final = match (x_c, &transposer, gamma_t) {
+        (ColumnIterate::Tiled(x), _, _) => x.x,
+        (ColumnIterate::Transposed(x_t), Some(plan), Some(spare)) => {
+            plan.back(&x_t, p.x0(), spare)?
+        }
+        _ => return Err(transposition_error()),
+    };
     // The Solve span also covers the finishing sweep, assembly and freeing
     // the working set: together they are a sizeable share of a cheap
     // solve's wall time.
-    drop((x_t, x_t_prev, x0_t, bounds_t, x, transposer, anderson));
+    drop((x_prev, x0_t, bounds_t, x, transposer, anderson));
     let (objective, dual_value) = (finished.objective, finished.dual_value);
     let solution = Solution {
         x: x_final,
@@ -712,6 +736,69 @@ pub(crate) fn solve_inner<S: Storage, O: Observer>(
     Ok((solution, finished.certificate))
 }
 
+/// A sparse solve's column side missing a transposed matrix.
+fn transposition_error() -> SeaError {
+    SeaError::PatternMismatch {
+        context: "solver transposition",
+    }
+}
+
+/// The column pass's iterate: `Xᵀ` in the transposed layout of a sparse
+/// solve, or a dense solve's row-major `X` with its columns' deferred
+/// rounding scales.
+enum ColumnIterate<S> {
+    Transposed(S),
+    Tiled(Scaled<S>),
+}
+
+impl<S: Storage> ColumnIterate<S> {
+    /// Where the column pass writes it.
+    fn out(&mut self) -> Out<'_, S> {
+        match self {
+            ColumnIterate::Transposed(x_t) => Out::Plain(Some(x_t)),
+            ColumnIterate::Tiled(x) => Out::Scaled(x),
+        }
+    }
+
+    /// Row sums of X into `out` (column sums of Xᵀ).
+    fn row_sums_into(&self, out: &mut [f64], parallel: bool) {
+        match self {
+            ColumnIterate::Transposed(x_t) => x_t.col_sums_into(out),
+            ColumnIterate::Tiled(x) => x.row_sums_into(out, parallel),
+        }
+    }
+
+    /// Whether every entry is finite.
+    fn all_finite(&self) -> bool {
+        match self {
+            ColumnIterate::Transposed(x_t) => vector::all_finite(x_t.values()),
+            ColumnIterate::Tiled(x) => x.all_finite(),
+        }
+    }
+
+    /// The largest entry change since `prev`, which then takes the
+    /// iterate's values (in the same layout).
+    fn max_abs_change(&self, prev: &mut S) -> f64 {
+        match self {
+            ColumnIterate::Transposed(x_t) => {
+                let delta = x_t.max_abs_diff(prev);
+                prev.copy_values_from(x_t);
+                delta
+            }
+            ColumnIterate::Tiled(x) => x.max_abs_change(prev),
+        }
+    }
+}
+
+/// Where a pass writes its iterate.
+enum Out<'a, S> {
+    /// Into a matrix in the pass's own layout, if any (a row pass keeps
+    /// one only for the Modified Algorithm).
+    Plain(Option<&'a mut S>),
+    /// Into a dense column pass's row-major iterate and its scales.
+    Scaled(&'a mut Scaled<S>),
+}
+
 /// Starting multipliers: zeros (the paper's Step 0), or the supplied ones
 /// after a length check.
 fn initial_multipliers(
@@ -732,8 +819,10 @@ fn initial_multipliers(
 
 /// One side of the SEA sweep (§3.1, Steps 1–2), built once per solve.
 /// Row and column equilibration are the same step on opposite sides: the
-/// row side solves the rows of `(x⁰, γ)` against μ, the column side the
-/// rows of `(x⁰ᵀ, γᵀ)` against λ.
+/// row side solves the rows of `(x⁰, γ)` against μ, the column side their
+/// columns against λ, as the rows of transposed copies `(x⁰ᵀ, γᵀ)` in a
+/// sparse solve, or in column tiles of `(x⁰, γ)` themselves in a dense one
+/// (the pass that writes an [`Out::Scaled`] iterate).
 struct Side<'a, S: Storage> {
     label: PhaseLabel,
     prior: &'a S,
@@ -768,7 +857,7 @@ impl<S: Storage> Side<'_, S> {
         &self,
         t: usize,
         shift: &[f64],
-        (multipliers, totals, x): (&mut [f64], &mut [f64], Option<&mut S>),
+        (multipliers, totals, x): (&mut [f64], &mut [f64], Out<'_, S>),
         obs: &mut O,
         tally: &mut Tally,
     ) -> Result<(), SeaError> {
@@ -791,20 +880,39 @@ impl<S: Storage> Side<'_, S> {
             fault: self.faults.task_fault(t, side),
         };
         let phase = Phase::open(obs, self.label, t, multipliers.len(), Some(&tally.counters));
-        equilibration_pass(
-            &inputs,
-            &subproblem_modes(self.totals, rows, shift),
-            multipliers,
-            totals,
-            x,
-            self.opts.parallelism,
-            // Fixed-size shards; rows are independent, so results are
-            // bitwise-identical for every sharding.
-            self.opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS),
-            obs.enabled().then_some(&mut tally.costs),
-            &tally.counters,
-            obs.spans_enabled().then_some(&mut tally.shards),
-        )?;
+        let modes = subproblem_modes(self.totals, rows, shift);
+        // Fixed-size shards; subproblems are independent, so results are
+        // bitwise-identical for every sharding.
+        let block = self.opts.block_size.unwrap_or(DEFAULT_BLOCK_ROWS);
+        let costs = obs.enabled().then_some(&mut tally.costs);
+        let shards = obs.spans_enabled().then_some(&mut tally.shards);
+        let par = self.opts.parallelism;
+        match x {
+            Out::Scaled(x) => tiles::column_pass(
+                &inputs,
+                &modes,
+                multipliers,
+                totals,
+                x,
+                par,
+                block,
+                costs,
+                &tally.counters,
+                shards,
+            ),
+            Out::Plain(x) => equilibration_pass(
+                &inputs,
+                &modes,
+                multipliers,
+                totals,
+                x,
+                par,
+                block,
+                costs,
+                &tally.counters,
+                shards,
+            ),
+        }?;
         phase.close(obs, Some(&tally.costs), &tally.shards);
         Ok(())
     }

@@ -2,7 +2,8 @@
 //!
 //! The SEA drivers never need random access to a whole matrix — each
 //! equilibration pass walks *rows* of the prior, the weight table, and the
-//! iterate (columns are handled by solving rows of an explicit transpose).
+//! iterate (a sparse column pass solves rows of an explicit transpose; a
+//! dense one walks the rows in column tiles).
 //! [`Storage`] captures exactly that access pattern, so the solvers can run
 //! unchanged over [`DenseMatrix`] (the historical backend) or
 //! [`CsrMatrix`] (support-only storage for sparse CMPs).
@@ -33,7 +34,6 @@
 
 use crate::error::SeaError;
 use rayon::prelude::*;
-use sea_linalg::dense::transpose_into;
 use sea_linalg::{CsrMatrix, DenseMatrix};
 use std::fmt;
 use std::ops::Range;
@@ -89,8 +89,8 @@ impl<'a> Vars<'a> {
 ///
 /// Implementations must visit stored entries of a row in increasing column
 /// order (see the module docs for why), and `transpose_together` must order
-/// each transposed row by original row index — the order the dense column pass
-/// walks.
+/// each transposed row by original row index — the order a dense column
+/// pass walks its rows in.
 pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// Backend name for manifests, events, and CLI flags (`"dense"`/`"csr"`).
     fn label() -> &'static str;
@@ -135,25 +135,17 @@ pub trait Storage: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
     /// Propagates allocation/shape failures from the backend.
     fn zeros_like(&self) -> Result<Self, SeaError>;
 
-    /// Transpose same-pattern `mats` together. Backends that transpose by
-    /// permutation (CSR) do it in one pass and also return the slot map
-    /// `to` (source slot `k` lands in transposed slot `to[k]`); dense
-    /// storage strip-transposes each matrix, on the current rayon pool
-    /// when `parallel`, and returns no map.
+    /// The column pass's copies of same-pattern `mats` (the prior, the
+    /// weights and any bounds): their transposes, made together in one
+    /// counting-sort pass, with the slot map `to` back (source slot `k`
+    /// lands in transposed slot `to[k]`). `None` for a dense backend,
+    /// whose column pass reads the matrices as they lie, in column tiles.
     ///
     /// # Errors
-    /// Propagates allocation failures from the backend.
-    fn transpose_together(
-        mats: &[&Self],
-        parallel: bool,
-    ) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError>;
-
-    /// Write the values of this matrix's transpose into `out`, in the
-    /// stored order of the layout it was transposed from. `to` is the slot
-    /// map [`Storage::transpose_together`] returned for that layout, if
-    /// any. The work runs on the current rayon pool when `parallel`; it
-    /// only moves values, so the bits do not depend on it.
-    fn transpose_back_into(&self, to: Option<&[u32]>, out: &mut [f64], parallel: bool);
+    /// [`SeaError::PatternMismatch`] when `mats` is empty, their patterns
+    /// differ, or their stored entries overflow a `u32` slot map.
+    #[allow(clippy::type_complexity)] // transposes + slot map, or none
+    fn transpose_together(mats: &[&Self]) -> Result<Option<(Vec<Self>, Vec<u32>)>, SeaError>;
 
     /// `true` when `other` has the same shape and support pattern.
     fn same_pattern(&self, other: &Self) -> bool;
@@ -255,23 +247,8 @@ impl Storage for DenseMatrix {
         DenseMatrix::zeros(DenseMatrix::rows(self), DenseMatrix::cols(self)).map_err(SeaError::from)
     }
 
-    fn transpose_together(
-        mats: &[&Self],
-        parallel: bool,
-    ) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
-        let ts = mats
-            .iter()
-            .map(|a| {
-                let mut t = DenseMatrix::zeros(a.cols(), a.rows())?;
-                transpose_into(a.as_slice(), a.rows(), a.cols(), t.as_mut_slice(), parallel);
-                Ok(t)
-            })
-            .collect::<Result<_, SeaError>>()?;
-        Ok((ts, None))
-    }
-
-    fn transpose_back_into(&self, _to: Option<&[u32]>, out: &mut [f64], parallel: bool) {
-        transpose_into(self.as_slice(), self.rows(), self.cols(), out, parallel);
+    fn transpose_together(_: &[&Self]) -> Result<Option<(Vec<Self>, Vec<u32>)>, SeaError> {
+        Ok(None)
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -372,34 +349,12 @@ impl Storage for CsrMatrix {
         Ok(CsrMatrix::zeros_like(self))
     }
 
-    fn transpose_together(
-        mats: &[&Self],
-        _parallel: bool,
-    ) -> Result<(Vec<Self>, Option<Vec<u32>>), SeaError> {
-        Ok(match CsrMatrix::transpose_together(mats) {
-            Some((ts, to)) => (ts, Some(to)),
-            None => (
-                mats.iter().map(|a| CsrMatrix::transposed(a)).collect(),
-                None,
-            ),
-        })
-    }
-
-    fn transpose_back_into(&self, to: Option<&[u32]>, out: &mut [f64], parallel: bool) {
-        let Some(to) = to else {
-            out.copy_from_slice(CsrMatrix::transposed(self).vals());
-            return;
-        };
-        let src = self.vals();
-        if parallel {
-            out.par_iter_mut()
-                .zip(to.par_iter())
-                .for_each(|(o, &k)| *o = src[k as usize]);
-        } else {
-            for (o, &k) in out.iter_mut().zip(to) {
-                *o = src[k as usize];
-            }
-        }
+    fn transpose_together(mats: &[&Self]) -> Result<Option<(Vec<Self>, Vec<u32>)>, SeaError> {
+        CsrMatrix::transpose_together(mats)
+            .map(Some)
+            .ok_or(SeaError::PatternMismatch {
+                context: "transposition (no matrices, mixed patterns or too many entries)",
+            })
     }
 
     fn same_pattern(&self, other: &Self) -> bool {
@@ -441,27 +396,27 @@ impl Storage for CsrMatrix {
     }
 }
 
-/// One solve's transposition between the problem's layout and the column
-/// pass's: the prior, the weights and any bounds go over together once,
-/// and the final iterate comes back into a spare transposed buffer. CSR
-/// matrices go over in one counting-sort pass that records the slot map,
-/// and come back by a gather through it; dense matrices go both ways by
-/// strip transposes. The gather and the strip transposes run on the
-/// solve's pool when `parallel`; they only move values, so the bits do
-/// not depend on it.
+/// One sparse solve's transposition between the problem's layout and the
+/// column pass's: the prior, the weights and any bounds go over together
+/// once, in one counting-sort pass that records the slot map, and the
+/// final iterate comes back into a spare transposed buffer by a gather
+/// through it, on the solve's pool when `parallel`. The gather only moves
+/// values, so the bits do not depend on it. Dense solves need none
+/// ([`Storage::transpose_together`]).
 pub(crate) struct Transposer {
-    to: Option<Vec<u32>>,
+    to: Vec<u32>,
     parallel: bool,
 }
 
 impl Transposer {
-    /// Transpose same-pattern `mats`, planning the way back.
+    /// Transpose same-pattern `mats`, planning the way back; `None` for a
+    /// dense backend.
+    #[allow(clippy::type_complexity)] // the plan and the transposes, or none
     pub(crate) fn over<S: Storage>(
         mats: &[&S],
         parallel: bool,
-    ) -> Result<(Self, Vec<S>), SeaError> {
-        let (ts, to) = S::transpose_together(mats, parallel)?;
-        Ok((Transposer { to, parallel }, ts))
+    ) -> Result<Option<(Self, Vec<S>)>, SeaError> {
+        Ok(S::transpose_together(mats)?.map(|(ts, to)| (Transposer { to, parallel }, ts)))
     }
 
     /// A transposed-layout `t` back in the layout of `like`, which has the
@@ -469,16 +424,25 @@ impl Transposer {
     /// is a transposed matrix the caller is done with: the result is
     /// written into its value buffer, whose pages are already mapped.
     pub(crate) fn back<S: Storage>(&self, t: &S, like: &S, spare: S) -> Result<S, SeaError> {
-        let mut vals = spare.into_values();
-        t.transpose_back_into(self.to.as_deref(), &mut vals, self.parallel);
-        like.with_values(vals)
+        let mut out = spare.into_values();
+        let src = t.values();
+        if self.parallel {
+            out.par_iter_mut()
+                .zip(self.to.par_iter())
+                .for_each(|(o, &k)| *o = src[k as usize]);
+        } else {
+            for (o, &k) in out.iter_mut().zip(&self.to) {
+                *o = src[k as usize];
+            }
+        }
+        like.with_values(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sea_linalg::dense::PARALLEL_MIN_ENTRIES;
+    use sea_linalg::dense::{transpose_into, PARALLEL_MIN_ENTRIES};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn dense() -> DenseMatrix {
@@ -491,10 +455,14 @@ mod tests {
         assert_eq!(s.cols(), src.cols());
         let back = s.to_dense().unwrap();
         assert_eq!(&back, src);
-        let (ts, _) = S::transpose_together(&[&s], false).unwrap();
-        let t = &ts[0];
-        assert_eq!(t.rows(), src.cols());
-        assert_eq!(t.get(2, 0), 2.0);
+        // Only a sparse backend transposes for its column pass.
+        match S::transpose_together(&[&s]).unwrap() {
+            Some((ts, _)) => {
+                assert_eq!(ts[0].rows(), src.cols());
+                assert_eq!(ts[0].get(2, 0), 2.0);
+            }
+            None => assert_eq!(S::label(), "dense"),
+        }
         let z = s.zeros_like().unwrap();
         assert!(z.same_pattern(&s));
         assert!(z.values().iter().all(|&v| v == 0.0));
@@ -516,11 +484,11 @@ mod tests {
         m.values().iter().map(|v| v.to_bits()).collect()
     }
 
-    fn transposer_round_trip<S: Storage>(src: &DenseMatrix) {
-        let a = S::from_dense(src).unwrap();
-        let want = S::from_dense(&reference_transpose(src)).unwrap();
+    fn transposer_round_trip(src: &DenseMatrix) {
+        let a = CsrMatrix::from_dense_full(src).unwrap();
+        let want = CsrMatrix::from_dense_full(&reference_transpose(src)).unwrap();
         for parallel in [false, true] {
-            let (plan, ts) = Transposer::over(&[&a, &a], parallel).unwrap();
+            let (plan, ts) = Transposer::over(&[&a, &a], parallel).unwrap().unwrap();
             assert_eq!(ts.len(), 2);
             for t in &ts {
                 assert!(t.same_pattern(&want));
@@ -576,8 +544,8 @@ mod tests {
                 })
                 .collect();
             let d = DenseMatrix::from_vec(rows, cols, data).unwrap();
-            transposer_round_trip::<DenseMatrix>(&d);
-            transposer_round_trip::<CsrMatrix>(&d);
+            transposer_round_trip(&d);
+            assert!(Transposer::over(&[&d, &d], true).unwrap().is_none());
         }
         // A DenseMatrix cannot be empty; the strip transpose still can.
         for parallel in [false, true] {

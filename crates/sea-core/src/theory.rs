@@ -71,6 +71,9 @@ impl CurvatureBounds {
 ///
 /// Returns `f64` because the bound can be astronomically large for tight
 /// tolerances — it is a certificate of finiteness, not a runtime estimate.
+/// It is `+∞` for a fixed-totals problem whose support leaves out a cell
+/// the proportional fill `s⁰ᵢd⁰ⱼ/Σs⁰` puts mass in: that fill point is then
+/// infeasible, and no data-only bound on the optimum is at hand.
 pub fn iteration_bound(p: &DiagonalProblem, epsilon: f64) -> f64 {
     let bounds = CurvatureBounds::compute(p);
 
@@ -88,13 +91,21 @@ pub fn iteration_bound(p: &DiagonalProblem, epsilon: f64) -> f64 {
         TotalSpec::Fixed { s0, d0 } => {
             // At the optimum, ζ₃ equals the primal optimum which is at most
             // the objective of any feasible point; the proportional-fill
-            // point gives a data-only bound.
+            // point gives a data-only bound. It is feasible only if every
+            // cell it fills is a variable: a support that leaves one out
+            // gives no such bound.
             let total: f64 = s0.iter().sum();
             let mut obj = 0.0;
             if total > 0.0 {
+                let mut is_var = vec![false; p.n()];
                 for i in 0..p.m() {
+                    is_var.fill(false);
+                    p.vars(i).for_each(|j, _| is_var[j] = true);
                     for j in 0..p.n() {
                         let fill = s0[i] * d0[j] / total;
+                        if fill > 0.0 && !is_var[j] {
+                            return f64::INFINITY;
+                        }
                         let dev = fill - x0.get(i, j);
                         obj += gamma.get(i, j) * dev * dev;
                     }
@@ -156,6 +167,25 @@ mod tests {
     use super::*;
     use crate::problem::TotalSpec;
     use sea_linalg::DenseMatrix;
+
+    #[test]
+    fn fill_point_outside_the_support_gives_no_bound() {
+        let x0 = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
+        let gamma = DenseMatrix::filled(2, 2, 1.0).unwrap();
+        let totals = || TotalSpec::Fixed {
+            s0: vec![3.0, 3.0],
+            d0: vec![3.0, 3.0],
+        };
+        let bound = |policy| {
+            let p = DiagonalProblem::with_zero_policy(x0.clone(), gamma.clone(), totals(), policy)
+                .unwrap();
+            iteration_bound(&p, 1e-3)
+        };
+        // The fill puts 1.5 in every cell; two of them are structural.
+        assert_eq!(bound(crate::ZeroPolicy::Structural), f64::INFINITY);
+        let free = bound(crate::ZeroPolicy::Free);
+        assert!(free.is_finite() && free > 0.0, "{free}");
+    }
 
     fn problem() -> DiagonalProblem {
         let x0 = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();

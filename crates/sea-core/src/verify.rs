@@ -12,9 +12,9 @@ use crate::parallel::Parallelism;
 use crate::problem::{DiagonalProblem, Residuals, TotalSpec};
 use crate::solver::Solution;
 use crate::storage::{Storage, Vars};
+use crate::tiles::{pattern_cols, ColumnBlock, Scaled, TILE};
 use rayon::prelude::*;
 use sea_linalg::dense::PARALLEL_MIN_ENTRIES;
-use sea_linalg::CsrMatrix;
 
 /// A first-principles optimality report.
 #[derive(Debug, Clone, Copy)]
@@ -301,13 +301,25 @@ struct Part {
     zeta: f64,
 }
 
-/// The data a solve finishes from, in its column-pass layout (row `j` of
-/// each matrix is column `j` of the problem), with the solve's
-/// multipliers, totals and the row sums of its iterate.
+/// A solve's iterate and data in its column pass's layout.
+pub(crate) enum Columns<'a, S: Storage> {
+    /// A sparse solve's transposed copies: row `j` of each matrix is
+    /// column `j` of the problem.
+    Transposed {
+        x_t: &'a S,
+        x0_t: &'a S,
+        gamma_t: &'a S,
+    },
+    /// A dense solve's row-major iterate, whose deferred rounding scales
+    /// the sweep applies, writing the returned `x`; it reads the problem's
+    /// own `x⁰` and `γ`.
+    Tiled(&'a mut Scaled<S>),
+}
+
+/// The data a solve finishes from, in its column-pass layout, with the
+/// solve's multipliers, totals and the row sums of its iterate.
 pub(crate) struct Finish<'a, S: Storage> {
-    pub(crate) x_t: &'a S,
-    pub(crate) x0_t: &'a S,
-    pub(crate) gamma_t: &'a S,
+    pub(crate) columns: Columns<'a, S>,
     pub(crate) lambda: &'a [f64],
     pub(crate) mu: &'a [f64],
     pub(crate) s: &'a [f64],
@@ -322,43 +334,48 @@ impl<S: Storage> Finish<'_, S> {
     /// are exact, so the bits do not depend on the pool's width, and they
     /// equal [`verify_solution`]'s.
     pub(crate) fn run(
-        &self,
+        self,
         p: &DiagonalProblem<S>,
         level: Finishing,
         par: Parallelism,
     ) -> Finished {
-        let fan_out = par.is_parallel() && self.x_t.stored() >= PARALLEL_MIN_ENTRIES;
+        let fan_out = par.is_parallel() && p.x0().stored() >= PARALLEL_MIN_ENTRIES;
         let certified = level == Finishing::Certified;
         // A certificate's threshold between positive and zero entries.
         let tau = if certified {
-            let x0v = self.x0_t.values();
+            let x0v = p.x0().values();
             1e-10 * chunked(x0v.len(), fan_out, 0.0, |r| entry_scale(&x0v[r]), raise)
         } else {
             0.0
         };
-        let support = p.support().map(|s| &s.cols);
-        let mut parts = vec![Part::default(); self.x_t.rows()];
-        let ext = split_parts(&mut parts, fan_out, |first, chunk| {
-            self.sweep(first, chunk, level, support, tau)
-        });
+        let Finish {
+            columns,
+            lambda,
+            mu,
+            s,
+            d,
+            row_sums,
+        } = self;
+        let sweep = Sweep { lambda, mu };
+        let mut parts = vec![Part::default(); p.n()];
+        let ext = match columns {
+            Columns::Transposed { x_t, x0_t, gamma_t } => {
+                let t = Transposed { x_t, x0_t, gamma_t };
+                split_parts(&mut parts, fan_out, |first, chunk| match level {
+                    // One loop per level, so no entry tests what it computes.
+                    Finishing::Primal => sweep.transposed::<false, S>(&t, first, chunk, tau),
+                    Finishing::Certified => sweep.transposed::<true, S>(&t, first, chunk, tau),
+                })
+            }
+            Columns::Tiled(x) => sweep.tiled(p, x, &mut parts, fan_out, level, tau),
+        };
 
-        let residuals =
-            p.residuals_of_sums(self.row_sums, parts.iter().map(|c| c.sum), self.s, self.d);
-        let objective = p.objective_of_columns(parts.iter().map(|c| c.objective), self.s, self.d);
-        let dual_value = certified.then(|| {
-            dual::dual_of_columns(
-                p.totals(),
-                parts.iter().map(|c| c.zeta),
-                self.lambda,
-                self.mu,
-            )
-        });
-        let certificate = dual_value.map(|zeta| {
-            let (lambda, mu) = (self.lambda, self.mu);
-            report(
-                p, lambda, mu, self.s, self.d, ext, residuals, objective, zeta,
-            )
-        });
+        let residuals = p.residuals_of_sums(row_sums, parts.iter().map(|c| c.sum), s, d);
+        let objective = p.objective_of_columns(parts.iter().map(|c| c.objective), s, d);
+        let dual_value = certified
+            .then(|| dual::dual_of_columns(p.totals(), parts.iter().map(|c| c.zeta), lambda, mu));
+        let certificate =
+            dual_value.map(|zeta| report(p, lambda, mu, s, d, ext, residuals, objective, zeta));
         Finished {
             residuals,
             objective,
@@ -366,58 +383,173 @@ impl<S: Storage> Finish<'_, S> {
             certificate,
         }
     }
+}
 
-    /// Sweep subproblems `first..first + parts.len()` into `parts` at
-    /// `level`: their sums, then, when certifying, ζ's terms and the KKT
-    /// extremes with positive-entry threshold `tau`, over the variables
-    /// of each subproblem (the column-side `support` pattern's, for a
-    /// dense structural problem).
-    fn sweep(
+/// The multipliers a finishing sweep reads.
+#[derive(Clone, Copy)]
+struct Sweep<'a> {
+    lambda: &'a [f64],
+    mu: &'a [f64],
+}
+
+impl Sweep<'_> {
+    /// Sweep the transposed subproblems `first..first + parts.len()` into
+    /// `parts`: their sums, then, when certifying, ζ's terms and the KKT
+    /// extremes with positive-entry threshold `tau`, over the stored
+    /// variables of each subproblem.
+    fn transposed<const CERTIFIED: bool, S: Storage>(
         &self,
+        t: &Transposed<'_, S>,
         first: usize,
         parts: &mut [Part],
-        level: Finishing,
-        support: Option<&CsrMatrix>,
-        tau: f64,
-    ) -> Extremes {
-        // One loop per level, so no entry tests what it computes.
-        match level {
-            Finishing::Primal => self.sweep_as::<false>(first, parts, support, tau),
-            Finishing::Certified => self.sweep_as::<true>(first, parts, support, tau),
-        }
-    }
-
-    fn sweep_as<const CERTIFIED: bool>(
-        &self,
-        first: usize,
-        parts: &mut [Part],
-        support: Option<&CsrMatrix>,
         tau: f64,
     ) -> Extremes {
         let mut ext = Extremes::EMPTY;
         for (j, part) in (first..).zip(parts) {
-            let range = self.x_t.row_range(j);
-            let x = &self.x_t.values()[range.clone()];
-            let x0 = &self.x0_t.values()[range.clone()];
-            let gamma = &self.gamma_t.values()[range];
+            let range = t.x_t.row_range(j);
+            let x = &t.x_t.values()[range.clone()];
+            let x0 = &t.x0_t.values()[range.clone()];
+            let gamma = &t.gamma_t.values()[range];
             let mu = self.mu[j];
             let mut c = Part::default();
             // Variable `k` of subproblem `j` is row `i` of the problem.
-            Vars::of(self.x0_t, support, j).for_each(|i, k| {
-                let dev = x[k] - x0[k];
-                c.sum += x[k];
-                c.objective += gamma[k] * dev * dev;
-                if CERTIFIED {
-                    let li = self.lambda[i];
-                    c.zeta += dual::entry_term(gamma[k], x0[k], li + mu);
-                    ext.min_entry = lower(ext.min_entry, x[k]);
-                    ext.note(x[k], 2.0 * gamma[k] * dev - li - mu, tau);
-                }
+            Vars::of(t.x0_t, None, j).for_each(|i, k| {
+                self.note::<CERTIFIED>(&mut c, &mut ext, x[k], x0[k], gamma[k], i, mu, tau);
             });
             *part = c;
         }
         ext
     }
+
+    /// Add variable `(i, j)` with entry `x`, prior `x0` and weight `gamma`
+    /// to column `j`'s sums `c` (with `mu = μⱼ`), and, when certifying, to
+    /// ζ's terms and the KKT extremes.
+    #[allow(clippy::too_many_arguments)] // one entry's data
+    #[inline(always)]
+    fn note<const CERTIFIED: bool>(
+        &self,
+        c: &mut Part,
+        ext: &mut Extremes,
+        x: f64,
+        x0: f64,
+        gamma: f64,
+        i: usize,
+        mu: f64,
+        tau: f64,
+    ) {
+        let dev = x - x0;
+        c.sum += x;
+        c.objective += gamma * dev * dev;
+        if CERTIFIED {
+            let li = self.lambda[i];
+            c.zeta += dual::entry_term(gamma, x0, li + mu);
+            ext.min_entry = lower(ext.min_entry, x);
+            ext.note(x, 2.0 * gamma * dev - li - mu, tau);
+        }
+    }
+
+    /// The dense sweep: each column's sums in row order, walking the
+    /// row-major matrices in column tiles, one contiguous run of columns
+    /// per worker when `fan_out`; it applies the iterate's scales and
+    /// writes the returned entries back.
+    fn tiled<S: Storage>(
+        &self,
+        p: &DiagonalProblem<S>,
+        x: &mut Scaled<S>,
+        parts: &mut [Part],
+        fan_out: bool,
+        level: Finishing,
+        tau: f64,
+    ) -> Extremes {
+        let (m, n) = (p.m(), p.n());
+        let Scaled { x, scale } = x;
+        let mut whole = ColumnBlock::whole(x.values_mut(), m, n);
+        let chunks = chunk_count(n, fan_out);
+        let mut work = Vec::with_capacity(chunks);
+        let mut rest = parts;
+        for c in 0..chunks {
+            let first = c * n / chunks;
+            let len = (c + 1) * n / chunks - first;
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            work.push((first, chunk, whole.split_front(len), Extremes::EMPTY));
+            rest = tail;
+        }
+        let scale: &[f64] = scale;
+        let body =
+            |(first, chunk, block, ext): &mut (usize, &mut [Part], ColumnBlock<'_>, Extremes)| {
+                *ext = match level {
+                    Finishing::Primal => {
+                        self.tiles::<false, S>(p, block, scale, *first, chunk, tau)
+                    }
+                    Finishing::Certified => {
+                        self.tiles::<true, S>(p, block, scale, *first, chunk, tau)
+                    }
+                }
+            };
+        if chunks == 1 {
+            work.iter_mut().for_each(body);
+        } else {
+            work.par_iter_mut().for_each(body);
+        }
+        work.into_iter()
+            .fold(Extremes::EMPTY, |acc, (_, _, _, ext)| acc.merge(ext))
+    }
+
+    /// [`Sweep::tiled`]'s columns `first..first + parts.len()`.
+    fn tiles<const CERTIFIED: bool, S: Storage>(
+        &self,
+        p: &DiagonalProblem<S>,
+        x: &mut ColumnBlock<'_>,
+        scale: &[f64],
+        first: usize,
+        parts: &mut [Part],
+        tau: f64,
+    ) -> Extremes {
+        let (m, n) = (p.m(), p.n());
+        let (x0, gamma) = (p.x0().values(), p.gamma().values());
+        let support = p.support().map(|s| &s.rows);
+        let mut ext = Extremes::EMPTY;
+        for t0 in (0..parts.len()).step_by(TILE) {
+            let w = TILE.min(parts.len() - t0);
+            let j0 = first + t0;
+            let cols = j0..j0 + w;
+            let parts = &mut parts[t0..t0 + w];
+            let (mu, scale) = (&self.mu[cols.clone()], &scale[cols.clone()]);
+            for i in 0..m {
+                let r = i * n + j0..i * n + j0 + w;
+                let (x0, gamma) = (&x0[r.clone()], &gamma[r]);
+                let xr = x.row(i, cols.clone());
+                let mut entry = |c: usize| {
+                    let v = xr[c] * scale[c];
+                    xr[c] = v;
+                    self.note::<CERTIFIED>(
+                        &mut parts[c],
+                        &mut ext,
+                        v,
+                        x0[c],
+                        gamma[c],
+                        i,
+                        mu[c],
+                        tau,
+                    );
+                };
+                match support {
+                    None => (0..w).for_each(&mut entry),
+                    Some(pattern) => pattern_cols(pattern, i, cols.clone())
+                        .iter()
+                        .for_each(|&j| entry(j as usize - j0)),
+                }
+            }
+        }
+        ext
+    }
+}
+
+/// A sparse solve's transposed iterate and data.
+struct Transposed<'a, S> {
+    x_t: &'a S,
+    x0_t: &'a S,
+    gamma_t: &'a S,
 }
 
 /// One chunk per worker of the current pool when `fan_out`, one

@@ -32,28 +32,36 @@ std::thread_local! {
     // const-initialized: accessing it never allocates, so the allocator
     // hooks cannot recurse.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    // Allocations of at least `LARGE_BYTES` bytes (0: not counted).
+    static LARGE: Cell<usize> = const { Cell::new(0) };
+    static LARGE_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Bump the calling thread's counter; silently skipped during thread
-/// teardown when the TLS slot is already destroyed.
-fn count_one() {
+/// Bump the calling thread's counters for an allocation of `bytes`;
+/// silently skipped during thread teardown when the TLS slots are already
+/// destroyed.
+fn count_one(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let large = LARGE_BYTES.try_with(|t| t.get() != 0 && bytes >= t.get());
+    if large == Ok(true) {
+        let _ = LARGE.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -265,5 +273,61 @@ fn kernels_do_not_allocate_in_steady_state() {
             !profiler.spans().is_empty(),
             "{kernel}: profiler recorded no spans — audit is vacuous"
         );
+    }
+}
+
+/// A warm dense solve reads its prior, weights and bounds where they lie:
+/// besides the iterate it returns, it allocates no buffer of the
+/// problem's size (no transposed copies), and its loop allocates nothing.
+#[test]
+fn warm_dense_solve_allocates_one_matrix() {
+    let (m, n) = (40, 300);
+    let x0 =
+        DenseMatrix::from_vec(m, n, (0..m * n).map(|k| 1.0 + (k % 7) as f64).collect()).unwrap();
+    let gamma =
+        DenseMatrix::from_vec(m, n, (0..m * n).map(|k| 0.5 + (k % 3) as f64).collect()).unwrap();
+    let s0: Vec<f64> = x0.row_sums().iter().map(|v| v * 1.1).collect();
+    let d0: Vec<f64> = x0.col_sums().iter().map(|v| v * 1.1).collect();
+    let scaled = |f: f64| {
+        DenseMatrix::from_vec(m, n, x0.as_slice().iter().map(|v| v * f).collect()).unwrap()
+    };
+    let bounded = BoundedProblem::new(
+        x0.clone(),
+        gamma.clone(),
+        scaled(0.5),
+        scaled(3.0),
+        s0.clone(),
+        d0.clone(),
+    )
+    .unwrap();
+    let p = DiagonalProblem::new(x0, gamma, TotalSpec::Fixed { s0, d0 }).unwrap();
+    let sup = SupervisorOptions::default();
+    let mut opts = SeaOptions::with_epsilon(1e-8);
+    opts.epsilon = -1.0; // unattainable: always run to the cap
+    opts.initial_mu = Some(vec![0.1; n]);
+    for class in ["diagonal", "bounded"] {
+        let solve = |iterations: usize| -> (usize, usize) {
+            let opts = SeaOptions {
+                max_iterations: iterations,
+                ..opts.clone()
+            };
+            LARGE_BYTES.with(|t| t.set(m * n * std::mem::size_of::<f64>()));
+            let before = (allocations(), LARGE.with(Cell::get));
+            match class {
+                "diagonal" => {
+                    solve_diagonal_supervised(&p, &opts, &sup, &mut NullObserver).unwrap();
+                }
+                _ => {
+                    solve_bounded_supervised(&bounded, &opts, &sup, &mut NullObserver).unwrap();
+                }
+            }
+            let after = (allocations(), LARGE.with(Cell::get));
+            LARGE_BYTES.with(|t| t.set(0));
+            (after.0 - before.0, after.1 - before.1)
+        };
+        solve(4); // warm-up (scratch, allocator internals, lazy statics)
+        let (base, large) = solve(8);
+        assert_eq!(large, 1, "{class}: m·n buffers besides the iterate");
+        assert_eq!(solve(16).0, base, "{class}: solve iterations allocated");
     }
 }
